@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cayley, dynamics, group_theory, pulses
+from . import cayley, group_theory, pulses
 from .cayley import CayleyGraph, EulerPath, build_cayley, eulerian_cycle
-from .dynamics import (DriftModel, average_hamiltonian, decoupling_distance,
-                       f_map, q_map, residual_error, simulate_cycles)
+from .dynamics import (DriftModel, decoupling_distance, f_map, q_map,
+                       residual_error, simulate_cycles)
 from .group_theory import (Group, IrrepDecomposition, UnitaryRep, center_basis,
                            commutant_basis, decompose_irreps, pi_G, _vec)
 from .pulses import (ControlSchedule, FaultModel, PulseProfile, apply_fault,
@@ -253,7 +253,6 @@ class TheoremReport:
 
 
 def verify_theorem(scenario: Scenario, trials: int = 100, tol: float = 1e-7,
-                   quad_points: int = dynamics.DEFAULT_QUAD_POINTS,
                    seed: int = 0) -> TheoremReport:
     """Check the symmetrization identity q_map = pi_G on random Hermitian
     inputs.  Skipped (with a notice) when any profile leaves the group
@@ -269,7 +268,7 @@ def verify_theorem(scenario: Scenario, trials: int = 100, tol: float = 1e-7,
     for _ in range(trials):
         X = random_hermitian(d, rng)
         dev = np.linalg.norm(
-            q_map(scenario.rep, scenario.profiles, X, quad_points)
+            q_map(scenario.rep, scenario.profiles, X)
             - pi_G(scenario.rep, X))
         worst = max(worst, float(dev))
     return TheoremReport(scenario=scenario.name, hypothesis_ok=True,
@@ -326,14 +325,13 @@ def _classify_block(B: np.ndarray, n_J: int, d_J: int, scale: float) -> tuple:
 
 
 def robustness_report(scenario: Scenario, fault: FaultModel,
-                      quad_points: int = dynamics.DEFAULT_QUAD_POINTS,
                       seed: int = 0) -> SubsystemReport:
     """Residual control error of a systematic fault and its per-block action.
 
     The residual always lands in the commutant, so the dimension factors of
     every block stay clean; if the fault is in the group algebra the
     residual is central and every block sees at most a scalar."""
-    res = residual_error(scenario.rep, scenario.profiles, fault, quad_points)
+    res = residual_error(scenario.rep, scenario.profiles, fault)
     decomp = decompose_irreps(scenario.rep, seed=seed)
     com = commutant_basis(scenario.rep)
     cen = center_basis(scenario.rep)
@@ -399,7 +397,6 @@ class ScalingRow:
     cycles: int
     distance: float
     per_cycle: float
-    quad_error: float
 
 
 @dataclass
@@ -412,8 +409,6 @@ class ScalingStudy:
 
 
 def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
-                  slices: int = dynamics.DEFAULT_SLICES,
-                  quad_points: int = dynamics.DEFAULT_QUAD_POINTS,
                   drift: DriftModel = None, env_dim: int = 2,
                   seed: int = 0, kind: str = "eulerian") -> ScalingStudy:
     """Per-cycle decoupling error against the cycle time, with the fitted
@@ -423,18 +418,16 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
     rows = []
     for dt in delta_t_values:
         sched = scenario.schedule(dt) if kind == "eulerian" else scenario.bangbang(dt)
-        hbar, qerr = average_hamiltonian(sched, drift.total(), quad_points,
-                                         return_error=True)
-        dist = decoupling_distance(drift, sched, cycles, slices, quad_points)
+        dist = decoupling_distance(drift, sched, cycles)
         rows.append(ScalingRow(delta_t=float(dt), cycle_time=sched.cycle_time,
                                cycles=cycles, distance=dist,
-                               per_cycle=dist / cycles, quad_error=qerr))
+                               per_cycle=dist / cycles))
     rows.sort(key=lambda r: -r.cycle_time)
     notice = ""
     per_cycle = [r.per_cycle for r in rows]
     monotonic = all(a >= b * 0.999 for a, b in zip(per_cycle, per_cycle[1:]))
     if not monotonic:
-        notice = "non-monotonic data: quadrature or slicing too coarse"
+        notice = "non-monotonic data: error not in the asymptotic regime"
     if all(p <= 1e-13 for p in per_cycle):
         notice = "errors at numerical noise floor; slope not meaningful"
     if len(rows) >= 2 and all(p > 0 for p in per_cycle):

@@ -47,7 +47,7 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
         checks.append(_check("reference-path-valid", ok, diag, "ok"))
 
     rep_report = verify_theorem(scenario, trials=cfg.trials, tol=1e-7,
-                                quad_points=cfg.quad_points, seed=cfg.seed)
+                                seed=cfg.seed)
     if rep_report.skipped:
         checks.append(_check("symmetrization", True, "skipped", 1e-7,
                              "hypothesis failed: profiles leave the algebra"))
@@ -60,7 +60,7 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
         X = random_hermitian(d, rng)
         p = pi_G(rep, X)
         worst_idem = max(worst_idem, float(np.linalg.norm(pi_G(rep, p) - p)))
-        q = q_map(rep, scenario.profiles, X, cfg.quad_points)
+        q = q_map(rep, scenario.profiles, X)
         for g in rep.matrices:
             worst_comm = max(worst_comm, float(np.linalg.norm(q @ g - g @ q)))
     checks.append(_check("projector-idempotent", worst_idem <= 1e-10,
@@ -71,12 +71,12 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
     if scenario.name == "carr-purcell":
         for u in ("y", "z"):
             fault = FaultModel.constant([0], [0.1 * SIGMA[u]], rep)
-            rob = robustness_report(scenario, fault, cfg.quad_points, cfg.seed)
+            rob = robustness_report(scenario, fault, cfg.seed)
             checks.append(_check(f"fault-s{u}-vanishes",
                                  rob.residual_norm <= 1e-9,
                                  rob.residual_norm, 1e-9))
         fault = FaultModel.constant([0], [0.1 * SIGMA["x"]], rep)
-        rob = robustness_report(scenario, fault, cfg.quad_points, cfg.seed)
+        rob = robustness_report(scenario, fault, cfg.seed)
         dev = float(np.linalg.norm(rob.residual - 0.1 * SIGMA["x"]))
         checks.append(_check("fault-sx-central",
                              dev <= 1e-9 and rob.center_residual <= 1e-9,
@@ -90,7 +90,7 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
                 m = random_hermitian(d, rng)
                 rates.append(m - np.trace(m) / d * np.eye(d))
             fault = FaultModel.constant(colors, rates, rep)
-            rob = robustness_report(scenario, fault, cfg.quad_points, cfg.seed)
+            rob = robustness_report(scenario, fault, cfg.seed)
             worst = max(worst, rob.residual_norm)
         checks.append(_check("random-fault-eliminated", worst <= 1e-8,
                              worst, 1e-8))
@@ -128,7 +128,6 @@ def _summary_json(scenario_name, cfg: RunConfig, checks) -> str:
     doc = {
         "scenario": scenario_name,
         "seed": cfg.seed,
-        "quad_points": cfg.quad_points,
         "trials": cfg.trials,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
@@ -157,7 +156,7 @@ def _resolve(args) -> tuple:
     if args.scenario:
         cfg.scenario = args.scenario
         cfg.inline = None
-    for key in ("cycles", "quad_points", "slices", "seed", "trials"):
+    for key in ("cycles", "seed", "trials"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
@@ -198,12 +197,10 @@ def cmd_sweep(args) -> int:
     if not cfg.delta_t_list:
         raise ConfigError("sweep needs --delta-t with one or more values")
     study = scaling_study(scenario, cfg.delta_t_list, cycles=cfg.cycles,
-                          slices=cfg.slices, quad_points=cfg.quad_points,
                           env_dim=cfg.env_dim, seed=cfg.seed)
-    lines = ["delta_t,cycle_time,cycles,distance,quad_error"]
+    lines = ["delta_t,cycle_time,cycles,distance"]
     for r in study.rows:
-        lines.append(f"{r.delta_t!r},{r.cycle_time!r},{r.cycles},"
-                     f"{r.distance!r},{r.quad_error!r}")
+        lines.append(f"{r.delta_t!r},{r.cycle_time!r},{r.cycles},{r.distance!r}")
     if len(study.rows) >= 2 and np.isfinite(study.slope):
         lines.append(f"# slope: {study.slope:.6f}")
     else:
@@ -247,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta-t", dest="delta_t",
                        help="sub-interval length(s), comma separated")
         p.add_argument("--cycles", type=int)
-        p.add_argument("--quad-points", dest="quad_points", type=int)
-        p.add_argument("--slices", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--out", help="output file path")

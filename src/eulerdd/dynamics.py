@@ -2,8 +2,9 @@
 system-environment simulation.
 
 Everything is piecewise constant, so propagators are exact products of
-segment exponentials; quadrature only enters through the toggling-frame
-time averages (composite Simpson per segment).
+segment exponentials, and every toggling-frame time average (``f_map``,
+``q_map``, ``residual_error``, ``average_hamiltonian``) is a sum of exact
+segment integrals evaluated in the eigenbasis of the segment Hamiltonian.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .group_theory import UnitaryRep, pi_G, align_phase
 from .pulses import (ControlSchedule, FaultModel, _expm_herm,
                      faulty_segments, merged_segments)
 
-DEFAULT_QUAD_POINTS = 64
-DEFAULT_SLICES = 256
 UNITARITY_TOL = 1e-10
 
 
@@ -68,8 +67,6 @@ class PropagatorResult:
     unitary: np.ndarray
     t0: float
     t1: float
-    slices: int
-    truncation_error: float
 
     def check_unitarity(self, tol: float = UNITARITY_TOL) -> None:
         d = self.unitary.shape[0]
@@ -78,12 +75,11 @@ class PropagatorResult:
             raise RuntimeError(f"propagator lost unitarity: {err:.2e}")
 
 
-def time_ordered_exp(timeline, t0: float, t1: float,
-                     slices_per_segment: int = 1) -> PropagatorResult:
+def time_ordered_exp(timeline, t0: float, t1: float) -> PropagatorResult:
     """Propagator of a piecewise-constant Hamiltonian timeline.
 
-    ``timeline`` is a list of (duration, H) pairs covering [0, sum durations].
-    Exact for piecewise-constant input regardless of slicing.
+    ``timeline`` is a list of (duration, H) pairs covering [0, sum durations];
+    one exponential per segment is exact.
     """
     durations = [float(dur) for dur, _ in timeline]
     total = sum(durations)
@@ -92,18 +88,13 @@ def time_ordered_exp(timeline, t0: float, t1: float,
     d = timeline[0][1].shape[0]
     u = np.eye(d, dtype=complex)
     pos = 0.0
-    used = 0
     for dur, H in timeline:
         a = max(pos, t0)
         b = min(pos + dur, t1)
         if b > a + 1e-15:
-            n = max(1, slices_per_segment)
-            step = _expm_herm(H, (b - a) / n)
-            for _ in range(n):
-                u = step @ u
-            used += n
+            u = _expm_herm(H, b - a) @ u
         pos += dur
-    res = PropagatorResult(unitary=u, t0=t0, t1=t1, slices=used, truncation_error=0.0)
+    res = PropagatorResult(unitary=u, t0=t0, t1=t1)
     res.check_unitarity()
     return res
 
@@ -125,111 +116,106 @@ def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
     return schedule.profiles[color].unitary_at(s / dt) @ base
 
 
-def _toggled_average(schedule: ControlSchedule, H0: np.ndarray,
-                     quad_points: int) -> np.ndarray:
-    """(1/T_c) integral of U_c†(t) H0 U_c(t) dt, Simpson per segment.
+def _lift_conj(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(A ⊗ I_E)† X (A ⊗ I_E) for X given as a (d, d_E, d, d_E) tensor."""
+    Y = np.tensordot(A.conj(), X, axes=(0, 0))
+    return np.tensordot(Y, A, axes=(2, 0)).transpose(0, 1, 3, 2)
+
+
+def _sub_interval_integral(segments, env_dim: int = 1) -> np.ndarray:
+    """Exact integral of u(x)† X(x) u(x) over x in [0, 1] for a
+    piecewise-constant control u on S, acting as u ⊗ I on S ⊗ E.
+
+    ``segments`` are (fraction, rate, X) triples: on a segment of length f
+    starting at u₀, u(x) = e^{-ixR} u₀ and X(x) = X, a matrix on S ⊗ E.
+    With R = VΛV†, Y = V†XV and W = V†u₀ the segment integral is
+    W† (K ∘ Y) W with K_ij = f e^{iθ/2} sinc(θ/2), θ = f(λᵢ−λⱼ), which
+    stays finite at degenerate eigenvalues (Van Loan 1978, diagonal form).
+    """
+    d = segments[0][1].shape[0]
+    acc = np.zeros((d, env_dim, d, env_dim), dtype=complex)
+    u = np.eye(d, dtype=complex)
+    for frac, rate, X in segments:
+        lam, V = np.linalg.eigh(rate)
+        theta = frac * (lam[:, None] - lam[None, :])
+        K = frac * np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
+        Y = _lift_conj(V, np.reshape(X, acc.shape)) * K[:, None, :, None]
+        W = V.conj().T @ u
+        acc += _lift_conj(W, Y)
+        u = V @ (np.exp(-1j * frac * lam)[:, None] * W)
+    return acc.reshape(d * env_dim, d * env_dim)
+
+
+def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray:
+    """First-order average Hamiltonian (1/T_c) ∫ U_c†(t) H0 U_c(t) dt.
 
     H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I.
+    For an Eulerian schedule the sub-interval average F_c(H0) is computed
+    once per color and conjugated by the stroboscopic frame of every
+    sub-interval that pulses that color.
     """
+    H0 = np.asarray(H0, dtype=complex)
+    if np.linalg.norm(H0 - H0.conj().T) > 1e-10 * max(np.linalg.norm(H0), 1.0):
+        raise ValueError("invalid drift: H0 must be Hermitian")
     d = schedule.rep.dimension
     dim = H0.shape[0]
     if dim % d:
         raise ValueError("invalid drift: dimension is not a multiple of the system's")
     de = dim // d
-    eye_e = np.eye(de)
-
-    def lift(u):
-        return np.kron(u, eye_e) if de > 1 else u
 
     acc = np.zeros((dim, dim), dtype=complex)
     if schedule.kind == "bangbang":
+        eye_e = np.eye(de)
         for j in schedule.ordering:
-            g = lift(schedule.rep.matrices[j])
+            g = np.kron(schedule.rep.matrices[j], eye_e)
             acc += g.conj().T @ H0 @ g
-        return acc / schedule.sub_intervals
-
-    frames = schedule.stroboscopic_frames()
-    for ell, color in enumerate(schedule.path.colors):
-        base = lift(frames[ell])
-        for w, u in schedule.profiles[color].unitary_samples(quad_points):
-            uc = lift(u) @ base
-            acc += w * (uc.conj().T @ H0 @ uc)
-    return acc / schedule.sub_intervals
-
-
-def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray,
-                        quad_points: int = DEFAULT_QUAD_POINTS,
-                        return_error: bool = False):
-    """First-order average Hamiltonian of the drift under the schedule.
-
-    With return_error=True also reports the grid-doubling convergence
-    estimate (Frobenius difference against 2x quadrature points).
-    """
-    H0 = np.asarray(H0, dtype=complex)
-    if np.linalg.norm(H0 - H0.conj().T) > 1e-10 * max(np.linalg.norm(H0), 1.0):
-        raise ValueError("invalid drift: H0 must be Hermitian")
-    if quad_points < 2:
-        raise ValueError("quad_points must be >= 2")
-    avg = _toggled_average(schedule, H0, quad_points)
-    avg = 0.5 * (avg + avg.conj().T)
-    if not return_error:
-        return avg
-    fine = _toggled_average(schedule, H0, 2 * quad_points)
-    return avg, float(np.linalg.norm(avg - fine))
+    else:
+        colors = schedule.path.colors
+        averaged = {
+            c: _sub_interval_integral(
+                [(frac, rate, H0) for frac, rate in schedule.profiles[c].segments],
+                de).reshape(d, de, d, de)
+            for c in set(colors)}
+        frames = schedule.stroboscopic_frames()
+        for ell, color in enumerate(colors):
+            acc += _lift_conj(frames[ell], averaged[color]).reshape(dim, dim)
+    avg = acc / schedule.sub_intervals
+    return 0.5 * (avg + avg.conj().T)
 
 
-def f_map(profiles: dict, X: np.ndarray,
-          quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+def f_map(profiles: dict, X: np.ndarray) -> np.ndarray:
     """Average of u_c†(s) X u_c(s) over the generators and the sub-interval."""
     X = np.asarray(X, dtype=complex)
     d = next(iter(profiles.values())).target.shape[0]
     if X.shape != (d, d):
         raise ValueError("shape error: operator does not match profile dimension")
-    acc = np.zeros((d, d), dtype=complex)
-    for prof in profiles.values():
-        for w, u in prof.unitary_samples(quad_points):
-            acc += w * (u.conj().T @ X @ u)
-    return acc / len(profiles)
+    return sum(_sub_interval_integral([(frac, rate, X) for frac, rate in prof.segments])
+               for prof in profiles.values()) / len(profiles)
 
 
-def q_map(rep: UnitaryRep, profiles: dict, X: np.ndarray,
-          quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+def q_map(rep: UnitaryRep, profiles: dict, X: np.ndarray) -> np.ndarray:
     """Eulerian averaging map: group-average projector after the F map."""
-    return pi_G(rep, f_map(profiles, X, quad_points))
+    return pi_G(rep, f_map(profiles, X))
 
 
-def residual_error(rep: UnitaryRep, profiles: dict, fault: FaultModel,
-                   quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+def residual_error(rep: UnitaryRep, profiles: dict, fault: FaultModel) -> np.ndarray:
     """First-order residual control-error operator of a systematic fault.
 
     Returned in 1/delta_t units (multiply by 1/delta_t for the physical
     Hamiltonian).  The toggling frame uses the ideal profiles; the
     integrand is u†(s) delta-h(s) u(s)."""
     fault.validate()
-    d = next(iter(profiles.values())).target.shape[0]
-    n = max(2, quad_points + (quad_points % 2))
-    acc = np.zeros((d, d), dtype=complex)
-    for color, prof in profiles.items():
-        u_start = np.eye(d, dtype=complex)
-        for frac, ideal_rate, fault_rate in merged_segments(prof, fault, color):
-            h = frac / n
-            step = _expm_herm(ideal_rate, h)
-            u = u_start
-            for k in range(n + 1):
-                w = h / 3.0 if k in (0, n) else (4.0 if k % 2 else 2.0) * h / 3.0
-                acc += w * (u.conj().T @ fault_rate @ u)
-                if k < n:
-                    u = step @ u
-            u_start = u
+    acc = sum(_sub_interval_integral(merged_segments(prof, fault, color))
+              for color, prof in profiles.items())
     return pi_G(rep, acc / len(profiles))
 
 
-def simulate_cycles(drift: DriftModel, schedule: ControlSchedule, cycles: int = 1,
-                    slices: int = DEFAULT_SLICES) -> np.ndarray:
+def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
+                    cycles: int = 1) -> np.ndarray:
     """Joint propagator of H0 + H_c(t) ⊗ I over [0, cycles * T_c].
 
     The total Hamiltonian is piecewise constant, so one exponential per
-    control segment is exact; ``slices`` only bounds extra subdivision.
+    control segment is exact.
     For bang-bang schedules the kicks are frame jumps: each sub-interval
     evolves under g† H0 g conjugated drift.
     """
@@ -262,16 +248,15 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule, cycles: int = 
     u = np.linalg.matrix_power(u_cycle, cycles)
     err = np.linalg.norm(u.conj().T @ u - np.eye(dim))
     if err > 1e-8 * dim:
-        raise RuntimeError(f"slices too coarse: unitarity drift {err:.2e}")
+        raise RuntimeError(f"propagator lost unitarity: drift {err:.2e}")
     return u
 
 
 def decoupling_distance(drift: DriftModel, schedule: ControlSchedule,
-                        cycles: int = 1, slices: int = DEFAULT_SLICES,
-                        quad_points: int = DEFAULT_QUAD_POINTS) -> float:
+                        cycles: int = 1) -> float:
     """Phase-aligned Frobenius distance between the stroboscopic propagator
     and exp(-i Hbar M T_c)."""
-    u = simulate_cycles(drift, schedule, cycles, slices)
-    hbar = average_hamiltonian(schedule, drift.total(), quad_points)
+    u = simulate_cycles(drift, schedule, cycles)
+    hbar = average_hamiltonian(schedule, drift.total())
     target = _expm_herm(hbar, cycles * schedule.cycle_time)
     return float(np.linalg.norm(u - align_phase(u, target)))

@@ -46,8 +46,6 @@ class RunConfig:
     delta_t: float = 0.01
     delta_t_list: list = None
     cycles: int = 10
-    quad_points: int = 64
-    slices: int = 256
     seed: int = 0
     trials: int = 20
     env_dim: int = 2
@@ -61,12 +59,6 @@ class RunConfig:
             raise ConfigError("delta_t must be > 0")
         if self.delta_t_list is not None and any(d <= 0 for d in self.delta_t_list):
             raise ConfigError("all delta_t values must be > 0")
-        if self.quad_points < 8:
-            raise ConfigError("quad_points must be >= 8")
-        if self.quad_points % 2:
-            raise ConfigError("quad_points must be even")
-        if self.slices < 16:
-            raise ConfigError("slices must be >= 16")
         if self.cycles < 1:
             raise ConfigError("cycles must be >= 1")
         if self.trials < 1:
@@ -85,8 +77,7 @@ def load_config(path: str) -> RunConfig:
     elif sc is not None:
         cfg.scenario = str(sc)
     over = doc.get("overrides", {})
-    for key in ("delta_t", "cycles", "quad_points", "slices", "seed",
-                "trials", "env_dim", "verbosity"):
+    for key in ("delta_t", "cycles", "seed", "trials", "env_dim", "verbosity"):
         if key in over:
             setattr(cfg, key, over[key])
     if "n_qubits" in over:
@@ -141,6 +132,9 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
     profiles = {}
     for color, pdoc in enumerate(doc.get("profiles", [])):
         profiles[color] = _profile_from_doc(color, rep, group, pdoc, cfg.delta_t)
+    missing = [c for c in range(len(group.generators)) if c not in profiles]
+    if missing:
+        raise ConfigError(f"inline scenario has no profile for generator color(s) {missing}")
     noise = tuple((nd.get("name", f"s{i}"), decode_matrix(nd["matrix"]))
                   for i, nd in enumerate(doc.get("noise_generators", [])))
     return analysis.Scenario(

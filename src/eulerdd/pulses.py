@@ -9,7 +9,7 @@ and amplitudes scale as 1/delta_t automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class PulseProfile:
     segments: list
     target: np.ndarray
     in_algebra: bool
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def max_rate_norm(self) -> float:
@@ -83,39 +82,6 @@ class PulseProfile:
 
     def endpoint_unitary(self) -> np.ndarray:
         return self.unitary_at(1.0)
-
-    def unitary_samples(self, quad_points: int):
-        """u(x) at the composite-Simpson nodes of each segment, with weights.
-
-        Returns a list of (weight, u) pairs such that
-        sum w_i * f(u_i) approximates integral_0^1 f(u(x)) dx.
-        Memoized per (quad_points,).
-        """
-        key = quad_points
-        if key in self._cache:
-            return self._cache[key]
-        if quad_points < 2 or quad_points % 2:
-            raise ValueError("quad_points must be an even integer >= 2")
-        d = self.target.shape[0]
-        samples = []
-        u_start = np.eye(d, dtype=complex)
-        for frac, rate in self.segments:
-            h = frac / quad_points
-            step = _expm_herm(rate, h)
-            u = u_start
-            for k in range(quad_points + 1):
-                if k == 0 or k == quad_points:
-                    w = h / 3.0
-                elif k % 2:
-                    w = 4.0 * h / 3.0
-                else:
-                    w = 2.0 * h / 3.0
-                samples.append((w, u))
-                if k < quad_points:
-                    u = step @ u
-            u_start = u
-        self._cache[key] = samples
-        return samples
 
 
 def _check_realization(segments, target, tol=REALIZATION_TOL):

@@ -50,7 +50,7 @@ def test_02_symmetrization_theorem():
     t0 = time.perf_counter()
     worst = 0.0
     for sc in builtin_scenarios():
-        rep = verify_theorem(sc, trials=100, tol=1e-7, quad_points=64, seed=0)
+        rep = verify_theorem(sc, trials=100, tol=1e-7, seed=0)
         assert not rep.skipped
         worst = max(worst, rep.max_deviation)
     elapsed = time.perf_counter() - t0
@@ -178,7 +178,7 @@ def test_08_first_order_convergence():
 
 def test_09_f_map_oracle():
     sc = carr_purcell_scenario()
-    got = f_map(sc.profiles, SZ, quad_points=256)
+    got = f_map(sc.profiles, SZ)
 
     # independent oracle: brute-force Riemann sum over the single pulse
     # sub-interval of u(x)^dagger sigma_z u(x), u(x) = exp(-i x (pi/2) sx)

@@ -81,6 +81,15 @@ class TestVerify:
         assert code == 0
         assert "linear-noise-suppressed" in out
 
+    def test_inline_scenario_without_profiles_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario:\n  generators:\n"
+                       "    - dim: [2, 2]\n"
+                       "      data: [[0, 0], [1, 0], [1, 0], [0, 0]]\n")
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert "no profile" in err
+
 
 class TestSweep:
     def test_csv_output(self, capsys):
@@ -88,7 +97,7 @@ class TestSweep:
                            "--delta-t", "0.02,0.01", "--cycles", "2")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "delta_t,cycle_time,cycles,distance,quad_error"
+        assert lines[0] == "delta_t,cycle_time,cycles,distance"
         assert len([l for l in lines if not l.startswith("#")]) == 3
         slope_line = next(l for l in lines if l.startswith("# slope:"))
         slope = float(slope_line.split(":")[1])

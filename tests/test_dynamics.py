@@ -6,13 +6,14 @@ import pytest
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
                               random_hermitian, symmetric_s3_scenario)
 from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
-                              average_hamiltonian, control_propagator,
-                              decoupling_distance, f_map, q_map,
-                              residual_error, simulate_cycles,
+                              _sub_interval_integral, average_hamiltonian,
+                              control_propagator, decoupling_distance, f_map,
+                              q_map, residual_error, simulate_cycles,
                               time_ordered_exp)
 from eulerdd.group_theory import (center_basis, close_group, commutant_basis,
                                   equal_up_to_phase, pi_G)
-from eulerdd.pulses import FaultModel, _expm_herm, apply_fault, phase_distance
+from eulerdd.pulses import (FaultModel, PulseProfile, _expm_herm, apply_fault,
+                            phase_distance)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -21,6 +22,33 @@ def hs_project(X, basis):
     B = np.array([b.ravel() for b in basis])
     v = X.ravel()
     return np.linalg.norm(v - B.T @ (B.conj() @ v))
+
+
+def fine_grid_integral(integrand, cuts, nodes=48):
+    """Gauss-Legendre sum of integrand(x) over each [cuts[k], cuts[k+1]];
+    the integrands here are entire in x, so this converges to rounding."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    acc = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for x, w in zip(xs, ws):
+            acc = acc + 0.5 * (b - a) * w * integrand(a + 0.5 * (b - a) * (x + 1))
+    return acc
+
+
+def segment_cuts(segments):
+    return np.concatenate([[0.0], np.cumsum([frac for frac, _ in segments])])
+
+
+def random_profile(d, fractions, rng):
+    """Profile with random Hermitian segment rates; the first is zero and the
+    second has a doubly repeated eigenvalue.  Only f_map reads it, so it
+    need not realize any generator."""
+    rates = [np.zeros((d, d), dtype=complex)]
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rates.append(q @ np.diag([1.3, 1.3] + [-2.1] * (d - 2)) @ q.conj().T)
+    rates += [2.0 * random_hermitian(d, rng) for _ in fractions[2:]]
+    return PulseProfile(generator=0, segments=list(zip(fractions, rates)),
+                        target=np.eye(d), in_algebra=False)
 
 
 class TestTimeOrderedExp:
@@ -48,7 +76,7 @@ class TestTimeOrderedExp:
     def test_unitarity(self):
         rng = np.random.default_rng(0)
         timeline = [(0.3, random_hermitian(4, rng)), (0.7, random_hermitian(4, rng))]
-        res = time_ordered_exp(timeline, 0.0, 1.0, slices_per_segment=4)
+        res = time_ordered_exp(timeline, 0.0, 1.0)
         res.check_unitarity()
 
 
@@ -94,27 +122,14 @@ class TestAverageHamiltonian:
 
     def test_eulerian_z2_kills_sigma_z(self):
         sc = carr_purcell_scenario()
-        avg = average_hamiltonian(sc.schedule(0.1), SZ, quad_points=64)
+        avg = average_hamiltonian(sc.schedule(0.1), SZ)
         assert np.linalg.norm(avg) <= 1e-7
 
     def test_invariant_operator_unchanged(self):
         sc = carr_purcell_scenario()
         H0 = 0.4 * SX + 0.1 * np.eye(2)
-        avg = average_hamiltonian(sc.schedule(0.1), H0, quad_points=32)
+        avg = average_hamiltonian(sc.schedule(0.1), H0)
         np.testing.assert_allclose(avg, H0, atol=1e-10)
-
-    def test_quadrature_convergence_fourth_order(self):
-        # grid doubling changes the result by less than C / quad_points^4
-        sc = carr_purcell_scenario()
-        sched = sc.schedule(0.1)
-        for qp in (16, 32, 64):
-            _, err = average_hamiltonian(sched, SZ, qp, return_error=True)
-            assert err <= 1.0 / qp ** 4
-        # the sub-interval average shows the clean fourth-order rate
-        ref = f_map(sc.profiles, SZ, 2048)
-        e16 = np.linalg.norm(f_map(sc.profiles, SZ, 16) - ref)
-        e32 = np.linalg.norm(f_map(sc.profiles, SZ, 32) - ref)
-        assert e32 <= e16 / 8.0
 
     def test_non_hermitian_rejected(self):
         sc = carr_purcell_scenario()
@@ -122,20 +137,79 @@ class TestAverageHamiltonian:
             average_hamiltonian(sc.schedule(0.1), SX + 1j * np.eye(2))
 
 
+class TestExactKernel:
+    @pytest.mark.parametrize("d,fractions", [
+        (2, (0.4, 0.6)), (3, (0.25, 0.35, 0.4)), (4, (0.5, 0.2, 0.3)),
+    ])
+    def test_f_map_matches_fine_grid(self, d, fractions):
+        rng = np.random.default_rng(d)
+        profiles = {c: random_profile(d, fractions, rng) for c in range(2)}
+        X = random_hermitian(d, rng)
+        ref = sum(fine_grid_integral(
+            lambda x, p=p: p.unitary_at(x).conj().T @ X @ p.unitary_at(x),
+            segment_cuts(p.segments)) for p in profiles.values()) / 2
+        assert np.linalg.norm(f_map(profiles, X) - ref) <= 1e-10
+
+    @pytest.mark.parametrize("env_dim", [2, 3])
+    def test_reshape_lift_matches_kron(self, env_dim):
+        rng = np.random.default_rng(env_dim)
+        d = 3
+        segs = [(0.3, random_hermitian(d, rng)), (0.5, np.zeros((d, d))),
+                (0.2, random_hermitian(d, rng))]
+        X = random_hermitian(d * env_dim, rng)
+        got = _sub_interval_integral([(f, r, X) for f, r in segs], env_dim)
+        eye_e = np.eye(env_dim)
+        ref = _sub_interval_integral([(f, np.kron(r, eye_e), X) for f, r in segs])
+        assert np.linalg.norm(got - ref) <= 1e-12
+
+    def test_joint_average_hamiltonian_matches_fine_grid(self):
+        sc = symmetric_s3_scenario()
+        sched = sc.schedule(0.1)
+        H0 = sc.generic_drift(env_dim=2, seed=1).total()
+        dt, eye_e = sched.delta_t, np.eye(2)
+
+        def integrand(t):
+            u = np.kron(control_propagator(sched, t), eye_e)
+            return u.conj().T @ H0 @ u
+
+        cuts = np.arange(2 * sched.sub_intervals + 1) * (dt / 2)
+        ref = fine_grid_integral(integrand, cuts, nodes=24) / sched.cycle_time
+        got = average_hamiltonian(sched, H0)
+        assert np.linalg.norm(got - ref) <= 1e-10
+
+    def test_residual_error_on_finer_fault_grid(self):
+        rng = np.random.default_rng(8)
+        sc = symmetric_s3_scenario()
+        fractions = (0.25, 0.25, 0.3, 0.2)
+        fault = FaultModel(deltas={c: [(f, 0.1 * random_hermitian(8, rng))
+                                       for f in fractions] for c in (0, 1)})
+        cuts = segment_cuts(fault.deltas[0])
+
+        def fault_at(c, x):
+            return fault.deltas[c][np.searchsorted(cuts, x) - 1][1]
+
+        ref = sum(fine_grid_integral(
+            lambda x, c=c: (sc.profiles[c].unitary_at(x).conj().T @ fault_at(c, x)
+                            @ sc.profiles[c].unitary_at(x)), cuts)
+            for c in (0, 1)) / 2
+        got = residual_error(sc.rep, sc.profiles, fault)
+        assert np.linalg.norm(got - pi_G(sc.rep, ref)) <= 1e-10
+
+
 class TestFMapAndQMap:
     def setup_method(self):
         self.cp = carr_purcell_scenario()
 
     def test_carr_purcell_analytic_value(self):
-        got = f_map(self.cp.profiles, SZ, quad_points=256)
-        np.testing.assert_allclose(got, (2 / np.pi) * SY, atol=1e-9)
+        got = f_map(self.cp.profiles, SZ)
+        np.testing.assert_allclose(got, (2 / np.pi) * SY, atol=1e-13, rtol=0)
 
     def test_identity_fixed(self):
-        np.testing.assert_allclose(f_map(self.cp.profiles, np.eye(2), 32),
+        np.testing.assert_allclose(f_map(self.cp.profiles, np.eye(2)),
                                    np.eye(2), atol=1e-12)
 
     def test_commuting_operator_fixed(self):
-        np.testing.assert_allclose(f_map(self.cp.profiles, SX, 32), SX,
+        np.testing.assert_allclose(f_map(self.cp.profiles, SX), SX,
                                    atol=1e-12)
 
     def test_linearity_trace_hermiticity(self):
@@ -144,22 +218,22 @@ class TestFMapAndQMap:
             X = random_hermitian(2, rng)
             Y = random_hermitian(2, rng)
             a = rng.standard_normal()
-            fx = f_map(self.cp.profiles, X, 32)
-            fy = f_map(self.cp.profiles, Y, 32)
-            fxy = f_map(self.cp.profiles, a * X + Y, 32)
+            fx = f_map(self.cp.profiles, X)
+            fy = f_map(self.cp.profiles, Y)
+            fxy = f_map(self.cp.profiles, a * X + Y)
             assert np.linalg.norm(fxy - a * fx - fy) <= 1e-10
             assert abs(np.trace(fx) - np.trace(X)) <= 1e-10
             assert np.linalg.norm(fx - fx.conj().T) <= 1e-10
 
     def test_q_map_kills_sigma_z(self):
-        assert np.linalg.norm(q_map(self.cp.rep, self.cp.profiles, SZ, 64)) <= 1e-9
+        assert np.linalg.norm(q_map(self.cp.rep, self.cp.profiles, SZ)) <= 1e-9
 
     def test_q_map_commutant_valued_random(self):
         rng = np.random.default_rng(4)
         sc = symmetric_s3_scenario()
         for _ in range(100):
             X = random_hermitian(8, rng)
-            q = q_map(sc.rep, sc.profiles, X, 16)
+            q = q_map(sc.rep, sc.profiles, X)
             worst = max(np.linalg.norm(q @ g - g @ q) for g in sc.rep.matrices)
             assert worst <= 1e-9
 
@@ -168,20 +242,20 @@ class TestFMapAndQMap:
         for sc in (self.cp, pauli_scenario(1)):
             for _ in range(20):
                 X = random_hermitian(2, rng)
-                q1 = q_map(sc.rep, sc.profiles, X, 32)
-                q2 = q_map(sc.rep, sc.profiles, q1, 32)
+                q1 = q_map(sc.rep, sc.profiles, X)
+                q2 = q_map(sc.rep, sc.profiles, q1)
                 assert np.linalg.norm(q2 - q1) <= 1e-9
 
     def test_q_map_identity_on_commutant(self):
         for sc in (self.cp, symmetric_s3_scenario()):
             for Y in commutant_basis(sc.rep):
-                q = q_map(sc.rep, sc.profiles, Y, 16)
+                q = q_map(sc.rep, sc.profiles, Y)
                 assert np.linalg.norm(q - pi_G(sc.rep, Y)) <= 1e-10
 
     def test_pauli_traceless_killed(self):
         sc = pauli_scenario(1)
         for u in (SX, SY, SZ):
-            assert np.linalg.norm(q_map(sc.rep, sc.profiles, u, 64)) <= 1e-9
+            assert np.linalg.norm(q_map(sc.rep, sc.profiles, u)) <= 1e-9
 
     def test_theorem_fails_outside_algebra(self):
         # same group, but sigma_x realized through out-of-algebra rotations
@@ -190,7 +264,7 @@ class TestFMapAndQMap:
         prof = piecewise_profile(group.generators[0], rep,
                                  [(0.5, np.pi * SZ), (0.5, np.pi * SY)])
         assert not prof.in_algebra
-        dev = np.linalg.norm(q_map(rep, {0: prof}, SZ, 64) - pi_G(rep, SZ))
+        dev = np.linalg.norm(q_map(rep, {0: prof}, SZ) - pi_G(rep, SZ))
         assert dev > 1e-3
 
 
@@ -199,13 +273,13 @@ class TestResidualError:
         sc = carr_purcell_scenario()
         for u in (SY, SZ):
             fault = FaultModel.constant([0], [0.1 * u], sc.rep)
-            res = residual_error(sc.rep, sc.profiles, fault, 64)
+            res = residual_error(sc.rep, sc.profiles, fault)
             assert np.linalg.norm(res) <= 1e-9
 
     def test_carr_purcell_x_fault_in_center(self):
         sc = carr_purcell_scenario()
         fault = FaultModel.constant([0], [0.1 * SX], sc.rep)
-        res = residual_error(sc.rep, sc.profiles, fault, 64)
+        res = residual_error(sc.rep, sc.profiles, fault)
         np.testing.assert_allclose(res, 0.1 * SX, atol=1e-9)
         assert hs_project(res, center_basis(sc.rep)) <= 1e-9
 
@@ -220,7 +294,7 @@ class TestResidualError:
         for _ in range(5):
             rates = [random_hermitian(8, rng), random_hermitian(8, rng)]
             fault = FaultModel.constant([0, 1], rates, sc.rep)
-            res = residual_error(sc.rep, sc.profiles, fault, 32)
+            res = residual_error(sc.rep, sc.profiles, fault)
             for g in sc.rep.matrices:
                 assert np.linalg.norm(res @ g - g @ res) <= 1e-9
 
@@ -237,7 +311,7 @@ class TestResidualError:
                 rates.append(m + m.conj().T)
             fault = FaultModel.constant([0, 1], rates, sc.rep)
             assert fault.in_algebra
-            res = residual_error(sc.rep, sc.profiles, fault, 64)
+            res = residual_error(sc.rep, sc.profiles, fault)
             assert hs_project(res, cen) <= 1e-9
 
 

@@ -30,8 +30,7 @@ class TestRunConfig:
         RunConfig().validate()
 
     @pytest.mark.parametrize("field,value", [
-        ("delta_t", -0.1), ("delta_t", 0.0), ("quad_points", 7),
-        ("quad_points", 9), ("slices", 4), ("cycles", 0), ("trials", 0),
+        ("delta_t", -0.1), ("delta_t", 0.0), ("cycles", 0), ("trials", 0),
     ])
     def test_rejects_bad_values(self, field, value):
         cfg = RunConfig()

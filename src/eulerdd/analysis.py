@@ -15,7 +15,7 @@ from .cayley import CayleyGraph, EulerPath, build_cayley, eulerian_cycle
 from .dynamics import (DriftModel, decoupling_distance, f_map, q_map,
                        residual_error, simulate_cycles)
 from .group_theory import (Group, IrrepDecomposition, UnitaryRep, center_basis,
-                           commutant_basis, decompose_irreps, pi_G, _vec)
+                           decompose_irreps, pi_G, _vec)
 from .pulses import (ControlSchedule, FaultModel, PulseProfile, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
                      piecewise_profile)
@@ -333,7 +333,6 @@ def robustness_report(scenario: Scenario, fault: FaultModel,
     residual is central and every block sees at most a scalar."""
     res = residual_error(scenario.rep, scenario.profiles, fault)
     decomp = decompose_irreps(scenario.rep, seed=seed)
-    com = commutant_basis(scenario.rep)
     cen = center_basis(scenario.rep)
     scale = float(np.linalg.norm(res))
     blocks = []
@@ -346,7 +345,7 @@ def robustness_report(scenario: Scenario, fault: FaultModel,
     return SubsystemReport(
         scenario=scenario.name, decomposition=decomp, residual=res,
         residual_norm=scale,
-        commutant_residual=_subspace_distance(res, com),
+        commutant_residual=float(np.linalg.norm(res - pi_G(scenario.rep, res))),
         center_residual=_subspace_distance(res, cen),
         blocks=blocks,
     )

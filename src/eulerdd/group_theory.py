@@ -32,6 +32,10 @@ class NotNormalSubgroupError(ValueError):
     """The supplied element subset is not a normal subgroup."""
 
 
+class ResourceLimitError(ValueError):
+    """A computation would allocate more memory than its fixed budget."""
+
+
 class DegenerateDecompositionError(RuntimeError):
     """Eigenvalue clustering was ambiguous at the requested tolerance."""
 
@@ -284,57 +288,55 @@ def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     return acc / len(rep.matrices)
 
 
-def commutant_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
-    """Orthonormal basis of {X : X g_j = g_j X for all j}.
+# Budget for the d^2 x d^2 complex arrays (16 d^4 bytes each) that
+# commutant_basis holds at once: the Gram matrix, eigh's copy of it, the
+# eigenvectors and two workspaces (peak RSS measured at 4.6-4.9 arrays for
+# d = 16, 32).  d = 64 (1.25 GiB) fits; d = 128 (20 GiB) would exhaust the
+# machine.
+MAX_COMMUTANT_BYTES = 2 * 1024 ** 3
+_COMMUTANT_ARRAYS = 5
 
-    Computed as the joint null space of X -> g_j X - X g_j over all group
-    elements, via SVD on the d^2-dimensional operator space.
+
+def commutant_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
+    """Orthonormal basis of {X : X g = g X for all g in G}.
+
+    The commutant of G is the commutant of its generators, so this is the
+    null space of the Gram matrix sum_γ M_γ† M_γ with M_γ = γ ⊗ I - I ⊗ γ^T
+    (row-major vec), taken with ``eigh``: eigenvalues at most ``tol`` times
+    the largest.  For unitary γ, M_γ† M_γ = 2I - K - K† with K = γ ⊗ conj(γ).
+
+    This costs O(d^6) time and 16 d^4 bytes per d^2 x d^2 array; the
+    verification path never calls it (``pi_G`` is the orthogonal projector
+    onto the same space).  Raises ResourceLimitError, before allocating,
+    when the arrays would exceed MAX_COMMUTANT_BYTES.
     """
     d = rep.dimension
-    eye = np.eye(d)
-    blocks = []
-    for g in rep.matrices[1:]:
-        # row-major vec: vec(AXB) = (A kron B^T) vec(X)
-        blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
-    if not blocks:
-        return [np.eye(d) / np.sqrt(d)] if d == 1 else _full_matrix_basis(d)
-    M = np.vstack(blocks)
-    u, s, vh = np.linalg.svd(M)
-    null_mask = np.concatenate([s, np.zeros(vh.shape[0] - s.size)]) <= tol
-    return [vh[k].reshape(d, d) for k in range(vh.shape[0]) if null_mask[k]]
-
-
-def _full_matrix_basis(d: int) -> list:
-    basis = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            basis.append(e)
-    return basis
+    need = _COMMUTANT_ARRAYS * 16 * d ** 4
+    if need > MAX_COMMUTANT_BYTES:
+        raise ResourceLimitError(
+            f"resource limit: commutant_basis at d={d} needs about "
+            f"{need / 2 ** 30:.1f} GiB (limit {MAX_COMMUTANT_BYTES / 2 ** 30:.1f} GiB)")
+    gram = np.zeros((d * d, d * d), dtype=complex)
+    for k in rep.group.generators:
+        g = rep.matrices[k]
+        gram -= np.kron(g, g.conj())
+    gram += gram.conj().T
+    gram[np.diag_indices(d * d)] += 2.0 * len(rep.group.generators)
+    evals, evecs = np.linalg.eigh(gram)
+    null = evals <= tol * max(evals[-1], 1.0)
+    return [evecs[:, k].reshape(d, d) for k in np.flatnonzero(null)]
 
 
 def center_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
-    """Orthonormal basis of the center: group algebra ∩ commutant."""
-    alg = rep.algebra_basis()
-    com = commutant_basis(rep, tol)
-    A = np.array([_vec(m) for m in alg]).T     # d^2 x ka
-    C = np.array([_vec(m) for m in com]).T     # d^2 x kc
-    # intersection: null space of [A | -C] gives coefficient pairs (a, c)
-    # with A a = C c; the common vectors A a span the intersection.
-    M = np.hstack([A, -C])
-    u, s, vh = np.linalg.svd(M)
-    ncols = M.shape[1]
-    null_mask = np.concatenate([s, np.zeros(max(0, ncols - s.size))]) <= tol
-    vecs = []
-    for k in range(ncols):
-        if null_mask[k]:
-            coef = vh[k].conj()
-            vecs.append(A @ coef[: A.shape[1]])
-    if not vecs:
-        return []
-    d = rep.dimension
-    return _orthonormal_span([v.reshape(d, d) for v in vecs], tol)
+    """Orthonormal basis of the center: group algebra ∩ commutant.
+
+    Spanned by the twisted class sums pi_G(g), g in G: pi_G maps span{g}
+    into itself (h† g h is a phase times an element) and fixes every
+    element of the commutant, so its image of the algebra is exactly the
+    algebra ∩ commutant.  Costs |G|^2 products of d x d matrices and an
+    SVD of a |G| x d^2 stack.
+    """
+    return _orthonormal_span([pi_G(rep, g) for g in rep.matrices], tol)
 
 
 @dataclass(frozen=True)
@@ -363,17 +365,21 @@ def decompose_irreps(rep: UnitaryRep, cluster_tol: float = 1e-8,
     and stitches eigenspaces into isotypic blocks with a second random
     commutant element so that in the rotated basis the group algebra acts
     as I(n_J) ⊗ Mat(d_J) and the commutant as Mat(n_J) ⊗ I(d_J).
+
+    Each random element is P + P† with P = pi_G(Z) for a seeded complex
+    Gaussian d x d matrix Z.  pi_G is the orthogonal projector onto the
+    commutant, so P has independent complex Gaussian coordinates in any
+    orthonormal commutant basis; no basis is formed.
     """
     d = rep.dimension
     rng = np.random.default_rng(seed)
-    com = commutant_basis(rep)
 
-    def random_hermitian(basis):
-        coefs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        m = sum(c * b for c, b in zip(coefs, basis))
+    def twirled_hermitian():
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = pi_G(rep, z)
         return m + m.conj().T
 
-    H = random_hermitian(com)
+    H = twirled_hermitian()
     evals, evecs = np.linalg.eigh(H)
     scale = max(np.abs(evals).max(), 1.0)
 
@@ -392,7 +398,7 @@ def decompose_irreps(rep: UnitaryRep, cluster_tol: float = 1e-8,
 
     # connect eigenspaces belonging to the same isotypic component: a second
     # commutant element maps copies onto each other (block form N ⊗ I).
-    C2 = random_hermitian(com)
+    C2 = twirled_hermitian()
     m = len(clusters)
     adj = np.zeros((m, m), dtype=bool)
     for i in range(m):

@@ -81,6 +81,21 @@ class TestVerify:
         assert code == 0
         assert "linear-noise-suppressed" in out
 
+    def test_spin_flip_n6_verifies_without_d4_arrays(self, capsys, tmp_path):
+        # d = 64: one d^2 x d^2 complex array is 256 MiB, eight times the bound
+        import tracemalloc
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario: spin-flip\noverrides:\n  n_qubits: 6\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "verify", "--config", str(cfg), "--json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert peak < 32 * 2 ** 20
+
     def test_inline_scenario_without_profiles_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("scenario:\n  generators:\n"

@@ -1,13 +1,22 @@
 """Tests for groups, representations, projectors, and block structure."""
 
+import functools
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from eulerdd.analysis import (_subspace_distance, get_scenario,
+                              robustness_report, spin_flip_scenario)
 from eulerdd.group_theory import (GroupClosureError, InvalidGeneratorError,
-                                  NotNormalSubgroupError, ShapeError,
-                                  center_basis, close_group, commutant_basis,
-                                  decompose_irreps, equal_up_to_phase, pi_G,
-                                  quotient_check)
+                                  NotNormalSubgroupError, ResourceLimitError,
+                                  ShapeError, center_basis, close_group,
+                                  commutant_basis, decompose_irreps,
+                                  equal_up_to_phase, pi_G, quotient_check)
+from eulerdd.pulses import FaultModel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -24,6 +33,55 @@ def span_dimension(mats, tol=1e-10):
     stack = np.array([m.ravel() for m in mats])
     s = np.linalg.svd(stack, compute_uv=False)
     return int(np.sum(s > tol * s[0]))
+
+
+def character_commutant_dim(rep):
+    """dim of the commutant = tr of pi_G on operator space = sum |tr g|^2 / |G|."""
+    return round(sum(abs(np.trace(g)) ** 2 for g in rep.matrices)
+                 / len(rep.matrices))
+
+
+def _null_combinations(M, mats, tol=1e-10):
+    """Orthonormal vec rows spanning sum_k a_k mats[k], where a runs over the
+    leading len(mats) coordinates of the null vectors of M."""
+    # vh is square either way; U stays small for tall M
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    null = np.concatenate([s, np.zeros(vh.shape[0] - s.size)]) <= tol
+    vecs = [sum(c * m for c, m in zip(vh[k, :len(mats)].conj(), mats))
+            for k in np.flatnonzero(null)]
+    if not vecs:
+        return np.zeros((0, mats[0].size))
+    _, s, vh = np.linalg.svd(np.array([v.ravel() for v in vecs]),
+                             full_matrices=False)
+    return vh[s > tol * s[0]]
+
+
+def center_by_intersection(rep):
+    """The replaced center definition: algebra ∩ span(commutant_basis), from
+    the null space of [A | -C]."""
+    alg, com = rep.algebra_basis(), commutant_basis(rep)
+    A = np.array([m.ravel() for m in alg]).T
+    C = np.array([m.ravel() for m in com]).T
+    return _null_combinations(np.hstack([A, -C]), alg)
+
+
+def center_by_commutation(rep):
+    """algebra ∩ commutant from the generators: algebra elements X with
+    γX - Xγ = 0 for every generator γ.  Used at d = 64, where
+    commutant_basis alone takes about 100 s and 1.3 GB."""
+    alg = rep.algebra_basis()
+    M = np.vstack([np.array([(g @ a - a @ g).ravel() for a in alg]).T
+                   for g in (rep.matrices[k] for k in rep.group.generators)])
+    return _null_combinations(M, alg)
+
+
+def assert_same_span(basis, ref_rows, tol):
+    """basis (orthonormal matrices) and ref_rows (orthonormal vec rows) span
+    the same subspace: equal dimension and the sine of the largest
+    principal angle at most tol."""
+    rows = np.array([b.ravel() for b in basis])
+    assert rows.shape == ref_rows.shape
+    assert np.linalg.norm(rows - rows @ ref_rows.conj().T @ ref_rows, 2) <= tol
 
 
 class TestCloseGroup:
@@ -149,6 +207,130 @@ class TestCommutantAndCenter:
         gram = np.array([[np.vdot(a.ravel(), b.ravel()) for b in basis]
                          for a in basis])
         np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
+
+
+# every built-in at its default size, plus spin-flip up to d = 64
+ALGEBRA_CASES = [("carr-purcell", None), ("pauli", 1), ("spin-flip", 2),
+                 ("symmetric-s3", None), ("spin-flip", 3), ("spin-flip", 4),
+                 ("spin-flip", 5), ("spin-flip", 6)]
+SMALL_CASES = [c for c in ALGEBRA_CASES if c != ("spin-flip", 6)]
+
+
+@functools.lru_cache(maxsize=None)
+def scenario(name, n):
+    return get_scenario(name, n)
+
+
+class TestPiGDerivedAlgebra:
+    """center_basis, decompose_irreps and robustness_report take the commutant
+    through pi_G; each agrees with the commutant-basis definition it replaced."""
+
+    @pytest.mark.parametrize("name,n", ALGEBRA_CASES)
+    def test_center_matches_algebra_intersect_commutant(self, name, n):
+        rep = scenario(name, n).rep
+        ref = (center_by_intersection(rep) if rep.dimension <= 32
+               else center_by_commutation(rep))
+        assert_same_span(center_basis(rep), ref, 1e-12)
+
+    @pytest.mark.parametrize("name,n", SMALL_CASES)
+    def test_commutant_dimension_is_character_formula(self, name, n):
+        rep = scenario(name, n).rep
+        assert len(commutant_basis(rep)) == character_commutant_dim(rep)
+
+    @pytest.mark.parametrize("name,n", SMALL_CASES)
+    def test_commutant_residual_matches_basis_distance(self, name, n):
+        sc = scenario(name, n)
+        rep, d = sc.rep, sc.rep.dimension
+        rng = np.random.default_rng(5)
+        com = commutant_basis(rep)
+        rates = []
+        for _ in sc.profiles:
+            m = random_hermitian(d, rng)
+            rates.append(0.1 * (m - np.trace(m) / d * np.eye(d)))
+        rob = robustness_report(sc, FaultModel.constant(sorted(sc.profiles),
+                                                        rates, rep))
+        assert abs(rob.commutant_residual
+                   - _subspace_distance(rob.residual, com)) <= 1e-12
+        # the same identity off the commutant, where both sides are O(1)
+        X = random_hermitian(d, rng)
+        assert abs(np.linalg.norm(X - pi_G(rep, X))
+                   - _subspace_distance(X, com)) <= 1e-12
+
+    @pytest.mark.parametrize("name,n", ALGEBRA_CASES)
+    def test_irrep_block_counts(self, name, n):
+        rep = scenario(name, n).rep
+        dec = decompose_irreps(rep)
+        assert sum(b.multiplicity * b.dimension for b in dec.blocks) == rep.dimension
+        assert (sum(b.multiplicity ** 2 for b in dec.blocks)
+                == character_commutant_dim(rep))
+
+
+class TestMemoryGuard:
+    def test_commutant_basis_refuses_d128_before_allocating(self):
+        rep = spin_flip_scenario(7).rep
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match="resource limit"):
+                commutant_basis(rep)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1 << 20
+
+    def test_is_a_value_error(self):
+        # the CLI maps ValueError to exit code 2
+        assert issubclass(ResourceLimitError, ValueError)
+
+
+def _monomial(perm, phase_steps, global_phase):
+    """Permutation matrix with 4th-root-of-unity diagonal phases and a
+    global phase."""
+    d = len(perm)
+    m = np.zeros((d, d), dtype=complex)
+    m[list(perm), range(d)] = 1j ** np.asarray(phase_steps)
+    return np.exp(1j * global_phase) * m
+
+
+@st.composite
+def monomial_groups(draw):
+    d = draw(st.integers(1, 6))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(d)))
+        steps = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+        phases = draw(st.lists(st.floats(0, 2 * np.pi), min_size=2, max_size=2))
+        gens.append((perm, steps, phases))
+    return gens
+
+
+PROPERTY_MAX_ORDER = 24
+
+
+class TestRandomMonomialGroups:
+    """Properties over random monomial groups (permutations with diagonal
+    and global phases, d <= 6) small enough to close quickly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups())
+    def test_algebra_layer_properties(self, gens):
+        try:
+            group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                     max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        # global phases do not change the projective group
+        other, _ = close_group([_monomial(p, s, ph[1]) for p, s, ph in gens],
+                               max_order=PROPERTY_MAX_ORDER)
+        assert other.order == group.order
+        assert len(commutant_basis(rep)) == character_commutant_dim(rep)
+        assert_same_span(center_basis(rep), center_by_intersection(rep), 1e-12)
+        dec = decompose_irreps(rep)
+        assert sum(b.multiplicity * b.dimension for b in dec.blocks) == rep.dimension
+        assert (sum(b.multiplicity ** 2 for b in dec.blocks)
+                == character_commutant_dim(rep))
 
 
 class TestDecomposeIrreps:

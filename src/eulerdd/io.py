@@ -17,6 +17,12 @@ from .dynamics import DriftModel
 from .pulses import FaultModel, constant_profile, eulerian_schedule, piecewise_profile
 
 
+# libyaml's C loader and dumper when PyYAML was built with it; they parse and
+# emit the same documents as the pure-Python SafeLoader and SafeDumper.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 class ConfigError(ValueError):
     """Invalid or out-of-range run configuration."""
 
@@ -67,7 +73,7 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
+        doc = yaml.load(fh, Loader=_LOADER) or {}
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     cfg = RunConfig()
@@ -209,12 +215,12 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
         "hamiltonians": ham_docs,
         "timeline": timeline,
     }
-    return yaml.safe_dump(doc, sort_keys=True)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=True)
 
 
 def import_schedule(text: str):
     """Rebuild a ControlSchedule from exported YAML text."""
-    doc = yaml.safe_load(text)
+    doc = yaml.load(text, Loader=_LOADER)
     if doc.get("kind") != "eulerian":
         raise ConfigError("only eulerian schedules are exportable")
     delta_t = float(doc["delta_t"])

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerdd.analysis import (_subspace_distance, get_scenario,
-                              robustness_report, spin_flip_scenario)
-from eulerdd.group_theory import (GroupClosureError, InvalidGeneratorError,
+from eulerdd import group_theory
+from eulerdd.analysis import (_subspace_distance, collective, get_scenario,
+                              pauli_on, robustness_report, spin_flip_scenario)
+from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
+                                  InvalidGeneratorError,
                                   NotNormalSubgroupError, ResourceLimitError,
                                   ShapeError, center_basis, close_group,
                                   commutant_basis, decompose_irreps,
-                                  equal_up_to_phase, pi_G, quotient_check)
+                                  equal_up_to_phase, fix_phase,
+                                  fix_phase_stack, pi_G, quotient_check)
 from eulerdd.pulses import FaultModel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -333,6 +336,171 @@ class TestRandomMonomialGroups:
                 == character_commutant_dim(rep))
 
 
+def linear_scan_closure(generator_matrices, max_order,
+                        tol=DEFAULT_PHASE_TOL):
+    """Reference closure: each product is compared with every stored element
+    by equal_up_to_phase, in order (the lookup close_group replaced).
+    Returns (elements, mult_table, generators)."""
+    gens = [np.asarray(g, dtype=complex) for g in generator_matrices]
+    d = gens[0].shape[0]
+    elements = [np.eye(d, dtype=complex)]
+
+    def find(m):
+        for k, e in enumerate(elements):
+            if equal_up_to_phase(e, m, tol):
+                return k
+        return -1
+
+    gen_indices = []
+    for g in gens:
+        k = find(g)
+        if k < 0:
+            elements.append(fix_phase(g))
+            k = len(elements) - 1
+        if k not in gen_indices and k != 0:
+            gen_indices.append(k)
+        elif k == 0 and len(gens) == 1:
+            gen_indices.append(0)
+
+    frontier = list(range(len(elements)))
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for g in gens:
+                prod = g @ elements[i]
+                if find(prod) < 0:
+                    if len(elements) >= max_order:
+                        raise GroupClosureError("group too large or not closed")
+                    elements.append(fix_phase(prod))
+                    nxt.append(len(elements) - 1)
+        frontier = nxt
+
+    n = len(elements)
+    table = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            k = find(elements[i] @ elements[j])
+            if k < 0:
+                raise GroupClosureError("group too large or not closed")
+            table[i, j] = k
+    return elements, table, tuple(gen_indices or [0])
+
+
+def assert_same_closure(gens, max_order):
+    """close_group and linear_scan_closure agree bit for bit, or both raise."""
+    try:
+        ref = linear_scan_closure(gens, max_order)
+    except GroupClosureError:
+        with pytest.raises(GroupClosureError):
+            close_group(gens, max_order=max_order)
+        return
+    group, rep = close_group(gens, max_order=max_order)
+    elements, table, generators = ref
+    assert len(rep.matrices) == len(elements)
+    for got, want in zip(rep.matrices, elements):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(group.mult_table, table)
+    assert group.generators == generators
+
+
+def random_unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def pauli_generators(n):
+    return [pauli_on(n, k, u) for k in range(n) for u in "xz"]
+
+
+def spin_flip_generators(n):
+    return [collective(n, "x"), collective(n, "z")]
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Counts the equal_up_to_phase calls made inside group_theory."""
+    calls = []
+    real = group_theory.equal_up_to_phase
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(group_theory, "equal_up_to_phase", counted)
+    return calls
+
+
+class TestHashedClosure:
+    """close_group resolves products through a hash of the rounded,
+    phase-fixed matrix and matches the linear-scan closure exactly."""
+
+    @pytest.mark.parametrize("name,n", [*ALGEBRA_CASES, ("pauli", 2)])
+    def test_scenario_groups_match_linear_scan(self, name, n):
+        rep = scenario(name, n).rep
+        assert_same_closure([rep.matrices[k] for k in rep.group.generators], 512)
+
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_random_monomial_groups_match_linear_scan(self, gens, seed):
+        mats = [_monomial(p, s, ph[0]) for p, s, ph in gens]
+        assert_same_closure(mats, PROPERTY_MAX_ORDER)
+        # conjugated by a random unitary the entries are generic, so some
+        # lie near rounding half-steps instead of on the grid
+        u = random_unitary(mats[0].shape[0], np.random.default_rng(seed))
+        assert_same_closure([u @ m @ u.conj().T for m in mats],
+                            PROPERTY_MAX_ORDER)
+
+    def test_copy_across_rounding_half_step_is_found(self, scan_calls):
+        # a real reflection whose (0, 0) entry lies 1e-12 above a half-step
+        # of the hash grid; the copy lies 1e-12 below it
+        scale = group_theory._HASH_SCALE
+        half_step = (np.round(0.6 * scale) + 0.5) / scale
+
+        def reflection(c):
+            s = np.sqrt(1.0 - c * c)
+            return np.array([[c, s], [s, -c]], dtype=complex)
+
+        a, b = reflection(half_step + 1e-12), reflection(half_step - 1e-12)
+        assert equal_up_to_phase(a, b)
+        keys = group_theory._PhaseClassIndex._keys(fix_phase_stack(np.array([a, b])))
+        assert keys[0] != keys[1]
+        group, rep = close_group([a, b])
+        assert group.order == 2
+        assert group.generators == (1,)
+        assert np.array_equal(group.mult_table, [[0, 1], [1, 0]])
+        assert scan_calls  # found by the fallback scan, not by the hash
+
+    @pytest.mark.parametrize("gens,max_order,order", [
+        (pauli_generators(2), 17, 16), (spin_flip_generators(5), 512, 4)],
+        ids=["pauli-2", "spin-flip-5"])
+    def test_no_linear_scan_on_grid_aligned_groups(self, gens, max_order,
+                                                   order, scan_calls):
+        group, _ = close_group(gens, max_order=max_order)
+        assert group.order == order
+        assert not scan_calls
+
+    def test_fix_phase_stack_matches_one_matrix_reference(self):
+        def reference(m):
+            # one matrix at a time: rotate the first largest-modulus entry
+            # (up to the 1e-9 relative slack) to be real positive
+            flat = m.ravel()
+            mods = np.abs(flat)
+            top = mods.max()
+            if top == 0.0:
+                return m.copy()
+            idx = int(np.flatnonzero(mods >= top * (1.0 - 1e-9))[0])
+            return m / (flat[idx] / abs(flat[idx]))
+
+        rng = np.random.default_rng(3)
+        ms = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
+        ms[::4] = np.round(ms[::4])   # ties among largest-modulus entries
+        ms[1] = 0.0                   # the zero matrix is left unchanged
+        for m, f in zip(ms, fix_phase_stack(ms)):
+            assert f.tobytes() == reference(m).tobytes()
+            assert f.tobytes() == fix_phase(m).tobytes()
+
+
 class TestDecomposeIrreps:
     def test_pauli_irreducible(self):
         _, rep = close_group([SX, SZ])
@@ -383,6 +551,24 @@ class TestDecomposeIrreps:
             alg_dim = span_dimension(rep.matrices)
             assert com_dim == sum(b.multiplicity ** 2 for b in dec.blocks)
             assert alg_dim == sum(b.dimension ** 2 for b in dec.blocks)
+
+    def test_block_norms_match_per_block_loop(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        starts = [0, 1, 3, 4, 7]
+        cuts = starts + [9]
+        loop = [[np.linalg.norm(M[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]])
+                 for j in range(len(starts))] for i in range(len(starts))]
+        np.testing.assert_allclose(group_theory._block_norms(M, starts), loop,
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n,blocks", [(7, [(64, 2)]), (8, [(64, 1)] * 4)])
+    def test_spin_flip_blocks_at_large_d(self, n, blocks):
+        _, rep = close_group(spin_flip_generators(n))
+        dec = decompose_irreps(rep)
+        assert [(b.multiplicity, b.dimension) for b in dec.blocks] == blocks
+        assert (sum(b.multiplicity ** 2 for b in dec.blocks)
+                == character_commutant_dim(rep))
 
     def test_spin_flip_n2_four_one_dim_blocks(self):
         from eulerdd.analysis import collective

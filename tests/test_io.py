@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import yaml
 
-from eulerdd.analysis import SIGMA, carr_purcell_scenario, symmetric_s3_scenario
+from eulerdd import io as eio
+from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
+                              symmetric_s3_scenario)
 from eulerdd.group_theory import equal_up_to_phase
 from eulerdd.io import (ConfigError, RunConfig, decode_matrix, drift_from_doc,
                         encode_matrix, export_schedule, fault_from_doc,
@@ -144,3 +147,24 @@ class TestScheduleExport:
             assert row["start"] == pytest.approx(t, abs=1e-12)
             t += row["duration"]
         assert t == pytest.approx(len(sc.path) * 0.01)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                    reason="PyYAML built without libyaml")
+class TestLibyaml:
+    """The C (libyaml) dumper and loader give the same text and documents as
+    the pure-Python SafeDumper and SafeLoader."""
+
+    def test_io_uses_the_c_classes(self):
+        assert (eio._LOADER, eio._DUMPER) == (yaml.CSafeLoader, yaml.CSafeDumper)
+
+    @pytest.mark.parametrize("sc", builtin_scenarios(), ids=lambda sc: sc.name)
+    def test_export_text_and_docs_identical(self, sc, monkeypatch):
+        texts = []
+        for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+            monkeypatch.setattr(eio, "_DUMPER", dumper)
+            texts.append(export_schedule(sc, 0.01))
+        assert texts[0] == texts[1]
+        docs = [yaml.load(texts[0], Loader=loader)
+                for loader in (yaml.SafeLoader, yaml.CSafeLoader)]
+        assert docs[0] == docs[1]

@@ -82,6 +82,10 @@ class Scenario:
     noise_generators: tuple = ()    # (name, traceless system operator)
     expected_cycle_length: int = 0
     default_delta_t: float = 0.01
+    # checks only this scenario passes, each called as
+    # check(scenario, rng, seed) -> list of check_result dicts; a scenario
+    # built from a config has none and gets only the generic checks
+    checks: tuple = ()
 
     def schedule(self, delta_t: float = None) -> ControlSchedule:
         return eulerian_schedule(self.path, self.profiles,
@@ -113,9 +117,15 @@ class Scenario:
                                           for S, E in couplings))
 
 
+def check_result(name, passed, value, tolerance, note="") -> dict:
+    """One named verification check, in the form the CLI summary prints."""
+    return {"name": name, "passed": bool(passed), "value": value,
+            "tolerance": tolerance, "note": note}
+
+
 def _scenario_from_generators(name, description, n_qubits, gen_mats,
                               profile_builders, reference_colors=None,
-                              noise_generators=(), max_order=512):
+                              noise_generators=(), max_order=512, checks=()):
     group, rep = group_theory.close_group(gen_mats, max_order=max_order)
     graph = build_cayley(group)
     path = eulerian_cycle(graph)
@@ -126,7 +136,27 @@ def _scenario_from_generators(name, description, n_qubits, gen_mats,
         reference_path=tuple(reference_colors) if reference_colors else None,
         noise_generators=tuple(noise_generators),
         expected_cycle_length=group.order * len(group.generators),
+        checks=tuple(checks),
     )
+
+
+def _carr_purcell_checks(scenario, rng, seed) -> list:
+    """Faults along sigma_y, sigma_z vanish; a sigma_x fault stays central."""
+    rep = scenario.rep
+    checks = []
+    for u in ("y", "z"):
+        fault = FaultModel.constant([0], [0.1 * SIGMA[u]], rep)
+        rob = robustness_report(scenario, fault, seed)
+        checks.append(check_result(f"fault-s{u}-vanishes",
+                                   rob.residual_norm <= 1e-9,
+                                   rob.residual_norm, 1e-9))
+    fault = FaultModel.constant([0], [0.1 * SIGMA["x"]], rep)
+    rob = robustness_report(scenario, fault, seed)
+    dev = float(np.linalg.norm(rob.residual - 0.1 * SIGMA["x"]))
+    checks.append(check_result("fault-sx-central",
+                               dev <= 1e-9 and rob.center_residual <= 1e-9,
+                               max(dev, rob.center_residual), 1e-9))
+    return checks
 
 
 def carr_purcell_scenario() -> Scenario:
@@ -140,12 +170,30 @@ def carr_purcell_scenario() -> Scenario:
         1, [SIGMA["x"]], [prof],
         reference_colors=(0, 0),
         noise_generators=(("sz", SIGMA["z"]),),
+        checks=(_carr_purcell_checks,),
     )
 
 
 # Eulerian cycle colors of the two-generator order-4 graph, as stated for
 # the qubit error-basis scheme: (g1, g2, g1, g2, g2, g1, g2, g1).
 _TWO_GEN_PATH = (0, 1, 0, 1, 1, 0, 1, 0)
+
+
+def _pauli_checks(scenario, rng, seed) -> list:
+    """Random traceless faults on every generator are averaged away."""
+    rep = scenario.rep
+    d = rep.dimension
+    worst = 0.0
+    colors = sorted(scenario.profiles)
+    for _ in range(10):
+        rates = []
+        for _ in colors:
+            m = random_hermitian(d, rng)
+            rates.append(m - np.trace(m) / d * np.eye(d))
+        fault = FaultModel.constant(colors, rates, rep)
+        rob = robustness_report(scenario, fault, seed)
+        worst = max(worst, rob.residual_norm)
+    return [check_result("random-fault-eliminated", worst <= 1e-8, worst, 1e-8)]
 
 
 def pauli_scenario(n: int = 1) -> Scenario:
@@ -169,7 +217,23 @@ def pauli_scenario(n: int = 1) -> Scenario:
         n, gen_mats, builders,
         reference_colors=_TWO_GEN_PATH if n == 1 else None,
         noise_generators=noise, max_order=4 ** n + 1,
+        checks=(_pauli_checks,),
     )
+
+
+def _spin_flip_checks(scenario, rng, seed) -> list:
+    """Linear noise is suppressed; for even n the group algebra is abelian."""
+    sup = noise_suppression_check(scenario, seed)
+    worst = max((e.projected_norm for e in sup.entries), default=0.0)
+    checks = [check_result("linear-noise-suppressed", worst <= 1e-12,
+                           worst, 1e-12)]
+    if scenario.n_qubits % 2 == 0:
+        mats = scenario.rep.matrices
+        worst = max(float(np.linalg.norm(a @ b - b @ a))
+                    for a in mats for b in mats)
+        checks.append(check_result("algebra-abelian", worst <= 1e-10,
+                                   worst, 1e-10))
+    return checks
 
 
 def spin_flip_scenario(n: int = 2) -> Scenario:
@@ -190,7 +254,30 @@ def spin_flip_scenario(n: int = 2) -> Scenario:
         n, [X, Z], [prof, prof],
         reference_colors=_TWO_GEN_PATH,
         noise_generators=noise,
+        checks=(_spin_flip_checks,),
     )
+
+
+def _symmetric_s3_checks(scenario, rng, seed) -> list:
+    """A two-dimensional irrep exists, and the averaged collective noise acts
+    on each block as N ⊗ I (a clean noiseless subsystem)."""
+    rep = scenario.rep
+    decomp = decompose_irreps(rep, seed=seed)
+    dims = sorted((b.dimension, b.multiplicity) for b in decomp.blocks)
+    has_d2 = any(b.dimension == 2 for b in decomp.blocks)
+    checks = [check_result("two-dim-block-present", has_d2, str(dims), "d=2")]
+    worst = 0.0
+    for _, S in scenario.noise_generators:
+        avg = pi_G(rep, S)
+        for blk in decomp.blocks:
+            B = decomp.block_of(avg, blk)
+            n_J, d_J = blk.multiplicity, blk.dimension
+            N = B.reshape(n_J, d_J, n_J, d_J).trace(axis1=1, axis2=3) / d_J
+            worst = max(worst, float(np.linalg.norm(
+                B - np.kron(N, np.eye(d_J)))))
+    checks.append(check_result("noiseless-subsystem-clean", worst <= 1e-8,
+                               worst, 1e-8))
+    return checks
 
 
 def symmetric_s3_scenario() -> Scenario:
@@ -218,21 +305,23 @@ def symmetric_s3_scenario() -> Scenario:
         "S3 symmetrization of three qubits with bounded Heisenberg exchange",
         n, [g1, g2], [prof1, prof2],
         reference_colors=reference, noise_generators=noise,
+        checks=(_symmetric_s3_checks,),
     )
+
+
+# name -> factory(n); n = None selects the scenario's default size, and
+# carr-purcell and symmetric-s3 have one size only
+_FACTORIES = {
+    "carr-purcell": lambda n=None: carr_purcell_scenario(),
+    "pauli": lambda n=None: pauli_scenario(1 if n is None else n),
+    "spin-flip": lambda n=None: spin_flip_scenario(2 if n is None else n),
+    "symmetric-s3": lambda n=None: symmetric_s3_scenario(),
+}
 
 
 def builtin_scenarios() -> list:
     """The four built-in scenarios at their default parameters."""
-    return [carr_purcell_scenario(), pauli_scenario(1),
-            spin_flip_scenario(2), symmetric_s3_scenario()]
-
-
-_FACTORIES = {
-    "carr-purcell": lambda n=None: carr_purcell_scenario(),
-    "pauli": lambda n=None: pauli_scenario(n or 1),
-    "spin-flip": lambda n=None: spin_flip_scenario(n or 2),
-    "symmetric-s3": lambda n=None: symmetric_s3_scenario(),
-}
+    return [make() for make in _FACTORIES.values()]
 
 
 def get_scenario(name: str, n: int = None) -> Scenario:

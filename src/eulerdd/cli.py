@@ -13,47 +13,39 @@ import sys
 import numpy as np
 
 from . import analysis, io
-from .analysis import (noise_suppression_check,
-                       random_hermitian, robustness_report, scaling_study,
+from .analysis import (check_result, random_hermitian, scaling_study,
                        verify_theorem)
 from .cayley import validate_path
 from .dynamics import q_map
 from .group_theory import pi_G
 from .io import ConfigError, RunConfig
-from .pulses import FaultModel
-from .analysis import SIGMA
-
-
-def _check(name, passed, value, tolerance, note=""):
-    return {"name": name, "passed": bool(passed), "value": value,
-            "tolerance": tolerance, "note": note}
 
 
 def scenario_checks(scenario, cfg: RunConfig) -> list:
-    """Named verification checks for one scenario (theorem, projector
-    properties, robustness, noise suppression)."""
+    """Named verification checks for one scenario: the generic ones (cycle,
+    theorem, projector properties), then the scenario's own checks."""
     rng = np.random.default_rng(cfg.seed)
     rep = scenario.rep
     d = rep.dimension
     checks = []
 
     expected = scenario.expected_cycle_length
-    checks.append(_check("cycle-length", len(scenario.path) == expected,
-                         len(scenario.path), expected))
+    checks.append(check_result("cycle-length", len(scenario.path) == expected,
+                               len(scenario.path), expected))
     ok, diag = validate_path(scenario.graph, scenario.path.colors)
-    checks.append(_check("eulerian-cycle-valid", ok, diag, "ok"))
+    checks.append(check_result("eulerian-cycle-valid", ok, diag, "ok"))
     if scenario.reference_path is not None:
         ok, diag = validate_path(scenario.graph, scenario.reference_path)
-        checks.append(_check("reference-path-valid", ok, diag, "ok"))
+        checks.append(check_result("reference-path-valid", ok, diag, "ok"))
 
     rep_report = verify_theorem(scenario, trials=cfg.trials, tol=1e-7,
                                 seed=cfg.seed)
     if rep_report.skipped:
-        checks.append(_check("symmetrization", True, "skipped", 1e-7,
-                             "hypothesis failed: profiles leave the algebra"))
+        checks.append(check_result("symmetrization", True, "skipped", 1e-7,
+                                   "hypothesis failed: profiles leave the algebra"))
     else:
-        checks.append(_check("symmetrization", rep_report.passed,
-                             rep_report.max_deviation, rep_report.tolerance))
+        checks.append(check_result("symmetrization", rep_report.passed,
+                                   rep_report.max_deviation, rep_report.tolerance))
 
     worst_idem, worst_comm = 0.0, 0.0
     for _ in range(10):
@@ -63,64 +55,13 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
         q = q_map(rep, scenario.profiles, X)
         for g in rep.matrices:
             worst_comm = max(worst_comm, float(np.linalg.norm(q @ g - g @ q)))
-    checks.append(_check("projector-idempotent", worst_idem <= 1e-10,
-                         worst_idem, 1e-10))
-    checks.append(_check("qmap-commutant-valued", worst_comm <= 1e-9,
-                         worst_comm, 1e-9))
+    checks.append(check_result("projector-idempotent", worst_idem <= 1e-10,
+                               worst_idem, 1e-10))
+    checks.append(check_result("qmap-commutant-valued", worst_comm <= 1e-9,
+                               worst_comm, 1e-9))
 
-    if scenario.name == "carr-purcell":
-        for u in ("y", "z"):
-            fault = FaultModel.constant([0], [0.1 * SIGMA[u]], rep)
-            rob = robustness_report(scenario, fault, cfg.seed)
-            checks.append(_check(f"fault-s{u}-vanishes",
-                                 rob.residual_norm <= 1e-9,
-                                 rob.residual_norm, 1e-9))
-        fault = FaultModel.constant([0], [0.1 * SIGMA["x"]], rep)
-        rob = robustness_report(scenario, fault, cfg.seed)
-        dev = float(np.linalg.norm(rob.residual - 0.1 * SIGMA["x"]))
-        checks.append(_check("fault-sx-central",
-                             dev <= 1e-9 and rob.center_residual <= 1e-9,
-                             max(dev, rob.center_residual), 1e-9))
-    elif scenario.name == "pauli":
-        worst = 0.0
-        colors = sorted(scenario.profiles)
-        for _ in range(10):
-            rates = []
-            for _ in colors:
-                m = random_hermitian(d, rng)
-                rates.append(m - np.trace(m) / d * np.eye(d))
-            fault = FaultModel.constant(colors, rates, rep)
-            rob = robustness_report(scenario, fault, cfg.seed)
-            worst = max(worst, rob.residual_norm)
-        checks.append(_check("random-fault-eliminated", worst <= 1e-8,
-                             worst, 1e-8))
-    elif scenario.name == "spin-flip":
-        sup = noise_suppression_check(scenario, cfg.seed)
-        worst = max((e.projected_norm for e in sup.entries), default=0.0)
-        checks.append(_check("linear-noise-suppressed", worst <= 1e-12,
-                             worst, 1e-12))
-        if scenario.n_qubits % 2 == 0:
-            worst = max(float(np.linalg.norm(a @ b - b @ a))
-                        for a in rep.matrices for b in rep.matrices)
-            checks.append(_check("algebra-abelian", worst <= 1e-10,
-                                 worst, 1e-10))
-    elif scenario.name == "symmetric-s3":
-        from .group_theory import decompose_irreps
-        decomp = decompose_irreps(rep, seed=cfg.seed)
-        dims = sorted((b.dimension, b.multiplicity) for b in decomp.blocks)
-        has_d2 = any(b.dimension == 2 for b in decomp.blocks)
-        checks.append(_check("two-dim-block-present", has_d2, str(dims), "d=2"))
-        worst = 0.0
-        for _, S in scenario.noise_generators:
-            avg = pi_G(rep, S)
-            for blk in decomp.blocks:
-                B = decomp.block_of(avg, blk)
-                n_J, d_J = blk.multiplicity, blk.dimension
-                N = B.reshape(n_J, d_J, n_J, d_J).trace(axis1=1, axis2=3) / d_J
-                worst = max(worst, float(np.linalg.norm(
-                    B - np.kron(N, np.eye(d_J)))))
-        checks.append(_check("noiseless-subsystem-clean", worst <= 1e-8,
-                             worst, 1e-8))
+    for check in scenario.checks:
+        checks.extend(check(scenario, rng, cfg.seed))
     return checks
 
 

@@ -5,17 +5,24 @@ Everything is piecewise constant, so propagators are exact products of
 segment exponentials, and every toggling-frame time average (``f_map``,
 ``q_map``, ``residual_error``, ``average_hamiltonian``) is a sum of exact
 segment integrals evaluated in the eigenbasis of the segment Hamiltonian.
+
+A profile replays unchanged in every sub-interval of its color, so the
+eigenpairs of its segments (cached on the profile), the stroboscopic frames
+(cached on the schedule), the total drift (cached on the drift) and, in
+``simulate_cycles``, the joint exponential of each color's segments are
+each computed once and reused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .group_theory import UnitaryRep, pi_G, align_phase
-from .pulses import (ControlSchedule, FaultModel, _expm_herm,
-                     faulty_segments, merged_segments)
+from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_herm,
+                     _read_only, faulty_segments, merged_segments)
 
 UNITARITY_TOL = 1e-10
 
@@ -55,11 +62,16 @@ class DriftModel:
                 raise ValueError("invalid drift: coupling shape mismatch")
 
     def total(self) -> np.ndarray:
+        """H0 on S ⊗ E, built once per drift and read-only."""
+        return self._total
+
+    @cached_property
+    def _total(self) -> np.ndarray:
         d, de = self.system_dim, self.env_dim
         h = np.kron(self.H_S, np.eye(de)) + np.kron(np.eye(d), self.H_E)
         for S, E in self.couplings:
             h = h + np.kron(S, E)
-        return h
+        return _read_only(h)
 
 
 @dataclass(frozen=True)
@@ -126,24 +138,30 @@ def _sub_interval_integral(segments, env_dim: int = 1) -> np.ndarray:
     """Exact integral of u(x)† X(x) u(x) over x in [0, 1] for a
     piecewise-constant control u on S, acting as u ⊗ I on S ⊗ E.
 
-    ``segments`` are (fraction, rate, X) triples: on a segment of length f
-    starting at u₀, u(x) = e^{-ixR} u₀ and X(x) = X, a matrix on S ⊗ E.
-    With R = VΛV†, Y = V†XV and W = V†u₀ the segment integral is
+    ``segments`` are (fraction, (λ, V), X) triples: on a segment of length f
+    starting at u₀, u(x) = e^{-ixR} u₀ with R = VΛV† and X(x) = X, a matrix
+    on S ⊗ E.  With Y = V†XV and W = V†u₀ the segment integral is
     W† (K ∘ Y) W with K_ij = f e^{iθ/2} sinc(θ/2), θ = f(λᵢ−λⱼ), which
     stays finite at degenerate eigenvalues (Van Loan 1978, diagonal form).
     """
-    d = segments[0][1].shape[0]
+    d = segments[0][1][1].shape[0]
     acc = np.zeros((d, env_dim, d, env_dim), dtype=complex)
     u = np.eye(d, dtype=complex)
-    for frac, rate, X in segments:
-        lam, V = np.linalg.eigh(rate)
+    for frac, (lam, V), X in segments:
         theta = frac * (lam[:, None] - lam[None, :])
         K = frac * np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
-        Y = _lift_conj(V, np.reshape(X, acc.shape)) * K[:, None, :, None]
+        Y = _lift_conj(V, np.reshape(X, acc.shape))
+        Y *= K[:, None, :, None]
         W = V.conj().T @ u
         acc += _lift_conj(W, Y)
         u = V @ (np.exp(-1j * frac * lam)[:, None] * W)
     return acc.reshape(d * env_dim, d * env_dim)
+
+
+def _profile_segments(profile: PulseProfile, X: np.ndarray) -> list:
+    """(fraction, (λ, V), X) triples of a profile under a constant X."""
+    return [(frac, spec, X)
+            for (frac, _), spec in zip(profile.segments, profile.spectra)]
 
 
 def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray:
@@ -172,9 +190,8 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     else:
         colors = schedule.path.colors
         averaged = {
-            c: _sub_interval_integral(
-                [(frac, rate, H0) for frac, rate in schedule.profiles[c].segments],
-                de).reshape(d, de, d, de)
+            c: _sub_interval_integral(_profile_segments(schedule.profiles[c], H0),
+                                      de).reshape(d, de, d, de)
             for c in set(colors)}
         frames = schedule.stroboscopic_frames()
         for ell, color in enumerate(colors):
@@ -189,7 +206,7 @@ def f_map(profiles: dict, X: np.ndarray) -> np.ndarray:
     d = next(iter(profiles.values())).target.shape[0]
     if X.shape != (d, d):
         raise ValueError("shape error: operator does not match profile dimension")
-    return sum(_sub_interval_integral([(frac, rate, X) for frac, rate in prof.segments])
+    return sum(_sub_interval_integral(_profile_segments(prof, X))
                for prof in profiles.values()) / len(profiles)
 
 
@@ -205,7 +222,8 @@ def residual_error(rep: UnitaryRep, profiles: dict, fault: FaultModel) -> np.nda
     Hamiltonian).  The toggling frame uses the ideal profiles; the
     integrand is u†(s) delta-h(s) u(s)."""
     fault.validate()
-    acc = sum(_sub_interval_integral(merged_segments(prof, fault, color))
+    acc = sum(_sub_interval_integral([(frac, prof.spectra[k], err) for frac, k, err
+                                      in merged_segments(prof, fault, color)])
               for color, prof in profiles.items())
     return pi_G(rep, acc / len(profiles))
 
@@ -215,9 +233,12 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
     """Joint propagator of H0 + H_c(t) ⊗ I over [0, cycles * T_c].
 
     The total Hamiltonian is piecewise constant, so one exponential per
-    control segment is exact.
-    For bang-bang schedules the kicks are frame jumps: each sub-interval
-    evolves under g† H0 g conjugated drift.
+    control segment is exact.  A color's control (and its fault) replays
+    unchanged in every sub-interval of that color, so the exponential of
+    each of its segments is computed once and reused along the path.
+    For bang-bang schedules the kicks are frame jumps: sub-interval l
+    evolves under the conjugated drift g_l† H0 g_l, whose exponential is
+    g_l† e^{-i H0 dt} g_l.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
@@ -231,20 +252,27 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
     def lift(m):
         return np.kron(m, eye_e) if de > 1 else m
 
-    u_cycle = np.eye(dim, dtype=complex)
     if schedule.kind == "bangbang":
-        # U = g_l exp(-i g† H0 g dt) ... ; equivalently product of
-        # exp(-i H0 dt) sandwiched by kicks. Use the toggled form directly.
+        free = _expm_herm(H0, dt)
+        steps = []
         for j in schedule.ordering:
             g = lift(schedule.rep.matrices[j])
-            u_cycle = _expm_herm(g.conj().T @ H0 @ g, dt) @ u_cycle
+            steps.append(g.conj().T @ free @ g)
         # stroboscopically U_c(T_c) = identity, so no closing frame factor
     else:
-        for color in schedule.path.colors:
-            for frac, ideal_rate, fault_rate in faulty_segments(schedule, color):
-                h_ctrl = lift((ideal_rate + fault_rate) / dt)
-                # total Hamiltonian is constant here: one exponential is exact
-                u_cycle = _expm_herm(H0 + h_ctrl, frac * dt) @ u_cycle
+        # the total Hamiltonian is constant on each segment, so one
+        # exponential per segment of each color is exact; they are applied
+        # segment by segment, in time order, along the path
+        by_color = {}
+        for color in set(schedule.path.colors):
+            rates = schedule.profiles[color].segments
+            by_color[color] = [
+                _expm_herm(H0 + lift((rates[k][1] + fault_rate) / dt), frac * dt)
+                for frac, k, fault_rate in faulty_segments(schedule, color)]
+        steps = [step for c in schedule.path.colors for step in by_color[c]]
+    u_cycle = np.eye(dim, dtype=complex)
+    for step in steps:
+        u_cycle = step @ u_cycle
     u = np.linalg.matrix_power(u_cycle, cycles)
     err = np.linalg.norm(u.conj().T @ u - np.eye(dim))
     if err > 1e-8 * dim:
@@ -256,7 +284,7 @@ def decoupling_distance(drift: DriftModel, schedule: ControlSchedule,
                         cycles: int = 1) -> float:
     """Phase-aligned Frobenius distance between the stroboscopic propagator
     and exp(-i Hbar M T_c)."""
-    u = simulate_cycles(drift, schedule, cycles)
     hbar = average_hamiltonian(schedule, drift.total())
+    u = simulate_cycles(drift, schedule, cycles)
     target = _expm_herm(hbar, cycles * schedule.cycle_time)
     return float(np.linalg.norm(u - align_phase(u, target)))

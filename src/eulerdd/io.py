@@ -6,6 +6,7 @@ are stored row-major as lists of [re, im] pairs in decimal text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,10 @@ class RunConfig:
     faults: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        if self.n_qubits is not None and self.n_qubits < 1:
+            raise ConfigError("n_qubits must be >= 1")
+        if self.env_dim < 1:
+            raise ConfigError("env_dim must be >= 1")
         if self.delta_t is not None and self.delta_t <= 0:
             raise ConfigError("delta_t must be > 0")
         if self.delta_t_list is not None and any(d <= 0 for d in self.delta_t_list):
@@ -69,6 +74,21 @@ class RunConfig:
             raise ConfigError("cycles must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+
+
+# type of each scalar override; a value of another type is a ConfigError
+# here rather than a TypeError, or a silent truncation, later on
+_OVERRIDE_TYPES = {"delta_t": float, "cycles": int, "seed": int, "trials": int,
+                   "env_dim": int, "verbosity": int, "n_qubits": int}
+
+
+def _typed(key: str, value, kind):
+    """``value`` as ``kind``: a finite number (not a bool), whole for an int."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and kind(value) == value):
+        return kind(value)
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"override {key} must be {what}, got {value!r}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -82,14 +102,17 @@ def load_config(path: str) -> RunConfig:
         cfg.inline = sc
     elif sc is not None:
         cfg.scenario = str(sc)
-    over = doc.get("overrides", {})
-    for key in ("delta_t", "cycles", "seed", "trials", "env_dim", "verbosity"):
+    over = doc.get("overrides") or {}
+    if not isinstance(over, dict):
+        raise ConfigError("overrides must be a mapping")
+    for key, kind in _OVERRIDE_TYPES.items():
         if key in over:
-            setattr(cfg, key, over[key])
-    if "n_qubits" in over:
-        cfg.n_qubits = int(over["n_qubits"])
+            setattr(cfg, key, _typed(key, over[key], kind))
     if "delta_t_list" in over:
-        cfg.delta_t_list = [float(v) for v in over["delta_t_list"]]
+        values = over["delta_t_list"]
+        if not isinstance(values, list):
+            raise ConfigError("override delta_t_list must be a list")
+        cfg.delta_t_list = [_typed("delta_t_list", v, float) for v in values]
     if "out" in doc:
         cfg.out = str(doc["out"])
     if "faults" in doc:

@@ -10,6 +10,7 @@ and amplitudes scale as 1/delta_t automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +37,21 @@ class IncompleteProfileSetError(ValueError):
     """A path color has no pulse profile."""
 
 
+def _expm_eig(evals: np.ndarray, evecs: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """exp(-i * scale * H) from the eigenpairs of a Hermitian H."""
+    return (evecs * np.exp(-1j * scale * evals)) @ evecs.conj().T
+
+
 def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * H) for Hermitian H via eigendecomposition."""
-    evals, evecs = np.linalg.eigh(H)
-    return (evecs * np.exp(-1j * scale * evals)) @ evecs.conj().T
+    return _expm_eig(*np.linalg.eigh(H), scale)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so that no caller can change it for
+    the others that share it."""
+    a.setflags(write=False)
+    return a
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -54,6 +66,11 @@ class PulseProfile:
     segments: list of (fraction, rate) where fraction is the share of
     delta_t and rate = h * delta_t is the angle-rate matrix; the segment
     unitary is exp(-i * rate * fraction).
+
+    A profile replays unchanged in every sub-interval of its color, so the
+    eigenpairs of each segment rate and the endpoint unitary are computed
+    once, on first use, and shared read-only; the segments must not be
+    changed after that.
     """
 
     generator: int
@@ -66,30 +83,37 @@ class PulseProfile:
         """Largest instantaneous Hamiltonian norm, in units of 1/delta_t."""
         return max(float(np.linalg.norm(rate, 2)) for _, rate in self.segments)
 
+    @cached_property
+    def spectra(self) -> tuple:
+        """(eigenvalues, eigenvectors) of each segment rate."""
+        return tuple(tuple(_read_only(a) for a in np.linalg.eigh(rate))
+                     for _, rate in self.segments)
+
     def unitary_at(self, x: float) -> np.ndarray:
         """u(x) for fraction x in [0, 1] of the sub-interval."""
         d = self.target.shape[0]
         u = np.eye(d, dtype=complex)
         pos = 0.0
-        for frac, rate in self.segments:
+        for (frac, _), (lam, V) in zip(self.segments, self.spectra):
             if x >= pos + frac - 1e-15:
-                u = _expm_herm(rate, frac) @ u
+                u = _expm_eig(lam, V, frac) @ u
             else:
-                u = _expm_herm(rate, x - pos) @ u
+                u = _expm_eig(lam, V, x - pos) @ u
                 break
             pos += frac
         return u
 
     def endpoint_unitary(self) -> np.ndarray:
-        return self.unitary_at(1.0)
+        """u(1), shared read-only."""
+        return self._endpoint
+
+    @cached_property
+    def _endpoint(self) -> np.ndarray:
+        return _read_only(self.unitary_at(1.0))
 
 
-def _check_realization(segments, target, tol=REALIZATION_TOL):
-    d = target.shape[0]
-    u = np.eye(d, dtype=complex)
-    for frac, rate in segments:
-        u = _expm_herm(rate, frac) @ u
-    dist = phase_distance(target, u)
+def _check_realization(profile: PulseProfile, tol=REALIZATION_TOL):
+    dist = phase_distance(profile.target, profile.endpoint_unitary())
     if dist > tol:
         raise RealizationError(
             f"profile does not implement generator: distance {dist:.3e} > {tol:.0e}")
@@ -172,10 +196,11 @@ def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile
         total += frac
     if abs(total - 1.0) > 1e-12:
         raise ValueError("segment fractions must sum to 1")
-    target = rep.matrices[generator]
-    _check_realization(segs, target)
-    return PulseProfile(generator=generator, segments=segs, target=target,
-                        in_algebra=_in_algebra(segs, rep))
+    profile = PulseProfile(generator=generator, segments=segs,
+                           target=rep.matrices[generator],
+                           in_algebra=_in_algebra(segs, rep))
+    _check_realization(profile)
+    return profile
 
 
 @dataclass
@@ -248,17 +273,24 @@ class ControlSchedule:
         return [mats[order[l % n]] @ mats[order[l - 1]].conj().T
                 for l in range(1, n + 1)]
 
-    def stroboscopic_frames(self) -> list:
-        """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c."""
+    def stroboscopic_frames(self) -> tuple:
+        """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c.
+
+        Computed once per schedule and shared (read-only) by the closing
+        check, ``average_hamiltonian`` and every ``control_propagator`` call.
+        """
+        return self._frames
+
+    @cached_property
+    def _frames(self) -> tuple:
         d = self.rep.dimension
         if self.kind == "bangbang":
-            frames = [self.rep.matrices[j] for j in self.ordering]
-            frames.append(np.eye(d, dtype=complex))
-            return frames
-        frames = [np.eye(d, dtype=complex)]
+            return (*(self.rep.matrices[j] for j in self.ordering),
+                    _read_only(np.eye(d, dtype=complex)))
+        frames = [_read_only(np.eye(d, dtype=complex))]
         for c in self.path.colors:
-            frames.append(self.profiles[c].endpoint_unitary() @ frames[-1])
-        return frames
+            frames.append(_read_only(self.profiles[c].endpoint_unitary() @ frames[-1]))
+        return tuple(frames)
 
 
 def eulerian_schedule(path: EulerPath, profiles: dict, delta_t: float,
@@ -293,7 +325,7 @@ def bangbang_schedule(group, rep: UnitaryRep, delta_t: float) -> ControlSchedule
 
 def _merge_grids(profile_segs, fault_segs):
     """Union grid of two segment lists over [0, 1]; returns
-    (fraction, profile_rate, fault_rate) triples."""
+    (fraction, profile segment index, fault_rate) triples."""
     cuts = {0.0, 1.0}
     pos = 0.0
     for frac, _ in profile_segs:
@@ -305,18 +337,19 @@ def _merge_grids(profile_segs, fault_segs):
         cuts.add(round(pos, 15))
     cuts = sorted(c for c in cuts if 0.0 <= c <= 1.0 + 1e-12)
 
-    def rate_at(segs, x):
+    def index_at(segs, x):
         pos = 0.0
-        for frac, rate in segs:
+        for k, (frac, _) in enumerate(segs):
             if x < pos + frac - 1e-12:
-                return rate
+                return k
             pos += frac
-        return segs[-1][1]
+        return len(segs) - 1
 
     merged = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (a + b)
-        merged.append((b - a, rate_at(profile_segs, mid), rate_at(fault_segs, mid)))
+        merged.append((b - a, index_at(profile_segs, mid),
+                       fault_segs[index_at(fault_segs, mid)][1]))
     return merged
 
 
@@ -337,10 +370,12 @@ def apply_fault(schedule: ControlSchedule, fault: FaultModel) -> ControlSchedule
 
 
 def merged_segments(profile: PulseProfile, fault, color: int):
-    """(fraction, ideal_rate, fault_rate) triples for one sub-interval."""
+    """(fraction, profile segment index, fault_rate) triples for one
+    sub-interval; the index selects the ideal rate and its cached
+    eigenpairs on ``profile``."""
     segs = profile.segments
     if fault is None or color not in fault.deltas:
-        return [(frac, rate, np.zeros_like(rate)) for frac, rate in segs]
+        return [(frac, k, np.zeros_like(rate)) for k, (frac, rate) in enumerate(segs)]
     return _merge_grids(segs, fault.deltas[color])
 
 

@@ -50,6 +50,19 @@ class TestBuiltinScenarios:
         with pytest.raises(KeyError):
             get_scenario("nope")
 
+    @pytest.mark.parametrize("name", ["pauli", "spin-flip"])
+    def test_get_scenario_zero_qubits_is_not_the_default(self, name):
+        assert get_scenario(name).n_qubits >= 1
+        with pytest.raises(ValueError):
+            get_scenario(name, 0)
+
+    def test_builtin_checks_belong_to_their_scenario(self):
+        rng = np.random.default_rng(0)
+        for sc in builtin_scenarios():
+            assert sc.checks
+            names = [c["name"] for check in sc.checks for c in check(sc, rng, 0)]
+            assert names
+
     def test_all_profiles_in_algebra(self):
         for sc in builtin_scenarios():
             assert all(p.in_algebra for p in sc.profiles.values())

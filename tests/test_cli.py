@@ -96,6 +96,32 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
         assert peak < 32 * 2 ** 20
 
+    def test_non_integer_override_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario: carr-purcell\noverrides:\n  cycles: abc\n")
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert "error: override cycles must be an integer" in err
+
+    def test_inline_scenario_named_pauli_gets_generic_checks(self, capsys, tmp_path):
+        # the one-qubit flip group {I, sigma_x}: the qubit error-basis checks
+        # of the built-in pauli scenario do not apply to it
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario:\n  name: pauli\n  generators:\n"
+                       "    - dim: [2, 2]\n"
+                       "      data: [[0, 0], [1, 0], [1, 0], [0, 0]]\n"
+                       "  profiles:\n"
+                       "    - axis:\n"
+                       "        dim: [2, 2]\n"
+                       "        data: [[0, 0], [1, 0], [1, 0], [0, 0]]\n")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert [c["name"] for c in doc["checks"]] == [
+            "cycle-length", "eulerian-cycle-valid", "symmetrization",
+            "projector-idempotent", "qmap-commutant-valued"]
+
     def test_inline_scenario_without_profiles_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("scenario:\n  generators:\n"

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from eulerdd import dynamics
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
-                              random_hermitian, symmetric_s3_scenario)
+                              random_hermitian, scaling_study, spin_flip_scenario,
+                              symmetric_s3_scenario, verify_theorem)
 from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
                               _sub_interval_integral, average_hamiltonian,
                               control_propagator, decoupling_distance, f_map,
@@ -13,7 +15,7 @@ from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
 from eulerdd.group_theory import (center_basis, close_group, commutant_basis,
                                   equal_up_to_phase, pi_G)
 from eulerdd.pulses import (FaultModel, PulseProfile, _expm_herm, apply_fault,
-                            phase_distance)
+                            merged_segments, phase_distance)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -157,9 +159,11 @@ class TestExactKernel:
         segs = [(0.3, random_hermitian(d, rng)), (0.5, np.zeros((d, d))),
                 (0.2, random_hermitian(d, rng))]
         X = random_hermitian(d * env_dim, rng)
-        got = _sub_interval_integral([(f, r, X) for f, r in segs], env_dim)
+        got = _sub_interval_integral([(f, np.linalg.eigh(r), X) for f, r in segs],
+                                     env_dim)
         eye_e = np.eye(env_dim)
-        ref = _sub_interval_integral([(f, np.kron(r, eye_e), X) for f, r in segs])
+        ref = _sub_interval_integral([(f, np.linalg.eigh(np.kron(r, eye_e)), X)
+                                      for f, r in segs])
         assert np.linalg.norm(got - ref) <= 1e-12
 
     def test_joint_average_hamiltonian_matches_fine_grid(self):
@@ -360,3 +364,152 @@ class TestSimulation:
         u = simulate_cycles(drift, faulty, cycles=2)
         dim = u.shape[0]
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-9
+
+
+def per_sub_interval_cycles(drift, schedule, cycles=1):
+    """simulate_cycles as it was before steps were reused: one exponential
+    per segment of every sub-interval, and exp(-i g† H0 g dt) for every
+    bang-bang sub-interval."""
+    H0 = drift.total()
+    de = drift.env_dim
+    eye_e = np.eye(de)
+    dt = schedule.delta_t
+
+    def lift(m):
+        return np.kron(m, eye_e) if de > 1 else m
+
+    u_cycle = np.eye(H0.shape[0], dtype=complex)
+    if schedule.kind == "bangbang":
+        for j in schedule.ordering:
+            g = lift(schedule.rep.matrices[j])
+            u_cycle = _expm_herm(g.conj().T @ H0 @ g, dt) @ u_cycle
+    else:
+        for color in schedule.path.colors:
+            prof = schedule.profiles[color]
+            for frac, k, fault_rate in merged_segments(prof, schedule.fault, color):
+                h_ctrl = lift((prof.segments[k][1] + fault_rate) / dt)
+                u_cycle = _expm_herm(H0 + h_ctrl, frac * dt) @ u_cycle
+    return np.linalg.matrix_power(u_cycle, cycles)
+
+
+def finer_grid_fault(rng, dim, colors):
+    fractions = (0.25, 0.25, 0.3, 0.2)
+    return FaultModel(deltas={c: [(f, 0.1 * random_hermitian(dim, rng))
+                                  for f in fractions] for c in colors})
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of every np.linalg.eigh call (pulses and dynamics look it up
+    on np.linalg at call time)."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestSegmentReuse:
+    """Each distinct segment is decomposed once: on its profile (eigenpairs,
+    endpoint unitary), its schedule (frames), its drift (H0) and, in
+    simulate_cycles, once per color."""
+
+    @pytest.mark.parametrize("env_dim", [1, 2, 3])
+    @pytest.mark.parametrize("make,kind", [
+        (carr_purcell_scenario, "eulerian"), (symmetric_s3_scenario, "eulerian"),
+        (symmetric_s3_scenario, "fault"), (pauli_scenario, "fault"),
+        (symmetric_s3_scenario, "bangbang"), (pauli_scenario, "bangbang"),
+    ])
+    def test_simulate_cycles_matches_per_sub_interval_loop(self, make, kind, env_dim):
+        sc = make()
+        drift = sc.generic_drift(env_dim=env_dim, seed=env_dim)
+        if kind == "bangbang":
+            sched = sc.bangbang(0.05)
+        else:
+            sched = sc.schedule(0.05)
+        if kind == "fault":
+            rng = np.random.default_rng(env_dim)
+            sched = apply_fault(sched, finer_grid_fault(rng, sc.rep.dimension,
+                                                        sorted(sc.profiles)))
+        got = simulate_cycles(drift, sched, cycles=3)
+        ref = per_sub_interval_cycles(drift, sched, cycles=3)
+        assert np.linalg.norm(got - ref) <= 1e-12
+
+    @pytest.mark.parametrize("make", [carr_purcell_scenario, pauli_scenario,
+                                      symmetric_s3_scenario])
+    def test_cached_spectra_match_fresh_exponentials(self, make):
+        rng = np.random.default_rng(11)
+        profiles = list(make().profiles.values())
+        profiles.append(random_profile(4, (0.4, 0.35, 0.25), rng))
+        for prof in profiles:
+            d = prof.target.shape[0]
+            fresh = np.eye(d, dtype=complex)
+            for (frac, rate), (lam, V) in zip(prof.segments, prof.spectra):
+                assert np.linalg.norm((V * lam) @ V.conj().T - rate) <= 1e-13
+                fresh = _expm_herm(rate, frac) @ fresh
+            assert np.linalg.norm(prof.endpoint_unitary() - fresh) <= 1e-13
+            # part-way through the last segment
+            frac, rate = prof.segments[-1]
+            x = 1.0 - 0.5 * frac
+            partial = _expm_herm(rate, 0.5 * frac)
+            for f, r in prof.segments[-2::-1]:
+                partial = partial @ _expm_herm(r, f)
+            assert np.linalg.norm(prof.unitary_at(x) - partial) <= 1e-13
+
+    def test_cached_arrays_are_shared_read_only(self):
+        sc = symmetric_s3_scenario()
+        sched = sc.schedule(0.01)
+        drift = sc.generic_drift(env_dim=2)
+        assert sched.stroboscopic_frames() is sched.stroboscopic_frames()
+        assert drift.total() is drift.total()
+        prof = sc.profiles[1]
+        for a in (prof.endpoint_unitary(), prof.spectra[0][1],
+                  sched.stroboscopic_frames()[3], drift.total()):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_control_propagator_reuses_frames_and_spectra(self, eigh_calls):
+        sc = symmetric_s3_scenario()
+        sched = sc.schedule(0.1)
+        for prof in sc.profiles.values():
+            prof.spectra
+        del eigh_calls[:]
+        for t in np.linspace(0.0, 2 * sched.cycle_time, 50):
+            control_propagator(sched, t)
+        assert eigh_calls == []
+
+    def test_sweep_makes_one_joint_exponential_per_color_and_delta_t(
+            self, eigh_calls, monkeypatch):
+        sc = spin_flip_scenario(6)
+        drift = sc.generic_drift(env_dim=2, seed=0)
+        del eigh_calls[:]
+        per_call = []
+        real = dynamics.simulate_cycles
+
+        def counted(*args, **kwargs):
+            before = len(eigh_calls)
+            out = real(*args, **kwargs)
+            per_call.append(eigh_calls[before:])
+            return out
+
+        monkeypatch.setattr(dynamics, "simulate_cycles", counted)
+        scaling_study(sc, [0.02, 0.01, 0.005], cycles=2, drift=drift)
+        gamma = len(sc.group.generators)
+        assert len(per_call) == 3
+        for calls in per_call:
+            assert calls == [(128, 128)] * gamma
+        # the 64x64 segment rates are decomposed once for the whole sweep
+        assert eigh_calls.count((64, 64)) == gamma
+
+    def test_verify_theorem_decomposes_each_segment_once(self, eigh_calls):
+        sc = spin_flip_scenario(3)
+        del eigh_calls[:]
+        verify_theorem(sc, trials=20)
+        assert len(eigh_calls) == sum(len(p.segments) for p in sc.profiles.values())
+        del eigh_calls[:]
+        verify_theorem(sc, trials=20, seed=1)
+        assert eigh_calls == []

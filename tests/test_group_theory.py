@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from eulerdd import group_theory
 from eulerdd.analysis import (_subspace_distance, collective, get_scenario,
                               pauli_on, robustness_report, spin_flip_scenario)
+from eulerdd.cayley import build_cayley, eulerian_cycle, validate_path
+from eulerdd.dynamics import average_hamiltonian, q_map
 from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   InvalidGeneratorError,
                                   NotNormalSubgroupError, ResourceLimitError,
@@ -19,7 +21,8 @@ from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   commutant_basis, decompose_irreps,
                                   equal_up_to_phase, fix_phase,
                                   fix_phase_stack, pi_G, quotient_check)
-from eulerdd.pulses import FaultModel
+from eulerdd.pulses import (FaultModel, _expm_herm, eulerian_schedule,
+                            piecewise_profile)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -334,6 +337,84 @@ class TestRandomMonomialGroups:
         assert sum(b.multiplicity * b.dimension for b in dec.blocks) == rep.dimension
         assert (sum(b.multiplicity ** 2 for b in dec.blocks)
                 == character_commutant_dim(rep))
+
+
+def hermitian_log(u):
+    """Hermitian H with exp(-iH) = u, for a unitary u.  The eigenbasis comes
+    from a Hermitian function of u, and the phases are cut in the middle of
+    the widest gap between u's eigenphases, so equal eigenvalues get equal
+    phases and H is a polynomial in u."""
+    mix = (u + u.conj().T) / 2 + (np.e / np.pi) * (u - u.conj().T) / 2j
+    _, v = np.linalg.eigh(mix)
+    lam = np.diag(v.conj().T @ u @ v)
+    ang = np.sort(np.angle(lam))
+    gaps = np.diff(np.append(ang, ang[0] + 2 * np.pi))
+    k = int(np.argmax(gaps))
+    shift = ang[k] + gaps[k] / 2 - np.pi
+    phases = np.angle(lam * np.exp(-1j * shift)) + shift
+    return -(v * phases) @ v.conj().T
+
+
+@st.composite
+def segment_plans(draw):
+    """(fraction, weight) pairs of one profile, with fractions from small
+    integers and the last weight set so that sum(fraction * weight) = 1."""
+    n = draw(st.integers(1, 3))
+    parts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    fractions = [p / sum(parts) for p in parts]
+    weights = draw(st.lists(st.floats(-2, 2), min_size=n - 1, max_size=n - 1))
+    weights.append((1 - sum(f * w for f, w in zip(fractions, weights)))
+                   / fractions[-1])
+    return list(zip(fractions, weights))
+
+
+class TestEulerianIdentities:
+    """The paper's identities on random monomial groups: the Eulerian cycle
+    has length |G|·|Γ|; q_map = pi_G for in-algebra profiles; and the
+    first-order average Hamiltonian is pi_G(F_Γ(H0)) = q_map(H0) for any
+    profiles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.lists(segment_plans(), min_size=2, max_size=2),
+           st.integers(0, 2 ** 32 - 1))
+    def test_cycle_and_first_order_identities(self, gens, plans, seed):
+        try:
+            group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                     max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        assume(group.order > 1)
+        graph = build_cayley(group)
+        path = eulerian_cycle(graph)
+        ok, diag = validate_path(graph, path.colors)
+        assert ok, diag
+        assert len(path) == group.order * len(group.generators)
+
+        # rates are real multiples of the generator's Hermitian logarithm
+        profiles = {}
+        for c, gen in enumerate(group.generators):
+            H = hermitian_log(rep.matrices[gen])
+            profiles[c] = piecewise_profile(gen, rep,
+                                            [(f, w * H) for f, w in plans[c]])
+            assert profiles[c].in_algebra
+        rng = np.random.default_rng(seed)
+        d = rep.dimension
+        X, H0 = random_hermitian(d, rng), random_hermitian(d, rng)
+        assert np.linalg.norm(q_map(rep, profiles, X) - pi_G(rep, X)) <= 1e-9
+        sched = eulerian_schedule(path, profiles, 0.1, rep)
+        for frame, v in zip(sched.stroboscopic_frames(), path.vertices):
+            assert equal_up_to_phase(frame, rep.matrices[v], 1e-9)
+        assert np.linalg.norm(average_hamiltonian(sched, H0)
+                              - q_map(rep, profiles, H0)) <= 1e-10
+
+        # a two-segment profile whose first segment is a random rotation
+        gen = group.generators[0]
+        A = random_hermitian(d, rng)
+        back = hermitian_log(rep.matrices[gen] @ _expm_herm(A, -1.0))
+        profiles[0] = piecewise_profile(gen, rep, [(0.5, 2 * A), (0.5, 2 * back)])
+        sched = eulerian_schedule(path, profiles, 0.1, rep)
+        assert np.linalg.norm(average_hamiltonian(sched, H0)
+                              - q_map(rep, profiles, H0)) <= 1e-10
 
 
 def linear_scan_closure(generator_matrices, max_order,

@@ -34,6 +34,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("delta_t", -0.1), ("delta_t", 0.0), ("cycles", 0), ("trials", 0),
+        ("env_dim", 0), ("n_qubits", 0),
     ])
     def test_rejects_bad_values(self, field, value):
         cfg = RunConfig()
@@ -49,6 +50,31 @@ class TestRunConfig:
         assert cfg.scenario == "carr-purcell"
         assert cfg.delta_t == 0.02
         assert cfg.seed == 7
+
+    @pytest.mark.parametrize("override", [
+        "cycles: abc", "env_dim: abc", "env_dim: 0", "n_qubits: 0",
+        "cycles: 2.5", "seed: true", "delta_t: .nan", "delta_t: '0.01'",
+        "delta_t_list: [0.02, x]", "delta_t_list: 0.02",
+    ])
+    def test_load_rejects_bad_overrides(self, tmp_path, override):
+        p = tmp_path / "run.yaml"
+        p.write_text(f"scenario: spin-flip\noverrides:\n  {override}\n")
+        with pytest.raises(ConfigError):
+            load_config(str(p))
+
+    def test_load_rejects_non_mapping_overrides(self, tmp_path):
+        p = tmp_path / "run.yaml"
+        p.write_text("scenario: pauli\noverrides: [1, 2]\n")
+        with pytest.raises(ConfigError):
+            load_config(str(p))
+
+    def test_load_converts_whole_numbers(self, tmp_path):
+        p = tmp_path / "run.yaml"
+        p.write_text("scenario: pauli\n"
+                     "overrides:\n  cycles: 3.0\n  delta_t: 1\n  n_qubits: 2\n")
+        cfg = load_config(str(p))
+        assert (cfg.cycles, cfg.delta_t, cfg.n_qubits) == (3, 1.0, 2)
+        assert isinstance(cfg.cycles, int) and isinstance(cfg.delta_t, float)
 
     def test_load_rejects_non_mapping(self, tmp_path):
         p = tmp_path / "run.yaml"

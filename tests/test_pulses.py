@@ -115,6 +115,13 @@ class TestSchedules:
                 counts[hits[0]] += 1
             assert counts == [len(sc.group.generators)] * sc.group.order
 
+    def test_stroboscopic_frames_follow_the_path_vertices(self):
+        for sc in (pauli_scenario(2), symmetric_s3_scenario()):
+            frames = sc.schedule(0.01).stroboscopic_frames()
+            assert len(frames) == len(sc.path.vertices)
+            for frame, v in zip(frames, sc.path.vertices):
+                assert equal_up_to_phase(frame, sc.rep.matrices[v], 1e-9)
+
     def test_bangbang_matches_eulerian_frame_set(self):
         sc = pauli_scenario(1)
         bb = sc.bangbang(0.01)

@@ -13,7 +13,7 @@ from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
                      validate_path)
 from .dynamics import (DriftModel, average_hamiltonian, control_propagator,
                        decoupling_distance, f_map, q_map, residual_error,
-                       simulate_cycles, time_ordered_exp)
+                       simulate_cycles)
 from .group_theory import (Group, UnitaryRep, center_basis, close_group,
                            commutant_basis, decompose_irreps, pi_G,
                            quotient_check)

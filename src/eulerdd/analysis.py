@@ -7,16 +7,19 @@ symmetric-group decoupling on three qubits).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import cayley, group_theory, pulses
-from .cayley import CayleyGraph, EulerPath, build_cayley, eulerian_cycle
-from .dynamics import (DriftModel, decoupling_distance, f_map, q_map,
-                       residual_error, simulate_cycles)
+from . import pulses
+from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
+                     path_from_colors)
+from .dynamics import (DriftModel, _distance_to_average, average_hamiltonian,
+                       q_map, residual_error, simulate_cycles)
 from .group_theory import (Group, IrrepDecomposition, UnitaryRep, center_basis,
-                           decompose_irreps, pi_G, _vec)
-from .pulses import (ControlSchedule, FaultModel, PulseProfile, apply_fault,
+                           close_group, decompose_irreps, pi_G,
+                           subspace_distance)
+from .pulses import (ControlSchedule, FaultModel, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
                      piecewise_profile)
 
@@ -73,27 +76,31 @@ class Scenario:
     name: str
     description: str
     n_qubits: int
-    group: Group
     rep: UnitaryRep
     graph: CayleyGraph
     path: EulerPath
     profiles: dict                  # color -> PulseProfile
     reference_path: tuple = None        # explicit color sequence when stated
     noise_generators: tuple = ()    # (name, traceless system operator)
-    expected_cycle_length: int = 0
-    default_delta_t: float = 0.01
     # checks only this scenario passes, each called as
     # check(scenario, rng, seed) -> list of check_result dicts; a scenario
     # built from a config has none and gets only the generic checks
     checks: tuple = ()
 
-    def schedule(self, delta_t: float = None) -> ControlSchedule:
-        return eulerian_schedule(self.path, self.profiles,
-                                 delta_t or self.default_delta_t, self.rep)
+    @property
+    def group(self) -> Group:
+        return self.rep.group
 
-    def bangbang(self, delta_t: float = None) -> ControlSchedule:
-        return bangbang_schedule(self.group, self.rep,
-                                 delta_t or self.default_delta_t)
+    @property
+    def expected_cycle_length(self) -> int:
+        """|G| * |Gamma|: every edge of the Cayley graph once."""
+        return self.group.order * len(self.group.generators)
+
+    def schedule(self, delta_t: float) -> ControlSchedule:
+        return eulerian_schedule(self.path, self.profiles, delta_t, self.rep)
+
+    def bangbang(self, delta_t: float) -> ControlSchedule:
+        return bangbang_schedule(self.group, self.rep, delta_t)
 
     def generic_drift(self, env_dim: int = 2, seed: int = 0) -> DriftModel:
         """Random unit-norm drift coupling every noise generator (or a
@@ -123,20 +130,38 @@ def check_result(name, passed, value, tolerance, note="") -> dict:
             "tolerance": tolerance, "note": note}
 
 
-def _scenario_from_generators(name, description, n_qubits, gen_mats,
-                              profile_builders, reference_colors=None,
-                              noise_generators=(), max_order=512, checks=()):
-    group, rep = group_theory.close_group(gen_mats, max_order=max_order)
+def scenario_from_generators(name, description, n_qubits, gen_mats,
+                             profile_builders, path_colors=None,
+                             reference_colors=None, noise_generators=(),
+                             max_order=512, checks=()) -> Scenario:
+    """Assemble a scenario: close the generator matrices into a group, build
+    its Cayley graph, take the Eulerian cycle with ``path_colors`` (or the
+    deterministic one when None), and realize generator c by
+    ``profile_builders[c](generator element, rep)``.
+
+    Refuses generators that close to fewer distinct non-identity
+    generators (a repeat, up to phase, or the identity), and a profile
+    count other than the generator count.
+    """
+    group, rep = close_group(gen_mats, max_order=max_order)
+    if len(group.generators) != len(gen_mats) or 0 in group.generators:
+        raise ValueError("generators: one repeats another up to phase or is "
+                         "the identity")
+    if len(profile_builders) != len(gen_mats):
+        missing = list(range(len(profile_builders), len(gen_mats)))
+        raise ValueError(
+            f"profiles: {len(profile_builders)} for {len(gen_mats)} generators"
+            + (f"; no profile for generator color(s) {missing}" if missing else ""))
     graph = build_cayley(group)
-    path = eulerian_cycle(graph)
-    profiles = {c: build(c, rep, group) for c, build in enumerate(profile_builders)}
+    path = (eulerian_cycle(graph) if path_colors is None
+            else path_from_colors(graph, path_colors))
+    profiles = {c: build(g, rep) for c, (g, build)
+                in enumerate(zip(group.generators, profile_builders))}
     return Scenario(
         name=name, description=description, n_qubits=n_qubits,
-        group=group, rep=rep, graph=graph, path=path, profiles=profiles,
+        rep=rep, graph=graph, path=path, profiles=profiles,
         reference_path=tuple(reference_colors) if reference_colors else None,
-        noise_generators=tuple(noise_generators),
-        expected_cycle_length=group.order * len(group.generators),
-        checks=tuple(checks),
+        noise_generators=tuple(noise_generators), checks=tuple(checks),
     )
 
 
@@ -161,13 +186,10 @@ def _carr_purcell_checks(scenario, rng, seed) -> list:
 
 def carr_purcell_scenario() -> Scenario:
     """Single decohering qubit, spin-flip group {I, sigma_x}, L = 2."""
-    def prof(color, rep, group):
-        return constant_profile(group.generators[color], rep, SIGMA["x"])
-
-    return _scenario_from_generators(
+    return scenario_from_generators(
         "carr-purcell",
         "single-qubit spin-flip decoupling with one bounded sigma-x pulse",
-        1, [SIGMA["x"]], [prof],
+        1, [SIGMA["x"]], [partial(constant_profile, axis=SIGMA["x"])],
         reference_colors=(0, 0),
         noise_generators=(("sz", SIGMA["z"]),),
         checks=(_carr_purcell_checks,),
@@ -201,16 +223,11 @@ def pauli_scenario(n: int = 1) -> Scenario:
     n * 2^(2n+1), so n is capped at 3."""
     if not 1 <= n <= 3:
         raise ValueError("pauli scenario supports 1 <= n <= 3 qubits")
-    gen_mats, builders = [], []
-    for k in range(n):
-        for u in ("x", "z"):
-            axis = pauli_on(n, k, u)
-            gen_mats.append(axis)
-            builders.append(lambda c, rep, group, a=axis:
-                            constant_profile(group.generators[c], rep, a))
+    gen_mats = [pauli_on(n, k, u) for k in range(n) for u in ("x", "z")]
+    builders = [partial(constant_profile, axis=a) for a in gen_mats]
     noise = tuple((f"s{u}{k}", pauli_on(n, k, u))
                   for k in range(n) for u in "xyz")
-    return _scenario_from_generators(
+    return scenario_from_generators(
         "pauli",
         "maximal averaging over the qubit error basis (robust to any "
         "systematic in-algebra fault)",
@@ -241,17 +258,13 @@ def spin_flip_scenario(n: int = 2) -> Scenario:
     single-qubit (linear) noise."""
     if n < 1:
         raise ValueError("spin-flip scenario needs n >= 1")
-    X, Z = collective(n, "x"), collective(n, "z")
-
-    def prof(color, rep, group, axes=(X, Z)):
-        return constant_profile(group.generators[color], rep, axes[color])
-
+    gen_mats = [collective(n, "x"), collective(n, "z")]
     noise = tuple((f"s{u}{k}", pauli_on(n, k, u))
                   for k in range(n) for u in "xyz")
-    return _scenario_from_generators(
+    return scenario_from_generators(
         "spin-flip",
         "collective spin-flip decoupling averaging out arbitrary linear noise",
-        n, [X, Z], [prof, prof],
+        n, gen_mats, [partial(constant_profile, axis=a) for a in gen_mats],
         reference_colors=_TWO_GEN_PATH,
         noise_generators=noise,
         checks=(_spin_flip_checks,),
@@ -270,11 +283,9 @@ def _symmetric_s3_checks(scenario, rng, seed) -> list:
     for _, S in scenario.noise_generators:
         avg = pi_G(rep, S)
         for blk in decomp.blocks:
-            B = decomp.block_of(avg, blk)
-            n_J, d_J = blk.multiplicity, blk.dimension
-            N = B.reshape(n_J, d_J, n_J, d_J).trace(axis1=1, axis2=3) / d_J
-            worst = max(worst, float(np.linalg.norm(
-                B - np.kron(N, np.eye(d_J)))))
+            worst = max(worst, _factor_fit_residual(decomp.block_of(avg, blk),
+                                                    blk.multiplicity,
+                                                    blk.dimension))
     checks.append(check_result("noiseless-subsystem-clean", worst <= 1e-8,
                                worst, 1e-8))
     return checks
@@ -287,20 +298,17 @@ def symmetric_s3_scenario() -> Scenario:
     g1 = swap_gate(n, 0, 1)
     g2 = swap_gate(n, 0, 1) @ swap_gate(n, 1, 2)
 
-    def prof1(color, rep, group):
-        return constant_profile(group.generators[color], rep, heisenberg(n, 0, 1))
-
-    def prof2(color, rep, group):
-        # two half-interval exchange pulses: h(2,3) then h(1,2), each at
-        # angle-rate pi/2 (amplitude pi / (2 delta_t))
-        segments = [(0.5, (np.pi / 2) * heisenberg(n, 1, 2)),
-                    (0.5, (np.pi / 2) * heisenberg(n, 0, 1))]
-        return piecewise_profile(group.generators[color], rep, segments)
+    prof1 = partial(constant_profile, axis=heisenberg(n, 0, 1))
+    # two half-interval exchange pulses: h(2,3) then h(1,2), each at
+    # angle-rate pi/2 (amplitude pi / (2 delta_t))
+    prof2 = partial(piecewise_profile,
+                    segments=[(0.5, (np.pi / 2) * heisenberg(n, 1, 2)),
+                              (0.5, (np.pi / 2) * heisenberg(n, 0, 1))])
 
     noise = tuple((f"collective-{u}", sum(pauli_on(n, k, u) for k in range(n)))
                   for u in "xyz")
     reference = (1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0)
-    return _scenario_from_generators(
+    return scenario_from_generators(
         "symmetric-s3",
         "S3 symmetrization of three qubits with bounded Heisenberg exchange",
         n, [g1, g2], [prof1, prof2],
@@ -388,13 +396,11 @@ class SubsystemReport:
 PROTECTED_TOL = 1e-8
 
 
-def _subspace_distance(X: np.ndarray, basis) -> float:
-    """Distance of X from the span of an orthonormal matrix basis."""
-    if not basis:
-        return float(np.linalg.norm(X))
-    B = np.array([_vec(b) for b in basis])
-    v = _vec(X)
-    return float(np.linalg.norm(v - B.T @ (B.conj() @ v)))
+def _factor_fit_residual(B: np.ndarray, n_J: int, d_J: int) -> float:
+    """Distance of a block from its best N ⊗ I fit, N the partial trace
+    over the dimension factor divided by d_J."""
+    N = B.reshape(n_J, d_J, n_J, d_J).trace(axis1=1, axis2=3) / d_J
+    return float(np.linalg.norm(B - np.kron(N, np.eye(d_J))))
 
 
 def _classify_block(B: np.ndarray, n_J: int, d_J: int, scale: float) -> tuple:
@@ -406,9 +412,7 @@ def _classify_block(B: np.ndarray, n_J: int, d_J: int, scale: float) -> tuple:
     c = np.trace(B) / (n_J * d_J)
     if np.linalg.norm(B - c * np.eye(n_J * d_J)) <= tol:
         return norm, "protected subspace"
-    # best N ⊗ I fit: partial trace over the dimension factor
-    N = B.reshape(n_J, d_J, n_J, d_J).trace(axis1=1, axis2=3) / d_J
-    if np.linalg.norm(B - np.kron(N, np.eye(d_J))) <= tol:
+    if _factor_fit_residual(B, n_J, d_J) <= tol:
         return norm, "protected dimension factor"
     return norm, "unprotected"
 
@@ -435,7 +439,7 @@ def robustness_report(scenario: Scenario, fault: FaultModel,
         scenario=scenario.name, decomposition=decomp, residual=res,
         residual_norm=scale,
         commutant_residual=float(np.linalg.norm(res - pi_G(scenario.rep, res))),
-        center_residual=_subspace_distance(res, cen),
+        center_residual=subspace_distance(res, cen),
         blocks=blocks,
     )
 
@@ -467,7 +471,7 @@ def noise_suppression_check(scenario: Scenario,
     for name, S in scenario.noise_generators:
         avg = pi_G(scenario.rep, S)
         norm = float(np.linalg.norm(avg))
-        central = _subspace_distance(avg, cen) <= PROTECTED_TOL * max(norm, 1.0)
+        central = subspace_distance(avg, cen) <= PROTECTED_TOL * max(norm, 1.0)
         block_norms = [float(np.linalg.norm(decomp.block_of(avg, blk)))
                        for blk in decomp.blocks]
         entries.append(SuppressionEntry(name=name, projected_norm=norm,
@@ -503,10 +507,14 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
     log-log slope (first-order decoupling gives slope 2)."""
     if drift is None:
         drift = scenario.generic_drift(env_dim=env_dim, seed=seed)
+    make = scenario.schedule if kind == "eulerian" else scenario.bangbang
     rows = []
+    hbar = None
     for dt in delta_t_values:
-        sched = scenario.schedule(dt) if kind == "eulerian" else scenario.bangbang(dt)
-        dist = decoupling_distance(drift, sched, cycles)
+        sched = make(dt)
+        if hbar is None:    # the same for every delta_t
+            hbar = average_hamiltonian(sched, drift.total())
+        dist = _distance_to_average(drift, sched, cycles, hbar)
         rows.append(ScalingRow(delta_t=float(dt), cycle_time=sched.cycle_time,
                                cycles=cycles, distance=dist,
                                per_cycle=dist / cycles))

@@ -120,9 +120,19 @@ def path_to_csv(path: EulerPath) -> str:
     return ",".join(str(c) for c in path.colors)
 
 
-def path_from_csv(line: str, graph: CayleyGraph, start: int = 0) -> EulerPath:
-    colors = tuple(int(tok) for tok in line.strip().split(",") if tok.strip())
+def path_from_colors(graph: CayleyGraph, colors, start: int = 0) -> EulerPath:
+    """The Eulerian cycle with the given color sequence from ``start``.
+
+    Raises ValueError naming the first condition of ``validate_path`` that
+    the sequence violates.
+    """
+    colors = tuple(colors)
     ok, diag = validate_path(graph, colors, start)
     if not ok:
         raise ValueError(f"invalid Eulerian path: {diag}")
     return EulerPath(colors=colors, vertices=tuple(walk(graph, colors, start)))
+
+
+def path_from_csv(line: str, graph: CayleyGraph, start: int = 0) -> EulerPath:
+    colors = (int(tok) for tok in line.strip().split(",") if tok.strip())
+    return path_from_colors(graph, colors, start)

@@ -1,4 +1,4 @@
-"""Time-ordered propagators, toggling-frame averaging, and joint
+"""Control propagators, toggling-frame averaging, and joint
 system-environment simulation.
 
 Everything is piecewise constant, so propagators are exact products of
@@ -20,11 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .group_theory import UnitaryRep, pi_G, align_phase
+from .group_theory import UnitaryRep, is_hermitian, pi_G
 from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_herm,
-                     _read_only, faulty_segments, merged_segments)
-
-UNITARITY_TOL = 1e-10
+                     _read_only, faulty_segments, merged_segments,
+                     phase_distance)
 
 
 class TimeOutOfRangeError(ValueError):
@@ -53,7 +52,7 @@ class DriftModel:
 
     def validate(self) -> None:
         for h in (self.H_S, self.H_E):
-            if np.linalg.norm(h - h.conj().T) > 1e-10 * max(np.linalg.norm(h), 1.0):
+            if not is_hermitian(h):
                 raise ValueError("invalid drift: non-Hermitian term")
         for S, E in self.couplings:
             if abs(np.trace(S)) > 1e-10 * max(np.linalg.norm(S), 1.0):
@@ -72,43 +71,6 @@ class DriftModel:
         for S, E in self.couplings:
             h = h + np.kron(S, E)
         return _read_only(h)
-
-
-@dataclass(frozen=True)
-class PropagatorResult:
-    unitary: np.ndarray
-    t0: float
-    t1: float
-
-    def check_unitarity(self, tol: float = UNITARITY_TOL) -> None:
-        d = self.unitary.shape[0]
-        err = np.linalg.norm(self.unitary.conj().T @ self.unitary - np.eye(d))
-        if err > tol * d:
-            raise RuntimeError(f"propagator lost unitarity: {err:.2e}")
-
-
-def time_ordered_exp(timeline, t0: float, t1: float) -> PropagatorResult:
-    """Propagator of a piecewise-constant Hamiltonian timeline.
-
-    ``timeline`` is a list of (duration, H) pairs covering [0, sum durations];
-    one exponential per segment is exact.
-    """
-    durations = [float(dur) for dur, _ in timeline]
-    total = sum(durations)
-    if not (-1e-12 <= t0 <= t1 <= total + 1e-12):
-        raise TimeOutOfRangeError("time out of range")
-    d = timeline[0][1].shape[0]
-    u = np.eye(d, dtype=complex)
-    pos = 0.0
-    for dur, H in timeline:
-        a = max(pos, t0)
-        b = min(pos + dur, t1)
-        if b > a + 1e-15:
-            u = _expm_herm(H, b - a) @ u
-        pos += dur
-    res = PropagatorResult(unitary=u, t0=t0, t1=t1)
-    res.check_unitarity()
-    return res
 
 
 def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
@@ -170,10 +132,12 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I.
     For an Eulerian schedule the sub-interval average F_c(H0) is computed
     once per color and conjugated by the stroboscopic frame of every
-    sub-interval that pulses that color.
+    sub-interval that pulses that color; a bang-bang schedule holds each
+    frame for the whole sub-interval, so its average there is H0 itself.
+    The result depends on the path and the profiles but not on delta_t.
     """
     H0 = np.asarray(H0, dtype=complex)
-    if np.linalg.norm(H0 - H0.conj().T) > 1e-10 * max(np.linalg.norm(H0), 1.0):
+    if not is_hermitian(H0):
         raise ValueError("invalid drift: H0 must be Hermitian")
     d = schedule.rep.dimension
     dim = H0.shape[0]
@@ -181,21 +145,18 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
         raise ValueError("invalid drift: dimension is not a multiple of the system's")
     de = dim // d
 
-    acc = np.zeros((dim, dim), dtype=complex)
     if schedule.kind == "bangbang":
-        eye_e = np.eye(de)
-        for j in schedule.ordering:
-            g = np.kron(schedule.rep.matrices[j], eye_e)
-            acc += g.conj().T @ H0 @ g
+        averages = [H0.reshape(d, de, d, de)] * schedule.sub_intervals
     else:
         colors = schedule.path.colors
         averaged = {
             c: _sub_interval_integral(_profile_segments(schedule.profiles[c], H0),
                                       de).reshape(d, de, d, de)
             for c in set(colors)}
-        frames = schedule.stroboscopic_frames()
-        for ell, color in enumerate(colors):
-            acc += _lift_conj(frames[ell], averaged[color]).reshape(dim, dim)
+        averages = [averaged[c] for c in colors]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for frame, X in zip(schedule.stroboscopic_frames(), averages):
+        acc += _lift_conj(frame, X).reshape(dim, dim)
     avg = acc / schedule.sub_intervals
     return 0.5 * (avg + avg.conj().T)
 
@@ -285,6 +246,12 @@ def decoupling_distance(drift: DriftModel, schedule: ControlSchedule,
     """Phase-aligned Frobenius distance between the stroboscopic propagator
     and exp(-i Hbar M T_c)."""
     hbar = average_hamiltonian(schedule, drift.total())
+    return _distance_to_average(drift, schedule, cycles, hbar)
+
+
+def _distance_to_average(drift: DriftModel, schedule: ControlSchedule,
+                         cycles: int, hbar: np.ndarray) -> float:
+    """``decoupling_distance`` for a given average Hamiltonian, which a
+    delta_t sweep computes once since it does not depend on delta_t."""
     u = simulate_cycles(drift, schedule, cycles)
-    target = _expm_herm(hbar, cycles * schedule.cycle_time)
-    return float(np.linalg.norm(u - align_phase(u, target)))
+    return phase_distance(u, _expm_herm(hbar, cycles * schedule.cycle_time))

@@ -88,6 +88,11 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
     return m.shape == (d, d) and np.linalg.norm(m.conj().T @ m - np.eye(d)) <= tol * d
 
 
+def is_hermitian(m: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
+    """|m - m†| within ``tol`` times max(|m|, 1) (Frobenius norms)."""
+    return np.linalg.norm(m - m.conj().T) <= tol * max(np.linalg.norm(m), 1.0)
+
+
 @dataclass(frozen=True)
 class Group:
     """Abstract finite group: element list, multiplication table, generators.
@@ -212,6 +217,16 @@ class UnitaryRep:
 
 def _vec(m: np.ndarray) -> np.ndarray:
     return m.ravel()
+
+
+def subspace_distance(X: np.ndarray, basis) -> float:
+    """Hilbert-Schmidt distance of X from the span of an orthonormal matrix
+    basis; |X| for an empty basis."""
+    if not basis:
+        return float(np.linalg.norm(X))
+    B = np.array([_vec(b) for b in basis])
+    v = _vec(X)
+    return float(np.linalg.norm(v - B.T @ (B.conj() @ v)))
 
 
 def _orthonormal_span(mats, tol: float = 1e-10) -> list:

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import yaml
 
-from . import analysis, group_theory
-from .cayley import EulerPath, build_cayley, validate_path, walk
-from .dynamics import DriftModel
-from .pulses import FaultModel, constant_profile, eulerian_schedule, piecewise_profile
+from . import analysis
+from .pulses import FaultModel, _in_algebra, constant_profile, piecewise_profile
 
 
 # libyaml's C loader and dumper when PyYAML was built with it; they parse and
@@ -58,7 +57,6 @@ class RunConfig:
     env_dim: int = 2
     out: str = None
     as_json: bool = False
-    verbosity: int = 1
     faults: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -79,7 +77,7 @@ class RunConfig:
 # type of each scalar override; a value of another type is a ConfigError
 # here rather than a TypeError, or a silent truncation, later on
 _OVERRIDE_TYPES = {"delta_t": float, "cycles": int, "seed": int, "trials": int,
-                   "env_dim": int, "verbosity": int, "n_qubits": int}
+                   "env_dim": int, "n_qubits": int}
 
 
 def _typed(key: str, value, kind):
@@ -121,19 +119,37 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
-def _profile_from_doc(color: int, rep, group, doc: dict, delta_t: float):
+def _entries(doc: dict, key: str, kind=dict) -> list:
+    """``doc[key]`` (empty if absent) as a list of ``kind`` values."""
+    value = doc.get(key, [])
+    if (not isinstance(value, list)
+            or not all(isinstance(v, kind) and not isinstance(v, bool)
+                       for v in value)):
+        what = "mappings" if kind is dict else "integers"
+        raise ConfigError(f"{key} must be a list of {what}")
+    return value
+
+
+def _profile_from_doc(gen: int, rep, doc: dict, delta_t: float):
     units = doc.get("units", "per_delta_t")
     if units not in ("per_delta_t", "absolute"):
         raise ConfigError("units must be 'per_delta_t' or 'absolute'")
     scale = delta_t if units == "absolute" else 1.0
-    gen = group.generators[color]
     if "axis" in doc:
         return constant_profile(gen, rep, decode_matrix(doc["axis"]))
     if "segments" in doc:
         segs = [(float(s["fraction"]), scale * decode_matrix(s["rate"]))
-                for s in doc["segments"]]
+                for s in _entries(doc, "segments")]
         return piecewise_profile(gen, rep, segs)
     raise ConfigError("profile needs an 'axis' or 'segments' entry")
+
+
+def _build(where: str, *args, **kwargs) -> analysis.Scenario:
+    """``analysis.scenario_from_generators``, its refusals as ConfigError."""
+    try:
+        return analysis.scenario_from_generators(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
@@ -143,48 +159,20 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
             raise ConfigError("no scenario given")
         return analysis.get_scenario(cfg.scenario, cfg.n_qubits)
     doc = cfg.inline
-    try:
-        gen_mats = [decode_matrix(g) for g in doc["generators"]]
-    except KeyError as exc:
-        raise ConfigError("inline scenario needs 'generators'") from exc
-    group, rep = group_theory.close_group(gen_mats)
-    graph = build_cayley(group)
-    if "path" in doc:
-        colors = tuple(int(c) for c in doc["path"])
-        ok, diag = validate_path(graph, colors)
-        if not ok:
-            raise ConfigError(f"invalid path: {diag}")
-        path = EulerPath(colors=colors, vertices=tuple(walk(graph, colors)))
-    else:
-        from .cayley import eulerian_cycle
-        path = eulerian_cycle(graph)
-    profiles = {}
-    for color, pdoc in enumerate(doc.get("profiles", [])):
-        profiles[color] = _profile_from_doc(color, rep, group, pdoc, cfg.delta_t)
-    missing = [c for c in range(len(group.generators)) if c not in profiles]
-    if missing:
-        raise ConfigError(f"inline scenario has no profile for generator color(s) {missing}")
+    if "generators" not in doc:
+        raise ConfigError("inline scenario needs 'generators'")
     noise = tuple((nd.get("name", f"s{i}"), decode_matrix(nd["matrix"]))
-                  for i, nd in enumerate(doc.get("noise_generators", [])))
-    return analysis.Scenario(
-        name=str(doc.get("name", "custom")),
-        description=str(doc.get("description", "inline scenario")),
-        n_qubits=int(doc.get("n_qubits", 0)),
-        group=group, rep=rep, graph=graph, path=path, profiles=profiles,
-        noise_generators=noise,
-        expected_cycle_length=group.order * len(group.generators),
-        default_delta_t=cfg.delta_t,
-    )
-
-
-def drift_from_doc(doc: dict) -> DriftModel:
-    H_S = decode_matrix(doc["H_S"])
-    H_E = decode_matrix(doc["H_E"]) if "H_E" in doc else np.zeros((1, 1))
-    couplings = tuple((decode_matrix(c["S"]), decode_matrix(c["E"]))
-                      for c in doc.get("couplings", []))
-    drift = DriftModel(H_S=H_S, H_E=H_E, couplings=couplings)
-    drift.validate()
-    return drift
+                  for i, nd in enumerate(_entries(doc, "noise_generators")))
+    return _build(
+        "inline scenario",
+        str(doc.get("name", "custom")),
+        str(doc.get("description", "inline scenario")),
+        int(doc.get("n_qubits", 0)),
+        [decode_matrix(g) for g in _entries(doc, "generators")],
+        [partial(_profile_from_doc, doc=pdoc, delta_t=cfg.delta_t)
+         for pdoc in _entries(doc, "profiles")],
+        path_colors=_entries(doc, "path", int) if "path" in doc else None,
+        noise_generators=noise)
 
 
 def fault_from_doc(doc: dict, rep=None) -> FaultModel:
@@ -192,7 +180,6 @@ def fault_from_doc(doc: dict, rep=None) -> FaultModel:
     for color, segs in doc.items():
         deltas[int(color)] = [(float(s["fraction"]), decode_matrix(s["rate"]))
                               for s in segs]
-    from .pulses import _in_algebra
     in_alg = rep is not None and all(_in_algebra(s, rep) for s in deltas.values())
     fault = FaultModel(deltas=deltas, in_algebra=in_alg)
     fault.validate()
@@ -244,29 +231,30 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
 def import_schedule(text: str):
     """Rebuild a ControlSchedule from exported YAML text."""
     doc = yaml.load(text, Loader=_LOADER)
+    if not isinstance(doc, dict):
+        raise ConfigError("schedule file must be a mapping")
     if doc.get("kind") != "eulerian":
         raise ConfigError("only eulerian schedules are exportable")
+    missing = [key for key in ("delta_t", "generators", "path", "hamiltonians",
+                               "timeline") if key not in doc]
+    if missing:
+        raise ConfigError(f"schedule file has no {', '.join(missing)}")
     delta_t = float(doc["delta_t"])
-    gen_mats = [decode_matrix(g) for g in doc["generators"]]
-    group, rep = group_theory.close_group(gen_mats)
-    graph = build_cayley(group)
-    colors = tuple(int(c) for c in doc["path"])
-    ok, diag = validate_path(graph, colors)
-    if not ok:
-        raise ConfigError(f"invalid path in schedule file: {diag}")
-    path = EulerPath(colors=colors, vertices=tuple(walk(graph, colors)))
     hams = {hid: decode_matrix(m) for hid, m in doc["hamiltonians"].items()}
-    # reconstruct one profile per color from its first sub-interval
-    seen = {}
-    for row in doc["timeline"]:
-        seen.setdefault(row["sub_interval"], []).append(row)
-    profiles = {}
-    for ell, rows in sorted(seen.items()):
-        color = rows[0]["color"]
-        if color in profiles:
-            continue
-        segs = [(row["duration"] / delta_t,
-                 row["amplitude"] * delta_t * hams[row["hamiltonian"]])
-                for row in rows]
-        profiles[color] = piecewise_profile(group.generators[color], rep, segs)
-    return eulerian_schedule(path, profiles, delta_t, rep)
+    # one profile per color, read from its first sub-interval
+    rows_of = {}
+    for row in _entries(doc, "timeline"):
+        rows_of.setdefault(row["sub_interval"], []).append(row)
+    segments = {}
+    for _, rows in sorted(rows_of.items()):
+        segments.setdefault(rows[0]["color"], [
+            (row["duration"] / delta_t,
+             row["amplitude"] * delta_t * hams[row["hamiltonian"]])
+            for row in rows])
+    scenario = _build(
+        "schedule file", "imported", "imported schedule", 0,
+        [decode_matrix(g) for g in _entries(doc, "generators")],
+        [partial(piecewise_profile, segments=segments[c])
+         for c in sorted(segments)],
+        path_colors=_entries(doc, "path", int))
+    return scenario.schedule(delta_t)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .cayley import EulerPath
-from .group_theory import UnitaryRep, align_phase, _vec
+from .group_theory import UnitaryRep, align_phase, is_hermitian, subspace_distance
 
 REALIZATION_TOL = 1e-9
 ALGEBRA_TOL = 1e-10
@@ -121,15 +121,8 @@ def _check_realization(profile: PulseProfile, tol=REALIZATION_TOL):
 
 def _in_algebra(segments, rep: UnitaryRep, tol=ALGEBRA_TOL) -> bool:
     basis = rep.algebra_basis()
-    B = np.array([_vec(b) for b in basis])
-    for _, rate in segments:
-        v = _vec(rate)
-        # projection in the Hilbert-Schmidt inner product
-        coefs = B.conj() @ v
-        resid = v - B.T @ coefs
-        if np.linalg.norm(resid) > tol * max(np.linalg.norm(v), 1.0):
-            return False
-    return True
+    return all(subspace_distance(rate, basis) <= tol * max(np.linalg.norm(rate), 1.0)
+               for _, rate in segments)
 
 
 def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> PulseProfile:
@@ -190,7 +183,7 @@ def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile
         if frac <= 0.0:
             raise ValueError("segment fractions must be positive")
         rate = np.asarray(rate, dtype=complex)
-        if np.linalg.norm(rate - rate.conj().T) > 1e-10 * max(np.linalg.norm(rate), 1.0):
+        if not is_hermitian(rate):
             raise ValueError("segment Hamiltonians must be Hermitian")
         segs.append((frac, rate))
         total += frac

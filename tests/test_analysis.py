@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eulerdd import analysis, dynamics
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               collective, fault_fidelity_comparison,
                               get_scenario, heisenberg,
@@ -172,6 +173,33 @@ class TestScalingStudy:
                            couplings=())
         study = scaling_study(sc, [0.02, 0.01], drift=drift)
         assert not np.isfinite(study.slope) or study.notice
+
+    def test_zero_delta_t_refused(self):
+        sc = carr_purcell_scenario()
+        for run in (lambda: sc.schedule(0.0), lambda: sc.bangbang(0.0),
+                    lambda: scaling_study(sc, [0.0, 0.01])):
+            with pytest.raises(ValueError, match="delta_t must be positive"):
+                run()
+
+    @pytest.mark.parametrize("kind", ["eulerian", "bangbang"])
+    def test_average_hamiltonian_once_per_sweep(self, kind, monkeypatch):
+        real, calls = dynamics.average_hamiltonian, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "average_hamiltonian", counted)
+        monkeypatch.setattr(dynamics, "average_hamiltonian", counted)
+        sc = symmetric_s3_scenario()
+        study = scaling_study(sc, [0.02, 0.01, 0.005], kind=kind)
+        assert len(calls) == 1
+        # the same distances as one average per delta_t
+        drift = sc.generic_drift()
+        make = sc.schedule if kind == "eulerian" else sc.bangbang
+        assert sorted(r.distance for r in study.rows) == sorted(
+            dynamics.decoupling_distance(drift, make(dt))
+            for dt in (0.02, 0.01, 0.005))
 
     def test_bangbang_also_slope_two(self):
         sc = carr_purcell_scenario()

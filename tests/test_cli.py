@@ -132,6 +132,29 @@ class TestVerify:
         assert "no profile" in err
 
 
+SX_DOC = "{dim: [2, 2], data: [[0, 0], [1, 0], [1, 0], [0, 0]]}"
+
+
+@pytest.mark.parametrize("body", [
+    "  generators: 5\n  profiles: [{axis: %s}]\n" % SX_DOC,
+    "  generators: [%s]\n  profiles: 5\n" % SX_DOC,
+    "  generators: [%s]\n  profiles: [{axis: %s}]\n  path: 5\n" % (SX_DOC, SX_DOC),
+    "  generators: [%s]\n  profiles: [abc]\n" % SX_DOC,
+    "  generators: [%s]\n  profiles: [{axis: %s}, {axis: %s}]\n"
+    % (SX_DOC, SX_DOC, SX_DOC),
+    "  generators: [%s, %s]\n  profiles: [{axis: %s}, {axis: %s}]\n"
+    % (SX_DOC, SX_DOC, SX_DOC, SX_DOC),
+], ids=["generators-int", "profiles-int", "path-int", "profile-str",
+        "extra-profile", "repeated-generator"])
+def test_malformed_inline_scenario_exits_2(capsys, tmp_path, body):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario:\n" + body)
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 class TestSweep:
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "sweep", "--scenario", "carr-purcell",

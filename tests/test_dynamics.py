@@ -10,8 +10,7 @@ from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
 from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
                               _sub_interval_integral, average_hamiltonian,
                               control_propagator, decoupling_distance, f_map,
-                              q_map, residual_error, simulate_cycles,
-                              time_ordered_exp)
+                              q_map, residual_error, simulate_cycles)
 from eulerdd.group_theory import (center_basis, close_group, commutant_basis,
                                   equal_up_to_phase, pi_G)
 from eulerdd.pulses import (FaultModel, PulseProfile, _expm_herm, apply_fault,
@@ -53,33 +52,33 @@ def random_profile(d, fractions, rng):
                         target=np.eye(d), in_algebra=False)
 
 
-class TestTimeOrderedExp:
+class TestSegmentProducts:
+    """Products of segment exponentials: a profile's u(1) and the joint
+    propagator of a cycle."""
+
     def test_constant_sigma_x(self):
-        a = 0.7
-        res = time_ordered_exp([(np.pi / (2 * a), a * SX)], 0.0, np.pi / (2 * a))
-        assert phase_distance(SX, res.unitary) <= 1e-10
+        prof = PulseProfile(generator=0, segments=[(1.0, (np.pi / 2) * SX)],
+                            target=SX, in_algebra=True)
+        assert phase_distance(SX, prof.unitary_at(1.0)) <= 1e-10
 
     def test_zero_hamiltonian(self):
-        res = time_ordered_exp([(1.0, np.zeros((3, 3)))], 0.0, 1.0)
-        np.testing.assert_allclose(res.unitary, np.eye(3), atol=1e-14)
+        # zero drift, and bang-bang kicks conjugate it to zero: u is I itself
+        sc = carr_purcell_scenario()
+        drift = DriftModel(H_S=np.zeros((2, 2)), H_E=np.zeros((3, 3)),
+                           couplings=())
+        u = simulate_cycles(drift, sc.bangbang(0.1), cycles=2)
+        np.testing.assert_allclose(u, np.eye(6), atol=1e-14)
 
     def test_s3_two_factor_product(self):
         sc = symmetric_s3_scenario()
-        prof = sc.profiles[1]
-        timeline = [(frac, rate) for frac, rate in prof.segments]
-        res = time_ordered_exp(timeline, 0.0, 1.0)
         target = sc.rep.matrices[sc.group.generators[1]]
-        assert phase_distance(target, res.unitary) <= 1e-9
-
-    def test_out_of_range(self):
-        with pytest.raises(TimeOutOfRangeError):
-            time_ordered_exp([(1.0, SX)], 0.0, 2.0)
+        assert phase_distance(target, sc.profiles[1].unitary_at(1.0)) <= 1e-9
 
     def test_unitarity(self):
-        rng = np.random.default_rng(0)
-        timeline = [(0.3, random_hermitian(4, rng)), (0.7, random_hermitian(4, rng))]
-        res = time_ordered_exp(timeline, 0.0, 1.0)
-        res.check_unitarity()
+        sc = symmetric_s3_scenario()
+        drift = sc.generic_drift(env_dim=2, seed=0)
+        u = simulate_cycles(drift, sc.schedule(0.05), cycles=3)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(16)) <= 1e-10 * 16
 
 
 class TestControlPropagator:
@@ -93,6 +92,11 @@ class TestControlPropagator:
         for sched in (sc.schedule(0.1), sc.bangbang(0.1)):
             np.testing.assert_allclose(control_propagator(sched, 0.0),
                                        np.eye(2), atol=1e-12)
+
+    def test_negative_time_out_of_range(self):
+        sched = carr_purcell_scenario().schedule(0.1)
+        with pytest.raises(TimeOutOfRangeError):
+            control_propagator(sched, -0.1)
 
     def test_closure_at_cycle_time(self):
         sc = pauli_scenario(1)
@@ -132,6 +136,17 @@ class TestAverageHamiltonian:
         H0 = 0.4 * SX + 0.1 * np.eye(2)
         avg = average_hamiltonian(sc.schedule(0.1), H0)
         np.testing.assert_allclose(avg, H0, atol=1e-10)
+
+    @pytest.mark.parametrize("make", [carr_purcell_scenario,
+                                      symmetric_s3_scenario,
+                                      lambda: pauli_scenario(2)])
+    def test_bangbang_is_group_average_on_joint_space(self, make):
+        sc = make()
+        H0 = random_hermitian(2 * sc.rep.dimension, np.random.default_rng(1))
+        lifted = [np.kron(g, np.eye(2)) for g in sc.rep.matrices]
+        expected = sum(g.conj().T @ H0 @ g for g in lifted) / len(lifted)
+        np.testing.assert_allclose(average_hamiltonian(sc.bangbang(0.1), H0),
+                                   expected, atol=1e-12)
 
     def test_non_hermitian_rejected(self):
         sc = carr_purcell_scenario()

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerdd import group_theory
-from eulerdd.analysis import (_subspace_distance, collective, get_scenario,
-                              pauli_on, robustness_report, spin_flip_scenario)
+from eulerdd.analysis import (collective, get_scenario, pauli_on,
+                              robustness_report, spin_flip_scenario)
 from eulerdd.cayley import build_cayley, eulerian_cycle, validate_path
 from eulerdd.dynamics import average_hamiltonian, q_map
 from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
@@ -20,7 +20,8 @@ from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   ShapeError, center_basis, close_group,
                                   commutant_basis, decompose_irreps,
                                   equal_up_to_phase, fix_phase,
-                                  fix_phase_stack, pi_G, quotient_check)
+                                  fix_phase_stack, pi_G, quotient_check,
+                                  subspace_distance)
 from eulerdd.pulses import (FaultModel, _expm_herm, eulerian_schedule,
                             piecewise_profile)
 
@@ -256,11 +257,11 @@ class TestPiGDerivedAlgebra:
         rob = robustness_report(sc, FaultModel.constant(sorted(sc.profiles),
                                                         rates, rep))
         assert abs(rob.commutant_residual
-                   - _subspace_distance(rob.residual, com)) <= 1e-12
+                   - subspace_distance(rob.residual, com)) <= 1e-12
         # the same identity off the commutant, where both sides are O(1)
         X = random_hermitian(d, rng)
         assert abs(np.linalg.norm(X - pi_G(rep, X))
-                   - _subspace_distance(X, com)) <= 1e-12
+                   - subspace_distance(X, com)) <= 1e-12
 
     @pytest.mark.parametrize("name,n", ALGEBRA_CASES)
     def test_irrep_block_counts(self, name, n):

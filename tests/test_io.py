@@ -6,11 +6,12 @@ import yaml
 
 from eulerdd import io as eio
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
-                              symmetric_s3_scenario)
+                              pauli_scenario, symmetric_s3_scenario)
+from eulerdd.cayley import path_from_csv
 from eulerdd.group_theory import equal_up_to_phase
-from eulerdd.io import (ConfigError, RunConfig, decode_matrix, drift_from_doc,
-                        encode_matrix, export_schedule, fault_from_doc,
-                        import_schedule, load_config, scenario_from_config)
+from eulerdd.io import (ConfigError, RunConfig, decode_matrix, encode_matrix,
+                        export_schedule, fault_from_doc, import_schedule,
+                        load_config, scenario_from_config)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -76,6 +77,11 @@ class TestRunConfig:
         assert (cfg.cycles, cfg.delta_t, cfg.n_qubits) == (3, 1.0, 2)
         assert isinstance(cfg.cycles, int) and isinstance(cfg.delta_t, float)
 
+    def test_old_verbosity_override_is_ignored(self, tmp_path):
+        p = tmp_path / "run.yaml"
+        p.write_text("scenario: pauli\noverrides:\n  verbosity: 3\n")
+        assert not hasattr(load_config(str(p)), "verbosity")
+
     def test_load_rejects_non_mapping(self, tmp_path):
         p = tmp_path / "run.yaml"
         p.write_text("- just\n- a\n- list\n")
@@ -85,6 +91,10 @@ class TestRunConfig:
     def test_scenario_required(self):
         with pytest.raises(ConfigError):
             scenario_from_config(RunConfig())
+
+
+X = encode_matrix(SX)
+AXIS_X = {"axis": X}
 
 
 class TestInlineScenario:
@@ -113,6 +123,21 @@ class TestInlineScenario:
         with pytest.raises(ConfigError):
             scenario_from_config(RunConfig(inline={"profiles": []}))
 
+    @pytest.mark.parametrize("key,doc", [
+        ("generators", {"generators": 5, "profiles": [AXIS_X]}),
+        ("profiles", {"generators": [X], "profiles": 5}),
+        ("path", {"generators": [X], "profiles": [AXIS_X], "path": 5}),
+        ("profiles", {"generators": [X], "profiles": ["abc"]}),
+        ("profiles", {"generators": [X], "profiles": [AXIS_X, AXIS_X]}),
+        ("generators", {"generators": [X, X], "profiles": [AXIS_X, AXIS_X]}),
+        ("generators", {"generators": [encode_matrix(np.eye(2))],
+                        "profiles": [AXIS_X]}),
+    ], ids=["generators-int", "profiles-int", "path-int", "profile-str",
+            "extra-profile", "repeated-generator", "identity-generator"])
+    def test_malformed_inline_scenario(self, key, doc):
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_config(RunConfig(inline=doc))
+
     def test_segment_profile_with_absolute_units(self):
         cfg = RunConfig(delta_t=0.5, inline={
             "generators": [encode_matrix(SX)],
@@ -126,15 +151,7 @@ class TestInlineScenario:
                                    (np.pi / 2) * SX, atol=1e-12)
 
 
-class TestDriftAndFaultDocs:
-    def test_drift_from_doc(self):
-        doc = {"H_S": encode_matrix(0.3 * SZ),
-               "H_E": encode_matrix(np.zeros((2, 2))),
-               "couplings": [{"S": encode_matrix(SX),
-                              "E": encode_matrix(SZ)}]}
-        drift = drift_from_doc(doc)
-        assert drift.total().shape == (4, 4)
-
+class TestFaultDocs:
     def test_fault_from_doc(self):
         sc = carr_purcell_scenario()
         doc = {0: [{"fraction": 1.0, "rate": encode_matrix(0.1 * SX)}]}
@@ -163,6 +180,13 @@ class TestScheduleExport:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ConfigError):
             import_schedule("kind: bangbang\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("- 1\n", "mapping"), ("kind: eulerian\n", "delta_t"),
+    ])
+    def test_rejects_malformed_documents(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            import_schedule(text)
 
     def test_timeline_is_contiguous(self):
         import yaml
@@ -194,3 +218,22 @@ class TestLibyaml:
         docs = [yaml.load(texts[0], Loader=loader)
                 for loader in (yaml.SafeLoader, yaml.CSafeLoader)]
         assert docs[0] == docs[1]
+
+
+def test_reused_edge_has_one_diagnostic():
+    """The inline path, an imported schedule and a CSV path go through one
+    path validation and report a reused edge alike."""
+    colors = [0, 0, 0, 0, 1, 1, 1, 1]   # back at vertex 0 after two steps
+    diagnostic = "invalid Eulerian path: edge (0, color 0) reused at step 2"
+    sc = pauli_scenario(1)
+    gens = [encode_matrix(sc.rep.matrices[g]) for g in sc.group.generators]
+    cfg = RunConfig(inline={"generators": gens, "path": colors,
+                            "profiles": [{"axis": g} for g in gens]})
+    doc = yaml.safe_load(export_schedule(sc, 0.01))
+    doc["path"] = colors
+    for reject in (lambda: scenario_from_config(cfg),
+                   lambda: import_schedule(yaml.safe_dump(doc)),
+                   lambda: path_from_csv(",".join(map(str, colors)), sc.graph)):
+        with pytest.raises(ValueError) as info:
+            reject()
+        assert str(info.value).endswith(diagnostic)

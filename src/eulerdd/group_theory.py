@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_PHASE_TOL = 1e-10
+HERMITIAN_TOL = 1e-10
 
 
 class GroupClosureError(ValueError):
@@ -88,9 +89,9 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
     return m.shape == (d, d) and np.linalg.norm(m.conj().T @ m - np.eye(d)) <= tol * d
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
-    """|m - m†| within ``tol`` times max(|m|, 1) (Frobenius norms)."""
-    return np.linalg.norm(m - m.conj().T) <= tol * max(np.linalg.norm(m), 1.0)
+def is_hermitian(m: np.ndarray) -> bool:
+    """|m - m†| within HERMITIAN_TOL times max(|m|, 1) (Frobenius norms)."""
+    return np.linalg.norm(m - m.conj().T) <= HERMITIAN_TOL * max(np.linalg.norm(m), 1.0)
 
 
 @dataclass(frozen=True)

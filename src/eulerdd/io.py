@@ -247,10 +247,12 @@ def import_schedule(text: str):
         rows_of.setdefault(row["sub_interval"], []).append(row)
     segments = {}
     for _, rows in sorted(rows_of.items()):
-        segments.setdefault(rows[0]["color"], [
-            (row["duration"] / delta_t,
-             row["amplitude"] * delta_t * hams[row["hamiltonian"]])
-            for row in rows])
+        color = rows[0]["color"]
+        if color in segments:
+            continue
+        segments[color] = [(row["duration"] / delta_t,
+                            row["amplitude"] * delta_t * hams[row["hamiltonian"]])
+                           for row in rows]
     scenario = _build(
         "schedule file", "imported", "imported schedule", 0,
         [decode_matrix(g) for g in _entries(doc, "generators")],

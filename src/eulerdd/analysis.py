@@ -64,6 +64,12 @@ def random_hermitian(dim: int, rng) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def max_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over a stack of matrices, each taken as
+    ``np.linalg.norm`` takes it of one matrix."""
+    return max(float(np.linalg.norm(m)) for m in stack)
+
+
 def random_state(dim: int, rng) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -220,9 +226,9 @@ def _pauli_checks(scenario, rng, seed) -> list:
 
 def pauli_scenario(n: int = 1) -> Scenario:
     """Qubit error-basis decoupling; for n qubits the cycle has length
-    n * 2^(2n+1), so n is capped at 3."""
-    if not 1 <= n <= 3:
-        raise ValueError("pauli scenario supports 1 <= n <= 3 qubits")
+    n * 2^(2n+1) (2048 at n = 4), so n is capped at 4."""
+    if not 1 <= n <= 4:
+        raise ValueError("pauli scenario supports 1 <= n <= 4 qubits")
     gen_mats = [pauli_on(n, k, u) for k in range(n) for u in ("x", "z")]
     builders = [partial(constant_profile, axis=a) for a in gen_mats]
     noise = tuple((f"s{u}{k}", pauli_on(n, k, u))
@@ -245,9 +251,8 @@ def _spin_flip_checks(scenario, rng, seed) -> list:
     checks = [check_result("linear-noise-suppressed", worst <= 1e-12,
                            worst, 1e-12)]
     if scenario.n_qubits % 2 == 0:
-        mats = scenario.rep.matrices
-        worst = max(float(np.linalg.norm(a @ b - b @ a))
-                    for a in mats for b in mats)
+        mats = scenario.rep.stacked()[0]
+        worst = max(max_norm(a @ mats - mats @ a) for a in mats)
         checks.append(check_result("algebra-abelian", worst <= 1e-10,
                                    worst, 1e-10))
     return checks

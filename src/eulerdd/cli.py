@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import analysis, io
-from .analysis import (check_result, random_hermitian, scaling_study,
-                       verify_theorem)
+from .analysis import (check_result, max_norm, random_hermitian,
+                       scaling_study, verify_theorem)
 from .cayley import validate_path
 from .dynamics import q_map
 from .group_theory import pi_G
@@ -47,14 +47,14 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
         checks.append(check_result("symmetrization", rep_report.passed,
                                    rep_report.max_deviation, rep_report.tolerance))
 
+    mats = rep.stacked()[0]
     worst_idem, worst_comm = 0.0, 0.0
     for _ in range(10):
         X = random_hermitian(d, rng)
         p = pi_G(rep, X)
         worst_idem = max(worst_idem, float(np.linalg.norm(pi_G(rep, p) - p)))
         q = q_map(rep, scenario.profiles, X)
-        for g in rep.matrices:
-            worst_comm = max(worst_comm, float(np.linalg.norm(q @ g - g @ q)))
+        worst_comm = max(worst_comm, max_norm(q @ mats - mats @ q))
     checks.append(check_result("projector-idempotent", worst_idem <= 1e-10,
                                worst_idem, 1e-10))
     checks.append(check_result("qmap-commutant-valued", worst_comm <= 1e-9,

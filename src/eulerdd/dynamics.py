@@ -20,10 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .group_theory import UnitaryRep, is_hermitian, pi_G
+from .group_theory import UnitaryRep, _read_only, is_hermitian, pi_G
 from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_herm,
-                     _read_only, faulty_segments, merged_segments,
-                     phase_distance)
+                     faulty_segments, merged_segments, phase_distance)
 
 
 class TimeOutOfRangeError(ValueError):
@@ -91,7 +90,12 @@ def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
 
 
 def _lift_conj(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(A ⊗ I_E)† X (A ⊗ I_E) for X given as a (d, d_E, d, d_E) tensor."""
+    """(A ⊗ I_E)† X (A ⊗ I_E) for X given as a (d, d_E, d, d_E) tensor:
+    two matrix products when d_E = 1, a contraction over the system
+    indices otherwise."""
+    d, de = X.shape[:2]
+    if de == 1:
+        return (A.conj().T @ X.reshape(d, d) @ A).reshape(X.shape)
     Y = np.tensordot(A.conj(), X, axes=(0, 0))
     return np.tensordot(Y, A, axes=(2, 0)).transpose(0, 1, 3, 2)
 

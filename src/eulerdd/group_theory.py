@@ -84,6 +84,13 @@ def align_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b * (ov.conjugate() / abs(ov))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so that no caller can change it for
+    the others that share it."""
+    a.setflags(write=False)
+    return a
+
+
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
     d = m.shape[0]
     return m.shape == (d, d) and np.linalg.norm(m.conj().T @ m - np.eye(d)) <= tol * d
@@ -209,11 +216,25 @@ class UnitaryRep:
                 if i < j and equal_up_to_phase(mi, mj, tol):
                     raise ValueError("representation is not faithful up to phase")
 
+    def _cached(self, key, build):
+        """``build()``, computed on the first call with ``key`` and kept for
+        the representation's lifetime; later calls return the same object."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def stacked(self) -> tuple:
+        """(|G|, d, d) read-only stacks of the matrices and of their
+        adjoints, in element order, built once."""
+        def build():
+            mats = np.array(self.matrices, dtype=complex)
+            adjs = np.ascontiguousarray(mats.conj().transpose(0, 2, 1))
+            return _read_only(mats), _read_only(adjs)
+        return self._cached("stack", build)
+
     def algebra_basis(self) -> list:
         """Orthonormal (Hilbert-Schmidt) basis of span{g_j}."""
-        if "algebra" not in self._cache:
-            self._cache["algebra"] = _orthonormal_span(self.matrices)
-        return self._cache["algebra"]
+        return self._cached("algebra", lambda: _orthonormal_span(self.matrices))
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -233,7 +254,7 @@ def subspace_distance(X: np.ndarray, basis) -> float:
 def _orthonormal_span(mats, tol: float = 1e-10) -> list:
     """Orthonormalize a list of matrices in the Hilbert-Schmidt inner product."""
     d = mats[0].shape[0]
-    stack = np.array([_vec(m) for m in mats])
+    stack = np.asarray(mats).reshape(len(mats), d * d)
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
     return [vh[k].reshape(d, d) for k in range(rank)]
@@ -397,6 +418,12 @@ def close_group(generator_matrices, max_order: int = 512,
     return group, rep
 
 
+def _average(mats: np.ndarray, adjs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(1/n) sum_j g_j† X g_j over a stack of n matrices and their adjoints,
+    each term formed as (g_j† X) g_j and summed in stack order."""
+    return ((adjs @ X) @ mats).sum(axis=0) / len(mats)
+
+
 def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     """Group-average projector onto the commutant:
     (1/|G|) sum_j g_j† X g_j."""
@@ -404,10 +431,7 @@ def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     d = rep.dimension
     if X.shape != (d, d):
         raise ShapeError("shape error: operator does not match representation dimension")
-    acc = np.zeros((d, d), dtype=complex)
-    for g in rep.matrices:
-        acc += g.conj().T @ X @ g
-    return acc / len(rep.matrices)
+    return _average(*rep.stacked(), X)
 
 
 # Budget for the d^2 x d^2 complex arrays (16 d^4 bytes each) that
@@ -456,9 +480,21 @@ def center_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
     into itself (h† g h is a phase times an element) and fixes every
     element of the commutant, so its image of the algebra is exactly the
     algebra ∩ commutant.  Costs |G|^2 products of d x d matrices and an
-    SVD of a |G| x d^2 stack.
+    SVD of a |G| x d^2 stack, once per representation and ``tol``; the
+    basis matrices are read-only and shared by later calls.
     """
-    return _orthonormal_span([pi_G(rep, g) for g in rep.matrices], tol)
+    return list(rep._cached(("center", tol), lambda: _center_basis(rep, tol)))
+
+
+def _center_basis(rep: UnitaryRep, tol: float) -> tuple:
+    mats, adjs = rep.stacked()
+    # every class sum at once, one group element h per step: the terms
+    # (h† g) h are added in element order, as pi_G(rep, g) adds them
+    sums = np.zeros_like(mats)
+    for h, h_adj in zip(mats, adjs):
+        sums += (h_adj @ mats) @ h
+    sums /= len(mats)
+    return tuple(_read_only(b) for b in _orthonormal_span(sums, tol))
 
 
 @dataclass(frozen=True)
@@ -491,6 +527,9 @@ def decompose_irreps(rep: UnitaryRep, cluster_tol: float = 1e-8,
                      seed: int = 0) -> IrrepDecomposition:
     """Numerically block-diagonalize the representation.
 
+    Computed once per representation, ``cluster_tol`` and ``seed``; later
+    calls return the same decomposition, whose arrays are read-only.
+
     Draws a random Hermitian commutant element, clusters its eigenvalues,
     and stitches eigenspaces into isotypic blocks with a second random
     commutant element so that in the rotated basis the group algebra acts
@@ -501,6 +540,12 @@ def decompose_irreps(rep: UnitaryRep, cluster_tol: float = 1e-8,
     commutant, so P has independent complex Gaussian coordinates in any
     orthonormal commutant basis; no basis is formed.
     """
+    return rep._cached(("irreps", cluster_tol, seed),
+                       lambda: _decompose_irreps(rep, cluster_tol, seed))
+
+
+def _decompose_irreps(rep: UnitaryRep, cluster_tol: float,
+                      seed: int) -> IrrepDecomposition:
     d = rep.dimension
     rng = np.random.default_rng(seed)
 
@@ -582,9 +627,9 @@ def decompose_irreps(rep: UnitaryRep, cluster_tol: float = 1e-8,
     columns = []
     for label, (n_J, d_J, cols) in enumerate(raw_blocks):
         blocks.append(IrrepBlock(label=label, multiplicity=n_J,
-                                 dimension=d_J, columns=cols))
+                                 dimension=d_J, columns=_read_only(cols)))
         columns.append(cols)
-    basis_change = np.hstack(columns)
+    basis_change = _read_only(np.hstack(columns))
     return IrrepDecomposition(blocks=tuple(blocks), basis_change=basis_change)
 
 
@@ -602,10 +647,7 @@ def quotient_check(rep: UnitaryRep, normal_subgroup, X: np.ndarray,
         if np.linalg.norm(g @ X - X @ g) > tol * max(np.linalg.norm(X), 1.0):
             raise ValueError("operator is not invariant under the subgroup")
     full = pi_G(rep, X)
+    mats, adjs = rep.stacked()
     reps_idx = group.coset_transversal(sub)
-    partial = np.zeros_like(full)
-    for t in reps_idx:
-        g = rep.matrices[t]
-        partial += g.conj().T @ X @ g
-    partial /= len(reps_idx)
+    partial = _average(mats[reps_idx], adjs[reps_idx], X)
     return np.linalg.norm(full - partial) <= tol * max(np.linalg.norm(X), 1.0)

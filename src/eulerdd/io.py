@@ -80,13 +80,40 @@ _OVERRIDE_TYPES = {"delta_t": float, "cycles": int, "seed": int, "trials": int,
                    "env_dim": int, "n_qubits": int}
 
 
-def _typed(key: str, value, kind):
-    """``value`` as ``kind``: a finite number (not a bool), whole for an int."""
+def _typed(label: str, value, kind):
+    """``value`` as ``kind``: a finite number (not a bool), whole for an int;
+    otherwise a ConfigError naming ``label``."""
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value) and kind(value) == value):
         return kind(value)
     what = "an integer" if kind is int else "a number"
-    raise ConfigError(f"override {key} must be {what}, got {value!r}")
+    raise ConfigError(f"{label} must be {what}, got {value!r}")
+
+
+def _matrix(label: str, doc) -> np.ndarray:
+    """``decode_matrix(doc)``; its ConfigError names ``label``."""
+    try:
+        return decode_matrix(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+_number = partial(_typed, kind=float)
+_integer = partial(_typed, kind=int)
+
+
+def _path(where: str, key: str) -> str:
+    """Key path of ``key`` inside the entry at path ``where`` ("" at the top)."""
+    return f"{where}.{key}" if where else key
+
+
+def _field(doc: dict, where: str, key: str, read):
+    """``read(path, doc[key])`` with ``path = _path(where, key)``; a missing
+    key is a ConfigError naming that path."""
+    path = _path(where, key)
+    if key not in doc:
+        raise ConfigError(f"{path} is missing")
+    return read(path, doc[key])
 
 
 def load_config(path: str) -> RunConfig:
@@ -105,12 +132,12 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("overrides must be a mapping")
     for key, kind in _OVERRIDE_TYPES.items():
         if key in over:
-            setattr(cfg, key, _typed(key, over[key], kind))
+            setattr(cfg, key, _typed(f"override {key}", over[key], kind))
     if "delta_t_list" in over:
         values = over["delta_t_list"]
         if not isinstance(values, list):
             raise ConfigError("override delta_t_list must be a list")
-        cfg.delta_t_list = [_typed("delta_t_list", v, float) for v in values]
+        cfg.delta_t_list = [_number("override delta_t_list", v) for v in values]
     if "out" in doc:
         cfg.out = str(doc["out"])
     if "faults" in doc:
@@ -119,29 +146,39 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
-def _entries(doc: dict, key: str, kind=dict) -> list:
-    """``doc[key]`` (empty if absent) as a list of ``kind`` values."""
+def _entries(doc: dict, key: str, kind=dict, where: str = "") -> list:
+    """``doc[key]`` (empty if absent) as a list of ``kind`` values; the
+    ConfigError names the key path ``where.key``."""
     value = doc.get(key, [])
     if (not isinstance(value, list)
             or not all(isinstance(v, kind) and not isinstance(v, bool)
                        for v in value)):
         what = "mappings" if kind is dict else "integers"
-        raise ConfigError(f"{key} must be a list of {what}")
+        raise ConfigError(f"{_path(where, key)} must be a list of {what}")
     return value
 
 
-def _profile_from_doc(gen: int, rep, doc: dict, delta_t: float):
+def _profile_from_doc(gen: int, rep, doc: dict, delta_t: float, where: str):
     units = doc.get("units", "per_delta_t")
     if units not in ("per_delta_t", "absolute"):
-        raise ConfigError("units must be 'per_delta_t' or 'absolute'")
+        raise ConfigError(f"{where}.units must be 'per_delta_t' or 'absolute'")
     scale = delta_t if units == "absolute" else 1.0
     if "axis" in doc:
-        return constant_profile(gen, rep, decode_matrix(doc["axis"]))
+        return constant_profile(gen, rep, _field(doc, where, "axis", _matrix))
     if "segments" in doc:
-        segs = [(float(s["fraction"]), scale * decode_matrix(s["rate"]))
-                for s in _entries(doc, "segments")]
+        segs = []
+        for j, seg in enumerate(_entries(doc, "segments", where=where)):
+            at = f"{where}.segments[{j}]"
+            segs.append((_field(seg, at, "fraction", _number),
+                         scale * _field(seg, at, "rate", _matrix)))
         return piecewise_profile(gen, rep, segs)
-    raise ConfigError("profile needs an 'axis' or 'segments' entry")
+    raise ConfigError(f"{where} needs an 'axis' or 'segments' entry")
+
+
+def _generators(doc: dict) -> list:
+    """The generator matrices of a scenario or schedule document."""
+    return [_matrix(f"generators[{i}]", g)
+            for i, g in enumerate(_entries(doc, "generators"))]
 
 
 def _build(where: str, *args, **kwargs) -> analysis.Scenario:
@@ -161,16 +198,18 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
     doc = cfg.inline
     if "generators" not in doc:
         raise ConfigError("inline scenario needs 'generators'")
-    noise = tuple((nd.get("name", f"s{i}"), decode_matrix(nd["matrix"]))
+    noise = tuple((nd.get("name", f"s{i}"),
+                   _field(nd, f"noise_generators[{i}]", "matrix", _matrix))
                   for i, nd in enumerate(_entries(doc, "noise_generators")))
     return _build(
         "inline scenario",
         str(doc.get("name", "custom")),
         str(doc.get("description", "inline scenario")),
-        int(doc.get("n_qubits", 0)),
-        [decode_matrix(g) for g in _entries(doc, "generators")],
-        [partial(_profile_from_doc, doc=pdoc, delta_t=cfg.delta_t)
-         for pdoc in _entries(doc, "profiles")],
+        _integer("n_qubits", doc.get("n_qubits", 0)),
+        _generators(doc),
+        [partial(_profile_from_doc, doc=pdoc, delta_t=cfg.delta_t,
+                 where=f"profiles[{i}]")
+         for i, pdoc in enumerate(_entries(doc, "profiles"))],
         path_colors=_entries(doc, "path", int) if "path" in doc else None,
         noise_generators=noise)
 
@@ -239,23 +278,34 @@ def import_schedule(text: str):
                                "timeline") if key not in doc]
     if missing:
         raise ConfigError(f"schedule file has no {', '.join(missing)}")
-    delta_t = float(doc["delta_t"])
-    hams = {hid: decode_matrix(m) for hid, m in doc["hamiltonians"].items()}
+    delta_t = _number("delta_t", doc["delta_t"])
+    if not isinstance(doc["hamiltonians"], dict):
+        raise ConfigError("hamiltonians must be a mapping")
+    hams = {hid: _matrix(f"hamiltonians.{hid}", m)
+            for hid, m in doc["hamiltonians"].items()}
+
+    def hamiltonian(path, hid):
+        if not isinstance(hid, str) or hid not in hams:
+            raise ConfigError(f"{path} names no entry of hamiltonians: {hid!r}")
+        return hams[hid]
+
     # one profile per color, read from its first sub-interval
     rows_of = {}
-    for row in _entries(doc, "timeline"):
-        rows_of.setdefault(row["sub_interval"], []).append(row)
+    for k, row in enumerate(_entries(doc, "timeline")):
+        at = f"timeline[{k}]"
+        rows_of.setdefault(_field(row, at, "sub_interval", _integer), []).append(
+            (_field(row, at, "color", _integer),
+             _field(row, at, "duration", _number) / delta_t,
+             _field(row, at, "amplitude", _number) * delta_t
+             * _field(row, at, "hamiltonian", hamiltonian)))
     segments = {}
     for _, rows in sorted(rows_of.items()):
-        color = rows[0]["color"]
-        if color in segments:
-            continue
-        segments[color] = [(row["duration"] / delta_t,
-                            row["amplitude"] * delta_t * hams[row["hamiltonian"]])
-                           for row in rows]
+        color = rows[0][0]
+        if color not in segments:
+            segments[color] = [(frac, rate) for _, frac, rate in rows]
     scenario = _build(
         "schedule file", "imported", "imported schedule", 0,
-        [decode_matrix(g) for g in _entries(doc, "generators")],
+        _generators(doc),
         [partial(piecewise_profile, segments=segments[c])
          for c in sorted(segments)],
         path_colors=_entries(doc, "path", int))

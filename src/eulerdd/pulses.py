@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .cayley import EulerPath
-from .group_theory import UnitaryRep, align_phase, is_hermitian, subspace_distance
+from .group_theory import (UnitaryRep, _read_only, align_phase, is_hermitian,
+                           subspace_distance)
 
 REALIZATION_TOL = 1e-9
 ALGEBRA_TOL = 1e-10
@@ -45,13 +46,6 @@ def _expm_eig(evals: np.ndarray, evecs: np.ndarray, scale: float = 1.0) -> np.nd
 def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * H) for Hermitian H via eigendecomposition."""
     return _expm_eig(*np.linalg.eigh(H), scale)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only, so that no caller can change it for
-    the others that share it."""
-    a.setflags(write=False)
-    return a
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:

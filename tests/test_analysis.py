@@ -31,8 +31,9 @@ class TestBuiltinScenarios:
             assert len(sc.path) == n * 2 ** (2 * n + 1)
 
     def test_pauli_cap(self):
-        with pytest.raises(ValueError):
-            pauli_scenario(4)
+        for n in (0, 5):
+            with pytest.raises(ValueError, match="1 <= n <= 4"):
+                pauli_scenario(n)
 
     def test_spin_flip_odd_n_projective(self):
         sc = spin_flip_scenario(3)

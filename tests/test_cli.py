@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from eulerdd import analysis, group_theory
 from eulerdd.cli import main
 
 
@@ -96,6 +97,38 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
         assert peak < 32 * 2 ** 20
 
+    def test_pauli_n4_passes(self, capsys, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario: pauli\noverrides:\n  n_qubits: 4\n")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert all(c["passed"] for c in doc["checks"])
+        length = next(c for c in doc["checks"] if c["name"] == "cycle-length")
+        assert length["value"] == 2048
+
+    def test_pauli_builds_center_and_irreps_once(self, capsys, monkeypatch):
+        # robustness_report asks for both once per fault, ten faults in all
+        calls = {}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("_center_basis", "_decompose_irreps"):
+            counting(group_theory, name)
+        for name in ("center_basis", "decompose_irreps"):
+            counting(analysis, name)
+        code, _, _ = run(capsys, "verify", "--scenario", "pauli", "--json")
+        assert code == 0
+        assert calls == {"center_basis": 10, "decompose_irreps": 10,
+                         "_center_basis": 1, "_decompose_irreps": 1}
+
     def test_non_integer_override_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("scenario: carr-purcell\noverrides:\n  cycles: abc\n")
@@ -152,6 +185,26 @@ def test_malformed_inline_scenario_exits_2(capsys, tmp_path, body):
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("body,path", [
+    ("  n_qubits: abc\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
+     % (SX_DOC, SX_DOC), "n_qubits"),
+    ("  generators: [%s]\n  profiles: [{segments: [{fraction: 0.5, rate: %s},"
+     " {rate: %s}]}]\n" % (SX_DOC, SX_DOC, SX_DOC),
+     "profiles[0].segments[1].fraction"),
+    ("  generators: [%s]\n  profiles: [{axis: %s}]\n"
+     "  noise_generators: [{name: a}]\n" % (SX_DOC, SX_DOC),
+     "noise_generators[0].matrix"),
+], ids=["n_qubits-str", "segment-without-fraction", "noise-without-matrix"])
+def test_inline_error_names_key_path(capsys, tmp_path, body, path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario:\n" + body)
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    line = next(l for l in err.splitlines() if l.startswith("error:"))
+    assert path in line
     assert "Traceback" not in err
 
 

@@ -340,6 +340,80 @@ class TestRandomMonomialGroups:
                 == character_commutant_dim(rep))
 
 
+def loop_pi_G(rep, X):
+    """The per-element group average: (g† X) g added in element order."""
+    acc = np.zeros((rep.dimension,) * 2, dtype=complex)
+    for g in rep.matrices:
+        acc += g.conj().T @ X @ g
+    return acc / len(rep.matrices)
+
+
+def loop_center(rep, tol=1e-10):
+    """Orthonormal vec rows spanning the twisted class sums, each summed by
+    loop_pi_G."""
+    sums = np.array([loop_pi_G(rep, g).ravel() for g in rep.matrices])
+    _, s, vh = np.linalg.svd(sums, full_matrices=False)
+    return vh[s > tol * s[0]]
+
+
+class TestStackedRep:
+    """pi_G and center_basis read one stacked view of the group; center_basis
+    and decompose_irreps are computed once per representation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_pi_and_center_match_loop(self, gens, seed):
+        try:
+            _, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                 max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        d = rep.dimension
+        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.linalg.norm(pi_G(rep, X) - loop_pi_G(rep, X)) <= 1e-13
+        ref = loop_center(rep)
+        rows = np.array([b.ravel() for b in center_basis(rep)])
+        assert rows.shape == ref.shape
+        assert np.linalg.norm(rows.conj().T @ rows - ref.conj().T @ ref) <= 1e-13
+
+    def test_cached_arrays_are_read_only_and_shared(self):
+        rep = get_scenario("symmetric-s3", None).rep
+        mats, adjs = rep.stacked()
+        assert mats is rep.stacked()[0] and adjs is rep.stacked()[1]
+        np.testing.assert_array_equal(mats, np.array(rep.matrices))
+        np.testing.assert_array_equal(adjs, mats.conj().transpose(0, 2, 1))
+        cen, dec = center_basis(rep), decompose_irreps(rep)
+        assert all(a is b for a, b in zip(cen, center_basis(rep)))
+        assert decompose_irreps(rep) is dec
+        arrays = [mats, adjs, *cen, dec.basis_change,
+                  *(b.columns for b in dec.blocks)]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            cen[0][0, 0] = 1.0
+        # the returned list is the caller's own
+        size = len(cen)
+        cen.clear()
+        assert len(center_basis(rep)) == size
+
+    def test_irreps_cached_per_seed_and_cluster_tol(self, monkeypatch):
+        rep = get_scenario("symmetric-s3", None).rep
+        builds = []
+        real = group_theory._decompose_irreps
+
+        def counted(*args):
+            builds.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(group_theory, "_decompose_irreps", counted)
+        first = decompose_irreps(rep, seed=0)
+        assert decompose_irreps(rep, seed=0) is first
+        assert decompose_irreps(rep, seed=1) is not first
+        assert decompose_irreps(rep, cluster_tol=1e-9) is not first
+        assert decompose_irreps(rep, seed=1) is decompose_irreps(rep, seed=1)
+        assert builds == [(1e-8, 0), (1e-8, 1), (1e-9, 0)]
+
+
 def hermitian_log(u):
     """Hermitian H with exp(-iH) = u, for a unitary u.  The eigenbasis comes
     from a Hermitian function of u, and the phases are cut in the middle of

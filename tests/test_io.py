@@ -188,6 +188,32 @@ class TestScheduleExport:
         with pytest.raises(ConfigError, match=message):
             import_schedule(text)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(hamiltonians=5), "hamiltonians must be a mapping"),
+        (lambda doc: doc["timeline"][1].pop("sub_interval"),
+         "timeline[1].sub_interval is missing"),
+        (lambda doc: doc["timeline"][1].pop("color"), "timeline[1].color is missing"),
+        (lambda doc: doc["timeline"][1].pop("duration"),
+         "timeline[1].duration is missing"),
+        (lambda doc: doc["timeline"][1].pop("amplitude"),
+         "timeline[1].amplitude is missing"),
+        (lambda doc: doc["timeline"][1].pop("hamiltonian"),
+         "timeline[1].hamiltonian is missing"),
+        (lambda doc: doc["timeline"][1].update(hamiltonian="h9"),
+         "timeline[1].hamiltonian names no entry of hamiltonians: 'h9'"),
+        (lambda doc: doc["timeline"][1].update(duration="abc"),
+         "timeline[1].duration must be a number"),
+        (lambda doc: doc.update(delta_t="abc"), "delta_t must be a number"),
+    ], ids=["hamiltonians-int", "no-sub_interval", "no-color", "no-duration",
+            "no-amplitude", "no-hamiltonian", "unknown-hamiltonian",
+            "duration-str", "delta_t-str"])
+    def test_malformed_body_names_the_key(self, edit, message):
+        doc = yaml.safe_load(export_schedule(pauli_scenario(1), 0.01))
+        edit(doc)
+        with pytest.raises(ConfigError) as info:
+            import_schedule(yaml.safe_dump(doc))
+        assert message in str(info.value)
+
     def test_timeline_is_contiguous(self):
         import yaml
         sc = symmetric_s3_scenario()

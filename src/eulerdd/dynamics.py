@@ -22,7 +22,7 @@ import numpy as np
 
 from .group_theory import UnitaryRep, _read_only, is_hermitian, pi_G
 from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_herm,
-                     faulty_segments, merged_segments, phase_distance)
+                     merged_segments, phase_distance)
 
 
 class TimeOutOfRangeError(ValueError):
@@ -233,7 +233,8 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
             rates = schedule.profiles[color].segments
             by_color[color] = [
                 _expm_herm(H0 + lift((rates[k][1] + fault_rate) / dt), frac * dt)
-                for frac, k, fault_rate in faulty_segments(schedule, color)]
+                for frac, k, fault_rate in merged_segments(
+                    schedule.profiles[color], schedule.fault, color)]
         steps = [step for c in schedule.path.colors for step in by_color[c]]
     u_cycle = np.eye(dim, dtype=complex)
     for step in steps:

@@ -41,32 +41,22 @@ class DegenerateDecompositionError(RuntimeError):
     """Eigenvalue clustering was ambiguous at the requested tolerance."""
 
 
-def fix_phase_stack(ms: np.ndarray) -> np.ndarray:
-    """Normalize the global phase of each matrix in a stack by its
-    largest-modulus entry.
-
-    In each matrix the entry of largest modulus (first in row-major order on
-    ties, up to a small relative slack) is rotated to be real positive; an
-    all-zero matrix is returned unchanged.
-    """
-    ms = np.asarray(ms)
-    flat = ms.reshape(len(ms), -1)
-    mods = np.abs(flat)
-    top = mods.max(axis=1)
-    rows = np.arange(len(flat))
-    pick = flat[rows, np.argmax(mods >= (top * (1.0 - 1e-9))[:, None], axis=1)]
-    zero = top == 0.0
-    pick[zero] = 1.0
-    # hypot, not np.abs: it rounds as the scalar abs() of one entry does
-    phase = pick / np.hypot(pick.real, pick.imag)
-    fixed = ms / phase[:, None, None]
-    fixed[zero] = ms[zero]
-    return fixed
-
-
 def fix_phase(m: np.ndarray) -> np.ndarray:
-    """Normalize the global phase of one matrix (see ``fix_phase_stack``)."""
-    return fix_phase_stack(np.asarray(m)[None])[0]
+    """Normalize the global phase of a matrix by its largest-modulus entry.
+
+    The entry of largest modulus (first in row-major order on ties, up to a
+    small relative slack) is rotated to be real positive; an all-zero matrix
+    is returned unchanged.
+    """
+    m = np.asarray(m)
+    flat = m.ravel()
+    mods = np.abs(flat)
+    top = mods.max()
+    if top == 0.0:
+        return m.copy()
+    pick = flat[np.argmax(mods >= top * (1.0 - 1e-9))]
+    # hypot, not np.abs: it rounds as the scalar abs() of one entry does
+    return m / (pick / np.hypot(pick.real, pick.imag))
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
@@ -260,88 +250,6 @@ def _orthonormal_span(mats, tol: float = 1e-10) -> list:
     return [vh[k].reshape(d, d) for k in range(rank)]
 
 
-# close_group hashes a phase-fixed matrix by its entries times _HASH_SCALE,
-# rounded to integers: a 1e-5 grid, far finer than the distance between two
-# phase classes of a finite group of desk-scale order.  It is coarse next to
-# the phase tolerance so that few coordinates of generic (non grid-aligned)
-# entries fall near a half-step: on 300 random monomial groups conjugated by
-# random unitaries, grids of 1e-7, 1e-6 and 1e-5 made 8265, 943 and 48
-# fallback comparisons.  Entries of a unitary have modulus at most 1, so the
-# rounded values fit in int32.
-_HASH_SCALE = 1e5
-
-
-def _hash_grid(fixed: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of each matrix in the stack, in grid units."""
-    return np.ascontiguousarray(fixed, dtype=complex).view(float).reshape(
-        len(fixed), -1) * _HASH_SCALE
-
-
-class _PhaseClassIndex:
-    """Stored d x d matrices, one per phase class, hashed on their
-    phase-fixed form rounded to the ``_HASH_SCALE`` grid.
-
-    A lookup returns the index of the stored matrix that equals the query up
-    to phase, by the test of ``equal_up_to_phase(stored, query, tol)``.  Only
-    the stored matrices with the query's hash key are tested.  A matrix in
-    the query's phase class differs from it by at most that class's
-    tolerance in every coordinate, so it can have another key only when some
-    coordinate of the query lies that close to a rounding half-step; on a
-    miss with such a coordinate the lookup falls back to the linear
-    ``equal_up_to_phase`` scan over all stored matrices.
-    """
-
-    def __init__(self, d: int, tol: float):
-        self.tol = tol
-        self.matrices = []
-        # fix_phase of each stored matrix and its equal_up_to_phase bound
-        # tol * max(|m|, 1); rows past len(matrices) are spare capacity
-        self._fixed = np.empty((8, d, d), dtype=complex)
-        self._tols = np.empty(8)
-        self._buckets = {}   # hash key -> stored indices, ascending
-
-    @staticmethod
-    def _keys(fixed: np.ndarray) -> list:
-        raw = np.rint(_hash_grid(fixed)).astype(np.int32).tobytes()
-        w = len(raw) // len(fixed)
-        return [raw[j * w:(j + 1) * w] for j in range(len(fixed))]
-
-    def add(self, m: np.ndarray) -> int:
-        k = len(self.matrices)
-        if k == len(self._tols):
-            self._fixed = np.concatenate([self._fixed, np.empty_like(self._fixed)])
-            self._tols = np.concatenate([self._tols, np.empty_like(self._tols)])
-        self._fixed[k] = fix_phase(m)
-        self._tols[k] = self.tol * max(np.linalg.norm(m), 1.0)
-        self._buckets.setdefault(self._keys(self._fixed[k:k + 1])[0], []).append(k)
-        self.matrices.append(m)
-        return k
-
-    def lookup(self, ms: np.ndarray) -> np.ndarray:
-        """Index of the phase class of each matrix in the stack, -1 if new."""
-        fixed = fix_phase_stack(ms)
-        keys = self._keys(fixed)
-        found = np.array([self._buckets.get(key, (-1,))[0] for key in keys])
-        hit = np.flatnonzero(found >= 0)
-        dist = np.linalg.norm(self._fixed[found[hit]] - fixed[hit], axis=(1, 2))
-        found[hit[dist > self._tols[found[hit]]]] = -1
-        for j in np.flatnonzero(found < 0):
-            found[j] = self._resolve(ms[j], fixed[j:j + 1], keys[j])
-        return found
-
-    def _resolve(self, m, fixed, key) -> int:
-        for k in self._buckets.get(key, ()):
-            if np.linalg.norm(self._fixed[k] - fixed[0]) <= self._tols[k]:
-                return k
-        grid = _hash_grid(fixed)
-        margin = 2.0 * self._tols[:len(self.matrices)].max() * _HASH_SCALE
-        if (0.5 - np.abs(grid - np.rint(grid)) <= margin).any():
-            for k, e in enumerate(self.matrices):
-                if equal_up_to_phase(e, m, self.tol):
-                    return k
-        return -1
-
-
 def close_group(generator_matrices, max_order: int = 512,
                 phase_tolerance: float = DEFAULT_PHASE_TOL) -> tuple:
     """Build the abstract group generated by unitary matrices, up to phase.
@@ -351,18 +259,23 @@ def close_group(generator_matrices, max_order: int = 512,
     stored phase-fixed (``fix_phase``).  Two matrices are one element when
     ``equal_up_to_phase(stored, product, phase_tolerance)`` holds.
 
-    Products are resolved through a hash of the phase-fixed matrix rounded to
-    a 1e-5 grid, so filling the |G| x |G| table costs |G|^2 lookups (one
-    batched product and phase fix per row) rather than |G|^3 comparisons.
-    When a product misses the hash and one of its coordinates lies within
-    2 * phase_tolerance * max(|e|, 1), the largest over stored elements e, of
-    a rounding half-step, it is compared with every stored element by
-    ``equal_up_to_phase``, in order, as a linear scan would.  The result
-    equals the linear scan's unless two stored elements lie within twice the
-    tolerance of each other.
+    Each product gens[c] @ e_i of the breadth-first loop is compared by
+    ``equal_up_to_phase`` with one stored element only: the e maximizing
+    |tr(e† product)|, from one matrix-vector product with the stack of the
+    conjugated, flattened stored elements.  For unitary d x d matrices a
+    product within the tolerance of a stored e has |tr(e† product)| >=
+    d (1 - phase_tolerance), so the result equals a linear scan's unless two
+    stored elements e, e' are nearly equal up to phase: |tr(e† e')| >=
+    d (1 - 2 phase_tolerance).
 
-    Raises GroupClosureError if the closure exceeds ``max_order`` elements
-    or a product of two elements is not among them.
+    The multiplication table needs no further products: if e_i was found as
+    gens[c] @ e_p, row i is the action of gens[c] applied to row p.  One
+    lookup costs O(|G| d^2) against a hash's O(d^2), but the O(|G|^2 d^3)
+    products of a table filled by lookups are gone, so the total,
+    O(|Gamma| |G|^2 d^2) for |Gamma| generators, is smaller whenever
+    d >= |Gamma|.
+
+    Raises GroupClosureError if the closure exceeds ``max_order`` elements.
     """
     gens = [np.asarray(g, dtype=complex) for g in generator_matrices]
     if not gens:
@@ -372,43 +285,56 @@ def close_group(generator_matrices, max_order: int = 512,
         if g.shape != (d, d) or not is_unitary(g, phase_tolerance):
             raise InvalidGeneratorError("invalid generator: non-unitary input")
 
-    index = _PhaseClassIndex(d, phase_tolerance)
-    index.add(np.eye(d, dtype=complex))
+    elements = []
+    parent = []   # (c, p) when element i was found as gens[c] @ elements[p]
+    # conj(e).ravel() of each stored e; rows past len(elements) are spare
+    conj = np.empty((8, d * d), dtype=complex)
+
+    def add(m, origin):
+        nonlocal conj
+        k = len(elements)
+        if k == len(conj):
+            conj = np.concatenate([conj, np.empty_like(conj)])
+        conj[k] = m.conj().ravel()
+        elements.append(m)
+        parent.append(origin)
+        return k
 
     def find(m):
-        return int(index.lookup(m[None])[0])
+        k = int(np.argmax(np.abs(conj[:len(elements)] @ m.ravel())))
+        return k if equal_up_to_phase(elements[k], m, phase_tolerance) else -1
 
+    add(np.eye(d, dtype=complex), None)
     gen_indices = []
-    for g in gens:
+    for c, g in enumerate(gens):
         k = find(g)
         if k < 0:
-            k = index.add(fix_phase(g))
+            k = add(fix_phase(g), (c, 0))
         if k not in gen_indices and k != 0:
             gen_indices.append(k)
         elif k == 0 and len(gens) == 1:
             gen_indices.append(0)
 
-    elements = index.matrices
-    frontier = list(range(len(elements)))
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gens:
-                prod = g @ elements[i]
-                if find(prod) < 0:
-                    if len(elements) >= max_order:
-                        raise GroupClosureError("group too large or not closed")
-                    nxt.append(index.add(fix_phase(prod)))
-        frontier = nxt
+    act = []   # act[i][c]: index of gens[c] @ elements[i]
+    for i, e in enumerate(elements):   # grows while it is walked
+        row = []
+        for c, g in enumerate(gens):
+            prod = g @ e
+            k = find(prod)
+            if k < 0:
+                if len(elements) >= max_order:
+                    raise GroupClosureError("group too large or not closed")
+                k = add(fix_phase(prod), (c, i))
+            row.append(k)
+        act.append(row)
 
     n = len(elements)
-    stack = np.array(elements)
-    table = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        row = index.lookup(elements[i] @ stack)
-        if (row < 0).any():
-            raise GroupClosureError("group too large or not closed")
-        table[i] = row
+    act = np.array(act).T
+    table = np.empty((n, n), dtype=int)
+    table[0] = np.arange(n)
+    for i in range(1, n):
+        c, p = parent[i]
+        table[i] = act[c, table[p]]
 
     if not gen_indices:
         gen_indices = [0]

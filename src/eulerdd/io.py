@@ -7,14 +7,16 @@ are stored row-major as lists of [re, im] pairs in decimal text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import yaml
 
 from . import analysis
-from .pulses import FaultModel, _in_algebra, constant_profile, piecewise_profile
+from .group_theory import is_hermitian
+from .pulses import (FaultModel, GridMismatchError, _in_algebra,
+                     constant_profile, piecewise_profile)
 
 
 # libyaml's C loader and dumper when PyYAML was built with it; they parse and
@@ -57,7 +59,6 @@ class RunConfig:
     env_dim: int = 2
     out: str = None
     as_json: bool = False
-    faults: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.n_qubits is not None and self.n_qubits < 1:
@@ -140,8 +141,6 @@ def load_config(path: str) -> RunConfig:
         cfg.delta_t_list = [_number("override delta_t_list", v) for v in values]
     if "out" in doc:
         cfg.out = str(doc["out"])
-    if "faults" in doc:
-        cfg.faults = doc["faults"]
     cfg.validate()
     return cfg
 
@@ -215,14 +214,34 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
 
 
 def fault_from_doc(doc: dict, rep=None) -> FaultModel:
+    """The FaultModel of a ``faults`` document: a mapping from each color to
+    its list of segments, each a mapping with a positive ``fraction`` and a
+    Hermitian ``rate`` matrix (1/delta_t units, d x d for ``rep``).  A
+    malformed document is a ConfigError naming its key path."""
+    if not isinstance(doc, dict):
+        raise ConfigError("faults must be a mapping")
     deltas = {}
-    for color, segs in doc.items():
-        deltas[int(color)] = [(float(s["fraction"]), decode_matrix(s["rate"]))
-                              for s in segs]
+    for key in doc:
+        color = _integer("faults key", key)
+        where = f"faults.{color}"
+        segs = []
+        for j, seg in enumerate(_entries(doc, key, where="faults")):
+            at = f"{where}[{j}]"
+            frac = _field(seg, at, "fraction", _number)
+            rate = _field(seg, at, "rate", _matrix)
+            if frac <= 0.0:
+                raise ConfigError(f"{at}.fraction must be > 0, got {frac}")
+            d = rep.dimension if rep is not None else rate.shape[0]
+            if rate.shape != (d, d) or not is_hermitian(rate):
+                raise ConfigError(f"{at}.rate must be a Hermitian {d} x {d} matrix")
+            segs.append((frac, rate))
+        try:
+            FaultModel(deltas={color: segs}).validate()
+        except GridMismatchError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        deltas[color] = segs
     in_alg = rep is not None and all(_in_algebra(s, rep) for s in deltas.values())
-    fault = FaultModel(deltas=deltas, in_algebra=in_alg)
-    fault.validate()
-    return fault
+    return FaultModel(deltas=deltas, in_algebra=in_alg)
 
 
 def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:

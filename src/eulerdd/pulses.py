@@ -364,7 +364,3 @@ def merged_segments(profile: PulseProfile, fault, color: int):
     if fault is None or color not in fault.deltas:
         return [(frac, k, np.zeros_like(rate)) for k, (frac, rate) in enumerate(segs)]
     return _merge_grids(segs, fault.deltas[color])
-
-
-def faulty_segments(schedule: ControlSchedule, color: int):
-    return merged_segments(schedule.profiles[color], schedule.fault, color)

@@ -19,9 +19,8 @@ from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   NotNormalSubgroupError, ResourceLimitError,
                                   ShapeError, center_basis, close_group,
                                   commutant_basis, decompose_irreps,
-                                  equal_up_to_phase, fix_phase,
-                                  fix_phase_stack, pi_G, quotient_check,
-                                  subspace_distance)
+                                  equal_up_to_phase, fix_phase, pi_G,
+                                  quotient_check, subspace_distance)
 from eulerdd.pulses import (FaultModel, _expm_herm, eulerian_schedule,
                             piecewise_profile)
 
@@ -573,8 +572,14 @@ def spin_flip_generators(n):
     return [collective(n, "x"), collective(n, "z")]
 
 
+def conjugated(gens, seed):
+    """The generators conjugated by one seeded random unitary."""
+    u = random_unitary(gens[0].shape[0], np.random.default_rng(seed))
+    return [u @ g @ u.conj().T for g in gens]
+
+
 @pytest.fixture
-def scan_calls(monkeypatch):
+def comparisons(monkeypatch):
     """Counts the equal_up_to_phase calls made inside group_theory."""
     calls = []
     real = group_theory.equal_up_to_phase
@@ -587,9 +592,10 @@ def scan_calls(monkeypatch):
     return calls
 
 
-class TestHashedClosure:
-    """close_group resolves products through a hash of the rounded,
-    phase-fixed matrix and matches the linear-scan closure exactly."""
+class TestClosure:
+    """close_group compares each product with one stored element, derives
+    its table from the generator action, and matches the linear-scan
+    closure exactly."""
 
     @pytest.mark.parametrize("name,n", [*ALGEBRA_CASES, ("pauli", 2)])
     def test_scenario_groups_match_linear_scan(self, name, n):
@@ -607,11 +613,10 @@ class TestHashedClosure:
         assert_same_closure([u @ m @ u.conj().T for m in mats],
                             PROPERTY_MAX_ORDER)
 
-    def test_copy_across_rounding_half_step_is_found(self, scan_calls):
+    def test_copy_across_rounding_half_step_is_found(self):
         # a real reflection whose (0, 0) entry lies 1e-12 above a half-step
-        # of the hash grid; the copy lies 1e-12 below it
-        scale = group_theory._HASH_SCALE
-        half_step = (np.round(0.6 * scale) + 0.5) / scale
+        # of a 1e-5 rounding grid; the copy lies 1e-12 below it
+        half_step = 0.600005
 
         def reflection(c):
             s = np.sqrt(1.0 - c * c)
@@ -619,24 +624,38 @@ class TestHashedClosure:
 
         a, b = reflection(half_step + 1e-12), reflection(half_step - 1e-12)
         assert equal_up_to_phase(a, b)
-        keys = group_theory._PhaseClassIndex._keys(fix_phase_stack(np.array([a, b])))
-        assert keys[0] != keys[1]
         group, rep = close_group([a, b])
         assert group.order == 2
         assert group.generators == (1,)
         assert np.array_equal(group.mult_table, [[0, 1], [1, 0]])
-        assert scan_calls  # found by the fallback scan, not by the hash
 
     @pytest.mark.parametrize("gens,max_order,order", [
-        (pauli_generators(2), 17, 16), (spin_flip_generators(5), 512, 4)],
-        ids=["pauli-2", "spin-flip-5"])
-    def test_no_linear_scan_on_grid_aligned_groups(self, gens, max_order,
-                                                   order, scan_calls):
+        (pauli_generators(2), 17, 16), (spin_flip_generators(5), 512, 4),
+        (conjugated(pauli_generators(2), 5), 17, 16)],
+        ids=["pauli-2", "spin-flip-5", "conjugated-pauli-2"])
+    def test_one_comparison_per_generator_product(self, gens, max_order,
+                                                  order, comparisons):
         group, _ = close_group(gens, max_order=max_order)
         assert group.order == order
-        assert not scan_calls
+        # one per generator, then one per product gens[c] @ e_i
+        assert len(comparisons) <= len(gens) * (order + 1)
 
-    def test_fix_phase_stack_matches_one_matrix_reference(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_derived_table_matches_direct_products(self, n):
+        group, rep = close_group(pauli_generators(n))
+        assert group.order == 4 ** n
+        if n == 3:
+            group.validate()
+        stack = np.array(rep.matrices)
+        d = stack.shape[1]
+        for i in range(group.order):
+            prods = rep.matrices[i] @ stack
+            # unitary P = c E for a unit phase c exactly when |tr(E† P)| = d
+            overlap = np.einsum("kab,kab->k", stack[group.mult_table[i]].conj(),
+                                prods)
+            assert np.abs(overlap).min() >= d * (1 - 1e-10)
+
+    def test_fix_phase_matches_one_matrix_reference(self):
         def reference(m):
             # one matrix at a time: rotate the first largest-modulus entry
             # (up to the 1e-9 relative slack) to be real positive
@@ -652,9 +671,8 @@ class TestHashedClosure:
         ms = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
         ms[::4] = np.round(ms[::4])   # ties among largest-modulus entries
         ms[1] = 0.0                   # the zero matrix is left unchanged
-        for m, f in zip(ms, fix_phase_stack(ms)):
-            assert f.tobytes() == reference(m).tobytes()
-            assert f.tobytes() == fix_phase(m).tobytes()
+        for m in ms:
+            assert fix_phase(m).tobytes() == reference(m).tobytes()
 
 
 class TestDecomposeIrreps:

@@ -1,5 +1,7 @@
 """Tests for matrix/config/schedule serialization."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -161,8 +163,37 @@ class TestFaultDocs:
 
     def test_bad_fault_fractions(self):
         doc = {0: [{"fraction": 0.4, "rate": encode_matrix(SX)}]}
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError):
             fault_from_doc(doc)
+
+    @pytest.mark.parametrize("doc,path", [
+        ([{"fraction": 1.0, "rate": encode_matrix(SX)}], "faults"),
+        ({0: 5}, "faults.0"),
+        ({0: ["segment"]}, "faults.0"),
+        ({"x": [{"fraction": 1.0, "rate": encode_matrix(SX)}]}, "faults key"),
+        ({0: [{"rate": encode_matrix(SX)}]}, "faults.0[0].fraction"),
+        ({0: [{"fraction": "half", "rate": encode_matrix(SX)}]},
+         "faults.0[0].fraction"),
+        ({0: [{"fraction": 1.0}]}, "faults.0[0].rate"),
+        ({0: [{"fraction": -0.5, "rate": encode_matrix(SX)},
+              {"fraction": 1.5, "rate": encode_matrix(SX)}]},
+         "faults.0[0].fraction"),
+        ({0: [{"fraction": 1.0, "rate": encode_matrix(SX @ SZ)}]},
+         "faults.0[0].rate"),
+        ({0: [{"fraction": 1.0, "rate": encode_matrix(np.kron(SX, SX))}]},
+         "faults.0[0].rate"),
+        ({0: [{"fraction": 0.4, "rate": encode_matrix(SX)}]}, "faults.0"),
+    ], ids=["list", "color-to-int", "segment-not-mapping", "text-color",
+            "no-fraction", "text-fraction", "no-rate", "negative-fraction",
+            "non-hermitian-rate", "rate-of-wrong-dimension", "fractions-sum"])
+    def test_malformed_fault_docs_name_their_key_path(self, doc, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
+            fault_from_doc(doc, carr_purcell_scenario().rep)
+
+    def test_faults_key_is_ignored_by_load_config(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("scenario: carr-purcell\nfaults: {0: 5}\n")
+        assert load_config(str(path)) == RunConfig(scenario="carr-purcell")
 
 
 class TestScheduleExport:

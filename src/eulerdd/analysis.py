@@ -190,8 +190,10 @@ def _carr_purcell_checks(scenario, rng, seed) -> list:
     return checks
 
 
-def carr_purcell_scenario() -> Scenario:
+def carr_purcell_scenario(n: int = 1) -> Scenario:
     """Single decohering qubit, spin-flip group {I, sigma_x}, L = 2."""
+    if n != 1:
+        raise ValueError(f"carr-purcell scenario has n_qubits = 1 only, got {n}")
     return scenario_from_generators(
         "carr-purcell",
         "single-qubit spin-flip decoupling with one bounded sigma-x pulse",
@@ -296,10 +298,11 @@ def _symmetric_s3_checks(scenario, rng, seed) -> list:
     return checks
 
 
-def symmetric_s3_scenario() -> Scenario:
+def symmetric_s3_scenario(n: int = 3) -> Scenario:
     """Permutation-symmetrizing decoupling on three qubits via Heisenberg
     exchange pulses; generates a two-dimensional noiseless subsystem."""
-    n = 3
+    if n != 3:
+        raise ValueError(f"symmetric-s3 scenario has n_qubits = 3 only, got {n}")
     g1 = swap_gate(n, 0, 1)
     g2 = swap_gate(n, 0, 1) @ swap_gate(n, 1, 2)
 
@@ -322,13 +325,12 @@ def symmetric_s3_scenario() -> Scenario:
     )
 
 
-# name -> factory(n); n = None selects the scenario's default size, and
-# carr-purcell and symmetric-s3 have one size only
+# name -> factory(n), each with its default size
 _FACTORIES = {
-    "carr-purcell": lambda n=None: carr_purcell_scenario(),
-    "pauli": lambda n=None: pauli_scenario(1 if n is None else n),
-    "spin-flip": lambda n=None: spin_flip_scenario(2 if n is None else n),
-    "symmetric-s3": lambda n=None: symmetric_s3_scenario(),
+    "carr-purcell": carr_purcell_scenario,
+    "pauli": pauli_scenario,
+    "spin-flip": spin_flip_scenario,
+    "symmetric-s3": symmetric_s3_scenario,
 }
 
 
@@ -340,7 +342,7 @@ def builtin_scenarios() -> list:
 def get_scenario(name: str, n: int = None) -> Scenario:
     if name not in _FACTORIES:
         raise KeyError(f"unknown scenario '{name}'; see builtin_scenarios()")
-    return _FACTORIES[name](n)
+    return _FACTORIES[name]() if n is None else _FACTORIES[name](n)
 
 
 @dataclass
@@ -510,9 +512,11 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
                   seed: int = 0, kind: str = "eulerian") -> ScalingStudy:
     """Per-cycle decoupling error against the cycle time, with the fitted
     log-log slope (first-order decoupling gives slope 2)."""
+    make = {"eulerian": scenario.schedule, "bangbang": scenario.bangbang}.get(kind)
+    if make is None:
+        raise ValueError(f"kind must be 'eulerian' or 'bangbang', got {kind!r}")
     if drift is None:
         drift = scenario.generic_drift(env_dim=env_dim, seed=seed)
-    make = scenario.schedule if kind == "eulerian" else scenario.bangbang
     rows = []
     hbar = None
     for dt in delta_t_values:

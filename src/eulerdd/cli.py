@@ -90,29 +90,28 @@ def cmd_list(args) -> int:
 
 
 def _resolve(args) -> tuple:
-    if args.config:
-        cfg = io.load_config(args.config)
-    else:
-        cfg = RunConfig()
+    cfg = io.load_config(args.config) if args.config else RunConfig()
     if args.scenario:
         cfg.scenario = args.scenario
         cfg.inline = None
-    for key in ("cycles", "seed", "trials"):
+    for key in ("cycles", "seed", "trials", "out"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
-    if getattr(args, "delta_t", None):
-        vals = [float(tok) for tok in args.delta_t.split(",") if tok.strip()]
-        if not vals:
-            raise ConfigError("empty delta_t list")
-        cfg.delta_t = vals[0]
-        cfg.delta_t_list = vals
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    cfg.as_json = bool(getattr(args, "json", False))
+    if getattr(args, "delta_t", None) is not None:
+        cfg.delta_t = tuple(float(tok) for tok in args.delta_t.split(",")
+                            if tok.strip())
     cfg.validate()
-    scenario = io.scenario_from_config(cfg)
-    return scenario, cfg
+    return io.scenario_from_config(cfg), cfg
+
+
+def _write(text: str, out: str) -> None:
+    """``text`` into the file ``out``, or to standard output without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -120,9 +119,8 @@ def cmd_verify(args) -> int:
     checks = scenario_checks(scenario, cfg)
     summary = _summary_json(scenario.name, cfg, checks)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(summary)
-    if cfg.as_json:
+        _write(summary, cfg.out)
+    if args.json:
         sys.stdout.write(summary)
     else:
         for c in checks:
@@ -135,9 +133,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario, cfg = _resolve(args)
-    if not cfg.delta_t_list:
+    if cfg.delta_t is None:
         raise ConfigError("sweep needs --delta-t with one or more values")
-    study = scaling_study(scenario, cfg.delta_t_list, cycles=cfg.cycles,
+    study = scaling_study(scenario, cfg.delta_t, cycles=cfg.cycles,
                           env_dim=cfg.env_dim, seed=cfg.seed)
     lines = ["delta_t,cycle_time,cycles,distance"]
     for r in study.rows:
@@ -148,23 +146,16 @@ def cmd_sweep(args) -> int:
         lines.append("# slope omitted: need at least two delta_t values")
     if study.notice:
         lines.append(f"# notice: {study.notice}")
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
 def cmd_export_schedule(args) -> int:
     scenario, cfg = _resolve(args)
-    text = io.export_schedule(scenario, cfg.delta_t)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    delta_t = cfg.delta_t or (0.01,)
+    if len(delta_t) != 1:
+        raise ConfigError(f"export-schedule takes one delta_t, got {len(delta_t)}")
+    _write(io.export_schedule(scenario, delta_t[0]), cfg.out)
     return 0
 
 
@@ -179,30 +170,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--json", action="store_true")
     p_list.set_defaults(func=cmd_list)
 
-    def common(p):
+    def command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", help="built-in scenario name")
         p.add_argument("--config", help="YAML run configuration")
-        p.add_argument("--delta-t", dest="delta_t",
-                       help="sub-interval length(s), comma separated")
-        p.add_argument("--cycles", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
         p.add_argument("--out", help="output file path")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+        # export-schedule writes the same schedule for every seed; it takes
+        # --seed because perfbench/run.py passes it to every command
+        p.add_argument("--seed", type=int)
+        p.set_defaults(func=func)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run a scenario's checks")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="error-scaling sweep over delta_t")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_exp = sub.add_parser("export-schedule",
-                           help="emit the segment timeline of a schedule")
-    common(p_exp)
-    p_exp.set_defaults(func=cmd_export_schedule)
+    p_verify = command("verify", "run a scenario's checks", cmd_verify)
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--json", action="store_true",
+                          help="machine-readable output")
+    p_sweep = command("sweep", "error-scaling sweep over delta_t", cmd_sweep)
+    p_sweep.add_argument("--delta-t", help="sub-interval lengths, comma separated")
+    p_sweep.add_argument("--cycles", type=int)
+    p_export = command("export-schedule",
+                       "emit the segment timeline of a schedule",
+                       cmd_export_schedule)
+    p_export.add_argument("--delta-t", help="sub-interval length")
     return parser
 
 

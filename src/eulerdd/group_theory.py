@@ -226,9 +226,21 @@ class UnitaryRep:
         """Orthonormal (Hilbert-Schmidt) basis of span{g_j}."""
         return self._cached("algebra", lambda: _orthonormal_span(self.matrices))
 
+    def algebra_stack(self) -> tuple:
+        """``span_stack(self.algebra_basis())``, built once."""
+        return self._cached("algebra-stack", lambda: span_stack(self.algebra_basis()))
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.ravel()
+
+def span_stack(basis) -> tuple:
+    """Read-only (k, d*d) rows of a non-empty matrix basis, and their conjugate."""
+    B = np.array([b.ravel() for b in basis])
+    return _read_only(B), _read_only(B.conj())
+
+
+def span_distance(X: np.ndarray, B: np.ndarray, B_conj: np.ndarray) -> float:
+    """``subspace_distance`` from the ``span_stack`` (B, B_conj) of the basis."""
+    v = X.ravel()
+    return float(np.linalg.norm(v - B.T @ (B_conj @ v)))
 
 
 def subspace_distance(X: np.ndarray, basis) -> float:
@@ -236,9 +248,7 @@ def subspace_distance(X: np.ndarray, basis) -> float:
     basis; |X| for an empty basis."""
     if not basis:
         return float(np.linalg.norm(X))
-    B = np.array([_vec(b) for b in basis])
-    v = _vec(X)
-    return float(np.linalg.norm(v - B.T @ (B.conj() @ v)))
+    return span_distance(X, *span_stack(basis))
 
 
 def _orthonormal_span(mats, tol: float = 1e-10) -> list:

@@ -51,24 +51,21 @@ class RunConfig:
     scenario: str = None
     inline: dict = None
     n_qubits: int = None
-    delta_t: float = 0.01
-    delta_t_list: list = None
+    delta_t: tuple = None   # sub-interval lengths; None when none is given
     cycles: int = 10
     seed: int = 0
     trials: int = 20
     env_dim: int = 2
     out: str = None
-    as_json: bool = False
 
     def validate(self) -> None:
         if self.n_qubits is not None and self.n_qubits < 1:
             raise ConfigError("n_qubits must be >= 1")
         if self.env_dim < 1:
             raise ConfigError("env_dim must be >= 1")
-        if self.delta_t is not None and self.delta_t <= 0:
-            raise ConfigError("delta_t must be > 0")
-        if self.delta_t_list is not None and any(d <= 0 for d in self.delta_t_list):
-            raise ConfigError("all delta_t values must be > 0")
+        dts = self.delta_t
+        if dts is not None and not (dts and all(0 < d < math.inf for d in dts)):
+            raise ConfigError(f"delta_t must be finite values > 0, got {dts}")
         if self.cycles < 1:
             raise ConfigError("cycles must be >= 1")
         if self.trials < 1:
@@ -77,8 +74,8 @@ class RunConfig:
 
 # type of each scalar override; a value of another type is a ConfigError
 # here rather than a TypeError, or a silent truncation, later on
-_OVERRIDE_TYPES = {"delta_t": float, "cycles": int, "seed": int, "trials": int,
-                   "env_dim": int, "n_qubits": int}
+_OVERRIDE_TYPES = {"cycles": int, "seed": int, "trials": int, "env_dim": int,
+                   "n_qubits": int}
 
 
 def _typed(label: str, value, kind):
@@ -135,10 +132,11 @@ def load_config(path: str) -> RunConfig:
         if key in over:
             setattr(cfg, key, _typed(f"override {key}", over[key], kind))
     if "delta_t_list" in over:
-        values = over["delta_t_list"]
-        if not isinstance(values, list):
-            raise ConfigError("override delta_t_list must be a list")
-        cfg.delta_t_list = [_number("override delta_t_list", v) for v in values]
+        raise ConfigError("override delta_t_list is not read; give delta_t a list")
+    if "delta_t" in over:
+        dts = over["delta_t"]
+        cfg.delta_t = tuple(_number("override delta_t", v)
+                            for v in (dts if isinstance(dts, list) else [dts]))
     if "out" in doc:
         cfg.out = str(doc["out"])
     cfg.validate()
@@ -157,11 +155,11 @@ def _entries(doc: dict, key: str, kind=dict, where: str = "") -> list:
     return value
 
 
-def _profile_from_doc(gen: int, rep, doc: dict, delta_t: float, where: str):
-    units = doc.get("units", "per_delta_t")
-    if units not in ("per_delta_t", "absolute"):
-        raise ConfigError(f"{where}.units must be 'per_delta_t' or 'absolute'")
-    scale = delta_t if units == "absolute" else 1.0
+def _profile_from_doc(gen: int, rep, doc: dict, where: str):
+    """The profile of an inline ``profiles`` entry, in angle rates h * delta_t."""
+    if "units" in doc:
+        raise ConfigError(f"{where}.units is not read: segment rates are "
+                          f"angle rates h * delta_t")
     if "axis" in doc:
         return constant_profile(gen, rep, _field(doc, where, "axis", _matrix))
     if "segments" in doc:
@@ -169,7 +167,7 @@ def _profile_from_doc(gen: int, rep, doc: dict, delta_t: float, where: str):
         for j, seg in enumerate(_entries(doc, "segments", where=where)):
             at = f"{where}.segments[{j}]"
             segs.append((_field(seg, at, "fraction", _number),
-                         scale * _field(seg, at, "rate", _matrix)))
+                         _field(seg, at, "rate", _matrix)))
         return piecewise_profile(gen, rep, segs)
     raise ConfigError(f"{where} needs an 'axis' or 'segments' entry")
 
@@ -206,8 +204,7 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
         str(doc.get("description", "inline scenario")),
         _integer("n_qubits", doc.get("n_qubits", 0)),
         _generators(doc),
-        [partial(_profile_from_doc, doc=pdoc, delta_t=cfg.delta_t,
-                 where=f"profiles[{i}]")
+        [partial(_profile_from_doc, doc=pdoc, where=f"profiles[{i}]")
          for i, pdoc in enumerate(_entries(doc, "profiles"))],
         path_colors=_entries(doc, "path", int) if "path" in doc else None,
         noise_generators=noise)

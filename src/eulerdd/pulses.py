@@ -16,7 +16,7 @@ import numpy as np
 
 from .cayley import EulerPath
 from .group_theory import (UnitaryRep, _read_only, align_phase, is_hermitian,
-                           subspace_distance)
+                           span_distance)
 
 REALIZATION_TOL = 1e-9
 ALGEBRA_TOL = 1e-10
@@ -114,8 +114,8 @@ def _check_realization(profile: PulseProfile, tol=REALIZATION_TOL):
 
 
 def _in_algebra(segments, rep: UnitaryRep, tol=ALGEBRA_TOL) -> bool:
-    basis = rep.algebra_basis()
-    return all(subspace_distance(rate, basis) <= tol * max(np.linalg.norm(rate), 1.0)
+    stack = rep.algebra_stack()
+    return all(span_distance(rate, *stack) <= tol * max(np.linalg.norm(rate), 1.0)
                for _, rate in segments)
 
 
@@ -123,9 +123,11 @@ def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> Pulse
     """Single-segment profile: constant Hamiltonian along ``axis`` realizing
     the generator.  The amplitude is the smallest non-negative angle theta
     with exp(-i theta axis) equal to the target up to phase; the physical
-    amplitude is theta / delta_t.
+    amplitude is theta / delta_t.  A non-Hermitian axis is refused.
     """
     axis = np.asarray(axis, dtype=complex)
+    if not is_hermitian(axis):
+        raise ValueError("axis must be a Hermitian matrix")
     target = rep.matrices[generator]
     d = target.shape[0]
     if np.linalg.norm(target - np.eye(d)) <= rep.phase_tolerance:
@@ -138,28 +140,25 @@ def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> Pulse
         raise UnreachableGeneratorError(
             "unreachable generator along axis: target not diagonal in axis eigenbasis")
     t = np.diag(diag_target)
-    # candidate angles from one pair of distinct axis eigenvalues, all branches
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)
-             if abs(evals[i] - evals[j]) > 1e-12]
-    if not pairs:
+    # candidate angles from one pair of distinct axis eigenvalues, all
+    # branches; eigh sorts the eigenvalues, so the first such pair is (0, j)
+    j = int(np.argmax(evals - evals[0] > 1e-12))
+    if j == 0:
         raise UnreachableGeneratorError(
             "unreachable generator along axis: axis is a multiple of identity")
-    i, j = pairs[0]
-    gap = evals[i] - evals[j]
-    base = -np.angle(t[i] / t[j]) / gap
+    gap = evals[0] - evals[j]
+    base = -np.angle(t[0] / t[j]) / gap
     period = 2.0 * np.pi / abs(gap)
-    best = None
-    for n in range(-8, 9):
+    for n in range(-8, 9):    # theta grows with n: the first fit is the smallest
         theta = base + n * period
         if theta < -1e-12:
             continue
         u = evecs @ np.diag(np.exp(-1j * theta * evals)) @ evecs.conj().T
         if phase_distance(target, u) <= REALIZATION_TOL:
-            if best is None or theta < best:
-                best = theta
-    if best is None:
+            break
+    else:
         raise UnreachableGeneratorError("unreachable generator along axis")
-    segments = [(1.0, best * axis)]
+    segments = [(1.0, theta * axis)]
     return PulseProfile(generator=generator, segments=segments, target=target,
                         in_algebra=_in_algebra(segments, rep))
 

@@ -58,6 +58,15 @@ class TestBuiltinScenarios:
         with pytest.raises(ValueError):
             get_scenario(name, 0)
 
+    @pytest.mark.parametrize("name,size", [("carr-purcell", 1),
+                                           ("symmetric-s3", 3)])
+    def test_one_size_scenario_refuses_other_sizes(self, name, size):
+        assert get_scenario(name, size).n_qubits == size
+        assert get_scenario(name).n_qubits == size
+        for n in (size - 1, size + 1, 5):
+            with pytest.raises(ValueError, match="n_qubits"):
+                get_scenario(name, n)
+
     def test_builtin_checks_belong_to_their_scenario(self):
         rng = np.random.default_rng(0)
         for sc in builtin_scenarios():
@@ -201,6 +210,11 @@ class TestScalingStudy:
         assert sorted(r.distance for r in study.rows) == sorted(
             dynamics.decoupling_distance(drift, make(dt))
             for dt in (0.02, 0.01, 0.005))
+
+    @pytest.mark.parametrize("kind", ["eulerain", "", None])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(ValueError, match="kind"):
+            scaling_study(carr_purcell_scenario(), [0.02, 0.01], kind=kind)
 
     def test_bangbang_also_slope_two(self):
         sc = carr_purcell_scenario()

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from eulerdd import analysis, group_theory
-from eulerdd.cli import main
+from eulerdd.cli import build_parser, main
+from eulerdd.io import ConfigError
 
 
 def run(capsys, *argv):
@@ -46,12 +47,6 @@ class TestVerify:
 
     def test_unknown_scenario_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--scenario", "nope")
-        assert code == 2
-        assert "error:" in err
-
-    def test_negative_delta_t_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--scenario", "carr-purcell",
-                           "--delta-t", "-1")
         assert code == 2
         assert "error:" in err
 
@@ -231,6 +226,22 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
+    def test_negative_delta_t_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--scenario", "carr-purcell",
+                           "--delta-t", "-1")
+        assert code == 2
+        assert "error:" in err
+
+    def test_config_delta_t_list_matches_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario: carr-purcell\noverrides:\n"
+                       "  delta_t: [0.02, 0.01]\n")
+        from_config = run(capsys, "sweep", "--config", str(cfg))
+        from_flag = run(capsys, "sweep", "--scenario", "carr-purcell",
+                        "--delta-t", "0.02,0.01")
+        assert from_config[0] == 0
+        assert from_config == from_flag
+
 
 class TestExportSchedule:
     def test_round_trip_via_files(self, capsys, tmp_path):
@@ -252,3 +263,54 @@ class TestExportSchedule:
         assert doc["kind"] == "eulerian"
         assert doc["delta_t"] == 0.05
         assert len(doc["timeline"]) == 2
+
+
+def test_config_delta_t_drives_sweep_and_export(capsys, tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario: carr-purcell\noverrides:\n  delta_t: 0.005\n")
+    for command in ("sweep", "export-schedule"):
+        from_config = run(capsys, command, "--config", str(cfg))
+        from_flag = run(capsys, command, "--scenario", "carr-purcell",
+                        "--delta-t", "0.005")
+        assert from_config[0] == 0
+        assert from_config == from_flag
+    # the exported schedule, not one at the 0.01 default
+    assert "delta_t: 0.005" in from_config[1]
+
+
+def test_export_schedule_takes_one_delta_t():
+    args = build_parser().parse_args(["export-schedule", "--scenario",
+                                      "carr-purcell", "--delta-t", "0.02,0.01"])
+    with pytest.raises(ConfigError, match="delta_t"):
+        args.func(args)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("verify", "--delta-t 0.01"), ("verify", "--cycles 3"),
+    ("sweep", "--trials 5"), ("sweep", "--json"),
+    ("export-schedule", "--cycles 3"), ("export-schedule", "--trials 5"),
+    ("export-schedule", "--json"),
+])
+def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--scenario", "carr-purcell", *flag.split()])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert f"error: unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("body,message", [
+    ("scenario: carr-purcell\noverrides:\n  n_qubits: 5\n", "n_qubits"),
+    ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
+     % (SX_DOC, "{dim: [2, 2], data: [[0, 0], [1.3, 0], [1, 0], [0, 0]]}"),
+     "Hermitian"),
+], ids=["carr-purcell-n5", "non-hermitian-axis"])
+def test_refused_config_exits_2(capsys, tmp_path, body, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(body)
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    line = next(l for l in err.splitlines() if l.startswith("error:"))
+    assert message in line
+    assert "Traceback" not in err

@@ -395,6 +395,20 @@ class TestStackedRep:
         cen.clear()
         assert len(center_basis(rep)) == size
 
+    def test_algebra_stack_built_once(self, monkeypatch):
+        # every profile's in-algebra check reads the one stack
+        real, builds = group_theory.span_stack, []
+        monkeypatch.setattr(group_theory, "span_stack",
+                            lambda basis: builds.append(1) or real(basis))
+        rep = get_scenario("pauli", 2).rep
+        stack = rep.algebra_stack()
+        assert builds == [1] and stack is rep.algebra_stack()
+        assert not any(a.flags.writeable for a in stack)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert (group_theory.span_distance(X, *stack)
+                == subspace_distance(X, rep.algebra_basis()))
+
     def test_irreps_cached_per_seed_and_cluster_tol(self, monkeypatch):
         rep = get_scenario("symmetric-s3", None).rep
         builds = []

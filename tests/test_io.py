@@ -36,8 +36,9 @@ class TestRunConfig:
         RunConfig().validate()
 
     @pytest.mark.parametrize("field,value", [
-        ("delta_t", -0.1), ("delta_t", 0.0), ("cycles", 0), ("trials", 0),
-        ("env_dim", 0), ("n_qubits", 0),
+        pytest.param("delta_t", (-0.1,), id="delta_t--0.1"),
+        pytest.param("delta_t", (0.0,), id="delta_t-0.0"),
+        ("cycles", 0), ("trials", 0), ("env_dim", 0), ("n_qubits", 0),
     ])
     def test_rejects_bad_values(self, field, value):
         cfg = RunConfig()
@@ -51,7 +52,7 @@ class TestRunConfig:
                      "overrides:\n  delta_t: 0.02\n  seed: 7\n")
         cfg = load_config(str(p))
         assert cfg.scenario == "carr-purcell"
-        assert cfg.delta_t == 0.02
+        assert cfg.delta_t == (0.02,)
         assert cfg.seed == 7
 
     @pytest.mark.parametrize("override", [
@@ -65,6 +66,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    @pytest.mark.parametrize("text,values", [
+        ("0.02", (0.02,)), ("[0.02, 0.01]", (0.02, 0.01)), ("[1]", (1.0,)),
+    ])
+    def test_delta_t_override_is_a_number_or_a_list(self, tmp_path, text, values):
+        p = tmp_path / "run.yaml"
+        p.write_text(f"scenario: pauli\noverrides:\n  delta_t: {text}\n")
+        assert load_config(str(p)).delta_t == values
+
+    @pytest.mark.parametrize("override", [
+        "delta_t_list: [0.02, 0.01]", "delta_t: []", "delta_t: [0.02, -0.01]",
+    ])
+    def test_delta_t_refusals_name_delta_t(self, tmp_path, override):
+        p = tmp_path / "run.yaml"
+        p.write_text(f"scenario: pauli\noverrides:\n  {override}\n")
+        with pytest.raises(ConfigError, match="delta_t"):
+            load_config(str(p))
+
     def test_load_rejects_non_mapping_overrides(self, tmp_path):
         p = tmp_path / "run.yaml"
         p.write_text("scenario: pauli\noverrides: [1, 2]\n")
@@ -76,8 +94,8 @@ class TestRunConfig:
         p.write_text("scenario: pauli\n"
                      "overrides:\n  cycles: 3.0\n  delta_t: 1\n  n_qubits: 2\n")
         cfg = load_config(str(p))
-        assert (cfg.cycles, cfg.delta_t, cfg.n_qubits) == (3, 1.0, 2)
-        assert isinstance(cfg.cycles, int) and isinstance(cfg.delta_t, float)
+        assert (cfg.cycles, cfg.delta_t, cfg.n_qubits) == (3, (1.0,), 2)
+        assert isinstance(cfg.cycles, int) and isinstance(cfg.delta_t[0], float)
 
     def test_old_verbosity_override_is_ignored(self, tmp_path):
         p = tmp_path / "run.yaml"
@@ -140,17 +158,25 @@ class TestInlineScenario:
         with pytest.raises(ConfigError, match=key):
             scenario_from_config(RunConfig(inline=doc))
 
-    def test_segment_profile_with_absolute_units(self):
-        cfg = RunConfig(delta_t=0.5, inline={
+    def test_profile_units_key_is_refused(self):
+        # rates are angle rates h * delta_t: a profile never depends on delta_t
+        cfg = RunConfig(delta_t=(0.5,), inline={
             "generators": [encode_matrix(SX)],
             "profiles": [{"units": "absolute",
                           "segments": [{"fraction": 1.0,
                                         "rate": encode_matrix(np.pi * SX)}]}],
         })
-        sc = scenario_from_config(cfg)
-        # pi*sx absolute over delta_t=0.5 gives a pi/2 rotation angle
-        np.testing.assert_allclose(sc.profiles[0].segments[0][1],
-                                   (np.pi / 2) * SX, atol=1e-12)
+        with pytest.raises(ConfigError, match=re.escape("profiles[0].units")):
+            scenario_from_config(cfg)
+
+    def test_inline_scenario_reads_no_delta_t(self):
+        doc = {"generators": [X],
+               "profiles": [{"segments": [{"fraction": 1.0,
+                                           "rate": encode_matrix(np.pi / 2 * SX)}]}]}
+        rates = [scenario_from_config(RunConfig(delta_t=dt, inline=doc))
+                 .profiles[0].segments[0][1] for dt in (None, (0.5,), (0.25, 0.5))]
+        for rate in rates:
+            np.testing.assert_array_equal(rate, (np.pi / 2) * SX)
 
 
 class TestFaultDocs:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from eulerdd import pulses
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
-                              pauli_scenario, swap_gate, symmetric_s3_scenario)
+                              pauli_scenario, spin_flip_scenario, swap_gate,
+                              symmetric_s3_scenario)
 from eulerdd.group_theory import close_group, equal_up_to_phase
 from eulerdd.pulses import (FaultModel, GridMismatchError,
                             IncompleteProfileSetError, RealizationError,
@@ -44,6 +46,36 @@ class TestConstantProfile:
         group, rep = close_group([SX])
         with pytest.raises(UnreachableGeneratorError):
             constant_profile(group.generators[0], rep, SZ)
+
+
+    def test_non_hermitian_axis_refused_before_eigh(self, monkeypatch):
+        group, rep = close_group([SX])
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh ran"))
+        axis = np.array([[0, 1.3], [1, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            constant_profile(group.generators[0], rep, axis)
+
+    @pytest.mark.parametrize("make", [carr_purcell_scenario, pauli_scenario,
+                                      lambda: spin_flip_scenario(3)],
+                             ids=["carr-purcell", "pauli", "spin-flip-3"])
+    def test_first_realizing_angle_is_taken(self, make, monkeypatch):
+        # the candidate angles grow, so the first that realizes the target
+        # is the smallest and no later one is tried
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return phase_distance(a, b)
+
+        sc = make()
+        monkeypatch.setattr(pulses, "phase_distance", counted)
+        for prof in sc.profiles.values():
+            calls.clear()
+            again = constant_profile(prof.generator, sc.rep, prof.segments[0][1]
+                                     / np.linalg.norm(prof.segments[0][1]))
+            assert calls == [1]
+            np.testing.assert_allclose(again.segments[0][1], prof.segments[0][1],
+                                       atol=1e-12)
 
 
 class TestPiecewiseProfile:

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, io
-from .analysis import (check_result, max_norm, random_hermitian,
+from .analysis import (bound_check, check_result, max_norm, random_hermitian,
                        scaling_study, verify_theorem)
 from .cayley import validate_path
 from .dynamics import q_map
@@ -38,14 +38,14 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
         ok, diag = validate_path(scenario.graph, scenario.reference_path)
         checks.append(check_result("reference-path-valid", ok, diag, "ok"))
 
-    rep_report = verify_theorem(scenario, trials=cfg.trials, tol=1e-7,
-                                seed=cfg.seed)
+    rep_report = verify_theorem(scenario, trials=cfg.trials, seed=cfg.seed)
     if rep_report.skipped:
-        checks.append(check_result("symmetrization", True, "skipped", 1e-7,
+        checks.append(check_result("symmetrization", True, "skipped",
+                                   rep_report.tolerance,
                                    "hypothesis failed: profiles leave the algebra"))
     else:
-        checks.append(check_result("symmetrization", rep_report.passed,
-                                   rep_report.max_deviation, rep_report.tolerance))
+        checks.append(bound_check("symmetrization", rep_report.max_deviation,
+                                  rep_report.tolerance))
 
     mats = rep.stacked()[0]
     worst_idem, worst_comm = 0.0, 0.0
@@ -55,10 +55,8 @@ def scenario_checks(scenario, cfg: RunConfig) -> list:
         worst_idem = max(worst_idem, float(np.linalg.norm(pi_G(rep, p) - p)))
         q = q_map(rep, scenario.profiles, X)
         worst_comm = max(worst_comm, max_norm(q @ mats - mats @ q))
-    checks.append(check_result("projector-idempotent", worst_idem <= 1e-10,
-                               worst_idem, 1e-10))
-    checks.append(check_result("qmap-commutant-valued", worst_comm <= 1e-9,
-                               worst_comm, 1e-9))
+    checks.append(bound_check("projector-idempotent", worst_idem, 1e-10))
+    checks.append(bound_check("qmap-commutant-valued", worst_comm, 1e-9))
 
     for check in scenario.checks:
         checks.extend(check(scenario, rng, cfg.seed))
@@ -99,8 +97,12 @@ def _resolve(args) -> tuple:
         if v is not None:
             setattr(cfg, key, v)
     if getattr(args, "delta_t", None) is not None:
-        cfg.delta_t = tuple(float(tok) for tok in args.delta_t.split(",")
-                            if tok.strip())
+        try:
+            cfg.delta_t = tuple(float(tok) for tok in args.delta_t.split(",")
+                                if tok.strip())
+        except ValueError:
+            raise ConfigError(f"--delta-t must be numbers separated by commas, "
+                              f"got {args.delta_t!r}") from None
     cfg.validate()
     return io.scenario_from_config(cfg), cfg
 

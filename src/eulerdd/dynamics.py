@@ -20,9 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .group_theory import UnitaryRep, _read_only, is_hermitian, pi_G
+from .group_theory import (UnitaryRep, _read_only, is_hermitian, phase_distance,
+                           pi_G)
 from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_herm,
-                     merged_segments, phase_distance)
+                     merged_segments)
 
 
 class TimeOutOfRangeError(ValueError):

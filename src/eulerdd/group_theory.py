@@ -3,8 +3,9 @@ algebraic structure used by decoupling: group-average projector, commutant,
 center, and irreducible block decomposition.
 
 All equality tests between represented elements are "equal up to a global
-phase"; phases are fixed by the entry of largest modulus so no explicit
-factor system is ever stored.
+phase", by the distance after the optimal phase (``phase_distance``); stored
+elements have their phase fixed by the entry of largest modulus, so no
+explicit factor system is ever stored.
 """
 
 from __future__ import annotations
@@ -59,19 +60,22 @@ def fix_phase(m: np.ndarray) -> np.ndarray:
     return m / (pick / np.hypot(pick.real, pick.imag))
 
 
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
-    if a.shape != b.shape:
-        return False
-    scale = max(np.linalg.norm(a), 1.0)
-    return np.linalg.norm(fix_phase(a) - fix_phase(b)) <= tol * scale
-
-
 def align_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Return b multiplied by the unit phase maximizing |tr(a† b)| overlap."""
     ov = np.trace(a.conj().T @ b)
     if abs(ov) < 1e-300:
         return b
     return b * (ov.conjugate() / abs(ov))
+
+
+def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius distance after optimal global-phase alignment."""
+    return float(np.linalg.norm(a - align_phase(a, b)))
+
+
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
+    """``phase_distance(a, b)`` within ``tol`` times max(|a|, 1)."""
+    return a.shape == b.shape and phase_distance(a, b) <= tol * max(np.linalg.norm(a), 1.0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -222,42 +226,32 @@ class UnitaryRep:
             return _read_only(mats), _read_only(adjs)
         return self._cached("stack", build)
 
-    def algebra_basis(self) -> list:
-        """Orthonormal (Hilbert-Schmidt) basis of span{g_j}."""
+    def algebra_basis(self) -> np.ndarray:
+        """Orthonormal (Hilbert-Schmidt) basis of span{g_j}, as a read-only
+        (k, d, d) stack built once."""
         return self._cached("algebra", lambda: _orthonormal_span(self.matrices))
-
-    def algebra_stack(self) -> tuple:
-        """``span_stack(self.algebra_basis())``, built once."""
-        return self._cached("algebra-stack", lambda: span_stack(self.algebra_basis()))
-
-
-def span_stack(basis) -> tuple:
-    """Read-only (k, d*d) rows of a non-empty matrix basis, and their conjugate."""
-    B = np.array([b.ravel() for b in basis])
-    return _read_only(B), _read_only(B.conj())
-
-
-def span_distance(X: np.ndarray, B: np.ndarray, B_conj: np.ndarray) -> float:
-    """``subspace_distance`` from the ``span_stack`` (B, B_conj) of the basis."""
-    v = X.ravel()
-    return float(np.linalg.norm(v - B.T @ (B_conj @ v)))
 
 
 def subspace_distance(X: np.ndarray, basis) -> float:
     """Hilbert-Schmidt distance of X from the span of an orthonormal matrix
-    basis; |X| for an empty basis."""
-    if not basis:
+    basis (a (k, d, d) stack or a sequence of d x d matrices); |X| for an
+    empty basis.  The vector, not the basis, is conjugated: conj(B conj(v))
+    has the bits of conj(B) v without a conjugated copy of the basis."""
+    if len(basis) == 0:
         return float(np.linalg.norm(X))
-    return span_distance(X, *span_stack(basis))
+    B = np.reshape(basis, (len(basis), -1))
+    v = X.ravel()
+    return float(np.linalg.norm(v - B.T @ np.conj(B @ np.conj(v))))
 
 
-def _orthonormal_span(mats, tol: float = 1e-10) -> list:
-    """Orthonormalize a list of matrices in the Hilbert-Schmidt inner product."""
+def _orthonormal_span(mats, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormalize matrices in the Hilbert-Schmidt inner product; a
+    read-only (rank, d, d) stack."""
     d = mats[0].shape[0]
     stack = np.asarray(mats).reshape(len(mats), d * d)
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return [vh[k].reshape(d, d) for k in range(rank)]
+    return _read_only(vh[:rank].reshape(rank, d, d))
 
 
 def close_group(generator_matrices, max_order: int = 512,
@@ -409,7 +403,7 @@ def commutant_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
     return [evecs[:, k].reshape(d, d) for k in np.flatnonzero(null)]
 
 
-def center_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
+def center_basis(rep: UnitaryRep, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the center: group algebra ∩ commutant.
 
     Spanned by the twisted class sums pi_G(g), g in G: pi_G maps span{g}
@@ -417,20 +411,14 @@ def center_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
     element of the commutant, so its image of the algebra is exactly the
     algebra ∩ commutant.  Costs |G|^2 products of d x d matrices and an
     SVD of a |G| x d^2 stack, once per representation and ``tol``; the
-    basis matrices are read-only and shared by later calls.
+    basis is a read-only (k, d, d) stack shared by later calls.
     """
-    return list(rep._cached(("center", tol), lambda: _center_basis(rep, tol)))
+    return rep._cached(("center", tol), lambda: _center_basis(rep, tol))
 
 
-def _center_basis(rep: UnitaryRep, tol: float) -> tuple:
+def _center_basis(rep: UnitaryRep, tol: float) -> np.ndarray:
     mats, adjs = rep.stacked()
-    # every class sum at once, one group element h per step: the terms
-    # (h† g) h are added in element order, as pi_G(rep, g) adds them
-    sums = np.zeros_like(mats)
-    for h, h_adj in zip(mats, adjs):
-        sums += (h_adj @ mats) @ h
-    sums /= len(mats)
-    return tuple(_read_only(b) for b in _orthonormal_span(sums, tol))
+    return _orthonormal_span([_average(mats, adjs, g) for g in mats], tol)
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,15 @@ def _path(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _known(doc: dict, where: str, keys) -> None:
+    """A ConfigError naming the key path of the first key of ``doc`` that is
+    not in ``keys``: a misspelt key would otherwise change nothing."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{_path(where, str(key))} is not a known key; "
+                              f"known: {', '.join(keys)}")
+
+
 def _field(doc: dict, where: str, key: str, read):
     """``read(path, doc[key])`` with ``path = _path(where, key)``; a missing
     key is a ConfigError naming that path."""
@@ -119,6 +128,7 @@ def load_config(path: str) -> RunConfig:
         doc = yaml.load(fh, Loader=_LOADER) or {}
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
+    _known(doc, "", ("scenario", "overrides", "out"))
     cfg = RunConfig()
     sc = doc.get("scenario")
     if isinstance(sc, dict):
@@ -128,11 +138,12 @@ def load_config(path: str) -> RunConfig:
     over = doc.get("overrides") or {}
     if not isinstance(over, dict):
         raise ConfigError("overrides must be a mapping")
+    if "delta_t_list" in over:
+        raise ConfigError("override delta_t_list is not read; give delta_t a list")
+    _known(over, "overrides", (*_OVERRIDE_TYPES, "delta_t"))
     for key, kind in _OVERRIDE_TYPES.items():
         if key in over:
             setattr(cfg, key, _typed(f"override {key}", over[key], kind))
-    if "delta_t_list" in over:
-        raise ConfigError("override delta_t_list is not read; give delta_t a list")
     if "delta_t" in over:
         dts = over["delta_t"]
         cfg.delta_t = tuple(_number("override delta_t", v)
@@ -160,16 +171,25 @@ def _profile_from_doc(gen: int, rep, doc: dict, where: str):
     if "units" in doc:
         raise ConfigError(f"{where}.units is not read: segment rates are "
                           f"angle rates h * delta_t")
+    _known(doc, where, ("axis", "segments"))
+    if "axis" in doc and "segments" in doc:
+        raise ConfigError(f"{where} has both 'axis' and 'segments'; give one")
     if "axis" in doc:
-        return constant_profile(gen, rep, _field(doc, where, "axis", _matrix))
-    if "segments" in doc:
-        segs = []
+        key, build, value = ("axis", constant_profile,
+                             _field(doc, where, "axis", _matrix))
+    elif "segments" in doc:
+        key, build, value = "segments", piecewise_profile, []
         for j, seg in enumerate(_entries(doc, "segments", where=where)):
             at = f"{where}.segments[{j}]"
-            segs.append((_field(seg, at, "fraction", _number),
-                         _field(seg, at, "rate", _matrix)))
-        return piecewise_profile(gen, rep, segs)
-    raise ConfigError(f"{where} needs an 'axis' or 'segments' entry")
+            _known(seg, at, ("fraction", "rate"))
+            value.append((_field(seg, at, "fraction", _number),
+                          _field(seg, at, "rate", _matrix)))
+    else:
+        raise ConfigError(f"{where} needs an 'axis' or 'segments' entry")
+    try:
+        return build(gen, rep, value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from exc
 
 
 def _generators(doc: dict) -> list:
@@ -193,11 +213,15 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
             raise ConfigError("no scenario given")
         return analysis.get_scenario(cfg.scenario, cfg.n_qubits)
     doc = cfg.inline
+    _known(doc, "scenario", ("name", "description", "n_qubits", "generators",
+                             "profiles", "path", "noise_generators"))
     if "generators" not in doc:
         raise ConfigError("inline scenario needs 'generators'")
-    noise = tuple((nd.get("name", f"s{i}"),
-                   _field(nd, f"noise_generators[{i}]", "matrix", _matrix))
-                  for i, nd in enumerate(_entries(doc, "noise_generators")))
+    noise = []
+    for i, nd in enumerate(_entries(doc, "noise_generators")):
+        _known(nd, f"noise_generators[{i}]", ("name", "matrix"))
+        noise.append((nd.get("name", f"s{i}"),
+                      _field(nd, f"noise_generators[{i}]", "matrix", _matrix)))
     return _build(
         "inline scenario",
         str(doc.get("name", "custom")),
@@ -303,26 +327,60 @@ def import_schedule(text: str):
     def hamiltonian(path, hid):
         if not isinstance(hid, str) or hid not in hams:
             raise ConfigError(f"{path} names no entry of hamiltonians: {hid!r}")
-        return hams[hid]
+        return hid
 
-    # one profile per color, read from its first sub-interval
-    rows_of = {}
+    # (k, sub_interval, color, (duration, amplitude, hamiltonian)) per row
+    rows = []
     for k, row in enumerate(_entries(doc, "timeline")):
         at = f"timeline[{k}]"
-        rows_of.setdefault(_field(row, at, "sub_interval", _integer), []).append(
-            (_field(row, at, "color", _integer),
-             _field(row, at, "duration", _number) / delta_t,
-             _field(row, at, "amplitude", _number) * delta_t
-             * _field(row, at, "hamiltonian", hamiltonian)))
-    segments = {}
-    for _, rows in sorted(rows_of.items()):
-        color = rows[0][0]
-        if color not in segments:
-            segments[color] = [(frac, rate) for _, frac, rate in rows]
+        rows.append((k, _field(row, at, "sub_interval", _integer),
+                     _field(row, at, "color", _integer),
+                     (_field(row, at, "duration", _number),
+                      _field(row, at, "amplitude", _number),
+                      _field(row, at, "hamiltonian", hamiltonian))))
+    # one profile per color, read from the rows of its first sub-interval
+    first, segments = {}, {}
+    for _, ell, color, (dur, amp, hid) in rows:
+        if first.setdefault(color, ell) == ell:
+            segments.setdefault(color, []).append(
+                (dur / delta_t, amp * delta_t * hams[hid]))
     scenario = _build(
         "schedule file", "imported", "imported schedule", 0,
         _generators(doc),
         [partial(piecewise_profile, segments=segments[c])
          for c in sorted(segments)],
         path_colors=_entries(doc, "path", int))
+    _check_timeline(rows, scenario.path.colors)
     return scenario.schedule(delta_t)
+
+
+def _check_timeline(rows, path) -> None:
+    """Refuse timeline ``rows`` (as ``import_schedule`` reads them) that
+    disagree with ``path``: rows must run through sub-intervals 0..L-1 in
+    order, each row's color must be ``path[l]``, and each later sub-interval
+    of a color must repeat the (duration, amplitude, hamiltonian) rows of
+    its first, as ``export_schedule`` writes them.  The ConfigError names
+    the first offending row."""
+    subs = []   # (l, [(k, segment row), ...]) in time order
+    for k, ell, color, seg in rows:
+        at = f"timeline[{k}]"
+        last = len(subs) - 1
+        if ell not in (last, last + 1) or not 0 <= ell < len(path):
+            raise ConfigError(f"{at}.sub_interval is {ell}; rows must run "
+                              f"through sub-intervals 0..{len(path) - 1} in order")
+        if ell > last:
+            subs.append((ell, []))
+        if color != path[ell]:
+            raise ConfigError(f"{at}.color is {color}, but path[{ell}] is {path[ell]}")
+        subs[-1][1].append((k, seg))
+    if len(subs) < len(path):
+        raise ConfigError(f"timeline[{len(rows)}] is missing: sub-interval "
+                          f"{len(subs)} has no rows")
+    first = {}
+    for ell, segs in subs:
+        ref = first.setdefault(path[ell], segs)
+        if [seg for _, seg in segs] != [seg for _, seg in ref]:
+            k = next((k for (k, seg), (_, want) in zip(segs, ref) if seg != want),
+                     segs[-1][0])
+            raise ConfigError(f"timeline[{k}] does not repeat the rows of color "
+                              f"{path[ell]} from timeline[{ref[0][0]}]")

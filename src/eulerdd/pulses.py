@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .cayley import EulerPath
-from .group_theory import (UnitaryRep, _read_only, align_phase, is_hermitian,
-                           span_distance)
+from .group_theory import (UnitaryRep, _read_only, is_hermitian, phase_distance,
+                           subspace_distance)
 
 REALIZATION_TOL = 1e-9
 ALGEBRA_TOL = 1e-10
@@ -46,11 +46,6 @@ def _expm_eig(evals: np.ndarray, evecs: np.ndarray, scale: float = 1.0) -> np.nd
 def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * H) for Hermitian H via eigendecomposition."""
     return _expm_eig(*np.linalg.eigh(H), scale)
-
-
-def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance after optimal global-phase alignment."""
-    return float(np.linalg.norm(a - align_phase(a, b)))
 
 
 @dataclass
@@ -114,8 +109,8 @@ def _check_realization(profile: PulseProfile, tol=REALIZATION_TOL):
 
 
 def _in_algebra(segments, rep: UnitaryRep, tol=ALGEBRA_TOL) -> bool:
-    stack = rep.algebra_stack()
-    return all(span_distance(rate, *stack) <= tol * max(np.linalg.norm(rate), 1.0)
+    basis = rep.algebra_basis()
+    return all(subspace_distance(rate, basis) <= tol * max(np.linalg.norm(rate), 1.0)
                for _, rate in segments)
 
 
@@ -153,8 +148,7 @@ def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> Pulse
         theta = base + n * period
         if theta < -1e-12:
             continue
-        u = evecs @ np.diag(np.exp(-1j * theta * evals)) @ evecs.conj().T
-        if phase_distance(target, u) <= REALIZATION_TOL:
+        if phase_distance(target, _expm_eig(evals, evecs, theta)) <= REALIZATION_TOL:
             break
     else:
         raise UnreachableGeneratorError("unreachable generator along axis")

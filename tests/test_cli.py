@@ -314,3 +314,64 @@ def test_refused_config_exits_2(capsys, tmp_path, body, message):
     line = next(l for l in err.splitlines() if l.startswith("error:"))
     assert message in line
     assert "Traceback" not in err
+
+
+def assert_refused(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    line = next(l for l in err.splitlines() if l.startswith("error:"))
+    assert message in line
+    assert "Traceback" not in err
+
+
+INLINE_SX = "  generators: [%s]\n  profiles: [{axis: %s}]\n" % (SX_DOC, SX_DOC)
+
+
+@pytest.mark.parametrize("body,path", [
+    ("scenario: carr-purcell\nouts: run.json\n", "outs"),
+    ("scenario: carr-purcell\noverrides:\n  cycle: 3\n", "overrides.cycle"),
+    ("scenario:\n" + INLINE_SX + "  pathh: [0, 0]\n", "scenario.pathh"),
+    ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s, speed: 2}]\n"
+     % (SX_DOC, SX_DOC), "profiles[0].speed"),
+    ("scenario:\n  generators: [%s]\n  profiles: [{segments: [{fraction: 1.0, "
+     "rate: %s, shape: flat}]}]\n" % (SX_DOC, SX_DOC),
+     "profiles[0].segments[0].shape"),
+    ("scenario:\n" + INLINE_SX + "  noise_generators: [{nmae: a, matrix: %s}]\n"
+     % SX_DOC, "noise_generators[0].nmae"),
+], ids=["top", "overrides", "inline", "profile", "segment", "noise-generator"])
+def test_unknown_config_key_exits_2_naming_its_path(capsys, tmp_path, body, path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(body)
+    assert_refused(capsys, ["sweep", "--config", str(cfg), "--delta-t", "0.01"],
+                   f"{path} is not a known key")
+
+
+@pytest.mark.parametrize("profile,path", [
+    ("{axis: {dim: [2, 2], data: [[0, 0], [1.3, 0], [1, 0], [0, 0]]}}",
+     "profiles[0].axis: axis must be a Hermitian matrix"),
+    ("{segments: [{fraction: 1.0, rate: {dim: [2, 2], data: [[0, 0], [1.3, 0], "
+     "[1, 0], [0, 0]]}}]}",
+     "profiles[0].segments: segment Hamiltonians must be Hermitian"),
+    ("{segments: [{fraction: 1.0, rate: %s}]}" % SX_DOC,
+     "profiles[0].segments: profile does not implement generator"),
+], ids=["non-hermitian-axis", "non-hermitian-segment", "unrealized-segments"])
+def test_profile_builder_error_names_its_key(capsys, tmp_path, profile, path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario:\n  generators: [%s]\n  profiles: [%s]\n"
+                   % (SX_DOC, profile))
+    assert_refused(capsys, ["verify", "--config", str(cfg)], path)
+
+
+def test_profile_with_axis_and_segments_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario:\n  generators: [%s]\n  profiles: [{axis: %s, "
+                   "segments: [{fraction: 1.0, rate: %s}]}]\n"
+                   % (SX_DOC, SX_DOC, SX_DOC))
+    assert_refused(capsys, ["verify", "--config", str(cfg)],
+                   "profiles[0] has both 'axis' and 'segments'")
+
+
+def test_non_numeric_delta_t_flag_names_the_flag(capsys):
+    assert_refused(capsys, ["sweep", "--scenario", "carr-purcell",
+                            "--delta-t", "0.02,abc"],
+                   "--delta-t must be numbers separated by commas, got '0.02,abc'")

@@ -383,31 +383,29 @@ class TestStackedRep:
         np.testing.assert_array_equal(mats, np.array(rep.matrices))
         np.testing.assert_array_equal(adjs, mats.conj().transpose(0, 2, 1))
         cen, dec = center_basis(rep), decompose_irreps(rep)
-        assert all(a is b for a, b in zip(cen, center_basis(rep)))
+        assert center_basis(rep) is cen
         assert decompose_irreps(rep) is dec
-        arrays = [mats, adjs, *cen, dec.basis_change,
+        arrays = [mats, adjs, cen, dec.basis_change,
                   *(b.columns for b in dec.blocks)]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             cen[0][0, 0] = 1.0
-        # the returned list is the caller's own
-        size = len(cen)
-        cen.clear()
-        assert len(center_basis(rep)) == size
 
-    def test_algebra_stack_built_once(self, monkeypatch):
-        # every profile's in-algebra check reads the one stack
-        real, builds = group_theory.span_stack, []
-        monkeypatch.setattr(group_theory, "span_stack",
-                            lambda basis: builds.append(1) or real(basis))
-        rep = get_scenario("pauli", 2).rep
-        stack = rep.algebra_stack()
-        assert builds == [1] and stack is rep.algebra_stack()
-        assert not any(a.flags.writeable for a in stack)
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert (group_theory.span_distance(X, *stack)
-                == subspace_distance(X, rep.algebra_basis()))
+    @pytest.mark.parametrize("basis", ["algebra", "center"])
+    def test_basis_stacks_built_once(self, basis, monkeypatch):
+        # every profile's in-algebra check reads the one algebra stack
+        _, rep = close_group(pauli_generators(2))
+        real, builds = group_theory._orthonormal_span, []
+        monkeypatch.setattr(group_theory, "_orthonormal_span",
+                            lambda *args: builds.append(1) or real(*args))
+        get = {"algebra": rep.algebra_basis,
+               "center": lambda: center_basis(rep)}[basis]
+        stack = get()
+        assert builds == [1] and get() is stack
+        assert stack.ndim == 3 and stack.shape[1:] == (4, 4)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
 
     def test_irreps_cached_per_seed_and_cluster_tol(self, monkeypatch):
         rep = get_scenario("symmetric-s3", None).rep
@@ -687,6 +685,97 @@ class TestClosure:
         ms[1] = 0.0                   # the zero matrix is left unchanged
         for m in ms:
             assert fix_phase(m).tobytes() == reference(m).tobytes()
+
+
+def fix_phase_equal(a, b, tol=DEFAULT_PHASE_TOL):
+    """The metric equal_up_to_phase had before it took the optimal phase:
+    the distance between the two matrices each phase-fixed by its own
+    largest-modulus entry."""
+    if a.shape != b.shape:
+        return False
+    scale = max(np.linalg.norm(a), 1.0)
+    return np.linalg.norm(fix_phase(a) - fix_phase(b)) <= tol * scale
+
+
+def closure_bytes(gens, max_order):
+    """Bytes of the elements, the table and the generators of a closure."""
+    try:
+        group, rep = close_group(gens, max_order=max_order)
+    except GroupClosureError:
+        return None
+    return ([m.tobytes() for m in rep.matrices], group.mult_table.tobytes(),
+            group.generators)
+
+
+def assert_closure_as_with_fix_phase_metric(gens, max_order):
+    got = closure_bytes(gens, max_order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group_theory, "equal_up_to_phase", fix_phase_equal)
+        assert closure_bytes(gens, max_order) == got
+
+
+class TestPhaseDistance:
+    """equal_up_to_phase compares the distance after the optimal phase; the
+    closures it gives are the ones the fix_phase metric gave."""
+
+    def test_modulus_tie_is_equal(self):
+        # fix_phase rotates entry (0, 0) of a but entry (1, 1) of b, whose
+        # modulus is 3e-9 larger, so the fix_phase metric saw an O(1) distance
+        a = np.diag([1, 1j])
+        b = np.exp(0.7j) * np.diag([1 - 3e-9, 1j])
+        assert not fix_phase_equal(a, b, 1e-8)
+        assert equal_up_to_phase(a, b, 1e-8)
+        assert group_theory.phase_distance(a, b) <= 1e-8
+
+    def test_shapes_must_match(self):
+        assert not equal_up_to_phase(I2, np.eye(3))
+
+    @pytest.mark.parametrize("name,n", [
+        ("carr-purcell", None), ("spin-flip", 2), ("symmetric-s3", None),
+        ("pauli", 1), ("pauli", 2), ("pauli", 3), ("pauli", 4)])
+    def test_scenario_closures_match_fix_phase_metric(self, name, n):
+        rep = scenario(name, n).rep
+        assert_closure_as_with_fix_phase_metric(
+            [rep.matrices[k] for k in rep.group.generators], 512)
+
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_monomial_closures_match_fix_phase_metric(self, gens, seed):
+        mats = [_monomial(p, s, ph[0]) for p, s, ph in gens]
+        assert_closure_as_with_fix_phase_metric(mats, PROPERTY_MAX_ORDER)
+        u = random_unitary(mats[0].shape[0], np.random.default_rng(seed))
+        assert_closure_as_with_fix_phase_metric(
+            [u @ m @ u.conj().T for m in mats], PROPERTY_MAX_ORDER)
+
+
+def restacked_distance(X, basis):
+    """subspace_distance as computed before the basis stacks: the basis
+    restacked as rows and conjugated on every call."""
+    B = np.array([b.ravel() for b in basis])
+    v = X.ravel()
+    return float(np.linalg.norm(v - B.T @ (B.conj() @ v)))
+
+
+class TestSubspaceDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_restacked_reference_bit_for_bit(self, gens, seed):
+        try:
+            _, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                 max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        d = rep.dimension
+        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for basis in (rep.algebra_basis(), center_basis(rep),
+                      list(center_basis(rep)), commutant_basis(rep)):
+            assert subspace_distance(X, basis) == restacked_distance(X, basis)
+
+    def test_empty_basis_gives_the_norm(self):
+        X = np.arange(4.0).reshape(2, 2) + 1j
+        for empty in ([], np.zeros((0, 2, 2), dtype=complex)):
+            assert subspace_distance(X, empty) == np.linalg.norm(X)
 
 
 class TestDecomposeIrreps:

@@ -97,10 +97,11 @@ class TestRunConfig:
         assert (cfg.cycles, cfg.delta_t, cfg.n_qubits) == (3, (1.0,), 2)
         assert isinstance(cfg.cycles, int) and isinstance(cfg.delta_t[0], float)
 
-    def test_old_verbosity_override_is_ignored(self, tmp_path):
+    def test_old_verbosity_override_is_refused(self, tmp_path):
         p = tmp_path / "run.yaml"
         p.write_text("scenario: pauli\noverrides:\n  verbosity: 3\n")
-        assert not hasattr(load_config(str(p)), "verbosity")
+        with pytest.raises(ConfigError, match=r"^overrides\.verbosity is not a known key"):
+            load_config(str(p))
 
     def test_load_rejects_non_mapping(self, tmp_path):
         p = tmp_path / "run.yaml"
@@ -216,10 +217,12 @@ class TestFaultDocs:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
             fault_from_doc(doc, carr_purcell_scenario().rep)
 
-    def test_faults_key_is_ignored_by_load_config(self, tmp_path):
+    def test_faults_key_is_refused_by_load_config(self, tmp_path):
+        # no command reads faults from a run configuration yet
         path = tmp_path / "run.yaml"
         path.write_text("scenario: carr-purcell\nfaults: {0: 5}\n")
-        assert load_config(str(path)) == RunConfig(scenario="carr-purcell")
+        with pytest.raises(ConfigError, match=r"^faults is not a known key"):
+            load_config(str(path))
 
 
 class TestScheduleExport:
@@ -320,3 +323,43 @@ def test_reused_edge_has_one_diagnostic():
         with pytest.raises(ValueError) as info:
             reject()
         assert str(info.value).endswith(diagnostic)
+
+
+def _triple_last_color_1_amplitude(doc):
+    row = [r for r in doc["timeline"] if r["color"] == 1][-1]
+    row["amplitude"] *= 3
+
+
+def _flip_color_of_sub_interval(doc, ell):
+    for row in doc["timeline"]:
+        if row["sub_interval"] == ell:
+            row["color"] = 1 - row["color"]
+
+
+def _drop_sub_interval(doc, ell):
+    doc["timeline"] = [r for r in doc["timeline"] if r["sub_interval"] != ell]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_triple_last_color_1_amplitude,
+     "timeline[17] does not repeat the rows of color 1 from timeline[2]"),
+    (lambda doc: _flip_color_of_sub_interval(doc, 5),
+     "timeline[6].color is 0, but path[5] is 1"),
+    (lambda doc: _drop_sub_interval(doc, 7),
+     "timeline[9].sub_interval is 8; rows must run through sub-intervals 0..11"),
+    (lambda doc: _drop_sub_interval(doc, 11), "timeline[16] is missing"),
+    (lambda doc: doc["timeline"][0].update(sub_interval=12),
+     "timeline[0].sub_interval is 12"),
+    (lambda doc: doc["timeline"].insert(8, dict(doc["timeline"][7])),
+     "timeline[8] does not repeat the rows of color 1 from timeline[2]"),
+], ids=["tripled-amplitude", "flipped-color", "missing-sub-interval",
+        "missing-last-sub-interval", "sub-interval-past-path", "extra-row"])
+def test_timeline_disagreeing_with_path_is_refused(edit, message):
+    # the S3 export: path (0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1), one row per
+    # color-0 sub-interval and two per color-1 sub-interval
+    doc = yaml.safe_load(export_schedule(symmetric_s3_scenario(), 0.01))
+    assert doc["path"] == [0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1]
+    edit(doc)
+    with pytest.raises(ConfigError) as info:
+        import_schedule(yaml.safe_dump(doc))
+    assert message in str(info.value)

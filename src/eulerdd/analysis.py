@@ -340,7 +340,7 @@ def builtin_scenarios() -> list:
 
 def get_scenario(name: str, n: int = None) -> Scenario:
     if name not in _FACTORIES:
-        raise KeyError(f"unknown scenario '{name}'; see builtin_scenarios()")
+        raise ValueError(f"unknown scenario {name!r}; known: {', '.join(_FACTORIES)}")
     return _FACTORIES[name]() if n is None else _FACTORIES[name](n)
 
 

@@ -115,11 +115,6 @@ def validate_path(graph: CayleyGraph, colors, start: int = 0):
     return True, "ok"
 
 
-def path_to_csv(path: EulerPath) -> str:
-    """Comma-separated color-index line."""
-    return ",".join(str(c) for c in path.colors)
-
-
 def path_from_colors(graph: CayleyGraph, colors, start: int = 0) -> EulerPath:
     """The Eulerian cycle with the given color sequence from ``start``.
 
@@ -131,8 +126,3 @@ def path_from_colors(graph: CayleyGraph, colors, start: int = 0) -> EulerPath:
     if not ok:
         raise ValueError(f"invalid Eulerian path: {diag}")
     return EulerPath(colors=colors, vertices=tuple(walk(graph, colors, start)))
-
-
-def path_from_csv(line: str, graph: CayleyGraph, start: int = 0) -> EulerPath:
-    colors = (int(tok) for tok in line.strip().split(",") if tok.strip())
-    return path_from_colors(graph, colors, start)

@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except ValueError as exc:   # ConfigError and every typed refusal
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

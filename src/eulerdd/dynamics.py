@@ -82,12 +82,8 @@ def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
     t = t % tc if tc > 0 else 0.0
     ell = int(t // dt)
     s = t - ell * dt
-    if schedule.kind == "bangbang":
-        return schedule.rep.matrices[schedule.ordering[ell]]
-    frames = schedule.stroboscopic_frames()
-    base = frames[ell]
-    color = schedule.path.colors[ell]
-    return schedule.profiles[color].unitary_at(s / dt) @ base
+    frame = schedule.stroboscopic_frames()[ell]
+    return schedule.steps[ell].profile.unitary_at(s / dt) @ frame
 
 
 def _lift_conj(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -135,10 +131,9 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     """First-order average Hamiltonian (1/T_c) ∫ U_c†(t) H0 U_c(t) dt.
 
     H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I.
-    For an Eulerian schedule the sub-interval average F_c(H0) is computed
-    once per color and conjugated by the stroboscopic frame of every
-    sub-interval that pulses that color; a bang-bang schedule holds each
-    frame for the whole sub-interval, so its average there is H0 itself.
+    The sub-interval average F_c(H0) is computed once per color and
+    conjugated by the stroboscopic frame of every step of that color; a
+    free step has F(H0) = H0, and a kick acts through the frames only.
     The result depends on the path and the profiles but not on delta_t.
     """
     H0 = np.asarray(H0, dtype=complex)
@@ -150,18 +145,12 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
         raise ValueError("invalid drift: dimension is not a multiple of the system's")
     de = dim // d
 
-    if schedule.kind == "bangbang":
-        averages = [H0.reshape(d, de, d, de)] * schedule.sub_intervals
-    else:
-        colors = schedule.path.colors
-        averaged = {
-            c: _sub_interval_integral(_profile_segments(schedule.profiles[c], H0),
-                                      de).reshape(d, de, d, de)
-            for c in set(colors)}
-        averages = [averaged[c] for c in colors]
+    averaged = {c: _sub_interval_integral(_profile_segments(p, H0),
+                                          de).reshape(d, de, d, de)
+                for c, p in schedule.profiles.items()}
     acc = np.zeros((dim, dim), dtype=complex)
-    for frame, X in zip(schedule.stroboscopic_frames(), averages):
-        acc += _lift_conj(frame, X).reshape(dim, dim)
+    for frame, step in zip(schedule.stroboscopic_frames(), schedule.steps):
+        acc += _lift_conj(frame, averaged[step.color]).reshape(dim, dim)
     avg = acc / schedule.sub_intervals
     return 0.5 * (avg + avg.conj().T)
 
@@ -200,11 +189,9 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
 
     The total Hamiltonian is piecewise constant, so one exponential per
     control segment is exact.  A color's control (and its fault) replays
-    unchanged in every sub-interval of that color, so the exponential of
-    each of its segments is computed once and reused along the path.
-    For bang-bang schedules the kicks are frame jumps: sub-interval l
-    evolves under the conjugated drift g_l† H0 g_l, whose exponential is
-    g_l† e^{-i H0 dt} g_l.
+    unchanged in every step of that color, so the exponential of each of
+    its segments is computed once and reused along the steps; each kick is
+    applied after its step's segments.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
@@ -218,28 +205,15 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
     def lift(m):
         return np.kron(m, eye_e) if de > 1 else m
 
-    if schedule.kind == "bangbang":
-        free = _expm_herm(H0, dt)
-        steps = []
-        for j in schedule.ordering:
-            g = lift(schedule.rep.matrices[j])
-            steps.append(g.conj().T @ free @ g)
-        # stroboscopically U_c(T_c) = identity, so no closing frame factor
-    else:
-        # the total Hamiltonian is constant on each segment, so one
-        # exponential per segment of each color is exact; they are applied
-        # segment by segment, in time order, along the path
-        by_color = {}
-        for color in set(schedule.path.colors):
-            rates = schedule.profiles[color].segments
-            by_color[color] = [
-                _expm_herm(H0 + lift((rates[k][1] + fault_rate) / dt), frac * dt)
-                for frac, k, fault_rate in merged_segments(
-                    schedule.profiles[color], schedule.fault, color)]
-        steps = [step for c in schedule.path.colors for step in by_color[c]]
+    exps = {c: [_expm_herm(H0 + lift((p.segments[k][1] + fault_rate) / dt), frac * dt)
+                for frac, k, fault_rate in merged_segments(p, schedule.fault, c)]
+            for c, p in schedule.profiles.items()}
     u_cycle = np.eye(dim, dtype=complex)
-    for step in steps:
-        u_cycle = step @ u_cycle
+    for step in schedule.steps:
+        for e in exps[step.color]:
+            u_cycle = e @ u_cycle
+        if step.kick is not None:
+            u_cycle = lift(step.kick) @ u_cycle
     u = np.linalg.matrix_power(u_cycle, cycles)
     err = np.linalg.norm(u.conj().T @ u - np.eye(dim))
     if err > 1e-8 * dim:

@@ -30,10 +30,6 @@ class ShapeError(ValueError):
     """Operator dimension does not match the representation."""
 
 
-class NotNormalSubgroupError(ValueError):
-    """The supplied element subset is not a normal subgroup."""
-
-
 class ResourceLimitError(ValueError):
     """A computation would allocate more memory than its fixed budget."""
 
@@ -114,10 +110,6 @@ class Group:
     def multiply(self, i: int, j: int) -> int:
         return int(self.mult_table[i, j])
 
-    def inverse(self, i: int) -> int:
-        row = self.mult_table[i]
-        return int(np.flatnonzero(row == 0)[0])
-
     def validate(self) -> None:
         n = self.order
         t = self.mult_table
@@ -155,28 +147,6 @@ class Group:
                     nxt.append(g)
             frontier = nxt
         return closure
-
-    def is_normal(self, subgroup) -> bool:
-        sub = set(subgroup)
-        for g in range(self.order):
-            ginv = self.inverse(g)
-            for h in sub:
-                if self.multiply(g, self.multiply(h, ginv)) not in sub:
-                    return False
-        return True
-
-    def coset_transversal(self, normal_subgroup) -> list:
-        """One representative per left coset of the subgroup (identity first)."""
-        sub = sorted(set(normal_subgroup))
-        seen = set()
-        reps = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            reps.append(g)
-            for h in sub:
-                seen.add(self.multiply(g, h))
-        return reps
 
 
 @dataclass
@@ -555,23 +525,3 @@ def _decompose_irreps(rep: UnitaryRep, cluster_tol: float,
         columns.append(cols)
     basis_change = _read_only(np.hstack(columns))
     return IrrepDecomposition(blocks=tuple(blocks), basis_change=basis_change)
-
-
-def quotient_check(rep: UnitaryRep, normal_subgroup, X: np.ndarray,
-                   tol: float = 1e-9) -> bool:
-    """Check pi over G equals pi over a transversal of G/G0 on a
-    G0-invariant operator X."""
-    X = np.asarray(X, dtype=complex)
-    group = rep.group
-    sub = sorted(set(normal_subgroup))
-    if not group.is_normal(sub):
-        raise NotNormalSubgroupError("not a normal subgroup")
-    for h in sub:
-        g = rep.matrices[h]
-        if np.linalg.norm(g @ X - X @ g) > tol * max(np.linalg.norm(X), 1.0):
-            raise ValueError("operator is not invariant under the subgroup")
-    full = pi_G(rep, X)
-    mats, adjs = rep.stacked()
-    reps_idx = group.coset_transversal(sub)
-    partial = _average(mats[reps_idx], adjs[reps_idx], X)
-    return np.linalg.norm(full - partial) <= tol * max(np.linalg.norm(X), 1.0)

@@ -248,6 +248,7 @@ def fault_from_doc(doc: dict, rep=None) -> FaultModel:
         segs = []
         for j, seg in enumerate(_entries(doc, key, where="faults")):
             at = f"{where}[{j}]"
+            _known(seg, at, ("fraction", "rate"))
             frac = _field(seg, at, "fraction", _number)
             rate = _field(seg, at, "rate", _matrix)
             if frac <= 0.0:
@@ -282,15 +283,15 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
 
     timeline = []
     t = 0.0
-    for ell, color in enumerate(sched.path.colors):
-        for frac, rate in sched.profiles[color].segments:
+    for ell, step in enumerate(sched.steps):
+        for frac, rate in step.profile.segments:
             amp = float(np.linalg.norm(rate)) / delta_t
             unit = rate / np.linalg.norm(rate) if amp > 0 else rate
             timeline.append({
                 "start": float(t),
                 "duration": float(frac * delta_t),
                 "sub_interval": ell,
-                "color": int(color),
+                "color": int(step.color),
                 "hamiltonian": ham_id(unit),
                 "amplitude": amp,
             })
@@ -312,6 +313,8 @@ def import_schedule(text: str):
     doc = yaml.load(text, Loader=_LOADER)
     if not isinstance(doc, dict):
         raise ConfigError("schedule file must be a mapping")
+    _known(doc, "", ("kind", "delta_t", "generators", "path", "hamiltonians",
+                     "timeline"))
     if doc.get("kind") != "eulerian":
         raise ConfigError("only eulerian schedules are exportable")
     missing = [key for key in ("delta_t", "generators", "path", "hamiltonians",
@@ -330,9 +333,12 @@ def import_schedule(text: str):
         return hid
 
     # (k, sub_interval, color, (duration, amplitude, hamiltonian)) per row
-    rows = []
+    rows, starts = [], []
     for k, row in enumerate(_entries(doc, "timeline")):
         at = f"timeline[{k}]"
+        _known(row, at, ("start", "duration", "sub_interval", "color",
+                         "hamiltonian", "amplitude"))
+        starts.append(_field(row, at, "start", _number))
         rows.append((k, _field(row, at, "sub_interval", _integer),
                      _field(row, at, "color", _integer),
                      (_field(row, at, "duration", _number),
@@ -351,6 +357,13 @@ def import_schedule(text: str):
          for c in sorted(segments)],
         path_colors=_entries(doc, "path", int))
     _check_timeline(rows, scenario.path.colors)
+    # each start is where the durations before it end, up to rounding
+    t, tol = 0.0, 1e-12 * len(scenario.path) * delta_t
+    for (k, _, _, (dur, _, _)), start in zip(rows, starts):
+        if abs(start - t) > tol:
+            raise ConfigError(f"timeline[{k}].start is {start!r}, but the "
+                              f"durations before it sum to {t!r}")
+        t += dur
     return scenario.schedule(delta_t)
 
 

@@ -9,7 +9,7 @@ and amplitudes scale as 1/delta_t automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -212,46 +212,52 @@ class FaultModel:
         return FaultModel(deltas=deltas, in_algebra=in_alg)
 
 
+@dataclass(frozen=True, eq=False)
+class Step:
+    """One sub-interval of a schedule: the profile pulsed over it, the
+    generator color that profile realizes (None for a free step), and an
+    instantaneous frame jump applied after the pulse (None for none)."""
+
+    color: int | None
+    profile: PulseProfile
+    kick: np.ndarray | None = None
+
+
 @dataclass
 class ControlSchedule:
-    """Full cyclic control timeline.
+    """Full cyclic control timeline: one step per sub-interval of length
+    delta_t.  The control during step l is u_l(s) f_l, where u_l is the
+    step's profile and the frames are f_0 = I, f_{l+1} = K_l u_l(1) f_l,
+    K_l being the step's kick (left out when None).
 
-    kind 'eulerian': path is an EulerPath, profiles maps color -> PulseProfile.
-    kind 'bangbang': ordering is the group element order; the propagator is
-    piecewise constant and kicks are zero-duration frame jumps.
+    Every step of one color shares one profile.  ``path`` is the Euler path
+    an Eulerian schedule follows, None for a schedule that follows none.
     """
 
-    kind: str
     rep: UnitaryRep
     delta_t: float
+    steps: tuple
     path: EulerPath = None
-    profiles: dict = None
-    ordering: tuple = None
     fault: FaultModel = None
 
     @property
     def sub_intervals(self) -> int:
-        if self.kind == "eulerian":
-            return len(self.path)
-        return self.rep.group.order
+        return len(self.steps)
 
     @property
     def cycle_time(self) -> float:
         return self.sub_intervals * self.delta_t
 
     @property
-    def max_hamiltonian_norm(self) -> float:
-        if self.kind != "eulerian":
-            return float("inf")  # b.b. kicks are impulsive by construction
-        return max(p.max_rate_norm for p in self.profiles.values()) / self.delta_t
+    def profiles(self) -> dict:
+        """color -> the profile every step of that color pulses."""
+        return {step.color: step.profile for step in self.steps}
 
-    def kicks(self) -> list:
-        """Bang-bang frame jumps p_l = g_l g_{l-1}†."""
-        mats = self.rep.matrices
-        order = self.ordering
-        n = len(order)
-        return [mats[order[l % n]] @ mats[order[l - 1]].conj().T
-                for l in range(1, n + 1)]
+    @property
+    def max_hamiltonian_norm(self) -> float:
+        if any(step.kick is not None for step in self.steps):
+            return float("inf")  # kicks are impulsive by construction
+        return max(p.max_rate_norm for p in self.profiles.values()) / self.delta_t
 
     def stroboscopic_frames(self) -> tuple:
         """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c.
@@ -263,13 +269,13 @@ class ControlSchedule:
 
     @cached_property
     def _frames(self) -> tuple:
-        d = self.rep.dimension
-        if self.kind == "bangbang":
-            return (*(self.rep.matrices[j] for j in self.ordering),
-                    _read_only(np.eye(d, dtype=complex)))
-        frames = [_read_only(np.eye(d, dtype=complex))]
-        for c in self.path.colors:
-            frames.append(_read_only(self.profiles[c].endpoint_unitary() @ frames[-1]))
+        frame = _read_only(np.eye(self.rep.dimension, dtype=complex))
+        frames = [frame]
+        for step in self.steps:
+            frame = step.profile.endpoint_unitary() @ frame
+            if step.kick is not None:
+                frame = step.kick @ frame
+            frames.append(_read_only(frame))
         return tuple(frames)
 
 
@@ -284,8 +290,8 @@ def eulerian_schedule(path: EulerPath, profiles: dict, delta_t: float,
     for c in path.colors:
         if c not in profiles:
             raise IncompleteProfileSetError(f"incomplete profile set: no profile for color {c}")
-    sched = ControlSchedule(kind="eulerian", rep=rep, delta_t=delta_t,
-                            path=path, profiles=dict(profiles))
+    sched = ControlSchedule(rep=rep, delta_t=delta_t, path=path,
+                            steps=tuple(Step(c, profiles[c]) for c in path.colors))
     # closure: the path returns to the identity, so U_c(T_c) ~ identity
     closing = sched.stroboscopic_frames()[-1]
     if phase_distance(np.eye(rep.dimension, dtype=complex), closing) > 1e-8:
@@ -294,13 +300,18 @@ def eulerian_schedule(path: EulerPath, profiles: dict, delta_t: float,
 
 
 def bangbang_schedule(group, rep: UnitaryRep, delta_t: float) -> ControlSchedule:
-    """Baseline impulsive schedule: propagator g_{l-1} on sub-interval l."""
+    """Baseline impulsive schedule: free evolution in frame g_l during
+    sub-interval l, then the kick g_{l+1} g_l† (indices mod |G|)."""
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
-    if group.order <= 1:
+    n = group.order
+    if n <= 1:
         raise ValueError("decoupling requires |G| > 1")
-    return ControlSchedule(kind="bangbang", rep=rep, delta_t=delta_t,
-                           ordering=tuple(range(group.order)))
+    mats = rep.matrices
+    free = PulseProfile(generator=0, segments=[(1.0, np.zeros_like(mats[0]))],
+                        target=mats[0], in_algebra=True)
+    return ControlSchedule(rep=rep, delta_t=delta_t, steps=tuple(
+        Step(None, free, mats[(l + 1) % n] @ mats[l].conj().T) for l in range(n)))
 
 
 def _merge_grids(profile_segs, fault_segs):
@@ -336,17 +347,15 @@ def _merge_grids(profile_segs, fault_segs):
 def apply_fault(schedule: ControlSchedule, fault: FaultModel) -> ControlSchedule:
     """Attach a systematic fault: segment Hamiltonians become h + delta-h.
 
-    The ideal profiles are retained on the returned schedule (the toggling
-    frame is always built from the intended control)."""
-    if schedule.kind != "eulerian":
-        raise ValueError("fault injection is defined for eulerian schedules only")
+    Every fault color must be the generator color of some step.  The ideal
+    profiles are retained on the returned schedule (the toggling frame is
+    always built from the intended control)."""
     fault.validate()
+    colors = schedule.profiles
     for color in fault.deltas:
-        if color not in schedule.profiles:
+        if color is None or color not in colors:
             raise GridMismatchError(f"incompatible fault grid: unknown color {color}")
-    return ControlSchedule(kind="eulerian", rep=schedule.rep,
-                           delta_t=schedule.delta_t, path=schedule.path,
-                           profiles=schedule.profiles, fault=fault)
+    return replace(schedule, fault=fault)
 
 
 def merged_segments(profile: PulseProfile, fault, color: int):

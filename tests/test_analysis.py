@@ -49,7 +49,8 @@ class TestBuiltinScenarios:
 
     def test_get_scenario(self):
         assert get_scenario("pauli", 2).n_qubits == 2
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown scenario 'nope'; known: "
+                                             "carr-purcell, pauli, spin-flip"):
             get_scenario("nope")
 
     @pytest.mark.parametrize("name", ["pauli", "spin-flip"])

@@ -5,7 +5,7 @@ import pytest
 
 from eulerdd.analysis import builtin_scenarios
 from eulerdd.cayley import (NoEulerianCycleError, build_cayley, eulerian_cycle,
-                            path_from_csv, path_to_csv, validate_path, walk)
+                            validate_path, walk)
 from eulerdd.group_theory import Group, close_group
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -107,19 +107,3 @@ def test_deterministic_output():
     group, _ = close_group([SX, SZ])
     graph = build_cayley(group)
     assert eulerian_cycle(graph).colors == eulerian_cycle(graph).colors
-
-
-def test_csv_round_trip():
-    group, _ = close_group([SX, SZ])
-    graph = build_cayley(group)
-    path = eulerian_cycle(graph)
-    line = path_to_csv(path)
-    again = path_from_csv(line, graph)
-    assert again.colors == path.colors
-
-
-def test_csv_import_rejects_bad_path():
-    group, _ = close_group([SX, SZ])
-    graph = build_cayley(group)
-    with pytest.raises(ValueError):
-        path_from_csv("0,0", graph)

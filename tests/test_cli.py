@@ -50,6 +50,22 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_unknown_scenario_lists_the_known_names(self, capsys):
+        code, _, err = run(capsys, "verify", "--scenario", "paulli")
+        assert code == 2
+        assert err == ("error: unknown scenario 'paulli'; known: carr-purcell, "
+                       "pauli, spin-flip, symmetric-s3\n")
+
+    def test_internal_key_error_is_not_a_refusal(self, monkeypatch):
+        # a lookup bug inside the package must surface, not exit 2 as if
+        # the input had been refused
+        def broken(name, n=None):
+            return {}[3]
+
+        monkeypatch.setattr(analysis, "get_scenario", broken)
+        with pytest.raises(KeyError):
+            main(["verify", "--scenario", "pauli"])
+
     def test_json_summary_written(self, capsys, tmp_path):
         out_file = tmp_path / "summary.json"
         code, _, _ = run(capsys, "verify", "--scenario", "carr-purcell",

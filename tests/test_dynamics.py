@@ -13,8 +13,9 @@ from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
                               q_map, residual_error, simulate_cycles)
 from eulerdd.group_theory import (center_basis, close_group, commutant_basis,
                                   equal_up_to_phase, pi_G)
-from eulerdd.pulses import (FaultModel, PulseProfile, _expm_herm, apply_fault,
-                            merged_segments, phase_distance)
+from eulerdd.pulses import (ControlSchedule, FaultModel, PulseProfile, Step,
+                            _expm_herm, apply_fault, merged_segments,
+                            phase_distance)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -215,6 +216,62 @@ class TestExactKernel:
         assert np.linalg.norm(got - pi_G(sc.rep, ref)) <= 1e-10
 
 
+def segment_product(segments, x=1.0):
+    """u(x) of (fraction, rate) segments, one _expm_herm per segment."""
+    u = np.eye(segments[0][1].shape[0], dtype=complex)
+    pos = 0.0
+    for frac, rate in segments:
+        u = _expm_herm(rate, min(frac, max(x - pos, 0.0))) @ u
+        pos += frac
+    return u
+
+
+class TestKickedTimeline:
+    """A hand-built timeline with kicks after non-zero pulses: the frames
+    follow f_{l+1} = K_l u_l(1) f_l, and the average Hamiltonian is the
+    time average of the control propagator."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        _, self.rep = close_group([SX])
+        self.a = PulseProfile(generator=1, segments=[(0.4, 1.1 * SX + 0.3 * SZ),
+                                                     (0.6, random_hermitian(2, rng))],
+                              target=SX, in_algebra=False)
+        self.b = PulseProfile(generator=1, segments=[(1.0, 0.7 * SY)],
+                              target=SX, in_algebra=False)
+        self.kicks = [_expm_herm(random_hermitian(2, rng)) for _ in range(2)]
+        self.sched = ControlSchedule(rep=self.rep, delta_t=0.1, steps=(
+            Step(0, self.a, self.kicks[0]), Step(1, self.b),
+            Step(0, self.a, self.kicks[1])))
+
+    def test_frames_apply_each_kick_after_its_pulse(self):
+        plan = [(self.a, self.kicks[0]), (self.b, None), (self.a, self.kicks[1])]
+        frame = np.eye(2, dtype=complex)
+        for l, (prof, kick) in enumerate(plan):
+            mid = control_propagator(self.sched, (l + 0.5) * 0.1)
+            assert np.linalg.norm(mid - segment_product(prof.segments, 0.5) @ frame) <= 1e-12
+            frame = segment_product(prof.segments) @ frame
+            if kick is not None:
+                frame = kick @ frame
+            assert np.linalg.norm(self.sched.stroboscopic_frames()[l + 1] - frame) <= 1e-12
+        assert self.sched.max_hamiltonian_norm == float("inf")
+
+    def test_average_hamiltonian_matches_fine_grid(self):
+        H0 = random_hermitian(4, np.random.default_rng(5))
+        eye_e = np.eye(2)
+
+        def integrand(t):
+            u = np.kron(control_propagator(self.sched, t), eye_e)
+            return u.conj().T @ H0 @ u
+
+        cuts = np.concatenate([[0.0]] + [
+            0.1 * (l + segment_cuts(step.profile.segments)[1:])
+            for l, step in enumerate(self.sched.steps)])
+        ref = fine_grid_integral(integrand, cuts, nodes=24) / self.sched.cycle_time
+        got = average_hamiltonian(self.sched, H0)
+        assert np.linalg.norm(got - ref) <= 1e-9
+
+
 class TestFMapAndQMap:
     def setup_method(self):
         self.cp = carr_purcell_scenario()
@@ -381,27 +438,28 @@ class TestSimulation:
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-9
 
 
-def per_sub_interval_cycles(drift, schedule, cycles=1):
-    """simulate_cycles as it was before steps were reused: one exponential
-    per segment of every sub-interval, and exp(-i g† H0 g dt) for every
-    bang-bang sub-interval."""
+def per_sub_interval_cycles(drift, scenario, dt, bangbang=False, fault=None,
+                            cycles=1):
+    """simulate_cycles as it was before steps were reused, built from the
+    scenario's matrices, path and profiles: one exponential per segment of
+    every sub-interval, and exp(-i g† H0 g dt) for every bang-bang
+    sub-interval."""
     H0 = drift.total()
     de = drift.env_dim
     eye_e = np.eye(de)
-    dt = schedule.delta_t
 
     def lift(m):
         return np.kron(m, eye_e) if de > 1 else m
 
     u_cycle = np.eye(H0.shape[0], dtype=complex)
-    if schedule.kind == "bangbang":
-        for j in schedule.ordering:
-            g = lift(schedule.rep.matrices[j])
+    if bangbang:
+        for j in range(scenario.group.order):
+            g = lift(scenario.rep.matrices[j])
             u_cycle = _expm_herm(g.conj().T @ H0 @ g, dt) @ u_cycle
     else:
-        for color in schedule.path.colors:
-            prof = schedule.profiles[color]
-            for frac, k, fault_rate in merged_segments(prof, schedule.fault, color):
+        for color in scenario.path.colors:
+            prof = scenario.profiles[color]
+            for frac, k, fault_rate in merged_segments(prof, fault, color):
                 h_ctrl = lift((prof.segments[k][1] + fault_rate) / dt)
                 u_cycle = _expm_herm(H0 + h_ctrl, frac * dt) @ u_cycle
     return np.linalg.matrix_power(u_cycle, cycles)
@@ -446,12 +504,14 @@ class TestSegmentReuse:
             sched = sc.bangbang(0.05)
         else:
             sched = sc.schedule(0.05)
+        fault = None
         if kind == "fault":
             rng = np.random.default_rng(env_dim)
-            sched = apply_fault(sched, finer_grid_fault(rng, sc.rep.dimension,
-                                                        sorted(sc.profiles)))
+            fault = finer_grid_fault(rng, sc.rep.dimension, sorted(sc.profiles))
+            sched = apply_fault(sched, fault)
         got = simulate_cycles(drift, sched, cycles=3)
-        ref = per_sub_interval_cycles(drift, sched, cycles=3)
+        ref = per_sub_interval_cycles(drift, sc, 0.05, kind == "bangbang", fault,
+                                      cycles=3)
         assert np.linalg.norm(got - ref) <= 1e-12
 
     @pytest.mark.parametrize("make", [carr_purcell_scenario, pauli_scenario,

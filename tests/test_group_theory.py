@@ -15,14 +15,13 @@ from eulerdd.analysis import (collective, get_scenario, pauli_on,
 from eulerdd.cayley import build_cayley, eulerian_cycle, validate_path
 from eulerdd.dynamics import average_hamiltonian, q_map
 from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
-                                  InvalidGeneratorError,
-                                  NotNormalSubgroupError, ResourceLimitError,
+                                  InvalidGeneratorError, ResourceLimitError,
                                   ShapeError, center_basis, close_group,
                                   commutant_basis, decompose_irreps,
                                   equal_up_to_phase, fix_phase, pi_G,
-                                  quotient_check, subspace_distance)
-from eulerdd.pulses import (FaultModel, _expm_herm, eulerian_schedule,
-                            piecewise_profile)
+                                  subspace_distance)
+from eulerdd.pulses import (FaultModel, _expm_herm, bangbang_schedule,
+                            eulerian_schedule, piecewise_profile)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -502,6 +501,26 @@ class TestEulerianIdentities:
         assert np.linalg.norm(average_hamiltonian(sched, H0)
                               - q_map(rep, profiles, H0)) <= 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_bangbang_frames_and_average(self, gens, seed):
+        """Kicks after free steps put sub-interval l in the frame g_l, close
+        at the identity, and average any H0 to pi_G(H0)."""
+        try:
+            group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                     max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        assume(group.order > 1)
+        frames = bangbang_schedule(group, rep, 0.1).stroboscopic_frames()
+        assert len(frames) == group.order + 1
+        for frame, g in zip(frames, rep.matrices):
+            assert np.linalg.norm(frame - g) <= 1e-12
+        assert np.linalg.norm(frames[-1] - np.eye(rep.dimension)) <= 1e-12
+        H0 = random_hermitian(rep.dimension, np.random.default_rng(seed))
+        avg = average_hamiltonian(bangbang_schedule(group, rep, 0.1), H0)
+        assert np.linalg.norm(avg - pi_G(rep, H0)) <= 1e-10
+
 
 def linear_scan_closure(generator_matrices, max_order,
                         tol=DEFAULT_PHASE_TOL):
@@ -852,40 +871,3 @@ class TestDecomposeIrreps:
         _, rep = close_group([collective(2, "x"), collective(2, "z")])
         dec = decompose_irreps(rep)
         assert [(b.multiplicity, b.dimension) for b in dec.blocks] == [(1, 1)] * 4
-
-
-class TestQuotientCheck:
-    def test_pauli_mod_x(self):
-        group, rep = close_group([SX, SZ])
-        xi = group.generators[0]
-        assert quotient_check(rep, {0, xi}, SX)
-
-    def test_trivial_subgroup(self):
-        group, rep = close_group([SX, SZ])
-        rng = np.random.default_rng(2)
-        assert quotient_check(rep, {0}, random_hermitian(2, rng))
-
-    def test_z2xz2_factor(self):
-        from eulerdd.analysis import collective
-        group, rep = close_group([collective(2, "x"), collective(2, "z")])
-        xi = group.generators[0]
-        # X-invariant operator
-        X = collective(2, "x")
-        assert quotient_check(rep, {0, xi}, X + 2 * np.eye(4))
-
-    def test_not_normal_rejected(self):
-        from eulerdd.analysis import swap_gate
-        g1 = swap_gate(3, 0, 1)
-        g2 = swap_gate(3, 0, 1) @ swap_gate(3, 1, 2)
-        group, rep = close_group([g1, g2])
-        # the subgroup generated by a transposition is not normal in S3
-        t = group.generators[0]
-        sub = {0, t}
-        with pytest.raises(NotNormalSubgroupError):
-            quotient_check(rep, sub, np.eye(8))
-
-    def test_non_invariant_operator_rejected(self):
-        group, rep = close_group([SX, SZ])
-        xi = group.generators[0]
-        with pytest.raises(ValueError):
-            quotient_check(rep, {0, xi}, SZ)

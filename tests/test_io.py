@@ -9,7 +9,6 @@ import yaml
 from eulerdd import io as eio
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               pauli_scenario, symmetric_s3_scenario)
-from eulerdd.cayley import path_from_csv
 from eulerdd.group_theory import equal_up_to_phase
 from eulerdd.io import (ConfigError, RunConfig, decode_matrix, encode_matrix,
                         export_schedule, fault_from_doc, import_schedule,
@@ -210,9 +209,12 @@ class TestFaultDocs:
         ({0: [{"fraction": 1.0, "rate": encode_matrix(np.kron(SX, SX))}]},
          "faults.0[0].rate"),
         ({0: [{"fraction": 0.4, "rate": encode_matrix(SX)}]}, "faults.0"),
+        ({0: [{"fraction": 1.0, "rate": encode_matrix(SX), "colour": 0}]},
+         "faults.0[0].colour"),
     ], ids=["list", "color-to-int", "segment-not-mapping", "text-color",
             "no-fraction", "text-fraction", "no-rate", "negative-fraction",
-            "non-hermitian-rate", "rate-of-wrong-dimension", "fractions-sum"])
+            "non-hermitian-rate", "rate-of-wrong-dimension", "fractions-sum",
+            "unknown-segment-key"])
     def test_malformed_fault_docs_name_their_key_path(self, doc, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
             fault_from_doc(doc, carr_purcell_scenario().rep)
@@ -307,8 +309,8 @@ class TestLibyaml:
 
 
 def test_reused_edge_has_one_diagnostic():
-    """The inline path, an imported schedule and a CSV path go through one
-    path validation and report a reused edge alike."""
+    """The inline path and an imported schedule go through one path
+    validation and report a reused edge alike."""
     colors = [0, 0, 0, 0, 1, 1, 1, 1]   # back at vertex 0 after two steps
     diagnostic = "invalid Eulerian path: edge (0, color 0) reused at step 2"
     sc = pauli_scenario(1)
@@ -318,8 +320,7 @@ def test_reused_edge_has_one_diagnostic():
     doc = yaml.safe_load(export_schedule(sc, 0.01))
     doc["path"] = colors
     for reject in (lambda: scenario_from_config(cfg),
-                   lambda: import_schedule(yaml.safe_dump(doc)),
-                   lambda: path_from_csv(",".join(map(str, colors)), sc.graph)):
+                   lambda: import_schedule(yaml.safe_dump(doc))):
         with pytest.raises(ValueError) as info:
             reject()
         assert str(info.value).endswith(diagnostic)
@@ -363,3 +364,30 @@ def test_timeline_disagreeing_with_path_is_refused(edit, message):
     with pytest.raises(ConfigError) as info:
         import_schedule(yaml.safe_dump(doc))
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["timeline"][3].update(start=99.0),
+     "timeline[3].start is 99.0, but the durations before it sum to"),
+    (lambda doc: doc["timeline"][4].update(colour=1),
+     "timeline[4].colour is not a known key"),
+    (lambda doc: doc.update(extra=1), "extra is not a known key"),
+    (lambda doc: doc["timeline"][3].pop("start"), "timeline[3].start is missing"),
+], ids=["shifted-start", "unknown-row-key", "unknown-top-level-key", "no-start"])
+def test_unknown_schedule_keys_and_shifted_starts_are_refused(edit, message):
+    doc = yaml.safe_load(export_schedule(symmetric_s3_scenario(), 0.01))
+    edit(doc)
+    with pytest.raises(ConfigError) as info:
+        import_schedule(yaml.safe_dump(doc))
+    assert str(info.value).startswith(message)
+
+
+def test_start_within_rounding_of_the_durations_imports():
+    # T_c = 0.12: a start moved by 1e-14 is inside 1e-12 * T_c, one moved
+    # by 1e-12 is not
+    doc = yaml.safe_load(export_schedule(symmetric_s3_scenario(), 0.01))
+    doc["timeline"][3]["start"] += 1e-14
+    import_schedule(yaml.safe_dump(doc))
+    doc["timeline"][3]["start"] += 1e-12
+    with pytest.raises(ConfigError, match=r"^timeline\[3\]\.start"):
+        import_schedule(yaml.safe_dump(doc))

@@ -165,7 +165,7 @@ class TestSchedules:
     def test_bangbang_kicks(self):
         group, rep = close_group([SX, SZ])
         bb = bangbang_schedule(group, rep, 0.01)
-        kicks = bb.kicks()
+        kicks = [s.kick for s in bb.steps]
         assert len(kicks) == group.order
         mats = rep.matrices
         for l, k in enumerate(kicks, start=1):
@@ -191,7 +191,7 @@ class TestFaults:
         sched = sc.schedule(0.05)
         fault = FaultModel.constant([0], [np.zeros((2, 2))], sc.rep)
         faulty = apply_fault(sched, fault)
-        for frac, ideal, err in merged_segments(faulty.profiles[0], faulty.fault, 0):
+        for frac, ideal, err in merged_segments(sc.profiles[0], faulty.fault, 0):
             assert np.linalg.norm(err) == 0.0
 
     def test_constant_fault_merges_onto_profile_grid(self):
@@ -199,7 +199,7 @@ class TestFaults:
         sched = sc.schedule(0.05)
         fault = FaultModel.constant([1], [0.1 * heisenberg(3, 0, 1)], sc.rep)
         faulty = apply_fault(sched, fault)
-        segs = merged_segments(faulty.profiles[1], faulty.fault, 1)
+        segs = merged_segments(sc.profiles[1], faulty.fault, 1)
         assert len(segs) == 2
         for frac, ideal, err in segs:
             np.testing.assert_allclose(err, 0.1 * heisenberg(3, 0, 1))
@@ -222,6 +222,14 @@ class TestFaults:
         sched = sc.schedule(0.05)
         with pytest.raises(GridMismatchError):
             apply_fault(sched, FaultModel(deltas={5: [(1.0, SX)]}))
+
+    def test_bangbang_steps_carry_no_fault_color(self):
+        bb = carr_purcell_scenario().bangbang(0.05)
+        assert [s.color for s in bb.steps] == [None, None]
+        with pytest.raises(GridMismatchError, match="unknown color 0"):
+            apply_fault(bb, FaultModel(deltas={0: [(1.0, SX)]}))
+        with pytest.raises(GridMismatchError, match="unknown color None"):
+            apply_fault(bb, FaultModel(deltas={None: [(1.0, SX)]}))
 
     def test_bangbang_fault_rejected(self):
         sc = carr_purcell_scenario()

@@ -16,12 +16,12 @@ from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
                      path_from_colors)
 from .dynamics import (DriftModel, _distance_to_average, average_hamiltonian,
                        q_map, residual_error, simulate_cycles)
-from .group_theory import (Group, IrrepDecomposition, UnitaryRep, center_basis,
-                           close_group, decompose_irreps, pi_G,
-                           subspace_distance)
+from .group_theory import (HERMITIAN_TOL, Group, IrrepDecomposition,
+                           UnitaryRep, center_basis, close_group,
+                           decompose_irreps, pi_G, subspace_distance)
 from .pulses import (ControlSchedule, FaultModel, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
-                     piecewise_profile)
+                     hermitian_matrix, piecewise_profile)
 
 SIGMA = {
     "i": np.eye(2, dtype=complex),
@@ -151,10 +151,15 @@ def scenario_from_generators(name, description, n_qubits, gen_mats,
     ``profile_builders[c](generator element, rep)``.
 
     Refuses generators that close to fewer distinct non-identity
-    generators (a repeat, up to phase, or the identity), and a profile
-    count other than the generator count.
+    generators (a repeat, up to phase, or the identity), a profile count
+    other than the generator count, and a noise generator that is not a
+    traceless Hermitian d x d matrix.
     """
     group, rep = close_group(gen_mats, max_order=max_order)
+    for i, (_, S) in enumerate(noise_generators):
+        S = hermitian_matrix(S, rep.dimension, f"noise_generators[{i}]")
+        if abs(np.trace(S)) > HERMITIAN_TOL * max(np.linalg.norm(S), 1.0):
+            raise ValueError(f"noise_generators[{i}] must be traceless")
     if len(group.generators) != len(gen_mats) or 0 in group.generators:
         raise ValueError("generators: one repeats another up to phase or is "
                          "the identity")
@@ -178,13 +183,12 @@ def scenario_from_generators(name, description, n_qubits, gen_mats,
 
 def _carr_purcell_checks(scenario, rng, seed) -> list:
     """Faults along sigma_y, sigma_z vanish; a sigma_x fault stays central."""
-    rep = scenario.rep
     checks = []
     for u in ("y", "z"):
-        fault = FaultModel.constant([0], [0.1 * SIGMA[u]], rep)
+        fault = FaultModel.constant([0], [0.1 * SIGMA[u]])
         rob = robustness_report(scenario, fault, seed)
         checks.append(bound_check(f"fault-s{u}-vanishes", rob.residual_norm, 1e-9))
-    fault = FaultModel.constant([0], [0.1 * SIGMA["x"]], rep)
+    fault = FaultModel.constant([0], [0.1 * SIGMA["x"]])
     rob = robustness_report(scenario, fault, seed)
     dev = float(np.linalg.norm(rob.residual - 0.1 * SIGMA["x"]))
     checks.append(bound_check("fault-sx-central",
@@ -213,8 +217,7 @@ _TWO_GEN_PATH = (0, 1, 0, 1, 1, 0, 1, 0)
 
 def _pauli_checks(scenario, rng, seed) -> list:
     """Random traceless faults on every generator are averaged away."""
-    rep = scenario.rep
-    d = rep.dimension
+    d = scenario.rep.dimension
     worst = 0.0
     colors = sorted(scenario.profiles)
     for _ in range(10):
@@ -222,7 +225,7 @@ def _pauli_checks(scenario, rng, seed) -> list:
         for _ in colors:
             m = random_hermitian(d, rng)
             rates.append(m - np.trace(m) / d * np.eye(d))
-        fault = FaultModel.constant(colors, rates, rep)
+        fault = FaultModel.constant(colors, rates)
         rob = robustness_report(scenario, fault, seed)
         worst = max(worst, rob.residual_norm)
     return [bound_check("random-fault-eliminated", worst, 1e-8)]
@@ -250,7 +253,7 @@ def pauli_scenario(n: int = 1) -> Scenario:
 
 def _spin_flip_checks(scenario, rng, seed) -> list:
     """Linear noise is suppressed; for even n the group algebra is abelian."""
-    sup = noise_suppression_check(scenario, seed)
+    sup = noise_suppression_check(scenario)
     worst = max((e.projected_norm for e in sup.entries), default=0.0)
     checks = [bound_check("linear-noise-suppressed", worst, 1e-12)]
     if scenario.n_qubits % 2 == 0:
@@ -347,7 +350,6 @@ def get_scenario(name: str, n: int = None) -> Scenario:
 @dataclass
 class TheoremReport:
     scenario: str
-    hypothesis_ok: bool
     skipped: bool
     trials: int
     max_deviation: float
@@ -362,9 +364,9 @@ def verify_theorem(scenario: Scenario, trials: int = 100, tol: float = 1e-7,
     algebra, since the hypothesis then fails."""
     hypothesis = all(p.in_algebra for p in scenario.profiles.values())
     if not hypothesis:
-        return TheoremReport(scenario=scenario.name, hypothesis_ok=False,
-                             skipped=True, trials=0, max_deviation=float("nan"),
-                             tolerance=tol, passed=False)
+        return TheoremReport(scenario=scenario.name, skipped=True, trials=0,
+                             max_deviation=float("nan"), tolerance=tol,
+                             passed=False)
     rng = np.random.default_rng(seed)
     d = scenario.rep.dimension
     worst = 0.0
@@ -374,9 +376,8 @@ def verify_theorem(scenario: Scenario, trials: int = 100, tol: float = 1e-7,
             q_map(scenario.rep, scenario.profiles, X)
             - pi_G(scenario.rep, X))
         worst = max(worst, float(dev))
-    return TheoremReport(scenario=scenario.name, hypothesis_ok=True,
-                         skipped=False, trials=trials, max_deviation=worst,
-                         tolerance=tol, passed=worst <= tol)
+    return TheoremReport(scenario=scenario.name, skipped=False, trials=trials,
+                         max_deviation=worst, tolerance=tol, passed=worst <= tol)
 
 
 @dataclass
@@ -454,8 +455,6 @@ def robustness_report(scenario: Scenario, fault: FaultModel,
 class SuppressionEntry:
     name: str
     projected_norm: float
-    central: bool
-    block_norms: list
 
 
 @dataclass
@@ -463,29 +462,17 @@ class SuppressionReport:
     scenario: str
     entries: list
     full_suppression: bool
-    central_suppression: bool
 
 
-def noise_suppression_check(scenario: Scenario,
-                            seed: int = 0) -> SuppressionReport:
-    """Per noise generator: norm of the group average and its block
-    structure.  Flags full suppression (all averages vanish) or central
-    suppression (averages land in the center)."""
-    decomp = decompose_irreps(scenario.rep, seed=seed)
-    cen = center_basis(scenario.rep)
-    entries = []
-    for name, S in scenario.noise_generators:
-        avg = pi_G(scenario.rep, S)
-        norm = float(np.linalg.norm(avg))
-        central = subspace_distance(avg, cen) <= PROTECTED_TOL * max(norm, 1.0)
-        block_norms = [float(np.linalg.norm(decomp.block_of(avg, blk)))
-                       for blk in decomp.blocks]
-        entries.append(SuppressionEntry(name=name, projected_norm=norm,
-                                        central=central, block_norms=block_norms))
+def noise_suppression_check(scenario: Scenario) -> SuppressionReport:
+    """Per noise generator: the norm of its group average.  Flags full
+    suppression (all averages vanish)."""
+    entries = [SuppressionEntry(name=name, projected_norm=float(
+                   np.linalg.norm(pi_G(scenario.rep, S))))
+               for name, S in scenario.noise_generators]
     full = all(e.projected_norm <= 1e-12 for e in entries)
-    central = all(e.central for e in entries)
     return SuppressionReport(scenario=scenario.name, entries=entries,
-                             full_suppression=full, central_suppression=central)
+                             full_suppression=full)
 
 
 @dataclass

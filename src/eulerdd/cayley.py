@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from .group_theory import Group
 
 
+# every walk and cycle starts at vertex 0, the identity element
+START = 0
+
+
 class NoEulerianCycleError(ValueError):
     """The graph is disconnected (generators do not generate the group)."""
 
@@ -56,15 +60,15 @@ def build_cayley(group: Group) -> CayleyGraph:
                        colors=len(group.generators), targets=targets)
 
 
-def walk(graph: CayleyGraph, colors, start: int = 0) -> list:
-    """Vertex sequence induced by a color sequence from ``start``."""
-    verts = [start]
+def walk(graph: CayleyGraph, colors) -> list:
+    """Vertex sequence induced by a color sequence from START."""
+    verts = [START]
     for c in colors:
         verts.append(graph.targets[verts[-1]][c])
     return verts
 
 
-def eulerian_cycle(graph: CayleyGraph, start: int = 0) -> EulerPath:
+def eulerian_cycle(graph: CayleyGraph) -> EulerPath:
     """Hierholzer's algorithm with lowest-color-first edge selection.
 
     Deterministic for fixed input.  Raises NoEulerianCycleError if the
@@ -72,7 +76,7 @@ def eulerian_cycle(graph: CayleyGraph, start: int = 0) -> EulerPath:
     """
     n, k = graph.vertex_count, graph.colors
     next_color = [0] * n           # next untried color at each vertex
-    stack = [(start, -1)]          # (vertex, color of edge used to get here)
+    stack = [(START, -1)]          # (vertex, color of edge used to get here)
     trail = []                     # edges in reverse completion order
     while stack:
         v, cin = stack[-1]
@@ -87,12 +91,12 @@ def eulerian_cycle(graph: CayleyGraph, start: int = 0) -> EulerPath:
     colors = tuple(reversed(trail))
     if len(colors) != graph.edge_count:
         raise NoEulerianCycleError("no Eulerian cycle: graph is disconnected")
-    verts = walk(graph, colors, start)
+    verts = walk(graph, colors)
     return EulerPath(colors=colors, vertices=tuple(verts))
 
 
-def validate_path(graph: CayleyGraph, colors, start: int = 0):
-    """Check a color sequence is an Eulerian cycle from ``start``.
+def validate_path(graph: CayleyGraph, colors):
+    """Check a color sequence is an Eulerian cycle from START.
 
     Returns (ok, diagnostic); diagnostic names the first violated condition.
     """
@@ -104,25 +108,25 @@ def validate_path(graph: CayleyGraph, colors, start: int = 0):
         return False, ("edges unused" if len(colors) < graph.edge_count
                        else "too many edges")
     used = set()
-    v = start
+    v = START
     for i, c in enumerate(colors):
         if (v, c) in used:
             return False, f"edge ({v}, color {c}) reused at step {i}"
         used.add((v, c))
         v = graph.targets[v][c]
-    if v != start:
+    if v != START:
         return False, "path does not close at the start vertex"
     return True, "ok"
 
 
-def path_from_colors(graph: CayleyGraph, colors, start: int = 0) -> EulerPath:
-    """The Eulerian cycle with the given color sequence from ``start``.
+def path_from_colors(graph: CayleyGraph, colors) -> EulerPath:
+    """The Eulerian cycle with the given color sequence from START.
 
     Raises ValueError naming the first condition of ``validate_path`` that
     the sequence violates.
     """
     colors = tuple(colors)
-    ok, diag = validate_path(graph, colors, start)
+    ok, diag = validate_path(graph, colors)
     if not ok:
         raise ValueError(f"invalid Eulerian path: {diag}")
-    return EulerPath(colors=colors, vertices=tuple(walk(graph, colors, start)))
+    return EulerPath(colors=colors, vertices=tuple(walk(graph, colors)))

@@ -16,6 +16,8 @@ import numpy as np
 
 DEFAULT_PHASE_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
+# relative eigenvalue gap that separates the clusters of decompose_irreps
+CLUSTER_TOL = 1e-8
 
 
 class GroupClosureError(ValueError):
@@ -155,7 +157,6 @@ class UnitaryRep:
 
     group: Group
     matrices: list
-    phase_tolerance: float = DEFAULT_PHASE_TOL
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -164,20 +165,19 @@ class UnitaryRep:
 
     def validate(self) -> None:
         d = self.dimension
-        tol = self.phase_tolerance
         if len(self.matrices) != self.group.order:
             raise ValueError("one matrix per group element required")
-        if not equal_up_to_phase(self.matrices[0], np.eye(d), tol):
+        if not equal_up_to_phase(self.matrices[0], np.eye(d)):
             raise ValueError("element 0 must be represented by the identity")
         for k, m in enumerate(self.matrices):
-            if not is_unitary(m, tol):
+            if not is_unitary(m):
                 raise ValueError(f"matrix {k} is not unitary")
         for i, mi in enumerate(self.matrices):
             for j, mj in enumerate(self.matrices):
                 k = self.group.multiply(i, j)
-                if not equal_up_to_phase(mi @ mj, self.matrices[k], tol):
+                if not equal_up_to_phase(mi @ mj, self.matrices[k]):
                     raise ValueError("matrices are not a projective homomorphism")
-                if i < j and equal_up_to_phase(mi, mj, tol):
+                if i < j and equal_up_to_phase(mi, mj):
                     raise ValueError("representation is not faithful up to phase")
 
     def _cached(self, key, build):
@@ -224,23 +224,22 @@ def _orthonormal_span(mats, tol: float = 1e-10) -> np.ndarray:
     return _read_only(vh[:rank].reshape(rank, d, d))
 
 
-def close_group(generator_matrices, max_order: int = 512,
-                phase_tolerance: float = DEFAULT_PHASE_TOL) -> tuple:
+def close_group(generator_matrices, max_order: int = 512) -> tuple:
     """Build the abstract group generated by unitary matrices, up to phase.
 
     Returns (Group, UnitaryRep).  Element 0 is the identity's phase class;
     the others follow in breadth-first order of generator products and are
     stored phase-fixed (``fix_phase``).  Two matrices are one element when
-    ``equal_up_to_phase(stored, product, phase_tolerance)`` holds.
+    ``equal_up_to_phase(stored, product)`` holds.
 
     Each product gens[c] @ e_i of the breadth-first loop is compared by
     ``equal_up_to_phase`` with one stored element only: the e maximizing
     |tr(e† product)|, from one matrix-vector product with the stack of the
     conjugated, flattened stored elements.  For unitary d x d matrices a
     product within the tolerance of a stored e has |tr(e† product)| >=
-    d (1 - phase_tolerance), so the result equals a linear scan's unless two
+    d (1 - DEFAULT_PHASE_TOL), so the result equals a linear scan's unless two
     stored elements e, e' are nearly equal up to phase: |tr(e† e')| >=
-    d (1 - 2 phase_tolerance).
+    d (1 - 2 DEFAULT_PHASE_TOL).
 
     The multiplication table needs no further products: if e_i was found as
     gens[c] @ e_p, row i is the action of gens[c] applied to row p.  One
@@ -256,7 +255,7 @@ def close_group(generator_matrices, max_order: int = 512,
         raise InvalidGeneratorError("invalid generator: empty generator list")
     d = gens[0].shape[0]
     for g in gens:
-        if g.shape != (d, d) or not is_unitary(g, phase_tolerance):
+        if g.shape != (d, d) or not is_unitary(g):
             raise InvalidGeneratorError("invalid generator: non-unitary input")
 
     elements = []
@@ -276,7 +275,7 @@ def close_group(generator_matrices, max_order: int = 512,
 
     def find(m):
         k = int(np.argmax(np.abs(conj[:len(elements)] @ m.ravel())))
-        return k if equal_up_to_phase(elements[k], m, phase_tolerance) else -1
+        return k if equal_up_to_phase(elements[k], m) else -1
 
     add(np.eye(d, dtype=complex), None)
     gen_indices = []
@@ -314,7 +313,7 @@ def close_group(generator_matrices, max_order: int = 512,
         gen_indices = [0]
     group = Group(elements=tuple(f"g{k}" for k in range(n)),
                   mult_table=table, generators=tuple(gen_indices))
-    rep = UnitaryRep(group=group, matrices=elements, phase_tolerance=phase_tolerance)
+    rep = UnitaryRep(group=group, matrices=elements)
     return group, rep
 
 
@@ -373,22 +372,22 @@ def commutant_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
     return [evecs[:, k].reshape(d, d) for k in np.flatnonzero(null)]
 
 
-def center_basis(rep: UnitaryRep, tol: float = 1e-10) -> np.ndarray:
+def center_basis(rep: UnitaryRep) -> np.ndarray:
     """Orthonormal basis of the center: group algebra ∩ commutant.
 
     Spanned by the twisted class sums pi_G(g), g in G: pi_G maps span{g}
     into itself (h† g h is a phase times an element) and fixes every
     element of the commutant, so its image of the algebra is exactly the
     algebra ∩ commutant.  Costs |G|^2 products of d x d matrices and an
-    SVD of a |G| x d^2 stack, once per representation and ``tol``; the
-    basis is a read-only (k, d, d) stack shared by later calls.
+    SVD of a |G| x d^2 stack, once per representation; the basis is a
+    read-only (k, d, d) stack shared by later calls.
     """
-    return rep._cached(("center", tol), lambda: _center_basis(rep, tol))
+    return rep._cached("center", lambda: _center_basis(rep))
 
 
-def _center_basis(rep: UnitaryRep, tol: float) -> np.ndarray:
+def _center_basis(rep: UnitaryRep) -> np.ndarray:
     mats, adjs = rep.stacked()
-    return _orthonormal_span([_average(mats, adjs, g) for g in mats], tol)
+    return _orthonormal_span([_average(mats, adjs, g) for g in mats])
 
 
 @dataclass(frozen=True)
@@ -417,12 +416,11 @@ def _block_norms(M: np.ndarray, starts) -> np.ndarray:
                                    starts, axis=1))
 
 
-def decompose_irreps(rep: UnitaryRep, cluster_tol: float = 1e-8,
-                     seed: int = 0) -> IrrepDecomposition:
+def decompose_irreps(rep: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     """Numerically block-diagonalize the representation.
 
-    Computed once per representation, ``cluster_tol`` and ``seed``; later
-    calls return the same decomposition, whose arrays are read-only.
+    Computed once per representation and ``seed``; later calls return the
+    same decomposition, whose arrays are read-only.
 
     Draws a random Hermitian commutant element, clusters its eigenvalues,
     and stitches eigenspaces into isotypic blocks with a second random
@@ -434,12 +432,10 @@ def decompose_irreps(rep: UnitaryRep, cluster_tol: float = 1e-8,
     commutant, so P has independent complex Gaussian coordinates in any
     orthonormal commutant basis; no basis is formed.
     """
-    return rep._cached(("irreps", cluster_tol, seed),
-                       lambda: _decompose_irreps(rep, cluster_tol, seed))
+    return rep._cached(("irreps", seed), lambda: _decompose_irreps(rep, seed))
 
 
-def _decompose_irreps(rep: UnitaryRep, cluster_tol: float,
-                      seed: int) -> IrrepDecomposition:
+def _decompose_irreps(rep: UnitaryRep, seed: int) -> IrrepDecomposition:
     d = rep.dimension
     rng = np.random.default_rng(seed)
 
@@ -453,16 +449,15 @@ def _decompose_irreps(rep: UnitaryRep, cluster_tol: float,
     scale = max(np.abs(evals).max(), 1.0)
 
     # cluster eigenvalues: each cluster is one commutant eigenspace (dim d_J)
-    gap_lo = cluster_tol * scale / 100.0
+    gap_lo = CLUSTER_TOL * scale / 100.0
     clusters = []
     starts = []
     start = 0
     for k in range(1, d + 1):
         gap = evals[k] - evals[k - 1] if k < d else np.inf
-        if gap_lo < gap <= cluster_tol * scale:
-            raise DegenerateDecompositionError(
-                "degenerate decomposition; tighten tolerance or reseed")
-        if gap > cluster_tol * scale:
+        if gap_lo < gap <= CLUSTER_TOL * scale:
+            raise DegenerateDecompositionError("degenerate decomposition; reseed")
+        if gap > CLUSTER_TOL * scale:
             clusters.append(evecs[:, start:k])
             starts.append(start)
             start = k
@@ -497,8 +492,7 @@ def _decompose_irreps(rep: UnitaryRep, cluster_tol: float,
     for comp in comps:
         dims = {clusters[i].shape[1] for i in comp}
         if len(dims) != 1:
-            raise DegenerateDecompositionError(
-                "degenerate decomposition; tighten tolerance or reseed")
+            raise DegenerateDecompositionError("degenerate decomposition; reseed")
         d_J = dims.pop()
         n_J = len(comp)
         ref = clusters[comp[0]]
@@ -511,8 +505,7 @@ def _decompose_irreps(rep: UnitaryRep, cluster_tol: float,
             img = clusters[i] @ (clusters[i].conj().T @ C2 @ ref)
             norms = np.linalg.norm(img, axis=0)
             if norms.min() <= 1e-10 * max(norms.max(), 1.0):
-                raise DegenerateDecompositionError(
-                    "degenerate decomposition; tighten tolerance or reseed")
+                raise DegenerateDecompositionError("degenerate decomposition; reseed")
             cols.append(img / norms)
         raw_blocks.append((n_J, d_J, np.hstack(cols)))
 

@@ -14,9 +14,8 @@ import numpy as np
 import yaml
 
 from . import analysis
-from .group_theory import is_hermitian
-from .pulses import (FaultModel, GridMismatchError, _in_algebra,
-                     constant_profile, piecewise_profile)
+from .pulses import (FaultModel, SegmentError, constant_profile,
+                     piecewise_profile, segment_list)
 
 
 # libyaml's C loader and dumper when PyYAML was built with it; they parse and
@@ -166,6 +165,19 @@ def _entries(doc: dict, key: str, kind=dict, where: str = "") -> list:
     return value
 
 
+def _segments(doc: dict, key, where: str) -> list:
+    """The (fraction, rate) pairs of the ``{fraction, rate}`` entries of
+    the list ``doc[key]``, at key path ``where.key``; the segment rule is
+    checked by what the pairs build."""
+    segs = []
+    for j, seg in enumerate(_entries(doc, key, where=where)):
+        at = f"{_path(where, key)}[{j}]"
+        _known(seg, at, ("fraction", "rate"))
+        segs.append((_field(seg, at, "fraction", _number),
+                     _field(seg, at, "rate", _matrix)))
+    return segs
+
+
 def _profile_from_doc(gen: int, rep, doc: dict, where: str):
     """The profile of an inline ``profiles`` entry, in angle rates h * delta_t."""
     if "units" in doc:
@@ -178,16 +190,14 @@ def _profile_from_doc(gen: int, rep, doc: dict, where: str):
         key, build, value = ("axis", constant_profile,
                              _field(doc, where, "axis", _matrix))
     elif "segments" in doc:
-        key, build, value = "segments", piecewise_profile, []
-        for j, seg in enumerate(_entries(doc, "segments", where=where)):
-            at = f"{where}.segments[{j}]"
-            _known(seg, at, ("fraction", "rate"))
-            value.append((_field(seg, at, "fraction", _number),
-                          _field(seg, at, "rate", _matrix)))
+        key, build = "segments", piecewise_profile
+        value = _segments(doc, "segments", where)
     else:
         raise ConfigError(f"{where} needs an 'axis' or 'segments' entry")
     try:
         return build(gen, rep, value)
+    except SegmentError as exc:
+        raise ConfigError(f"{where}.segments{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}.{key}: {exc}") from exc
 
@@ -234,36 +244,23 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
         noise_generators=noise)
 
 
-def fault_from_doc(doc: dict, rep=None) -> FaultModel:
-    """The FaultModel of a ``faults`` document: a mapping from each color to
-    its list of segments, each a mapping with a positive ``fraction`` and a
-    Hermitian ``rate`` matrix (1/delta_t units, d x d for ``rep``).  A
-    malformed document is a ConfigError naming its key path."""
+def fault_from_doc(doc: dict, rep) -> FaultModel:
+    """The FaultModel of a ``faults`` document for ``rep``: a mapping from
+    each color to its list of ``{fraction, rate}`` segments (rates in
+    1/delta_t units).  A malformed document, or a list that breaks the
+    segment rule for d = ``rep.dimension``, is a ConfigError naming its key
+    path."""
     if not isinstance(doc, dict):
         raise ConfigError("faults must be a mapping")
     deltas = {}
     for key in doc:
         color = _integer("faults key", key)
         where = f"faults.{color}"
-        segs = []
-        for j, seg in enumerate(_entries(doc, key, where="faults")):
-            at = f"{where}[{j}]"
-            _known(seg, at, ("fraction", "rate"))
-            frac = _field(seg, at, "fraction", _number)
-            rate = _field(seg, at, "rate", _matrix)
-            if frac <= 0.0:
-                raise ConfigError(f"{at}.fraction must be > 0, got {frac}")
-            d = rep.dimension if rep is not None else rate.shape[0]
-            if rate.shape != (d, d) or not is_hermitian(rate):
-                raise ConfigError(f"{at}.rate must be a Hermitian {d} x {d} matrix")
-            segs.append((frac, rate))
         try:
-            FaultModel(deltas={color: segs}).validate()
-        except GridMismatchError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        deltas[color] = segs
-    in_alg = rep is not None and all(_in_algebra(s, rep) for s in deltas.values())
-    return FaultModel(deltas=deltas, in_algebra=in_alg)
+            deltas[color] = segment_list(_segments(doc, key, "faults"), rep.dimension)
+        except SegmentError as exc:
+            raise ConfigError(f"{where}{exc}") from exc
+    return FaultModel(deltas=deltas)
 
 
 def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:

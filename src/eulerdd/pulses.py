@@ -9,14 +9,15 @@ and amplitudes scale as 1/delta_t automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .cayley import EulerPath
-from .group_theory import (UnitaryRep, _read_only, is_hermitian, phase_distance,
-                           subspace_distance)
+from .group_theory import (DEFAULT_PHASE_TOL, UnitaryRep, _read_only,
+                           is_hermitian, phase_distance, subspace_distance)
 
 REALIZATION_TOL = 1e-9
 ALGEBRA_TOL = 1e-10
@@ -31,11 +32,50 @@ class RealizationError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """Fault segment grid is incompatible with the profile grid."""
+    """A fault color is the generator color of no step of the schedule."""
 
 
 class IncompleteProfileSetError(ValueError):
     """A path color has no pulse profile."""
+
+
+class SegmentError(ValueError):
+    """A segment list breaks the segment rule; the message starts with the
+    key path of the offending value, as in "[1].rate" or "deltas[0][1].rate"."""
+
+
+def hermitian_matrix(m, d: int, label: str) -> np.ndarray:
+    """``m`` as a complex array; a ValueError naming ``label`` unless it is a
+    Hermitian d x d matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (d, d) or not is_hermitian(m):
+        raise ValueError(f"{label} must be a Hermitian {d} x {d} matrix")
+    return m
+
+
+def segment_list(segments, d: int) -> tuple:
+    """The segment rule: ``segments`` as a tuple of (fraction, rate) pairs
+    covering one sub-interval, each fraction a finite float > 0, each rate
+    a Hermitian d x d complex matrix, the fractions summing to 1 within
+    1e-12.  A SegmentError names the first segment that breaks it; a sum
+    off 1 is the last segment's."""
+    out = []
+    for j, (frac, rate) in enumerate(segments):
+        frac = float(frac)
+        if not 0.0 < frac < math.inf:
+            raise SegmentError(f"[{j}].fraction must be a finite number > 0, "
+                               f"got {frac!r}")
+        try:
+            out.append((frac, hermitian_matrix(rate, d, f"[{j}].rate")))
+        except ValueError as exc:
+            raise SegmentError(str(exc)) from None
+    if not out:
+        raise SegmentError("[0] is missing: a segment list has at least one segment")
+    total = sum(frac for frac, _ in out)
+    if abs(total - 1.0) > 1e-12:
+        raise SegmentError(f"[{len(out) - 1}].fraction: the fractions sum to "
+                           f"{total!r}, not 1")
+    return tuple(out)
 
 
 def _expm_eig(evals: np.ndarray, evecs: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -52,9 +92,10 @@ def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
 class PulseProfile:
     """Piecewise-constant control realizing one generator over a sub-interval.
 
-    segments: list of (fraction, rate) where fraction is the share of
+    segments: (fraction, rate) pairs, where fraction is the share of
     delta_t and rate = h * delta_t is the angle-rate matrix; the segment
-    unitary is exp(-i * rate * fraction).
+    unitary is exp(-i * rate * fraction).  ``piecewise_profile`` builds
+    every profile, so the segments keep the segment rule.
 
     A profile replays unchanged in every sub-interval of its color, so the
     eigenpairs of each segment rate and the endpoint unitary are computed
@@ -63,7 +104,7 @@ class PulseProfile:
     """
 
     generator: int
-    segments: list
+    segments: tuple
     target: np.ndarray
     in_algebra: bool
 
@@ -101,34 +142,18 @@ class PulseProfile:
         return _read_only(self.unitary_at(1.0))
 
 
-def _check_realization(profile: PulseProfile, tol=REALIZATION_TOL):
-    dist = phase_distance(profile.target, profile.endpoint_unitary())
-    if dist > tol:
-        raise RealizationError(
-            f"profile does not implement generator: distance {dist:.3e} > {tol:.0e}")
-
-
-def _in_algebra(segments, rep: UnitaryRep, tol=ALGEBRA_TOL) -> bool:
-    basis = rep.algebra_basis()
-    return all(subspace_distance(rate, basis) <= tol * max(np.linalg.norm(rate), 1.0)
-               for _, rate in segments)
-
-
 def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> PulseProfile:
     """Single-segment profile: constant Hamiltonian along ``axis`` realizing
     the generator.  The amplitude is the smallest non-negative angle theta
     with exp(-i theta axis) equal to the target up to phase; the physical
-    amplitude is theta / delta_t.  A non-Hermitian axis is refused.
+    amplitude is theta / delta_t.  An axis that is not a Hermitian d x d
+    matrix is refused.
     """
-    axis = np.asarray(axis, dtype=complex)
-    if not is_hermitian(axis):
-        raise ValueError("axis must be a Hermitian matrix")
     target = rep.matrices[generator]
     d = target.shape[0]
-    if np.linalg.norm(target - np.eye(d)) <= rep.phase_tolerance:
-        segments = [(1.0, np.zeros((d, d), dtype=complex))]
-        return PulseProfile(generator=generator, segments=segments, target=target,
-                            in_algebra=_in_algebra(segments, rep))
+    axis = hermitian_matrix(axis, d, "axis")
+    if np.linalg.norm(target - np.eye(d)) <= DEFAULT_PHASE_TOL:
+        return piecewise_profile(generator, rep, [(1.0, np.zeros((d, d)))])
     evals, evecs = np.linalg.eigh(axis)
     diag_target = evecs.conj().T @ target @ evecs
     if np.linalg.norm(diag_target - np.diag(np.diag(diag_target))) > 1e-9:
@@ -152,34 +177,27 @@ def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> Pulse
             break
     else:
         raise UnreachableGeneratorError("unreachable generator along axis")
-    segments = [(1.0, theta * axis)]
-    return PulseProfile(generator=generator, segments=segments, target=target,
-                        in_algebra=_in_algebra(segments, rep))
+    return piecewise_profile(generator, rep, [(1.0, theta * axis)])
 
 
 def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile:
     """Profile from explicit (fraction, rate) segments; rate = h * delta_t.
 
-    Validates the realization invariant and computes the in-algebra flag by
-    projecting each segment onto the group-algebra span.
+    The one constructor of PulseProfile: it holds the segments to the
+    segment rule, checks that they realize the generator, and computes the
+    in-algebra flag by projecting each segment onto the group-algebra span.
     """
-    segs = []
-    total = 0.0
-    for frac, rate in segments:
-        frac = float(frac)
-        if frac <= 0.0:
-            raise ValueError("segment fractions must be positive")
-        rate = np.asarray(rate, dtype=complex)
-        if not is_hermitian(rate):
-            raise ValueError("segment Hamiltonians must be Hermitian")
-        segs.append((frac, rate))
-        total += frac
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError("segment fractions must sum to 1")
-    profile = PulseProfile(generator=generator, segments=segs,
-                           target=rep.matrices[generator],
-                           in_algebra=_in_algebra(segs, rep))
-    _check_realization(profile)
+    target = rep.matrices[generator]
+    segs = segment_list(segments, target.shape[0])
+    basis = rep.algebra_basis()
+    profile = PulseProfile(generator=generator, segments=segs, target=target,
+                           in_algebra=all(subspace_distance(rate, basis)
+                                          <= ALGEBRA_TOL * max(np.linalg.norm(rate), 1.0)
+                                          for _, rate in segs))
+    dist = phase_distance(target, profile.endpoint_unitary())
+    if dist > REALIZATION_TOL:
+        raise RealizationError(f"profile does not implement generator: "
+                               f"distance {dist:.3e} > {REALIZATION_TOL:.0e}")
     return profile
 
 
@@ -187,29 +205,29 @@ def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile
 class FaultModel:
     """Systematic per-generator control errors.
 
-    deltas[color] is a list of (fraction, rate) segments over the
+    deltas[color] is a tuple of (fraction, rate) segments over the
     sub-interval, in the same 1/delta_t units as profiles; the same error
-    replays at the same offset every time that generator is pulsed.
+    replays at the same offset every time that generator is pulsed.  Built
+    models keep the segment rule, with d the size of their first rate.
     """
 
     deltas: dict
-    in_algebra: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        rates = [rate for segs in self.deltas.values() for _, rate in segs]
+        d = np.shape(rates[0])[0] if rates and np.ndim(rates[0]) else 0
+        deltas = {}
         for color, segs in self.deltas.items():
-            total = sum(frac for frac, _ in segs)
-            if abs(total - 1.0) > 1e-12:
-                raise GridMismatchError(
-                    f"incompatible fault grid: color {color} fractions sum to {total}")
+            try:
+                deltas[color] = segment_list(segs, d)
+            except SegmentError as exc:
+                raise SegmentError(f"deltas[{color}]{exc}") from None
+        self.deltas = deltas
 
     @staticmethod
-    def constant(colors, rates, rep: UnitaryRep = None) -> "FaultModel":
+    def constant(colors, rates) -> "FaultModel":
         """Constant Delta-h per generator; rates in 1/delta_t units."""
-        deltas = {c: [(1.0, np.asarray(r, dtype=complex))] for c, r in zip(colors, rates)}
-        in_alg = False
-        if rep is not None:
-            in_alg = all(_in_algebra(segs, rep) for segs in deltas.values())
-        return FaultModel(deltas=deltas, in_algebra=in_alg)
+        return FaultModel(deltas={c: [(1.0, r)] for c, r in zip(colors, rates)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +326,7 @@ def bangbang_schedule(group, rep: UnitaryRep, delta_t: float) -> ControlSchedule
     if n <= 1:
         raise ValueError("decoupling requires |G| > 1")
     mats = rep.matrices
-    free = PulseProfile(generator=0, segments=[(1.0, np.zeros_like(mats[0]))],
-                        target=mats[0], in_algebra=True)
+    free = piecewise_profile(0, rep, [(1.0, np.zeros_like(mats[0]))])
     return ControlSchedule(rep=rep, delta_t=delta_t, steps=tuple(
         Step(None, free, mats[(l + 1) % n] @ mats[l].conj().T) for l in range(n)))
 
@@ -350,7 +367,6 @@ def apply_fault(schedule: ControlSchedule, fault: FaultModel) -> ControlSchedule
     Every fault color must be the generator color of some step.  The ideal
     profiles are retained on the returned schedule (the toggling frame is
     always built from the intended control)."""
-    fault.validate()
     colors = schedule.profiles
     for color in fault.deltas:
         if color is None or color not in colors:

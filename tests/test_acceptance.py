@@ -88,11 +88,11 @@ def test_04_carr_purcell_fault_robustness():
     details = []
     ok = True
     for name, u in (("sy", SY), ("sz", SZ)):
-        fault = FaultModel.constant([0], [0.1 * u], sc.rep)
+        fault = FaultModel.constant([0], [0.1 * u])
         res = residual_error(sc.rep, sc.profiles, fault)
         details.append(f"{name}={np.linalg.norm(res):.2e}")
         ok = ok and np.linalg.norm(res) <= 1e-9
-    fault = FaultModel.constant([0], [0.1 * SX], sc.rep)
+    fault = FaultModel.constant([0], [0.1 * SX])
     res = residual_error(sc.rep, sc.profiles, fault)
     dev = np.linalg.norm(res - 0.1 * SX)
     details.append(f"sx-dev={dev:.2e}")
@@ -115,10 +115,10 @@ def test_05_pauli_systematic_error_elimination():
         for _ in range(2):
             m = random_hermitian(2, rng)
             rates.append(m - np.trace(m) / 2 * np.eye(2))
-        fault = FaultModel.constant([0, 1], rates, sc.rep)
+        fault = FaultModel.constant([0, 1], rates)
         worst = max(worst, np.linalg.norm(
             residual_error(sc.rep, sc.profiles, fault)))
-    fault = FaultModel.constant([0, 1], [0.3 * SY, 0.2 * SX], sc.rep)
+    fault = FaultModel.constant([0, 1], [0.3 * SY, 0.2 * SX])
     err_dd, err_free = fault_fidelity_comparison(sc, fault, 0.01, 10, seed=5)
     ratio = err_free / err_dd
     ok = worst <= 1e-8 and ratio >= 10.0

@@ -1,5 +1,7 @@
 """Tests for scenario construction, robustness reports, and scaling studies."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               symmetric_s3_scenario, verify_theorem)
 from eulerdd.cayley import validate_path
 from eulerdd.group_theory import pi_G
-from eulerdd.pulses import FaultModel, piecewise_profile
+from eulerdd.pulses import FaultModel, constant_profile, piecewise_profile
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -90,7 +92,7 @@ class TestVerifyTheorem:
     def test_all_builtins_pass(self):
         for sc in builtin_scenarios():
             rep = verify_theorem(sc, trials=20, tol=1e-7, seed=0)
-            assert rep.hypothesis_ok and rep.passed, sc.name
+            assert not rep.skipped and rep.passed, sc.name
 
     def test_out_of_algebra_profile_skips(self):
         sc = carr_purcell_scenario()
@@ -98,20 +100,20 @@ class TestVerifyTheorem:
                                 [(0.5, np.pi * SZ), (0.5, np.pi * SY)])
         sc.profiles[0] = bad
         rep = verify_theorem(sc, trials=5)
-        assert rep.skipped and not rep.hypothesis_ok
+        assert rep.skipped
 
 
 class TestRobustnessReport:
     def test_carr_purcell_transverse_faults_safe(self):
         sc = carr_purcell_scenario()
         for u in (SY, SZ):
-            rob = robustness_report(sc, FaultModel.constant([0], [0.1 * u], sc.rep))
+            rob = robustness_report(sc, FaultModel.constant([0], [0.1 * u]))
             assert rob.residual_norm <= 1e-9
             assert all(b.classification == "noiseless" for b in rob.blocks)
 
     def test_carr_purcell_x_fault_central_nonzero(self):
         sc = carr_purcell_scenario()
-        rob = robustness_report(sc, FaultModel.constant([0], [0.1 * SX], sc.rep))
+        rob = robustness_report(sc, FaultModel.constant([0], [0.1 * SX]))
         assert rob.residual_norm > 1e-3
         assert rob.center_residual <= 1e-9
         assert rob.commutant_residual <= 1e-9
@@ -124,7 +126,7 @@ class TestRobustnessReport:
             for _ in range(2):
                 m = random_hermitian(2, rng)
                 rates.append(m - np.trace(m) / 2 * np.eye(2))
-            rob = robustness_report(sc, FaultModel.constant([0, 1], rates, sc.rep))
+            rob = robustness_report(sc, FaultModel.constant([0, 1], rates))
             assert rob.residual_norm <= 1e-8
 
     def test_s3_blocks_protected_dimension_factor(self):
@@ -133,7 +135,7 @@ class TestRobustnessReport:
         # arbitrary (not in-algebra) fault: residual stays in the commutant,
         # so the dimension factors remain clean
         rates = [random_hermitian(8, rng), random_hermitian(8, rng)]
-        rob = robustness_report(sc, FaultModel.constant([0, 1], rates, sc.rep))
+        rob = robustness_report(sc, FaultModel.constant([0, 1], rates))
         assert rob.commutant_residual <= 1e-8
         for b in rob.blocks:
             assert b.classification in ("noiseless", "protected subspace",
@@ -141,6 +143,17 @@ class TestRobustnessReport:
 
 
 class TestNoiseSuppression:
+    @pytest.mark.parametrize("noise,message", [
+        (np.kron(SX, SX), "must be a Hermitian 2 x 2 matrix"),
+        (SX @ SZ, "must be a Hermitian 2 x 2 matrix"),
+        (SZ + np.eye(2), "must be traceless"),
+    ], ids=["wrong-size", "non-hermitian", "trace"])
+    def test_bad_noise_generator_refused(self, noise, message):
+        with pytest.raises(ValueError, match=rf"^noise_generators\[1\] {message}"):
+            analysis.scenario_from_generators(
+                "bad", "", 1, [SX], [partial(constant_profile, axis=SX)],
+                noise_generators=[("sz", SZ), ("bad", noise)])
+
     def test_spin_flip_full_suppression(self):
         sc = spin_flip_scenario(2)
         rep = noise_suppression_check(sc)
@@ -227,7 +240,7 @@ class TestScalingStudy:
 class TestFidelityComparison:
     def test_decoupling_beats_free_evolution(self):
         sc = pauli_scenario(1)
-        fault = FaultModel.constant([0, 1], [0.3 * SY, 0.2 * SX], sc.rep)
+        fault = FaultModel.constant([0, 1], [0.3 * SY, 0.2 * SX])
         err_dd, err_free = fault_fidelity_comparison(sc, fault, 0.01, 10, seed=5)
         assert err_free >= 10 * err_dd
 

@@ -364,10 +364,10 @@ def test_unknown_config_key_exits_2_naming_its_path(capsys, tmp_path, body, path
 
 @pytest.mark.parametrize("profile,path", [
     ("{axis: {dim: [2, 2], data: [[0, 0], [1.3, 0], [1, 0], [0, 0]]}}",
-     "profiles[0].axis: axis must be a Hermitian matrix"),
+     "profiles[0].axis: axis must be a Hermitian 2 x 2 matrix"),
     ("{segments: [{fraction: 1.0, rate: {dim: [2, 2], data: [[0, 0], [1.3, 0], "
      "[1, 0], [0, 0]]}}]}",
-     "profiles[0].segments: segment Hamiltonians must be Hermitian"),
+     "profiles[0].segments[0].rate must be a Hermitian 2 x 2 matrix"),
     ("{segments: [{fraction: 1.0, rate: %s}]}" % SX_DOC,
      "profiles[0].segments: profile does not implement generator"),
 ], ids=["non-hermitian-axis", "non-hermitian-segment", "unrealized-segments"])
@@ -376,6 +376,30 @@ def test_profile_builder_error_names_its_key(capsys, tmp_path, profile, path):
     cfg.write_text("scenario:\n  generators: [%s]\n  profiles: [%s]\n"
                    % (SX_DOC, profile))
     assert_refused(capsys, ["verify", "--config", str(cfg)], path)
+
+
+# sigma_x ⊗ sigma_x: Hermitian, traceless, and 4 x 4 on a 2 x 2 scenario
+XX_DOC = ("{dim: [4, 4], data: [[0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], "
+          "[1, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [1, 0], [0, 0], "
+          "[0, 0], [0, 0]]}")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sweep", "--delta-t", "0.02,0.01"]],
+                         ids=["verify", "sweep"])
+@pytest.mark.parametrize("body,message", [
+    ("  generators: [%s]\n  profiles: [{axis: %s}]\n" % (SX_DOC, XX_DOC),
+     "profiles[0].axis: axis must be a Hermitian 2 x 2 matrix"),
+    ("  generators: [%s]\n  profiles: [{segments: [{fraction: 1.0, rate: %s}]}]\n"
+     % (SX_DOC, XX_DOC),
+     "profiles[0].segments[0].rate must be a Hermitian 2 x 2 matrix"),
+    (INLINE_SX + "  noise_generators: [{matrix: %s}]\n" % XX_DOC,
+     "noise_generators[0] must be a Hermitian 2 x 2 matrix"),
+], ids=["axis", "segment-rate", "noise-matrix"])
+def test_matrix_of_wrong_size_exits_2_naming_its_path(capsys, tmp_path, command,
+                                                      body, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario:\n" + body)
+    assert_refused(capsys, [*command, "--config", str(cfg)], message)
 
 
 def test_profile_with_axis_and_segments_exits_2(capsys, tmp_path):

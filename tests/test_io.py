@@ -184,13 +184,12 @@ class TestFaultDocs:
         sc = carr_purcell_scenario()
         doc = {0: [{"fraction": 1.0, "rate": encode_matrix(0.1 * SX)}]}
         fault = fault_from_doc(doc, sc.rep)
-        assert fault.in_algebra
         np.testing.assert_allclose(fault.deltas[0][0][1], 0.1 * SX)
 
     def test_bad_fault_fractions(self):
         doc = {0: [{"fraction": 0.4, "rate": encode_matrix(SX)}]}
         with pytest.raises(ConfigError):
-            fault_from_doc(doc)
+            fault_from_doc(doc, carr_purcell_scenario().rep)
 
     @pytest.mark.parametrize("doc,path", [
         ([{"fraction": 1.0, "rate": encode_matrix(SX)}], "faults"),
@@ -208,7 +207,8 @@ class TestFaultDocs:
          "faults.0[0].rate"),
         ({0: [{"fraction": 1.0, "rate": encode_matrix(np.kron(SX, SX))}]},
          "faults.0[0].rate"),
-        ({0: [{"fraction": 0.4, "rate": encode_matrix(SX)}]}, "faults.0"),
+        ({0: [{"fraction": 0.4, "rate": encode_matrix(SX)}]},
+         "faults.0[0].fraction"),
         ({0: [{"fraction": 1.0, "rate": encode_matrix(SX), "colour": 0}]},
          "faults.0[0].colour"),
     ], ids=["list", "color-to-int", "segment-not-mapping", "text-color",

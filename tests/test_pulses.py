@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerdd import pulses
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
-                              pauli_scenario, spin_flip_scenario, swap_gate,
+                              pauli_scenario, random_hermitian,
+                              spin_flip_scenario, swap_gate,
                               symmetric_s3_scenario)
 from eulerdd.group_theory import close_group, equal_up_to_phase
+from eulerdd.io import ConfigError, encode_matrix, fault_from_doc
 from eulerdd.pulses import (FaultModel, GridMismatchError,
                             IncompleteProfileSetError, RealizationError,
-                            UnreachableGeneratorError, apply_fault,
-                            bangbang_schedule, constant_profile,
+                            SegmentError, UnreachableGeneratorError,
+                            apply_fault, bangbang_schedule, constant_profile,
                             eulerian_schedule, merged_segments,
-                            phase_distance, piecewise_profile)
+                            phase_distance, piecewise_profile, segment_list)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -60,7 +64,8 @@ class TestConstantProfile:
                              ids=["carr-purcell", "pauli", "spin-flip-3"])
     def test_first_realizing_angle_is_taken(self, make, monkeypatch):
         # the candidate angles grow, so the first that realizes the target
-        # is the smallest and no later one is tried
+        # is the smallest and no later one is tried; the second call is
+        # piecewise_profile's realization check of the chosen angle
         calls = []
 
         def counted(a, b):
@@ -73,7 +78,7 @@ class TestConstantProfile:
             calls.clear()
             again = constant_profile(prof.generator, sc.rep, prof.segments[0][1]
                                      / np.linalg.norm(prof.segments[0][1]))
-            assert calls == [1]
+            assert calls == [1, 1]
             np.testing.assert_allclose(again.segments[0][1], prof.segments[0][1],
                                        atol=1e-12)
 
@@ -189,7 +194,7 @@ class TestFaults:
     def test_zero_fault_is_identity_operation(self):
         sc = carr_purcell_scenario()
         sched = sc.schedule(0.05)
-        fault = FaultModel.constant([0], [np.zeros((2, 2))], sc.rep)
+        fault = FaultModel.constant([0], [np.zeros((2, 2))])
         faulty = apply_fault(sched, fault)
         for frac, ideal, err in merged_segments(sc.profiles[0], faulty.fault, 0):
             assert np.linalg.norm(err) == 0.0
@@ -197,25 +202,17 @@ class TestFaults:
     def test_constant_fault_merges_onto_profile_grid(self):
         sc = symmetric_s3_scenario()
         sched = sc.schedule(0.05)
-        fault = FaultModel.constant([1], [0.1 * heisenberg(3, 0, 1)], sc.rep)
+        fault = FaultModel.constant([1], [0.1 * heisenberg(3, 0, 1)])
         faulty = apply_fault(sched, fault)
         segs = merged_segments(sc.profiles[1], faulty.fault, 1)
         assert len(segs) == 2
         for frac, ideal, err in segs:
             np.testing.assert_allclose(err, 0.1 * heisenberg(3, 0, 1))
 
-    def test_fault_in_algebra_flag(self):
-        sc = pauli_scenario(1)
-        f = FaultModel.constant([0, 1], [0.1 * SX, 0.2 * SY], sc.rep)
-        assert f.in_algebra  # the qubit error basis spans all of Mat_2
-        sc2 = carr_purcell_scenario()
-        f2 = FaultModel.constant([0], [0.1 * SY], sc2.rep)
-        assert not f2.in_algebra
-
     def test_bad_fault_grid_rejected(self):
-        fault = FaultModel(deltas={0: [(0.4, SX)]})
-        with pytest.raises(GridMismatchError):
-            fault.validate()
+        with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.fraction: "
+                                             r"the fractions sum to 0\.4,"):
+            FaultModel(deltas={0: [(0.4, SX)]})
 
     def test_unknown_color_rejected(self):
         sc = carr_purcell_scenario()
@@ -236,3 +233,80 @@ class TestFaults:
         bb = sc.bangbang(0.05)
         with pytest.raises(ValueError):
             apply_fault(bb, FaultModel(deltas={0: [(1.0, SX)]}))
+
+
+@st.composite
+def segment_lists(draw):
+    """(d, segments, index of the corrupted segment or None): random split
+    fractions and random Hermitian d x d rates with at most one corruption,
+    a fraction <= 0, a non-Hermitian rate, a (d+1) x (d+1) rate, or the last
+    segment ending 1e-9 off the end of the sub-interval."""
+    d = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fracs = [w / sum(weights) for w in weights]
+    rates = [random_hermitian(d, rng) for _ in fracs]
+    kind = draw(st.sampled_from([None, "fraction", "sum", "hermitian", "shape"]))
+    bad = draw(st.integers(0, len(fracs) - 1))
+    if kind is None:
+        bad = None
+    elif kind == "fraction":
+        fracs[bad] = draw(st.sampled_from([0.0, -fracs[bad]]))
+    elif kind == "sum":
+        bad = len(fracs) - 1
+        fracs[bad] += draw(st.sampled_from([1e-9, -1e-9]))
+    elif kind == "hermitian":
+        rates[bad] = rates[bad] + 1j * np.eye(d)
+    else:
+        rates[bad] = random_hermitian(d + 1, rng)
+    return d, list(zip(fracs, rates)), bad
+
+
+class TestSegmentRule:
+    @settings(max_examples=80, deadline=None)
+    @given(segment_lists())
+    def test_profiles_faults_and_fault_docs_share_the_rule(self, case):
+        d, segs, bad = case
+        rep = close_group([np.eye(d)])[1]
+
+        def refusal(build, error):
+            """The message of ``build``'s refusal, None if it keeps the rule."""
+            try:
+                build()
+            except error as exc:
+                return str(exc)
+            except RealizationError:    # random segments realize no target
+                pass
+            return None
+
+        doc = {1: [{"fraction": f, "rate": encode_matrix(r)} for f, r in segs]}
+        refusals = [
+            refusal(lambda: segment_list(segs, d), SegmentError),
+            refusal(lambda: piecewise_profile(0, rep, segs), SegmentError),
+            # color 0 fixes d, as the first rate of a fault does
+            refusal(lambda: FaultModel({0: [(1.0, np.zeros((d, d)))], 1: segs}),
+                    SegmentError),
+            refusal(lambda: fault_from_doc(doc, rep), ConfigError),
+        ]
+        if bad is None:
+            assert refusals == [None] * 4
+        else:
+            paths = ("", "", "deltas[1]", "faults.1")
+            for msg, path in zip(refusals, paths):
+                assert msg is not None and msg.startswith(f"{path}[{bad}]"), msg
+
+    @pytest.mark.parametrize("segs,message", [
+        ([], r"^\[0\] is missing"),
+        ([(np.inf, SX)], r"^\[0\]\.fraction must be a finite number > 0"),
+        ([(np.nan, SX)], r"^\[0\]\.fraction must be a finite number > 0"),
+        ([(0.5, SX), (0.5, np.kron(SX, SX))],
+         r"^\[1\]\.rate must be a Hermitian 2 x 2 matrix"),
+    ], ids=["empty", "infinite-fraction", "nan-fraction", "wrong-d-rate"])
+    def test_refusal_names_the_segment(self, segs, message):
+        with pytest.raises(SegmentError, match=message):
+            segment_list(segs, 2)
+
+    def test_wrong_d_axis_refused(self):
+        group, rep = close_group([SX])
+        with pytest.raises(ValueError, match=r"^axis must be a Hermitian 2 x 2 matrix"):
+            constant_profile(group.generators[0], rep, np.kron(SX, SX))

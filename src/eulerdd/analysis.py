@@ -13,12 +13,12 @@ import numpy as np
 
 from . import pulses
 from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
-                     path_from_colors)
+                     path_from_colors, validate_path)
 from .dynamics import (DriftModel, _distance_to_average, average_hamiltonian,
                        q_map, residual_error, simulate_cycles)
-from .group_theory import (HERMITIAN_TOL, Group, IrrepDecomposition,
-                           UnitaryRep, center_basis, close_group,
-                           decompose_irreps, pi_G, subspace_distance)
+from .group_theory import (HERMITIAN_TOL, Group, UnitaryRep, center_basis,
+                           close_group, decompose_irreps, pi_G,
+                           subspace_distance)
 from .pulses import (ControlSchedule, FaultModel, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
                      hermitian_matrix, piecewise_profile)
@@ -253,9 +253,8 @@ def pauli_scenario(n: int = 1) -> Scenario:
 
 def _spin_flip_checks(scenario, rng, seed) -> list:
     """Linear noise is suppressed; for even n the group algebra is abelian."""
-    sup = noise_suppression_check(scenario)
-    worst = max((e.projected_norm for e in sup.entries), default=0.0)
-    checks = [bound_check("linear-noise-suppressed", worst, 1e-12)]
+    checks = [bound_check("linear-noise-suppressed",
+                          noise_suppression_check(scenario), 1e-12)]
     if scenario.n_qubits % 2 == 0:
         mats = scenario.rep.stacked()[0]
         worst = max(max_norm(a @ mats - mats @ a) for a in mats)
@@ -347,26 +346,17 @@ def get_scenario(name: str, n: int = None) -> Scenario:
     return _FACTORIES[name]() if n is None else _FACTORIES[name](n)
 
 
-@dataclass
-class TheoremReport:
-    scenario: str
-    skipped: bool
-    trials: int
-    max_deviation: float
-    tolerance: float
-    passed: bool
+THEOREM_TOL = 1e-7
 
 
-def verify_theorem(scenario: Scenario, trials: int = 100, tol: float = 1e-7,
-                   seed: int = 0) -> TheoremReport:
-    """Check the symmetrization identity q_map = pi_G on random Hermitian
-    inputs.  Skipped (with a notice) when any profile leaves the group
-    algebra, since the hypothesis then fails."""
-    hypothesis = all(p.in_algebra for p in scenario.profiles.values())
-    if not hypothesis:
-        return TheoremReport(scenario=scenario.name, skipped=True, trials=0,
-                             max_deviation=float("nan"), tolerance=tol,
-                             passed=False)
+def verify_theorem(scenario: Scenario, trials: int = 100, seed: int = 0) -> dict:
+    """The ``symmetrization`` check: the identity q_map = pi_G on random
+    Hermitian inputs, within THEOREM_TOL.  Skipped (passed, with a note)
+    when any profile leaves the group algebra, since the hypothesis then
+    fails."""
+    if not all(p.in_algebra for p in scenario.profiles.values()):
+        return check_result("symmetrization", True, "skipped", THEOREM_TOL,
+                            "hypothesis failed: profiles leave the algebra")
     rng = np.random.default_rng(seed)
     d = scenario.rep.dimension
     worst = 0.0
@@ -376,8 +366,38 @@ def verify_theorem(scenario: Scenario, trials: int = 100, tol: float = 1e-7,
             q_map(scenario.rep, scenario.profiles, X)
             - pi_G(scenario.rep, X))
         worst = max(worst, float(dev))
-    return TheoremReport(scenario=scenario.name, skipped=False, trials=trials,
-                         max_deviation=worst, tolerance=tol, passed=worst <= tol)
+    return bound_check("symmetrization", worst, THEOREM_TOL)
+
+
+def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
+    """Every named check ``verify`` runs on a scenario: the generic ones
+    (cycle, theorem, projector properties), then the scenario's own."""
+    rng = np.random.default_rng(seed)
+    rep = scenario.rep
+    expected = scenario.expected_cycle_length
+    checks = [check_result("cycle-length", len(scenario.path) == expected,
+                           len(scenario.path), expected)]
+    ok, diag = validate_path(scenario.graph, scenario.path.colors)
+    checks.append(check_result("eulerian-cycle-valid", ok, diag, "ok"))
+    if scenario.reference_path is not None:
+        ok, diag = validate_path(scenario.graph, scenario.reference_path)
+        checks.append(check_result("reference-path-valid", ok, diag, "ok"))
+    checks.append(verify_theorem(scenario, trials=trials, seed=seed))
+
+    mats = rep.stacked()[0]
+    worst_idem, worst_comm = 0.0, 0.0
+    for _ in range(10):
+        X = random_hermitian(rep.dimension, rng)
+        p = pi_G(rep, X)
+        worst_idem = max(worst_idem, float(np.linalg.norm(pi_G(rep, p) - p)))
+        q = q_map(rep, scenario.profiles, X)
+        worst_comm = max(worst_comm, max_norm(q @ mats - mats @ q))
+    checks.append(bound_check("projector-idempotent", worst_idem, 1e-10))
+    checks.append(bound_check("qmap-commutant-valued", worst_comm, 1e-9))
+
+    for check in scenario.checks:
+        checks.extend(check(scenario, rng, seed))
+    return checks
 
 
 @dataclass
@@ -391,8 +411,6 @@ class BlockReport:
 
 @dataclass
 class SubsystemReport:
-    scenario: str
-    decomposition: IrrepDecomposition
     residual: np.ndarray
     residual_norm: float
     commutant_residual: float   # distance of the residual from the commutant
@@ -443,36 +461,18 @@ def robustness_report(scenario: Scenario, fault: FaultModel,
                                   dimension=blk.dimension, action_norm=norm,
                                   classification=cls))
     return SubsystemReport(
-        scenario=scenario.name, decomposition=decomp, residual=res,
-        residual_norm=scale,
+        residual=res, residual_norm=scale,
         commutant_residual=float(np.linalg.norm(res - pi_G(scenario.rep, res))),
         center_residual=subspace_distance(res, cen),
         blocks=blocks,
     )
 
 
-@dataclass
-class SuppressionEntry:
-    name: str
-    projected_norm: float
-
-
-@dataclass
-class SuppressionReport:
-    scenario: str
-    entries: list
-    full_suppression: bool
-
-
-def noise_suppression_check(scenario: Scenario) -> SuppressionReport:
-    """Per noise generator: the norm of its group average.  Flags full
-    suppression (all averages vanish)."""
-    entries = [SuppressionEntry(name=name, projected_norm=float(
-                   np.linalg.norm(pi_G(scenario.rep, S))))
-               for name, S in scenario.noise_generators]
-    full = all(e.projected_norm <= 1e-12 for e in entries)
-    return SuppressionReport(scenario=scenario.name, entries=entries,
-                             full_suppression=full)
+def noise_suppression_check(scenario: Scenario) -> float:
+    """The largest norm of a noise generator's group average; 0 when the
+    scenario declares no noise generator."""
+    return max((float(np.linalg.norm(pi_G(scenario.rep, S)))
+                for _, S in scenario.noise_generators), default=0.0)
 
 
 @dataclass
@@ -486,7 +486,6 @@ class ScalingRow:
 
 @dataclass
 class ScalingStudy:
-    scenario: str
     rows: list
     slope: float        # log-log slope of per-cycle error vs T_c; nan if n/a
     monotonic: bool
@@ -527,8 +526,8 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
     else:
         slope = float("nan")
         notice = notice or "slope undefined (need >= 2 nonzero points)"
-    return ScalingStudy(scenario=scenario.name, rows=rows, slope=slope,
-                        monotonic=monotonic, notice=notice)
+    return ScalingStudy(rows=rows, slope=slope, monotonic=monotonic,
+                        notice=notice)
 
 
 def fidelity_error(drift: DriftModel, unitary: np.ndarray,

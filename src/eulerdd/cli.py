@@ -8,59 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-import numpy as np
-
 from . import analysis, io
-from .analysis import (bound_check, check_result, max_norm, random_hermitian,
-                       scaling_study, verify_theorem)
-from .cayley import validate_path
-from .dynamics import q_map
-from .group_theory import pi_G
+from .analysis import scaling_study, verify_checks
 from .io import ConfigError, RunConfig
-
-
-def scenario_checks(scenario, cfg: RunConfig) -> list:
-    """Named verification checks for one scenario: the generic ones (cycle,
-    theorem, projector properties), then the scenario's own checks."""
-    rng = np.random.default_rng(cfg.seed)
-    rep = scenario.rep
-    d = rep.dimension
-    checks = []
-
-    expected = scenario.expected_cycle_length
-    checks.append(check_result("cycle-length", len(scenario.path) == expected,
-                               len(scenario.path), expected))
-    ok, diag = validate_path(scenario.graph, scenario.path.colors)
-    checks.append(check_result("eulerian-cycle-valid", ok, diag, "ok"))
-    if scenario.reference_path is not None:
-        ok, diag = validate_path(scenario.graph, scenario.reference_path)
-        checks.append(check_result("reference-path-valid", ok, diag, "ok"))
-
-    rep_report = verify_theorem(scenario, trials=cfg.trials, seed=cfg.seed)
-    if rep_report.skipped:
-        checks.append(check_result("symmetrization", True, "skipped",
-                                   rep_report.tolerance,
-                                   "hypothesis failed: profiles leave the algebra"))
-    else:
-        checks.append(bound_check("symmetrization", rep_report.max_deviation,
-                                  rep_report.tolerance))
-
-    mats = rep.stacked()[0]
-    worst_idem, worst_comm = 0.0, 0.0
-    for _ in range(10):
-        X = random_hermitian(d, rng)
-        p = pi_G(rep, X)
-        worst_idem = max(worst_idem, float(np.linalg.norm(pi_G(rep, p) - p)))
-        q = q_map(rep, scenario.profiles, X)
-        worst_comm = max(worst_comm, max_norm(q @ mats - mats @ q))
-    checks.append(bound_check("projector-idempotent", worst_idem, 1e-10))
-    checks.append(bound_check("qmap-commutant-valued", worst_comm, 1e-9))
-
-    for check in scenario.checks:
-        checks.extend(check(scenario, rng, cfg.seed))
-    return checks
 
 
 def _summary_json(scenario_name, cfg: RunConfig, checks) -> str:
@@ -118,7 +71,7 @@ def _write(text: str, out: str) -> None:
 
 def cmd_verify(args) -> int:
     scenario, cfg = _resolve(args)
-    checks = scenario_checks(scenario, cfg)
+    checks = verify_checks(scenario, cfg.trials, cfg.seed)
     summary = _summary_json(scenario.name, cfg, checks)
     if cfg.out:
         _write(summary, cfg.out)
@@ -142,7 +95,7 @@ def cmd_sweep(args) -> int:
     lines = ["delta_t,cycle_time,cycles,distance"]
     for r in study.rows:
         lines.append(f"{r.delta_t!r},{r.cycle_time!r},{r.cycles},{r.distance!r}")
-    if len(study.rows) >= 2 and np.isfinite(study.slope):
+    if len(study.rows) >= 2 and math.isfinite(study.slope):
         lines.append(f"# slope: {study.slope:.6f}")
     else:
         lines.append("# slope omitted: need at least two delta_t values")

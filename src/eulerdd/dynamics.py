@@ -176,6 +176,7 @@ def residual_error(rep: UnitaryRep, profiles: dict, fault: FaultModel) -> np.nda
     Returned in 1/delta_t units (multiply by 1/delta_t for the physical
     Hamiltonian).  The toggling frame uses the ideal profiles; the
     integrand is u†(s) delta-h(s) u(s)."""
+    fault.check_dimension(rep.dimension)
     acc = sum(_sub_interval_integral([(frac, prof.spectra[k], err) for frac, k, err
                                       in merged_segments(prof, fault, color)])
               for color, prof in profiles.items())

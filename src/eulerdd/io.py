@@ -343,15 +343,24 @@ def import_schedule(text: str):
                       _field(row, at, "hamiltonian", hamiltonian))))
     # one profile per color, read from the rows of its first sub-interval
     first, segments = {}, {}
-    for _, ell, color, (dur, amp, hid) in rows:
+    for k, ell, color, (dur, amp, hid) in rows:
         if first.setdefault(color, ell) == ell:
             segments.setdefault(color, []).append(
-                (dur / delta_t, amp * delta_t * hams[hid]))
+                (k, (dur / delta_t, amp * delta_t * hams[hid])))
+
+    def profile(color, generator, rep):
+        """The profile of ``color``; a refusal by the segment rule names
+        the row of the offending segment."""
+        ks, segs = zip(*segments[color])
+        try:
+            return piecewise_profile(generator, rep, segs)
+        except SegmentError as exc:
+            raise ConfigError(f"timeline[{ks[exc.index]}]: color {color} "
+                              f"segment {exc}") from exc
+
     scenario = _build(
         "schedule file", "imported", "imported schedule", 0,
-        _generators(doc),
-        [partial(piecewise_profile, segments=segments[c])
-         for c in sorted(segments)],
+        _generators(doc), [partial(profile, c) for c in sorted(segments)],
         path_colors=_entries(doc, "path", int))
     _check_timeline(rows, scenario.path.colors)
     # each start is where the durations before it end, up to rounding

@@ -41,14 +41,22 @@ class IncompleteProfileSetError(ValueError):
 
 class SegmentError(ValueError):
     """A segment list breaks the segment rule; the message starts with the
-    key path of the offending value, as in "[1].rate" or "deltas[0][1].rate"."""
+    key path of the offending value, as in "[1].rate" or "deltas[0][1].rate",
+    and ``index`` is the position of the offending segment in its list."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 def hermitian_matrix(m, d: int, label: str) -> np.ndarray:
     """``m`` as a complex array; a ValueError naming ``label`` unless it is a
     Hermitian d x d matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d, d) or not is_hermitian(m):
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.shape != (d, d) or not is_hermitian(m):
         raise ValueError(f"{label} must be a Hermitian {d} x {d} matrix")
     return m
 
@@ -64,17 +72,18 @@ def segment_list(segments, d: int) -> tuple:
         frac = float(frac)
         if not 0.0 < frac < math.inf:
             raise SegmentError(f"[{j}].fraction must be a finite number > 0, "
-                               f"got {frac!r}")
+                               f"got {frac!r}", j)
         try:
             out.append((frac, hermitian_matrix(rate, d, f"[{j}].rate")))
         except ValueError as exc:
-            raise SegmentError(str(exc)) from None
+            raise SegmentError(str(exc), j) from None
     if not out:
-        raise SegmentError("[0] is missing: a segment list has at least one segment")
+        raise SegmentError("[0] is missing: a segment list has at least one "
+                           "segment", 0)
     total = sum(frac for frac, _ in out)
     if abs(total - 1.0) > 1e-12:
         raise SegmentError(f"[{len(out) - 1}].fraction: the fractions sum to "
-                           f"{total!r}, not 1")
+                           f"{total!r}, not 1", len(out) - 1)
     return tuple(out)
 
 
@@ -208,7 +217,8 @@ class FaultModel:
     deltas[color] is a tuple of (fraction, rate) segments over the
     sub-interval, in the same 1/delta_t units as profiles; the same error
     replays at the same offset every time that generator is pulsed.  Built
-    models keep the segment rule, with d the size of their first rate.
+    models keep the segment rule, with d the size of their first rate;
+    ``check_dimension`` holds them to the d of the representation they meet.
     """
 
     deltas: dict
@@ -216,13 +226,21 @@ class FaultModel:
     def __post_init__(self):
         rates = [rate for segs in self.deltas.values() for _, rate in segs]
         d = np.shape(rates[0])[0] if rates and np.ndim(rates[0]) else 0
+        self.deltas = self._segment_lists(d)
+
+    def _segment_lists(self, d: int) -> dict:
         deltas = {}
         for color, segs in self.deltas.items():
             try:
                 deltas[color] = segment_list(segs, d)
             except SegmentError as exc:
-                raise SegmentError(f"deltas[{color}]{exc}") from None
-        self.deltas = deltas
+                raise SegmentError(f"deltas[{color}]{exc}", exc.index) from None
+        return deltas
+
+    def check_dimension(self, d: int) -> None:
+        """A SegmentError naming ``deltas[c]`` unless every rate is d x d,
+        d the dimension of the representation the fault meets."""
+        self._segment_lists(d)
 
     @staticmethod
     def constant(colors, rates) -> "FaultModel":
@@ -367,6 +385,7 @@ def apply_fault(schedule: ControlSchedule, fault: FaultModel) -> ControlSchedule
     Every fault color must be the generator color of some step.  The ideal
     profiles are retained on the returned schedule (the toggling frame is
     always built from the intended control)."""
+    fault.check_dimension(schedule.rep.dimension)
     colors = schedule.profiles
     for color in fault.deltas:
         if color is None or color not in colors:

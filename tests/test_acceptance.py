@@ -50,9 +50,9 @@ def test_02_symmetrization_theorem():
     t0 = time.perf_counter()
     worst = 0.0
     for sc in builtin_scenarios():
-        rep = verify_theorem(sc, trials=100, tol=1e-7, seed=0)
-        assert not rep.skipped
-        worst = max(worst, rep.max_deviation)
+        row = verify_theorem(sc, trials=100, seed=0)
+        assert row["value"] != "skipped" and row["tolerance"] == 1e-7
+        worst = max(worst, row["value"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-7 and elapsed < 30.0
     report("criterion-02 symmetrization",

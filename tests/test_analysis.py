@@ -91,16 +91,16 @@ class TestBuiltinScenarios:
 class TestVerifyTheorem:
     def test_all_builtins_pass(self):
         for sc in builtin_scenarios():
-            rep = verify_theorem(sc, trials=20, tol=1e-7, seed=0)
-            assert not rep.skipped and rep.passed, sc.name
+            row = verify_theorem(sc, trials=20, seed=0)
+            assert row["passed"] and row["value"] <= 1e-7, sc.name
 
     def test_out_of_algebra_profile_skips(self):
         sc = carr_purcell_scenario()
         bad = piecewise_profile(sc.group.generators[0], sc.rep,
                                 [(0.5, np.pi * SZ), (0.5, np.pi * SY)])
         sc.profiles[0] = bad
-        rep = verify_theorem(sc, trials=5)
-        assert rep.skipped
+        row = verify_theorem(sc, trials=5)
+        assert row["value"] == "skipped" and row["passed"]
 
 
 class TestRobustnessReport:
@@ -156,16 +156,13 @@ class TestNoiseSuppression:
 
     def test_spin_flip_full_suppression(self):
         sc = spin_flip_scenario(2)
-        rep = noise_suppression_check(sc)
-        assert rep.full_suppression
-        assert all(e.projected_norm <= 1e-12 for e in rep.entries)
+        assert noise_suppression_check(sc) <= 1e-12
 
     def test_s3_collective_noise_on_dimension_factor(self):
         sc = symmetric_s3_scenario()
-        rep = noise_suppression_check(sc)
         # collective noise survives symmetrization but never touches the
         # dimension factor of the two-dimensional block
-        assert not rep.full_suppression
+        assert noise_suppression_check(sc) > 1e-12
         from eulerdd.group_theory import decompose_irreps
         decomp = decompose_irreps(sc.rep, seed=0)
         blk = next(b for b in decomp.blocks if b.dimension == 2)

@@ -166,6 +166,33 @@ class TestVerify:
             "cycle-length", "eulerian-cycle-valid", "symmetrization",
             "projector-idempotent", "qmap-commutant-valued"]
 
+    def test_out_of_algebra_inline_scenario_skips_symmetrization(self, capsys,
+                                                                 tmp_path):
+        # sigma_x realized as exp(-i pi/2 sigma_y) exp(-i pi/2 sigma_z): the
+        # segments leave the algebra of {I, sigma_x}, so q_map = pi_G is not
+        # claimed and the row passes as skipped
+        pi = 3.141592653589793
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "scenario:\n  generators:\n"
+            "    - {dim: [2, 2], data: [[0, 0], [1, 0], [1, 0], [0, 0]]}\n"
+            "  profiles:\n    - segments:\n"
+            f"        - {{fraction: 0.5, rate: {{dim: [2, 2], data: "
+            f"[[{pi}, 0], [0, 0], [0, 0], [{-pi}, 0]]}}}}\n"
+            f"        - {{fraction: 0.5, rate: {{dim: [2, 2], data: "
+            f"[[0, 0], [0, {-pi}], [0, {pi}], [0, 0]]}}}}\n")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["name"] for c in doc["checks"]] == [
+            "cycle-length", "eulerian-cycle-valid", "symmetrization",
+            "projector-idempotent", "qmap-commutant-valued"]
+        assert doc["checks"][2] == {
+            "name": "symmetrization", "passed": True, "value": "skipped",
+            "tolerance": 1e-7,
+            "note": "hypothesis failed: profiles leave the algebra"}
+        assert doc["passed"] is True
+
     def test_inline_scenario_without_profiles_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("scenario:\n  generators:\n"

@@ -353,11 +353,20 @@ def _drop_sub_interval(doc, ell):
      "timeline[0].sub_interval is 12"),
     (lambda doc: doc["timeline"].insert(8, dict(doc["timeline"][7])),
      "timeline[8] does not repeat the rows of color 1 from timeline[2]"),
+    (lambda doc: doc["timeline"][0].update(duration=0.009),
+     "schedule file: timeline[0]: color 0 segment [0].fraction: the fractions "
+     "sum to "),
+    (lambda doc: doc["timeline"][2].update(duration=0.004),
+     "schedule file: timeline[3]: color 1 segment [1].fraction: the fractions "
+     "sum to "),
 ], ids=["tripled-amplitude", "flipped-color", "missing-sub-interval",
-        "missing-last-sub-interval", "sub-interval-past-path", "extra-row"])
+        "missing-last-sub-interval", "sub-interval-past-path", "extra-row",
+        "short-color-0-duration", "short-color-1-duration"])
 def test_timeline_disagreeing_with_path_is_refused(edit, message):
     # the S3 export: path (0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1), one row per
-    # color-0 sub-interval and two per color-1 sub-interval
+    # color-0 sub-interval and two per color-1 sub-interval (rows 2 and 3
+    # first); a color's durations must sum to delta_t, and a sum off it is
+    # refused at the color's last row
     doc = yaml.safe_load(export_schedule(symmetric_s3_scenario(), 0.01))
     assert doc["path"] == [0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1]
     edit(doc)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from eulerdd import pulses
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
                               pauli_scenario, random_hermitian,
-                              spin_flip_scenario, swap_gate,
-                              symmetric_s3_scenario)
+                              robustness_report, spin_flip_scenario,
+                              swap_gate, symmetric_s3_scenario)
+from eulerdd.dynamics import residual_error
 from eulerdd.group_theory import close_group, equal_up_to_phase
 from eulerdd.io import ConfigError, encode_matrix, fault_from_doc
 from eulerdd.pulses import (FaultModel, GridMismatchError,
@@ -228,6 +229,18 @@ class TestFaults:
         with pytest.raises(GridMismatchError, match="unknown color None"):
             apply_fault(bb, FaultModel(deltas={None: [(1.0, SX)]}))
 
+    def test_fault_of_wrong_dimension_refused_where_it_meets_the_rep(self):
+        # a FaultModel takes d from its first rate, so a 4 x 4 fault is
+        # built; the 2 x 2 schedule and residual refuse it by key path
+        sc = carr_purcell_scenario()
+        fault = FaultModel.constant([0], [np.kron(SX, SX)])
+        message = r"^deltas\[0\]\[0\]\.rate must be a Hermitian 2 x 2 matrix"
+        for meet in (lambda: apply_fault(sc.schedule(0.05), fault),
+                     lambda: residual_error(sc.rep, sc.profiles, fault),
+                     lambda: robustness_report(sc, fault)):
+            with pytest.raises(SegmentError, match=message):
+                meet()
+
     def test_bangbang_fault_rejected(self):
         sc = carr_purcell_scenario()
         bb = sc.bangbang(0.05)
@@ -301,7 +314,9 @@ class TestSegmentRule:
         ([(np.nan, SX)], r"^\[0\]\.fraction must be a finite number > 0"),
         ([(0.5, SX), (0.5, np.kron(SX, SX))],
          r"^\[1\]\.rate must be a Hermitian 2 x 2 matrix"),
-    ], ids=["empty", "infinite-fraction", "nan-fraction", "wrong-d-rate"])
+        ([(1.0, "abc")], r"^\[0\]\.rate must be a Hermitian 2 x 2 matrix$"),
+    ], ids=["empty", "infinite-fraction", "nan-fraction", "wrong-d-rate",
+            "string-rate"])
     def test_refusal_names_the_segment(self, segs, message):
         with pytest.raises(SegmentError, match=message):
             segment_list(segs, 2)

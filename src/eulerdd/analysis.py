@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -32,13 +33,10 @@ SIGMA = {
 
 
 def pauli_on(n: int, k: int, u: str) -> np.ndarray:
-    """Single-qubit Pauli u on qubit k (0-based) of an n-qubit register."""
-    ops = [SIGMA["i"]] * n
-    ops[k] = SIGMA[u]
-    out = ops[0]
-    for m in ops[1:]:
-        out = np.kron(out, m)
-    return out
+    """Single-qubit Pauli u on qubit k (0-based) of an n-qubit register:
+    I_{2^k} ⊗ sigma_u ⊗ I_{2^(n-k-1)}."""
+    return np.kron(np.kron(np.eye(2 ** k, dtype=complex), SIGMA[u]),
+                   np.eye(2 ** (n - k - 1), dtype=complex))
 
 
 def collective(n: int, u: str) -> np.ndarray:
@@ -62,6 +60,23 @@ def swap_gate(n: int, k: int, l: int) -> np.ndarray:
 def random_hermitian(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+# Largest (|G|, n, d, d) complex product that pi_G forms for a stack of n
+# operators; verify evaluates its operators in stacks of as many as fit, and
+# one at a time where one does not.  On a 2-core OpenBLAS host, stacks whose
+# products fit 64 KiB ran 2-5x faster than per-operator calls, while larger
+# ones (20 operators at |G| = 4, d = 32: 1.3 MiB) ran up to 1.5x slower.
+MAX_STACK_BYTES = 64 * 1024
+
+
+def _operator_stacks(rep: UnitaryRep, operators):
+    """The d x d ``operators`` of an iterable, consumed lazily and in order,
+    as (n, d, d) stacks whose pi_G products fit MAX_STACK_BYTES (n >= 1)."""
+    per = max(1, MAX_STACK_BYTES // (16 * rep.group.order * rep.dimension ** 2))
+    it = iter(operators)
+    while chunk := list(islice(it, per)):
+        yield np.array(chunk, dtype=complex)
 
 
 def max_norm(stack: np.ndarray) -> float:
@@ -358,14 +373,10 @@ def verify_theorem(scenario: Scenario, trials: int = 100, seed: int = 0) -> dict
         return check_result("symmetrization", True, "skipped", THEOREM_TOL,
                             "hypothesis failed: profiles leave the algebra")
     rng = np.random.default_rng(seed)
-    d = scenario.rep.dimension
-    worst = 0.0
-    for _ in range(trials):
-        X = random_hermitian(d, rng)
-        dev = np.linalg.norm(
-            q_map(scenario.rep, scenario.profiles, X)
-            - pi_G(scenario.rep, X))
-        worst = max(worst, float(dev))
+    rep = scenario.rep
+    draws = (random_hermitian(rep.dimension, rng) for _ in range(trials))
+    worst = max((max_norm(q_map(rep, scenario.profiles, X) - pi_G(rep, X))
+                 for X in _operator_stacks(rep, draws)), default=0.0)
     return bound_check("symmetrization", worst, THEOREM_TOL)
 
 
@@ -386,12 +397,12 @@ def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
 
     mats = rep.stacked()[0]
     worst_idem, worst_comm = 0.0, 0.0
-    for _ in range(10):
-        X = random_hermitian(rep.dimension, rng)
+    draws = (random_hermitian(rep.dimension, rng) for _ in range(10))
+    for X in _operator_stacks(rep, draws):
         p = pi_G(rep, X)
-        worst_idem = max(worst_idem, float(np.linalg.norm(pi_G(rep, p) - p)))
+        worst_idem = max(worst_idem, max_norm(pi_G(rep, p) - p))
         q = q_map(rep, scenario.profiles, X)
-        worst_comm = max(worst_comm, max_norm(q @ mats - mats @ q))
+        worst_comm = max(worst_comm, max(max_norm(m @ mats - mats @ m) for m in q))
     checks.append(bound_check("projector-idempotent", worst_idem, 1e-10))
     checks.append(bound_check("qmap-commutant-valued", worst_comm, 1e-9))
 
@@ -471,8 +482,10 @@ def robustness_report(scenario: Scenario, fault: FaultModel,
 def noise_suppression_check(scenario: Scenario) -> float:
     """The largest norm of a noise generator's group average; 0 when the
     scenario declares no noise generator."""
-    return max((float(np.linalg.norm(pi_G(scenario.rep, S)))
-                for _, S in scenario.noise_generators), default=0.0)
+    rep = scenario.rep
+    gens = (S for _, S in scenario.noise_generators)
+    return max((max_norm(pi_G(rep, S)) for S in _operator_stacks(rep, gens)),
+               default=0.0)
 
 
 @dataclass
@@ -503,12 +516,12 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
     if drift is None:
         drift = scenario.generic_drift(env_dim=env_dim, seed=seed)
     rows = []
-    hbar = None
+    hbar_eig = None
     for dt in delta_t_values:
         sched = make(dt)
-        if hbar is None:    # the same for every delta_t
-            hbar = average_hamiltonian(sched, drift.total())
-        dist = _distance_to_average(drift, sched, cycles, hbar)
+        if hbar_eig is None:    # the same for every delta_t
+            hbar_eig = np.linalg.eigh(average_hamiltonian(sched, drift.total()))
+        dist = _distance_to_average(drift, sched, cycles, hbar_eig)
         rows.append(ScalingRow(delta_t=float(dt), cycle_time=sched.cycle_time,
                                cycles=cycles, distance=dist,
                                per_cycle=dist / cycles))

@@ -22,8 +22,8 @@ import numpy as np
 
 from .group_theory import (UnitaryRep, _read_only, is_hermitian, phase_distance,
                            pi_G)
-from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_herm,
-                     merged_segments)
+from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_eig,
+                     _expm_herm, merged_segments)
 
 
 class TimeOutOfRangeError(ValueError):
@@ -87,14 +87,16 @@ def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
 
 
 def _lift_conj(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(A ⊗ I_E)† X (A ⊗ I_E) for X given as a (d, d_E, d, d_E) tensor:
-    two matrix products when d_E = 1, a contraction over the system
-    indices otherwise."""
-    d, de = X.shape[:2]
+    """(A ⊗ I_E)† X (A ⊗ I_E) for each X of a (..., d, d_E, d, d_E) stack
+    of tensors: two matrix products when d_E = 1, a contraction over the
+    system indices otherwise."""
+    d, de = X.shape[-4:-2]
     if de == 1:
-        return (A.conj().T @ X.reshape(d, d) @ A).reshape(X.shape)
-    Y = np.tensordot(A.conj(), X, axes=(0, 0))
-    return np.tensordot(Y, A, axes=(2, 0)).transpose(0, 1, 3, 2)
+        return (A.conj().T @ X.reshape(*X.shape[:-4], d, d) @ A).reshape(X.shape)
+    Y = np.tensordot(A.conj(), X, axes=(0, -4))     # (j, ..., e, k, f)
+    Y = np.tensordot(Y, A, axes=(-2, 0))            # (j, ..., e, f, l)
+    n = Y.ndim
+    return Y.transpose(*range(1, n - 3), 0, n - 3, n - 1, n - 2)
 
 
 def _sub_interval_integral(segments, env_dim: int = 1) -> np.ndarray:
@@ -106,19 +108,25 @@ def _sub_interval_integral(segments, env_dim: int = 1) -> np.ndarray:
     on S ⊗ E.  With Y = V†XV and W = V†u₀ the segment integral is
     W† (K ∘ Y) W with K_ij = f e^{iθ/2} sinc(θ/2), θ = f(λᵢ−λⱼ), which
     stays finite at degenerate eigenvalues (Van Loan 1978, diagonal form).
+
+    X may also be an (n, D, D) stack (D = d d_E), every segment's X of the
+    same shape; each product then runs over the whole stack and the result
+    is the stack of the n integrals.
     """
     d = segments[0][1][1].shape[0]
-    acc = np.zeros((d, env_dim, d, env_dim), dtype=complex)
-    u = np.eye(d, dtype=complex)
-    for frac, (lam, V), X in segments:
+    shape = (*np.shape(segments[0][2])[:-2], d, env_dim, d, env_dim)
+    acc = np.zeros(shape, dtype=complex)
+    u = None        # u₀ = I on the first segment, where W = V†
+    for k, (frac, (lam, V), X) in enumerate(segments):
         theta = frac * (lam[:, None] - lam[None, :])
         K = frac * np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
-        Y = _lift_conj(V, np.reshape(X, acc.shape))
+        Y = _lift_conj(V, np.reshape(X, shape))
         Y *= K[:, None, :, None]
-        W = V.conj().T @ u
+        W = V.conj().T if u is None else V.conj().T @ u
         acc += _lift_conj(W, Y)
-        u = V @ (np.exp(-1j * frac * lam)[:, None] * W)
-    return acc.reshape(d * env_dim, d * env_dim)
+        if k + 1 < len(segments):
+            u = V @ (np.exp(-1j * frac * lam)[:, None] * W)
+    return acc.reshape(*shape[:-4], d * env_dim, d * env_dim)
 
 
 def _profile_segments(profile: PulseProfile, X: np.ndarray) -> list:
@@ -156,17 +164,19 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
 
 
 def f_map(profiles: dict, X: np.ndarray) -> np.ndarray:
-    """Average of u_c†(s) X u_c(s) over the generators and the sub-interval."""
+    """Average of u_c†(s) X u_c(s) over the generators and the sub-interval,
+    of one operator or of each operator of an (n, d, d) stack."""
     X = np.asarray(X, dtype=complex)
     d = next(iter(profiles.values())).target.shape[0]
-    if X.shape != (d, d):
+    if X.shape[-2:] != (d, d):
         raise ValueError("shape error: operator does not match profile dimension")
     return sum(_sub_interval_integral(_profile_segments(prof, X))
                for prof in profiles.values()) / len(profiles)
 
 
 def q_map(rep: UnitaryRep, profiles: dict, X: np.ndarray) -> np.ndarray:
-    """Eulerian averaging map: group-average projector after the F map."""
+    """Eulerian averaging map: group-average projector after the F map, of
+    one operator or of each operator of an (n, d, d) stack."""
     return pi_G(rep, f_map(profiles, X))
 
 
@@ -226,12 +236,13 @@ def decoupling_distance(drift: DriftModel, schedule: ControlSchedule,
     """Phase-aligned Frobenius distance between the stroboscopic propagator
     and exp(-i Hbar M T_c)."""
     hbar = average_hamiltonian(schedule, drift.total())
-    return _distance_to_average(drift, schedule, cycles, hbar)
+    return _distance_to_average(drift, schedule, cycles, np.linalg.eigh(hbar))
 
 
 def _distance_to_average(drift: DriftModel, schedule: ControlSchedule,
-                         cycles: int, hbar: np.ndarray) -> float:
-    """``decoupling_distance`` for a given average Hamiltonian, which a
-    delta_t sweep computes once since it does not depend on delta_t."""
+                         cycles: int, hbar_eig: tuple) -> float:
+    """``decoupling_distance`` for the eigenpairs (λ, V) of a given average
+    Hamiltonian, which a delta_t sweep decomposes once since it does not
+    depend on delta_t."""
     u = simulate_cycles(drift, schedule, cycles)
-    return phase_distance(u, _expm_herm(hbar, cycles * schedule.cycle_time))
+    return phase_distance(u, _expm_eig(*hbar_eig, cycles * schedule.cycle_time))

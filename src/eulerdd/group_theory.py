@@ -319,16 +319,18 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
 
 def _average(mats: np.ndarray, adjs: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(1/n) sum_j g_j† X g_j over a stack of n matrices and their adjoints,
-    each term formed as (g_j† X) g_j and summed in stack order."""
-    return ((adjs @ X) @ mats).sum(axis=0) / len(mats)
+    for one d x d X or for each X of an (m, d, d) stack; each term is formed
+    as (g_j† X) g_j and the terms are summed in stack order."""
+    return ((adjs @ X[..., None, :, :]) @ mats).sum(axis=-3) / len(mats)
 
 
 def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     """Group-average projector onto the commutant:
-    (1/|G|) sum_j g_j† X g_j."""
+    (1/|G|) sum_j g_j† X g_j, of one operator or of each operator of an
+    (n, d, d) stack."""
     X = np.asarray(X, dtype=complex)
     d = rep.dimension
-    if X.shape != (d, d):
+    if X.shape[-2:] != (d, d):
         raise ShapeError("shape error: operator does not match representation dimension")
     return _average(*rep.stacked(), X)
 

@@ -14,8 +14,8 @@ import numpy as np
 import yaml
 
 from . import analysis
-from .pulses import (FaultModel, SegmentError, constant_profile,
-                     piecewise_profile, segment_list)
+from .pulses import (FaultModel, RealizationError, SegmentError,
+                     constant_profile, piecewise_profile, segment_list)
 
 
 # libyaml's C loader and dumper when PyYAML was built with it; they parse and
@@ -278,21 +278,33 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
         ham_docs[hid] = encode_matrix(m)
         return hid
 
+    def color_rows(profile) -> list:
+        """(duration, hamiltonian id, amplitude) of each segment."""
+        out = []
+        for frac, rate in profile.segments:
+            amp = float(np.linalg.norm(rate)) / delta_t
+            unit = rate / np.linalg.norm(rate) if amp > 0 else rate
+            out.append((frac * delta_t, ham_id(unit), amp))
+        return out
+
+    # a color's rows are the same in every step of that color: built at its
+    # first step, so ids still number the Hamiltonians in time order
+    rows = {}
     timeline = []
     t = 0.0
     for ell, step in enumerate(sched.steps):
-        for frac, rate in step.profile.segments:
-            amp = float(np.linalg.norm(rate)) / delta_t
-            unit = rate / np.linalg.norm(rate) if amp > 0 else rate
+        if step.color not in rows:
+            rows[step.color] = color_rows(step.profile)
+        for duration, hid, amp in rows[step.color]:
             timeline.append({
                 "start": float(t),
-                "duration": float(frac * delta_t),
+                "duration": float(duration),
                 "sub_interval": ell,
                 "color": int(step.color),
-                "hamiltonian": ham_id(unit),
+                "hamiltonian": hid,
                 "amplitude": amp,
             })
-            t += frac * delta_t
+            t += duration
     doc = {
         "kind": "eulerian",
         "delta_t": float(delta_t),
@@ -350,13 +362,16 @@ def import_schedule(text: str):
 
     def profile(color, generator, rep):
         """The profile of ``color``; a refusal by the segment rule names
-        the row of the offending segment."""
+        the row of the offending segment, a profile that does not realize
+        the generator the color's first row."""
         ks, segs = zip(*segments[color])
         try:
             return piecewise_profile(generator, rep, segs)
         except SegmentError as exc:
             raise ConfigError(f"timeline[{ks[exc.index]}]: color {color} "
                               f"segment {exc}") from exc
+        except RealizationError as exc:
+            raise ConfigError(f"timeline[{ks[0]}]: color {color} {exc}") from exc
 
     scenario = _build(
         "schedule file", "imported", "imported schedule", 0,

@@ -69,8 +69,11 @@ def segment_list(segments, d: int) -> tuple:
     off 1 is the last segment's."""
     out = []
     for j, (frac, rate) in enumerate(segments):
-        frac = float(frac)
-        if not 0.0 < frac < math.inf:
+        try:
+            frac = float(frac)
+        except (TypeError, ValueError):
+            pass    # refused below, by the value as given
+        if not (isinstance(frac, float) and 0.0 < frac < math.inf):
             raise SegmentError(f"[{j}].fraction must be a finite number > 0, "
                                f"got {frac!r}", j)
         try:

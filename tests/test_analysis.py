@@ -103,6 +103,128 @@ class TestVerifyTheorem:
         assert row["value"] == "skipped" and row["passed"]
 
 
+def per_operator_integral(segments):
+    """The toggling-frame kernel before operator stacks, for d_E = 1: u
+    starts at the identity and is propagated past every segment."""
+    d = segments[0][1][1].shape[0]
+    acc = np.zeros((d, d), dtype=complex)
+    u = np.eye(d, dtype=complex)
+    for frac, (lam, V), X in segments:
+        theta = frac * (lam[:, None] - lam[None, :])
+        K = frac * np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
+        Y = V.conj().T @ X @ V
+        Y *= K
+        W = V.conj().T @ u
+        acc += W.conj().T @ Y @ W
+        u = V @ (np.exp(-1j * frac * lam)[:, None] * W)
+    return acc
+
+
+def per_operator_pi_G(rep, X):
+    mats, adjs = rep.stacked()
+    return ((adjs @ X) @ mats).sum(axis=0) / len(mats)
+
+
+def per_operator_q_map(rep, profiles, X):
+    F = sum(per_operator_integral([(frac, spec, X) for (frac, _), spec
+                                   in zip(p.segments, p.spectra)])
+            for p in profiles.values()) / len(profiles)
+    return per_operator_pi_G(rep, F)
+
+
+def per_trial_checks(scenario, trials, seed, monkeypatch):
+    """The rows of ``verify_checks`` as its per-trial loops computed them
+    before operator stacks: one draw, one q_map and one pi_G at a time, and
+    one pi_G per noise generator."""
+    monkeypatch.setattr(analysis, "noise_suppression_check", lambda sc: max(
+        (float(np.linalg.norm(per_operator_pi_G(sc.rep, S)))
+         for _, S in sc.noise_generators), default=0.0))
+    rng = np.random.default_rng(seed)
+    rep = scenario.rep
+    expected = scenario.expected_cycle_length
+    checks = [analysis.check_result("cycle-length", len(scenario.path) == expected,
+                                    len(scenario.path), expected)]
+    ok, diag = validate_path(scenario.graph, scenario.path.colors)
+    checks.append(analysis.check_result("eulerian-cycle-valid", ok, diag, "ok"))
+    if scenario.reference_path is not None:
+        ok, diag = validate_path(scenario.graph, scenario.reference_path)
+        checks.append(analysis.check_result("reference-path-valid", ok, diag, "ok"))
+
+    theorem_rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        X = random_hermitian(rep.dimension, theorem_rng)
+        dev = np.linalg.norm(per_operator_q_map(rep, scenario.profiles, X)
+                             - per_operator_pi_G(rep, X))
+        worst = max(worst, float(dev))
+    checks.append(analysis.bound_check("symmetrization", worst, analysis.THEOREM_TOL))
+
+    mats = rep.stacked()[0]
+    worst_idem, worst_comm = 0.0, 0.0
+    for _ in range(10):
+        X = random_hermitian(rep.dimension, rng)
+        p = per_operator_pi_G(rep, X)
+        worst_idem = max(worst_idem,
+                         float(np.linalg.norm(per_operator_pi_G(rep, p) - p)))
+        q = per_operator_q_map(rep, scenario.profiles, X)
+        worst_comm = max(worst_comm, analysis.max_norm(q @ mats - mats @ q))
+    checks.append(analysis.bound_check("projector-idempotent", worst_idem, 1e-10))
+    checks.append(analysis.bound_check("qmap-commutant-valued", worst_comm, 1e-9))
+    for check in scenario.checks:
+        checks.extend(check(scenario, rng, seed))
+    return checks
+
+
+class TestStackedVerify:
+    """verify draws its random operators in the same order as the per-trial
+    loops did and evaluates them in stacks, with the same rows."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name,n", [
+        ("carr-purcell", None), ("pauli", None), ("spin-flip", None),
+        ("symmetric-s3", None), ("pauli", 2), ("spin-flip", 3), ("spin-flip", 5),
+    ])
+    def test_rows_equal_the_per_trial_loop(self, name, n, seed, monkeypatch):
+        sc = get_scenario(name, n)
+        got = analysis.verify_checks(sc, 20, seed)
+        assert got == per_trial_checks(sc, 20, seed, monkeypatch)
+
+    @pytest.mark.parametrize("name,n", [
+        ("carr-purcell", None), ("pauli", 2), ("symmetric-s3", None),
+        ("spin-flip", 5),
+    ])
+    def test_stacks_fit_the_budget_in_draw_order(self, name, n):
+        rep = get_scenario(name, n).rep
+        d, order = rep.dimension, rep.group.order
+        rng = np.random.default_rng(0)
+        ops = [random_hermitian(d, rng) for _ in range(20)]
+        drawn = []
+        stacks = []
+        for stack in analysis._operator_stacks(rep, (drawn.append(m) or m
+                                                     for m in ops)):
+            assert len(drawn) == sum(map(len, stacks)) + len(stack)  # lazily
+            stacks.append(stack)
+        assert np.array_equal(np.concatenate(stacks), np.array(ops))
+        per = len(stacks[0])
+        assert all(len(s) == per for s in stacks[:-1])
+
+        def product_bytes(k):
+            return 16 * order * k * d * d
+
+        assert per == 1 or product_bytes(per) <= analysis.MAX_STACK_BYTES
+        assert per == 20 or product_bytes(per + 1) > analysis.MAX_STACK_BYTES
+
+    def test_verify_passes_stacks_to_q_map(self, monkeypatch):
+        # pauli n=2: 16 operators fit the budget, so 20 trials are two calls
+        sc = get_scenario("pauli", 2)
+        shapes = []
+        real = analysis.q_map
+        monkeypatch.setattr(analysis, "q_map", lambda rep, profiles, X: (
+            shapes.append(X.shape) or real(rep, profiles, X)))
+        analysis.verify_checks(sc, 20, 0)
+        assert shapes == [(16, 4, 4), (4, 4, 4), (10, 4, 4)]
+
+
 class TestRobustnessReport:
     def test_carr_purcell_transverse_faults_safe(self):
         sc = carr_purcell_scenario()
@@ -244,6 +366,14 @@ class TestFidelityComparison:
 
 def test_operator_helpers():
     np.testing.assert_allclose(pauli_on(2, 0, "x"), np.kron(SX, np.eye(2)))
+    # I ⊗ sigma ⊗ I has the entries of the qubit-by-qubit kron chain
+    for n in range(1, 5):
+        for k in range(n):
+            for u in "xyz":
+                chain = np.ones((1, 1))
+                for j in range(n):
+                    chain = np.kron(chain, SIGMA[u] if j == k else SIGMA["i"])
+                assert np.array_equal(pauli_on(n, k, u), chain)
     np.testing.assert_allclose(collective(2, "z"), np.kron(SZ, SZ))
     # exchange coupling has the swap spectrum {+1 triplet, -3 singlet}
     evals = np.linalg.eigvalsh(heisenberg(2, 0, 1))

@@ -182,6 +182,23 @@ class TestExactKernel:
                                       for f, r in segs])
         assert np.linalg.norm(got - ref) <= 1e-12
 
+    @pytest.mark.parametrize("env_dim", [1, 2, 3])
+    def test_stack_matches_per_operator(self, env_dim):
+        # the segment integrals of an (n, D, D) stack are those of its
+        # operators; the joint (d_E > 1) contraction of a stack is one larger
+        # product, whose sums may round differently
+        rng = np.random.default_rng(env_dim)
+        d = 3
+        spectra = [(0.3, np.linalg.eigh(random_hermitian(d, rng))),
+                   (0.7, np.linalg.eigh(random_hermitian(d, rng)))]
+        X = np.array([random_hermitian(d * env_dim, rng) for _ in range(4)])
+        got = _sub_interval_integral([(f, spec, X) for f, spec in spectra], env_dim)
+        ref = [_sub_interval_integral([(f, spec, x) for f, spec in spectra], env_dim)
+               for x in X]
+        if env_dim == 1:
+            assert np.array_equal(got, ref)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_joint_average_hamiltonian_matches_fine_grid(self):
         sc = symmetric_s3_scenario()
         sched = sc.schedule(0.1)
@@ -579,6 +596,19 @@ class TestSegmentReuse:
         # the 64x64 segment rates were decomposed once, when their profiles
         # were built (piecewise_profile checks the realization), not here
         assert eigh_calls.count((64, 64)) == 0
+
+    @pytest.mark.parametrize("points", [1, 3, 4])
+    def test_sweep_decomposes_the_average_hamiltonian_once(
+            self, eigh_calls, monkeypatch, points):
+        # with the joint propagator stubbed out, the only eigh left is the
+        # one of Hbar (8 x 2 = 16), which no delta_t changes
+        sc = symmetric_s3_scenario()
+        drift = sc.generic_drift(env_dim=2, seed=0)
+        monkeypatch.setattr(dynamics, "simulate_cycles",
+                            lambda drift, sched, cycles: np.eye(16))
+        del eigh_calls[:]
+        scaling_study(sc, [0.02 / 2 ** k for k in range(points)], drift=drift)
+        assert eigh_calls == [(16, 16)]
 
     def test_verify_theorem_decomposes_each_segment_once(self, eigh_calls):
         sc = spin_flip_scenario(3)

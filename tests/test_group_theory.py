@@ -13,7 +13,7 @@ from eulerdd import group_theory
 from eulerdd.analysis import (collective, get_scenario, pauli_on,
                               robustness_report, spin_flip_scenario)
 from eulerdd.cayley import build_cayley, eulerian_cycle, validate_path
-from eulerdd.dynamics import average_hamiltonian, q_map
+from eulerdd.dynamics import average_hamiltonian, f_map, q_map
 from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   InvalidGeneratorError, ResourceLimitError,
                                   ShapeError, center_basis, close_group,
@@ -519,6 +519,59 @@ class TestEulerianIdentities:
         H0 = random_hermitian(rep.dimension, np.random.default_rng(seed))
         avg = average_hamiltonian(bangbang_schedule(group, rep, 0.1), H0)
         assert np.linalg.norm(avg - pi_G(rep, H0)) <= 1e-10
+
+
+def assert_stack_matches_per_operator(rep, profiles, X):
+    """f_map, q_map and pi_G of the (n, d, d) stack X equal, bit for bit,
+    the stack of their values at each operator of X."""
+    for quantity in (functools.partial(f_map, profiles),
+                     functools.partial(q_map, rep, profiles),
+                     functools.partial(pi_G, rep)):
+        stacked = quantity(X)
+        assert stacked.shape == X.shape
+        assert np.array_equal(stacked, np.array([quantity(x) for x in X]))
+
+
+class TestStackedOracle:
+    """A stack of operators and one operator take one code path: each
+    quantity of a stack equals the per-operator calls exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", ["carr-purcell", "pauli", "spin-flip",
+                                      "symmetric-s3"])
+    def test_builtins(self, name, seed):
+        # symmetric-s3's second generator has a two-segment profile
+        sc = get_scenario(name, None)
+        rng = np.random.default_rng(seed)
+        X = np.array([random_hermitian(sc.rep.dimension, rng) for _ in range(20)])
+        assert_stack_matches_per_operator(sc.rep, sc.profiles, X)
+        assert_stack_matches_per_operator(sc.rep, sc.profiles, X[:1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(monomial_groups(), st.lists(segment_plans(), min_size=2, max_size=2),
+           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_monomial_groups(self, gens, plans, n, seed):
+        try:
+            group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                     max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        profiles = {}
+        for c, gen in enumerate(group.generators):
+            H = hermitian_log(rep.matrices[gen])
+            profiles[c] = piecewise_profile(gen, rep, [(f, w * H) for f, w in plans[c]])
+        rng = np.random.default_rng(seed)
+        d = rep.dimension
+        X = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        assert_stack_matches_per_operator(rep, profiles, X)
+
+    def test_shape_checked_on_the_last_two_axes(self):
+        sc = get_scenario("carr-purcell", None)
+        for X in (np.zeros((3, 2, 3)), np.zeros((3, 4, 4)), np.zeros(2)):
+            with pytest.raises(ShapeError):
+                pi_G(sc.rep, X)
+            with pytest.raises(ValueError, match="shape error"):
+                q_map(sc.rep, sc.profiles, X)
 
 
 def linear_scan_closure(generator_matrices, max_order,

@@ -359,9 +359,14 @@ def _drop_sub_interval(doc, ell):
     (lambda doc: doc["timeline"][2].update(duration=0.004),
      "schedule file: timeline[3]: color 1 segment [1].fraction: the fractions "
      "sum to "),
+    (lambda doc: doc["timeline"][2].update(
+        amplitude=1.5 * doc["timeline"][2]["amplitude"]),
+     "schedule file: timeline[2]: color 1 profile does not implement "
+     "generator: distance "),
 ], ids=["tripled-amplitude", "flipped-color", "missing-sub-interval",
         "missing-last-sub-interval", "sub-interval-past-path", "extra-row",
-        "short-color-0-duration", "short-color-1-duration"])
+        "short-color-0-duration", "short-color-1-duration",
+        "unrealized-color-1"])
 def test_timeline_disagreeing_with_path_is_refused(edit, message):
     # the S3 export: path (0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1), one row per
     # color-0 sub-interval and two per color-1 sub-interval (rows 2 and 3

@@ -321,6 +321,18 @@ class TestSegmentRule:
         with pytest.raises(SegmentError, match=message):
             segment_list(segs, 2)
 
+    @pytest.mark.parametrize("fraction", ["a", None, [0.5]],
+                             ids=["string", "none", "list"])
+    def test_unconvertible_fraction_names_its_key_path(self, fraction):
+        with pytest.raises(SegmentError) as info:
+            FaultModel({0: [(fraction, SX)]})
+        assert str(info.value) == (f"deltas[0][0].fraction must be a finite "
+                                   f"number > 0, got {fraction!r}")
+        assert info.value.index == 0
+        with pytest.raises(SegmentError, match=r"^\[1\]\.fraction must be") as info:
+            segment_list([(0.5, SX), (fraction, SX)], 2)
+        assert info.value.index == 1
+
     def test_wrong_d_axis_refused(self):
         group, rep = close_group([SX])
         with pytest.raises(ValueError, match=r"^axis must be a Hermitian 2 x 2 matrix"):

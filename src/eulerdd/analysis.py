@@ -18,7 +18,7 @@ from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
 from .dynamics import (DriftModel, _distance_to_average, average_hamiltonian,
                        q_map, residual_error, simulate_cycles)
 from .group_theory import (HERMITIAN_TOL, Group, UnitaryRep, center_basis,
-                           close_group, decompose_irreps, pi_G,
+                           close_group, decompose_irreps, in_algebra, pi_G,
                            subspace_distance)
 from .pulses import (ControlSchedule, FaultModel, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
@@ -367,13 +367,14 @@ THEOREM_TOL = 1e-7
 def verify_theorem(scenario: Scenario, trials: int = 100, seed: int = 0) -> dict:
     """The ``symmetrization`` check: the identity q_map = pi_G on random
     Hermitian inputs, within THEOREM_TOL.  Skipped (passed, with a note)
-    when any profile leaves the group algebra, since the hypothesis then
-    fails."""
-    if not all(p.in_algebra for p in scenario.profiles.values()):
+    when a segment rate of any profile leaves the group algebra, since the
+    hypothesis then fails."""
+    rep = scenario.rep
+    if not all(in_algebra(rep, rate) for p in scenario.profiles.values()
+               for _, rate in p.segments):
         return check_result("symmetrization", True, "skipped", THEOREM_TOL,
                             "hypothesis failed: profiles leave the algebra")
     rng = np.random.default_rng(seed)
-    rep = scenario.rep
     draws = (random_hermitian(rep.dimension, rng) for _ in range(trials))
     worst = max((max_norm(q_map(rep, scenario.profiles, X) - pi_G(rep, X))
                  for X in _operator_stacks(rep, draws)), default=0.0)

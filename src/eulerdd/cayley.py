@@ -22,11 +22,9 @@ class NoEulerianCycleError(ValueError):
 
 @dataclass(frozen=True)
 class CayleyGraph:
-    group: Group
-    # edges[(v, c)] = target vertex of the color-c edge leaving v
     vertex_count: int
     colors: int
-    targets: tuple  # tuple of tuples: targets[v][c]
+    targets: tuple  # targets[v][c]: end vertex of the color-c edge leaving v
 
     @property
     def edge_count(self) -> int:
@@ -56,7 +54,7 @@ def build_cayley(group: Group) -> CayleyGraph:
         tuple(group.multiply(gen, v) for gen in group.generators)
         for v in range(group.order)
     )
-    return CayleyGraph(group=group, vertex_count=group.order,
+    return CayleyGraph(vertex_count=group.order,
                        colors=len(group.generators), targets=targets)
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -150,9 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args leaves no state on it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:   # ConfigError and every typed refusal

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .group_theory import (UnitaryRep, _read_only, is_hermitian, phase_distance,
-                           pi_G)
+from .group_theory import (ShapeError, UnitaryRep, _read_only, is_hermitian,
+                           phase_distance, pi_G)
 from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_eig,
                      _expm_herm, merged_segments)
 
@@ -167,9 +167,9 @@ def f_map(profiles: dict, X: np.ndarray) -> np.ndarray:
     """Average of u_c†(s) X u_c(s) over the generators and the sub-interval,
     of one operator or of each operator of an (n, d, d) stack."""
     X = np.asarray(X, dtype=complex)
-    d = next(iter(profiles.values())).target.shape[0]
+    d = next(iter(profiles.values())).segments[0][1].shape[0]
     if X.shape[-2:] != (d, d):
-        raise ValueError("shape error: operator does not match profile dimension")
+        raise ShapeError("shape error: operator does not match profile dimension")
     return sum(_sub_interval_integral(_profile_segments(prof, X))
                for prof in profiles.values()) / len(profiles)
 

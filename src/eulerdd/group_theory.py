@@ -16,6 +16,7 @@ import numpy as np
 
 DEFAULT_PHASE_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
+ALGEBRA_TOL = 1e-10
 # relative eigenvalue gap that separates the clusters of decompose_irreps
 CLUSTER_TOL = 1e-8
 
@@ -95,19 +96,19 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Group:
-    """Abstract finite group: element list, multiplication table, generators.
+    """Abstract finite group of elements 0..n-1: multiplication table and
+    generators.
 
     Element 0 is the identity.  ``mult_table[i, j]`` is the index of
-    g_i * g_j.  ``generators`` are indices into ``elements``.
+    g_i * g_j.  ``generators`` are element indices.
     """
 
-    elements: tuple
     mult_table: np.ndarray
     generators: tuple
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.mult_table)
 
     def multiply(self, i: int, j: int) -> int:
         return int(self.mult_table[i, j])
@@ -116,7 +117,7 @@ class Group:
         n = self.order
         t = self.mult_table
         if t.shape != (n, n):
-            raise ValueError("mult_table shape does not match element count")
+            raise ValueError("mult_table is not square")
         for i in range(n):
             if t[0, i] != i or t[i, 0] != i:
                 raise ValueError("element 0 is not the identity")
@@ -200,6 +201,13 @@ class UnitaryRep:
         """Orthonormal (Hilbert-Schmidt) basis of span{g_j}, as a read-only
         (k, d, d) stack built once."""
         return self._cached("algebra", lambda: _orthonormal_span(self.matrices))
+
+
+def in_algebra(rep: UnitaryRep, X: np.ndarray) -> bool:
+    """X lies within ALGEBRA_TOL * max(|X|, 1) of span{g_j}, the group
+    algebra (Hilbert-Schmidt distance and norm)."""
+    return (subspace_distance(X, rep.algebra_basis())
+            <= ALGEBRA_TOL * max(np.linalg.norm(X), 1.0))
 
 
 def subspace_distance(X: np.ndarray, basis) -> float:
@@ -311,8 +319,7 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
 
     if not gen_indices:
         gen_indices = [0]
-    group = Group(elements=tuple(f"g{k}" for k in range(n)),
-                  mult_table=table, generators=tuple(gen_indices))
+    group = Group(mult_table=table, generators=tuple(gen_indices))
     rep = UnitaryRep(group=group, matrices=elements)
     return group, rep
 

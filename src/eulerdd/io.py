@@ -148,7 +148,9 @@ def load_config(path: str) -> RunConfig:
         cfg.delta_t = tuple(_number("override delta_t", v)
                             for v in (dts if isinstance(dts, list) else [dts]))
     if "out" in doc:
-        cfg.out = str(doc["out"])
+        if not isinstance(doc["out"], str):
+            raise ConfigError(f"out must be a file path, got {doc['out']!r}")
+        cfg.out = doc["out"]
     cfg.validate()
     return cfg
 

@@ -1,10 +1,12 @@
 """Bounded-strength pulse profiles realizing group generators, and the
 assembly of Eulerian / bang-bang control schedules.
 
-Profiles are piecewise constant.  Segment Hamiltonians are stored as
-"angle-rate" matrices R = h * delta_t, so a profile is independent of the
-sub-interval length: the physical Hamiltonian on a segment is R / delta_t
-and amplitudes scale as 1/delta_t automatically.
+A profile is its list of piecewise-constant segments.  Segment
+Hamiltonians are stored as "angle-rate" matrices R = h * delta_t, so a
+profile is independent of the sub-interval length: the physical
+Hamiltonian on a segment is R / delta_t and amplitudes scale as
+1/delta_t automatically.  ``piecewise_profile`` checks realization, and
+``group_theory.in_algebra`` group-algebra membership where that is read.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .cayley import EulerPath
 from .group_theory import (DEFAULT_PHASE_TOL, UnitaryRep, _read_only,
-                           is_hermitian, phase_distance, subspace_distance)
+                           is_hermitian, phase_distance)
 
 REALIZATION_TOL = 1e-9
-ALGEBRA_TOL = 1e-10
 
 
 class UnreachableGeneratorError(ValueError):
@@ -102,12 +104,13 @@ def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 @dataclass
 class PulseProfile:
-    """Piecewise-constant control realizing one generator over a sub-interval.
+    """Piecewise-constant control over one sub-interval: its segments.
 
     segments: (fraction, rate) pairs, where fraction is the share of
-    delta_t and rate = h * delta_t is the angle-rate matrix; the segment
-    unitary is exp(-i * rate * fraction).  ``piecewise_profile`` builds
-    every profile, so the segments keep the segment rule.
+    delta_t and rate = h * delta_t is the angle-rate d x d matrix; the
+    segment unitary is exp(-i * rate * fraction).  ``piecewise_profile``
+    builds the profiles of a schedule, so their segments keep the segment
+    rule and realize their generator.
 
     A profile replays unchanged in every sub-interval of its color, so the
     eigenpairs of each segment rate and the endpoint unitary are computed
@@ -115,10 +118,7 @@ class PulseProfile:
     changed after that.
     """
 
-    generator: int
     segments: tuple
-    target: np.ndarray
-    in_algebra: bool
 
     @property
     def max_rate_norm(self) -> float:
@@ -133,8 +133,7 @@ class PulseProfile:
 
     def unitary_at(self, x: float) -> np.ndarray:
         """u(x) for fraction x in [0, 1] of the sub-interval."""
-        d = self.target.shape[0]
-        u = np.eye(d, dtype=complex)
+        u = np.eye(self.segments[0][1].shape[0], dtype=complex)
         pos = 0.0
         for (frac, _), (lam, V) in zip(self.segments, self.spectra):
             if x >= pos + frac - 1e-15:
@@ -195,17 +194,12 @@ def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> Pulse
 def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile:
     """Profile from explicit (fraction, rate) segments; rate = h * delta_t.
 
-    The one constructor of PulseProfile: it holds the segments to the
-    segment rule, checks that they realize the generator, and computes the
-    in-algebra flag by projecting each segment onto the group-algebra span.
+    It holds the segments to the segment rule for d = ``rep.dimension``
+    and checks that they realize ``rep.matrices[generator]`` up to phase
+    (RealizationError); group-algebra membership is not checked here.
     """
     target = rep.matrices[generator]
-    segs = segment_list(segments, target.shape[0])
-    basis = rep.algebra_basis()
-    profile = PulseProfile(generator=generator, segments=segs, target=target,
-                           in_algebra=all(subspace_distance(rate, basis)
-                                          <= ALGEBRA_TOL * max(np.linalg.norm(rate), 1.0)
-                                          for _, rate in segs))
+    profile = PulseProfile(segment_list(segments, target.shape[0]))
     dist = phase_distance(target, profile.endpoint_unitary())
     if dist > REALIZATION_TOL:
         raise RealizationError(f"profile does not implement generator: "
@@ -230,6 +224,7 @@ class FaultModel:
         rates = [rate for segs in self.deltas.values() for _, rate in segs]
         d = np.shape(rates[0])[0] if rates and np.ndim(rates[0]) else 0
         self.deltas = self._segment_lists(d)
+        self._checked_dim = d
 
     def _segment_lists(self, d: int) -> dict:
         deltas = {}
@@ -242,8 +237,11 @@ class FaultModel:
 
     def check_dimension(self, d: int) -> None:
         """A SegmentError naming ``deltas[c]`` unless every rate is d x d,
-        d the dimension of the representation the fault meets."""
-        self._segment_lists(d)
+        d the dimension of the representation the fault meets.  The rule
+        runs again only for a d other than the last one the model passed."""
+        if d != self._checked_dim:
+            self._segment_lists(d)
+            self._checked_dim = d
 
     @staticmethod
     def constant(colors, rates) -> "FaultModel":
@@ -355,31 +353,19 @@ def bangbang_schedule(group, rep: UnitaryRep, delta_t: float) -> ControlSchedule
 def _merge_grids(profile_segs, fault_segs):
     """Union grid of two segment lists over [0, 1]; returns
     (fraction, profile segment index, fault_rate) triples."""
-    cuts = {0.0, 1.0}
-    pos = 0.0
-    for frac, _ in profile_segs:
-        pos += frac
-        cuts.add(round(pos, 15))
-    pos = 0.0
-    for frac, _ in fault_segs:
-        pos += frac
-        cuts.add(round(pos, 15))
-    cuts = sorted(c for c in cuts if 0.0 <= c <= 1.0 + 1e-12)
+    ends = [list(accumulate(frac for frac, _ in segs))
+            for segs in (profile_segs, fault_segs)]
+    cuts = sorted(c for c in {0.0, 1.0, *(round(e, 15) for e in ends[0] + ends[1])}
+                  if 0.0 <= c <= 1.0 + 1e-12)
 
-    def index_at(segs, x):
-        pos = 0.0
-        for k, (frac, _) in enumerate(segs):
-            if x < pos + frac - 1e-12:
-                return k
-            pos += frac
-        return len(segs) - 1
+    def index_at(which, x):
+        """The segment of list ``which`` (0 profile, 1 fault) holding x."""
+        return next((k for k, end in enumerate(ends[which]) if x < end - 1e-12),
+                    len(ends[which]) - 1)
 
-    merged = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        merged.append((b - a, index_at(profile_segs, mid),
-                       fault_segs[index_at(fault_segs, mid)][1]))
-    return merged
+    return [(b - a, index_at(0, 0.5 * (a + b)),
+             fault_segs[index_at(1, 0.5 * (a + b))][1])
+            for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def apply_fault(schedule: ControlSchedule, fault: FaultModel) -> ControlSchedule:

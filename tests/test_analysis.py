@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from eulerdd import analysis, dynamics
+from eulerdd import analysis, dynamics, io
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               collective, fault_fidelity_comparison,
                               get_scenario, heisenberg,
@@ -14,7 +14,7 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               robustness_report, scaling_study, spin_flip_scenario,
                               symmetric_s3_scenario, verify_theorem)
 from eulerdd.cayley import validate_path
-from eulerdd.group_theory import pi_G
+from eulerdd.group_theory import in_algebra, pi_G
 from eulerdd.pulses import FaultModel, constant_profile, piecewise_profile
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
@@ -79,13 +79,40 @@ class TestBuiltinScenarios:
 
     def test_all_profiles_in_algebra(self):
         for sc in builtin_scenarios():
-            assert all(p.in_algebra for p in sc.profiles.values())
+            assert all(in_algebra(sc.rep, rate) for p in sc.profiles.values()
+                       for _, rate in p.segments)
 
     def test_generic_drift_unit_norm(self):
         for sc in builtin_scenarios():
             drift = sc.generic_drift(env_dim=2, seed=1)
             drift.validate()
             assert np.linalg.norm(drift.total(), 2) == pytest.approx(1.0)
+
+
+class TestAlgebraBasisOnDemand:
+    """Only ``verify`` reads the group algebra's basis, so building,
+    sweeping, exporting and importing a scenario never build it."""
+
+    @staticmethod
+    def built(rep):
+        return "algebra" in rep._cache
+
+    def test_built_by_verify_only(self):
+        sc = get_scenario("pauli", 2)
+        assert not self.built(sc.rep)
+        scaling_study(sc, [0.02, 0.01], env_dim=1)
+        sched = io.import_schedule(io.export_schedule(sc, 0.01))
+        assert not self.built(sc.rep) and not self.built(sched.rep)
+        half = {"dim": [2, 2], "data": [[0, 0], [np.pi / 2, 0],
+                                        [np.pi / 2, 0], [0, 0]]}
+        for cfg in (io.RunConfig(scenario="symmetric-s3"),
+                    io.RunConfig(inline={
+                        "generators": [io.encode_matrix(SX)],
+                        "profiles": [{"segments": [{"fraction": 0.5, "rate": half},
+                                                   {"fraction": 0.5, "rate": half}]}]})):
+            assert not self.built(io.scenario_from_config(cfg).rep)
+        analysis.verify_checks(sc, trials=2, seed=0)
+        assert self.built(sc.rep)
 
 
 class TestVerifyTheorem:

@@ -96,8 +96,7 @@ def test_one_incoming_edge_per_color_and_vertex():
 def test_disconnected_graph_rejected():
     # Z4 with the generating set replaced by the non-generating element g^2
     table = np.array([[(i + j) % 4 for j in range(4)] for i in range(4)])
-    group = Group(elements=("e", "a", "a2", "a3"), mult_table=table,
-                  generators=(2,))
+    group = Group(mult_table=table, generators=(2,))
     graph = build_cayley(group)
     with pytest.raises(NoEulerianCycleError):
         eulerian_cycle(graph)

@@ -12,7 +12,7 @@ from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
                               control_propagator, decoupling_distance, f_map,
                               q_map, residual_error, simulate_cycles)
 from eulerdd.group_theory import (center_basis, close_group, commutant_basis,
-                                  equal_up_to_phase, pi_G)
+                                  equal_up_to_phase, in_algebra, pi_G)
 from eulerdd.pulses import (ControlSchedule, FaultModel, PulseProfile, Step,
                             _expm_herm, apply_fault, merged_segments,
                             phase_distance)
@@ -49,8 +49,7 @@ def random_profile(d, fractions, rng):
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     rates.append(q @ np.diag([1.3, 1.3] + [-2.1] * (d - 2)) @ q.conj().T)
     rates += [2.0 * random_hermitian(d, rng) for _ in fractions[2:]]
-    return PulseProfile(generator=0, segments=list(zip(fractions, rates)),
-                        target=np.eye(d), in_algebra=False)
+    return PulseProfile(segments=list(zip(fractions, rates)))
 
 
 class TestSegmentProducts:
@@ -58,8 +57,7 @@ class TestSegmentProducts:
     propagator of a cycle."""
 
     def test_constant_sigma_x(self):
-        prof = PulseProfile(generator=0, segments=[(1.0, (np.pi / 2) * SX)],
-                            target=SX, in_algebra=True)
+        prof = PulseProfile(segments=[(1.0, (np.pi / 2) * SX)])
         assert phase_distance(SX, prof.unitary_at(1.0)) <= 1e-10
 
     def test_zero_hamiltonian(self):
@@ -251,11 +249,9 @@ class TestKickedTimeline:
     def setup_method(self):
         rng = np.random.default_rng(21)
         _, self.rep = close_group([SX])
-        self.a = PulseProfile(generator=1, segments=[(0.4, 1.1 * SX + 0.3 * SZ),
-                                                     (0.6, random_hermitian(2, rng))],
-                              target=SX, in_algebra=False)
-        self.b = PulseProfile(generator=1, segments=[(1.0, 0.7 * SY)],
-                              target=SX, in_algebra=False)
+        self.a = PulseProfile(segments=[(0.4, 1.1 * SX + 0.3 * SZ),
+                                        (0.6, random_hermitian(2, rng))])
+        self.b = PulseProfile(segments=[(1.0, 0.7 * SY)])
         self.kicks = [_expm_herm(random_hermitian(2, rng)) for _ in range(2)]
         self.sched = ControlSchedule(rep=self.rep, delta_t=0.1, steps=(
             Step(0, self.a, self.kicks[0]), Step(1, self.b),
@@ -356,7 +352,7 @@ class TestFMapAndQMap:
         group, rep = close_group([SX])
         prof = piecewise_profile(group.generators[0], rep,
                                  [(0.5, np.pi * SZ), (0.5, np.pi * SY)])
-        assert not prof.in_algebra
+        assert not any(in_algebra(rep, rate) for _, rate in prof.segments)
         dev = np.linalg.norm(q_map(rep, {0: prof}, SZ) - pi_G(rep, SZ))
         assert dev > 1e-3
 
@@ -537,7 +533,7 @@ class TestSegmentReuse:
         profiles = list(make().profiles.values())
         profiles.append(random_profile(4, (0.4, 0.35, 0.25), rng))
         for prof in profiles:
-            d = prof.target.shape[0]
+            d = prof.segments[0][1].shape[0]
             fresh = np.eye(d, dtype=complex)
             for (frac, rate), (lam, V) in zip(prof.segments, prof.spectra):
                 assert np.linalg.norm((V * lam) @ V.conj().T - rate) <= 1e-13

@@ -18,8 +18,8 @@ from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   InvalidGeneratorError, ResourceLimitError,
                                   ShapeError, center_basis, close_group,
                                   commutant_basis, decompose_irreps,
-                                  equal_up_to_phase, fix_phase, pi_G,
-                                  subspace_distance)
+                                  equal_up_to_phase, fix_phase, in_algebra,
+                                  pi_G, subspace_distance)
 from eulerdd.pulses import (FaultModel, _expm_herm, bangbang_schedule,
                             eulerian_schedule, piecewise_profile)
 
@@ -480,7 +480,7 @@ class TestEulerianIdentities:
             H = hermitian_log(rep.matrices[gen])
             profiles[c] = piecewise_profile(gen, rep,
                                             [(f, w * H) for f, w in plans[c]])
-            assert profiles[c].in_algebra
+            assert all(in_algebra(rep, rate) for _, rate in profiles[c].segments)
         rng = np.random.default_rng(seed)
         d = rep.dimension
         X, H0 = random_hermitian(d, rng), random_hermitian(d, rng)
@@ -570,7 +570,7 @@ class TestStackedOracle:
         for X in (np.zeros((3, 2, 3)), np.zeros((3, 4, 4)), np.zeros(2)):
             with pytest.raises(ShapeError):
                 pi_G(sc.rep, X)
-            with pytest.raises(ValueError, match="shape error"):
+            with pytest.raises(ShapeError):
                 q_map(sc.rep, sc.profiles, X)
 
 

@@ -9,7 +9,7 @@ import yaml
 from eulerdd import io as eio
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               pauli_scenario, symmetric_s3_scenario)
-from eulerdd.group_theory import equal_up_to_phase
+from eulerdd.group_theory import equal_up_to_phase, in_algebra
 from eulerdd.io import (ConfigError, RunConfig, decode_matrix, encode_matrix,
                         export_schedule, fault_from_doc, import_schedule,
                         load_config, scenario_from_config)
@@ -108,6 +108,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    @pytest.mark.parametrize("value", ["", " [a, b]"], ids=["null", "list"])
+    def test_out_that_is_not_a_path_is_refused(self, tmp_path, value):
+        # str() of these would name a file "None" or "['a', 'b']"
+        p = tmp_path / "run.yaml"
+        p.write_text(f"scenario: pauli\nout:{value}\n")
+        with pytest.raises(ConfigError, match=r"^out must be a file path"):
+            load_config(str(p))
+
     def test_scenario_required(self):
         with pytest.raises(ConfigError):
             scenario_from_config(RunConfig())
@@ -128,7 +136,7 @@ class TestInlineScenario:
         assert sc.name == "inline-z2"
         assert sc.group.order == 2
         assert len(sc.path) == 2
-        assert sc.profiles[0].in_algebra
+        assert all(in_algebra(sc.rep, rate) for _, rate in sc.profiles[0].segments)
 
     def test_explicit_path_validated(self):
         cfg = RunConfig(inline={

@@ -11,7 +11,7 @@ from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
                               robustness_report, spin_flip_scenario,
                               swap_gate, symmetric_s3_scenario)
 from eulerdd.dynamics import residual_error
-from eulerdd.group_theory import close_group, equal_up_to_phase
+from eulerdd.group_theory import close_group, equal_up_to_phase, in_algebra
 from eulerdd.io import ConfigError, encode_matrix, fault_from_doc
 from eulerdd.pulses import (FaultModel, GridMismatchError,
                             IncompleteProfileSetError, RealizationError,
@@ -32,7 +32,7 @@ class TestConstantProfile:
         # amplitude pi/2 in 1/delta_t units
         np.testing.assert_allclose(rate, (np.pi / 2) * SX, atol=1e-12)
         assert phase_distance(SX, prof.endpoint_unitary()) <= 1e-9
-        assert prof.in_algebra
+        assert in_algebra(rep, rate)
 
     def test_identity_target_zero_amplitude(self):
         group, rep = close_group([SX])
@@ -75,9 +75,10 @@ class TestConstantProfile:
 
         sc = make()
         monkeypatch.setattr(pulses, "phase_distance", counted)
-        for prof in sc.profiles.values():
+        for c, prof in sc.profiles.items():
             calls.clear()
-            again = constant_profile(prof.generator, sc.rep, prof.segments[0][1]
+            again = constant_profile(sc.group.generators[c], sc.rep,
+                                     prof.segments[0][1]
                                      / np.linalg.norm(prof.segments[0][1]))
             assert calls == [1, 1]
             np.testing.assert_allclose(again.segments[0][1], prof.segments[0][1],
@@ -91,7 +92,7 @@ class TestPiecewiseProfile:
         assert len(prof.segments) == 2
         target = sc.rep.matrices[sc.group.generators[1]]
         assert phase_distance(target, prof.endpoint_unitary()) <= 1e-9
-        assert prof.in_algebra
+        assert all(in_algebra(sc.rep, rate) for _, rate in prof.segments)
 
     def test_single_segment_matches_constant(self):
         group, rep = close_group([SX])
@@ -119,7 +120,7 @@ class TestPiecewiseProfile:
         # both segment Hamiltonians lie outside span{I, sx}
         prof = piecewise_profile(group.generators[0], rep,
                                  [(0.5, np.pi * SZ), (0.5, np.pi * SY)])
-        assert not prof.in_algebra
+        assert not any(in_algebra(rep, rate) for _, rate in prof.segments)
 
     def test_fractions_must_sum_to_one(self):
         group, rep = close_group([SX])
@@ -240,6 +241,26 @@ class TestFaults:
                      lambda: robustness_report(sc, fault)):
             with pytest.raises(SegmentError, match=message):
                 meet()
+
+    def test_matching_dimension_runs_no_segment_rule(self, monkeypatch):
+        # the rule ran for d = 2 when the model was built; only another d
+        # runs it again
+        sc = carr_purcell_scenario()
+        fault = FaultModel.constant([0], [0.1 * SX])
+        calls = []
+
+        def counted(segs, d):
+            calls.append(d)
+            return segment_list(segs, d)
+        monkeypatch.setattr(pulses, "segment_list", counted)
+        fault.check_dimension(2)
+        apply_fault(sc.schedule(0.05), fault)
+        residual_error(sc.rep, sc.profiles, fault)
+        assert calls == []
+        with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.rate must "
+                                             r"be a Hermitian 4 x 4 matrix"):
+            fault.check_dimension(4)
+        assert calls == [4]
 
     def test_bangbang_fault_rejected(self):
         sc = carr_purcell_scenario()

@@ -201,10 +201,10 @@ def _carr_purcell_checks(scenario, rng, seed) -> list:
     checks = []
     for u in ("y", "z"):
         fault = FaultModel.constant([0], [0.1 * SIGMA[u]])
-        rob = robustness_report(scenario, fault, seed)
+        rob = robustness_report(scenario, fault)
         checks.append(bound_check(f"fault-s{u}-vanishes", rob.residual_norm, 1e-9))
     fault = FaultModel.constant([0], [0.1 * SIGMA["x"]])
-    rob = robustness_report(scenario, fault, seed)
+    rob = robustness_report(scenario, fault)
     dev = float(np.linalg.norm(rob.residual - 0.1 * SIGMA["x"]))
     checks.append(bound_check("fault-sx-central",
                               max(dev, rob.center_residual), 1e-9))
@@ -241,7 +241,7 @@ def _pauli_checks(scenario, rng, seed) -> list:
             m = random_hermitian(d, rng)
             rates.append(m - np.trace(m) / d * np.eye(d))
         fault = FaultModel.constant(colors, rates)
-        rob = robustness_report(scenario, fault, seed)
+        rob = robustness_report(scenario, fault)
         worst = max(worst, rob.residual_norm)
     return [bound_check("random-fault-eliminated", worst, 1e-8)]
 
@@ -413,24 +413,11 @@ def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
 
 
 @dataclass
-class BlockReport:
-    label: int
-    multiplicity: int
-    dimension: int
-    action_norm: float
-    classification: str
-
-
-@dataclass
 class SubsystemReport:
     residual: np.ndarray
     residual_norm: float
     commutant_residual: float   # distance of the residual from the commutant
     center_residual: float      # distance of the residual from the center
-    blocks: list
-
-
-PROTECTED_TOL = 1e-8
 
 
 def _factor_fit_residual(B: np.ndarray, n_J: int, d_J: int) -> float:
@@ -440,43 +427,20 @@ def _factor_fit_residual(B: np.ndarray, n_J: int, d_J: int) -> float:
     return float(np.linalg.norm(B - np.kron(N, np.eye(d_J))))
 
 
-def _classify_block(B: np.ndarray, n_J: int, d_J: int, scale: float) -> tuple:
-    """Classify the action of a commutant-valued residual on one block."""
-    norm = float(np.linalg.norm(B))
-    tol = PROTECTED_TOL * max(scale, 1.0)
-    if norm <= tol:
-        return norm, "noiseless"
-    c = np.trace(B) / (n_J * d_J)
-    if np.linalg.norm(B - c * np.eye(n_J * d_J)) <= tol:
-        return norm, "protected subspace"
-    if _factor_fit_residual(B, n_J, d_J) <= tol:
-        return norm, "protected dimension factor"
-    return norm, "unprotected"
-
-
 def robustness_report(scenario: Scenario, fault: FaultModel,
                       seed: int = 0) -> SubsystemReport:
-    """Residual control error of a systematic fault and its per-block action.
+    """Residual control error of a systematic fault and its distances from
+    the commutant and the center.
 
     The residual always lands in the commutant, so the dimension factors of
     every block stay clean; if the fault is in the group algebra the
-    residual is central and every block sees at most a scalar."""
+    residual is central and every block sees at most a scalar.  ``seed``
+    is not read: no irrep decomposition is drawn."""
     res = residual_error(scenario.rep, scenario.profiles, fault)
-    decomp = decompose_irreps(scenario.rep, seed=seed)
-    cen = center_basis(scenario.rep)
-    scale = float(np.linalg.norm(res))
-    blocks = []
-    for blk in decomp.blocks:
-        B = decomp.block_of(res, blk)
-        norm, cls = _classify_block(B, blk.multiplicity, blk.dimension, scale)
-        blocks.append(BlockReport(label=blk.label, multiplicity=blk.multiplicity,
-                                  dimension=blk.dimension, action_norm=norm,
-                                  classification=cls))
     return SubsystemReport(
-        residual=res, residual_norm=scale,
+        residual=res, residual_norm=float(np.linalg.norm(res)),
         commutant_residual=float(np.linalg.norm(res - pi_G(scenario.rep, res))),
-        center_residual=subspace_distance(res, cen),
-        blocks=blocks,
+        center_residual=subspace_distance(res, center_basis(scenario.rep)),
     )
 
 

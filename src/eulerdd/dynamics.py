@@ -6,11 +6,13 @@ segment exponentials, and every toggling-frame time average (``f_map``,
 ``q_map``, ``residual_error``, ``average_hamiltonian``) is a sum of exact
 segment integrals evaluated in the eigenbasis of the segment Hamiltonian.
 
-A profile replays unchanged in every sub-interval of its color, so the
-eigenpairs of its segments (cached on the profile), the stroboscopic frames
-(cached on the schedule), the total drift (cached on the drift) and, in
-``simulate_cycles``, the joint exponential of each color's segments are
-each computed once and reused.
+A schedule step carries its profile, its kick and its fault.  A profile
+replays unchanged in every step that pulses it, so the eigenpairs of its
+segments (cached on the profile), the stroboscopic frames (cached on the
+schedule), the total drift (cached on the drift), the sub-interval average
+of ``average_hamiltonian`` (per distinct profile) and, in
+``simulate_cycles``, the joint segment exponentials (per distinct profile
+and fault) are each computed once and reused.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class TimeOutOfRangeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftModel:
     """System-environment drift H0 = H_S ⊗ I + I ⊗ H_E + sum S_a ⊗ E_a.
 
@@ -139,9 +141,9 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     """First-order average Hamiltonian (1/T_c) ∫ U_c†(t) H0 U_c(t) dt.
 
     H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I.
-    The sub-interval average F_c(H0) is computed once per color and
-    conjugated by the stroboscopic frame of every step of that color; a
-    free step has F(H0) = H0, and a kick acts through the frames only.
+    The sub-interval average F(H0) is computed once per distinct profile
+    and conjugated by the stroboscopic frame of every step that pulses it;
+    a free step has F(H0) = H0, and a kick acts through the frames only.
     The result depends on the path and the profiles but not on delta_t.
     """
     H0 = np.asarray(H0, dtype=complex)
@@ -153,12 +155,13 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
         raise ValueError("invalid drift: dimension is not a multiple of the system's")
     de = dim // d
 
-    averaged = {c: _sub_interval_integral(_profile_segments(p, H0),
-                                          de).reshape(d, de, d, de)
-                for c, p in schedule.profiles.items()}
+    averaged = {}
     acc = np.zeros((dim, dim), dtype=complex)
     for frame, step in zip(schedule.stroboscopic_frames(), schedule.steps):
-        acc += _lift_conj(frame, averaged[step.color]).reshape(dim, dim)
+        if step.profile not in averaged:
+            averaged[step.profile] = _sub_interval_integral(
+                _profile_segments(step.profile, H0), de).reshape(d, de, d, de)
+        acc += _lift_conj(frame, averaged[step.profile]).reshape(dim, dim)
     avg = acc / schedule.sub_intervals
     return 0.5 * (avg + avg.conj().T)
 
@@ -183,13 +186,17 @@ def q_map(rep: UnitaryRep, profiles: dict, X: np.ndarray) -> np.ndarray:
 def residual_error(rep: UnitaryRep, profiles: dict, fault: FaultModel) -> np.ndarray:
     """First-order residual control-error operator of a systematic fault.
 
+    A scenario-level average over the generator set: ``profiles`` maps
+    each color to its profile, pulsed with ``fault.deltas`` of that color
+    (no error for a color the fault leaves out).
     Returned in 1/delta_t units (multiply by 1/delta_t for the physical
     Hamiltonian).  The toggling frame uses the ideal profiles; the
     integrand is u†(s) delta-h(s) u(s)."""
     fault.check_dimension(rep.dimension)
-    acc = sum(_sub_interval_integral([(frac, prof.spectra[k], err) for frac, k, err
-                                      in merged_segments(prof, fault, color)])
-              for color, prof in profiles.items())
+    acc = sum(_sub_interval_integral(
+        [(frac, prof.spectra[k], err)
+         for frac, k, err in merged_segments(prof, fault.deltas.get(color))])
+        for color, prof in profiles.items())
     return pi_G(rep, acc / len(profiles))
 
 
@@ -198,10 +205,10 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
     """Joint propagator of H0 + H_c(t) ⊗ I over [0, cycles * T_c].
 
     The total Hamiltonian is piecewise constant, so one exponential per
-    control segment is exact.  A color's control (and its fault) replays
-    unchanged in every step of that color, so the exponential of each of
-    its segments is computed once and reused along the steps; each kick is
-    applied after its step's segments.
+    control segment is exact.  A profile and its fault replay unchanged in
+    every step that carries both, so the exponential of each of their
+    merged segments is computed once per distinct (profile, fault) and
+    reused along the steps; each kick is applied after its step's segments.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
@@ -215,12 +222,16 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
     def lift(m):
         return np.kron(m, eye_e) if de > 1 else m
 
-    exps = {c: [_expm_herm(H0 + lift((p.segments[k][1] + fault_rate) / dt), frac * dt)
-                for frac, k, fault_rate in merged_segments(p, schedule.fault, c)]
-            for c, p in schedule.profiles.items()}
+    exps = {}
     u_cycle = np.eye(dim, dtype=complex)
     for step in schedule.steps:
-        for e in exps[step.color]:
+        p = step.profile
+        key = (p, id(step.fault))     # fault segments are tuples of arrays
+        if key not in exps:
+            exps[key] = [_expm_herm(H0 + lift((p.segments[k][1] + fault_rate) / dt),
+                                    frac * dt)
+                         for frac, k, fault_rate in merged_segments(p, step.fault)]
+        for e in exps[key]:
             u_cycle = e @ u_cycle
         if step.kick is not None:
             u_cycle = lift(step.kick) @ u_cycle

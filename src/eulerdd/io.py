@@ -273,14 +273,17 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
 
     def ham_id(m: np.ndarray) -> str:
         for hid, stored in ham_ids:
-            if stored.shape == m.shape and np.allclose(stored, m, atol=1e-14):
+            # absolute only: numpy's default rtol would merge directions
+            # about 1e-5 apart
+            if stored.shape == m.shape and np.allclose(stored, m, rtol=0.0,
+                                                       atol=1e-14):
                 return hid
         hid = f"h{len(ham_ids)}"
         ham_ids.append((hid, m))
         ham_docs[hid] = encode_matrix(m)
         return hid
 
-    def color_rows(profile) -> list:
+    def profile_rows(profile) -> list:
         """(duration, hamiltonian id, amplitude) of each segment."""
         out = []
         for frac, rate in profile.segments:
@@ -289,15 +292,15 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
             out.append((frac * delta_t, ham_id(unit), amp))
         return out
 
-    # a color's rows are the same in every step of that color: built at its
-    # first step, so ids still number the Hamiltonians in time order
+    # a profile's rows are the same in every step that pulses it: built at
+    # its first step, so ids still number the Hamiltonians in time order
     rows = {}
     timeline = []
     t = 0.0
     for ell, step in enumerate(sched.steps):
-        if step.color not in rows:
-            rows[step.color] = color_rows(step.profile)
-        for duration, hid, amp in rows[step.color]:
+        if step.profile not in rows:
+            rows[step.profile] = profile_rows(step.profile)
+        for duration, hid, amp in rows[step.profile]:
             timeline.append({
                 "start": float(t),
                 "duration": float(duration),

@@ -102,7 +102,7 @@ def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return _expm_eig(*np.linalg.eigh(H), scale)
 
 
-@dataclass
+@dataclass(eq=False)
 class PulseProfile:
     """Piecewise-constant control over one sub-interval: its segments.
 
@@ -112,10 +112,11 @@ class PulseProfile:
     builds the profiles of a schedule, so their segments keep the segment
     rule and realize their generator.
 
-    A profile replays unchanged in every sub-interval of its color, so the
+    A profile replays unchanged in every step that pulses it, so the
     eigenpairs of each segment rate and the endpoint unitary are computed
     once, on first use, and shared read-only; the segments must not be
-    changed after that.
+    changed after that.  Profiles compare and hash by identity, so the
+    per-profile caches of ``dynamics`` and ``io`` key on the profile.
     """
 
     segments: tuple
@@ -207,7 +208,7 @@ def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile
     return profile
 
 
-@dataclass
+@dataclass(eq=False)
 class FaultModel:
     """Systematic per-generator control errors.
 
@@ -251,13 +252,16 @@ class FaultModel:
 
 @dataclass(frozen=True, eq=False)
 class Step:
-    """One sub-interval of a schedule: the profile pulsed over it, the
-    generator color that profile realizes (None for a free step), and an
-    instantaneous frame jump applied after the pulse (None for none)."""
+    """One sub-interval of a schedule: the generator color it realizes
+    (None for a free step), the profile pulsed over it, an instantaneous
+    frame jump applied after the pulse (None for none), and the systematic
+    error riding on the pulse: validated (fraction, rate) fault segments,
+    in the profile's 1/delta_t units, or None for an ideal pulse."""
 
     color: int | None
     profile: PulseProfile
     kick: np.ndarray | None = None
+    fault: tuple | None = None
 
 
 @dataclass
@@ -265,17 +269,16 @@ class ControlSchedule:
     """Full cyclic control timeline: one step per sub-interval of length
     delta_t.  The control during step l is u_l(s) f_l, where u_l is the
     step's profile and the frames are f_0 = I, f_{l+1} = K_l u_l(1) f_l,
-    K_l being the step's kick (left out when None).
-
-    Every step of one color shares one profile.  ``path`` is the Euler path
-    an Eulerian schedule follows, None for a schedule that follows none.
+    K_l being the step's kick (left out when None).  Each step carries its
+    own profile, kick and fault, so steps of one color may pulse different
+    profiles.  ``path`` is the Euler path an Eulerian schedule follows, None
+    for a schedule that follows none.
     """
 
     rep: UnitaryRep
     delta_t: float
     steps: tuple
     path: EulerPath = None
-    fault: FaultModel = None
 
     @property
     def sub_intervals(self) -> int:
@@ -287,14 +290,16 @@ class ControlSchedule:
 
     @property
     def profiles(self) -> dict:
-        """color -> the profile every step of that color pulses."""
+        """color -> the profile of the last step of that color; defined for
+        a schedule whose steps of one color all pulse one profile."""
         return {step.color: step.profile for step in self.steps}
 
     @property
     def max_hamiltonian_norm(self) -> float:
         if any(step.kick is not None for step in self.steps):
             return float("inf")  # kicks are impulsive by construction
-        return max(p.max_rate_norm for p in self.profiles.values()) / self.delta_t
+        distinct = {step.profile for step in self.steps}
+        return max(p.max_rate_norm for p in distinct) / self.delta_t
 
     def stroboscopic_frames(self) -> tuple:
         """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c.
@@ -371,22 +376,24 @@ def _merge_grids(profile_segs, fault_segs):
 def apply_fault(schedule: ControlSchedule, fault: FaultModel) -> ControlSchedule:
     """Attach a systematic fault: segment Hamiltonians become h + delta-h.
 
-    Every fault color must be the generator color of some step.  The ideal
-    profiles are retained on the returned schedule (the toggling frame is
-    always built from the intended control)."""
+    Every fault color must be the generator color of some step.  The
+    returned schedule's steps of color c carry ``fault.deltas[c]``, and the
+    other steps no fault; each keeps its ideal profile (the toggling frame
+    is always built from the intended control)."""
     fault.check_dimension(schedule.rep.dimension)
-    colors = schedule.profiles
+    colors = {step.color for step in schedule.steps}
     for color in fault.deltas:
         if color is None or color not in colors:
             raise GridMismatchError(f"incompatible fault grid: unknown color {color}")
-    return replace(schedule, fault=fault)
+    return replace(schedule, steps=tuple(
+        replace(step, fault=fault.deltas.get(step.color)) for step in schedule.steps))
 
 
-def merged_segments(profile: PulseProfile, fault, color: int):
+def merged_segments(profile: PulseProfile, fault_segments):
     """(fraction, profile segment index, fault_rate) triples for one
-    sub-interval; the index selects the ideal rate and its cached
-    eigenpairs on ``profile``."""
+    sub-interval under ``fault_segments`` (None for no fault); the index
+    selects the ideal rate and its cached eigenpairs on ``profile``."""
     segs = profile.segments
-    if fault is None or color not in fault.deltas:
+    if fault_segments is None:
         return [(frac, k, np.zeros_like(rate)) for k, (frac, rate) in enumerate(segs)]
-    return _merge_grids(segs, fault.deltas[color])
+    return _merge_grids(segs, fault_segments)

@@ -14,7 +14,7 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               robustness_report, scaling_study, spin_flip_scenario,
                               symmetric_s3_scenario, verify_theorem)
 from eulerdd.cayley import validate_path
-from eulerdd.group_theory import in_algebra, pi_G
+from eulerdd.group_theory import decompose_irreps, in_algebra, pi_G
 from eulerdd.pulses import FaultModel, constant_profile, piecewise_profile
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
@@ -252,13 +252,22 @@ class TestStackedVerify:
         assert shapes == [(16, 4, 4), (4, 4, 4), (10, 4, 4)]
 
 
+def block_actions(rep, residual):
+    """(block, B) for every irrep block of ``rep``, B the residual's action
+    on that block."""
+    decomp = decompose_irreps(rep, seed=0)
+    return [(blk, decomp.block_of(residual, blk)) for blk in decomp.blocks]
+
+
 class TestRobustnessReport:
     def test_carr_purcell_transverse_faults_safe(self):
         sc = carr_purcell_scenario()
         for u in (SY, SZ):
             rob = robustness_report(sc, FaultModel.constant([0], [0.1 * u]))
             assert rob.residual_norm <= 1e-9
-            assert all(b.classification == "noiseless" for b in rob.blocks)
+            # noiseless: the residual acts on no block
+            for _, B in block_actions(sc.rep, rob.residual):
+                assert np.linalg.norm(B) <= 1e-8
 
     def test_carr_purcell_x_fault_central_nonzero(self):
         sc = carr_purcell_scenario()
@@ -286,9 +295,12 @@ class TestRobustnessReport:
         rates = [random_hermitian(8, rng), random_hermitian(8, rng)]
         rob = robustness_report(sc, FaultModel.constant([0, 1], rates))
         assert rob.commutant_residual <= 1e-8
-        for b in rob.blocks:
-            assert b.classification in ("noiseless", "protected subspace",
-                                        "protected dimension factor")
+        # no block is unprotected: each action is N ⊗ I on its dimension
+        # factor, which covers the noiseless and scalar cases
+        tol = 1e-8 * max(rob.residual_norm, 1.0)
+        for blk, B in block_actions(sc.rep, rob.residual):
+            assert analysis._factor_fit_residual(
+                B, blk.multiplicity, blk.dimension) <= tol
 
 
 class TestNoiseSuppression:

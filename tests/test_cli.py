@@ -119,8 +119,9 @@ class TestVerify:
         length = next(c for c in doc["checks"] if c["name"] == "cycle-length")
         assert length["value"] == 2048
 
-    def test_pauli_builds_center_and_irreps_once(self, capsys, monkeypatch):
-        # robustness_report asks for both once per fault, ten faults in all
+    def test_pauli_builds_center_once_and_no_irreps(self, capsys, monkeypatch):
+        # robustness_report asks for the center once per fault, ten faults
+        # in all, and for no irrep decomposition
         calls = {}
 
         def counting(module, name):
@@ -137,8 +138,7 @@ class TestVerify:
             counting(analysis, name)
         code, _, _ = run(capsys, "verify", "--scenario", "pauli", "--json")
         assert code == 0
-        assert calls == {"center_basis": 10, "decompose_irreps": 10,
-                         "_center_basis": 1, "_decompose_irreps": 1}
+        assert calls == {"center_basis": 10, "_center_basis": 1}
 
     def test_non_integer_override_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eulerdd import dynamics
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
@@ -11,11 +13,15 @@ from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
                               _sub_interval_integral, average_hamiltonian,
                               control_propagator, decoupling_distance, f_map,
                               q_map, residual_error, simulate_cycles)
-from eulerdd.group_theory import (center_basis, close_group, commutant_basis,
-                                  equal_up_to_phase, in_algebra, pi_G)
-from eulerdd.pulses import (ControlSchedule, FaultModel, PulseProfile, Step,
-                            _expm_herm, apply_fault, merged_segments,
-                            phase_distance)
+from eulerdd.cayley import build_cayley, eulerian_cycle
+from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
+                                  commutant_basis, equal_up_to_phase,
+                                  in_algebra, pi_G)
+from eulerdd.pulses import (ControlSchedule, FaultModel, PulseProfile,
+                            RealizationError, Step, _expm_herm, apply_fault,
+                            eulerian_schedule, merged_segments,
+                            phase_distance, piecewise_profile)
+from test_group_theory import PROPERTY_MAX_ORDER, _monomial, monomial_groups
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -471,7 +477,8 @@ def per_sub_interval_cycles(drift, scenario, dt, bangbang=False, fault=None,
     else:
         for color in scenario.path.colors:
             prof = scenario.profiles[color]
-            for frac, k, fault_rate in merged_segments(prof, fault, color):
+            fault_segs = fault.deltas.get(color) if fault else None
+            for frac, k, fault_rate in merged_segments(prof, fault_segs):
                 h_ctrl = lift((prof.segments[k][1] + fault_rate) / dt)
                 u_cycle = _expm_herm(H0 + h_ctrl, frac * dt) @ u_cycle
     return np.linalg.matrix_power(u_cycle, cycles)
@@ -614,3 +621,141 @@ class TestSegmentReuse:
         verify_theorem(sc, trials=20)
         verify_theorem(sc, trials=20, seed=1)
         assert eigh_calls == []
+
+
+def reversed_profile(profile):
+    """u_rev(x) = u(1 - x) u(1)†: the segments in reverse order, each rate
+    negated."""
+    return PulseProfile(segments=tuple((frac, -rate)
+                                       for frac, rate in profile.segments[::-1]))
+
+
+def mirrored(schedule):
+    """The forward steps, then the same steps backwards, each pulsing its
+    profile reversed: one color carries two profiles."""
+    back = tuple(Step(s.color, reversed_profile(s.profile))
+                 for s in schedule.steps[::-1])
+    return ControlSchedule(rep=schedule.rep, delta_t=schedule.delta_t,
+                           steps=schedule.steps + back)
+
+
+def with_fault(segments, fault_segments):
+    """(fraction, rate) pieces of one sub-interval: the profile segments cut
+    at the fault segment ends, each rate plus the fault rate there."""
+    if fault_segments is None:
+        return list(segments)
+    ends = [np.cumsum([frac for frac, _ in segs]) for segs in (segments, fault_segments)]
+    cuts = np.unique(np.round(np.concatenate([[0.0], *ends]), 15))
+
+    def rate_at(segs, e, x):
+        return segs[min(int(np.searchsorted(e, x)), len(segs) - 1)][1]
+
+    return [(b - a, rate_at(segments, ends[0], 0.5 * (a + b))
+             + rate_at(fault_segments, ends[1], 0.5 * (a + b)))
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def per_step_cycles(drift, schedule, fault=None):
+    """One cycle as a product of fresh exponentials, step by step: each
+    step's own profile, with the fault of its color when ``fault`` is a
+    FaultModel."""
+    H0 = drift.total()
+    eye_e = np.eye(drift.env_dim)
+    dt = schedule.delta_t
+    u = np.eye(H0.shape[0], dtype=complex)
+    for step in schedule.steps:
+        segs = step.profile.segments
+        if fault is not None:
+            segs = with_fault(segs, fault.deltas.get(step.color))
+        for frac, rate in segs:
+            u = _expm_herm(H0 + np.kron(rate / dt, eye_e), frac * dt) @ u
+        if step.kick is not None:
+            u = np.kron(step.kick, eye_e) @ u
+    return u
+
+
+class TestMirroredTimeline:
+    """A timeline in which one color pulses two profiles (forward and
+    reversed) is simulated step by step, not color by color."""
+
+    @pytest.mark.parametrize("env_dim", [1, 2])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["ideal", "fault"])
+    @pytest.mark.parametrize("make", [symmetric_s3_scenario, pauli_scenario,
+                                      carr_purcell_scenario])
+    def test_simulate_cycles_matches_per_step_product(self, make, faulty, env_dim):
+        sc = make()
+        sched = mirrored(sc.schedule(0.05))
+        drift = sc.generic_drift(env_dim=env_dim, seed=3)
+        fault = None
+        if faulty:
+            fault = finer_grid_fault(np.random.default_rng(env_dim),
+                                     sc.rep.dimension, sorted(sc.profiles))
+            sched = apply_fault(sched, fault)
+        got = simulate_cycles(drift, sched)
+        assert np.abs(got - per_step_cycles(drift, sched, fault)).max() <= 1e-12
+
+
+def hermitian_log(w):
+    """A Hermitian R with exp(-i R) = w, for a unitary w."""
+    evals, V = np.linalg.eig(w)
+    R = V @ np.diag(-np.angle(evals)) @ np.linalg.inv(V)
+    return 0.5 * (R + R.conj().T)
+
+
+@st.composite
+def random_profile_sets(draw):
+    """A monomial group with a random 1-3 segment profile per generator:
+    random rates, the last one chosen to land on the generator."""
+    gens = draw(monomial_groups())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    counts = [draw(st.integers(1, 3)) for _ in gens]
+    return gens, seed, counts
+
+
+class TestRandomMirroredTimelines:
+    """Mirrored Eulerian timelines over random monomial groups: they close
+    at the identity, keep the forward average Hamiltonian, and simulate
+    as their step-by-step product, with and without a fault."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_profile_sets())
+    def test_mirrored_cycle_identities(self, case):
+        gens, seed, counts = case
+        try:
+            group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                     max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        assume(group.order > 1)
+        rng = np.random.default_rng(seed)
+        d = rep.dimension
+        profiles = {}
+        for c, g in enumerate(group.generators):
+            fracs = rng.uniform(0.2, 1.0, counts[c])
+            fracs /= fracs.sum()
+            rates = [random_hermitian(d, rng) for _ in fracs[:-1]]
+            u = np.eye(d, dtype=complex)
+            for frac, rate in zip(fracs, rates):
+                u = _expm_herm(rate, frac) @ u
+            rates.append(hermitian_log(rep.matrices[g] @ u.conj().T) / fracs[-1])
+            try:
+                profiles[c] = piecewise_profile(g, rep, list(zip(fracs, rates)))
+            except RealizationError:
+                assume(False)
+        forward = eulerian_schedule(eulerian_cycle(build_cayley(group)),
+                                    profiles, 0.05, rep)
+        back = mirrored(forward)
+        assert np.linalg.norm(back.stroboscopic_frames()[-1] - np.eye(d)) <= 1e-12
+
+        S = random_hermitian(d, rng)
+        drift = DriftModel(H_S=random_hermitian(d, rng), H_E=random_hermitian(2, rng),
+                           couplings=((S - np.trace(S) / d * np.eye(d),
+                                       random_hermitian(2, rng)),))
+        H0 = drift.total()
+        assert np.linalg.norm(average_hamiltonian(back, H0)
+                              - average_hamiltonian(forward, H0)) <= 1e-12
+
+        fault = finer_grid_fault(rng, d, sorted(profiles))
+        for sched, f in ((back, None), (apply_fault(back, fault), fault)):
+            got = simulate_cycles(drift, sched)
+            assert np.abs(got - per_step_cycles(drift, sched, f)).max() <= 1e-12

@@ -1,15 +1,18 @@
 """Tests for matrix/config/schedule serialization."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 import yaml
 
+from eulerdd import analysis
 from eulerdd import io as eio
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               pauli_scenario, symmetric_s3_scenario)
 from eulerdd.group_theory import equal_up_to_phase, in_algebra
+from eulerdd.pulses import piecewise_profile
 from eulerdd.io import (ConfigError, RunConfig, decode_matrix, encode_matrix,
                         export_schedule, fault_from_doc, import_schedule,
                         load_config, scenario_from_config)
@@ -283,6 +286,26 @@ class TestScheduleExport:
         with pytest.raises(ConfigError) as info:
             import_schedule(yaml.safe_dump(doc))
         assert message in str(info.value)
+
+    def test_near_parallel_directions_keep_their_own_ids(self):
+        # n2 is n1 with sigma_y scaled by 1 + 4e-6: the directions differ by
+        # about 2e-6, well above the 1e-14 id tolerance
+        n1 = (SY + SZ) / np.sqrt(2)
+        n2 = (1 + 4e-6) * SY + SZ
+        n2 = n2 / np.linalg.norm(n2) * np.linalg.norm(n1)
+        a = 0.05
+        segs = [(0.2, r) for r in (a * n1, a * n2, -a * n1, -a * n2,
+                                    (5 * np.pi / 2) * SX)]
+        sc = analysis.scenario_from_generators(
+            "near", "near-parallel segments", 1, [SX],
+            [partial(piecewise_profile, segments=segs)])
+        text = export_schedule(sc, 0.01)
+        rows = yaml.safe_load(text)["timeline"]
+        assert [r["hamiltonian"] for r in rows[:5]] == ["h0", "h1", "h2", "h3", "h4"]
+        back = import_schedule(text).steps[0].profile.segments
+        for (frac, rate), (frac2, rate2) in zip(segs, back):
+            assert frac2 == pytest.approx(frac, abs=1e-15)
+            assert np.abs(rate2 - rate).max() <= 1e-14
 
     def test_timeline_is_contiguous(self):
         import yaml

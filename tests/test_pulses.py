@@ -1,5 +1,7 @@
 """Tests for pulse profile synthesis and schedule assembly."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,10 +188,40 @@ class TestSchedules:
         expected = (np.pi / 2) * np.linalg.norm(heisenberg(3, 0, 1), 2) / 0.01
         assert sched.max_hamiltonian_norm == pytest.approx(expected)
 
+    def test_control_norm_is_the_maximum_over_every_step(self):
+        # the strongest profile of color 0 is not its last one
+        _, rep = close_group([SX])
+        strong = pulses.PulseProfile(segments=[(1.0, 3.0 * SX)])
+        weak = pulses.PulseProfile(segments=[(0.5, 0.5 * SY), (0.5, 0.2 * SZ)])
+        sched = pulses.ControlSchedule(rep=rep, delta_t=0.1, steps=(
+            pulses.Step(0, strong), pulses.Step(0, weak)))
+        assert sched.profiles[0] is weak
+        assert sched.max_hamiltonian_norm == pytest.approx(3.0 / 0.1)
+
     def test_invalid_delta_t(self):
         sc = carr_purcell_scenario()
         with pytest.raises(ValueError):
             sc.schedule(-1.0)
+
+
+class TestIdentity:
+    """Profiles, fault models and drifts hold arrays, so they compare and
+    hash by identity: == never asks numpy for the truth of an array."""
+
+    def test_copies_compare_unequal(self):
+        prof = symmetric_s3_scenario().profiles[1]
+        fault = FaultModel.constant([0], [0.1 * SX])
+        drift = carr_purcell_scenario().generic_drift(env_dim=2)
+        for obj in (prof, fault, drift):
+            twin = copy.copy(obj)
+            assert obj == obj
+            assert (obj == twin) is False
+            assert obj != twin
+
+    def test_profile_is_hashable(self):
+        prof = carr_purcell_scenario().profiles[0]
+        assert {prof: 1}[prof] == 1
+        assert hash(prof) != hash(copy.copy(prof))
 
 
 class TestFaults:
@@ -198,18 +230,23 @@ class TestFaults:
         sched = sc.schedule(0.05)
         fault = FaultModel.constant([0], [np.zeros((2, 2))])
         faulty = apply_fault(sched, fault)
-        for frac, ideal, err in merged_segments(sc.profiles[0], faulty.fault, 0):
-            assert np.linalg.norm(err) == 0.0
+        for step in faulty.steps:
+            for frac, ideal, err in merged_segments(step.profile, step.fault):
+                assert np.linalg.norm(err) == 0.0
 
     def test_constant_fault_merges_onto_profile_grid(self):
         sc = symmetric_s3_scenario()
         sched = sc.schedule(0.05)
         fault = FaultModel.constant([1], [0.1 * heisenberg(3, 0, 1)])
         faulty = apply_fault(sched, fault)
-        segs = merged_segments(sc.profiles[1], faulty.fault, 1)
-        assert len(segs) == 2
-        for frac, ideal, err in segs:
-            np.testing.assert_allclose(err, 0.1 * heisenberg(3, 0, 1))
+        for step in faulty.steps:
+            if step.color != 1:
+                assert step.fault is None
+                continue
+            segs = merged_segments(step.profile, step.fault)
+            assert len(segs) == 2
+            for frac, ideal, err in segs:
+                np.testing.assert_allclose(err, 0.1 * heisenberg(3, 0, 1))
 
     def test_bad_fault_grid_rejected(self):
         with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.fraction: "

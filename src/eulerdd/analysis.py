@@ -427,15 +427,13 @@ def _factor_fit_residual(B: np.ndarray, n_J: int, d_J: int) -> float:
     return float(np.linalg.norm(B - np.kron(N, np.eye(d_J))))
 
 
-def robustness_report(scenario: Scenario, fault: FaultModel,
-                      seed: int = 0) -> SubsystemReport:
+def robustness_report(scenario: Scenario, fault: FaultModel) -> SubsystemReport:
     """Residual control error of a systematic fault and its distances from
     the commutant and the center.
 
     The residual always lands in the commutant, so the dimension factors of
     every block stay clean; if the fault is in the group algebra the
-    residual is central and every block sees at most a scalar.  ``seed``
-    is not read: no irrep decomposition is drawn."""
+    residual is central and every block sees at most a scalar."""
     res = residual_error(scenario.rep, scenario.profiles, fault)
     return SubsystemReport(
         residual=res, residual_norm=float(np.linalg.norm(res)),

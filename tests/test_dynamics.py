@@ -21,7 +21,8 @@ from eulerdd.pulses import (ControlSchedule, FaultModel, PulseProfile,
                             RealizationError, Step, _expm_herm, apply_fault,
                             eulerian_schedule, merged_segments,
                             phase_distance, piecewise_profile)
-from test_group_theory import PROPERTY_MAX_ORDER, _monomial, monomial_groups
+from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, hermitian_log,
+                               monomial_groups)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -693,13 +694,6 @@ class TestMirroredTimeline:
             sched = apply_fault(sched, fault)
         got = simulate_cycles(drift, sched)
         assert np.abs(got - per_step_cycles(drift, sched, fault)).max() <= 1e-12
-
-
-def hermitian_log(w):
-    """A Hermitian R with exp(-i R) = w, for a unitary w."""
-    evals, V = np.linalg.eig(w)
-    R = V @ np.diag(-np.angle(evals)) @ np.linalg.inv(V)
-    return 0.5 * (R + R.conj().T)
 
 
 @st.composite

@@ -7,8 +7,7 @@ structure numerically.
 """
 
 from .analysis import (Scenario, builtin_scenarios, get_scenario,
-                       noise_suppression_check, robustness_report,
-                       scaling_study, verify_theorem)
+                       noise_suppression_check, scaling_study, verify_theorem)
 from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
                      validate_path)
 from .dynamics import (DriftModel, average_hamiltonian, control_propagator,

@@ -77,7 +77,7 @@ class DriftModel:
 
 def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
     """U_c(t), reduced modulo the cycle time; exact per segment."""
-    if t < 0:
+    if not 0 <= t < np.inf:
         raise TimeOutOfRangeError("time out of range")
     dt = schedule.delta_t
     tc = schedule.cycle_time

@@ -65,10 +65,14 @@ class RunConfig:
         dts = self.delta_t
         if dts is not None and not (dts and all(0 < d < math.inf for d in dts)):
             raise ConfigError(f"delta_t must be finite values > 0, got {dts}")
+        if dts is not None and len(set(dts)) != len(dts):
+            raise ConfigError(f"delta_t values must be distinct, got {dts}")
         if self.cycles < 1:
             raise ConfigError("cycles must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # type of each scalar override; a value of another type is a ConfigError

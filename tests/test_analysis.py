@@ -1,4 +1,4 @@
-"""Tests for scenario construction, robustness reports, and scaling studies."""
+"""Tests for scenario construction, fault residuals, and scaling studies."""
 
 from functools import partial
 
@@ -10,11 +10,12 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               collective, fault_fidelity_comparison,
                               get_scenario, heisenberg,
                               noise_suppression_check, pauli_on,
-                              pauli_scenario, random_hermitian,
-                              robustness_report, scaling_study, spin_flip_scenario,
-                              symmetric_s3_scenario, verify_theorem)
+                              pauli_scenario, random_hermitian, scaling_study,
+                              spin_flip_scenario, symmetric_s3_scenario,
+                              verify_theorem)
 from eulerdd.cayley import validate_path
-from eulerdd.group_theory import decompose_irreps, in_algebra, pi_G
+from eulerdd.group_theory import (center_basis, decompose_irreps, in_algebra,
+                                  pi_G, subspace_distance)
 from eulerdd.pulses import FaultModel, constant_profile, piecewise_profile
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
@@ -259,22 +260,27 @@ def block_actions(rep, residual):
     return [(blk, decomp.block_of(residual, blk)) for blk in decomp.blocks]
 
 
-class TestRobustnessReport:
+def fault_residual(sc, colors, rates):
+    return dynamics.residual_error(sc.rep, sc.profiles,
+                                   FaultModel.constant(colors, rates))
+
+
+class TestFaultResidual:
     def test_carr_purcell_transverse_faults_safe(self):
         sc = carr_purcell_scenario()
         for u in (SY, SZ):
-            rob = robustness_report(sc, FaultModel.constant([0], [0.1 * u]))
-            assert rob.residual_norm <= 1e-9
+            res = fault_residual(sc, [0], [0.1 * u])
+            assert np.linalg.norm(res) <= 1e-9
             # noiseless: the residual acts on no block
-            for _, B in block_actions(sc.rep, rob.residual):
+            for _, B in block_actions(sc.rep, res):
                 assert np.linalg.norm(B) <= 1e-8
 
     def test_carr_purcell_x_fault_central_nonzero(self):
         sc = carr_purcell_scenario()
-        rob = robustness_report(sc, FaultModel.constant([0], [0.1 * SX]))
-        assert rob.residual_norm > 1e-3
-        assert rob.center_residual <= 1e-9
-        assert rob.commutant_residual <= 1e-9
+        res = fault_residual(sc, [0], [0.1 * SX])
+        assert np.linalg.norm(res) > 1e-3
+        assert subspace_distance(res, center_basis(sc.rep)) <= 1e-9
+        assert np.linalg.norm(res - pi_G(sc.rep, res)) <= 1e-9
 
     def test_pauli_any_fault_eliminated(self):
         sc = pauli_scenario(1)
@@ -284,8 +290,7 @@ class TestRobustnessReport:
             for _ in range(2):
                 m = random_hermitian(2, rng)
                 rates.append(m - np.trace(m) / 2 * np.eye(2))
-            rob = robustness_report(sc, FaultModel.constant([0, 1], rates))
-            assert rob.residual_norm <= 1e-8
+            assert np.linalg.norm(fault_residual(sc, [0, 1], rates)) <= 1e-8
 
     def test_s3_blocks_protected_dimension_factor(self):
         sc = symmetric_s3_scenario()
@@ -293,12 +298,12 @@ class TestRobustnessReport:
         # arbitrary (not in-algebra) fault: residual stays in the commutant,
         # so the dimension factors remain clean
         rates = [random_hermitian(8, rng), random_hermitian(8, rng)]
-        rob = robustness_report(sc, FaultModel.constant([0, 1], rates))
-        assert rob.commutant_residual <= 1e-8
+        res = fault_residual(sc, [0, 1], rates)
+        assert np.linalg.norm(res - pi_G(sc.rep, res)) <= 1e-8
         # no block is unprotected: each action is N ⊗ I on its dimension
         # factor, which covers the noiseless and scalar cases
-        tol = 1e-8 * max(rob.residual_norm, 1.0)
-        for blk, B in block_actions(sc.rep, rob.residual):
+        tol = 1e-8 * max(np.linalg.norm(res), 1.0)
+        for blk, B in block_actions(sc.rep, res):
             assert analysis._factor_fit_residual(
                 B, blk.multiplicity, blk.dimension) <= tol
 

@@ -119,26 +119,32 @@ class TestVerify:
         length = next(c for c in doc["checks"] if c["name"] == "cycle-length")
         assert length["value"] == 2048
 
-    def test_pauli_builds_center_once_and_no_irreps(self, capsys, monkeypatch):
-        # robustness_report asks for the center once per fault, ten faults
-        # in all, and for no irrep decomposition
-        calls = {}
+    @pytest.mark.parametrize("body,center_builds", [
+        ("scenario: pauli\n", 0),
+        ("scenario: pauli\noverrides:\n  n_qubits: 4\n", 0),
+        ("scenario: carr-purcell\n", 1),
+    ], ids=["pauli-n2", "pauli-n4", "carr-purcell"])
+    def test_center_built_only_for_the_central_fault_check(
+            self, capsys, monkeypatch, tmp_path, body, center_builds):
+        # the fault checks read residual_error; only carr-purcell's
+        # fault-sx-central measures a distance from the center
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(body)
+        calls = {"_center_basis": 0, "_decompose_irreps": 0}
+        for name in calls:
+            real = getattr(group_theory, name)
 
-        def counting(module, name):
-            real = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
-        for name in ("_center_basis", "_decompose_irreps"):
-            counting(group_theory, name)
-        for name in ("center_basis", "decompose_irreps"):
-            counting(analysis, name)
-        code, _, _ = run(capsys, "verify", "--scenario", "pauli", "--json")
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(group_theory, name, counted)
+        code, _, _ = run(capsys, "verify", "--config", str(cfg), "--json")
         assert code == 0
-        assert calls == {"center_basis": 10, "_center_basis": 1}
+        assert calls == {"_center_basis": center_builds, "_decompose_irreps": 0}
+
+    def test_negative_seed_exits_2_naming_seed(self, capsys):
+        assert_refused(capsys, ("verify", "--scenario", "pauli", "--seed", "-1"),
+                       "seed must be >= 0")
 
     def test_non_integer_override_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"
@@ -275,6 +281,12 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
+    def test_repeated_delta_t_exits_2(self, capsys):
+        # two equal cycle times leave the slope fit rank-deficient
+        assert_refused(capsys, ("sweep", "--scenario", "carr-purcell",
+                                "--delta-t", "0.02,0.02"),
+                       "delta_t values must be distinct")
+
     def test_config_delta_t_list_matches_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("scenario: carr-purcell\noverrides:\n"
@@ -348,7 +360,8 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
     ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
      % (SX_DOC, "{dim: [2, 2], data: [[0, 0], [1.3, 0], [1, 0], [0, 0]]}"),
      "Hermitian"),
-], ids=["carr-purcell-n5", "non-hermitian-axis"])
+    ("scenario: pauli\noverrides:\n  seed: -3\n", "seed must be >= 0"),
+], ids=["carr-purcell-n5", "non-hermitian-axis", "negative-seed"])
 def test_refused_config_exits_2(capsys, tmp_path, body, message):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(body)

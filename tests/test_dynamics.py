@@ -100,9 +100,12 @@ class TestControlPropagator:
                                        np.eye(2), atol=1e-12)
 
     def test_negative_time_out_of_range(self):
+        # so is a time that is not finite, which no reduction modulo the
+        # cycle time can place
         sched = carr_purcell_scenario().schedule(0.1)
-        with pytest.raises(TimeOutOfRangeError):
-            control_propagator(sched, -0.1)
+        for t in (-0.1, np.nan, np.inf):
+            with pytest.raises(TimeOutOfRangeError):
+                control_propagator(sched, t)
 
     def test_closure_at_cycle_time(self):
         sc = pauli_scenario(1)

@@ -40,12 +40,16 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         pytest.param("delta_t", (-0.1,), id="delta_t--0.1"),
         pytest.param("delta_t", (0.0,), id="delta_t-0.0"),
+        # a repeated delta_t makes the sweep's slope fit rank-deficient
+        pytest.param("delta_t", (0.02, 0.01, 0.02), id="delta_t-repeated"),
         ("cycles", 0), ("trials", 0), ("env_dim", 0), ("n_qubits", 0),
+        # numpy's own seed refusal names no key
+        ("seed", -1),
     ])
     def test_rejects_bad_values(self, field, value):
         cfg = RunConfig()
         setattr(cfg, field, value)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=rf"^{field} "):
             cfg.validate()
 
     def test_load_named_scenario(self, tmp_path):

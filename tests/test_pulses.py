@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from eulerdd import pulses
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
                               pauli_scenario, random_hermitian,
-                              robustness_report, spin_flip_scenario,
-                              swap_gate, symmetric_s3_scenario)
+                              spin_flip_scenario, swap_gate,
+                              symmetric_s3_scenario)
 from eulerdd.dynamics import residual_error
 from eulerdd.group_theory import close_group, equal_up_to_phase, in_algebra
 from eulerdd.io import ConfigError, encode_matrix, fault_from_doc
@@ -274,8 +274,7 @@ class TestFaults:
         fault = FaultModel.constant([0], [np.kron(SX, SX)])
         message = r"^deltas\[0\]\[0\]\.rate must be a Hermitian 2 x 2 matrix"
         for meet in (lambda: apply_fault(sc.schedule(0.05), fault),
-                     lambda: residual_error(sc.rep, sc.profiles, fault),
-                     lambda: robustness_report(sc, fault)):
+                     lambda: residual_error(sc.rep, sc.profiles, fault)):
             with pytest.raises(SegmentError, match=message):
                 meet()
 

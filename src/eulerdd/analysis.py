@@ -17,9 +17,9 @@ from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
                      path_from_colors, validate_path)
 from .dynamics import (DriftModel, _distance_to_average, average_hamiltonian,
                        q_map, residual_error, simulate_cycles)
-from .group_theory import (HERMITIAN_TOL, Group, UnitaryRep, center_basis,
-                           close_group, decompose_irreps, in_algebra, pi_G,
-                           subspace_distance)
+from .group_theory import (HERMITIAN_TOL, MAX_STACK_BYTES, Group, UnitaryRep,
+                           center_basis, close_group, decompose_irreps,
+                           in_algebra, pi_G, subspace_distance)
 from .pulses import (ControlSchedule, FaultModel, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
                      hermitian_matrix, piecewise_profile)
@@ -62,18 +62,10 @@ def random_hermitian(dim: int, rng) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-# Largest (|G|, n, d, d) complex product that pi_G forms for a stack of n
-# operators; verify evaluates its operators in stacks of as many as fit, and
-# one at a time where one does not.  On a 2-core OpenBLAS host, stacks whose
-# products fit 64 KiB ran 2-5x faster than per-operator calls, while larger
-# ones (20 operators at |G| = 4, d = 32: 1.3 MiB) ran up to 1.5x slower.
-MAX_STACK_BYTES = 64 * 1024
-
-
 def _operator_stacks(rep: UnitaryRep, operators):
     """The d x d ``operators`` of an iterable, consumed lazily and in order,
-    as (n, d, d) stacks whose pi_G products fit MAX_STACK_BYTES (n >= 1)."""
-    per = max(1, MAX_STACK_BYTES // (16 * rep.group.order * rep.dimension ** 2))
+    as (n, d, d) stacks that fit MAX_STACK_BYTES (n >= 1)."""
+    per = max(1, MAX_STACK_BYTES // (16 * rep.dimension ** 2))
     it = iter(operators)
     while chunk := list(islice(it, per)):
         yield np.array(chunk, dtype=complex)
@@ -476,11 +468,14 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
         notice = "non-monotonic data: error not in the asymptotic regime"
     if all(p <= 1e-13 for p in per_cycle):
         notice = "errors at numerical noise floor; slope not meaningful"
-    if len(rows) >= 2 and all(p > 0 for p in per_cycle):
+    distinct = len({r.cycle_time for r in rows})
+    if distinct >= 2 and all(p > 0 for p in per_cycle):
         slope = float(np.polyfit(np.log([r.cycle_time for r in rows]),
                                  np.log(per_cycle), 1)[0])
     else:
         slope = float("nan")
+        if len(rows) >= 2 and distinct < 2:
+            notice = "slope undefined: the cycle times are all equal"
         notice = notice or "slope undefined (need >= 2 nonzero points)"
     return ScalingStudy(rows=rows, slope=slope, monotonic=monotonic,
                         notice=notice)

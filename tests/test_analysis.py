@@ -1,5 +1,6 @@
 """Tests for scenario construction, fault residuals, and scaling studies."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -14,8 +15,9 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               spin_flip_scenario, symmetric_s3_scenario,
                               verify_theorem)
 from eulerdd.cayley import validate_path
-from eulerdd.group_theory import (center_basis, decompose_irreps, in_algebra,
-                                  pi_G, subspace_distance)
+from eulerdd.group_theory import (MAX_STACK_BYTES, center_basis,
+                                  decompose_irreps, in_algebra, pi_G,
+                                  subspace_distance)
 from eulerdd.pulses import FaultModel, constant_profile, piecewise_profile
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
@@ -223,7 +225,7 @@ class TestStackedVerify:
     ])
     def test_stacks_fit_the_budget_in_draw_order(self, name, n):
         rep = get_scenario(name, n).rep
-        d, order = rep.dimension, rep.group.order
+        d = rep.dimension
         rng = np.random.default_rng(0)
         ops = [random_hermitian(d, rng) for _ in range(20)]
         drawn = []
@@ -236,21 +238,21 @@ class TestStackedVerify:
         per = len(stacks[0])
         assert all(len(s) == per for s in stacks[:-1])
 
-        def product_bytes(k):
-            return 16 * order * k * d * d
+        def stack_bytes(k):
+            return 16 * k * d * d
 
-        assert per == 1 or product_bytes(per) <= analysis.MAX_STACK_BYTES
-        assert per == 20 or product_bytes(per + 1) > analysis.MAX_STACK_BYTES
+        assert per == 1 or stack_bytes(per) <= MAX_STACK_BYTES
+        assert per == 20 or stack_bytes(per + 1) > MAX_STACK_BYTES
 
     def test_verify_passes_stacks_to_q_map(self, monkeypatch):
-        # pauli n=2: 16 operators fit the budget, so 20 trials are two calls
+        # pauli n=2: 256 operators fit the budget, so 20 trials are one call
         sc = get_scenario("pauli", 2)
         shapes = []
         real = analysis.q_map
         monkeypatch.setattr(analysis, "q_map", lambda rep, profiles, X: (
             shapes.append(X.shape) or real(rep, profiles, X)))
         analysis.verify_checks(sc, 20, 0)
-        assert shapes == [(16, 4, 4), (4, 4, 4), (10, 4, 4)]
+        assert shapes == [(20, 4, 4), (10, 4, 4)]
 
 
 def block_actions(rep, residual):
@@ -360,6 +362,15 @@ class TestScalingStudy:
                            couplings=())
         study = scaling_study(sc, [0.02, 0.01], drift=drift)
         assert not np.isfinite(study.slope) or study.notice
+
+    def test_equal_cycle_times_give_no_slope(self):
+        # one distinct cycle time leaves the log-log fit rank-deficient
+        sc = carr_purcell_scenario()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy's RankWarning
+            study = scaling_study(sc, [0.02, 0.02], cycles=10)
+        assert np.isnan(study.slope)
+        assert study.notice == "slope undefined: the cycle times are all equal"
 
     def test_zero_delta_t_refused(self):
         sc = carr_purcell_scenario()

@@ -575,6 +575,10 @@ class TestStackedOracle:
             with pytest.raises(ShapeError):
                 q_map(sc.rep, sc.profiles, X)
 
+    def test_empty_stack_gives_an_empty_stack(self):
+        sc = get_scenario("pauli", 1)
+        assert pi_G(sc.rep, np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
 
 def linear_scan_closure(generator_matrices, max_order,
                         tol=DEFAULT_PHASE_TOL):
@@ -661,6 +665,86 @@ def conjugated(gens, seed):
     """The generators conjugated by one seeded random unitary."""
     u = random_unitary(gens[0].shape[0], np.random.default_rng(seed))
     return [u @ g @ u.conj().T for g in gens]
+
+
+def random_stack(d, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+
+def pi_G_per_operator(rep, X):
+    """loop_pi_G of each operator of an (n, d, d) stack."""
+    return np.array([loop_pi_G(rep, x) for x in X])
+
+
+class TestMonomialGather:
+    """A monomial representation averages by a phased gather of X, a dense
+    one by products; both add the terms in element order."""
+
+    @pytest.mark.parametrize("name,n", [
+        ("carr-purcell", None), ("pauli", 1), ("pauli", 3), ("pauli", 4),
+        ("spin-flip", 2), ("spin-flip", 5), ("symmetric-s3", None)])
+    def test_builtins_equal_the_products_bit_for_bit(self, name, n):
+        rep = scenario(name, n).rep
+        rows, phases = rep.monomial()
+        mats = rep.stacked()[0]
+        rebuilt = np.zeros_like(mats)
+        for j, m in enumerate(rebuilt):
+            m[rows[j], np.arange(rep.dimension)] = phases[j]
+        assert np.array_equal(rebuilt, mats)
+        X = random_stack(rep.dimension, 3, 0)
+        assert np.array_equal(pi_G(rep, X[0]), loop_pi_G(rep, X[0]))
+        assert np.array_equal(pi_G(rep, X), pi_G_per_operator(rep, X))
+        # the center's twisted class sums average (up to 16 of) the elements
+        assert np.array_equal(pi_G(rep, mats[:16]),
+                              pi_G_per_operator(rep, mats[:16]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_random_monomial_groups_match_the_products(self, gens, n, seed):
+        try:
+            _, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                 max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        assert rep.monomial() is not None
+        X = random_stack(rep.dimension, n, seed)
+        want = pi_G_per_operator(rep, X)
+        assert np.linalg.norm(pi_G(rep, X) - want) <= 1e-15 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("gens", [
+        conjugated(pauli_generators(1), 3), conjugated(pauli_generators(2), 5),
+        conjugated(spin_flip_generators(3), 7)],
+        ids=["pauli-1", "pauli-2", "spin-flip-3"])
+    def test_conjugated_reps_stay_dense(self, gens):
+        _, rep = close_group(gens)
+        assert rep.monomial() is None
+        # 20 operators at d = 4 split |G| = 16 into blocks of 12 and 4
+        X = random_stack(rep.dimension, 20, 1)
+        want = pi_G_per_operator(rep, X)
+        assert np.linalg.norm(pi_G(rep, X) - want) <= 1e-13 * np.linalg.norm(X)
+
+    def test_one_tiny_extra_entry_is_not_monomial(self):
+        assert close_group([SX])[1].monomial() is not None
+        g = SX.copy()
+        g[0, 0] = 1e-300
+        _, rep = close_group([g])
+        assert rep.group.order == 2 and rep.monomial() is None
+        X = random_stack(2, 1, 2)[0]
+        assert np.array_equal(pi_G(rep, X), loop_pi_G(rep, X))
+
+    def test_temporaries_stay_bounded(self):
+        # pauli n=4: the (|G|, n, d, d) products of 20 operators are 20 MiB
+        rep = scenario("pauli", 4).rep
+        X = random_stack(rep.dimension, 20, 3)
+        pi_G(rep, X[0])     # builds the cached stacks
+        tracemalloc.start()
+        try:
+            pi_G(rep, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from .dynamics import (DriftModel, average_hamiltonian, control_propagator,
                        simulate_cycles)
 from .group_theory import (Group, UnitaryRep, center_basis, close_group,
                            commutant_basis, decompose_irreps, pi_G)
-from .pulses import (ControlSchedule, FaultModel, PulseProfile, apply_fault,
+from .pulses import (ControlSchedule, PulseProfile, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
                      piecewise_profile)
 

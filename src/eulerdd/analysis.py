@@ -20,9 +20,9 @@ from .dynamics import (DriftModel, _distance_to_average, average_hamiltonian,
 from .group_theory import (HERMITIAN_TOL, MAX_STACK_BYTES, Group, UnitaryRep,
                            center_basis, close_group, decompose_irreps,
                            in_algebra, pi_G, subspace_distance)
-from .pulses import (ControlSchedule, FaultModel, apply_fault,
-                     bangbang_schedule, constant_profile, eulerian_schedule,
-                     hermitian_matrix, piecewise_profile)
+from .pulses import (ControlSchedule, apply_fault, bangbang_schedule,
+                     constant_profile, eulerian_schedule, hermitian_matrix,
+                     piecewise_profile)
 
 SIGMA = {
     "i": np.eye(2, dtype=complex),
@@ -193,12 +193,10 @@ def _carr_purcell_checks(scenario, rng, seed) -> list:
     rep, profiles = scenario.rep, scenario.profiles
     checks = []
     for u in ("y", "z"):
-        res = residual_error(rep, profiles,
-                             FaultModel.constant([0], [0.1 * SIGMA[u]]))
+        res = residual_error(rep, profiles, {0: [(1.0, 0.1 * SIGMA[u])]})
         checks.append(bound_check(f"fault-s{u}-vanishes",
                                   float(np.linalg.norm(res)), 1e-9))
-    res = residual_error(rep, profiles,
-                         FaultModel.constant([0], [0.1 * SIGMA["x"]]))
+    res = residual_error(rep, profiles, {0: [(1.0, 0.1 * SIGMA["x"])]})
     dev = float(np.linalg.norm(res - 0.1 * SIGMA["x"]))
     checks.append(bound_check("fault-sx-central",
                               max(dev, subspace_distance(res, center_basis(rep))),
@@ -231,12 +229,11 @@ def _pauli_checks(scenario, rng, seed) -> list:
     worst = 0.0
     colors = sorted(scenario.profiles)
     for _ in range(10):
-        rates = []
-        for _ in colors:
+        deltas = {}
+        for c in colors:
             m = random_hermitian(d, rng)
-            rates.append(m - np.trace(m) / d * np.eye(d))
-        res = residual_error(scenario.rep, scenario.profiles,
-                             FaultModel.constant(colors, rates))
+            deltas[c] = [(1.0, m - np.trace(m) / d * np.eye(d))]
+        res = residual_error(scenario.rep, scenario.profiles, deltas)
         worst = max(worst, float(np.linalg.norm(res)))
     return [bound_check("random-fault-eliminated", worst, 1e-8)]
 
@@ -492,14 +489,15 @@ def fidelity_error(drift: DriftModel, unitary: np.ndarray,
     return float(1.0 - np.real(state.conj() @ rho_s @ state))
 
 
-def fault_fidelity_comparison(scenario: Scenario, fault: FaultModel,
+def fault_fidelity_comparison(scenario: Scenario, deltas: dict,
                               delta_t: float, cycles: int,
                               env_dim: int = 2, seed: int = 0) -> tuple:
     """(decoupled error, free-evolution error) for a random system state
-    under a unit-norm generic drift; the decoupled run carries the fault."""
+    under a unit-norm generic drift; the decoupled run carries the fault
+    ``deltas``, color -> (fraction, rate) segments."""
     rng = np.random.default_rng(seed)
     drift = scenario.generic_drift(env_dim=env_dim, seed=seed)
-    sched = apply_fault(scenario.schedule(delta_t), fault)
+    sched = apply_fault(scenario.schedule(delta_t), deltas)
     u_dd = simulate_cycles(drift, sched, cycles)
     t_total = cycles * sched.cycle_time
     u_free = pulses._expm_herm(drift.total(), t_total)

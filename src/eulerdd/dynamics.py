@@ -24,8 +24,8 @@ import numpy as np
 
 from .group_theory import (ShapeError, UnitaryRep, _read_only, is_hermitian,
                            phase_distance, pi_G)
-from .pulses import (ControlSchedule, FaultModel, PulseProfile, _expm_eig,
-                     _expm_herm, merged_segments)
+from .pulses import (ControlSchedule, PulseProfile, _expm_eig, _expm_herm,
+                     fault_segments, merged_segments)
 
 
 class TimeOutOfRangeError(ValueError):
@@ -183,19 +183,20 @@ def q_map(rep: UnitaryRep, profiles: dict, X: np.ndarray) -> np.ndarray:
     return pi_G(rep, f_map(profiles, X))
 
 
-def residual_error(rep: UnitaryRep, profiles: dict, fault: FaultModel) -> np.ndarray:
+def residual_error(rep: UnitaryRep, profiles: dict, deltas: dict) -> np.ndarray:
     """First-order residual control-error operator of a systematic fault.
 
     A scenario-level average over the generator set: ``profiles`` maps
-    each color to its profile, pulsed with ``fault.deltas`` of that color
-    (no error for a color the fault leaves out).
-    Returned in 1/delta_t units (multiply by 1/delta_t for the physical
-    Hamiltonian).  The toggling frame uses the ideal profiles; the
-    integrand is u†(s) delta-h(s) u(s)."""
-    fault.check_dimension(rep.dimension)
+    each color to its profile, pulsed with the (fraction, rate) segments
+    ``deltas`` gives that color (no error for a color it leaves out).
+    ``fault_segments`` holds ``deltas`` to d and to the colors of
+    ``profiles``.  Returned in 1/delta_t units (multiply by 1/delta_t for
+    the physical Hamiltonian).  The toggling frame uses the ideal profiles;
+    the integrand is u†(s) delta-h(s) u(s)."""
+    held = fault_segments(deltas, rep.dimension, profiles)
     acc = sum(_sub_interval_integral(
         [(frac, prof.spectra[k], err)
-         for frac, k, err in merged_segments(prof, fault.deltas.get(color))])
+         for frac, k, err in merged_segments(prof, held.get(color))])
         for color, prof in profiles.items())
     return pi_G(rep, acc / len(profiles))
 

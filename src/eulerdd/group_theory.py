@@ -61,7 +61,7 @@ def fix_phase(m: np.ndarray) -> np.ndarray:
 
 def align_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Return b multiplied by the unit phase maximizing |tr(a† b)| overlap."""
-    ov = np.trace(a.conj().T @ b)
+    ov = np.vdot(a, b)      # tr(a† b), without forming a† b
     if abs(ov) < 1e-300:
         return b
     return b * (ov.conjugate() / abs(ov))
@@ -84,9 +84,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_PHASE_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
+    """|m† m - I| within DEFAULT_PHASE_TOL times d (Frobenius norm)."""
     d = m.shape[0]
-    return m.shape == (d, d) and np.linalg.norm(m.conj().T @ m - np.eye(d)) <= tol * d
+    return (m.shape == (d, d)
+            and np.linalg.norm(m.conj().T @ m - np.eye(d)) <= DEFAULT_PHASE_TOL * d)
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -240,13 +242,14 @@ def subspace_distance(X: np.ndarray, basis) -> float:
     return float(np.linalg.norm(v - B.T @ np.conj(B @ np.conj(v))))
 
 
-def _orthonormal_span(mats, tol: float = 1e-10) -> np.ndarray:
+def _orthonormal_span(mats) -> np.ndarray:
     """Orthonormalize matrices in the Hilbert-Schmidt inner product; a
-    read-only (rank, d, d) stack."""
+    read-only (rank, d, d) stack, the rank counting the singular values
+    above DEFAULT_PHASE_TOL times the largest."""
     d = mats[0].shape[0]
     stack = np.asarray(mats).reshape(len(mats), d * d)
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > DEFAULT_PHASE_TOL * s[0])) if s.size else 0
     return _read_only(vh[:rank].reshape(rank, d, d))
 
 
@@ -403,13 +406,14 @@ MAX_COMMUTANT_BYTES = 2 * 1024 ** 3
 _COMMUTANT_ARRAYS = 5
 
 
-def commutant_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
+def commutant_basis(rep: UnitaryRep) -> list:
     """Orthonormal basis of {X : X g = g X for all g in G}.
 
     The commutant of G is the commutant of its generators, so this is the
     null space of the Gram matrix sum_γ M_γ† M_γ with M_γ = γ ⊗ I - I ⊗ γ^T
-    (row-major vec), taken with ``eigh``: eigenvalues at most ``tol`` times
-    the largest.  For unitary γ, M_γ† M_γ = 2I - K - K† with K = γ ⊗ conj(γ).
+    (row-major vec), taken with ``eigh``: eigenvalues at most
+    DEFAULT_PHASE_TOL times the largest.  For unitary γ,
+    M_γ† M_γ = 2I - K - K† with K = γ ⊗ conj(γ).
 
     This costs O(d^6) time and 16 d^4 bytes per d^2 x d^2 array; the
     verification path never calls it (``pi_G`` is the orthogonal projector
@@ -429,7 +433,7 @@ def commutant_basis(rep: UnitaryRep, tol: float = 1e-10) -> list:
     gram += gram.conj().T
     gram[np.diag_indices(d * d)] += 2.0 * len(rep.group.generators)
     evals, evecs = np.linalg.eigh(gram)
-    null = evals <= tol * max(evals[-1], 1.0)
+    null = evals <= DEFAULT_PHASE_TOL * max(evals[-1], 1.0)
     return [evecs[:, k].reshape(d, d) for k in np.flatnonzero(null)]
 
 

@@ -14,8 +14,8 @@ import numpy as np
 import yaml
 
 from . import analysis
-from .pulses import (FaultModel, RealizationError, SegmentError,
-                     constant_profile, piecewise_profile, segment_list)
+from .pulses import (GridMismatchError, RealizationError, SegmentError,
+                     constant_profile, fault_segments, piecewise_profile)
 
 
 # libyaml's C loader and dumper when PyYAML was built with it; they parse and
@@ -250,23 +250,25 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
         noise_generators=noise)
 
 
-def fault_from_doc(doc: dict, rep) -> FaultModel:
-    """The FaultModel of a ``faults`` document for ``rep``: a mapping from
-    each color to its list of ``{fraction, rate}`` segments (rates in
-    1/delta_t units).  A malformed document, or a list that breaks the
-    segment rule for d = ``rep.dimension``, is a ConfigError naming its key
-    path."""
+def fault_from_doc(doc: dict, rep) -> dict:
+    """The fault of a ``faults`` document for ``rep``: a mapping from each
+    generator color of ``rep`` to its list of ``{fraction, rate}`` segments
+    (rates in 1/delta_t units), held by ``pulses.fault_segments`` to d =
+    ``rep.dimension`` and to the colors 0..|Γ|-1.  A malformed document, a
+    list that breaks the segment rule or another color is a ConfigError
+    naming its key path."""
     if not isinstance(doc, dict):
         raise ConfigError("faults must be a mapping")
-    deltas = {}
-    for key in doc:
-        color = _integer("faults key", key)
-        where = f"faults.{color}"
-        try:
-            deltas[color] = segment_list(_segments(doc, key, "faults"), rep.dimension)
-        except SegmentError as exc:
-            raise ConfigError(f"{where}{exc}") from exc
-    return FaultModel(deltas=deltas)
+    deltas = {_integer("faults key", key): _segments(doc, key, "faults")
+              for key in doc}
+    colors = range(len(rep.group.generators))
+    try:
+        return fault_segments(deltas, rep.dimension, colors, "faults.{}")
+    except SegmentError as exc:
+        raise ConfigError(str(exc)) from exc
+    except GridMismatchError as exc:
+        raise ConfigError(f"faults.{exc.color} is not a generator color: the "
+                          f"colors are 0..{len(colors) - 1}") from exc
 
 
 def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:

@@ -34,7 +34,12 @@ class RealizationError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """A fault color is the generator color of no step of the schedule."""
+    """A fault color is not one of the colors it is held to; ``color`` is
+    that color."""
+
+    def __init__(self, color):
+        super().__init__(f"incompatible fault grid: unknown color {color}")
+        self.color = color
 
 
 class IncompleteProfileSetError(ValueError):
@@ -208,46 +213,22 @@ def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile
     return profile
 
 
-@dataclass(eq=False)
-class FaultModel:
-    """Systematic per-generator control errors.
-
-    deltas[color] is a tuple of (fraction, rate) segments over the
-    sub-interval, in the same 1/delta_t units as profiles; the same error
-    replays at the same offset every time that generator is pulsed.  Built
-    models keep the segment rule, with d the size of their first rate;
-    ``check_dimension`` holds them to the d of the representation they meet.
-    """
-
-    deltas: dict
-
-    def __post_init__(self):
-        rates = [rate for segs in self.deltas.values() for _, rate in segs]
-        d = np.shape(rates[0])[0] if rates and np.ndim(rates[0]) else 0
-        self.deltas = self._segment_lists(d)
-        self._checked_dim = d
-
-    def _segment_lists(self, d: int) -> dict:
-        deltas = {}
-        for color, segs in self.deltas.items():
-            try:
-                deltas[color] = segment_list(segs, d)
-            except SegmentError as exc:
-                raise SegmentError(f"deltas[{color}]{exc}", exc.index) from None
-        return deltas
-
-    def check_dimension(self, d: int) -> None:
-        """A SegmentError naming ``deltas[c]`` unless every rate is d x d,
-        d the dimension of the representation the fault meets.  The rule
-        runs again only for a d other than the last one the model passed."""
-        if d != self._checked_dim:
-            self._segment_lists(d)
-            self._checked_dim = d
-
-    @staticmethod
-    def constant(colors, rates) -> "FaultModel":
-        """Constant Delta-h per generator; rates in 1/delta_t units."""
-        return FaultModel(deltas={c: [(1.0, r)] for c, r in zip(colors, rates)})
+def fault_segments(deltas: dict, d: int, colors, where: str = "deltas[{}]") -> dict:
+    """The one rule for a fault, a mapping color -> list of (fraction, rate)
+    segments over the sub-interval in the profiles' 1/delta_t units: each
+    color is one of ``colors`` (GridMismatchError otherwise, None included)
+    and each list keeps the segment rule for the representation's d (a
+    SegmentError whose path starts with ``where`` formatted with the color).
+    Returns color -> the validated segment tuple a ``Step`` stores."""
+    held = {}
+    for color, segs in deltas.items():
+        if color is None or color not in colors:
+            raise GridMismatchError(color)
+        try:
+            held[color] = segment_list(segs, d)
+        except SegmentError as exc:
+            raise SegmentError(f"{where.format(color)}{exc}", exc.index) from None
+    return held
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,8 +236,9 @@ class Step:
     """One sub-interval of a schedule: the generator color it realizes
     (None for a free step), the profile pulsed over it, an instantaneous
     frame jump applied after the pulse (None for none), and the systematic
-    error riding on the pulse: validated (fraction, rate) fault segments,
-    in the profile's 1/delta_t units, or None for an ideal pulse."""
+    error riding on the pulse: the (fraction, rate) segment tuple that
+    ``fault_segments`` returns for its color, in the profile's 1/delta_t
+    units, or None for an ideal pulse."""
 
     color: int | None
     profile: PulseProfile
@@ -373,27 +355,27 @@ def _merge_grids(profile_segs, fault_segs):
             for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def apply_fault(schedule: ControlSchedule, fault: FaultModel) -> ControlSchedule:
+def apply_fault(schedule: ControlSchedule, deltas: dict) -> ControlSchedule:
     """Attach a systematic fault: segment Hamiltonians become h + delta-h.
 
-    Every fault color must be the generator color of some step.  The
-    returned schedule's steps of color c carry ``fault.deltas[c]``, and the
-    other steps no fault; each keeps its ideal profile (the toggling frame
-    is always built from the intended control)."""
-    fault.check_dimension(schedule.rep.dimension)
-    colors = {step.color for step in schedule.steps}
-    for color in fault.deltas:
-        if color is None or color not in colors:
-            raise GridMismatchError(f"incompatible fault grid: unknown color {color}")
+    ``deltas`` maps a color to its (fraction, rate) segments, held by
+    ``fault_segments`` to the schedule's d and to the generator colors of
+    its steps.  The returned schedule's steps of color c carry the segments
+    of ``deltas[c]``, and the other steps no fault; each keeps its ideal
+    profile (the toggling frame is always built from the intended
+    control)."""
+    held = fault_segments(deltas, schedule.rep.dimension,
+                          {step.color for step in schedule.steps})
     return replace(schedule, steps=tuple(
-        replace(step, fault=fault.deltas.get(step.color)) for step in schedule.steps))
+        replace(step, fault=held.get(step.color)) for step in schedule.steps))
 
 
-def merged_segments(profile: PulseProfile, fault_segments):
+def merged_segments(profile: PulseProfile, fault):
     """(fraction, profile segment index, fault_rate) triples for one
-    sub-interval under ``fault_segments`` (None for no fault); the index
-    selects the ideal rate and its cached eigenpairs on ``profile``."""
+    sub-interval under the fault segments ``fault`` (None for no fault);
+    the index selects the ideal rate and its cached eigenpairs on
+    ``profile``."""
     segs = profile.segments
-    if fault_segments is None:
+    if fault is None:
         return [(frac, k, np.zeros_like(rate)) for k, (frac, rate) in enumerate(segs)]
-    return _merge_grids(segs, fault_segments)
+    return _merge_grids(segs, fault)

@@ -21,7 +21,6 @@ from eulerdd.cayley import validate_path
 from eulerdd.cli import main as cli_main
 from eulerdd.dynamics import f_map, q_map, residual_error
 from eulerdd.group_theory import (center_basis, decompose_irreps, pi_G)
-from eulerdd.pulses import FaultModel
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -88,12 +87,10 @@ def test_04_carr_purcell_fault_robustness():
     details = []
     ok = True
     for name, u in (("sy", SY), ("sz", SZ)):
-        fault = FaultModel.constant([0], [0.1 * u])
-        res = residual_error(sc.rep, sc.profiles, fault)
+        res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * u)]})
         details.append(f"{name}={np.linalg.norm(res):.2e}")
         ok = ok and np.linalg.norm(res) <= 1e-9
-    fault = FaultModel.constant([0], [0.1 * SX])
-    res = residual_error(sc.rep, sc.profiles, fault)
+    res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * SX)]})
     dev = np.linalg.norm(res - 0.1 * SX)
     details.append(f"sx-dev={dev:.2e}")
     ok = ok and dev <= 1e-9
@@ -111,14 +108,13 @@ def test_05_pauli_systematic_error_elimination():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(20):
-        rates = []
-        for _ in range(2):
+        fault = {}
+        for c in range(2):
             m = random_hermitian(2, rng)
-            rates.append(m - np.trace(m) / 2 * np.eye(2))
-        fault = FaultModel.constant([0, 1], rates)
+            fault[c] = [(1.0, m - np.trace(m) / 2 * np.eye(2))]
         worst = max(worst, np.linalg.norm(
             residual_error(sc.rep, sc.profiles, fault)))
-    fault = FaultModel.constant([0, 1], [0.3 * SY, 0.2 * SX])
+    fault = {0: [(1.0, 0.3 * SY)], 1: [(1.0, 0.2 * SX)]}
     err_dd, err_free = fault_fidelity_comparison(sc, fault, 0.01, 10, seed=5)
     ratio = err_free / err_dd
     ok = worst <= 1e-8 and ratio >= 10.0

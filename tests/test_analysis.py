@@ -18,7 +18,7 @@ from eulerdd.cayley import validate_path
 from eulerdd.group_theory import (MAX_STACK_BYTES, center_basis,
                                   decompose_irreps, in_algebra, pi_G,
                                   subspace_distance)
-from eulerdd.pulses import FaultModel, constant_profile, piecewise_profile
+from eulerdd.pulses import constant_profile, piecewise_profile
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -263,8 +263,8 @@ def block_actions(rep, residual):
 
 
 def fault_residual(sc, colors, rates):
-    return dynamics.residual_error(sc.rep, sc.profiles,
-                                   FaultModel.constant(colors, rates))
+    return dynamics.residual_error(
+        sc.rep, sc.profiles, {c: [(1.0, r)] for c, r in zip(colors, rates)})
 
 
 class TestFaultResidual:
@@ -414,7 +414,7 @@ class TestScalingStudy:
 class TestFidelityComparison:
     def test_decoupling_beats_free_evolution(self):
         sc = pauli_scenario(1)
-        fault = FaultModel.constant([0, 1], [0.3 * SY, 0.2 * SX])
+        fault = {0: [(1.0, 0.3 * SY)], 1: [(1.0, 0.2 * SX)]}
         err_dd, err_free = fault_fidelity_comparison(sc, fault, 0.01, 10, seed=5)
         assert err_free >= 10 * err_dd
 

@@ -17,10 +17,9 @@ from eulerdd.cayley import build_cayley, eulerian_cycle
 from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
                                   commutant_basis, equal_up_to_phase,
                                   in_algebra, pi_G)
-from eulerdd.pulses import (ControlSchedule, FaultModel, PulseProfile,
-                            RealizationError, Step, _expm_herm, apply_fault,
-                            eulerian_schedule, merged_segments,
-                            phase_distance, piecewise_profile)
+from eulerdd.pulses import (ControlSchedule, PulseProfile, RealizationError,
+                            Step, _expm_herm, apply_fault, eulerian_schedule,
+                            merged_segments, phase_distance, piecewise_profile)
 from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, hermitian_log,
                                monomial_groups)
 
@@ -226,12 +225,12 @@ class TestExactKernel:
         rng = np.random.default_rng(8)
         sc = symmetric_s3_scenario()
         fractions = (0.25, 0.25, 0.3, 0.2)
-        fault = FaultModel(deltas={c: [(f, 0.1 * random_hermitian(8, rng))
-                                       for f in fractions] for c in (0, 1)})
-        cuts = segment_cuts(fault.deltas[0])
+        fault = {c: [(f, 0.1 * random_hermitian(8, rng)) for f in fractions]
+                 for c in (0, 1)}
+        cuts = segment_cuts(fault[0])
 
         def fault_at(c, x):
-            return fault.deltas[c][np.searchsorted(cuts, x) - 1][1]
+            return fault[c][np.searchsorted(cuts, x) - 1][1]
 
         ref = sum(fine_grid_integral(
             lambda x, c=c: (sc.profiles[c].unitary_at(x).conj().T @ fault_at(c, x)
@@ -371,28 +370,25 @@ class TestResidualError:
     def test_carr_purcell_y_z_faults_vanish(self):
         sc = carr_purcell_scenario()
         for u in (SY, SZ):
-            fault = FaultModel.constant([0], [0.1 * u])
-            res = residual_error(sc.rep, sc.profiles, fault)
+            res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * u)]})
             assert np.linalg.norm(res) <= 1e-9
 
     def test_carr_purcell_x_fault_in_center(self):
         sc = carr_purcell_scenario()
-        fault = FaultModel.constant([0], [0.1 * SX])
-        res = residual_error(sc.rep, sc.profiles, fault)
+        res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * SX)]})
         np.testing.assert_allclose(res, 0.1 * SX, atol=1e-9)
         assert hs_project(res, center_basis(sc.rep)) <= 1e-9
 
     def test_zero_fault(self):
         sc = carr_purcell_scenario()
-        fault = FaultModel.constant([0], [np.zeros((2, 2))])
+        fault = {0: [(1.0, np.zeros((2, 2)))]}
         assert np.linalg.norm(residual_error(sc.rep, sc.profiles, fault)) == 0.0
 
     def test_always_commutant_valued(self):
         rng = np.random.default_rng(6)
         sc = symmetric_s3_scenario()
         for _ in range(5):
-            rates = [random_hermitian(8, rng), random_hermitian(8, rng)]
-            fault = FaultModel.constant([0, 1], rates)
+            fault = {c: [(1.0, random_hermitian(8, rng))] for c in (0, 1)}
             res = residual_error(sc.rep, sc.profiles, fault)
             for g in sc.rep.matrices:
                 assert np.linalg.norm(res @ g - g @ res) <= 1e-9
@@ -403,12 +399,11 @@ class TestResidualError:
         cen = center_basis(sc.rep)
         alg = sc.rep.algebra_basis()
         for _ in range(5):
-            rates = []
-            for _ in range(2):
+            fault = {}
+            for color in range(2):
                 coefs = rng.standard_normal(len(alg))
                 m = sum(c * b for c, b in zip(coefs, alg))
-                rates.append(m + m.conj().T)
-            fault = FaultModel.constant([0, 1], rates)
+                fault[color] = [(1.0, m + m.conj().T)]
             res = residual_error(sc.rep, sc.profiles, fault)
             assert hs_project(res, cen) <= 1e-9
 
@@ -453,8 +448,7 @@ class TestSimulation:
     def test_faulty_simulation_runs(self):
         sc = carr_purcell_scenario()
         drift = sc.generic_drift(env_dim=2, seed=0)
-        fault = FaultModel.constant([0], [0.1 * SY])
-        faulty = apply_fault(sc.schedule(0.01), fault)
+        faulty = apply_fault(sc.schedule(0.01), {0: [(1.0, 0.1 * SY)]})
         u = simulate_cycles(drift, faulty, cycles=2)
         dim = u.shape[0]
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-9
@@ -481,7 +475,7 @@ def per_sub_interval_cycles(drift, scenario, dt, bangbang=False, fault=None,
     else:
         for color in scenario.path.colors:
             prof = scenario.profiles[color]
-            fault_segs = fault.deltas.get(color) if fault else None
+            fault_segs = fault.get(color) if fault else None
             for frac, k, fault_rate in merged_segments(prof, fault_segs):
                 h_ctrl = lift((prof.segments[k][1] + fault_rate) / dt)
                 u_cycle = _expm_herm(H0 + h_ctrl, frac * dt) @ u_cycle
@@ -490,8 +484,8 @@ def per_sub_interval_cycles(drift, scenario, dt, bangbang=False, fault=None,
 
 def finer_grid_fault(rng, dim, colors):
     fractions = (0.25, 0.25, 0.3, 0.2)
-    return FaultModel(deltas={c: [(f, 0.1 * random_hermitian(dim, rng))
-                                  for f in fractions] for c in colors})
+    return {c: [(f, 0.1 * random_hermitian(dim, rng)) for f in fractions]
+            for c in colors}
 
 
 @pytest.fixture
@@ -661,8 +655,8 @@ def with_fault(segments, fault_segments):
 
 def per_step_cycles(drift, schedule, fault=None):
     """One cycle as a product of fresh exponentials, step by step: each
-    step's own profile, with the fault of its color when ``fault`` is a
-    FaultModel."""
+    step's own profile, with the fault of its color when ``fault`` maps
+    colors to (fraction, rate) segments."""
     H0 = drift.total()
     eye_e = np.eye(drift.env_dim)
     dt = schedule.delta_t
@@ -670,7 +664,7 @@ def per_step_cycles(drift, schedule, fault=None):
     for step in schedule.steps:
         segs = step.profile.segments
         if fault is not None:
-            segs = with_fault(segs, fault.deltas.get(step.color))
+            segs = with_fault(segs, fault.get(step.color))
         for frac, rate in segs:
             u = _expm_herm(H0 + np.kron(rate / dt, eye_e), frac * dt) @ u
         if step.kick is not None:

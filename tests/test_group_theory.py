@@ -21,8 +21,8 @@ from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   commutant_basis, decompose_irreps,
                                   equal_up_to_phase, fix_phase, in_algebra,
                                   pi_G, subspace_distance)
-from eulerdd.pulses import (FaultModel, _expm_herm, bangbang_schedule,
-                            eulerian_schedule, piecewise_profile)
+from eulerdd.pulses import (_expm_herm, bangbang_schedule, eulerian_schedule,
+                            piecewise_profile)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -250,12 +250,11 @@ class TestPiGDerivedAlgebra:
         rep, d = sc.rep, sc.rep.dimension
         rng = np.random.default_rng(5)
         com = commutant_basis(rep)
-        rates = []
-        for _ in sc.profiles:
+        fault = {}
+        for c in sorted(sc.profiles):
             m = random_hermitian(d, rng)
-            rates.append(0.1 * (m - np.trace(m) / d * np.eye(d)))
-        res = residual_error(rep, sc.profiles,
-                             FaultModel.constant(sorted(sc.profiles), rates))
+            fault[c] = [(1.0, 0.1 * (m - np.trace(m) / d * np.eye(d)))]
+        res = residual_error(rep, sc.profiles, fault)
         assert abs(np.linalg.norm(res - pi_G(rep, res))
                    - subspace_distance(res, com)) <= 1e-12
         # the same identity off the commutant, where both sides are O(1)

@@ -11,8 +11,9 @@ from eulerdd import analysis
 from eulerdd import io as eio
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               pauli_scenario, symmetric_s3_scenario)
+from eulerdd.dynamics import residual_error, simulate_cycles
 from eulerdd.group_theory import equal_up_to_phase, in_algebra
-from eulerdd.pulses import piecewise_profile
+from eulerdd.pulses import apply_fault, piecewise_profile
 from eulerdd.io import (ConfigError, RunConfig, decode_matrix, encode_matrix,
                         export_schedule, fault_from_doc, import_schedule,
                         load_config, scenario_from_config)
@@ -199,7 +200,20 @@ class TestFaultDocs:
         sc = carr_purcell_scenario()
         doc = {0: [{"fraction": 1.0, "rate": encode_matrix(0.1 * SX)}]}
         fault = fault_from_doc(doc, sc.rep)
-        np.testing.assert_allclose(fault.deltas[0][0][1], 0.1 * SX)
+        np.testing.assert_allclose(fault[0][0][1], 0.1 * SX)
+
+    def test_doc_fault_runs_as_the_hand_built_mapping(self):
+        sc = pauli_scenario(1)
+        fault = {0: [(0.25, 0.1 * SX), (0.75, 0.2 * SZ)], 1: [(1.0, 0.3 * SY)]}
+        doc = {c: [{"fraction": f, "rate": encode_matrix(r)} for f, r in segs]
+               for c, segs in fault.items()}
+        from_doc = fault_from_doc(doc, sc.rep)
+        assert np.array_equal(residual_error(sc.rep, sc.profiles, from_doc),
+                              residual_error(sc.rep, sc.profiles, fault))
+        drift = sc.generic_drift(env_dim=2, seed=0)
+        got, want = (simulate_cycles(drift, apply_fault(sc.schedule(0.05), f))
+                     for f in (from_doc, fault))
+        assert np.array_equal(got, want)
 
     def test_bad_fault_fractions(self):
         doc = {0: [{"fraction": 0.4, "rate": encode_matrix(SX)}]}
@@ -226,10 +240,13 @@ class TestFaultDocs:
          "faults.0[0].fraction"),
         ({0: [{"fraction": 1.0, "rate": encode_matrix(SX), "colour": 0}]},
          "faults.0[0].colour"),
+        ({7: [{"fraction": 1.0, "rate": encode_matrix(SX)}]}, "faults.7"),
+        ({-1: [{"fraction": 1.0, "rate": encode_matrix(SX)}]}, "faults.-1"),
     ], ids=["list", "color-to-int", "segment-not-mapping", "text-color",
             "no-fraction", "text-fraction", "no-rate", "negative-fraction",
             "non-hermitian-rate", "rate-of-wrong-dimension", "fractions-sum",
-            "unknown-segment-key"])
+            "unknown-segment-key", "color-past-the-generators",
+            "negative-color"])
     def test_malformed_fault_docs_name_their_key_path(self, doc, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
             fault_from_doc(doc, carr_purcell_scenario().rep)

@@ -15,10 +15,10 @@ from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
 from eulerdd.dynamics import residual_error
 from eulerdd.group_theory import close_group, equal_up_to_phase, in_algebra
 from eulerdd.io import ConfigError, encode_matrix, fault_from_doc
-from eulerdd.pulses import (FaultModel, GridMismatchError,
-                            IncompleteProfileSetError, RealizationError,
-                            SegmentError, UnreachableGeneratorError,
-                            apply_fault, bangbang_schedule, constant_profile,
+from eulerdd.pulses import (GridMismatchError, IncompleteProfileSetError,
+                            RealizationError, SegmentError,
+                            UnreachableGeneratorError, apply_fault,
+                            bangbang_schedule, constant_profile,
                             eulerian_schedule, merged_segments,
                             phase_distance, piecewise_profile, segment_list)
 
@@ -205,14 +205,13 @@ class TestSchedules:
 
 
 class TestIdentity:
-    """Profiles, fault models and drifts hold arrays, so they compare and
-    hash by identity: == never asks numpy for the truth of an array."""
+    """Profiles and drifts hold arrays, so they compare and hash by
+    identity: == never asks numpy for the truth of an array."""
 
     def test_copies_compare_unequal(self):
         prof = symmetric_s3_scenario().profiles[1]
-        fault = FaultModel.constant([0], [0.1 * SX])
         drift = carr_purcell_scenario().generic_drift(env_dim=2)
-        for obj in (prof, fault, drift):
+        for obj in (prof, drift):
             twin = copy.copy(obj)
             assert obj == obj
             assert (obj == twin) is False
@@ -228,8 +227,7 @@ class TestFaults:
     def test_zero_fault_is_identity_operation(self):
         sc = carr_purcell_scenario()
         sched = sc.schedule(0.05)
-        fault = FaultModel.constant([0], [np.zeros((2, 2))])
-        faulty = apply_fault(sched, fault)
+        faulty = apply_fault(sched, {0: [(1.0, np.zeros((2, 2)))]})
         for step in faulty.steps:
             for frac, ideal, err in merged_segments(step.profile, step.fault):
                 assert np.linalg.norm(err) == 0.0
@@ -237,8 +235,7 @@ class TestFaults:
     def test_constant_fault_merges_onto_profile_grid(self):
         sc = symmetric_s3_scenario()
         sched = sc.schedule(0.05)
-        fault = FaultModel.constant([1], [0.1 * heisenberg(3, 0, 1)])
-        faulty = apply_fault(sched, fault)
+        faulty = apply_fault(sched, {1: [(1.0, 0.1 * heisenberg(3, 0, 1))]})
         for step in faulty.steps:
             if step.color != 1:
                 assert step.fault is None
@@ -249,60 +246,57 @@ class TestFaults:
                 np.testing.assert_allclose(err, 0.1 * heisenberg(3, 0, 1))
 
     def test_bad_fault_grid_rejected(self):
-        with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.fraction: "
-                                             r"the fractions sum to 0\.4,"):
-            FaultModel(deltas={0: [(0.4, SX)]})
+        sc = carr_purcell_scenario()
+        for meet in (lambda f: apply_fault(sc.schedule(0.05), f),
+                     lambda f: residual_error(sc.rep, sc.profiles, f)):
+            with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.fraction: "
+                                                 r"the fractions sum to 0\.4,"):
+                meet({0: [(0.4, SX)]})
 
     def test_unknown_color_rejected(self):
         sc = carr_purcell_scenario()
         sched = sc.schedule(0.05)
         with pytest.raises(GridMismatchError):
-            apply_fault(sched, FaultModel(deltas={5: [(1.0, SX)]}))
+            apply_fault(sched, {5: [(1.0, SX)]})
+
+    @pytest.mark.parametrize("color", [5, -1, None, "a"])
+    def test_residual_refuses_a_color_no_profile_carries(self, color):
+        # a color that pulses nothing is refused, not averaged as zero
+        sc = carr_purcell_scenario()
+        with pytest.raises(GridMismatchError, match=f"unknown color {color}$"):
+            residual_error(sc.rep, sc.profiles, {color: [(1.0, 0.1 * SX)]})
 
     def test_bangbang_steps_carry_no_fault_color(self):
         bb = carr_purcell_scenario().bangbang(0.05)
         assert [s.color for s in bb.steps] == [None, None]
         with pytest.raises(GridMismatchError, match="unknown color 0"):
-            apply_fault(bb, FaultModel(deltas={0: [(1.0, SX)]}))
+            apply_fault(bb, {0: [(1.0, SX)]})
         with pytest.raises(GridMismatchError, match="unknown color None"):
-            apply_fault(bb, FaultModel(deltas={None: [(1.0, SX)]}))
+            apply_fault(bb, {None: [(1.0, SX)]})
 
     def test_fault_of_wrong_dimension_refused_where_it_meets_the_rep(self):
-        # a FaultModel takes d from its first rate, so a 4 x 4 fault is
-        # built; the 2 x 2 schedule and residual refuse it by key path
+        # the 2 x 2 schedule and residual refuse a 4 x 4 fault by key path
         sc = carr_purcell_scenario()
-        fault = FaultModel.constant([0], [np.kron(SX, SX)])
+        fault = {0: [(1.0, np.kron(SX, SX))]}
         message = r"^deltas\[0\]\[0\]\.rate must be a Hermitian 2 x 2 matrix"
         for meet in (lambda: apply_fault(sc.schedule(0.05), fault),
                      lambda: residual_error(sc.rep, sc.profiles, fault)):
             with pytest.raises(SegmentError, match=message):
                 meet()
 
-    def test_matching_dimension_runs_no_segment_rule(self, monkeypatch):
-        # the rule ran for d = 2 when the model was built; only another d
-        # runs it again
-        sc = carr_purcell_scenario()
-        fault = FaultModel.constant([0], [0.1 * SX])
-        calls = []
-
-        def counted(segs, d):
-            calls.append(d)
-            return segment_list(segs, d)
-        monkeypatch.setattr(pulses, "segment_list", counted)
-        fault.check_dimension(2)
-        apply_fault(sc.schedule(0.05), fault)
-        residual_error(sc.rep, sc.profiles, fault)
-        assert calls == []
-        with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.rate must "
-                                             r"be a Hermitian 4 x 4 matrix"):
-            fault.check_dimension(4)
-        assert calls == [4]
+    def test_steps_of_one_color_share_one_fault_tuple(self):
+        # simulate_cycles keys its exponentials on id(step.fault)
+        sc = symmetric_s3_scenario()
+        faulty = apply_fault(sc.schedule(0.05),
+                             {0: [(1.0, 0.1 * heisenberg(3, 0, 1))]})
+        faults = {id(step.fault) for step in faulty.steps if step.color == 0}
+        assert len(faults) == 1
 
     def test_bangbang_fault_rejected(self):
         sc = carr_purcell_scenario()
         bb = sc.bangbang(0.05)
         with pytest.raises(ValueError):
-            apply_fault(bb, FaultModel(deltas={0: [(1.0, SX)]}))
+            apply_fault(bb, {0: [(1.0, SX)]})
 
 
 @st.composite
@@ -349,19 +343,22 @@ class TestSegmentRule:
                 pass
             return None
 
-        doc = {1: [{"fraction": f, "rate": encode_matrix(r)} for f, r in segs]}
+        free = piecewise_profile(0, rep, [(1.0, np.zeros((d, d)))])
+        sched = pulses.ControlSchedule(rep=rep, delta_t=0.1,
+                                       steps=(pulses.Step(0, free),))
+        doc = {0: [{"fraction": f, "rate": encode_matrix(r)} for f, r in segs]}
         refusals = [
             refusal(lambda: segment_list(segs, d), SegmentError),
             refusal(lambda: piecewise_profile(0, rep, segs), SegmentError),
-            # color 0 fixes d, as the first rate of a fault does
-            refusal(lambda: FaultModel({0: [(1.0, np.zeros((d, d)))], 1: segs}),
+            refusal(lambda: apply_fault(sched, {0: segs}), SegmentError),
+            refusal(lambda: residual_error(rep, {0: free}, {0: segs}),
                     SegmentError),
             refusal(lambda: fault_from_doc(doc, rep), ConfigError),
         ]
         if bad is None:
-            assert refusals == [None] * 4
+            assert refusals == [None] * 5
         else:
-            paths = ("", "", "deltas[1]", "faults.1")
+            paths = ("", "", "deltas[0]", "deltas[0]", "faults.0")
             for msg, path in zip(refusals, paths):
                 assert msg is not None and msg.startswith(f"{path}[{bad}]"), msg
 
@@ -381,11 +378,14 @@ class TestSegmentRule:
     @pytest.mark.parametrize("fraction", ["a", None, [0.5]],
                              ids=["string", "none", "list"])
     def test_unconvertible_fraction_names_its_key_path(self, fraction):
-        with pytest.raises(SegmentError) as info:
-            FaultModel({0: [(fraction, SX)]})
-        assert str(info.value) == (f"deltas[0][0].fraction must be a finite "
-                                   f"number > 0, got {fraction!r}")
-        assert info.value.index == 0
+        sc = carr_purcell_scenario()
+        for meet in (lambda f: apply_fault(sc.schedule(0.05), f),
+                     lambda f: residual_error(sc.rep, sc.profiles, f)):
+            with pytest.raises(SegmentError) as info:
+                meet({0: [(fraction, SX)]})
+            assert str(info.value) == (f"deltas[0][0].fraction must be a finite "
+                                       f"number > 0, got {fraction!r}")
+            assert info.value.index == 0
         with pytest.raises(SegmentError, match=r"^\[1\]\.fraction must be") as info:
             segment_list([(0.5, SX), (fraction, SX)], 2)
         assert info.value.index == 1

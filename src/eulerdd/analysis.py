@@ -263,7 +263,7 @@ def _spin_flip_checks(scenario, rng, seed) -> list:
     checks = [bound_check("linear-noise-suppressed",
                           noise_suppression_check(scenario), 1e-12)]
     if scenario.n_qubits % 2 == 0:
-        mats = scenario.rep.stacked()[0]
+        mats = scenario.rep.matrices
         worst = max(max_norm(a @ mats - mats @ a) for a in mats)
         checks.append(bound_check("algebra-abelian", worst, 1e-10))
     return checks
@@ -388,7 +388,7 @@ def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
         checks.append(check_result("reference-path-valid", ok, diag, "ok"))
     checks.append(verify_theorem(scenario, trials=trials, seed=seed))
 
-    mats = rep.stacked()[0]
+    mats = rep.matrices
     worst_idem, worst_comm = 0.0, 0.0
     draws = (random_hermitian(rep.dimension, rng) for _ in range(10))
     for X in _operator_stacks(rep, draws):

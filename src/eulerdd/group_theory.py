@@ -156,15 +156,16 @@ class Group:
 
 @dataclass
 class UnitaryRep:
-    """Unitary projective representation: one matrix per group element."""
+    """Unitary projective representation: ``matrices`` is the read-only
+    (|G|, d, d) complex stack of the group's elements, in element order."""
 
     group: Group
-    matrices: list
+    matrices: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[-1]
 
     def validate(self) -> None:
         d = self.dimension
@@ -190,15 +191,6 @@ class UnitaryRep:
             self._cache[key] = build()
         return self._cache[key]
 
-    def stacked(self) -> tuple:
-        """(|G|, d, d) read-only stacks of the matrices and of their
-        adjoints, in element order, built once."""
-        def build():
-            mats = np.array(self.matrices, dtype=complex)
-            adjs = np.ascontiguousarray(mats.conj().transpose(0, 2, 1))
-            return _read_only(mats), _read_only(adjs)
-        return self._cached("stack", build)
-
     def monomial(self):
         """For a monomial representation, (|G|, d) read-only arrays (rows,
         phases): rows[j, i] is the row of the one nonzero entry in column i
@@ -208,7 +200,7 @@ class UnitaryRep:
         != 0.  Zero is exact zero: only then does the gather add up to the
         products.  Built once."""
         def build():
-            mats = self.stacked()[0]
+            mats = self.matrices
             nonzero = mats != 0
             if not (nonzero.sum(axis=-2) == 1).all():
                 return None
@@ -242,13 +234,12 @@ def subspace_distance(X: np.ndarray, basis) -> float:
     return float(np.linalg.norm(v - B.T @ np.conj(B @ np.conj(v))))
 
 
-def _orthonormal_span(mats) -> np.ndarray:
-    """Orthonormalize matrices in the Hilbert-Schmidt inner product; a
-    read-only (rank, d, d) stack, the rank counting the singular values
-    above DEFAULT_PHASE_TOL times the largest."""
-    d = mats[0].shape[0]
-    stack = np.asarray(mats).reshape(len(mats), d * d)
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+def _orthonormal_span(mats: np.ndarray) -> np.ndarray:
+    """Orthonormalize the matrices of a (k, d, d) stack in the
+    Hilbert-Schmidt inner product; a read-only (rank, d, d) stack, the rank
+    counting the singular values above DEFAULT_PHASE_TOL times the largest."""
+    k, d, _ = mats.shape
+    u, s, vh = np.linalg.svd(mats.reshape(k, d * d), full_matrices=False)
     rank = int(np.sum(s > DEFAULT_PHASE_TOL * s[0])) if s.size else 0
     return _read_only(vh[:rank].reshape(rank, d, d))
 
@@ -258,17 +249,19 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
 
     Returns (Group, UnitaryRep).  Element 0 is the identity's phase class;
     the others follow in breadth-first order of generator products and are
-    stored phase-fixed (``fix_phase``).  Two matrices are one element when
+    stored phase-fixed (``fix_phase``), in place in one growable (n, d, d)
+    buffer, whose |G| stored rows are copied once, at the end, into
+    ``rep.matrices``.  Two matrices are one element when
     ``equal_up_to_phase(stored, product)`` holds.
 
     Each product gens[c] @ e_i of the breadth-first loop is compared by
     ``equal_up_to_phase`` with one stored element only: the e maximizing
-    |tr(e† product)|, from one matrix-vector product with the stack of the
-    conjugated, flattened stored elements.  For unitary d x d matrices a
-    product within the tolerance of a stored e has |tr(e† product)| >=
-    d (1 - DEFAULT_PHASE_TOL), so the result equals a linear scan's unless two
-    stored elements e, e' are nearly equal up to phase: |tr(e† e')| >=
-    d (1 - 2 DEFAULT_PHASE_TOL).
+    |tr(e† product)|, from one matrix-vector product of the flattened
+    stored elements with the conjugated, flattened product (so the stack is
+    never conjugated).  For unitary d x d matrices a product within the
+    tolerance of a stored e has |tr(e† product)| >= d (1 - DEFAULT_PHASE_TOL),
+    so the result equals a linear scan's unless two stored elements e, e'
+    are nearly equal up to phase: |tr(e† e')| >= d (1 - 2 DEFAULT_PHASE_TOL).
 
     The multiplication table needs no further products: if e_i was found as
     gens[c] @ e_p, row i is the action of gens[c] applied to row p.  One
@@ -287,24 +280,25 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
         if g.shape != (d, d) or not is_unitary(g):
             raise InvalidGeneratorError("invalid generator: non-unitary input")
 
-    elements = []
-    parent = []   # (c, p) when element i was found as gens[c] @ elements[p]
-    # conj(e).ravel() of each stored e; rows past len(elements) are spare
-    conj = np.empty((8, d * d), dtype=complex)
+    parent = []   # (c, p) when element i was found as gens[c] @ stack[p]
+    # stack[:len(parent)] holds the elements; the rows past them are spare
+    stack = np.empty((8, d, d), dtype=complex)
 
     def add(m, origin):
-        nonlocal conj
-        k = len(elements)
-        if k == len(conj):
-            conj = np.concatenate([conj, np.empty_like(conj)])
-        conj[k] = m.conj().ravel()
-        elements.append(m)
+        nonlocal stack
+        k = len(parent)
+        if k == len(stack):
+            grown = np.empty((2 * k, d, d), dtype=complex)
+            grown[:k] = stack
+            stack = grown
+        stack[k] = m
         parent.append(origin)
         return k
 
     def find(m):
-        k = int(np.argmax(np.abs(conj[:len(elements)] @ m.ravel())))
-        return k if equal_up_to_phase(elements[k], m) else -1
+        n = len(parent)
+        k = int(np.argmax(np.abs(stack[:n].reshape(n, d * d) @ m.ravel().conj())))
+        return k if equal_up_to_phase(stack[k], m) else -1
 
     add(np.eye(d, dtype=complex), None)
     gen_indices = []
@@ -317,20 +311,21 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
         elif k == 0 and len(gens) == 1:
             gen_indices.append(0)
 
-    act = []   # act[i][c]: index of gens[c] @ elements[i]
-    for i, e in enumerate(elements):   # grows while it is walked
+    act = []   # act[i][c]: index of gens[c] @ stack[i]
+    while len(act) < len(parent):   # elements are added while they are walked
+        i = len(act)
         row = []
         for c, g in enumerate(gens):
-            prod = g @ e
+            prod = g @ stack[i]
             k = find(prod)
             if k < 0:
-                if len(elements) >= max_order:
+                if len(parent) >= max_order:
                     raise GroupClosureError("group too large or not closed")
                 k = add(fix_phase(prod), (c, i))
             row.append(k)
         act.append(row)
 
-    n = len(elements)
+    n = len(parent)
     act = np.array(act).T
     table = np.empty((n, n), dtype=int)
     table[0] = np.arange(n)
@@ -341,7 +336,8 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
     if not gen_indices:
         gen_indices = [0]
     group = Group(mult_table=table, generators=tuple(gen_indices))
-    rep = UnitaryRep(group=group, matrices=elements)
+    # a copy of the stored rows: a view would keep the spare ones alive
+    rep = UnitaryRep(group=group, matrices=_read_only(stack[:n].copy()))
     return group, rep
 
 
@@ -359,12 +355,12 @@ def _average(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
 
     The terms are formed for blocks of elements whose terms fit
     MAX_STACK_BYTES (one element at least): as a phased gather of X for a
-    monomial representation, as the products (g_j† X) g_j otherwise.  The
-    running sum is added into each block's first term, so the terms add up
-    in element order; with phases in {±1, ±i} the gather has the bits of
-    the products.
+    monomial representation, as the products (g_j† X) g_j otherwise, the
+    block's adjoints g_j† formed with its terms.  The running sum is added
+    into each block's first term, so the terms add up in element order;
+    with phases in {±1, ±i} the gather has the bits of the products.
     """
-    mats, adjs = rep.stacked()
+    mats = rep.matrices
     mono = rep.monomial()
     d = rep.dimension
     flat = X.reshape(*X.shape[:-2], d * d)
@@ -373,7 +369,8 @@ def _average(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     for j in range(0, len(mats), per):
         blk = slice(j, j + per)
         if mono is None:
-            terms = (adjs[blk] @ X[..., None, :, :]) @ mats[blk]
+            g = mats[blk]
+            terms = (g.conj().swapaxes(-1, -2) @ X[..., None, :, :]) @ g
         else:
             # X[..., rows[a], rows[b]], taken from the flattened X: about
             # 3x faster than indexing two axes at once
@@ -452,7 +449,7 @@ def center_basis(rep: UnitaryRep) -> np.ndarray:
 
 
 def _center_basis(rep: UnitaryRep) -> np.ndarray:
-    return _orthonormal_span(_average(rep, rep.stacked()[0]))
+    return _orthonormal_span(_average(rep, rep.matrices))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,34 @@ class ConfigError(ValueError):
     """Invalid or out-of-range run configuration."""
 
 
+class _UniqueKeyLoader(_LOADER):
+    """``_LOADER`` that refuses a mapping key equal to an earlier key of the
+    same mapping (``cycles`` twice, or ``0`` and ``0.0``): a plain loader
+    keeps the last one silently."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            try:
+                first = seen.setdefault(key, key_node)
+            except TypeError:   # unhashable: refused by construct_mapping
+                continue
+            if first is not key_node:
+                raise ConfigError(
+                    f"line {key_node.start_mark.line + 1}: key {key!r} repeats "
+                    f"the key {self.construct_object(first)!r} of line "
+                    f"{first.start_mark.line + 1} in the same mapping")
+        return super().construct_mapping(node, deep=deep)
+
+
+def _load(stream):
+    """The YAML document in ``stream``, every mapping key given once."""
+    return yaml.load(stream, Loader=_UniqueKeyLoader)
+
+
 def encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
@@ -128,7 +156,7 @@ def _field(doc: dict, where: str, key: str, read):
 
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
-        doc = yaml.load(fh, Loader=_LOADER) or {}
+        doc = _load(fh) or {}
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     _known(doc, "", ("scenario", "overrides", "out"))
@@ -238,10 +266,13 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
         _known(nd, f"noise_generators[{i}]", ("name", "matrix"))
         noise.append((nd.get("name", f"s{i}"),
                       _field(nd, f"noise_generators[{i}]", "matrix", _matrix)))
+    for key in ("name", "description"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"scenario.{key} must be a string, got {doc[key]!r}")
     return _build(
         "inline scenario",
-        str(doc.get("name", "custom")),
-        str(doc.get("description", "inline scenario")),
+        doc.get("name", "custom"),
+        doc.get("description", "inline scenario"),
         _integer("n_qubits", doc.get("n_qubits", 0)),
         _generators(doc),
         [partial(_profile_from_doc, doc=pdoc, where=f"profiles[{i}]")
@@ -330,7 +361,7 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
 
 def import_schedule(text: str):
     """Rebuild a ControlSchedule from exported YAML text."""
-    doc = yaml.load(text, Loader=_LOADER)
+    doc = _load(text)
     if not isinstance(doc, dict):
         raise ConfigError("schedule file must be a mapping")
     _known(doc, "", ("kind", "delta_t", "generators", "path", "hamiltonians",
@@ -342,6 +373,8 @@ def import_schedule(text: str):
     if missing:
         raise ConfigError(f"schedule file has no {', '.join(missing)}")
     delta_t = _number("delta_t", doc["delta_t"])
+    if delta_t <= 0:
+        raise ConfigError(f"delta_t must be > 0, got {delta_t!r}")
     if not isinstance(doc["hamiltonians"], dict):
         raise ConfigError("hamiltonians must be a mapping")
     hams = {hid: _matrix(f"hamiltonians.{hid}", m)

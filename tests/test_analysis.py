@@ -151,7 +151,8 @@ def per_operator_integral(segments):
 
 
 def per_operator_pi_G(rep, X):
-    mats, adjs = rep.stacked()
+    mats = rep.matrices
+    adjs = mats.conj().transpose(0, 2, 1)
     return ((adjs @ X) @ mats).sum(axis=0) / len(mats)
 
 
@@ -189,7 +190,7 @@ def per_trial_checks(scenario, trials, seed, monkeypatch):
         worst = max(worst, float(dev))
     checks.append(analysis.bound_check("symmetrization", worst, analysis.THEOREM_TOL))
 
-    mats = rep.stacked()[0]
+    mats = rep.matrices
     worst_idem, worst_comm = 0.0, 0.0
     for _ in range(10):
         X = random_hermitian(rep.dimension, rng)

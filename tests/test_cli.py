@@ -361,7 +361,12 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
      % (SX_DOC, "{dim: [2, 2], data: [[0, 0], [1.3, 0], [1, 0], [0, 0]]}"),
      "Hermitian"),
     ("scenario: pauli\noverrides:\n  seed: -3\n", "seed must be >= 0"),
-], ids=["carr-purcell-n5", "non-hermitian-axis", "negative-seed"])
+    ("scenario: pauli\noverrides:\n  cycles: 3\n  cycles: 5\n",
+     "line 4: key 'cycles' repeats the key 'cycles' of line 3"),
+    ("scenario:\n  name:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
+     % (SX_DOC, SX_DOC), "scenario.name must be a string, got None"),
+], ids=["carr-purcell-n5", "non-hermitian-axis", "negative-seed",
+        "repeated-override", "null-name"])
 def test_refused_config_exits_2(capsys, tmp_path, body, message):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(body)

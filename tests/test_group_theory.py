@@ -356,8 +356,9 @@ def loop_center(rep, tol=1e-10):
 
 
 class TestStackedRep:
-    """pi_G and center_basis read one stacked view of the group; center_basis
-    and decompose_irreps are computed once per representation."""
+    """pi_G and center_basis read the one (|G|, d, d) element stack;
+    center_basis and decompose_irreps are computed once per
+    representation."""
 
     @settings(max_examples=40, deadline=None)
     @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
@@ -376,16 +377,24 @@ class TestStackedRep:
         assert rows.shape == ref.shape
         assert np.linalg.norm(rows.conj().T @ rows - ref.conj().T @ ref) <= 1e-13
 
+    @pytest.mark.parametrize("name,n", [
+        ("carr-purcell", None), ("pauli", 2), ("spin-flip", 3),
+        ("symmetric-s3", None)])
+    def test_matrices_are_one_read_only_stack(self, name, n):
+        sc = get_scenario(name, n)
+        mats = sc.rep.matrices
+        assert isinstance(mats, np.ndarray) and mats.dtype == complex
+        assert mats.shape == (sc.group.order, sc.rep.dimension, sc.rep.dimension)
+        assert not mats.flags.writeable
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 2.0
+
     def test_cached_arrays_are_read_only_and_shared(self):
         rep = get_scenario("symmetric-s3", None).rep
-        mats, adjs = rep.stacked()
-        assert mats is rep.stacked()[0] and adjs is rep.stacked()[1]
-        np.testing.assert_array_equal(mats, np.array(rep.matrices))
-        np.testing.assert_array_equal(adjs, mats.conj().transpose(0, 2, 1))
         cen, dec = center_basis(rep), decompose_irreps(rep)
         assert center_basis(rep) is cen
         assert decompose_irreps(rep) is dec
-        arrays = [mats, adjs, cen, dec.basis_change,
+        arrays = [rep.matrices, cen, dec.basis_change,
                   *(b.columns for b in dec.blocks)]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
@@ -686,7 +695,7 @@ class TestMonomialGather:
     def test_builtins_equal_the_products_bit_for_bit(self, name, n):
         rep = scenario(name, n).rep
         rows, phases = rep.monomial()
-        mats = rep.stacked()[0]
+        mats = rep.matrices
         rebuilt = np.zeros_like(mats)
         for j, m in enumerate(rebuilt):
             m[rows[j], np.arange(rep.dimension)] = phases[j]
@@ -736,7 +745,7 @@ class TestMonomialGather:
         # pauli n=4: the (|G|, n, d, d) products of 20 operators are 20 MiB
         rep = scenario("pauli", 4).rep
         X = random_stack(rep.dimension, 20, 3)
-        pi_G(rep, X[0])     # builds the cached stacks
+        pi_G(rep, X[0])     # builds the cached monomial arrays
         tracemalloc.start()
         try:
             pi_G(rep, X)
@@ -744,6 +753,22 @@ class TestMonomialGather:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_first_dense_average_copies_no_stack(self):
+        # |G| = 256, d = 16: one copy of the element stack is 1 MiB; the
+        # first call builds the (empty) monomial cache and forms each
+        # block's adjoints within MAX_STACK_BYTES
+        _, rep = close_group(conjugated(pauli_generators(4), 11))
+        X = random_stack(rep.dimension, 1, 4)[0]
+        tracemalloc.start()
+        try:
+            pi_G(rep, X)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.group.order == 256 and rep.monomial() is None
+        assert peak < 2 ** 19
+        assert retained < 0.1 * 2 ** 20
 
 
 @pytest.fixture

@@ -90,6 +90,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="delta_t"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("overrides,line,first", [
+        ("\n  cycles: 3\n  cycles: 5", 4, 3), (" {cycles: 3, cycles: 5}", 2, 2)],
+        ids=["block", "flow"])
+    def test_repeated_override_is_refused(self, tmp_path, overrides, line, first):
+        # a plain YAML loader keeps the last value: 5 cycles, silently
+        p = tmp_path / "run.yaml"
+        p.write_text(f"scenario: carr-purcell\noverrides:{overrides}\n")
+        with pytest.raises(ConfigError,
+                           match=rf"^line {line}: key 'cycles' repeats the key "
+                                 rf"'cycles' of line {first} in the same mapping"):
+            load_config(str(p))
+
     def test_load_rejects_non_mapping_overrides(self, tmp_path):
         p = tmp_path / "run.yaml"
         p.write_text("scenario: pauli\noverrides: [1, 2]\n")
@@ -174,6 +186,17 @@ class TestInlineScenario:
         with pytest.raises(ConfigError, match=key):
             scenario_from_config(RunConfig(inline=doc))
 
+    @pytest.mark.parametrize("key,value", [
+        ("name", None), ("name", [1, 2]), ("description", 5)],
+        ids=["null-name", "list-name", "int-description"])
+    def test_name_and_description_must_be_strings(self, key, value):
+        # str() would name the scenario "None" or "[1, 2]"
+        doc = {"generators": [X], "profiles": [AXIS_X], key: value}
+        with pytest.raises(ConfigError,
+                           match=rf"^scenario\.{key} must be a string, got "
+                                 rf"{re.escape(repr(value))}$"):
+            scenario_from_config(RunConfig(inline=doc))
+
     def test_profile_units_key_is_refused(self):
         # rates are angle rates h * delta_t: a profile never depends on delta_t
         cfg = RunConfig(delta_t=(0.5,), inline={
@@ -251,6 +274,19 @@ class TestFaultDocs:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
             fault_from_doc(doc, carr_purcell_scenario().rep)
 
+    def test_color_given_twice_is_refused_by_the_loader(self):
+        # 0 and 0.0 are one key: a plain loader keeps only the second, so
+        # fault_from_doc never sees the first
+        z = "{dim: [2, 2], data: [[1, 0], [0, 0], [0, 0], [-1, 0]]}"
+        seg = f"[{{fraction: 1.0, rate: {z}}}]"
+        text = f"faults:\n  0: {seg}\n  0.0: {seg}\n"
+        assert len(yaml.safe_load(text)["faults"]) == 1
+        with pytest.raises(ConfigError, match=r"^line 3: key 0\.0 repeats the "
+                                              r"key 0 of line 2 in the same mapping"):
+            eio._load(text)
+        doc = eio._load(text.replace("0.0:", "1:"))["faults"]
+        assert set(fault_from_doc(doc, pauli_scenario(1).rep)) == {0, 1}
+
     def test_faults_key_is_refused_by_load_config(self, tmp_path):
         # no command reads faults from a run configuration yet
         path = tmp_path / "run.yaml"
@@ -298,15 +334,26 @@ class TestScheduleExport:
         (lambda doc: doc["timeline"][1].update(duration="abc"),
          "timeline[1].duration must be a number"),
         (lambda doc: doc.update(delta_t="abc"), "delta_t must be a number"),
+        (lambda doc: doc.update(delta_t=0), "delta_t must be > 0, got 0.0"),
+        (lambda doc: doc.update(delta_t=-0.01), "delta_t must be > 0, got -0.01"),
     ], ids=["hamiltonians-int", "no-sub_interval", "no-color", "no-duration",
             "no-amplitude", "no-hamiltonian", "unknown-hamiltonian",
-            "duration-str", "delta_t-str"])
+            "duration-str", "delta_t-str", "delta_t-zero", "delta_t-negative"])
     def test_malformed_body_names_the_key(self, edit, message):
         doc = yaml.safe_load(export_schedule(pauli_scenario(1), 0.01))
         edit(doc)
         with pytest.raises(ConfigError) as info:
             import_schedule(yaml.safe_dump(doc))
         assert message in str(info.value)
+
+    def test_repeated_row_key_is_refused(self):
+        text = export_schedule(pauli_scenario(1), 0.01)
+        row = "  color: 0\n  duration: 0.01\n"
+        assert row in text
+        edited = text.replace(row, "  color: 0\n  color: 1\n  duration: 0.01\n", 1)
+        with pytest.raises(ConfigError, match=r"^line \d+: key 'color' repeats "
+                                              r"the key 'color' of line \d+"):
+            import_schedule(edited)
 
     def test_near_parallel_directions_keep_their_own_ids(self):
         # n2 is n1 with sigma_y scaled by 1 + 4e-6: the directions differ by
@@ -347,6 +394,7 @@ class TestLibyaml:
 
     def test_io_uses_the_c_classes(self):
         assert (eio._LOADER, eio._DUMPER) == (yaml.CSafeLoader, yaml.CSafeDumper)
+        assert issubclass(eio._UniqueKeyLoader, yaml.CSafeLoader)
 
     @pytest.mark.parametrize("sc", builtin_scenarios(), ids=lambda sc: sc.name)
     def test_export_text_and_docs_identical(self, sc, monkeypatch):

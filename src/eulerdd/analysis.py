@@ -131,10 +131,11 @@ class Scenario:
             E = random_hermitian(env_dim, rng) if env_dim > 1 else np.ones((1, 1))
             couplings.append((S, E))
         drift = DriftModel(H_S=H_S, H_E=H_E, couplings=tuple(couplings))
-        norm = np.linalg.norm(drift.total(), 2)
+        # the spectral norm of the Hermitian H0; S ⊗ (E / norm) is the
+        # normalized coupling, so each S stays the scenario's own array
+        norm = np.abs(np.linalg.eigvalsh(drift.total())).max()
         return DriftModel(H_S=H_S / norm, H_E=H_E / norm,
-                          couplings=tuple((S / np.sqrt(norm), E / np.sqrt(norm))
-                                          for S, E in couplings))
+                          couplings=tuple((S, E / norm) for S, E in couplings))
 
 
 def check_result(name, passed, value, tolerance, note="") -> dict:

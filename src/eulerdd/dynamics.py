@@ -68,11 +68,25 @@ class DriftModel:
 
     @cached_property
     def _total(self) -> np.ndarray:
+        """H_S, H_E and each S·E[k, l] written into one (d, d_E, d, d_E)
+        array, whose (i, e, j, f) entry is that of row (i, e) and column
+        (j, f) of H0.  Each product is taken in the order of np.kron(S, E),
+        so H0 equals the Kronecker sum entry for entry."""
         d, de = self.system_dim, self.env_dim
-        h = np.kron(self.H_S, np.eye(de)) + np.kron(np.eye(d), self.H_E)
-        for S, E in self.couplings:
-            h = h + np.kron(S, E)
-        return _read_only(h)
+        h = np.zeros((d, de, d, de), dtype=complex)
+        _env_blocks(h)[:] = self.H_S            # H_S ⊗ I
+        np.einsum("ieif->ief", h)[:] += self.H_E    # I ⊗ H_E
+        for S, E in self.couplings:             # S ⊗ E
+            for k in range(de):
+                for l in range(de):
+                    h[:, k, :, l] += S * E[k, l]
+        return _read_only(h.reshape(d * de, d * de))
+
+
+def _env_blocks(h: np.ndarray) -> np.ndarray:
+    """The d_E diagonal blocks h[:, k, :, k] of a (d, d_E, d, d_E) array,
+    as one writable (d_E, d, d) view: adding m to it adds m ⊗ I."""
+    return np.einsum("ikjk->kij", h)
 
 
 def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
@@ -90,15 +104,17 @@ def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
 
 def _lift_conj(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(A ⊗ I_E)† X (A ⊗ I_E) for each X of a (..., d, d_E, d, d_E) stack
-    of tensors: two matrix products when d_E = 1, a contraction over the
-    system indices otherwise."""
-    d, de = X.shape[-4:-2]
+    of tensors, as a new contiguous stack of the same shape: two matrix
+    products when d_E = 1.  Otherwise one product contracts the rows i of
+    each X, read as a (d, d_E·d·d_E) matrix, into (e, k, f, j) order; a
+    second, batched over the environment blocks e, contracts k; and one
+    copy puts (e, l, f, j) back in (j, e, l, f) order."""
+    lead, (d, de) = X.shape[:-4], X.shape[-4:-2]
     if de == 1:
-        return (A.conj().T @ X.reshape(*X.shape[:-4], d, d) @ A).reshape(X.shape)
-    Y = np.tensordot(A.conj(), X, axes=(0, -4))     # (j, ..., e, k, f)
-    Y = np.tensordot(Y, A, axes=(-2, 0))            # (j, ..., e, f, l)
-    n = Y.ndim
-    return Y.transpose(*range(1, n - 3), 0, n - 3, n - 1, n - 2)
+        return (A.conj().T @ X.reshape(*lead, d, d) @ A).reshape(X.shape)
+    Y = X.reshape(*lead, d, de * d * de).swapaxes(-1, -2) @ A.conj()
+    Y = A.T @ Y.reshape(*lead, de, d, de * d)
+    return np.ascontiguousarray(np.moveaxis(Y.reshape(*lead, de, d, de, d), -1, -4))
 
 
 def _sub_interval_integral(segments, env_dim: int = 1) -> np.ndarray:
@@ -214,33 +230,47 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     drift.validate()
-    H0 = drift.total()
     d, de = drift.system_dim, drift.env_dim
     dim = d * de
-    eye_e = np.eye(de)
-    dt = schedule.delta_t
-
-    def lift(m):
-        return np.kron(m, eye_e) if de > 1 else m
-
-    exps = {}
-    u_cycle = np.eye(dim, dtype=complex)
+    exps = _segment_exponentials(drift, schedule)
+    u = None                        # the cycle, from the first exponential on
     for step in schedule.steps:
-        p = step.profile
-        key = (p, id(step.fault))     # fault segments are tuples of arrays
-        if key not in exps:
-            exps[key] = [_expm_herm(H0 + lift((p.segments[k][1] + fault_rate) / dt),
-                                    frac * dt)
-                         for frac, k, fault_rate in merged_segments(p, step.fault)]
-        for e in exps[key]:
-            u_cycle = e @ u_cycle
-        if step.kick is not None:
-            u_cycle = lift(step.kick) @ u_cycle
-    u = np.linalg.matrix_power(u_cycle, cycles)
-    err = np.linalg.norm(u.conj().T @ u - np.eye(dim))
+        for e in exps[(step.profile, id(step.fault))]:
+            u = e if u is None else e @ u
+        if step.kick is not None:   # (kick ⊗ I) U on the rows (i, e) of U
+            u = (step.kick @ u.reshape(d, de * dim)).reshape(dim, dim)
+    del exps                        # freed before the cycle is raised to a power
+    u = np.linalg.matrix_power(u, cycles)
+    gram = u.conj().T @ u           # U†U - I, the identity taken off in place
+    gram.ravel()[::dim + 1] -= 1.0
+    err = np.linalg.norm(gram)
     if err > 1e-8 * dim:
         raise RuntimeError(f"propagator lost unitarity: drift {err:.2e}")
     return u
+
+
+def _segment_exponentials(drift: DriftModel, schedule: ControlSchedule) -> dict:
+    """The joint exponential of each merged segment of each distinct
+    (profile, fault) of ``schedule``, keyed by (profile, id(fault)) (fault
+    segments are tuples of arrays).  Each is taken of one copy of H0 that
+    holds the segment's rate in its d_E diagonal blocks."""
+    H0 = drift.total()
+    d, de = drift.system_dim, drift.env_dim
+    dt = schedule.delta_t
+    h = H0.copy()
+    blocks = _env_blocks(h.reshape(d, de, d, de))
+    exps = {}
+    for step in schedule.steps:
+        p = step.profile
+        key = (p, id(step.fault))
+        if key in exps:
+            continue
+        exps[key] = []
+        for frac, k, fault_rate in merged_segments(p, step.fault):
+            np.copyto(h, H0)
+            blocks += (p.segments[k][1] + fault_rate) / dt
+            exps[key].append(_expm_herm(h, frac * dt))
+    return exps
 
 
 def decoupling_distance(drift: DriftModel, schedule: ControlSchedule,

@@ -52,8 +52,15 @@ class _UniqueKeyLoader(_LOADER):
 
 
 def _load(stream):
-    """The YAML document in ``stream``, every mapping key given once."""
-    return yaml.load(stream, Loader=_UniqueKeyLoader)
+    """The YAML document in ``stream``, every mapping key given once; text
+    that is not YAML is a ConfigError naming the line of the fault."""
+    try:
+        return yaml.load(stream, Loader=_UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"not valid YAML: {where}{problem}") from exc
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -264,8 +271,11 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
     noise = []
     for i, nd in enumerate(_entries(doc, "noise_generators")):
         _known(nd, f"noise_generators[{i}]", ("name", "matrix"))
-        noise.append((nd.get("name", f"s{i}"),
-                      _field(nd, f"noise_generators[{i}]", "matrix", _matrix)))
+        name = nd.get("name", f"s{i}")
+        if not isinstance(name, str):
+            raise ConfigError(f"noise_generators[{i}].name must be a string, "
+                              f"got {name!r}")
+        noise.append((name, _field(nd, f"noise_generators[{i}]", "matrix", _matrix)))
     for key in ("name", "description"):
         if not isinstance(doc.get(key, ""), str):
             raise ConfigError(f"scenario.{key} must be a string, got {doc[key]!r}")

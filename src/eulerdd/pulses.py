@@ -103,8 +103,12 @@ def _expm_eig(evals: np.ndarray, evecs: np.ndarray, scale: float = 1.0) -> np.nd
 
 
 def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * H) for Hermitian H via eigendecomposition."""
-    return _expm_eig(*np.linalg.eigh(H), scale)
+    """exp(-i * scale * H) for Hermitian H via eigendecomposition, as
+    ``_expm_eig`` forms it; the eigenvectors are eigh's own array, so they
+    are conjugated in place."""
+    evals, evecs = np.linalg.eigh(H)
+    left = evecs * np.exp(-1j * scale * evals)
+    return left @ np.conjugate(evecs, out=evecs).T
 
 
 @dataclass(eq=False)

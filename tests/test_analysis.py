@@ -1,5 +1,6 @@
 """Tests for scenario construction, fault residuals, and scaling studies."""
 
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -90,6 +91,16 @@ class TestBuiltinScenarios:
             drift = sc.generic_drift(env_dim=2, seed=1)
             drift.validate()
             assert np.linalg.norm(drift.total(), 2) == pytest.approx(1.0)
+
+    def test_generic_drift_shares_the_noise_generators(self):
+        # S ⊗ (E / n) is (S / √n) ⊗ (E / √n): the scale rides on E, so no
+        # scaled copy of a system operator is made (the unit norm of this
+        # drift is test_generic_drift_unit_norm's)
+        for sc in builtin_scenarios():
+            drift = sc.generic_drift(env_dim=2, seed=1)
+            assert len(drift.couplings) == len(sc.noise_generators)
+            for (S, _), (_, m) in zip(drift.couplings, sc.noise_generators):
+                assert S is m
 
 
 class TestAlgebraBasisOnDemand:
@@ -404,6 +415,22 @@ class TestScalingStudy:
     def test_unknown_kind_refused(self, kind):
         with pytest.raises(ValueError, match="kind"):
             scaling_study(carr_purcell_scenario(), [0.02, 0.01], kind=kind)
+
+    def test_sweep_peak_holds_no_scaled_noise_copies(self):
+        # spin-flip n=5 with d_E = 2: D = 64, and each of the 15 noise
+        # generators is a d x d = D²/4 array.  Scaled copies of them took
+        # the traced peak to 16 D²-sized complex arrays
+        sc = spin_flip_scenario(5)
+        D = 2 * sc.rep.dimension
+        scaling_study(sc, [0.02, 0.01])     # the profiles' spectra, once
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            scaling_study(sc, [0.02, 0.01, 0.005], cycles=10)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 16 * D ** 2
 
     def test_bangbang_also_slope_two(self):
         sc = carr_purcell_scenario()

@@ -365,8 +365,16 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
      "line 4: key 'cycles' repeats the key 'cycles' of line 3"),
     ("scenario:\n  name:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
      % (SX_DOC, SX_DOC), "scenario.name must be a string, got None"),
+    ("scenario: carr-purcell\noverrides: [",
+     "not valid YAML: line 3, column 1: did not find expected node content"),
+    ("scenario: carr-purcell\n? [1, 2]\n: 3\n",
+     "not valid YAML: line 2, column 3: found unhashable key"),
+    ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
+     "  noise_generators: [{name: , matrix: %s}]\n" % (SX_DOC, SX_DOC, SX_DOC),
+     "noise_generators[0].name must be a string, got None"),
 ], ids=["carr-purcell-n5", "non-hermitian-axis", "negative-seed",
-        "repeated-override", "null-name"])
+        "repeated-override", "null-name", "unclosed-list", "unhashable-key",
+        "null-noise-name"])
 def test_refused_config_exits_2(capsys, tmp_path, body, message):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(body)

@@ -102,6 +102,19 @@ class TestRunConfig:
                                  rf"'cycles' of line {first} in the same mapping"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("text,message", [
+        ("scenario: carr-purcell\noverrides: [",
+         "not valid YAML: line 3, column 1: did not find expected node content"),
+        ("scenario: carr-purcell\n? [1, 2]\n: 3\n",
+         "not valid YAML: line 2, column 3: found unhashable key"),
+    ], ids=["unclosed-list", "unhashable-key"])
+    def test_text_that_is_not_yaml_is_refused(self, tmp_path, text, message):
+        # yaml's own errors are not ValueErrors: they ended in a traceback
+        p = tmp_path / "run.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            load_config(str(p))
+
     def test_load_rejects_non_mapping_overrides(self, tmp_path):
         p = tmp_path / "run.yaml"
         p.write_text("scenario: pauli\noverrides: [1, 2]\n")
@@ -195,6 +208,15 @@ class TestInlineScenario:
         with pytest.raises(ConfigError,
                            match=rf"^scenario\.{key} must be a string, got "
                                  rf"{re.escape(repr(value))}$"):
+            scenario_from_config(RunConfig(inline=doc))
+
+    @pytest.mark.parametrize("value", [None, 5], ids=["null", "int"])
+    def test_noise_generator_name_must_be_a_string(self, value):
+        doc = {"generators": [X], "profiles": [AXIS_X],
+               "noise_generators": [{"name": value, "matrix": encode_matrix(SZ)}]}
+        with pytest.raises(ConfigError,
+                           match=rf"^noise_generators\[0\]\.name must be a "
+                                 rf"string, got {value!r}$"):
             scenario_from_config(RunConfig(inline=doc))
 
     def test_profile_units_key_is_refused(self):
@@ -345,6 +367,19 @@ class TestScheduleExport:
         with pytest.raises(ConfigError) as info:
             import_schedule(yaml.safe_dump(doc))
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("tail,after,message", [
+        # the parser finds the list unclosed at the end of the text
+        ("timeline: [\n", 2, "did not find expected node content"),
+        ("? [1, 2]\n: 3\n", 1, "found unhashable key"),
+    ], ids=["unclosed-list", "unhashable-key"])
+    def test_text_that_is_not_yaml_is_refused(self, tail, after, message):
+        text = export_schedule(pauli_scenario(1), 0.01)
+        line = text.count("\n") + after
+        with pytest.raises(ConfigError,
+                           match=rf"^not valid YAML: line {line}, column \d+: "
+                                 rf"{message}$"):
+            import_schedule(text + tail)
 
     def test_repeated_row_key_is_refused(self):
         text = export_schedule(pauli_scenario(1), 0.01)

@@ -15,8 +15,8 @@ import numpy as np
 from . import pulses
 from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
                      path_from_colors, validate_path)
-from .dynamics import (DriftModel, _distance_to_average, average_hamiltonian,
-                       q_map, residual_error, simulate_cycles)
+from .dynamics import (DriftModel, decoupling_distance, q_map, residual_error,
+                       simulate_cycles)
 from .group_theory import (HERMITIAN_TOL, MAX_STACK_BYTES, Group, UnitaryRep,
                            center_basis, close_group, decompose_irreps,
                            in_algebra, pi_G, subspace_distance)
@@ -109,11 +109,11 @@ class Scenario:
         """|G| * |Gamma|: every edge of the Cayley graph once."""
         return self.group.order * len(self.group.generators)
 
-    def schedule(self, delta_t: float) -> ControlSchedule:
-        return eulerian_schedule(self.path, self.profiles, delta_t, self.rep)
+    def schedule(self) -> ControlSchedule:
+        return eulerian_schedule(self.path, self.profiles, self.rep)
 
-    def bangbang(self, delta_t: float) -> ControlSchedule:
-        return bangbang_schedule(self.group, self.rep, delta_t)
+    def bangbang(self) -> ControlSchedule:
+        return bangbang_schedule(self.group, self.rep)
 
     def generic_drift(self, env_dim: int = 2, seed: int = 0) -> DriftModel:
         """Random unit-norm drift coupling every noise generator (or a
@@ -448,16 +448,12 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
         raise ValueError(f"kind must be 'eulerian' or 'bangbang', got {kind!r}")
     if drift is None:
         drift = scenario.generic_drift(env_dim=env_dim, seed=seed)
-    rows = []
-    hbar_eig = None
-    for dt in delta_t_values:
-        sched = make(dt)
-        if hbar_eig is None:    # the same for every delta_t
-            hbar_eig = np.linalg.eigh(average_hamiltonian(sched, drift.total()))
-        dist = _distance_to_average(drift, sched, cycles, hbar_eig)
-        rows.append(ScalingRow(delta_t=float(dt), cycle_time=sched.cycle_time,
-                               cycles=cycles, distance=dist,
-                               per_cycle=dist / cycles))
+    sched = make()
+    delta_t_values = tuple(delta_t_values)
+    rows = [ScalingRow(delta_t=float(dt), cycle_time=sched.sub_intervals * dt,
+                       cycles=cycles, distance=dist, per_cycle=dist / cycles)
+            for dt, dist in zip(delta_t_values, decoupling_distance(
+                drift, sched, delta_t_values, cycles))]
     rows.sort(key=lambda r: -r.cycle_time)
     notice = ""
     per_cycle = [r.per_cycle for r in rows]
@@ -498,9 +494,9 @@ def fault_fidelity_comparison(scenario: Scenario, deltas: dict,
     ``deltas``, color -> (fraction, rate) segments."""
     rng = np.random.default_rng(seed)
     drift = scenario.generic_drift(env_dim=env_dim, seed=seed)
-    sched = apply_fault(scenario.schedule(delta_t), deltas)
-    u_dd = simulate_cycles(drift, sched, cycles)
-    t_total = cycles * sched.cycle_time
+    sched = apply_fault(scenario.schedule(), deltas)
+    u_dd = simulate_cycles(drift, sched, delta_t, cycles)
+    t_total = cycles * (sched.sub_intervals * delta_t)
     u_free = pulses._expm_herm(drift.total(), t_total)
     psi = random_state(scenario.rep.dimension, rng)
     return (fidelity_error(drift, u_dd, psi),

@@ -17,6 +17,7 @@ and fault) are each computed once and reused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,11 +26,15 @@ import numpy as np
 from .group_theory import (ShapeError, UnitaryRep, _read_only, is_hermitian,
                            phase_distance, pi_G)
 from .pulses import (ControlSchedule, PulseProfile, _expm_eig, _expm_herm,
-                     fault_segments, merged_segments)
+                     checked_delta_t, fault_segments, merged_segments)
 
 
 class TimeOutOfRangeError(ValueError):
     pass
+
+
+class UnitarityError(ValueError):
+    """A propagated cycle drifted off unitarity by more than 1e-8 * dim."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +94,14 @@ def _env_blocks(h: np.ndarray) -> np.ndarray:
     return np.einsum("ikjk->kij", h)
 
 
-def control_propagator(schedule: ControlSchedule, t: float) -> np.ndarray:
-    """U_c(t), reduced modulo the cycle time; exact per segment."""
+def control_propagator(schedule: ControlSchedule, t: float,
+                       delta_t: float) -> np.ndarray:
+    """U_c(t) for sub-intervals ``delta_t``, reduced modulo the cycle time;
+    exact per segment."""
+    dt = checked_delta_t(delta_t)
     if not 0 <= t < np.inf:
         raise TimeOutOfRangeError("time out of range")
-    dt = schedule.delta_t
-    tc = schedule.cycle_time
-    t = t % tc if tc > 0 else 0.0
+    t = t % (schedule.sub_intervals * dt)
     ell = int(t // dt)
     s = t - ell * dt
     frame = schedule.stroboscopic_frames()[ell]
@@ -160,7 +166,7 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     The sub-interval average F(H0) is computed once per distinct profile
     and conjugated by the stroboscopic frame of every step that pulses it;
     a free step has F(H0) = H0, and a kick acts through the frames only.
-    The result depends on the path and the profiles but not on delta_t.
+    The result depends on the path and the profiles, not on delta_t.
     """
     H0 = np.asarray(H0, dtype=complex)
     if not is_hermitian(H0):
@@ -218,21 +224,24 @@ def residual_error(rep: UnitaryRep, profiles: dict, deltas: dict) -> np.ndarray:
 
 
 def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
-                    cycles: int = 1) -> np.ndarray:
-    """Joint propagator of H0 + H_c(t) ⊗ I over [0, cycles * T_c].
+                    delta_t: float, cycles: int = 1) -> np.ndarray:
+    """Joint propagator of H0 + H_c(t) ⊗ I over [0, cycles * L * delta_t].
 
     The total Hamiltonian is piecewise constant, so one exponential per
     control segment is exact.  A profile and its fault replay unchanged in
     every step that carries both, so the exponential of each of their
     merged segments is computed once per distinct (profile, fault) and
     reused along the steps; each kick is applied after its step's segments.
+    A propagator off unitarity by more than 1e-8 * dim (rounding that
+    ``cycles`` compounds) is a UnitarityError.
     """
+    dt = checked_delta_t(delta_t)
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     drift.validate()
     d, de = drift.system_dim, drift.env_dim
     dim = d * de
-    exps = _segment_exponentials(drift, schedule)
+    exps = _segment_exponentials(drift, schedule, dt)
     u = None                        # the cycle, from the first exponential on
     for step in schedule.steps:
         for e in exps[(step.profile, id(step.fault))]:
@@ -245,18 +254,19 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
     gram.ravel()[::dim + 1] -= 1.0
     err = np.linalg.norm(gram)
     if err > 1e-8 * dim:
-        raise RuntimeError(f"propagator lost unitarity: drift {err:.2e}")
+        raise UnitarityError(f"propagator lost unitarity over {cycles} cycles: "
+                             f"drift {err:.2e}; use fewer cycles")
     return u
 
 
-def _segment_exponentials(drift: DriftModel, schedule: ControlSchedule) -> dict:
+def _segment_exponentials(drift: DriftModel, schedule: ControlSchedule,
+                          dt: float) -> dict:
     """The joint exponential of each merged segment of each distinct
     (profile, fault) of ``schedule``, keyed by (profile, id(fault)) (fault
     segments are tuples of arrays).  Each is taken of one copy of H0 that
     holds the segment's rate in its d_E diagonal blocks."""
     H0 = drift.total()
     d, de = drift.system_dim, drift.env_dim
-    dt = schedule.delta_t
     h = H0.copy()
     blocks = _env_blocks(h.reshape(d, de, d, de))
     exps = {}
@@ -274,17 +284,19 @@ def _segment_exponentials(drift: DriftModel, schedule: ControlSchedule) -> dict:
 
 
 def decoupling_distance(drift: DriftModel, schedule: ControlSchedule,
-                        cycles: int = 1) -> float:
+                        delta_t_values, cycles: int = 1) -> list:
     """Phase-aligned Frobenius distance between the stroboscopic propagator
-    and exp(-i Hbar M T_c)."""
-    hbar = average_hamiltonian(schedule, drift.total())
-    return _distance_to_average(drift, schedule, cycles, np.linalg.eigh(hbar))
-
-
-def _distance_to_average(drift: DriftModel, schedule: ControlSchedule,
-                         cycles: int, hbar_eig: tuple) -> float:
-    """``decoupling_distance`` for the eigenpairs (λ, V) of a given average
-    Hamiltonian, which a delta_t sweep decomposes once since it does not
-    depend on delta_t."""
-    u = simulate_cycles(drift, schedule, cycles)
-    return phase_distance(u, _expm_eig(*hbar_eig, cycles * schedule.cycle_time))
+    and exp(-i Hbar M T_c), for each delta_t of ``delta_t_values``, from
+    one Hbar and one eigh.  A delta_t whose M T_c is not finite is refused
+    before any run."""
+    times = []
+    for dt in delta_t_values:
+        t = cycles * (schedule.sub_intervals * checked_delta_t(dt))
+        if not math.isfinite(t):
+            raise ValueError(f"delta_t {dt!r} is too large: the propagated "
+                             f"time {cycles} x {schedule.sub_intervals} x "
+                             f"delta_t is not finite")
+        times.append((dt, t))
+    lam, V = np.linalg.eigh(average_hamiltonian(schedule, drift.total()))
+    return [phase_distance(simulate_cycles(drift, schedule, dt, cycles),
+                           _expm_eig(lam, V, t)) for dt, t in times]

@@ -15,7 +15,8 @@ import yaml
 
 from . import analysis
 from .pulses import (GridMismatchError, RealizationError, SegmentError,
-                     constant_profile, fault_segments, piecewise_profile)
+                     checked_delta_t, constant_profile, fault_segments,
+                     piecewise_profile)
 
 
 # libyaml's C loader and dumper when PyYAML was built with it; they parse and
@@ -313,8 +314,10 @@ def fault_from_doc(doc: dict, rep) -> dict:
 
 
 def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
-    """Segment-by-segment timeline of the Eulerian schedule as YAML text."""
-    sched = scenario.schedule(delta_t)
+    """Segment-by-segment timeline of the Eulerian schedule at ``delta_t``,
+    as YAML text."""
+    delta_t = checked_delta_t(delta_t)
+    sched = scenario.schedule()
     ham_docs = {}
     ham_ids = []
 
@@ -370,7 +373,8 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
 
 
 def import_schedule(text: str):
-    """Rebuild a ControlSchedule from exported YAML text."""
+    """Rebuild a ControlSchedule from exported YAML text; the file's
+    ``delta_t`` turns the rows into (fraction, angle rate) segments."""
     doc = _load(text)
     if not isinstance(doc, dict):
         raise ConfigError("schedule file must be a mapping")
@@ -439,7 +443,7 @@ def import_schedule(text: str):
             raise ConfigError(f"timeline[{k}].start is {start!r}, but the "
                               f"durations before it sum to {t!r}")
         t += dur
-    return scenario.schedule(delta_t)
+    return scenario.schedule()
 
 
 def _check_timeline(rows, path) -> None:

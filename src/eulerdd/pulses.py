@@ -252,17 +252,17 @@ class Step:
 
 @dataclass
 class ControlSchedule:
-    """Full cyclic control timeline: one step per sub-interval of length
-    delta_t.  The control during step l is u_l(s) f_l, where u_l is the
-    step's profile and the frames are f_0 = I, f_{l+1} = K_l u_l(1) f_l,
-    K_l being the step's kick (left out when None).  Each step carries its
-    own profile, kick and fault, so steps of one color may pulse different
-    profiles.  ``path`` is the Euler path an Eulerian schedule follows, None
-    for a schedule that follows none.
+    """Full cyclic control timeline: one step per sub-interval.  The
+    control during step l is u_l(s) f_l, where u_l is the step's profile
+    and the frames are f_0 = I, f_{l+1} = K_l u_l(1) f_l, K_l being the
+    step's kick (left out when None).  Each step carries its own profile,
+    kick and fault, so steps of one color may pulse different profiles.
+    ``path`` is the Euler path an Eulerian schedule follows, None for a
+    schedule that follows none.  The rates are angle rates, so a schedule
+    holds no delta_t; its cycle time is ``sub_intervals * delta_t``.
     """
 
     rep: UnitaryRep
-    delta_t: float
     steps: tuple
     path: EulerPath = None
 
@@ -271,21 +271,18 @@ class ControlSchedule:
         return len(self.steps)
 
     @property
-    def cycle_time(self) -> float:
-        return self.sub_intervals * self.delta_t
-
-    @property
     def profiles(self) -> dict:
         """color -> the profile of the last step of that color; defined for
         a schedule whose steps of one color all pulse one profile."""
         return {step.color: step.profile for step in self.steps}
 
     @property
-    def max_hamiltonian_norm(self) -> float:
+    def max_rate_norm(self) -> float:
+        """Largest Hamiltonian norm in 1/delta_t units; inf if a step kicks."""
         if any(step.kick is not None for step in self.steps):
             return float("inf")  # kicks are impulsive by construction
         distinct = {step.profile for step in self.steps}
-        return max(p.max_rate_norm for p in distinct) / self.delta_t
+        return max(p.max_rate_norm for p in distinct)
 
     def stroboscopic_frames(self) -> tuple:
         """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c.
@@ -307,18 +304,16 @@ class ControlSchedule:
         return tuple(frames)
 
 
-def eulerian_schedule(path: EulerPath, profiles: dict, delta_t: float,
+def eulerian_schedule(path: EulerPath, profiles: dict,
                       rep: UnitaryRep) -> ControlSchedule:
     """Assemble the Eulerian schedule: pulse the color-c profile during the
-    l'th sub-interval, c being the l'th path color; T_c = L * delta_t."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    l'th sub-interval, c being the l'th path color."""
     if len(path) == 0:
         raise ValueError("empty path: decoupling requires |G| > 1")
     for c in path.colors:
         if c not in profiles:
             raise IncompleteProfileSetError(f"incomplete profile set: no profile for color {c}")
-    sched = ControlSchedule(rep=rep, delta_t=delta_t, path=path,
+    sched = ControlSchedule(rep=rep, path=path,
                             steps=tuple(Step(c, profiles[c]) for c in path.colors))
     # closure: the path returns to the identity, so U_c(T_c) ~ identity
     closing = sched.stroboscopic_frames()[-1]
@@ -327,18 +322,24 @@ def eulerian_schedule(path: EulerPath, profiles: dict, delta_t: float,
     return sched
 
 
-def bangbang_schedule(group, rep: UnitaryRep, delta_t: float) -> ControlSchedule:
+def bangbang_schedule(group, rep: UnitaryRep) -> ControlSchedule:
     """Baseline impulsive schedule: free evolution in frame g_l during
     sub-interval l, then the kick g_{l+1} g_l† (indices mod |G|)."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
     n = group.order
     if n <= 1:
         raise ValueError("decoupling requires |G| > 1")
     mats = rep.matrices
     free = piecewise_profile(0, rep, [(1.0, np.zeros_like(mats[0]))])
-    return ControlSchedule(rep=rep, delta_t=delta_t, steps=tuple(
+    return ControlSchedule(rep=rep, steps=tuple(
         Step(None, free, mats[(l + 1) % n] @ mats[l].conj().T) for l in range(n)))
+
+
+def checked_delta_t(delta_t: float) -> float:
+    """The sub-interval length ``delta_t``; a ValueError unless it is a
+    finite number > 0 (an infinite one propagates to nan)."""
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be positive and finite, got {delta_t!r}")
+    return delta_t
 
 
 def _merge_grids(profile_segs, fault_segs):

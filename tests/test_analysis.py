@@ -386,10 +386,38 @@ class TestScalingStudy:
 
     def test_zero_delta_t_refused(self):
         sc = carr_purcell_scenario()
-        for run in (lambda: sc.schedule(0.0), lambda: sc.bangbang(0.0),
-                    lambda: scaling_study(sc, [0.0, 0.01])):
+        for run in (lambda: scaling_study(sc, [0.0, 0.01]),
+                    lambda: scaling_study(sc, [0.01, 0.0], kind="bangbang"),
+                    lambda: fault_fidelity_comparison(sc, {}, 0.0, 1)):
             with pytest.raises(ValueError, match="delta_t must be positive"):
                 run()
+
+    @pytest.mark.parametrize("kind,builder", [
+        ("eulerian", "eulerian_schedule"), ("bangbang", "bangbang_schedule")])
+    def test_schedule_built_once_per_sweep(self, kind, builder, monkeypatch):
+        # a schedule holds no delta_t, so one serves every delta_t
+        real, calls = getattr(analysis, builder), []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, builder, counted)
+        study = scaling_study(carr_purcell_scenario(), [0.02, 0.01, 0.005],
+                              kind=kind)
+        assert len(calls) == 1
+        assert [r.cycle_time for r in study.rows] == [2 * 0.02, 2 * 0.01, 2 * 0.005]
+
+    @pytest.mark.parametrize("delta_t,cycles,error,message", [
+        ([1e308, 1e307], 10, ValueError, "delta_t 1e+308 is too large"),
+        ([0.02, 0.01], 10 ** 9, dynamics.UnitarityError,
+         "lost unitarity over 1000000000 cycles"),
+    ], ids=["overflowing-delta-t", "too-many-cycles"])
+    def test_sweep_refusals(self, delta_t, cycles, error, message):
+        with pytest.raises(error) as info:
+            scaling_study(carr_purcell_scenario(), delta_t, cycles=cycles)
+        assert message in str(info.value)
+        assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("kind", ["eulerian", "bangbang"])
     def test_average_hamiltonian_once_per_sweep(self, kind, monkeypatch):
@@ -399,7 +427,6 @@ class TestScalingStudy:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(analysis, "average_hamiltonian", counted)
         monkeypatch.setattr(dynamics, "average_hamiltonian", counted)
         sc = symmetric_s3_scenario()
         study = scaling_study(sc, [0.02, 0.01, 0.005], kind=kind)
@@ -408,7 +435,7 @@ class TestScalingStudy:
         drift = sc.generic_drift()
         make = sc.schedule if kind == "eulerian" else sc.bangbang
         assert sorted(r.distance for r in study.rows) == sorted(
-            dynamics.decoupling_distance(drift, make(dt))
+            dynamics.decoupling_distance(drift, make(), [dt])[0]
             for dt in (0.02, 0.01, 0.005))
 
     @pytest.mark.parametrize("kind", ["eulerain", "", None])

@@ -281,6 +281,16 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--delta-t", "1e308,1e307"),
+         "delta_t 1e+308 is too large: the propagated time 10 x 2 x delta_t"),
+        (("--delta-t", "0.02,0.01", "--cycles", "1000000000"),
+         "propagator lost unitarity over 1000000000 cycles"),
+    ], ids=["overflowing-delta-t", "too-many-cycles"])
+    def test_sweep_refusal_exits_2(self, capsys, flags, message):
+        assert_refused(capsys, ("sweep", "--scenario", "carr-purcell", *flags),
+                       message)
+
     def test_repeated_delta_t_exits_2(self, capsys):
         # two equal cycle times leave the slope fit rank-deficient
         assert_refused(capsys, ("sweep", "--scenario", "carr-purcell",

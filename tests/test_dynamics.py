@@ -10,7 +10,7 @@ from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
                               random_hermitian, scaling_study, spin_flip_scenario,
                               symmetric_s3_scenario, verify_theorem)
 from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
-                              _sub_interval_integral, average_hamiltonian,
+                              UnitarityError, _sub_interval_integral, average_hamiltonian,
                               control_propagator, decoupling_distance, f_map,
                               q_map, residual_error, simulate_cycles)
 from eulerdd.cayley import build_cayley, eulerian_cycle
@@ -71,7 +71,7 @@ class TestSegmentProducts:
         sc = carr_purcell_scenario()
         drift = DriftModel(H_S=np.zeros((2, 2)), H_E=np.zeros((3, 3)),
                            couplings=())
-        u = simulate_cycles(drift, sc.bangbang(0.1), cycles=2)
+        u = simulate_cycles(drift, sc.bangbang(), 0.1, cycles=2)
         np.testing.assert_allclose(u, np.eye(6), atol=1e-14)
 
     def test_s3_two_factor_product(self):
@@ -82,67 +82,67 @@ class TestSegmentProducts:
     def test_unitarity(self):
         sc = symmetric_s3_scenario()
         drift = sc.generic_drift(env_dim=2, seed=0)
-        u = simulate_cycles(drift, sc.schedule(0.05), cycles=3)
+        u = simulate_cycles(drift, sc.schedule(), 0.05, cycles=3)
         assert np.linalg.norm(u.conj().T @ u - np.eye(16)) <= 1e-10 * 16
 
 
 class TestControlPropagator:
     def test_eulerian_z2_at_delta_t(self):
         sc = carr_purcell_scenario()
-        sched = sc.schedule(0.1)
-        assert equal_up_to_phase(control_propagator(sched, 0.1), SX, 1e-9)
+        sched = sc.schedule()
+        assert equal_up_to_phase(control_propagator(sched, 0.1, 0.1), SX, 1e-9)
 
     def test_identity_at_zero(self):
         sc = pauli_scenario(1)
-        for sched in (sc.schedule(0.1), sc.bangbang(0.1)):
-            np.testing.assert_allclose(control_propagator(sched, 0.0),
+        for sched in (sc.schedule(), sc.bangbang()):
+            np.testing.assert_allclose(control_propagator(sched, 0.0, 0.1),
                                        np.eye(2), atol=1e-12)
 
     def test_negative_time_out_of_range(self):
         # so is a time that is not finite, which no reduction modulo the
         # cycle time can place
-        sched = carr_purcell_scenario().schedule(0.1)
+        sched = carr_purcell_scenario().schedule()
         for t in (-0.1, np.nan, np.inf):
             with pytest.raises(TimeOutOfRangeError):
-                control_propagator(sched, t)
+                control_propagator(sched, t, 0.1)
 
     def test_closure_at_cycle_time(self):
         sc = pauli_scenario(1)
-        sched = sc.schedule(0.1)
-        u = control_propagator(sched, sched.cycle_time)
+        sched = sc.schedule()
+        u = control_propagator(sched, sched.sub_intervals * 0.1, 0.1)
         assert equal_up_to_phase(u, np.eye(2), 1e-9)
 
     def test_cyclicity(self):
         sc = carr_purcell_scenario()
-        sched = sc.schedule(0.1)
+        sched = sc.schedule()
         for t in (0.03, 0.15):
-            a = control_propagator(sched, t)
-            b = control_propagator(sched, t + sched.cycle_time)
+            a = control_propagator(sched, t, 0.1)
+            b = control_propagator(sched, t + sched.sub_intervals * 0.1, 0.1)
             assert phase_distance(a, b) <= 1e-9
 
     def test_bangbang_piecewise_constant(self):
         sc = pauli_scenario(1)
-        bb = sc.bangbang(0.1)
+        bb = sc.bangbang()
         for ell in range(4):
-            u = control_propagator(bb, ell * 0.1 + 0.05)
+            u = control_propagator(bb, ell * 0.1 + 0.05, 0.1)
             np.testing.assert_allclose(u, sc.rep.matrices[ell], atol=1e-12)
 
 
 class TestAverageHamiltonian:
     def test_bangbang_z2_kills_sigma_z(self):
         sc = carr_purcell_scenario()
-        avg = average_hamiltonian(sc.bangbang(0.1), SZ)
+        avg = average_hamiltonian(sc.bangbang(), SZ)
         np.testing.assert_allclose(avg, np.zeros((2, 2)), atol=1e-12)
 
     def test_eulerian_z2_kills_sigma_z(self):
         sc = carr_purcell_scenario()
-        avg = average_hamiltonian(sc.schedule(0.1), SZ)
+        avg = average_hamiltonian(sc.schedule(), SZ)
         assert np.linalg.norm(avg) <= 1e-7
 
     def test_invariant_operator_unchanged(self):
         sc = carr_purcell_scenario()
         H0 = 0.4 * SX + 0.1 * np.eye(2)
-        avg = average_hamiltonian(sc.schedule(0.1), H0)
+        avg = average_hamiltonian(sc.schedule(), H0)
         np.testing.assert_allclose(avg, H0, atol=1e-10)
 
     @pytest.mark.parametrize("make", [carr_purcell_scenario,
@@ -153,13 +153,13 @@ class TestAverageHamiltonian:
         H0 = random_hermitian(2 * sc.rep.dimension, np.random.default_rng(1))
         lifted = [np.kron(g, np.eye(2)) for g in sc.rep.matrices]
         expected = sum(g.conj().T @ H0 @ g for g in lifted) / len(lifted)
-        np.testing.assert_allclose(average_hamiltonian(sc.bangbang(0.1), H0),
+        np.testing.assert_allclose(average_hamiltonian(sc.bangbang(), H0),
                                    expected, atol=1e-12)
 
     def test_non_hermitian_rejected(self):
         sc = carr_purcell_scenario()
         with pytest.raises(ValueError):
-            average_hamiltonian(sc.schedule(0.1), SX + 1j * np.eye(2))
+            average_hamiltonian(sc.schedule(), SX + 1j * np.eye(2))
 
 
 class TestExactKernel:
@@ -208,16 +208,16 @@ class TestExactKernel:
 
     def test_joint_average_hamiltonian_matches_fine_grid(self):
         sc = symmetric_s3_scenario()
-        sched = sc.schedule(0.1)
+        sched = sc.schedule()
         H0 = sc.generic_drift(env_dim=2, seed=1).total()
-        dt, eye_e = sched.delta_t, np.eye(2)
+        dt, eye_e = 0.1, np.eye(2)
 
         def integrand(t):
-            u = np.kron(control_propagator(sched, t), eye_e)
+            u = np.kron(control_propagator(sched, t, dt), eye_e)
             return u.conj().T @ H0 @ u
 
         cuts = np.arange(2 * sched.sub_intervals + 1) * (dt / 2)
-        ref = fine_grid_integral(integrand, cuts, nodes=24) / sched.cycle_time
+        ref = fine_grid_integral(integrand, cuts, nodes=24) / (sched.sub_intervals * dt)
         got = average_hamiltonian(sched, H0)
         assert np.linalg.norm(got - ref) <= 1e-10
 
@@ -262,7 +262,7 @@ class TestKickedTimeline:
                                         (0.6, random_hermitian(2, rng))])
         self.b = PulseProfile(segments=[(1.0, 0.7 * SY)])
         self.kicks = [_expm_herm(random_hermitian(2, rng)) for _ in range(2)]
-        self.sched = ControlSchedule(rep=self.rep, delta_t=0.1, steps=(
+        self.sched = ControlSchedule(rep=self.rep, steps=(
             Step(0, self.a, self.kicks[0]), Step(1, self.b),
             Step(0, self.a, self.kicks[1])))
 
@@ -270,26 +270,26 @@ class TestKickedTimeline:
         plan = [(self.a, self.kicks[0]), (self.b, None), (self.a, self.kicks[1])]
         frame = np.eye(2, dtype=complex)
         for l, (prof, kick) in enumerate(plan):
-            mid = control_propagator(self.sched, (l + 0.5) * 0.1)
+            mid = control_propagator(self.sched, (l + 0.5) * 0.1, 0.1)
             assert np.linalg.norm(mid - segment_product(prof.segments, 0.5) @ frame) <= 1e-12
             frame = segment_product(prof.segments) @ frame
             if kick is not None:
                 frame = kick @ frame
             assert np.linalg.norm(self.sched.stroboscopic_frames()[l + 1] - frame) <= 1e-12
-        assert self.sched.max_hamiltonian_norm == float("inf")
+        assert self.sched.max_rate_norm == float("inf")
 
     def test_average_hamiltonian_matches_fine_grid(self):
         H0 = random_hermitian(4, np.random.default_rng(5))
         eye_e = np.eye(2)
 
         def integrand(t):
-            u = np.kron(control_propagator(self.sched, t), eye_e)
+            u = np.kron(control_propagator(self.sched, t, 0.1), eye_e)
             return u.conj().T @ H0 @ u
 
         cuts = np.concatenate([[0.0]] + [
             0.1 * (l + segment_cuts(step.profile.segments)[1:])
             for l, step in enumerate(self.sched.steps)])
-        ref = fine_grid_integral(integrand, cuts, nodes=24) / self.sched.cycle_time
+        ref = fine_grid_integral(integrand, cuts, nodes=24) / (3 * 0.1)
         got = average_hamiltonian(self.sched, H0)
         assert np.linalg.norm(got - ref) <= 1e-9
 
@@ -453,9 +453,9 @@ class TestJointOperators:
         # rate added to each environment block of H0
         sc = symmetric_s3_scenario()
         drift = sc.generic_drift(env_dim=3, seed=5)
-        sched = sc.bangbang(0.05) if kind == "bangbang" else sc.schedule(0.05)
-        got = simulate_cycles(drift, sched, cycles=2)
-        ref = np.linalg.matrix_power(per_step_cycles(drift, sched), 2)
+        sched = sc.bangbang() if kind == "bangbang" else sc.schedule()
+        got = simulate_cycles(drift, sched, 0.05, cycles=2)
+        ref = np.linalg.matrix_power(per_step_cycles(drift, sched, 0.05), 2)
         assert np.abs(got - ref).max() <= 1e-12
 
 
@@ -464,31 +464,66 @@ class TestSimulation:
         sc = carr_purcell_scenario()
         drift = DriftModel(H_S=np.zeros((2, 2)), H_E=np.zeros((1, 1)),
                            couplings=())
-        u = simulate_cycles(drift, sc.schedule(0.1), cycles=1)
+        u = simulate_cycles(drift, sc.schedule(), 0.1, cycles=1)
         assert phase_distance(np.eye(2), u) <= 1e-9
 
     def test_commuting_drift_free_evolution(self):
         sc = carr_purcell_scenario()
         drift = DriftModel(H_S=0.3 * SX, H_E=np.zeros((1, 1)), couplings=())
-        sched = sc.schedule(0.05)
-        u = simulate_cycles(drift, sched, cycles=3)
-        expected = _expm_herm(0.3 * SX, 3 * sched.cycle_time)
+        sched = sc.schedule()
+        u = simulate_cycles(drift, sched, 0.05, cycles=3)
+        expected = _expm_herm(0.3 * SX, 3 * (sched.sub_intervals * 0.05))
         assert phase_distance(expected, u) <= 1e-9
 
     def test_decoupling_distance_zero_drift(self):
         sc = carr_purcell_scenario()
         drift = DriftModel(H_S=np.zeros((2, 2)), H_E=np.zeros((1, 1)),
                            couplings=())
-        assert decoupling_distance(drift, sc.schedule(0.1)) <= 1e-9
+        (dist,) = decoupling_distance(drift, sc.schedule(), [0.1])
+        assert dist <= 1e-9
 
     def test_distance_scales_quadratically(self):
         sc = carr_purcell_scenario()
         E = np.array([[0.4, 0.3], [0.3, -0.2]])
         drift = DriftModel(H_S=np.zeros((2, 2)), H_E=0.1 * np.eye(2) * 0,
                            couplings=((SZ, E),))
-        d1 = decoupling_distance(drift, sc.schedule(0.02), cycles=2)
-        d2 = decoupling_distance(drift, sc.schedule(0.01), cycles=2)
+        d1, d2 = decoupling_distance(drift, sc.schedule(), [0.02, 0.01], cycles=2)
         assert d1 / d2 == pytest.approx(4.0, rel=0.15)
+
+    def test_decoupling_distance_per_delta_t(self):
+        # one distance per delta_t, each that of the cycle propagated alone
+        sc = symmetric_s3_scenario()
+        drift = sc.generic_drift(env_dim=2, seed=4)
+        sched = sc.schedule()
+        hbar = average_hamiltonian(sched, drift.total())
+        got = decoupling_distance(drift, sched, [0.02, 0.01], cycles=3)
+        assert len(got) == 2
+        for dt, dist in zip((0.02, 0.01), got):
+            want = phase_distance(simulate_cycles(drift, sched, dt, 3),
+                                  _expm_herm(hbar, 3 * (sched.sub_intervals * dt)))
+            assert dist == want
+
+    def test_overflowing_delta_t_refused_before_any_simulation(self, monkeypatch):
+        # 10 x 2 x 1e308 is inf: exp(-i Hbar inf) would be nan
+        sc = carr_purcell_scenario()
+        drift = sc.generic_drift(env_dim=2)
+        calls = []
+        monkeypatch.setattr(dynamics, "simulate_cycles",
+                            lambda *args: calls.append(args))
+        for values in ([1e308, 1e307], [0.01, 1e308]):
+            with pytest.raises(ValueError, match=r"^delta_t 1e\+308 is too large: "
+                                                 r"the propagated time 10 x 2 x"):
+                decoupling_distance(drift, sc.schedule(), values, cycles=10)
+        assert calls == []
+
+    def test_cycle_count_off_unitarity_refused(self):
+        # rounding compounds over 10^9 cycles past 1e-8 * dim; 10^6 stay in
+        sc = carr_purcell_scenario()
+        drift = sc.generic_drift(env_dim=2)
+        simulate_cycles(drift, sc.schedule(), 0.02, cycles=10 ** 6)
+        with pytest.raises(UnitarityError, match="over 1000000000 cycles") as info:
+            simulate_cycles(drift, sc.schedule(), 0.02, cycles=10 ** 9)
+        assert isinstance(info.value, ValueError)
 
     def test_traceless_coupling_enforced(self):
         drift = DriftModel(H_S=np.zeros((2, 2)), H_E=np.zeros((2, 2)),
@@ -499,8 +534,8 @@ class TestSimulation:
     def test_faulty_simulation_runs(self):
         sc = carr_purcell_scenario()
         drift = sc.generic_drift(env_dim=2, seed=0)
-        faulty = apply_fault(sc.schedule(0.01), {0: [(1.0, 0.1 * SY)]})
-        u = simulate_cycles(drift, faulty, cycles=2)
+        faulty = apply_fault(sc.schedule(), {0: [(1.0, 0.1 * SY)]})
+        u = simulate_cycles(drift, faulty, 0.01, cycles=2)
         dim = u.shape[0]
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-9
 
@@ -568,16 +603,13 @@ class TestSegmentReuse:
     def test_simulate_cycles_matches_per_sub_interval_loop(self, make, kind, env_dim):
         sc = make()
         drift = sc.generic_drift(env_dim=env_dim, seed=env_dim)
-        if kind == "bangbang":
-            sched = sc.bangbang(0.05)
-        else:
-            sched = sc.schedule(0.05)
+        sched = sc.bangbang() if kind == "bangbang" else sc.schedule()
         fault = None
         if kind == "fault":
             rng = np.random.default_rng(env_dim)
             fault = finer_grid_fault(rng, sc.rep.dimension, sorted(sc.profiles))
             sched = apply_fault(sched, fault)
-        got = simulate_cycles(drift, sched, cycles=3)
+        got = simulate_cycles(drift, sched, 0.05, cycles=3)
         ref = per_sub_interval_cycles(drift, sc, 0.05, kind == "bangbang", fault,
                                       cycles=3)
         assert np.linalg.norm(got - ref) <= 1e-12
@@ -605,7 +637,7 @@ class TestSegmentReuse:
 
     def test_cached_arrays_are_shared_read_only(self):
         sc = symmetric_s3_scenario()
-        sched = sc.schedule(0.01)
+        sched = sc.schedule()
         drift = sc.generic_drift(env_dim=2)
         assert sched.stroboscopic_frames() is sched.stroboscopic_frames()
         assert drift.total() is drift.total()
@@ -617,12 +649,12 @@ class TestSegmentReuse:
 
     def test_control_propagator_reuses_frames_and_spectra(self, eigh_calls):
         sc = symmetric_s3_scenario()
-        sched = sc.schedule(0.1)
+        sched = sc.schedule()
         for prof in sc.profiles.values():
             prof.spectra
         del eigh_calls[:]
-        for t in np.linspace(0.0, 2 * sched.cycle_time, 50):
-            control_propagator(sched, t)
+        for t in np.linspace(0.0, 2 * sched.sub_intervals * 0.1, 50):
+            control_propagator(sched, t, 0.1)
         assert eigh_calls == []
 
     def test_sweep_makes_one_joint_exponential_per_color_and_delta_t(
@@ -657,7 +689,7 @@ class TestSegmentReuse:
         sc = symmetric_s3_scenario()
         drift = sc.generic_drift(env_dim=2, seed=0)
         monkeypatch.setattr(dynamics, "simulate_cycles",
-                            lambda drift, sched, cycles: np.eye(16))
+                            lambda drift, sched, delta_t, cycles: np.eye(16))
         del eigh_calls[:]
         scaling_study(sc, [0.02 / 2 ** k for k in range(points)], drift=drift)
         assert eigh_calls == [(16, 16)]
@@ -684,8 +716,7 @@ def mirrored(schedule):
     profile reversed: one color carries two profiles."""
     back = tuple(Step(s.color, reversed_profile(s.profile))
                  for s in schedule.steps[::-1])
-    return ControlSchedule(rep=schedule.rep, delta_t=schedule.delta_t,
-                           steps=schedule.steps + back)
+    return ControlSchedule(rep=schedule.rep, steps=schedule.steps + back)
 
 
 def with_fault(segments, fault_segments):
@@ -704,13 +735,12 @@ def with_fault(segments, fault_segments):
             for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def per_step_cycles(drift, schedule, fault=None):
-    """One cycle as a product of fresh exponentials, step by step: each
-    step's own profile, with the fault of its color when ``fault`` maps
-    colors to (fraction, rate) segments."""
+def per_step_cycles(drift, schedule, dt, fault=None):
+    """One cycle of sub-intervals ``dt`` as a product of fresh
+    exponentials, step by step: each step's own profile, with the fault of
+    its color when ``fault`` maps colors to (fraction, rate) segments."""
     H0 = kron_total(drift)
     eye_e = np.eye(drift.env_dim)
-    dt = schedule.delta_t
     u = np.eye(H0.shape[0], dtype=complex)
     for step in schedule.steps:
         segs = step.profile.segments
@@ -733,15 +763,15 @@ class TestMirroredTimeline:
                                       carr_purcell_scenario])
     def test_simulate_cycles_matches_per_step_product(self, make, faulty, env_dim):
         sc = make()
-        sched = mirrored(sc.schedule(0.05))
+        sched = mirrored(sc.schedule())
         drift = sc.generic_drift(env_dim=env_dim, seed=3)
         fault = None
         if faulty:
             fault = finer_grid_fault(np.random.default_rng(env_dim),
                                      sc.rep.dimension, sorted(sc.profiles))
             sched = apply_fault(sched, fault)
-        got = simulate_cycles(drift, sched)
-        assert np.abs(got - per_step_cycles(drift, sched, fault)).max() <= 1e-12
+        got = simulate_cycles(drift, sched, 0.05)
+        assert np.abs(got - per_step_cycles(drift, sched, 0.05, fault)).max() <= 1e-12
 
 
 @st.composite
@@ -785,7 +815,7 @@ class TestRandomMirroredTimelines:
             except RealizationError:
                 assume(False)
         forward = eulerian_schedule(eulerian_cycle(build_cayley(group)),
-                                    profiles, 0.05, rep)
+                                    profiles, rep)
         back = mirrored(forward)
         assert np.linalg.norm(back.stroboscopic_frames()[-1] - np.eye(d)) <= 1e-12
 
@@ -799,5 +829,5 @@ class TestRandomMirroredTimelines:
 
         fault = finer_grid_fault(rng, d, sorted(profiles))
         for sched, f in ((back, None), (apply_fault(back, fault), fault)):
-            got = simulate_cycles(drift, sched)
-            assert np.abs(got - per_step_cycles(drift, sched, f)).max() <= 1e-12
+            got = simulate_cycles(drift, sched, 0.05)
+            assert np.abs(got - per_step_cycles(drift, sched, 0.05, f)).max() <= 1e-12

@@ -495,7 +495,7 @@ class TestEulerianIdentities:
         d = rep.dimension
         X, H0 = random_hermitian(d, rng), random_hermitian(d, rng)
         assert np.linalg.norm(q_map(rep, profiles, X) - pi_G(rep, X)) <= 1e-9
-        sched = eulerian_schedule(path, profiles, 0.1, rep)
+        sched = eulerian_schedule(path, profiles, rep)
         for frame, v in zip(sched.stroboscopic_frames(), path.vertices):
             assert equal_up_to_phase(frame, rep.matrices[v], 1e-9)
         assert np.linalg.norm(average_hamiltonian(sched, H0)
@@ -506,7 +506,7 @@ class TestEulerianIdentities:
         A = random_hermitian(d, rng)
         back = hermitian_log(rep.matrices[gen] @ _expm_herm(A, -1.0))
         profiles[0] = piecewise_profile(gen, rep, [(0.5, 2 * A), (0.5, 2 * back)])
-        sched = eulerian_schedule(path, profiles, 0.1, rep)
+        sched = eulerian_schedule(path, profiles, rep)
         assert np.linalg.norm(average_hamiltonian(sched, H0)
                               - q_map(rep, profiles, H0)) <= 1e-10
 
@@ -521,13 +521,13 @@ class TestEulerianIdentities:
         except GroupClosureError:
             assume(False)
         assume(group.order > 1)
-        frames = bangbang_schedule(group, rep, 0.1).stroboscopic_frames()
+        frames = bangbang_schedule(group, rep).stroboscopic_frames()
         assert len(frames) == group.order + 1
         for frame, g in zip(frames, rep.matrices):
             assert np.linalg.norm(frame - g) <= 1e-12
         assert np.linalg.norm(frames[-1] - np.eye(rep.dimension)) <= 1e-12
         H0 = random_hermitian(rep.dimension, np.random.default_rng(seed))
-        avg = average_hamiltonian(bangbang_schedule(group, rep, 0.1), H0)
+        avg = average_hamiltonian(bangbang_schedule(group, rep), H0)
         assert np.linalg.norm(avg - pi_G(rep, H0)) <= 1e-10
 
 

@@ -256,7 +256,7 @@ class TestFaultDocs:
         assert np.array_equal(residual_error(sc.rep, sc.profiles, from_doc),
                               residual_error(sc.rep, sc.profiles, fault))
         drift = sc.generic_drift(env_dim=2, seed=0)
-        got, want = (simulate_cycles(drift, apply_fault(sc.schedule(0.05), f))
+        got, want = (simulate_cycles(drift, apply_fault(sc.schedule(), f), 0.05)
                      for f in (from_doc, fault))
         assert np.array_equal(got, want)
 
@@ -322,8 +322,16 @@ class TestScheduleExport:
         for sc in (carr_purcell_scenario(), symmetric_s3_scenario()):
             text = export_schedule(sc, 0.01)
             sched = import_schedule(text)
-            orig = sc.schedule(0.01)
-            assert sched.cycle_time == pytest.approx(orig.cycle_time)
+            orig = sc.schedule()
+            assert sched.sub_intervals == orig.sub_intervals
+            # the file's delta_t turns the rows back into the profiles'
+            # (fraction, rate) segments
+            for c, prof in orig.profiles.items():
+                got = sched.profiles[c].segments
+                assert len(got) == len(prof.segments)
+                for (f, r), (fo, ro) in zip(got, prof.segments):
+                    assert abs(f - fo) <= 1e-12
+                    assert np.abs(r - ro).max() <= 1e-12
             a = orig.stroboscopic_frames()
             b = sched.stroboscopic_frames()
             for fa, fb in zip(a, b):

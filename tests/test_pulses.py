@@ -12,9 +12,10 @@ from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
                               pauli_scenario, random_hermitian,
                               spin_flip_scenario, swap_gate,
                               symmetric_s3_scenario)
-from eulerdd.dynamics import residual_error
+from eulerdd.dynamics import control_propagator, residual_error, simulate_cycles
 from eulerdd.group_theory import close_group, equal_up_to_phase, in_algebra
-from eulerdd.io import ConfigError, encode_matrix, fault_from_doc
+from eulerdd.io import (ConfigError, encode_matrix, export_schedule,
+                        fault_from_doc)
 from eulerdd.pulses import (GridMismatchError, IncompleteProfileSetError,
                             RealizationError, SegmentError,
                             UnreachableGeneratorError, apply_fault,
@@ -133,8 +134,8 @@ class TestPiecewiseProfile:
 class TestSchedules:
     def test_eulerian_z2_structure(self):
         sc = carr_purcell_scenario()
-        sched = sc.schedule(0.1)
-        assert sched.cycle_time == pytest.approx(0.2)
+        sched = sc.schedule()
+        assert sched.sub_intervals * 0.1 == pytest.approx(0.2)
         frames = sched.stroboscopic_frames()
         assert equal_up_to_phase(frames[1], SX, 1e-9)
         assert equal_up_to_phase(frames[2], np.eye(2), 1e-9)
@@ -142,11 +143,11 @@ class TestSchedules:
     def test_missing_profile_rejected(self):
         sc = pauli_scenario(1)
         with pytest.raises(IncompleteProfileSetError):
-            eulerian_schedule(sc.path, {0: sc.profiles[0]}, 0.01, sc.rep)
+            eulerian_schedule(sc.path, {0: sc.profiles[0]}, sc.rep)
 
     def test_stroboscopic_frames_visit_each_element_gamma_times(self):
         for sc in (pauli_scenario(1), symmetric_s3_scenario()):
-            sched = sc.schedule(0.01)
+            sched = sc.schedule()
             frames = sched.stroboscopic_frames()[:-1]
             counts = [0] * sc.group.order
             for f in frames:
@@ -158,22 +159,22 @@ class TestSchedules:
 
     def test_stroboscopic_frames_follow_the_path_vertices(self):
         for sc in (pauli_scenario(2), symmetric_s3_scenario()):
-            frames = sc.schedule(0.01).stroboscopic_frames()
+            frames = sc.schedule().stroboscopic_frames()
             assert len(frames) == len(sc.path.vertices)
             for frame, v in zip(frames, sc.path.vertices):
                 assert equal_up_to_phase(frame, sc.rep.matrices[v], 1e-9)
 
     def test_bangbang_matches_eulerian_frame_set(self):
         sc = pauli_scenario(1)
-        bb = sc.bangbang(0.01)
-        assert bb.cycle_time == pytest.approx(0.04)
+        bb = sc.bangbang()
+        assert bb.sub_intervals * 0.01 == pytest.approx(0.04)
         bb_frames = bb.stroboscopic_frames()[:-1]
         for f in bb_frames:
             assert any(equal_up_to_phase(f, m, 1e-9) for m in sc.rep.matrices)
 
     def test_bangbang_kicks(self):
         group, rep = close_group([SX, SZ])
-        bb = bangbang_schedule(group, rep, 0.01)
+        bb = bangbang_schedule(group, rep)
         kicks = [s.kick for s in bb.steps]
         assert len(kicks) == group.order
         mats = rep.matrices
@@ -183,25 +184,32 @@ class TestSchedules:
 
     def test_bounded_control_norm(self):
         sc = symmetric_s3_scenario()
-        sched = sc.schedule(0.01)
+        sched = sc.schedule()
         # max amplitude is the pi/2-rate exchange pulse: |pi/2 h(k,l)| / dt
         expected = (np.pi / 2) * np.linalg.norm(heisenberg(3, 0, 1), 2) / 0.01
-        assert sched.max_hamiltonian_norm == pytest.approx(expected)
+        assert sched.max_rate_norm / 0.01 == pytest.approx(expected)
 
     def test_control_norm_is_the_maximum_over_every_step(self):
         # the strongest profile of color 0 is not its last one
         _, rep = close_group([SX])
         strong = pulses.PulseProfile(segments=[(1.0, 3.0 * SX)])
         weak = pulses.PulseProfile(segments=[(0.5, 0.5 * SY), (0.5, 0.2 * SZ)])
-        sched = pulses.ControlSchedule(rep=rep, delta_t=0.1, steps=(
+        sched = pulses.ControlSchedule(rep=rep, steps=(
             pulses.Step(0, strong), pulses.Step(0, weak)))
         assert sched.profiles[0] is weak
-        assert sched.max_hamiltonian_norm == pytest.approx(3.0 / 0.1)
+        assert sched.max_rate_norm / 0.1 == pytest.approx(3.0 / 0.1)
 
     def test_invalid_delta_t(self):
+        # a schedule holds no delta_t: it is refused where time enters
         sc = carr_purcell_scenario()
-        with pytest.raises(ValueError):
-            sc.schedule(-1.0)
+        drift = sc.generic_drift(env_dim=2)
+        for dt in (-1.0, 0.0, np.nan, np.inf):
+            for run in (lambda: simulate_cycles(drift, sc.schedule(), dt),
+                        lambda: simulate_cycles(drift, sc.bangbang(), dt),
+                        lambda: control_propagator(sc.schedule(), 0.0, dt),
+                        lambda: export_schedule(sc, dt)):
+                with pytest.raises(ValueError, match="delta_t must be positive"):
+                    run()
 
 
 class TestIdentity:
@@ -226,7 +234,7 @@ class TestIdentity:
 class TestFaults:
     def test_zero_fault_is_identity_operation(self):
         sc = carr_purcell_scenario()
-        sched = sc.schedule(0.05)
+        sched = sc.schedule()
         faulty = apply_fault(sched, {0: [(1.0, np.zeros((2, 2)))]})
         for step in faulty.steps:
             for frac, ideal, err in merged_segments(step.profile, step.fault):
@@ -234,7 +242,7 @@ class TestFaults:
 
     def test_constant_fault_merges_onto_profile_grid(self):
         sc = symmetric_s3_scenario()
-        sched = sc.schedule(0.05)
+        sched = sc.schedule()
         faulty = apply_fault(sched, {1: [(1.0, 0.1 * heisenberg(3, 0, 1))]})
         for step in faulty.steps:
             if step.color != 1:
@@ -247,7 +255,7 @@ class TestFaults:
 
     def test_bad_fault_grid_rejected(self):
         sc = carr_purcell_scenario()
-        for meet in (lambda f: apply_fault(sc.schedule(0.05), f),
+        for meet in (lambda f: apply_fault(sc.schedule(), f),
                      lambda f: residual_error(sc.rep, sc.profiles, f)):
             with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.fraction: "
                                                  r"the fractions sum to 0\.4,"):
@@ -255,7 +263,7 @@ class TestFaults:
 
     def test_unknown_color_rejected(self):
         sc = carr_purcell_scenario()
-        sched = sc.schedule(0.05)
+        sched = sc.schedule()
         with pytest.raises(GridMismatchError):
             apply_fault(sched, {5: [(1.0, SX)]})
 
@@ -267,7 +275,7 @@ class TestFaults:
             residual_error(sc.rep, sc.profiles, {color: [(1.0, 0.1 * SX)]})
 
     def test_bangbang_steps_carry_no_fault_color(self):
-        bb = carr_purcell_scenario().bangbang(0.05)
+        bb = carr_purcell_scenario().bangbang()
         assert [s.color for s in bb.steps] == [None, None]
         with pytest.raises(GridMismatchError, match="unknown color 0"):
             apply_fault(bb, {0: [(1.0, SX)]})
@@ -279,7 +287,7 @@ class TestFaults:
         sc = carr_purcell_scenario()
         fault = {0: [(1.0, np.kron(SX, SX))]}
         message = r"^deltas\[0\]\[0\]\.rate must be a Hermitian 2 x 2 matrix"
-        for meet in (lambda: apply_fault(sc.schedule(0.05), fault),
+        for meet in (lambda: apply_fault(sc.schedule(), fault),
                      lambda: residual_error(sc.rep, sc.profiles, fault)):
             with pytest.raises(SegmentError, match=message):
                 meet()
@@ -287,14 +295,14 @@ class TestFaults:
     def test_steps_of_one_color_share_one_fault_tuple(self):
         # simulate_cycles keys its exponentials on id(step.fault)
         sc = symmetric_s3_scenario()
-        faulty = apply_fault(sc.schedule(0.05),
+        faulty = apply_fault(sc.schedule(),
                              {0: [(1.0, 0.1 * heisenberg(3, 0, 1))]})
         faults = {id(step.fault) for step in faulty.steps if step.color == 0}
         assert len(faults) == 1
 
     def test_bangbang_fault_rejected(self):
         sc = carr_purcell_scenario()
-        bb = sc.bangbang(0.05)
+        bb = sc.bangbang()
         with pytest.raises(ValueError):
             apply_fault(bb, {0: [(1.0, SX)]})
 
@@ -344,8 +352,7 @@ class TestSegmentRule:
             return None
 
         free = piecewise_profile(0, rep, [(1.0, np.zeros((d, d)))])
-        sched = pulses.ControlSchedule(rep=rep, delta_t=0.1,
-                                       steps=(pulses.Step(0, free),))
+        sched = pulses.ControlSchedule(rep=rep, steps=(pulses.Step(0, free),))
         doc = {0: [{"fraction": f, "rate": encode_matrix(r)} for f, r in segs]}
         refusals = [
             refusal(lambda: segment_list(segs, d), SegmentError),
@@ -379,7 +386,7 @@ class TestSegmentRule:
                              ids=["string", "none", "list"])
     def test_unconvertible_fraction_names_its_key_path(self, fraction):
         sc = carr_purcell_scenario()
-        for meet in (lambda f: apply_fault(sc.schedule(0.05), f),
+        for meet in (lambda f: apply_fault(sc.schedule(), f),
                      lambda f: residual_error(sc.rep, sc.profiles, f)):
             with pytest.raises(SegmentError) as info:
                 meet({0: [(fraction, SX)]})

@@ -264,6 +264,8 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
         if cfg.scenario is None:
             raise ConfigError("no scenario given")
         return analysis.get_scenario(cfg.scenario, cfg.n_qubits)
+    if cfg.n_qubits is not None:
+        raise ConfigError("override n_qubits only sizes a built-in scenario")
     doc = cfg.inline
     _known(doc, "scenario", ("name", "description", "n_qubits", "generators",
                              "profiles", "path", "noise_generators"))

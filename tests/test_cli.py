@@ -382,9 +382,12 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
     ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
      "  noise_generators: [{name: , matrix: %s}]\n" % (SX_DOC, SX_DOC, SX_DOC),
      "noise_generators[0].name must be a string, got None"),
+    ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
+     "overrides:\n  n_qubits: 7\n" % (SX_DOC, SX_DOC),
+     "override n_qubits only sizes a built-in scenario"),
 ], ids=["carr-purcell-n5", "non-hermitian-axis", "negative-seed",
         "repeated-override", "null-name", "unclosed-list", "unhashable-key",
-        "null-noise-name"])
+        "null-noise-name", "inline-n-qubits"])
 def test_refused_config_exits_2(capsys, tmp_path, body, message):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(body)

@@ -175,36 +175,22 @@ class TestExactKernel:
             segment_cuts(p.segments)) for p in profiles.values()) / 2
         assert np.linalg.norm(f_map(profiles, X) - ref) <= 1e-10
 
-    @pytest.mark.parametrize("env_dim", [2, 3])
-    def test_reshape_lift_matches_kron(self, env_dim):
-        rng = np.random.default_rng(env_dim)
-        d = 3
-        segs = [(0.3, random_hermitian(d, rng)), (0.5, np.zeros((d, d))),
-                (0.2, random_hermitian(d, rng))]
-        X = random_hermitian(d * env_dim, rng)
-        got = _sub_interval_integral([(f, np.linalg.eigh(r), X) for f, r in segs],
-                                     env_dim)
-        eye_e = np.eye(env_dim)
-        ref = _sub_interval_integral([(f, np.linalg.eigh(np.kron(r, eye_e)), X)
-                                      for f, r in segs])
-        assert np.linalg.norm(got - ref) <= 1e-12
-
     @pytest.mark.parametrize("env_dim", [1, 2, 3])
     def test_stack_matches_per_operator(self, env_dim):
-        # the segment integrals of an (n, D, D) stack are those of its
-        # operators; the joint (d_E > 1) contraction of a stack is one larger
-        # product, whose sums may round differently
+        # the segment integrals of a stack are those of its operators: here
+        # four (d_E, d_E, d, d) block stacks of joint operators, as
+        # average_hamiltonian passes them
         rng = np.random.default_rng(env_dim)
         d = 3
         spectra = [(0.3, np.linalg.eigh(random_hermitian(d, rng))),
                    (0.7, np.linalg.eigh(random_hermitian(d, rng)))]
         X = np.array([random_hermitian(d * env_dim, rng) for _ in range(4)])
-        got = _sub_interval_integral([(f, spec, X) for f, spec in spectra], env_dim)
-        ref = [_sub_interval_integral([(f, spec, x) for f, spec in spectra], env_dim)
-               for x in X]
-        if env_dim == 1:
-            assert np.array_equal(got, ref)
-        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        X = np.ascontiguousarray(
+            X.reshape(4, d, env_dim, d, env_dim).transpose(0, 2, 4, 1, 3))
+        got = _sub_interval_integral([(f, spec, X) for f, spec in spectra])
+        ref = [_sub_interval_integral([(f, spec, x) for f, spec in spectra])
+               for x in X.reshape(-1, d, d)]
+        assert np.array_equal(got.reshape(-1, d, d), ref)
 
     def test_joint_average_hamiltonian_matches_fine_grid(self):
         sc = symmetric_s3_scenario()
@@ -436,16 +422,25 @@ class TestJointOperators:
         assert np.array_equal(drift.total(), kron_total(drift))
 
     @pytest.mark.parametrize("env_dim", [1, 2, 3])
-    def test_lift_conj_matches_kron(self, env_dim):
+    @pytest.mark.parametrize("kind", ["bangbang", "eulerian"])
+    def test_average_hamiltonian_matches_kron(self, kind, env_dim):
+        # H̄ step by step on S ⊗ E: each segment integral taken of the joint
+        # H0 in the eigenbasis of rate ⊗ I, conjugated by frame ⊗ I
         rng = np.random.default_rng(env_dim)
-        d = 3
-        A = _expm_herm(random_hermitian(d, rng))
-        X = np.array([random_hermitian(d * env_dim, rng) for _ in range(2)])
-        lifted = np.kron(A, np.eye(env_dim))
-        ref = lifted.conj().T @ X @ lifted
-        got = dynamics._lift_conj(A, X.reshape(2, d, env_dim, d, env_dim))
-        assert got.flags.c_contiguous
-        assert np.abs(got.reshape(X.shape) - ref).max() <= 1e-14
+        sc = symmetric_s3_scenario()
+        sched = sc.bangbang() if kind == "bangbang" else sc.schedule()
+        H0 = random_hermitian(sc.rep.dimension * env_dim, rng)
+        eye_e = np.eye(env_dim)
+        ref = 0
+        for frame, step in zip(sched.stroboscopic_frames(), sched.steps):
+            lifted = np.kron(frame, eye_e)
+            F = _sub_interval_integral(
+                [(f, np.linalg.eigh(np.kron(r, eye_e)), H0)
+                 for f, r in step.profile.segments])
+            ref = ref + lifted.conj().T @ F @ lifted
+        ref = ref / sched.sub_intervals
+        got = average_hamiltonian(sched, H0)
+        assert np.linalg.norm(got - ref) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["bangbang", "eulerian"])
     def test_simulate_cycles_matches_kron_reference(self, kind):

@@ -462,16 +462,25 @@ def segment_plans(draw):
     return list(zip(fractions, weights))
 
 
+def blockwise(op, H0, d):
+    """The operator on S ⊗ E whose d×d blocks are ``op`` of the blocks
+    H0_kl of H0 = Σ_kl H0_kl ⊗ |k⟩⟨l|, one block per call."""
+    de = H0.shape[0] // d
+    blocks = H0.reshape(d, de, d, de).transpose(1, 3, 0, 2).reshape(-1, d, d)
+    out = np.array([op(b) for b in blocks]).reshape(de, de, d, d)
+    return out.transpose(2, 0, 3, 1).reshape(d * de, d * de)
+
+
 class TestEulerianIdentities:
     """The paper's identities on random monomial groups: the Eulerian cycle
     has length |G|·|Γ|; q_map = pi_G for in-algebra profiles; and the
     first-order average Hamiltonian is pi_G(F_Γ(H0)) = q_map(H0) for any
-    profiles."""
+    profiles, on S and, block by block, on S ⊗ E."""
 
     @settings(max_examples=40, deadline=None)
     @given(monomial_groups(), st.lists(segment_plans(), min_size=2, max_size=2),
-           st.integers(0, 2 ** 32 - 1))
-    def test_cycle_and_first_order_identities(self, gens, plans, seed):
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+    def test_cycle_and_first_order_identities(self, gens, plans, seed, env_dim):
         try:
             group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
                                      max_order=PROPERTY_MAX_ORDER)
@@ -494,12 +503,16 @@ class TestEulerianIdentities:
         rng = np.random.default_rng(seed)
         d = rep.dimension
         X, H0 = random_hermitian(d, rng), random_hermitian(d, rng)
+        joint = random_hermitian(d * env_dim, rng)
         assert np.linalg.norm(q_map(rep, profiles, X) - pi_G(rep, X)) <= 1e-9
         sched = eulerian_schedule(path, profiles, rep)
         for frame, v in zip(sched.stroboscopic_frames(), path.vertices):
             assert equal_up_to_phase(frame, rep.matrices[v], 1e-9)
         assert np.linalg.norm(average_hamiltonian(sched, H0)
                               - q_map(rep, profiles, H0)) <= 1e-10
+        assert np.linalg.norm(
+            average_hamiltonian(sched, joint)
+            - blockwise(functools.partial(q_map, rep, profiles), joint, d)) <= 1e-10
 
         # a two-segment profile whose first segment is a random rotation
         gen = group.generators[0]
@@ -509,12 +522,16 @@ class TestEulerianIdentities:
         sched = eulerian_schedule(path, profiles, rep)
         assert np.linalg.norm(average_hamiltonian(sched, H0)
                               - q_map(rep, profiles, H0)) <= 1e-10
+        assert np.linalg.norm(
+            average_hamiltonian(sched, joint)
+            - blockwise(functools.partial(q_map, rep, profiles), joint, d)) <= 1e-10
 
     @settings(max_examples=40, deadline=None)
-    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
-    def test_bangbang_frames_and_average(self, gens, seed):
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+    def test_bangbang_frames_and_average(self, gens, seed, env_dim):
         """Kicks after free steps put sub-interval l in the frame g_l, close
-        at the identity, and average any H0 to pi_G(H0)."""
+        at the identity, and average any H0 to pi_G(H0), on S ⊗ E block by
+        block."""
         try:
             group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
                                      max_order=PROPERTY_MAX_ORDER)
@@ -526,9 +543,14 @@ class TestEulerianIdentities:
         for frame, g in zip(frames, rep.matrices):
             assert np.linalg.norm(frame - g) <= 1e-12
         assert np.linalg.norm(frames[-1] - np.eye(rep.dimension)) <= 1e-12
-        H0 = random_hermitian(rep.dimension, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        H0 = random_hermitian(rep.dimension, rng)
         avg = average_hamiltonian(bangbang_schedule(group, rep), H0)
         assert np.linalg.norm(avg - pi_G(rep, H0)) <= 1e-10
+        joint = random_hermitian(rep.dimension * env_dim, rng)
+        avg = average_hamiltonian(bangbang_schedule(group, rep), joint)
+        assert np.linalg.norm(avg - blockwise(functools.partial(pi_G, rep), joint,
+                                              rep.dimension)) <= 1e-10
 
 
 def assert_stack_matches_per_operator(rep, profiles, X):

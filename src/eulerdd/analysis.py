@@ -35,15 +35,34 @@ SIGMA = {
 def pauli_on(n: int, k: int, u: str) -> np.ndarray:
     """Single-qubit Pauli u on qubit k (0-based) of an n-qubit register:
     I_{2^k} ⊗ sigma_u ⊗ I_{2^(n-k-1)}."""
-    return np.kron(np.kron(np.eye(2 ** k, dtype=complex), SIGMA[u]),
-                   np.eye(2 ** (n - k - 1), dtype=complex))
+    return _pauli_string("i" * k + u + "i" * (n - k - 1))
 
 
 def collective(n: int, u: str) -> np.ndarray:
     """Tensor power sigma_u ⊗ ... ⊗ sigma_u on n qubits."""
-    out = SIGMA[u]
-    for _ in range(n - 1):
-        out = np.kron(out, SIGMA[u])
+    return _pauli_string(u * n)
+
+
+def _pauli_string(letters: str) -> np.ndarray:
+    """sigma_{letters[0]} ⊗ ... ⊗ sigma_{letters[-1]}, qubit 0 the most
+    significant bit, from index arithmetic: each factor has one entry per
+    column, so column c of the product has one, in the row that flips the
+    bits of c that x and y factors flip, equal to the product of the
+    factors' entries taken in qubit order.  np.array_equal to the
+    Kronecker product; only the signs of some zeros can differ."""
+    n = len(letters)
+    cols = np.arange(2 ** n)
+    rows = cols.copy()
+    entries = None
+    for q, u in enumerate(letters):
+        shift = n - 1 - q
+        bit = (cols >> shift) & 1
+        flip = int(u in "xy")
+        factor = SIGMA[u][bit ^ flip, bit]
+        entries = factor if entries is None else entries * factor
+        rows ^= flip << shift
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    out[rows, cols] = entries
     return out
 
 

@@ -4,16 +4,18 @@ system-environment simulation.
 Everything is piecewise constant, so propagators are exact products of
 segment exponentials, and every toggling-frame time average (``f_map``,
 ``q_map``, ``residual_error``, ``average_hamiltonian``) is a sum of exact
-segment integrals evaluated in the eigenbasis of the segment Hamiltonian.
-These averages act on the system alone: a control U ⊗ I_E conjugates each
-d×d block H0_kl of a joint H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| on its own, so on
-S ⊗ E they run over the (d_E, d_E, d, d) stack of those blocks.
+segment integrals: in closed form by gathers for a one-segment pulse of a
+Pauli-string-like rate θA (A a monomial Hermitian involution), in the
+eigenbasis of the segment Hamiltonian otherwise.  These averages act on
+the system alone: a control U ⊗ I_E conjugates each d×d block H0_kl of a
+joint H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| on its own, so on S ⊗ E they run over
+those blocks.
 
 A schedule step carries its profile, its kick and its fault.  A profile
 replays unchanged in every step that pulses it, so the eigenpairs of its
 segments (cached on the profile), the stroboscopic frames (cached on the
 schedule), the total drift (cached on the drift), the sub-interval average
-of ``average_hamiltonian`` (per distinct profile) and, in
+of ``average_hamiltonian`` (per block and distinct profile) and, in
 ``simulate_cycles``, the joint segment exponentials (per distinct profile
 and fault) are each computed once and reused.
 """
@@ -111,7 +113,55 @@ def control_propagator(schedule: ControlSchedule, t: float,
     return schedule.steps[ell].profile.unitary_at(s / dt) @ frame
 
 
-def _sub_interval_integral(segments) -> np.ndarray:
+def _sub_interval_integral(profile: PulseProfile, pieces) -> np.ndarray:
+    """Exact integral of u(x)† X(x) u(x) over x in [0, 1] for the control u
+    of ``profile`` on S.
+
+    ``pieces`` are (fraction, segment index, X) triples in time order: the
+    profile's segment of that index pulses over the fraction, under X, a
+    d×d matrix or a (..., d, d) stack (every piece's X of one shape).  One
+    piece of a profile with ``involution`` data (a one-segment profile
+    whose rate is θA, A a monomial Hermitian involution) is integrated in
+    closed form by gathers; any other list (several pieces, θ = 0, a dense
+    or non-involutory rate) in the eigenbasis of each segment rate.
+    """
+    if len(pieces) == 1 and profile.involution is not None:
+        frac, _, X = pieces[0]
+        return _involution_integral(frac, profile.involution, X)
+    return _eigenbasis_integral([(frac, profile.spectra[k], X)
+                                 for frac, k, X in pieces])
+
+
+def _involution_integral(frac: float, involution, X: np.ndarray) -> np.ndarray:
+    """∫ u(x)† X u(x) over x in [0, f] for u(x) = e^{-ixθA}, A a monomial
+    Hermitian involution given by ``PulseProfile.involution``'s (θ, rows,
+    phases).
+
+    A² = I, so u(x) = cos(xθ) I − i sin(xθ) A and the integral is
+    a X + b AXA + i g (AX − XA) with a = f/2 + sin(2fθ)/(4θ), b = f − a and
+    g = sin²(fθ)/(2θ), taken through sinc so that no θ is too small.
+    (AX)_ij = A[i, rows[i]] X[rows[i], j] and (XA)_ij = X[i, rows[j]]
+    phases[j], so AX, XA and AXA = (AX)A are phased row and column gathers:
+    O(d²) per operator of a (..., d, d) stack.
+    """
+    theta, rows, phases = involution
+    x = frac * theta
+    a = 0.5 * frac * (1.0 + np.sinc(2.0 * x / np.pi))
+    g = 0.5 * frac * math.sin(x) * np.sinc(x / np.pi)
+    ax = np.take(X, rows, axis=-2)
+    ax *= phases[rows][:, None]
+    xa = np.take(X, rows, axis=-1)
+    xa *= phases
+    out = np.take(ax, rows, axis=-1)
+    out *= (frac - a) * phases
+    ax -= xa
+    ax *= 1j * g
+    out += ax
+    out += np.multiply(X, a, out=xa)
+    return out
+
+
+def _eigenbasis_integral(segments) -> np.ndarray:
     """Exact integral of u(x)† X(x) u(x) over x in [0, 1] for a
     piecewise-constant control u on S.
 
@@ -141,21 +191,21 @@ def _sub_interval_integral(segments) -> np.ndarray:
 
 
 def _profile_segments(profile: PulseProfile, X: np.ndarray) -> list:
-    """(fraction, (λ, V), X) triples of a profile under a constant X."""
-    return [(frac, spec, X)
-            for (frac, _), spec in zip(profile.segments, profile.spectra)]
+    """(fraction, segment index, X) pieces of a profile under a constant X."""
+    return [(frac, k, X) for k, (frac, _) in enumerate(profile.segments)]
 
 
 def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray:
     """First-order average Hamiltonian (1/T_c) ∫ U_c†(t) H0 U_c(t) dt.
 
     H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I,
-    so H0 is read as the (d_E, d_E, d, d) stack of its blocks H0_kl and
-    the D×D result is reassembled once at the end.  The sub-interval
-    average F(H0) is computed once per distinct profile and conjugated by
-    the stroboscopic frame of every step that pulses it; a free step has
-    F(H0) = H0, and a kick acts through the frames only.  The result
-    depends on the path and the profiles, not on delta_t.
+    so each d×d block H0_kl of H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| is averaged on its
+    own, one block at a time in reused d×d buffers, and written into the
+    D×D result.  Per block, the sub-interval average F(H0_kl) is computed
+    once per distinct profile and conjugated by the stroboscopic frame of
+    every step that pulses it; a free step has F(H0_kl) = H0_kl, and a kick
+    acts through the frames only.  The result depends on the path and the
+    profiles, not on delta_t.
     """
     H0 = np.asarray(H0, dtype=complex)
     if not is_hermitian(H0):
@@ -165,19 +215,26 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     if dim % d:
         raise ValueError("invalid drift: dimension is not a multiple of the system's")
     de = dim // d
-    blocks = np.ascontiguousarray(H0.reshape(d, de, d, de).transpose(1, 3, 0, 2))
-
-    averaged = {p: _sub_interval_integral(_profile_segments(p, blocks))
-                for p in dict.fromkeys(step.profile for step in schedule.steps)}
-    del blocks
-    acc = np.zeros((de, de, d, d), dtype=complex)
-    # reused by every step: a fresh product per step ran up to 2x slower
-    left, conj = np.empty_like(acc), np.empty_like(acc)
-    for frame, step in zip(schedule.stroboscopic_frames(), schedule.steps):
-        np.matmul(frame.conj().T, averaged[step.profile], out=left)
-        acc += np.matmul(left, frame, out=conj)
-    del averaged, left, conj
-    avg = acc.transpose(2, 0, 3, 1).reshape(dim, dim)
+    steps = tuple(zip(schedule.stroboscopic_frames(), schedule.steps))
+    profiles = tuple(dict.fromkeys(step.profile for step in schedule.steps))
+    avg = np.empty((dim, dim), dtype=complex)
+    # reused by every block and step: fresh arrays per block ran up
+    # thousands of page faults per call, a fresh product per step up to 2x
+    # slower
+    block, acc, adjoint, left, conj = (np.empty((d, d), dtype=complex)
+                                       for _ in range(5))
+    blocks, out = H0.reshape(d, de, d, de), avg.reshape(d, de, d, de)
+    for k in range(de):
+        for l in range(de):
+            np.copyto(block, blocks[:, k, :, l])
+            averaged = {p: _sub_interval_integral(p, _profile_segments(p, block))
+                        for p in profiles}
+            acc.fill(0.0)
+            for frame, step in steps:
+                np.matmul(np.conjugate(frame, out=adjoint).T,
+                          averaged[step.profile], out=left)
+                acc += np.matmul(left, frame, out=conj)
+            out[:, k, :, l] = acc
     avg /= schedule.sub_intervals
     avg += avg.conj().T
     avg *= 0.5
@@ -191,7 +248,7 @@ def f_map(profiles: dict, X: np.ndarray) -> np.ndarray:
     d = next(iter(profiles.values())).segments[0][1].shape[0]
     if X.shape[-2:] != (d, d):
         raise ShapeError("shape error: operator does not match profile dimension")
-    return sum(_sub_interval_integral(_profile_segments(prof, X))
+    return sum(_sub_interval_integral(prof, _profile_segments(prof, X))
                for prof in profiles.values()) / len(profiles)
 
 
@@ -212,10 +269,8 @@ def residual_error(rep: UnitaryRep, profiles: dict, deltas: dict) -> np.ndarray:
     the physical Hamiltonian).  The toggling frame uses the ideal profiles;
     the integrand is u†(s) delta-h(s) u(s)."""
     held = fault_segments(deltas, rep.dimension, profiles)
-    acc = sum(_sub_interval_integral(
-        [(frac, prof.spectra[k], err)
-         for frac, k, err in merged_segments(prof, held.get(color))])
-        for color, prof in profiles.items())
+    acc = sum(_sub_interval_integral(prof, merged_segments(prof, held.get(color)))
+              for color, prof in profiles.items())
     return pi_G(rep, acc / len(profiles))
 
 

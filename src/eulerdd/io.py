@@ -320,6 +320,9 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
     as YAML text."""
     delta_t = checked_delta_t(delta_t)
     sched = scenario.schedule()
+    if not math.isfinite(sched.sub_intervals * delta_t):
+        raise ValueError(f"delta_t {delta_t!r} is too large: the cycle time "
+                         f"{sched.sub_intervals} x delta_t is not finite")
     ham_docs = {}
     ham_ids = []
 

@@ -122,10 +122,11 @@ class PulseProfile:
     rule and realize their generator.
 
     A profile replays unchanged in every step that pulses it, so the
-    eigenpairs of each segment rate and the endpoint unitary are computed
-    once, on first use, and shared read-only; the segments must not be
-    changed after that.  Profiles compare and hash by identity, so the
-    per-profile caches of ``dynamics`` and ``io`` key on the profile.
+    eigenpairs of each segment rate, the ``involution`` data and the
+    endpoint unitary are computed once, on first use, and shared
+    read-only; the segments must not be changed after that.  Profiles
+    compare and hash by identity, so the per-profile caches of
+    ``dynamics`` and ``io`` key on the profile.
     """
 
     segments: tuple
@@ -140,6 +141,35 @@ class PulseProfile:
         """(eigenvalues, eigenvectors) of each segment rate."""
         return tuple(tuple(_read_only(a) for a in np.linalg.eigh(rate))
                      for _, rate in self.segments)
+
+    @cached_property
+    def involution(self):
+        """(θ, rows, phases) of a one-segment profile whose rate is θA with
+        θ > 0 and A a monomial Hermitian involution, as a Pauli string is:
+        rows[i] is the row of the one nonzero entry in column i of A and
+        phases[i] that entry.  None for any other profile.  Zero is exact
+        zero, as in ``UnitaryRep.monomial``; rows must be an involution and
+        A = rate / θ, θ the largest |entry|, must square to I within 1e-14
+        per entry, so every |entry| is θ."""
+        if len(self.segments) != 1:
+            return None
+        rate = self.segments[0][1]
+        nonzero = rate != 0
+        if not (nonzero.sum(axis=0) == 1).all():
+            return None
+        rows = nonzero.argmax(axis=0)
+        cols = np.arange(len(rows))
+        if not (rows[rows] == cols).all():
+            return None
+        entries = rate[rows, cols].astype(complex)
+        theta = float(np.abs(entries).max())
+        # the parts divided as reals: a complex division by a subnormal θ
+        # overflows
+        phases = (entries.view(float) / theta).view(complex)
+        # A² e_i = phases[i] phases[rows[i]] e_i
+        if not np.abs(phases * phases[rows] - 1.0).max() <= 1e-14:
+            return None
+        return theta, _read_only(rows), _read_only(phases)
 
     def unitary_at(self, x: float) -> np.ndarray:
         """u(x) for fraction x in [0, 1] of the sub-interval."""

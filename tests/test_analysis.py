@@ -168,7 +168,11 @@ def per_operator_pi_G(rep, X):
 
 
 def per_operator_q_map(rep, profiles, X):
-    F = sum(per_operator_integral([(frac, spec, X) for (frac, _), spec
+    # a profile with involution data is integrated in closed form, one
+    # operator at a time as well
+    F = sum(dynamics._involution_integral(1.0, p.involution, X)
+            if p.involution is not None else
+            per_operator_integral([(frac, spec, X) for (frac, _), spec
                                    in zip(p.segments, p.spectra)])
             for p in profiles.values()) / len(profiles)
     return per_operator_pi_G(rep, F)

@@ -5,23 +5,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerdd import dynamics
+from eulerdd import analysis, dynamics
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
                               random_hermitian, scaling_study, spin_flip_scenario,
                               symmetric_s3_scenario, verify_theorem)
 from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
-                              UnitarityError, _sub_interval_integral, average_hamiltonian,
-                              control_propagator, decoupling_distance, f_map,
-                              q_map, residual_error, simulate_cycles)
+                              UnitarityError, _eigenbasis_integral,
+                              average_hamiltonian, control_propagator,
+                              decoupling_distance, f_map, q_map,
+                              residual_error, simulate_cycles)
 from eulerdd.cayley import build_cayley, eulerian_cycle
 from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
                                   commutant_basis, equal_up_to_phase,
                                   in_algebra, pi_G)
 from eulerdd.pulses import (ControlSchedule, PulseProfile, RealizationError,
-                            Step, _expm_herm, apply_fault, eulerian_schedule,
-                            merged_segments, phase_distance, piecewise_profile)
-from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, hermitian_log,
-                               monomial_groups)
+                            Step, _expm_herm, apply_fault, constant_profile,
+                            eulerian_schedule, merged_segments, phase_distance,
+                            piecewise_profile)
+from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, conjugated,
+                               hermitian_log, monomial_groups,
+                               pauli_generators)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -187,8 +190,8 @@ class TestExactKernel:
         X = np.array([random_hermitian(d * env_dim, rng) for _ in range(4)])
         X = np.ascontiguousarray(
             X.reshape(4, d, env_dim, d, env_dim).transpose(0, 2, 4, 1, 3))
-        got = _sub_interval_integral([(f, spec, X) for f, spec in spectra])
-        ref = [_sub_interval_integral([(f, spec, x) for f, spec in spectra])
+        got = _eigenbasis_integral([(f, spec, X) for f, spec in spectra])
+        ref = [_eigenbasis_integral([(f, spec, x) for f, spec in spectra])
                for x in X.reshape(-1, d, d)]
         assert np.array_equal(got.reshape(-1, d, d), ref)
 
@@ -224,6 +227,132 @@ class TestExactKernel:
             for c in (0, 1)) / 2
         got = residual_error(sc.rep, sc.profiles, fault)
         assert np.linalg.norm(got - pi_G(sc.rep, ref)) <= 1e-10
+
+
+@st.composite
+def pauli_segments(draw):
+    """A signed Hermitian Pauli string A on n <= 5 qubits, an angle θ in
+    (0, 2π], a fraction f in (0, 1], an X of shape (d, d), (3, d, d) or
+    (2, 2, d, d), and the seed of that X."""
+    n = draw(st.integers(1, 5))
+    letters = draw(st.text("ixyz", min_size=n, max_size=n))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    theta = draw(st.floats(0.0, 2 * np.pi, exclude_min=True))
+    frac = draw(st.floats(0.0, 1.0, exclude_min=True))
+    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return sign * analysis._pauli_string(letters), theta, frac, lead, seed
+
+
+def counted_kernels(monkeypatch):
+    """Calls of the closed-form and the eigenbasis kernels, by name."""
+    calls = []
+    for name in ("_involution_integral", "_eigenbasis_integral"):
+        real = getattr(dynamics, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+class TestInvolutionIntegral:
+    """A one-segment profile whose rate is θA, A a monomial Hermitian
+    involution, is integrated in closed form; every other segment list in
+    the eigenbasis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_segments())
+    def test_closed_form_equals_the_eigenbasis_kernel(self, case):
+        A, theta, frac, lead, seed = case
+        d = A.shape[0]
+        prof = PulseProfile(segments=((frac, theta * A),))
+        assert prof.involution is not None
+        rng = np.random.default_rng(seed)
+        X = (rng.standard_normal((*lead, d, d))
+             + 1j * rng.standard_normal((*lead, d, d)))
+        got = dynamics._involution_integral(frac, prof.involution, X)
+        want = _eigenbasis_integral([(frac, prof.spectra[0], X)])
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("make", [carr_purcell_scenario, pauli_scenario,
+                                      spin_flip_scenario,
+                                      lambda: pauli_scenario(2),
+                                      lambda: spin_flip_scenario(5)],
+                             ids=["carr-purcell", "pauli", "spin-flip",
+                                  "pauli-2", "spin-flip-5"])
+    def test_closed_form_runs_for_pauli_string_profiles(self, make, monkeypatch):
+        sc = make()
+        d = sc.rep.dimension
+        assert all(p.involution is not None for p in sc.profiles.values())
+        calls = counted_kernels(monkeypatch)
+        X = random_hermitian(d, np.random.default_rng(0))
+        f_map(sc.profiles, X)
+        q_map(sc.rep, sc.profiles, np.array([X, X]))
+        # one-piece faults, and a color the fault leaves out
+        residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * X)]})
+        average_hamiltonian(sc.schedule(), sc.generic_drift(env_dim=2).total())
+        assert set(calls) == {"_involution_integral"}
+
+    @pytest.mark.parametrize("case", ["symmetric-s3", "conjugated-pauli",
+                                      "diag-1-2", "split-fault", "bang-bang"])
+    def test_every_other_segment_list_takes_the_eigenbasis(self, case,
+                                                           monkeypatch):
+        sc = carr_purcell_scenario()
+        rep, profiles = sc.rep, sc.profiles
+        if case == "symmetric-s3":
+            sc = symmetric_s3_scenario()
+            rep, profiles = sc.rep, sc.profiles
+        elif case == "conjugated-pauli":
+            gens = conjugated(pauli_generators(1), 3)
+            group, rep = close_group(gens)
+            profiles = {c: constant_profile(g, rep, axis)
+                        for c, (g, axis) in enumerate(zip(group.generators, gens))}
+        elif case == "diag-1-2":
+            # |entries| 1 and 2: no θ makes A = rate / θ an involution
+            profiles = {0: PulseProfile(segments=((1.0, np.diag([1.0, 2.0])),))}
+        X = random_hermitian(rep.dimension, np.random.default_rng(1))
+        calls = counted_kernels(monkeypatch)
+        if case == "split-fault":
+            # a one-segment Pauli profile under a fault of two pieces
+            residual_error(rep, profiles, {0: [(0.5, 0.1 * SZ), (0.5, 0.1 * SY)]})
+        elif case == "bang-bang":
+            sched = sc.bangbang()
+            assert {s.profile.involution for s in sched.steps} == {None}
+            average_hamiltonian(sched, X)
+        else:
+            assert {p.involution for p in profiles.values()} == {None}
+            f_map(profiles, X)
+            residual_error(rep, profiles, {0: [(1.0, X)]})
+        assert set(calls) == {"_eigenbasis_integral"}
+
+    @pytest.mark.parametrize("make", [carr_purcell_scenario,
+                                      lambda: spin_flip_scenario(4),
+                                      symmetric_s3_scenario],
+                             ids=["carr-purcell", "spin-flip-4", "symmetric-s3"])
+    @pytest.mark.parametrize("env_dim", [1, 2, 3])
+    def test_average_hamiltonian_equals_the_stacked_form(self, make, env_dim):
+        # the block-by-block accumulation has the bits of one pass over the
+        # (d_E, d_E, d, d) stack of blocks
+        sc = make()
+        sched = sc.schedule()
+        d = sc.rep.dimension
+        H0 = sc.generic_drift(env_dim=env_dim, seed=env_dim).total()
+        blocks = np.ascontiguousarray(
+            H0.reshape(d, env_dim, d, env_dim).transpose(1, 3, 0, 2))
+        averaged = {p: dynamics._sub_interval_integral(
+                        p, dynamics._profile_segments(p, blocks))
+                    for p in dict.fromkeys(s.profile for s in sched.steps)}
+        acc = np.zeros_like(blocks)
+        for frame, step in zip(sched.stroboscopic_frames(), sched.steps):
+            acc += frame.conj().T @ averaged[step.profile] @ frame
+        want = acc.transpose(2, 0, 3, 1).reshape(H0.shape)
+        want /= sched.sub_intervals
+        want += want.conj().T
+        want *= 0.5
+        assert np.array_equal(average_hamiltonian(sched, H0), want)
 
 
 def segment_product(segments, x=1.0):
@@ -434,7 +563,7 @@ class TestJointOperators:
         ref = 0
         for frame, step in zip(sched.stroboscopic_frames(), sched.steps):
             lifted = np.kron(frame, eye_e)
-            F = _sub_interval_integral(
+            F = _eigenbasis_integral(
                 [(f, np.linalg.eigh(np.kron(r, eye_e)), H0)
                  for f, r in step.profile.segments])
             ref = ref + lifted.conj().T @ F @ lifted
@@ -641,6 +770,11 @@ class TestSegmentReuse:
                   sched.stroboscopic_frames()[3], drift.total()):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
+        prof = carr_purcell_scenario().profiles[0]
+        assert prof.involution is prof.involution
+        for a in prof.involution[1:]:    # rows, phases
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_control_propagator_reuses_frames_and_spectra(self, eigh_calls):
         sc = symmetric_s3_scenario()

@@ -428,6 +428,20 @@ class TestScheduleExport:
             t += row["duration"]
         assert t == pytest.approx(len(sc.path) * 0.01)
 
+    def test_cycle_time_that_overflows_is_refused(self, monkeypatch):
+        # 8 x 1e308 is not finite: the starts from timeline[2] on would be
+        # .inf, which import_schedule refuses; nothing is built before the
+        # refusal
+        sc = analysis.spin_flip_scenario()
+        monkeypatch.setattr(eio, "encode_matrix", None)
+        with pytest.raises(ValueError, match=r"^delta_t 1e\+308 is too large: "
+                                             r"the cycle time 8 x delta_t is "
+                                             r"not finite$"):
+            export_schedule(sc, 1e308)
+        monkeypatch.undo()
+        doc = yaml.safe_load(export_schedule(sc, 1e307))
+        assert np.isfinite([row["start"] for row in doc["timeline"]]).all()
+
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
                     reason="PyYAML built without libyaml")

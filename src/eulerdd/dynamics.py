@@ -14,10 +14,14 @@ those blocks.
 A schedule step carries its profile, its kick and its fault.  A profile
 replays unchanged in every step that pulses it, so the eigenpairs of its
 segments (cached on the profile), the stroboscopic frames (cached on the
-schedule), the total drift (cached on the drift), the sub-interval average
-of ``average_hamiltonian`` (per block and distinct profile) and, in
-``simulate_cycles``, the joint segment exponentials (per distinct profile
-and fault) are each computed once and reused.
+schedule), the total drift and its validation (cached on the drift), the
+sub-interval average of ``average_hamiltonian`` (per distinct profile, of
+the whole stack of blocks) and, in ``simulate_cycles``, the joint segment
+exponentials (per distinct profile and fault) are each computed once and
+reused.  An eigendecomposition is taken only where it is reused: a joint
+segment exponential, used once, is a Padé approximant
+(``pulses._expm_herm``), and Hbar, exponentiated at every delta_t of a
+sweep, is diagonalized once.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .group_theory import (ShapeError, UnitaryRep, _read_only, is_hermitian,
-                           phase_distance, pi_G)
-from .pulses import (ControlSchedule, PulseProfile, _expm_eig, _expm_herm,
-                     checked_delta_t, fault_segments, merged_segments)
+from .group_theory import (ShapeError, UnitaryRep, _read_only,
+                           conjugation_sum, is_hermitian, phase_distance, pi_G)
+from .pulses import (EXPM_WORK, ControlSchedule, PulseProfile, _expm_eig,
+                     _expm_herm, check_amplitudes, checked_delta_t,
+                     fault_segments, merged_segments)
 
 
 class TimeOutOfRangeError(ValueError):
@@ -63,6 +68,14 @@ class DriftModel:
         return self.H_E.shape[0]
 
     def validate(self) -> None:
+        """A ValueError unless H_S and H_E are Hermitian and each coupling
+        is a traceless S of the system's shape with an E of the
+        environment's; checked once per drift, as the drift's terms are
+        not changed after it is built."""
+        self._valid
+
+    @cached_property
+    def _valid(self) -> bool:
         for h in (self.H_S, self.H_E):
             if not is_hermitian(h):
                 raise ValueError("invalid drift: non-Hermitian term")
@@ -71,6 +84,7 @@ class DriftModel:
                 raise ValueError("invalid drift: noise generator is not traceless")
             if S.shape != (self.system_dim,) * 2 or E.shape != (self.env_dim,) * 2:
                 raise ValueError("invalid drift: coupling shape mismatch")
+        return True
 
     def total(self) -> np.ndarray:
         """H0 on S ⊗ E, built once per drift and read-only."""
@@ -200,41 +214,49 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
 
     H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I,
     so each d×d block H0_kl of H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| is averaged on its
-    own, one block at a time in reused d×d buffers, and written into the
-    D×D result.  Per block, the sub-interval average F(H0_kl) is computed
-    once per distinct profile and conjugated by the stroboscopic frame of
-    every step that pulses it; a free step has F(H0_kl) = H0_kl, and a kick
-    acts through the frames only.  The result depends on the path and the
-    profiles, not on delta_t.
+    own.  The (d_E, d_E, d, d) stack of blocks is integrated once per
+    distinct profile, giving F(H0_kl), and conjugated by the stroboscopic
+    frame of every step that pulses that profile; a free step has
+    F(H0_kl) = H0_kl, and a kick acts through the frames only.  When the
+    schedule follows an Euler path, kicks nowhere and its representation
+    is monomial, step l's frame is the element of path vertex l up to a
+    phase, which cancels in f† F f, so each profile's conjugations are one
+    phased gather over its vertices (``group_theory.conjugation_sum``);
+    otherwise they are dense products with the frames.  The result depends
+    on the path and the profiles, not on delta_t.
     """
     H0 = np.asarray(H0, dtype=complex)
     if not is_hermitian(H0):
         raise ValueError("invalid drift: H0 must be Hermitian")
-    d = schedule.rep.dimension
+    rep = schedule.rep
+    d = rep.dimension
     dim = H0.shape[0]
     if dim % d:
         raise ValueError("invalid drift: dimension is not a multiple of the system's")
     de = dim // d
-    steps = tuple(zip(schedule.stroboscopic_frames(), schedule.steps))
-    profiles = tuple(dict.fromkeys(step.profile for step in schedule.steps))
-    avg = np.empty((dim, dim), dtype=complex)
-    # reused by every block and step: fresh arrays per block ran up
-    # thousands of page faults per call, a fresh product per step up to 2x
-    # slower
-    block, acc, adjoint, left, conj = (np.empty((d, d), dtype=complex)
-                                       for _ in range(5))
-    blocks, out = H0.reshape(d, de, d, de), avg.reshape(d, de, d, de)
-    for k in range(de):
-        for l in range(de):
-            np.copyto(block, blocks[:, k, :, l])
-            averaged = {p: _sub_interval_integral(p, _profile_segments(p, block))
-                        for p in profiles}
-            acc.fill(0.0)
-            for frame, step in steps:
-                np.matmul(np.conjugate(frame, out=adjoint).T,
-                          averaged[step.profile], out=left)
+    blocks = np.ascontiguousarray(H0.reshape(d, de, d, de).transpose(1, 3, 0, 2))
+    avg = np.zeros((dim, dim), dtype=complex)
+    acc = avg.reshape(d, de, d, de).transpose(1, 3, 0, 2)   # its blocks
+    gather = (schedule.path is not None and rep.monomial() is not None
+              and all(step.kick is None for step in schedule.steps))
+    if gather:
+        # step l's frame is the element of vertex l, up to phase
+        frames = schedule.path.vertices
+    else:
+        frames = schedule.stroboscopic_frames()
+        # reused by every step: a fresh product per step ran up to 2x slower
+        adjoint = np.empty((d, d), dtype=complex)
+        left, conj = np.empty_like(blocks), np.empty_like(blocks)
+    for p in dict.fromkeys(step.profile for step in schedule.steps):
+        averaged = _sub_interval_integral(p, _profile_segments(p, blocks))
+        mine = [frame for frame, step in zip(frames, schedule.steps)
+                if step.profile is p]
+        if gather:
+            conjugation_sum(rep, averaged, np.array(mine), out=acc)
+        else:
+            for frame in mine:
+                np.matmul(np.conjugate(frame, out=adjoint).T, averaged, out=left)
                 acc += np.matmul(left, frame, out=conj)
-            out[:, k, :, l] = acc
     avg /= schedule.sub_intervals
     avg += avg.conj().T
     avg *= 0.5
@@ -315,11 +337,15 @@ def _segment_exponentials(drift: DriftModel, schedule: ControlSchedule,
     """The joint exponential of each merged segment of each distinct
     (profile, fault) of ``schedule``, keyed by (profile, id(fault)) (fault
     segments are tuples of arrays).  Each is taken of one copy of H0 that
-    holds the segment's rate in its d_E diagonal blocks."""
+    holds the segment's rate in its d_E diagonal blocks, and all share one
+    scratch stack; a delta_t at which a rate / delta_t is not finite is
+    refused first."""
+    check_amplitudes(schedule, dt)
     H0 = drift.total()
     d, de = drift.system_dim, drift.env_dim
     h = H0.copy()
     blocks = _env_blocks(h.reshape(d, de, d, de))
+    work = np.empty((EXPM_WORK, *h.shape), dtype=complex)
     exps = {}
     for step in schedule.steps:
         p = step.profile
@@ -330,7 +356,7 @@ def _segment_exponentials(drift: DriftModel, schedule: ControlSchedule,
         for frac, k, fault_rate in merged_segments(p, step.fault):
             np.copyto(h, H0)
             blocks += (p.segments[k][1] + fault_rate) / dt
-            exps[key].append(_expm_herm(h, frac * dt))
+            exps[key].append(_expm_herm(h, frac * dt, work))
     return exps
 
 

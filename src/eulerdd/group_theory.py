@@ -351,23 +351,33 @@ MAX_STACK_BYTES = 64 * 1024
 
 def _average(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     """(1/|G|) sum_j g_j† X g_j for one d x d X or for each X of an
-    (n, d, d) stack.
+    (n, d, d) stack: ``conjugation_sum`` over every element, in element
+    order."""
+    n = len(rep.matrices)
+    return conjugation_sum(rep, X, np.arange(n)) / n
+
+
+def conjugation_sum(rep: UnitaryRep, X: np.ndarray, elements,
+                    out: np.ndarray = None) -> np.ndarray:
+    """sum_j g_j† X g_j over the element indices ``elements`` (repeats
+    count), for one d x d X or for each X of a (..., d, d) stack; added
+    into ``out`` (of X's shape) when given, else into a new array.
 
     The terms are formed for blocks of elements whose terms fit
     MAX_STACK_BYTES (one element at least): as a phased gather of X for a
     monomial representation, as the products (g_j† X) g_j otherwise, the
     block's adjoints g_j† formed with its terms.  The running sum is added
-    into each block's first term, so the terms add up in element order;
-    with phases in {±1, ±i} the gather has the bits of the products.
+    into each block's first term, so the terms add up in the order of
+    ``elements``; with phases in {±1, ±i} the gather has the bits of the
+    products.
     """
     mats = rep.matrices
     mono = rep.monomial()
     d = rep.dimension
     flat = X.reshape(*X.shape[:-2], d * d)
     per = max(1, MAX_STACK_BYTES // max(1, 16 * X.size))
-    acc = None
-    for j in range(0, len(mats), per):
-        blk = slice(j, j + per)
+    for j in range(0, len(elements), per):
+        blk = elements[j:j + per]
         if mono is None:
             g = mats[blk]
             terms = (g.conj().swapaxes(-1, -2) @ X[..., None, :, :]) @ g
@@ -377,10 +387,12 @@ def _average(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
             rows, phases = (a[blk] for a in mono)
             terms = np.take(flat, rows[:, :, None] * d + rows[:, None, :], axis=-1)
             terms *= phases.conj()[:, :, None] * phases[:, None, :]
-        if acc is not None:
-            terms[..., 0, :, :] += acc
-        acc = terms.sum(axis=-3)
-    return acc / len(mats)
+        if out is None:
+            out = terms.sum(axis=-3)
+        else:
+            terms[..., 0, :, :] += out
+            terms.sum(axis=-3, out=out)
+    return out
 
 
 def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ import yaml
 
 from . import analysis
 from .pulses import (GridMismatchError, RealizationError, SegmentError,
-                     checked_delta_t, constant_profile, fault_segments,
-                     piecewise_profile)
+                     check_amplitudes, checked_delta_t, constant_profile,
+                     fault_segments, piecewise_profile)
 
 
 # libyaml's C loader and dumper when PyYAML was built with it; they parse and
@@ -323,6 +323,7 @@ def export_schedule(scenario: analysis.Scenario, delta_t: float) -> str:
     if not math.isfinite(sched.sub_intervals * delta_t):
         raise ValueError(f"delta_t {delta_t!r} is too large: the cycle time "
                          f"{sched.sub_intervals} x delta_t is not finite")
+    check_amplitudes(sched, delta_t)
     ham_docs = {}
     ham_ids = []
 

@@ -19,8 +19,8 @@ from itertools import accumulate
 import numpy as np
 
 from .cayley import EulerPath
-from .group_theory import (DEFAULT_PHASE_TOL, UnitaryRep, _read_only,
-                           is_hermitian, phase_distance)
+from .group_theory import (DEFAULT_PHASE_TOL, MAX_STACK_BYTES, UnitaryRep,
+                           _read_only, is_hermitian, phase_distance)
 
 REALIZATION_TOL = 1e-9
 
@@ -98,17 +98,122 @@ def segment_list(segments, d: int) -> tuple:
 
 
 def _expm_eig(evals: np.ndarray, evecs: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * H) from the eigenpairs of a Hermitian H."""
+    """exp(-i * scale * H) from the eigenpairs of a Hermitian H; for an H
+    exponentiated at several scales, whose eigenpairs are reused."""
     return (evecs * np.exp(-1j * scale * evals)) @ evecs.conj().T
 
 
-def _expm_herm(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * H) for Hermitian H via eigendecomposition, as
-    ``_expm_eig`` forms it; the eigenvectors are eigh's own array, so they
-    are conjugated in place."""
-    evals, evecs = np.linalg.eigh(H)
-    left = evecs * np.exp(-1j * scale * evals)
-    return left @ np.conjugate(evecs, out=evecs).T
+# (m, θ_m): the largest ‖A‖₁ at which the degree-m Padé approximant of
+# exp(A) is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl.
+# 26, 1179 (2005), Table 2.3)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
+# the coefficients b_j of the degree-m approximant, scaled to integers
+_PADE_B = {m: tuple(float(math.factorial(2 * m - j)
+                          // (math.factorial(j) * math.factorial(m - j)))
+                    for j in range(m + 1)) for m, _ in _PADE_THETA}
+# how many powers A², A⁴, ... degree m stores: Higham's choice, but for
+# m = 7, which takes one product more so that it fits EXPM_WORK
+_PADE_POWERS = {3: 1, 5: 2, 7: 2, 9: 2, 13: 3}
+# the matrices of the scratch stack that _expm_herm works in; degree 13
+# needs one more, and allocates its own stack
+EXPM_WORK = 3
+
+
+def _expm_herm(H: np.ndarray, scale: float = 1.0, work=None) -> np.ndarray:
+    """exp(-i * scale * H) for Hermitian H, by Padé scaling and squaring
+    (Higham 2005; Moler & Van Loan, SIAM Rev. 45, 3 (2003)): the degree
+    3, 5, 7, 9 or 13 whose θ_m bounds ‖-i scale H‖₁, squared after scaling
+    by 2^-s when that norm is above θ₁₃.  For a one-shot exponential; where
+    one H is exponentiated at several scales, its eigenpairs are reused
+    (``_expm_eig``).
+
+    ``work``, a (EXPM_WORK, D, D) complex stack, holds the temporaries, so
+    that one stack serves many calls; H is then overwritten, so pass a
+    scratch copy.  Without it H is copied and a stack allocated.  A
+    non-finite exponent is a ValueError.
+    """
+    a = np.array(H, dtype=complex) if work is None else H
+    if work is None:
+        work = np.empty((EXPM_WORK, *a.shape), dtype=complex)
+    # ‖H‖₁ from |H| written into the real parts of a scratch matrix
+    norm = abs(scale) * float(np.abs(a, out=work[0].real).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError(f"the exponent -i x {scale!r} x H is not finite")
+    m = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
+    squarings = (math.ceil(math.log2(norm / _PADE_THETA[-1][1]))
+                 if norm > _PADE_THETA[-1][1] else 0)
+    a *= -1j * scale * 0.5 ** squarings
+    u = _pade(a, m, work)
+    for _ in range(squarings):
+        np.copyto(u, np.matmul(u, u, out=work[0]))
+    return u
+
+
+def _pade(a: np.ndarray, m: int, work: np.ndarray) -> np.ndarray:
+    """(V - U)⁻¹ (V + U), the degree-m Padé approximant of exp(A) for the
+    A held in ``a``, with U = p(A²) A and V = q(A²) for the odd and even
+    coefficients of the approximant.  All of them are polynomials in A and
+    commute.  ``a`` and the first _PADE_POWERS[m] + 1 matrices of ``work``
+    (of a new stack when ``work`` holds fewer) are overwritten; the
+    products that would need one more matrix are taken in place
+    (``_times_in_place``)."""
+    b = _PADE_B[m]
+    j = _PADE_POWERS[m]
+    if j >= len(work):
+        work = np.empty((j + 1, *a.shape), dtype=complex)
+    powers, odd = work[:j], work[j]
+    np.matmul(a, a, out=powers[0])
+    for k in range(1, len(powers)):
+        np.matmul(powers[k - 1], powers[0], out=powers[k])
+    _even_polynomial(odd, b[1::2], powers)
+    _times_in_place(odd, a)                 # U; A is read for the last time
+    _even_polynomial(a, b[0::2], powers)    # V
+    np.subtract(a, odd, out=powers[0])
+    a += odd
+    return np.linalg.solve(powers[0], a)
+
+
+def _even_polynomial(out, coeffs, powers) -> None:
+    """out = Σ_k coeffs[k] y^k for y = A², where powers[i] = y^(i+1).  With
+    j stored powers and a higher degree, the terms above y^j are taken as
+    y^j · Σ_{k≥1} coeffs[j+k] y^k (Paterson-Stockmeyer)."""
+    j = len(powers)
+    if len(coeffs) <= j + 1:
+        _combine(out, coeffs, powers)
+        return
+    _combine(out, (0.0, *coeffs[j + 1:]), powers)
+    _times_in_place(out, powers[j - 1])
+    _combine(out, coeffs[:j + 1], powers, add=True)
+
+
+def _combine(out, coeffs, powers, add: bool = False) -> None:
+    """out = coeffs[0] I + Σ_{k≥1} coeffs[k] powers[k-1], plus what out
+    holds when ``add``: summed from the highest power down, each partial
+    sum scaled by the ratio of two coefficients (Horner's rule on the
+    coefficients), so that no term needs a temporary."""
+    top = len(coeffs) - 1
+    if add:
+        out *= 1.0 / coeffs[top]
+        out += powers[top - 1]
+    else:
+        np.copyto(out, powers[top - 1])
+    for k in range(top - 1, 0, -1):
+        out *= coeffs[k + 1] / coeffs[k]
+        out += powers[k - 1]
+    out *= coeffs[1]
+    out.ravel()[::out.shape[0] + 1] += coeffs[0]
+
+
+def _times_in_place(x: np.ndarray, y: np.ndarray) -> None:
+    """x <- x y, a block of rows of x at a time: row i of the product reads
+    only row i of x, so no D x D temporary is needed.  A block is a quarter
+    of the rows, or as many as fit MAX_STACK_BYTES if that is more (all of
+    them at small D, where the calls would cost more than the products)."""
+    step = max(-(-len(x) // 4), MAX_STACK_BYTES // (16 * len(x)))
+    for r in range(0, len(x), step):
+        x[r:r + step] = x[r:r + step] @ y
 
 
 @dataclass(eq=False)
@@ -124,7 +229,9 @@ class PulseProfile:
     A profile replays unchanged in every step that pulses it, so the
     eigenpairs of each segment rate, the ``involution`` data and the
     endpoint unitary are computed once, on first use, and shared
-    read-only; the segments must not be changed after that.  Profiles
+    read-only; the segments must not be changed after that.  A profile with
+    ``involution`` data is never diagonalized on its way through a
+    schedule: its unitary and its integrals have closed forms.  Profiles
     compare and hash by identity, so the per-profile caches of
     ``dynamics`` and ``io`` key on the profile.
     """
@@ -172,7 +279,19 @@ class PulseProfile:
         return theta, _read_only(rows), _read_only(phases)
 
     def unitary_at(self, x: float) -> np.ndarray:
-        """u(x) for fraction x in [0, 1] of the sub-interval."""
+        """u(x) for fraction x in [0, 1] of the sub-interval: for a profile
+        with ``involution`` data cos(xθ) I - i sin(xθ) A, built from
+        (θ, rows, phases), and otherwise the product of the segments'
+        exponentials from their eigenpairs."""
+        if self.involution is not None:
+            frac = self.segments[0][0]
+            theta, rows, phases = self.involution
+            angle = theta * (frac if x >= frac - 1e-15 else x)
+            d = len(rows)
+            u = np.zeros((d, d), dtype=complex)
+            u[rows, np.arange(d)] = (-1j * math.sin(angle)) * phases
+            u.ravel()[::d + 1] += math.cos(angle)
+            return u
         u = np.eye(self.segments[0][1].shape[0], dtype=complex)
         pos = 0.0
         for (frac, _), (lam, V) in zip(self.segments, self.spectra):
@@ -337,16 +456,27 @@ class ControlSchedule:
 def eulerian_schedule(path: EulerPath, profiles: dict,
                       rep: UnitaryRep) -> ControlSchedule:
     """Assemble the Eulerian schedule: pulse the color-c profile during the
-    l'th sub-interval, c being the l'th path color."""
+    l'th sub-interval, c being the l'th path color.  The color-c profile
+    must realize generator c up to phase (RealizationError otherwise), so
+    that frame l is the element of path vertex l up to phase."""
     if len(path) == 0:
         raise ValueError("empty path: decoupling requires |G| > 1")
     for c in path.colors:
         if c not in profiles:
             raise IncompleteProfileSetError(f"incomplete profile set: no profile for color {c}")
+    for c in sorted(set(path.colors)):
+        target = rep.matrices[rep.group.generators[c]]
+        if phase_distance(target, profiles[c].endpoint_unitary()) > REALIZATION_TOL:
+            raise RealizationError(f"the profile of color {c} does not "
+                                   f"realize generator {c}")
     sched = ControlSchedule(rep=rep, path=path,
                             steps=tuple(Step(c, profiles[c]) for c in path.colors))
-    # closure: the path returns to the identity, so U_c(T_c) ~ identity
-    closing = sched.stroboscopic_frames()[-1]
+    # closure: the path returns to the identity, so U_c(T_c) ~ identity;
+    # the product is taken here, not from the frames, which only a dense
+    # average reads
+    closing = np.eye(rep.dimension, dtype=complex)
+    for c in path.colors:
+        closing = profiles[c].endpoint_unitary() @ closing
     if phase_distance(np.eye(rep.dimension, dtype=complex), closing) > 1e-8:
         raise RealizationError("schedule does not close at the identity")
     return sched
@@ -370,6 +500,20 @@ def checked_delta_t(delta_t: float) -> float:
     if not 0 < delta_t < math.inf:
         raise ValueError(f"delta_t must be positive and finite, got {delta_t!r}")
     return delta_t
+
+
+def check_amplitudes(schedule: ControlSchedule, delta_t: float) -> None:
+    """A ValueError naming ``delta_t`` unless every segment rate of
+    ``schedule``'s profiles and faults, divided by it, is finite: the
+    physical amplitude ‖rate‖ / delta_t overflows at a tiny delta_t."""
+    profiles = {step.profile for step in schedule.steps}
+    faults = {id(step.fault): step.fault for step in schedule.steps if step.fault}
+    top = max(float(np.linalg.norm(rate))
+              for segs in (*(p.segments for p in profiles), *faults.values())
+              for _, rate in segs)
+    if not math.isfinite(top / float(delta_t)):
+        raise ValueError(f"delta_t {delta_t!r} is too small: a segment "
+                         f"amplitude |rate| / delta_t is not finite")
 
 
 def _merge_grids(profile_segs, fault_segs):

@@ -19,9 +19,9 @@ from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
                                   commutant_basis, equal_up_to_phase,
                                   in_algebra, pi_G)
 from eulerdd.pulses import (ControlSchedule, PulseProfile, RealizationError,
-                            Step, _expm_herm, apply_fault, constant_profile,
-                            eulerian_schedule, merged_segments, phase_distance,
-                            piecewise_profile)
+                            Step, _expm_eig, _expm_herm, apply_fault,
+                            constant_profile, eulerian_schedule,
+                            merged_segments, phase_distance, piecewise_profile)
 from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, conjugated,
                                hermitian_log, monomial_groups,
                                pauli_generators)
@@ -332,27 +332,131 @@ class TestInvolutionIntegral:
                                       lambda: spin_flip_scenario(4),
                                       symmetric_s3_scenario],
                              ids=["carr-purcell", "spin-flip-4", "symmetric-s3"])
+    @pytest.mark.parametrize("kind", ["eulerian", "bangbang"])
     @pytest.mark.parametrize("env_dim", [1, 2, 3])
-    def test_average_hamiltonian_equals_the_stacked_form(self, make, env_dim):
-        # the block-by-block accumulation has the bits of one pass over the
-        # (d_E, d_E, d, d) stack of blocks
+    def test_average_hamiltonian_equals_the_stacked_form(self, make, kind,
+                                                         env_dim):
+        # the dense path (bang-bang: kicks) has the bits of one pass over
+        # the (d_E, d_E, d, d) stack of blocks; the gathers of an Eulerian
+        # schedule agree with it to rounding
+        sc = make()
+        sched = sc.schedule() if kind == "eulerian" else sc.bangbang()
+        H0 = sc.generic_drift(env_dim=env_dim, seed=env_dim).total()
+        want = dense_average_hamiltonian(sched, H0)
+        got = average_hamiltonian(sched, H0)
+        if kind == "bangbang":
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def dense_average_hamiltonian(sched, H0):
+    """H̄ from the (d_E, d_E, d, d) stack of blocks of H0: each distinct
+    profile's integral of the stack, conjugated by the frame of every step
+    that pulses it, in time order."""
+    d = sched.rep.dimension
+    de = H0.shape[0] // d
+    blocks = np.ascontiguousarray(H0.reshape(d, de, d, de).transpose(1, 3, 0, 2))
+    averaged = {p: dynamics._sub_interval_integral(
+                    p, dynamics._profile_segments(p, blocks))
+                for p in dict.fromkeys(s.profile for s in sched.steps)}
+    acc = np.zeros_like(blocks)
+    for frame, step in zip(sched.stroboscopic_frames(), sched.steps):
+        acc += frame.conj().T @ averaged[step.profile] @ frame
+    want = acc.transpose(2, 0, 3, 1).reshape(H0.shape)
+    want /= sched.sub_intervals
+    want += want.conj().T
+    want *= 0.5
+    return want
+
+
+class TestGatheredAverage:
+    """An Eulerian schedule of a monomial representation conjugates by
+    gathers over its path's vertices; the dense frame products agree."""
+
+    @pytest.mark.parametrize("make", [carr_purcell_scenario,
+                                      lambda: pauli_scenario(2),
+                                      lambda: spin_flip_scenario(4),
+                                      symmetric_s3_scenario],
+                             ids=["carr-purcell", "pauli-2", "spin-flip-4",
+                                  "symmetric-s3"])
+    @pytest.mark.parametrize("env_dim", [1, 2, 3])
+    def test_gathers_equal_the_frame_products(self, make, env_dim,
+                                              monkeypatch):
         sc = make()
         sched = sc.schedule()
-        d = sc.rep.dimension
         H0 = sc.generic_drift(env_dim=env_dim, seed=env_dim).total()
-        blocks = np.ascontiguousarray(
-            H0.reshape(d, env_dim, d, env_dim).transpose(1, 3, 0, 2))
-        averaged = {p: dynamics._sub_interval_integral(
-                        p, dynamics._profile_segments(p, blocks))
-                    for p in dict.fromkeys(s.profile for s in sched.steps)}
-        acc = np.zeros_like(blocks)
-        for frame, step in zip(sched.stroboscopic_frames(), sched.steps):
-            acc += frame.conj().T @ averaged[step.profile] @ frame
-        want = acc.transpose(2, 0, 3, 1).reshape(H0.shape)
-        want /= sched.sub_intervals
-        want += want.conj().T
-        want *= 0.5
-        assert np.array_equal(average_hamiltonian(sched, H0), want)
+        calls = []
+        real = dynamics.conjugation_sum
+        monkeypatch.setattr(dynamics, "conjugation_sum",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        got = average_hamiltonian(sched, H0)
+        # one gather call per distinct profile
+        assert len(calls) == len(set(sc.profiles.values()))
+        want = dense_average_hamiltonian(sched, H0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 2, 3]))
+    def test_random_monomial_groups(self, gens, seed, env_dim):
+        try:
+            group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                     max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        assume(group.order > 1)
+        profiles = {c: piecewise_profile(g, rep, [(1.0, hermitian_log(rep.matrices[g]))])
+                    for c, g in enumerate(group.generators)}
+        sched = eulerian_schedule(eulerian_cycle(build_cayley(group)), profiles, rep)
+        assert rep.monomial() is not None
+        H0 = random_hermitian(rep.dimension * env_dim, np.random.default_rng(seed))
+        want = dense_average_hamiltonian(sched, H0)
+        got = average_hamiltonian(sched, H0)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+    @pytest.mark.parametrize("env_dim", [1, 2])
+    def test_one_color_pulsing_two_profiles(self, env_dim, monkeypatch):
+        # a step of color 0 pulses another profile that realizes the same
+        # generator: each profile's gather runs over its own vertices
+        sc = pauli_scenario(1)
+        sched = sc.schedule()
+        rng = np.random.default_rng(env_dim)
+        gen = sc.group.generators[0]
+        A = random_hermitian(2, rng)
+        back = hermitian_log(sc.rep.matrices[gen] @ _expm_herm(A, -1.0))
+        other = piecewise_profile(gen, sc.rep, [(0.5, 2 * A), (0.5, 2 * back)])
+        steps = (Step(0, other),) + sched.steps[1:]
+        mixed = ControlSchedule(rep=sc.rep, steps=steps, path=sched.path)
+        calls = []
+        real = dynamics.conjugation_sum
+        monkeypatch.setattr(dynamics, "conjugation_sum",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        H0 = random_hermitian(2 * env_dim, rng)
+        got = average_hamiltonian(mixed, H0)
+        assert len(calls) == 3
+        want = dense_average_hamiltonian(mixed, H0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_kicks_and_dense_representations_take_the_frames(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "conjugation_sum",
+                            lambda *a, **k: calls.append(1))
+        sc = carr_purcell_scenario()
+        X = random_hermitian(2, np.random.default_rng(0))
+        average_hamiltonian(sc.bangbang(), X)
+        # a schedule that follows no path
+        sched = sc.schedule()
+        average_hamiltonian(ControlSchedule(rep=sched.rep, steps=sched.steps), X)
+        # a representation that is not monomial: the Hadamard group
+        had = (SX + SZ) / np.sqrt(2)
+        group, rep = close_group([had])
+        assert rep.monomial() is None
+        sched = eulerian_schedule(eulerian_cycle(build_cayley(group)),
+                                  {0: constant_profile(1, rep, had)}, rep)
+        got = average_hamiltonian(sched, X)
+        assert calls == []
+        assert np.array_equal(got, dense_average_hamiltonian(sched, X))
 
 
 def segment_product(segments, x=1.0):
@@ -550,6 +654,25 @@ class TestJointOperators:
                            H_E=random_hermitian(env_dim, rng), couplings=couplings)
         assert np.array_equal(drift.total(), kron_total(drift))
 
+    def test_drift_is_validated_once(self, monkeypatch):
+        # a sweep validates its drift at every delta_t; the terms of a
+        # drift do not change, so the checks run once
+        sc = carr_purcell_scenario()
+        drift = sc.generic_drift(env_dim=2)
+        calls = []
+        real = dynamics.is_hermitian
+        monkeypatch.setattr(dynamics, "is_hermitian",
+                            lambda m: calls.append(1) or real(m))
+        decoupling_distance(drift, sc.schedule(), [0.02, 0.01, 0.005])
+        drift.validate()
+        assert len(calls) == 2 + 1      # H_S and H_E once; H̄'s H0 once
+        # a drift that fails is refused at every call
+        bad = DriftModel(H_S=np.array([[0, 1], [0, 0]], dtype=complex),
+                         H_E=np.zeros((1, 1)), couplings=())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-Hermitian"):
+                bad.validate()
+
     @pytest.mark.parametrize("env_dim", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["bangbang", "eulerian"])
     def test_average_hamiltonian_matches_kron(self, kind, env_dim):
@@ -624,7 +747,8 @@ class TestSimulation:
         assert len(got) == 2
         for dt, dist in zip((0.02, 0.01), got):
             want = phase_distance(simulate_cycles(drift, sched, dt, 3),
-                                  _expm_herm(hbar, 3 * (sched.sub_intervals * dt)))
+                                  _expm_eig(*np.linalg.eigh(hbar),
+                                            3 * (sched.sub_intervals * dt)))
             assert dist == want
 
     def test_overflowing_delta_t_refused_before_any_simulation(self, monkeypatch):
@@ -639,6 +763,28 @@ class TestSimulation:
                                                  r"the propagated time 10 x 2 x"):
                 decoupling_distance(drift, sc.schedule(), values, cycles=10)
         assert calls == []
+
+    def test_delta_t_whose_amplitude_overflows_refused(self, monkeypatch):
+        # rate / 1e-320 overflows: refused, naming delta_t, before any
+        # exponential, not as a warning and a failed decomposition
+        sc = carr_purcell_scenario()
+        drift = sc.generic_drift(env_dim=2)
+        calls = []
+        monkeypatch.setattr(dynamics, "_expm_herm", lambda *a: calls.append(a))
+        message = r"^delta_t 1e-320 is too small: a segment amplitude"
+        with pytest.raises(ValueError, match=message):
+            simulate_cycles(drift, sc.schedule(), 1e-320)
+        with pytest.raises(ValueError, match=message):
+            decoupling_distance(drift, sc.schedule(), [1e-320, 1e-321])
+        # a fault's rate counts too, and a zero rate never overflows
+        sched = apply_fault(sc.schedule(), {0: [(1.0, 1e150 * SZ)]})
+        with pytest.raises(ValueError, match=r"^delta_t 1e-160 is too small"):
+            simulate_cycles(drift, sched, 1e-160)
+        assert calls == []
+        monkeypatch.undo()
+        # rate / 1e-300 is finite: the cycle is propagated
+        u = simulate_cycles(drift, sc.schedule(), 1e-300)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-12
 
     def test_cycle_count_off_unitarity_refused(self):
         # rounding compounds over 10^9 cycles past 1e-8 * dim; 10^6 stay in
@@ -791,24 +937,33 @@ class TestSegmentReuse:
         sc = spin_flip_scenario(6)
         drift = sc.generic_drift(env_dim=2, seed=0)
         del eigh_calls[:]
+        exps = []
+        real_expm = dynamics._expm_herm
+
+        def counted_expm(H, *args):
+            exps.append(H.shape)
+            return real_expm(H, *args)
+
+        monkeypatch.setattr(dynamics, "_expm_herm", counted_expm)
         per_call = []
         real = dynamics.simulate_cycles
 
         def counted(*args, **kwargs):
-            before = len(eigh_calls)
+            before, eighs = len(exps), len(eigh_calls)
             out = real(*args, **kwargs)
-            per_call.append(eigh_calls[before:])
+            per_call.append((exps[before:], eigh_calls[eighs:]))
             return out
 
         monkeypatch.setattr(dynamics, "simulate_cycles", counted)
         scaling_study(sc, [0.02, 0.01, 0.005], cycles=2, drift=drift)
         gamma = len(sc.group.generators)
         assert len(per_call) == 3
-        for calls in per_call:
+        for calls, eighs in per_call:
             assert calls == [(128, 128)] * gamma
-        # the 64x64 segment rates were decomposed once, when their profiles
-        # were built (piecewise_profile checks the realization), not here
-        assert eigh_calls.count((64, 64)) == 0
+            assert eighs == []          # one-shot exponentials: Padé
+        # the Pauli-string profiles were never diagonalized: only Hbar was
+        assert eigh_calls == [(128, 128)]
+        assert not any("spectra" in vars(p) for p in sc.profiles.values())
 
     @pytest.mark.parametrize("points", [1, 3, 4])
     def test_sweep_decomposes_the_average_hamiltonian_once(
@@ -825,8 +980,9 @@ class TestSegmentReuse:
 
     def test_verify_theorem_decomposes_each_segment_once(self, eigh_calls):
         sc = spin_flip_scenario(3)
-        # building a profile decomposes its segments for the realization check
-        assert all("spectra" in vars(p) for p in sc.profiles.values())
+        # the Pauli-string profiles are realized and integrated in closed
+        # form: none of them is ever diagonalized
+        assert not any("spectra" in vars(p) for p in sc.profiles.values())
         del eigh_calls[:]
         verify_theorem(sc, trials=20)
         verify_theorem(sc, trials=20, seed=1)

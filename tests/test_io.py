@@ -442,6 +442,21 @@ class TestScheduleExport:
         doc = yaml.safe_load(export_schedule(sc, 1e307))
         assert np.isfinite([row["start"] for row in doc["timeline"]]).all()
 
+    def test_delta_t_whose_amplitude_overflows_is_refused(self, monkeypatch):
+        # |rate| / 1e-320 is inf: the amplitude would be written as .inf,
+        # which import_schedule refuses; nothing is built before the refusal
+        sc = analysis.spin_flip_scenario()
+        monkeypatch.setattr(eio, "encode_matrix", None)
+        with pytest.raises(ValueError, match=r"^delta_t 1e-320 is too small: "
+                                             r"a segment amplitude \|rate\| / "
+                                             r"delta_t is not finite$"):
+            export_schedule(sc, 1e-320)
+        monkeypatch.undo()
+        text = export_schedule(sc, 1e-300)
+        assert np.isfinite([row["amplitude"]
+                            for row in yaml.safe_load(text)["timeline"]]).all()
+        assert len(import_schedule(text).steps) == 8
+
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
                     reason="PyYAML built without libyaml")

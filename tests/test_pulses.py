@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerdd import pulses
-from eulerdd.analysis import (SIGMA, carr_purcell_scenario, heisenberg,
+from eulerdd.analysis import (SIGMA, _pauli_string, carr_purcell_scenario,
+                              heisenberg,
                               pauli_scenario, random_hermitian,
                               spin_flip_scenario, swap_gate,
                               symmetric_s3_scenario)
@@ -16,12 +17,13 @@ from eulerdd.dynamics import control_propagator, residual_error, simulate_cycles
 from eulerdd.group_theory import close_group, equal_up_to_phase, in_algebra
 from eulerdd.io import (ConfigError, encode_matrix, export_schedule,
                         fault_from_doc)
-from eulerdd.pulses import (GridMismatchError, IncompleteProfileSetError,
-                            RealizationError, SegmentError,
-                            UnreachableGeneratorError, apply_fault,
-                            bangbang_schedule, constant_profile,
-                            eulerian_schedule, merged_segments,
-                            phase_distance, piecewise_profile, segment_list)
+from eulerdd.pulses import (EXPM_WORK, GridMismatchError,
+                            IncompleteProfileSetError, RealizationError,
+                            SegmentError, UnreachableGeneratorError, _expm_eig,
+                            _expm_herm, apply_fault, bangbang_schedule,
+                            constant_profile, eulerian_schedule,
+                            merged_segments, phase_distance, piecewise_profile,
+                            segment_list)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -140,6 +142,15 @@ class TestSchedules:
         assert equal_up_to_phase(frames[1], SX, 1e-9)
         assert equal_up_to_phase(frames[2], np.eye(2), 1e-9)
 
+    def test_profile_of_another_generator_rejected(self):
+        # X and Z swapped: the cycle still closes, but frame l is then no
+        # longer the element of path vertex l
+        sc = pauli_scenario(1)
+        swapped = {0: sc.profiles[1], 1: sc.profiles[0]}
+        with pytest.raises(RealizationError, match="the profile of color 0 "
+                                                   "does not realize generator 0"):
+            eulerian_schedule(sc.path, swapped, sc.rep)
+
     def test_missing_profile_rejected(self):
         sc = pauli_scenario(1)
         with pytest.raises(IncompleteProfileSetError):
@@ -210,6 +221,127 @@ class TestSchedules:
                         lambda: export_schedule(sc, dt)):
                 with pytest.raises(ValueError, match="delta_t must be positive"):
                     run()
+
+
+def hermitian_of_norm(d, norm, rng):
+    """A random Hermitian d x d matrix of 1-norm ``norm``."""
+    H = random_hermitian(d, rng)
+    return H * (norm / np.abs(H).sum(axis=0).max())
+
+
+class TestPadeExponential:
+    """exp(-i s H) by Padé scaling and squaring, against the eigh form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 64), st.floats(0.0, 50.0), st.sampled_from([1.0, -1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_eigh_form(self, d, norm, sign, seed):
+        H = hermitian_of_norm(d, 1.0, np.random.default_rng(seed))
+        s = sign * norm      # ‖s H‖₁ = norm
+        got = _expm_herm(H, s)
+        want = _expm_eig(*np.linalg.eigh(H), s)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, norm)
+        assert np.linalg.norm(got.conj().T @ got - np.eye(d)) <= 1e-13 * d
+
+    @pytest.mark.parametrize("norm,degree,squarings", [
+        (0.01, 3, 0), (0.2, 5, 0), (0.9, 7, 0), (2.0, 9, 0), (5.0, 13, 0),
+        (40.0, 13, 3)])
+    def test_degree_and_squarings_follow_the_norm(self, norm, degree,
+                                                  squarings, monkeypatch):
+        degrees = []
+        real = pulses._pade
+        monkeypatch.setattr(pulses, "_pade",
+                            lambda a, m, work: degrees.append(m) or real(a, m, work))
+        products = []
+        real_matmul, real_in_place = np.matmul, pulses._times_in_place
+
+        def counted(*args, **kwargs):
+            products.append(1)
+            return real_matmul(*args, **kwargs)
+
+        def counted_in_place(*args):
+            products.append(1)
+            return real_in_place(*args)
+
+        H = hermitian_of_norm(16, norm, np.random.default_rng(3))
+        work = np.empty((EXPM_WORK, 16, 16), dtype=complex)
+        h = H.copy()
+        monkeypatch.setattr(pulses.np, "matmul", counted)
+        monkeypatch.setattr(pulses, "_times_in_place", counted_in_place)
+        got = _expm_herm(h, 1.0, work)
+        monkeypatch.undo()
+        assert degrees == [degree]
+        # matrix products, one solve besides: five at degree 9
+        per_degree = {3: 2, 5: 3, 7: 5, 9: 5, 13: 6}[degree]
+        assert len(products) == per_degree + squarings
+        want = _expm_eig(*np.linalg.eigh(H), 1.0)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, norm)
+        # a scratch stack changes no bit of the result
+        assert np.array_equal(got, _expm_herm(H, 1.0))
+
+    @pytest.mark.parametrize("norm", [1.6, 40.0])
+    def test_in_place_products_in_row_blocks(self, norm):
+        # at D = 128 the in-place products take four blocks of rows
+        D = 128
+        assert pulses.MAX_STACK_BYTES // (16 * D) < D
+        H = hermitian_of_norm(D, norm, np.random.default_rng(5))
+        got = _expm_herm(H.copy(), 1.0, np.empty((EXPM_WORK, D, D), dtype=complex))
+        want = _expm_eig(*np.linalg.eigh(H), 1.0)
+        assert np.abs(got - want).max() <= 1e-13 * norm
+        assert np.linalg.norm(got.conj().T @ got - np.eye(D)) <= 1e-13 * D
+
+    def test_input_is_kept_without_a_work_stack(self):
+        H = hermitian_of_norm(8, 2.0, np.random.default_rng(1))
+        H.setflags(write=False)
+        _expm_herm(H, 0.7)      # a read-only H is copied, not written
+
+    def test_exact_zero_gives_the_identity(self):
+        for d in (1, 2, 7):
+            assert np.array_equal(_expm_herm(np.zeros((d, d)), 3.0), np.eye(d))
+        assert np.array_equal(_expm_herm(SX, 0.0), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponent_refused(self, bad):
+        H = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="exponent .* is not finite"):
+            _expm_herm(H, 0.5)
+        with pytest.raises(ValueError, match="exponent .* is not finite"):
+            _expm_herm(SX, bad)
+
+
+@st.composite
+def pauli_profiles(draw):
+    """A one-segment profile pulsing θA for a signed Hermitian Pauli string
+    A on n <= 5 qubits and θ in (0, 2π], and a fraction x in [0, 1]."""
+    n = draw(st.integers(1, 5))
+    letters = draw(st.text("ixyz", min_size=n, max_size=n))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    theta = draw(st.floats(0.0, 2 * np.pi, exclude_min=True))
+    x = draw(st.floats(0.0, 1.0))
+    return pulses.PulseProfile(((1.0, sign * theta * _pauli_string(letters)),)), x
+
+
+class TestClosedFormUnitary:
+    """A profile with involution data has u(x) = cos(xθ) I - i sin(xθ) A."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pauli_profiles())
+    def test_equals_the_spectra_form(self, case):
+        prof, x = case
+        assert prof.involution is not None
+        got = prof.unitary_at(x)
+        lam, V = prof.spectra[0]
+        assert np.abs(got - _expm_eig(lam, V, x)).max() <= 1e-14
+        # past the end of the segment, u stays at u(1)
+        assert np.array_equal(prof.unitary_at(1.0 - 1e-16), prof.unitary_at(1.0))
+
+    def test_pauli_string_profiles_are_never_diagonalized(self):
+        sc = spin_flip_scenario(3)
+        sched = sc.schedule()
+        sched.stroboscopic_frames()
+        control_propagator(sched, 0.3, 0.1)
+        assert all(p.involution is not None for p in sc.profiles.values())
+        assert not any("spectra" in vars(p) for p in sc.profiles.values())
 
 
 class TestIdentity:

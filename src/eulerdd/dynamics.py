@@ -90,6 +90,16 @@ class DriftModel:
         """H0 on S ⊗ E, built once per drift and read-only."""
         return self._total
 
+    def divided(self, norm: float) -> "DriftModel":
+        """This drift divided by ``norm``: H_S, H_E and each E divided (each
+        S stays the same array), its total this drift's total divided, not
+        built again."""
+        out = DriftModel(H_S=self.H_S / norm, H_E=self.H_E / norm,
+                         couplings=tuple((S, E / norm) for S, E in self.couplings))
+        # the cached_property's slot, filled as its first call would
+        out.__dict__["_total"] = _read_only(self.total() / norm)
+        return out
+
     @cached_property
     def _total(self) -> np.ndarray:
         """H_S, H_E and each S·E[k, l] written into one (d, d_E, d, d_E)

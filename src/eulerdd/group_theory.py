@@ -84,6 +84,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _monomial_parts(mats: np.ndarray):
+    """(rows, phases) of a (..., d, d) stack whose every column has exactly
+    one entry != 0: rows[..., i] is the row of that entry in column i and
+    phases[..., i] the entry.  None for any other stack."""
+    nonzero = mats != 0
+    if not (nonzero.sum(axis=-2) == 1).all():
+        return None
+    rows = nonzero.argmax(axis=-2)
+    d = mats.shape[-1]
+    flat = mats.reshape(-1, d * d)
+    picks = rows.reshape(-1, d) * d + np.arange(d)
+    return rows, flat[np.arange(len(flat))[:, None], picks].reshape(rows.shape)
+
+
 def is_unitary(m: np.ndarray) -> bool:
     """|m† m - I| within DEFAULT_PHASE_TOL times d (Frobenius norm)."""
     d = m.shape[0]
@@ -200,14 +214,29 @@ class UnitaryRep:
         != 0.  Zero is exact zero: only then does the gather add up to the
         products.  Built once."""
         def build():
-            mats = self.matrices
-            nonzero = mats != 0
-            if not (nonzero.sum(axis=-2) == 1).all():
-                return None
-            rows = nonzero.argmax(axis=-2)
-            phases = np.take_along_axis(mats, rows[:, None, :], axis=-2)[:, 0]
-            return _read_only(rows), _read_only(phases)
+            parts = _monomial_parts(self.matrices)
+            return None if parts is None else tuple(map(_read_only, parts))
         return self._cached("monomial", build)
+
+    def gather_plan(self):
+        """For a monomial representation, (|G|, d²) read-only arrays
+        (index, phase) such that g_j† X g_j, flattened, is
+        phase[j] * X.ravel()[index[j]]: index[j, a d + b] =
+        rows[j, a] d + rows[j, b] (int32) and phase[j, a d + b] =
+        conj(phases[j, a]) phases[j, b], for the (rows, phases) of
+        ``monomial``.  None for any other representation.  20 |G| d²
+        bytes, built once."""
+        def build():
+            mono = self.monomial()
+            if mono is None:
+                return None
+            rows, phases = mono
+            n, d = rows.shape
+            rows = rows.astype(np.int32)
+            index = (rows[:, :, None] * d + rows[:, None, :]).reshape(n, d * d)
+            phase = (phases.conj()[:, :, None] * phases[:, None, :]).reshape(n, d * d)
+            return _read_only(index), _read_only(phase)
+        return self._cached("gather", build)
 
     def algebra_basis(self) -> np.ndarray:
         """Orthonormal (Hilbert-Schmidt) basis of span{g_j}, as a read-only
@@ -254,20 +283,26 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
     ``rep.matrices``.  Two matrices are one element when
     ``equal_up_to_phase(stored, product)`` holds.
 
-    Each product gens[c] @ e_i of the breadth-first loop is compared by
-    ``equal_up_to_phase`` with one stored element only: the e maximizing
-    |tr(e† product)|, from one matrix-vector product of the flattened
-    stored elements with the conjugated, flattened product (so the stack is
-    never conjugated).  For unitary d x d matrices a product within the
-    tolerance of a stored e has |tr(e† product)| >= d (1 - DEFAULT_PHASE_TOL),
-    so the result equals a linear scan's unless two stored elements e, e'
-    are nearly equal up to phase: |tr(e† e')| >= d (1 - 2 DEFAULT_PHASE_TOL).
+    Each product gens[c] @ e_i of the breadth-first walk is compared by
+    ``equal_up_to_phase`` with one stored element only.  The dense walk
+    (``_dense_walk``) picks the e maximizing |tr(e† product)|, from one
+    matrix-vector product of the flattened stored elements with the
+    conjugated, flattened product (so the stack is never conjugated).  For
+    unitary d x d matrices a product within the tolerance of a stored e has
+    |tr(e† product)| >= d (1 - DEFAULT_PHASE_TOL), so the result equals a
+    linear scan's unless two stored elements e, e' are nearly equal up to
+    phase: |tr(e† e')| >= d (1 - 2 DEFAULT_PHASE_TOL).  When every
+    generator is monomial, the keyed walk (``_keyed_walk``) finds the same
+    element by the product's rows and phases, in O(d) per product instead
+    of O(|G| d^2), and falls back to the dense walk for a product it cannot
+    decide; the elements, their order and the table are the dense walk's,
+    bit for bit.
 
     The multiplication table needs no further products: if e_i was found as
     gens[c] @ e_p, row i is the action of gens[c] applied to row p.  One
-    lookup costs O(|G| d^2) against a hash's O(d^2), but the O(|G|^2 d^3)
-    products of a table filled by lookups are gone, so the total,
-    O(|Gamma| |G|^2 d^2) for |Gamma| generators, is smaller whenever
+    dense lookup costs O(|G| d^2) against a hash's O(d^2), but the
+    O(|G|^2 d^3) products of a table filled by lookups are gone, so the
+    total, O(|Gamma| |G|^2 d^2) for |Gamma| generators, is smaller whenever
     d >= |Gamma|.
 
     Raises GroupClosureError if the closure exceeds ``max_order`` elements.
@@ -280,65 +315,218 @@ def close_group(generator_matrices, max_order: int = 512) -> tuple:
         if g.shape != (d, d) or not is_unitary(g):
             raise InvalidGeneratorError("invalid generator: non-unitary input")
 
-    parent = []   # (c, p) when element i was found as gens[c] @ stack[p]
-    # stack[:len(parent)] holds the elements; the rows past them are spare
-    stack = np.empty((8, d, d), dtype=complex)
-
-    def add(m, origin):
-        nonlocal stack
-        k = len(parent)
-        if k == len(stack):
-            grown = np.empty((2 * k, d, d), dtype=complex)
-            grown[:k] = stack
-            stack = grown
-        stack[k] = m
-        parent.append(origin)
-        return k
-
-    def find(m):
-        n = len(parent)
-        k = int(np.argmax(np.abs(stack[:n].reshape(n, d * d) @ m.ravel().conj())))
-        return k if equal_up_to_phase(stack[k], m) else -1
-
-    add(np.eye(d, dtype=complex), None)
+    found = _Elements(d)
+    found.add(np.eye(d, dtype=complex), None)
     gen_indices = []
     for c, g in enumerate(gens):
-        k = find(g)
+        k = found.find(g)
         if k < 0:
-            k = add(fix_phase(g), (c, 0))
+            k = found.add(fix_phase(g), (c, 0))
         if k not in gen_indices and k != 0:
             gen_indices.append(k)
         elif k == 0 and len(gens) == 1:
             gen_indices.append(0)
 
-    act = []   # act[i][c]: index of gens[c] @ stack[i]
-    while len(act) < len(parent):   # elements are added while they are walked
-        i = len(act)
-        row = []
-        for c, g in enumerate(gens):
-            prod = g @ stack[i]
-            k = find(prod)
-            if k < 0:
-                if len(parent) >= max_order:
-                    raise GroupClosureError("group too large or not closed")
-                k = add(fix_phase(prod), (c, i))
-            row.append(k)
-        act.append(row)
+    seeded = len(found)
+    act = None
+    gen_parts = _monomial_parts(np.array(gens))
+    if gen_parts is not None:
+        try:
+            act = _keyed_walk(found, gens, gen_parts, max_order)
+        except _Undecided:
+            del found.parent[seeded:]
+    if act is None:
+        act = _dense_walk(found, gens, max_order)
 
-    n = len(parent)
+    n = len(found)
     act = np.array(act).T
     table = np.empty((n, n), dtype=int)
     table[0] = np.arange(n)
     for i in range(1, n):
-        c, p = parent[i]
+        c, p = found.parent[i]
         table[i] = act[c, table[p]]
 
     if not gen_indices:
         gen_indices = [0]
     group = Group(mult_table=table, generators=tuple(gen_indices))
     # a copy of the stored rows: a view would keep the spare ones alive
-    rep = UnitaryRep(group=group, matrices=_read_only(stack[:n].copy()))
+    rep = UnitaryRep(group=group, matrices=_read_only(found.stack[:n].copy()))
     return group, rep
+
+
+def _grown(a: np.ndarray, k: int) -> np.ndarray:
+    """``a``, or a copy of it with twice the rows when it has no row k."""
+    if k < len(a):
+        return a
+    out = np.empty((2 * len(a), *a.shape[1:]), dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+class _Elements:
+    """The elements a closure has found, in order: stack[:len(self)] holds
+    them phase-fixed, in one growable (n, d, d) buffer whose rows past them
+    are spare, and parent[i] = (c, p) says that element i was found as
+    gens[c] @ stack[p] (None for the identity)."""
+
+    def __init__(self, d: int):
+        self.parent = []
+        self.stack = np.empty((8, d, d), dtype=complex)
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def add(self, m: np.ndarray, origin) -> int:
+        k = len(self.parent)
+        self.stack = _grown(self.stack, k)
+        self.stack[k] = m
+        self.parent.append(origin)
+        return k
+
+    def add_product(self, prod: np.ndarray, origin, max_order: int) -> int:
+        """``add(fix_phase(prod), origin)``; a GroupClosureError when
+        ``max_order`` elements are stored already."""
+        if len(self.parent) >= max_order:
+            raise GroupClosureError("group too large or not closed")
+        return self.add(fix_phase(prod), origin)
+
+    def find(self, m: np.ndarray) -> int:
+        """The stored element maximizing |tr(e† m)| if it is
+        ``equal_up_to_phase`` to m, else -1."""
+        n = len(self.parent)
+        k = int(np.argmax(np.abs(self.stack[:n].reshape(n, -1) @ m.ravel().conj())))
+        return k if equal_up_to_phase(self.stack[k], m) else -1
+
+
+def _dense_walk(found: _Elements, gens, max_order: int) -> list:
+    """act[i][c], the index of gens[c] @ e_i, for every element i, walking
+    the elements in order while the new ones are added: each product is
+    looked up by ``_Elements.find``."""
+    act = []
+    while len(act) < len(found):
+        i = len(act)
+        row = []
+        for c, g in enumerate(gens):
+            prod = g @ found.stack[i]
+            k = found.find(prod)
+            if k < 0:
+                k = found.add_product(prod, (c, i), max_order)
+            row.append(k)
+        act.append(row)
+    return act
+
+
+class _Undecided(Exception):
+    """A keyed lookup found an element that the tolerance does not confirm."""
+
+
+# The phases of a monomial's key are rounded to multiples of 1/_KEY_SCALE:
+# far coarser than rounding (stored elements are phase-fixed, so it does not
+# accumulate along the walk), far finer than the phase steps of a group
+# within any closure's max_order.
+_KEY_SCALE = 2.0 ** 20
+
+
+def _monomial_keys(rows: np.ndarray, phases: np.ndarray) -> list:
+    """One bytes key per monomial of the (m, d) arrays (rows, phases): its
+    rows and its phases divided by the unit phase of column 0's entry, so
+    that a global phase leaves the key as it is, rounded to the grid."""
+    m, d = rows.shape
+    fixed = phases / (phases[:, :1] / np.abs(phases[:, :1]))
+    keys = np.empty((m, 3, d), dtype=np.int64)
+    keys[:, 0] = rows
+    keys[:, 1] = np.rint(fixed.real * _KEY_SCALE)
+    keys[:, 2] = np.rint(fixed.imag * _KEY_SCALE)
+    return keys.reshape(m, 3 * d).view(np.dtype((np.void, 24 * d)))[:, 0].tolist()
+
+
+def _equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``equal_up_to_phase(a[k], b[k])`` for every row k of two (m, d)
+    arrays, at once."""
+    overlap = np.einsum("kd,kd->k", a.conj(), b)
+    mod = np.abs(overlap)
+    turn = np.ones_like(overlap)
+    big = mod >= 1e-300
+    turn[big] = overlap[big].conj() / mod[big]
+    dist = np.linalg.norm(a - b * turn[:, None], axis=1)
+    return dist <= DEFAULT_PHASE_TOL * np.maximum(np.linalg.norm(a, axis=1), 1.0)
+
+
+def _keyed_walk(found: _Elements, gens, gen_parts, max_order: int) -> list:
+    """``_dense_walk`` for generators with the monomial (rows, phases)
+    ``gen_parts``, one breadth-first level at a time: the products of a
+    level's elements with every generator are formed as gathers of their
+    rows and phases, and each is looked up by its ``_monomial_keys`` key.
+    The decisions are the dense walk's:
+
+    - a key hit is confirmed at the tolerance of ``equal_up_to_phase``,
+      on the phases alone (two monomials of equal rows differ only there),
+      all of a level's hits at once; if one fails, _Undecided is raised and
+      the caller takes the dense walk;
+    - a key miss, which a product lying across a grid step from its element
+      also is, is looked up among the stored elements of the same rows by
+      overlap, as ``_Elements.find`` looks among all (an element of other
+      rows overlaps a product in at most d - 2 of its d columns), and
+      confirmed by ``equal_up_to_phase``.  Only a product that fails this
+      too is stored, from its dense product, so that the elements keep the
+      dense walk's bits.
+    """
+    g_rows, g_phases = gen_parts
+    n_gens, d = g_rows.shape
+    cols = np.arange(d)
+    rows = np.empty((len(found.stack), d), dtype=np.intp)   # of each element
+    phases = np.empty((len(found.stack), d), dtype=complex)
+    keys, buckets = {}, {}      # key -> element; rows bytes -> elements
+
+    def register(k, r, p, key):
+        nonlocal rows, phases
+        rows, phases = _grown(rows, k), _grown(phases, k)
+        rows[k], phases[k] = r, p
+        keys.setdefault(key, k)
+        buckets.setdefault(r.tobytes(), []).append(k)
+
+    def scan(r, p):
+        bucket = buckets.get(r.tobytes())
+        if bucket is None:
+            return -1
+        k = bucket[int(np.argmax(np.abs(phases[bucket] @ p.conj())))]
+        return k if equal_up_to_phase(phases[k], p) else -1
+
+    seeded = _monomial_parts(found.stack[:len(found)])
+    for k, key in enumerate(_monomial_keys(*seeded)):
+        register(k, seeded[0][k], seeded[1][k], key)
+
+    act = []
+    start = 0
+    while start < len(found):
+        end = len(found)
+        # gens[c] @ e_i for the level's e_i, in the walk's order (i, c)
+        prod_rows = g_rows[:, rows[start:end]].swapaxes(0, 1).reshape(-1, d)
+        prod_phases = (g_phases[:, rows[start:end]]
+                       * phases[start:end]).swapaxes(0, 1).reshape(-1, d)
+        level = np.empty(len(prod_rows), dtype=np.intp)
+        hits = []
+        for j, key in enumerate(_monomial_keys(prod_rows, prod_phases)):
+            k = keys.get(key)
+            if k is not None:
+                hits.append(j)
+            else:
+                k = scan(prod_rows[j], prod_phases[j])
+                if k < 0:
+                    i, c = divmod(j, n_gens)
+                    k = found.add_product(gens[c] @ found.stack[start + i],
+                                          (c, start + i), max_order)
+                    r = prod_rows[j]
+                    register(k, r, found.stack[k][r, cols], key)
+                else:
+                    keys[key] = k
+            level[j] = k
+        if hits and not _equal_up_to_phase_rows(phases[level[hits]],
+                                                prod_phases[hits]).all():
+            raise _Undecided
+        act.extend(level.reshape(-1, n_gens).tolist())
+        start = end
+    return act
 
 
 # Bound on the complex temporaries of one block of group elements in
@@ -353,46 +541,80 @@ def _average(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     """(1/|G|) sum_j g_j† X g_j for one d x d X or for each X of an
     (n, d, d) stack: ``conjugation_sum`` over every element, in element
     order."""
-    n = len(rep.matrices)
-    return conjugation_sum(rep, X, np.arange(n)) / n
+    return conjugation_sum(rep, X) / len(rep.matrices)
 
 
-def conjugation_sum(rep: UnitaryRep, X: np.ndarray, elements,
+def conjugates(rep: UnitaryRep, X: np.ndarray, elements=None):
+    """g_j† X g_j for the element indices ``elements`` (every element, in
+    order, when None), of one d x d X or of each X of a (..., d, d) stack:
+    yields them in order, as (..., B, d, d) blocks of B elements whose
+    terms fit MAX_STACK_BYTES (one element at least).
+
+    A monomial representation takes each block's terms as one gather of
+    the flattened X by its cached ``gather_plan`` and one multiply by the
+    plan's phases; any other, as the products (g_j† X) g_j, the block's
+    adjoints g_j† formed with its terms.  With phases in {±1, ±i} the
+    gather has the bits of the products.
+    """
+    d = rep.dimension
+    plan = rep.gather_plan()
+    flat = X.reshape(*X.shape[:-2], d * d)
+    count = len(rep.matrices) if elements is None else len(elements)
+    per = max(1, MAX_STACK_BYTES // max(1, 16 * X.size))
+    for j in range(0, count, per):
+        blk = slice(j, j + per) if elements is None else elements[j:j + per]
+        if plan is None:
+            g = rep.matrices[blk]
+            yield (g.conj().swapaxes(-1, -2) @ X[..., None, :, :]) @ g
+        else:
+            index, phase = plan
+            terms = np.take(flat, index[blk], axis=-1)
+            terms *= phase[blk]
+            yield terms.reshape(*terms.shape[:-1], d, d)
+
+
+def conjugation_sum(rep: UnitaryRep, X: np.ndarray, elements=None,
                     out: np.ndarray = None) -> np.ndarray:
     """sum_j g_j† X g_j over the element indices ``elements`` (repeats
-    count), for one d x d X or for each X of a (..., d, d) stack; added
-    into ``out`` (of X's shape) when given, else into a new array.
+    count; every element when None), for one d x d X or for each X of a
+    (..., d, d) stack; added into ``out`` (of X's shape) when given, else
+    into a new array.
 
-    The terms are formed for blocks of elements whose terms fit
-    MAX_STACK_BYTES (one element at least): as a phased gather of X for a
-    monomial representation, as the products (g_j† X) g_j otherwise, the
-    block's adjoints g_j† formed with its terms.  The running sum is added
-    into each block's first term, so the terms add up in the order of
-    ``elements``; with phases in {±1, ±i} the gather has the bits of the
-    products.
+    The terms are the blocks of ``conjugates``.  The running sum is added
+    into each block's first term, or a block of one term into it, so the
+    terms add up in the order of ``elements``.
     """
-    mats = rep.matrices
-    mono = rep.monomial()
-    d = rep.dimension
-    flat = X.reshape(*X.shape[:-2], d * d)
-    per = max(1, MAX_STACK_BYTES // max(1, 16 * X.size))
-    for j in range(0, len(elements), per):
-        blk = elements[j:j + per]
-        if mono is None:
-            g = mats[blk]
-            terms = (g.conj().swapaxes(-1, -2) @ X[..., None, :, :]) @ g
-        else:
-            # X[..., rows[a], rows[b]], taken from the flattened X: about
-            # 3x faster than indexing two axes at once
-            rows, phases = (a[blk] for a in mono)
-            terms = np.take(flat, rows[:, :, None] * d + rows[:, None, :], axis=-1)
-            terms *= phases.conj()[:, :, None] * phases[:, None, :]
+    for terms in conjugates(rep, X, elements):
         if out is None:
             out = terms.sum(axis=-3)
+        elif terms.shape[-3] == 1:
+            out += terms[..., 0, :, :]
         else:
             terms[..., 0, :, :] += out
             terms.sum(axis=-3, out=out)
     return out
+
+
+def commutator_norms(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
+    """‖X g_j − g_j X‖ (Frobenius) for every element j, of one d x d X or
+    of each X of an (n, d, d) stack: a (..., |G|) array.
+
+    For unitary g_j this is ‖g_j† X g_j − X‖, which a monomial
+    representation takes from its ``conjugates``, within MAX_STACK_BYTES
+    per block; any other forms the two products, in blocks of the same
+    size.
+    """
+    X = np.asarray(X, dtype=complex)
+    Xs = X[..., None, :, :]
+    if rep.gather_plan() is None:
+        per = max(1, MAX_STACK_BYTES // max(1, 16 * X.size))
+        mats = rep.matrices
+        diffs = (Xs @ g - g @ Xs for g in (mats[j:j + per]
+                                          for j in range(0, len(mats), per)))
+    else:
+        diffs = (np.subtract(terms, Xs, out=terms) for terms in conjugates(rep, X))
+    return np.concatenate([np.linalg.norm(diff, axis=(-2, -1)) for diff in diffs],
+                          axis=-1)
 
 
 def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:

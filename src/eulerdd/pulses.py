@@ -216,6 +216,42 @@ def _times_in_place(x: np.ndarray, y: np.ndarray) -> None:
         x[r:r + step] = x[r:r + step] @ y
 
 
+def involution_parts(rate: np.ndarray):
+    """(θ, rows, phases) of a matrix θA with θ > 0 and A a monomial
+    Hermitian involution, as a Pauli string is: rows[i] is the row of the
+    one nonzero entry in column i of A and phases[i] that entry.  None for
+    any other matrix.  Zero is exact zero, as in ``UnitaryRep.monomial``;
+    rows must be an involution and A = rate / θ, θ the largest |entry|,
+    must square to I within 1e-14 per entry, so every |entry| is θ."""
+    nonzero = rate != 0
+    if not (nonzero.sum(axis=0) == 1).all():
+        return None
+    rows = nonzero.argmax(axis=0)
+    cols = np.arange(len(rows))
+    if not (rows[rows] == cols).all():
+        return None
+    entries = rate[rows, cols].astype(complex)
+    theta = float(np.abs(entries).max())
+    # the parts divided as reals: a complex division by a subnormal θ
+    # overflows
+    phases = (entries.view(float) / theta).view(complex)
+    # A² e_i = phases[i] phases[rows[i]] e_i
+    if not np.abs(phases * phases[rows] - 1.0).max() <= 1e-14:
+        return None
+    return theta, _read_only(rows), _read_only(phases)
+
+
+def _involution_unitary(angle: float, rows: np.ndarray,
+                        phases: np.ndarray) -> np.ndarray:
+    """exp(-i angle A) = cos(angle) I - i sin(angle) A for the monomial
+    involution A of ``involution_parts``' (rows, phases)."""
+    d = len(rows)
+    u = np.zeros((d, d), dtype=complex)
+    u[rows, np.arange(d)] = (-1j * math.sin(angle)) * phases
+    u.ravel()[::d + 1] += math.cos(angle)
+    return u
+
+
 @dataclass(eq=False)
 class PulseProfile:
     """Piecewise-constant control over one sub-interval: its segments.
@@ -251,32 +287,11 @@ class PulseProfile:
 
     @cached_property
     def involution(self):
-        """(θ, rows, phases) of a one-segment profile whose rate is θA with
-        θ > 0 and A a monomial Hermitian involution, as a Pauli string is:
-        rows[i] is the row of the one nonzero entry in column i of A and
-        phases[i] that entry.  None for any other profile.  Zero is exact
-        zero, as in ``UnitaryRep.monomial``; rows must be an involution and
-        A = rate / θ, θ the largest |entry|, must square to I within 1e-14
-        per entry, so every |entry| is θ."""
+        """``involution_parts`` of the rate of a one-segment profile; None
+        for any other profile."""
         if len(self.segments) != 1:
             return None
-        rate = self.segments[0][1]
-        nonzero = rate != 0
-        if not (nonzero.sum(axis=0) == 1).all():
-            return None
-        rows = nonzero.argmax(axis=0)
-        cols = np.arange(len(rows))
-        if not (rows[rows] == cols).all():
-            return None
-        entries = rate[rows, cols].astype(complex)
-        theta = float(np.abs(entries).max())
-        # the parts divided as reals: a complex division by a subnormal θ
-        # overflows
-        phases = (entries.view(float) / theta).view(complex)
-        # A² e_i = phases[i] phases[rows[i]] e_i
-        if not np.abs(phases * phases[rows] - 1.0).max() <= 1e-14:
-            return None
-        return theta, _read_only(rows), _read_only(phases)
+        return involution_parts(self.segments[0][1])
 
     def unitary_at(self, x: float) -> np.ndarray:
         """u(x) for fraction x in [0, 1] of the sub-interval: for a profile
@@ -286,12 +301,8 @@ class PulseProfile:
         if self.involution is not None:
             frac = self.segments[0][0]
             theta, rows, phases = self.involution
-            angle = theta * (frac if x >= frac - 1e-15 else x)
-            d = len(rows)
-            u = np.zeros((d, d), dtype=complex)
-            u[rows, np.arange(d)] = (-1j * math.sin(angle)) * phases
-            u.ravel()[::d + 1] += math.cos(angle)
-            return u
+            return _involution_unitary(theta * (frac if x >= frac - 1e-15 else x),
+                                       rows, phases)
         u = np.eye(self.segments[0][1].shape[0], dtype=complex)
         pos = 0.0
         for (frac, _), (lam, V) in zip(self.segments, self.spectra):
@@ -317,25 +328,88 @@ def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> Pulse
     the generator.  The amplitude is the smallest non-negative angle theta
     with exp(-i theta axis) equal to the target up to phase; the physical
     amplitude is theta / delta_t.  An axis that is not a Hermitian d x d
-    matrix is refused.
+    matrix is refused.  An axis cA, A a monomial Hermitian involution
+    (``involution_parts``), has its angle read from (c, rows, phases)
+    (``_involution_angle``); any other axis is diagonalized.
     """
     target = rep.matrices[generator]
     d = target.shape[0]
     axis = hermitian_matrix(axis, d, "axis")
     if np.linalg.norm(target - np.eye(d)) <= DEFAULT_PHASE_TOL:
         return piecewise_profile(generator, rep, [(1.0, np.zeros((d, d)))])
+    parts = involution_parts(axis)
+    theta = (_eigenbasis_angle(target, axis) if parts is None
+             else _involution_angle(target, *parts))
+    return piecewise_profile(generator, rep, [(1.0, theta * axis)])
+
+
+def _unreachable(why: str = "") -> UnreachableGeneratorError:
+    return UnreachableGeneratorError("unreachable generator along axis"
+                                     + (f": {why}" if why else ""))
+
+
+def _involution_angle(target: np.ndarray, c: float, rows: np.ndarray,
+                      phases: np.ndarray) -> float:
+    """The angle of ``constant_profile`` for the axis cA, A the monomial
+    Hermitian involution of (rows, phases), without an eigendecomposition.
+
+    A's eigenvectors are known: e_i of eigenvalue phases[i] = ±1 for a
+    column i that A fixes, e_i ± phases[i] e_rows[i] of eigenvalue ±1 for
+    one it moves.  A target aI + bA in span{I, A} has the eigenvalue
+    λ± = a ± b on each, read from its column i, and exp(-iθcA) has e^{∓iθc}
+    there, so θ = arg(λ- / λ+) / (2c), plus the period π/c when that is
+    negative: the eigenbasis rule of ``_eigenbasis_angle`` for the
+    eigenvalues ±c.  A target that does not commute with A is refused as
+    not diagonal in A's eigenbasis, as that rule refuses it; one that
+    commutes but lies outside span{I, A}, or is not realized at θ, as
+    unreachable.
+    """
+    d = len(rows)
+    cols = np.arange(d)
+    fixed = rows == cols
+
+    def eigenvalue(sign):
+        on = np.flatnonzero(fixed & (phases.real * sign > 0))
+        if len(on):
+            return target[on[0], on[0]]
+        i = int(np.argmin(fixed))      # a moved column
+        return target[i, i] + sign * phases[i] * target[i, rows[i]]
+
+    if fixed.all() and np.ptp(phases.real) < 1.0:   # A = ±I
+        raise _unreachable("axis is a multiple of identity")
+    plus, minus = eigenvalue(1), eigenvalue(-1)
+    residual = target.copy()
+    residual.ravel()[::d + 1] -= 0.5 * (plus + minus)
+    residual[rows, cols] -= 0.5 * (plus - minus) * phases
+    if np.linalg.norm(residual) > 1e-9:
+        # (TA)[:, i] = T[:, rows[i]] phases[i], (AT)[i] = phases[rows[i]] T[rows[i]]
+        commutator = target[:, rows] * phases - phases[rows][:, None] * target[rows]
+        raise _unreachable("target not diagonal in axis eigenbasis"
+                           if np.linalg.norm(commutator) > 1e-9 else "")
+    theta = np.angle(minus / plus) / (2.0 * c)
+    if theta < -1e-12:
+        theta += np.pi / c
+    if not phase_distance(target, _involution_unitary(theta * c, rows, phases)) <= REALIZATION_TOL:
+        raise _unreachable()
+    return theta
+
+
+def _eigenbasis_angle(target: np.ndarray, axis: np.ndarray) -> float:
+    """The angle of ``constant_profile`` from the eigenpairs of ``axis``:
+    the target, diagonal in the axis eigenbasis, has eigenvalues t there,
+    and of the angles that turn the first pair of distinct axis
+    eigenvalues into the phase of t on them (every branch), the smallest
+    non-negative one that realizes the target is taken."""
     evals, evecs = np.linalg.eigh(axis)
     diag_target = evecs.conj().T @ target @ evecs
     if np.linalg.norm(diag_target - np.diag(np.diag(diag_target))) > 1e-9:
-        raise UnreachableGeneratorError(
-            "unreachable generator along axis: target not diagonal in axis eigenbasis")
+        raise _unreachable("target not diagonal in axis eigenbasis")
     t = np.diag(diag_target)
     # candidate angles from one pair of distinct axis eigenvalues, all
     # branches; eigh sorts the eigenvalues, so the first such pair is (0, j)
     j = int(np.argmax(evals - evals[0] > 1e-12))
     if j == 0:
-        raise UnreachableGeneratorError(
-            "unreachable generator along axis: axis is a multiple of identity")
+        raise _unreachable("axis is a multiple of identity")
     gap = evals[0] - evals[j]
     base = -np.angle(t[0] / t[j]) / gap
     period = 2.0 * np.pi / abs(gap)
@@ -344,10 +418,8 @@ def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> Pulse
         if theta < -1e-12:
             continue
         if phase_distance(target, _expm_eig(evals, evecs, theta)) <= REALIZATION_TOL:
-            break
-    else:
-        raise UnreachableGeneratorError("unreachable generator along axis")
-    return piecewise_profile(generator, rep, [(1.0, theta * axis)])
+            return theta
+    raise _unreachable()
 
 
 def piecewise_profile(generator: int, rep: UnitaryRep, segments) -> PulseProfile:

@@ -36,9 +36,14 @@ class TestBuiltinScenarios:
             sc = pauli_scenario(n)
             assert len(sc.path) == n * 2 ** (2 * n + 1)
 
+    def test_pauli_five_qubits_build(self):
+        sc = pauli_scenario(5)
+        assert sc.group.order == 1024
+        assert len(sc.path) == sc.expected_cycle_length == 10240
+
     def test_pauli_cap(self):
-        for n in (0, 5):
-            with pytest.raises(ValueError, match="1 <= n <= 4"):
+        for n in (0, 6):
+            with pytest.raises(ValueError, match="1 <= n <= 5"):
                 pauli_scenario(n)
 
     def test_spin_flip_odd_n_projective(self):
@@ -101,6 +106,38 @@ class TestBuiltinScenarios:
             assert len(drift.couplings) == len(sc.noise_generators)
             for (S, _), (_, m) in zip(drift.couplings, sc.noise_generators):
                 assert S is m
+
+    @pytest.mark.parametrize("env_dim", [1, 2, 3])
+    def test_generic_drift_builds_one_total(self, env_dim, monkeypatch):
+        builds = []
+        real = dynamics.DriftModel._total.func
+        monkeypatch.setattr(dynamics.DriftModel._total, "func",
+                            lambda drift: builds.append(drift) or real(drift))
+        sc = get_scenario("spin-flip", 3)
+        drift = sc.generic_drift(env_dim=env_dim, seed=2)
+        total = drift.total()
+        assert len(builds) == 1 and builds[0] is not drift
+        # the divided total is the total of the divided terms
+        fresh = real(drift)
+        assert np.abs(total - fresh).max() <= 1e-15 * np.abs(fresh).max()
+        assert not total.flags.writeable
+        assert np.linalg.norm(total, 2) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestRandomHermitians:
+    def test_stack_is_the_stream_of_single_draws(self):
+        for d, n in ((1, 3), (4, 5), (32, 4)):
+            a, b = np.random.default_rng(d), np.random.default_rng(d)
+            stack = analysis.random_hermitians(n, d, a)
+            singles = [random_hermitian(d, b) for _ in range(n)]
+            assert stack.tobytes() == np.array(singles).tobytes()
+            # both generators are left at the same point of the stream
+            assert a.standard_normal() == b.standard_normal()
+
+    def test_single_draw_is_the_reference_formula(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        m = b.standard_normal((6, 6)) + 1j * b.standard_normal((6, 6))
+        assert np.array_equal(random_hermitian(6, a), (m + m.conj().T) / 2.0)
 
 
 class TestAlgebraBasisOnDemand:
@@ -167,21 +204,31 @@ def per_operator_pi_G(rep, X):
     return ((adjs @ X) @ mats).sum(axis=0) / len(mats)
 
 
-def per_operator_q_map(rep, profiles, X):
+def per_operator_f_map(profiles, X):
     # a profile with involution data is integrated in closed form, one
     # operator at a time as well
-    F = sum(dynamics._involution_integral(1.0, p.involution, X)
-            if p.involution is not None else
-            per_operator_integral([(frac, spec, X) for (frac, _), spec
-                                   in zip(p.segments, p.spectra)])
-            for p in profiles.values()) / len(profiles)
-    return per_operator_pi_G(rep, F)
+    return sum(dynamics._involution_integral(1.0, p.involution, X)
+               if p.involution is not None else
+               per_operator_integral([(frac, spec, X) for (frac, _), spec
+                                      in zip(p.segments, p.spectra)])
+               for p in profiles.values()) / len(profiles)
+
+
+def per_operator_q_map(rep, profiles, X):
+    return per_operator_pi_G(rep, per_operator_f_map(profiles, X))
+
+
+def per_operator_commutator_norm(rep, q):
+    """max_g |g† q g - q| (Frobenius), one element at a time."""
+    return max(float(np.linalg.norm(g.conj().T @ q @ g - q, axis=(-2, -1)))
+               for g in rep.matrices)
 
 
 def per_trial_checks(scenario, trials, seed, monkeypatch):
-    """The rows of ``verify_checks`` as its per-trial loops computed them
-    before operator stacks: one draw, one q_map and one pi_G at a time, and
-    one pi_G per noise generator."""
+    """The rows of ``verify_checks`` as per-trial loops compute them: one
+    draw, one F map and one pi_G of F(X) - X at a time, and one pi_G per
+    noise generator; the commutant check one q_map and one element at a
+    time."""
     monkeypatch.setattr(analysis, "noise_suppression_check", lambda sc: max(
         (float(np.linalg.norm(per_operator_pi_G(sc.rep, S)))
          for _, S in sc.noise_generators), default=0.0))
@@ -200,12 +247,11 @@ def per_trial_checks(scenario, trials, seed, monkeypatch):
     worst = 0.0
     for _ in range(trials):
         X = random_hermitian(rep.dimension, theorem_rng)
-        dev = np.linalg.norm(per_operator_q_map(rep, scenario.profiles, X)
-                             - per_operator_pi_G(rep, X))
+        dev = np.linalg.norm(per_operator_pi_G(
+            rep, per_operator_f_map(scenario.profiles, X) - X))
         worst = max(worst, float(dev))
     checks.append(analysis.bound_check("symmetrization", worst, analysis.THEOREM_TOL))
 
-    mats = rep.matrices
     worst_idem, worst_comm = 0.0, 0.0
     for _ in range(10):
         X = random_hermitian(rep.dimension, rng)
@@ -213,7 +259,7 @@ def per_trial_checks(scenario, trials, seed, monkeypatch):
         worst_idem = max(worst_idem,
                          float(np.linalg.norm(per_operator_pi_G(rep, p) - p)))
         q = per_operator_q_map(rep, scenario.profiles, X)
-        worst_comm = max(worst_comm, analysis.max_norm(q @ mats - mats @ q))
+        worst_comm = max(worst_comm, per_operator_commutator_norm(rep, q))
     checks.append(analysis.bound_check("projector-idempotent", worst_idem, 1e-10))
     checks.append(analysis.bound_check("qmap-commutant-valued", worst_comm, 1e-9))
     for check in scenario.checks:
@@ -261,14 +307,16 @@ class TestStackedVerify:
         assert per == 20 or stack_bytes(per + 1) > MAX_STACK_BYTES
 
     def test_verify_passes_stacks_to_q_map(self, monkeypatch):
-        # pauli n=2: 256 operators fit the budget, so 20 trials are one call
+        # pauli n=2: 256 operators fit the budget, so 20 trials are one
+        # call: of f_map in the theorem check, of q_map in the commutant one
         sc = get_scenario("pauli", 2)
         shapes = []
-        real = analysis.q_map
-        monkeypatch.setattr(analysis, "q_map", lambda rep, profiles, X: (
-            shapes.append(X.shape) or real(rep, profiles, X)))
+        for name in ("f_map", "q_map"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda *args, real=real, name=name: (
+                shapes.append((name, args[-1].shape)) or real(*args)))
         analysis.verify_checks(sc, 20, 0)
-        assert shapes == [(20, 4, 4), (10, 4, 4)]
+        assert shapes == [("f_map", (20, 4, 4)), ("q_map", (10, 4, 4))]
 
 
 def block_actions(rep, residual):

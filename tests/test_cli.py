@@ -172,6 +172,24 @@ class TestVerify:
             "cycle-length", "eulerian-cycle-valid", "symmetrization",
             "projector-idempotent", "qmap-commutant-valued"]
 
+    def test_t_gate_inline_scenario_passes(self, capsys, tmp_path):
+        # diag(1, e^{i pi/4}) closes to |G| = 8 with phases off the quarter
+        # turns, and its sigma-z axis is a monomial involution
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario:\n  generators:\n"
+                       "    - dim: [2, 2]\n"
+                       "      data: [[1, 0], [0, 0], [0, 0], "
+                       "[0.7071067811865476, 0.7071067811865476]]\n"
+                       "  profiles:\n"
+                       "    - axis:\n"
+                       "        dim: [2, 2]\n"
+                       "        data: [[1, 0], [0, 0], [0, 0], [-1, 0]]\n")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert doc["checks"][0]["value"] == 8
+
     def test_out_of_algebra_inline_scenario_skips_symmetrization(self, capsys,
                                                                  tmp_path):
         # sigma_x realized as exp(-i pi/2 sigma_y) exp(-i pi/2 sigma_z): the

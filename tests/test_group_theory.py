@@ -1055,3 +1055,202 @@ class TestDecomposeIrreps:
         _, rep = close_group([collective(2, "x"), collective(2, "z")])
         dec = decompose_irreps(rep)
         assert [(b.multiplicity, b.dimension) for b in dec.blocks] == [(1, 1)] * 4
+
+
+HADAMARD = (SX + SZ) / np.sqrt(2)
+T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
+BUILTIN_CASES = [("carr-purcell", None), ("pauli", 1), ("pauli", 2),
+                 ("pauli", 3), ("spin-flip", 2), ("spin-flip", 5),
+                 ("symmetric-s3", None)]
+
+
+def dense_conjugates(rep, X):
+    """g_j† X g_j for every element j, by products: a (..., |G|, d, d) stack."""
+    mats = rep.matrices
+    return mats.conj().transpose(0, 2, 1) @ X[..., None, :, :] @ mats
+
+
+def dense_commutator_norms(rep, X):
+    """|X g - g X| (Frobenius) for every element g, by products."""
+    mats = rep.matrices
+    Xs = X[..., None, :, :]
+    return np.linalg.norm(Xs @ mats - mats @ Xs, axis=(-2, -1))
+
+
+def assert_close_relative(got, want, rtol, scale=0.0):
+    """got = want within rtol times the larger of |want| and ``scale``: for
+    norms of commutators that vanish, the scale of their operators."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), scale, 1e-300)
+
+
+def assert_norms_match(rep, ops):
+    assert_close_relative(group_theory.commutator_norms(rep, ops),
+                          dense_commutator_norms(rep, ops), 1e-12,
+                          np.abs(ops).max())
+
+
+def conjugate_stack(rep, X, elements=None):
+    return np.concatenate(list(group_theory.conjugates(rep, X, elements)), axis=-3)
+
+
+class TestGatherPlan:
+    """A monomial representation caches one gather plan, which conjugates,
+    group averages and commutator norms share; other representations keep
+    dense products."""
+
+    def test_plan_is_cached_and_read_only(self):
+        rep = scenario("pauli", 2).rep
+        index, phase = rep.gather_plan()
+        assert rep.gather_plan()[0] is index
+        assert index.dtype == np.int32 and index.shape == (16, 16)
+        assert phase.shape == (16, 16) and not index.flags.writeable
+        assert not phase.flags.writeable
+        rows, phases = rep.monomial()
+        d = rep.dimension
+        for j, g in enumerate(rep.matrices):
+            X = random_stack(d, 1, j)[0]
+            term = (phase[j] * X.ravel()[index[j]]).reshape(d, d)
+            assert np.array_equal(term, g.conj().T @ X @ g)
+
+    @pytest.mark.parametrize("name,n", BUILTIN_CASES)
+    def test_builtin_conjugates_and_norms_equal_the_products(self, name, n):
+        rep = scenario(name, n).rep
+        d = rep.dimension
+        rng = np.random.default_rng(5)
+        X = np.array([random_hermitian(d, rng) for _ in range(3)])
+        commuting = pi_G(rep, X)
+        assert_close_relative(conjugate_stack(rep, X), dense_conjugates(rep, X),
+                              1e-12)
+        for ops in (X, commuting, X[0]):
+            assert_norms_match(rep, ops)
+        # a random X is far from the commutant, pi_G(X) within rounding of it
+        if rep.group.order > 1:
+            assert group_theory.commutator_norms(rep, X).max() > 0.1
+        assert group_theory.commutator_norms(rep, commuting).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_random_monomial_groups_equal_the_products(self, gens, n, seed):
+        try:
+            _, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
+                                 max_order=PROPERTY_MAX_ORDER)
+        except GroupClosureError:
+            assume(False)
+        assert rep.gather_plan() is not None
+        X = random_stack(rep.dimension, n, seed)
+        X = X + X.conj().transpose(0, 2, 1)
+        assert_close_relative(conjugate_stack(rep, X), dense_conjugates(rep, X),
+                              1e-12)
+        for ops in (X, pi_G(rep, X)):
+            assert_norms_match(rep, ops)
+
+    def test_chosen_elements_in_order_with_repeats(self):
+        rep = scenario("pauli", 2).rep
+        X = random_stack(4, 2, 9)
+        elements = np.array([3, 0, 3, 15, 7])
+        want = dense_conjugates(rep, X)[:, elements]
+        assert_close_relative(conjugate_stack(rep, X, elements), want, 1e-15)
+        got = group_theory.conjugation_sum(rep, X, elements)
+        assert_close_relative(got, want.sum(axis=1), 1e-14)
+
+    @pytest.mark.parametrize("name,n,ops", [("pauli", 4, 16), ("spin-flip", 5, 3),
+                                            ("spin-flip", 6, 1)])
+    def test_blocks_fit_the_budget(self, name, n, ops):
+        rep = scenario(name, n).rep
+        X = random_stack(rep.dimension, ops, 2)
+        blocks = list(group_theory.conjugates(rep, X))
+        assert sum(b.shape[-3] for b in blocks) == rep.group.order
+        for b in blocks:
+            assert b.shape[-3] == 1 or b.nbytes <= group_theory.MAX_STACK_BYTES
+
+    @pytest.mark.parametrize("gens", [
+        [HADAMARD], conjugated(pauli_generators(2), 5),
+        conjugated(spin_flip_generators(3), 7)],
+        ids=["hadamard", "conjugated-pauli-2", "conjugated-spin-flip-3"])
+    def test_dense_reps_keep_products(self, gens, monkeypatch):
+        _, rep = close_group(gens)
+        assert rep.monomial() is None and rep.gather_plan() is None
+        X = random_stack(rep.dimension, 3, 4)
+        X = X + X.conj().transpose(0, 2, 1)
+        commuting = pi_G(rep, X)
+        # conjugates is the gathered path; the products bypass it
+        monkeypatch.setattr(group_theory, "conjugates",
+                            lambda *a: pytest.fail("gathered a dense rep"))
+        for ops in (X, commuting):
+            assert_norms_match(rep, ops)
+
+    def test_monomial_reps_take_the_conjugates(self, monkeypatch):
+        rep = scenario("pauli", 2).rep
+        calls = []
+        real = group_theory.conjugates
+        monkeypatch.setattr(group_theory, "conjugates",
+                            lambda *a: calls.append(1) or real(*a))
+        group_theory.commutator_norms(rep, random_stack(4, 2, 1))
+        assert calls == [1]
+
+
+class TestKeyedClosure:
+    """Monomial generators close by keys of their rows and phases, with the
+    dense closure's elements, order and table."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        for name in ("_keyed_walk", "_dense_walk"):
+            real = getattr(group_theory, name)
+            monkeypatch.setattr(group_theory, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("gens,order", [
+        ([T_GATE, SZ], 8), ([T_GATE, SX], 16), (pauli_generators(3), 64),
+        (spin_flip_generators(4), 4)], ids=["t-gate", "t-gate-x", "pauli-3",
+                                           "spin-flip-4"])
+    def test_monomial_generators_take_the_keyed_walk(self, gens, order, walks):
+        assert_same_closure(gens, 512)
+        walks.clear()
+        group, rep = close_group(gens)
+        assert group.order == order and rep.monomial() is not None
+        assert walks == ["_keyed_walk"]
+
+    def test_conjugated_generators_take_the_dense_walk(self, walks):
+        close_group(conjugated(pauli_generators(2), 5))
+        assert walks == ["_dense_walk"]
+
+    def test_copy_across_a_grid_step_is_found(self, walks):
+        # [[0, w], [1, 0]] squares to w I, so it has order 2 for any unit w;
+        # two copies 2e-13 apart straddle a rounding step of the key grid
+        step = 1.0 / group_theory._KEY_SCALE
+        re = (round(0.6 / step) + 0.5) * step
+
+        def flip(re):
+            return np.array([[0, complex(re, np.sqrt(1 - re * re))], [1, 0]])
+
+        a, b = flip(re + 1e-13), flip(re - 1e-13)
+        keys = group_theory._monomial_keys(*group_theory._monomial_parts(np.array([a, b])))
+        assert keys[0] != keys[1] and equal_up_to_phase(a, b)
+        assert_same_closure([a, b, SZ], 512)
+        walks.clear()
+        group, _ = close_group([a, b, SZ])
+        assert walks == ["_keyed_walk"] and group.order == 4
+
+    def test_an_unconfirmed_hit_falls_back_to_the_dense_walk(self, walks):
+        # phases 1e-8 apart share a key but are distinct elements
+        g = np.diag([1.0, np.exp(1e-8j)])
+        assert_same_closure([g], 8)
+        walks.clear()
+        with pytest.raises(GroupClosureError):
+            close_group([g], max_order=8)
+        assert walks == ["_keyed_walk", "_dense_walk"]
+
+    def test_pauli_5_closes(self):
+        group, rep = close_group(pauli_generators(5), max_order=4 ** 5 + 1)
+        assert group.order == 1024 and rep.monomial() is not None
+        # the table agrees with direct products on a sample of rows
+        d = rep.dimension
+        for i in (1, 17, 513, 1023):
+            prods = rep.matrices[i] @ rep.matrices
+            overlap = np.einsum("kab,kab->k",
+                                rep.matrices[group.mult_table[i]].conj(), prods)
+            assert np.abs(overlap).min() >= d * (1 - 1e-10)

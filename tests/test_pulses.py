@@ -344,6 +344,67 @@ class TestClosedFormUnitary:
         assert not any("spectra" in vars(p) for p in sc.profiles.values())
 
 
+T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
+
+
+@st.composite
+def involution_axes(draw):
+    """(c, A, φ): a signed Hermitian Pauli string A != ±I on n <= 4
+    qubits, a scale c > 0 and a rotation angle φ in (0, π)."""
+    n = draw(st.integers(1, 4))
+    letters = draw(st.text("ixyz", min_size=n, max_size=n).filter(
+        lambda t: set(t) != {"i"}))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    c = draw(st.floats(0.1, 3.0))
+    phi = draw(st.floats(0.01, np.pi - 0.01))
+    return c, sign * _pauli_string(letters), phi
+
+
+class TestInvolutionAngle:
+    """An axis cA, A a monomial Hermitian involution, has its angle read
+    from its (rows, phases), with the eigenbasis rule's result."""
+
+    @pytest.mark.parametrize("make", [lambda: spin_flip_scenario(6),
+                                      lambda: pauli_scenario(2)],
+                             ids=["spin-flip-6", "pauli-2"])
+    def test_builtin_profiles_build_without_eigh(self, make, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigh ran"))
+        sc = make()
+        assert all(p.involution is not None for p in sc.profiles.values())
+
+    def test_t_gate_quarter_of_a_quarter_turn(self):
+        group, rep = close_group([T_GATE, SZ])
+        assert group.order == 8
+        prof = constant_profile(group.generators[0], rep, SZ)
+        assert np.array_equal(prof.segments[0][1], (np.pi / 8) * SZ)
+
+    @settings(max_examples=60, deadline=None)
+    @given(involution_axes())
+    def test_equals_the_eigenbasis_rule(self, case):
+        c, A, phi = case
+        d = len(A)
+        target = np.cos(phi) * np.eye(d) - 1j * np.sin(phi) * A
+        parts = pulses.involution_parts(c * A)
+        assert parts is not None and abs(parts[0] - c) <= 1e-15 * c
+        got = pulses._involution_angle(target, *parts)
+        want = pulses._eigenbasis_angle(target, c * A)
+        assert abs(got - want) <= 1e-12 * max(1.0, 1.0 / c)
+        assert abs(got * c - phi) <= 1e-12
+
+    @pytest.mark.parametrize("target,axis,why", [
+        (SX, SZ, "target not diagonal in axis eigenbasis"),
+        (SX, np.eye(2), "axis is a multiple of identity"),
+        (SX, -np.eye(2), "axis is a multiple of identity"),
+        (np.kron(np.eye(2), SZ), np.kron(SZ, np.eye(2)), None)],
+        ids=["not-commuting", "identity", "minus-identity", "outside-span"])
+    def test_refusals_name_the_eigenbasis_rule_reasons(self, target, axis, why):
+        _, rep = close_group([target])
+        match = "^unreachable generator along axis" + (f": {why}$" if why else "$")
+        assert pulses.involution_parts(np.asarray(axis, dtype=complex)) is not None
+        with pytest.raises(UnreachableGeneratorError, match=match):
+            constant_profile(rep.group.generators[0], rep, axis)
+
+
 class TestIdentity:
     """Profiles and drifts hold arrays, so they compare and hash by
     identity: == never asks numpy for the truth of an array."""

@@ -102,8 +102,8 @@ def _operator_stacks(rep: UnitaryRep, operators):
     """The d x d ``operators`` of an iterable, consumed lazily and in order,
     as (n, d, d) stacks of ``_stack_size`` operators (the last may hold
     fewer)."""
-    it = iter(operators)
-    while chunk := list(islice(it, _stack_size(rep))):
+    per, it = _stack_size(rep), iter(operators)
+    while chunk := list(islice(it, per)):
         yield np.array(chunk, dtype=complex)
 
 
@@ -402,9 +402,8 @@ THEOREM_TOL = 1e-7
 def verify_theorem(scenario: Scenario, trials: int = 100, seed: int = 0) -> dict:
     """The ``symmetrization`` check: the identity q_map = pi_G on random
     Hermitian inputs X, as the largest |pi_G(F(X) - X)|, within
-    THEOREM_TOL.  Skipped (passed, with a note)
-    when a segment rate of any profile leaves the group algebra, since the
-    hypothesis then fails."""
+    THEOREM_TOL.  Skipped (passed, with a note) when a segment rate of any
+    profile leaves the group algebra, since the hypothesis then fails."""
     rep = scenario.rep
     if not all(in_algebra(rep, rate) for p in scenario.profiles.values()
                for _, rate in p.segments):

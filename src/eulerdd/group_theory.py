@@ -597,24 +597,14 @@ def conjugation_sum(rep: UnitaryRep, X: np.ndarray, elements=None,
 
 def commutator_norms(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     """‖X g_j − g_j X‖ (Frobenius) for every element j, of one d x d X or
-    of each X of an (n, d, d) stack: a (..., |G|) array.
-
-    For unitary g_j this is ‖g_j† X g_j − X‖, which a monomial
-    representation takes from its ``conjugates``, within MAX_STACK_BYTES
-    per block; any other forms the two products, in blocks of the same
-    size.
-    """
+    of each X of an (n, d, d) stack: a (..., |G|) array.  For unitary g_j
+    this is ‖g_j† X g_j − X‖, taken from the blocks of ``conjugates``:
+    gathers for a monomial representation, products for any other."""
     X = np.asarray(X, dtype=complex)
     Xs = X[..., None, :, :]
-    if rep.gather_plan() is None:
-        per = max(1, MAX_STACK_BYTES // max(1, 16 * X.size))
-        mats = rep.matrices
-        diffs = (Xs @ g - g @ Xs for g in (mats[j:j + per]
-                                          for j in range(0, len(mats), per)))
-    else:
-        diffs = (np.subtract(terms, Xs, out=terms) for terms in conjugates(rep, X))
-    return np.concatenate([np.linalg.norm(diff, axis=(-2, -1)) for diff in diffs],
-                          axis=-1)
+    return np.concatenate([np.linalg.norm(np.subtract(terms, Xs, out=terms),
+                                          axis=(-2, -1))
+                           for terms in conjugates(rep, X)], axis=-1)
 
 
 def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:

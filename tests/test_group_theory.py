@@ -1174,18 +1174,18 @@ class TestGatherPlan:
         X = random_stack(rep.dimension, 3, 4)
         X = X + X.conj().transpose(0, 2, 1)
         commuting = pi_G(rep, X)
-        # conjugates is the gathered path; the products bypass it
-        monkeypatch.setattr(group_theory, "conjugates",
-                            lambda *a: pytest.fail("gathered a dense rep"))
+        # np.take is the gather; products never call it
+        monkeypatch.setattr(np, "take", lambda *a, **k: pytest.fail("gathered"))
+        assert_close_relative(conjugate_stack(rep, X), dense_conjugates(rep, X),
+                              1e-12)
         for ops in (X, commuting):
             assert_norms_match(rep, ops)
 
-    def test_monomial_reps_take_the_conjugates(self, monkeypatch):
+    def test_monomial_reps_gather(self, monkeypatch):
         rep = scenario("pauli", 2).rep
         calls = []
-        real = group_theory.conjugates
-        monkeypatch.setattr(group_theory, "conjugates",
-                            lambda *a: calls.append(1) or real(*a))
+        real = np.take
+        monkeypatch.setattr(np, "take", lambda *a, **k: calls.append(1) or real(*a, **k))
         group_theory.commutator_norms(rep, random_stack(4, 2, 1))
         assert calls == [1]
 

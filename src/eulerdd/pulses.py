@@ -389,7 +389,8 @@ def _involution_angle(target: np.ndarray, c: float, rows: np.ndarray,
     theta = np.angle(minus / plus) / (2.0 * c)
     if theta < -1e-12:
         theta += np.pi / c
-    if not phase_distance(target, _involution_unitary(theta * c, rows, phases)) <= REALIZATION_TOL:
+    realized = _involution_unitary(theta * c, rows, phases)
+    if not phase_distance(target, realized) <= REALIZATION_TOL:
         raise _unreachable()
     return theta
 

@@ -1106,7 +1106,6 @@ class TestGatherPlan:
         assert index.dtype == np.int32 and index.shape == (16, 16)
         assert phase.shape == (16, 16) and not index.flags.writeable
         assert not phase.flags.writeable
-        rows, phases = rep.monomial()
         d = rep.dimension
         for j, g in enumerate(rep.matrices):
             X = random_stack(d, 1, j)[0]
@@ -1125,8 +1124,7 @@ class TestGatherPlan:
         for ops in (X, commuting, X[0]):
             assert_norms_match(rep, ops)
         # a random X is far from the commutant, pi_G(X) within rounding of it
-        if rep.group.order > 1:
-            assert group_theory.commutator_norms(rep, X).max() > 0.1
+        assert group_theory.commutator_norms(rep, X).max() > 0.1
         assert group_theory.commutator_norms(rep, commuting).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)

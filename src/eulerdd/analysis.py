@@ -306,8 +306,8 @@ def _spin_flip_checks(scenario, rng, seed) -> list:
     checks = [bound_check("linear-noise-suppressed",
                           noise_suppression_check(scenario), 1e-12)]
     if scenario.n_qubits % 2 == 0:
-        mats = scenario.rep.matrices
-        worst = max(max_norm(a @ mats - mats @ a) for a in mats)
+        rep = scenario.rep
+        worst = float(commutator_norms(rep, rep.matrices).max())
         checks.append(bound_check("algebra-abelian", worst, 1e-10))
     return checks
 

@@ -39,7 +39,7 @@ class CayleyGraph:
 
 @dataclass(frozen=True)
 class EulerPath:
-    colors: tuple   # generator indices p_l, l = 1..L
+    colors: tuple   # generator indices p_l, l = 1..L (None: a free step)
     vertices: tuple # induced vertex sequence, length L+1, closed
 
     def __len__(self) -> int:

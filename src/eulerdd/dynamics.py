@@ -13,13 +13,13 @@ those blocks.
 
 A schedule step carries its profile, its kick and its fault.  A profile
 replays unchanged in every step that pulses it, so the eigenpairs of its
-segments (cached on the profile), the stroboscopic frames (cached on the
-schedule), the total drift and its validation (cached on the drift), the
-sub-interval average of ``average_hamiltonian`` (per distinct profile, of
-the whole stack of blocks) and, in ``simulate_cycles``, the joint segment
-exponentials (per distinct profile and fault) are each computed once and
-reused.  An eigendecomposition is taken only where it is reused: a joint
-segment exponential, used once, is a Padé approximant
+segments (cached on the profile), ``control_propagator``'s frames (cached
+on the schedule), the total drift and its validation (cached on the
+drift), the sub-interval average of ``average_hamiltonian`` (per distinct
+profile, of the whole stack of blocks) and, in ``simulate_cycles``, the
+joint segment exponentials (per distinct profile and fault) are each
+computed once and reused.  An eigendecomposition is taken only where it
+is reused: a joint segment exponential, used once, is a Padé approximant
 (``pulses._expm_herm``), and Hbar, exponentiated at every delta_t of a
 sweep, is diagonalized once.
 """
@@ -225,16 +225,17 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I,
     so each d×d block H0_kl of H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| is averaged on its
     own.  The (d_E, d_E, d, d) stack of blocks is integrated once per
-    distinct profile, giving F(H0_kl), and conjugated by the stroboscopic
-    frame of every step that pulses that profile; a free step has
-    F(H0_kl) = H0_kl, and a kick acts through the frames only.  When the
-    schedule follows an Euler path, kicks nowhere and its representation
-    is monomial, step l's frame is the element of path vertex l up to a
+    distinct profile, giving F(H0_kl); a free step has F(H0_kl) = H0_kl.
+    Step l's frame is the element of the schedule's path vertex l up to a
     phase, which cancels in f† F f, so each profile's conjugations are one
-    phased gather over its vertices (``group_theory.conjugation_sum``);
-    otherwise they are dense products with the frames.  The result depends
-    on the path and the profiles, not on delta_t.
+    ``group_theory.conjugation_sum`` over the vertices of the steps that
+    pulse it, and a kick acts through the vertices only.  A schedule
+    without a path is refused.  The result depends on the path and the
+    profiles, not on delta_t.
     """
+    if schedule.path is None:
+        raise ValueError("schedule has no path: average_hamiltonian reads "
+                         "the frames from the vertices of its walk")
     H0 = np.asarray(H0, dtype=complex)
     if not is_hermitian(H0):
         raise ValueError("invalid drift: H0 must be Hermitian")
@@ -247,26 +248,11 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     blocks = np.ascontiguousarray(H0.reshape(d, de, d, de).transpose(1, 3, 0, 2))
     avg = np.zeros((dim, dim), dtype=complex)
     acc = avg.reshape(d, de, d, de).transpose(1, 3, 0, 2)   # its blocks
-    gather = (schedule.path is not None and rep.monomial() is not None
-              and all(step.kick is None for step in schedule.steps))
-    if gather:
-        # step l's frame is the element of vertex l, up to phase
-        frames = schedule.path.vertices
-    else:
-        frames = schedule.stroboscopic_frames()
-        # reused by every step: a fresh product per step ran up to 2x slower
-        adjoint = np.empty((d, d), dtype=complex)
-        left, conj = np.empty_like(blocks), np.empty_like(blocks)
     for p in dict.fromkeys(step.profile for step in schedule.steps):
         averaged = _sub_interval_integral(p, _profile_segments(p, blocks))
-        mine = [frame for frame, step in zip(frames, schedule.steps)
+        mine = [v for v, step in zip(schedule.path.vertices, schedule.steps)
                 if step.profile is p]
-        if gather:
-            conjugation_sum(rep, averaged, np.array(mine), out=acc)
-        else:
-            for frame in mine:
-                np.matmul(np.conjugate(frame, out=adjoint).T, averaged, out=left)
-                acc += np.matmul(left, frame, out=conj)
+        conjugation_sum(rep, averaged, np.array(mine), out=acc)
     avg /= schedule.sub_intervals
     avg += avg.conj().T
     avg *= 0.5

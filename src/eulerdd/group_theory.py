@@ -530,18 +530,11 @@ def _keyed_walk(found: _Elements, gens, gen_parts, max_order: int) -> list:
 
 
 # Bound on the complex temporaries of one block of group elements in
-# _average, and on the (n, d, d) operator stacks that verify passes to
+# conjugates, and on the (n, d, d) operator stacks that verify passes to
 # pi_G.  On a 2-core OpenBLAS host, 64 KiB stacks ran 2-5x faster than one
 # operator at a time, while 1 MiB stacks raised the benchmark's peak RSS
 # by 6%.
 MAX_STACK_BYTES = 64 * 1024
-
-
-def _average(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
-    """(1/|G|) sum_j g_j† X g_j for one d x d X or for each X of an
-    (n, d, d) stack: ``conjugation_sum`` over every element, in element
-    order."""
-    return conjugation_sum(rep, X) / len(rep.matrices)
 
 
 def conjugates(rep: UnitaryRep, X: np.ndarray, elements=None):
@@ -615,7 +608,7 @@ def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     d = rep.dimension
     if X.shape[-2:] != (d, d):
         raise ShapeError("shape error: operator does not match representation dimension")
-    return _average(rep, X)
+    return conjugation_sum(rep, X) / len(rep.matrices)
 
 
 # Budget for the d^2 x d^2 complex arrays (16 d^4 bytes each) that
@@ -673,7 +666,7 @@ def center_basis(rep: UnitaryRep) -> np.ndarray:
 
 
 def _center_basis(rep: UnitaryRep) -> np.ndarray:
-    return _orthonormal_span(_average(rep, rep.matrices))
+    return _orthonormal_span(pi_G(rep, rep.matrices))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .cayley import EulerPath
 from .group_theory import (DEFAULT_PHASE_TOL, MAX_STACK_BYTES, UnitaryRep,
-                           _read_only, is_hermitian, phase_distance)
+                           _monomial_parts, _read_only, is_hermitian,
+                           phase_distance)
 
 REALIZATION_TOL = 1e-9
 
@@ -44,6 +45,10 @@ class GridMismatchError(ValueError):
 
 class IncompleteProfileSetError(ValueError):
     """A path color has no pulse profile."""
+
+
+class PathMismatchError(ValueError):
+    """A schedule's path is not the walk of its steps."""
 
 
 class SegmentError(ValueError):
@@ -220,17 +225,14 @@ def involution_parts(rate: np.ndarray):
     """(θ, rows, phases) of a matrix θA with θ > 0 and A a monomial
     Hermitian involution, as a Pauli string is: rows[i] is the row of the
     one nonzero entry in column i of A and phases[i] that entry.  None for
-    any other matrix.  Zero is exact zero, as in ``UnitaryRep.monomial``;
-    rows must be an involution and A = rate / θ, θ the largest |entry|,
-    must square to I within 1e-14 per entry, so every |entry| is θ."""
-    nonzero = rate != 0
-    if not (nonzero.sum(axis=0) == 1).all():
+    any other matrix.  Rows and entries are ``group_theory._monomial_parts``'
+    (zero is exact zero); rows must be an involution and A = rate / θ, θ
+    the largest |entry|, must square to I within 1e-14 per entry, so every
+    |entry| is θ."""
+    parts = _monomial_parts(rate)
+    if parts is None or not (parts[0][parts[0]] == np.arange(len(rate))).all():
         return None
-    rows = nonzero.argmax(axis=0)
-    cols = np.arange(len(rows))
-    if not (rows[rows] == cols).all():
-        return None
-    entries = rate[rows, cols].astype(complex)
+    rows, entries = parts[0], parts[1].astype(complex)
     theta = float(np.abs(entries).max())
     # the parts divided as reals: a complex division by a subnormal θ
     # overflows
@@ -479,14 +481,26 @@ class ControlSchedule:
     and the frames are f_0 = I, f_{l+1} = K_l u_l(1) f_l, K_l being the
     step's kick (left out when None).  Each step carries its own profile,
     kick and fault, so steps of one color may pulse different profiles.
-    ``path`` is the Euler path an Eulerian schedule follows, None for a
-    schedule that follows none.  The rates are angle rates, so a schedule
-    holds no delta_t; its cycle time is ``sub_intervals * delta_t``.
+    ``path`` is the schedule's walk on the group, whose vertex l is the
+    element of frame f_l up to phase, as ``average_hamiltonian`` reads it;
+    its colors must be the steps' and its vertices one more
+    (PathMismatchError), and None is no walk.  The rates are angle rates,
+    so a schedule holds no delta_t; its cycle time is
+    ``sub_intervals * delta_t``.
     """
 
     rep: UnitaryRep
     steps: tuple
     path: EulerPath = None
+
+    def __post_init__(self):
+        p, n = self.path, len(self.steps)
+        if p is not None and (len(p.vertices) != n + 1 or tuple(p.colors)
+                              != tuple(step.color for step in self.steps)):
+            raise PathMismatchError(
+                f"the path of {len(p)} colors and {len(p.vertices)} vertices "
+                f"is not the walk of the {n} steps: it needs their colors "
+                f"and {n + 1} vertices")
 
     @property
     def sub_intervals(self) -> int:
@@ -509,8 +523,8 @@ class ControlSchedule:
     def stroboscopic_frames(self) -> tuple:
         """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c.
 
-        Computed once per schedule and shared (read-only) by the closing
-        check, ``average_hamiltonian`` and every ``control_propagator`` call.
+        Computed once per schedule and shared (read-only) by every
+        ``control_propagator`` call.
         """
         return self._frames
 
@@ -545,8 +559,8 @@ def eulerian_schedule(path: EulerPath, profiles: dict,
     sched = ControlSchedule(rep=rep, path=path,
                             steps=tuple(Step(c, profiles[c]) for c in path.colors))
     # closure: the path returns to the identity, so U_c(T_c) ~ identity;
-    # the product is taken here, not from the frames, which only a dense
-    # average reads
+    # the product is taken here, not from the frames, which only
+    # control_propagator reads
     closing = np.eye(rep.dimension, dtype=complex)
     for c in path.colors:
         closing = profiles[c].endpoint_unitary() @ closing
@@ -557,14 +571,17 @@ def eulerian_schedule(path: EulerPath, profiles: dict,
 
 def bangbang_schedule(group, rep: UnitaryRep) -> ControlSchedule:
     """Baseline impulsive schedule: free evolution in frame g_l during
-    sub-interval l, then the kick g_{l+1} g_l† (indices mod |G|)."""
+    sub-interval l, then the kick g_{l+1} g_l† (indices mod |G|); its walk
+    is (0, 1, ..., |G| - 1, 0), colorless."""
     n = group.order
     if n <= 1:
         raise ValueError("decoupling requires |G| > 1")
     mats = rep.matrices
     free = piecewise_profile(0, rep, [(1.0, np.zeros_like(mats[0]))])
-    return ControlSchedule(rep=rep, steps=tuple(
-        Step(None, free, mats[(l + 1) % n] @ mats[l].conj().T) for l in range(n)))
+    return ControlSchedule(
+        rep=rep, path=EulerPath(colors=(None,) * n, vertices=(*range(n), 0)),
+        steps=tuple(Step(None, free, mats[(l + 1) % n] @ mats[l].conj().T)
+                    for l in range(n)))
 
 
 def checked_delta_t(delta_t: float) -> float:

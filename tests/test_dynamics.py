@@ -1,5 +1,7 @@
 """Tests for propagators, toggling-frame averages, and joint simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,13 +16,13 @@ from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
                               average_hamiltonian, control_propagator,
                               decoupling_distance, f_map, q_map,
                               residual_error, simulate_cycles)
-from eulerdd.cayley import build_cayley, eulerian_cycle
+from eulerdd.cayley import EulerPath, build_cayley, eulerian_cycle
 from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
                                   commutant_basis, equal_up_to_phase,
                                   in_algebra, pi_G)
-from eulerdd.pulses import (ControlSchedule, PulseProfile, RealizationError,
-                            Step, _expm_eig, _expm_herm, apply_fault,
-                            constant_profile, eulerian_schedule,
+from eulerdd.pulses import (ControlSchedule, PathMismatchError, PulseProfile,
+                            RealizationError, Step, _expm_eig, _expm_herm,
+                            apply_fault, constant_profile, eulerian_schedule,
                             merged_segments, phase_distance, piecewise_profile)
 from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, conjugated,
                                hermitian_log, monomial_groups,
@@ -336,9 +338,10 @@ class TestInvolutionIntegral:
     @pytest.mark.parametrize("env_dim", [1, 2, 3])
     def test_average_hamiltonian_equals_the_stacked_form(self, make, kind,
                                                          env_dim):
-        # the dense path (bang-bang: kicks) has the bits of one pass over
-        # the (d_E, d_E, d, d) stack of blocks; the gathers of an Eulerian
-        # schedule agree with it to rounding
+        # bang-bang's frames are its elements exactly, with entries 0 and
+        # ±1, so its gathers have the bits of the dense products over the
+        # (d_E, d_E, d, d) stack of blocks; an Eulerian schedule's product
+        # frames are its elements only to rounding, and so its average
         sc = make()
         sched = sc.schedule() if kind == "eulerian" else sc.bangbang()
         H0 = sc.generic_drift(env_dim=env_dim, seed=env_dim).total()
@@ -438,25 +441,81 @@ class TestGatheredAverage:
         want = dense_average_hamiltonian(mixed, H0)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_kicks_and_dense_representations_take_the_frames(self, monkeypatch):
+    @pytest.mark.parametrize("make", [
+        lambda: carr_purcell_scenario().bangbang(),
+        lambda: pauli_scenario(2).bangbang(),
+        lambda: hadamard_schedule(),
+        lambda: mirrored(pauli_scenario(2).schedule()),
+        lambda: mirrored(spin_flip_scenario(4).schedule()),
+        lambda: mirrored(symmetric_s3_scenario().schedule())],
+        ids=["bangbang-carr-purcell", "bangbang-pauli-2", "hadamard",
+             "mirrored-pauli-2", "mirrored-spin-flip-4", "mirrored-symmetric-s3"])
+    @pytest.mark.parametrize("env_dim", [1, 2])
+    def test_every_walk_conjugates_by_its_vertices(self, make, env_dim,
+                                                   monkeypatch):
+        # kicks (bang-bang), products of a representation that is not
+        # monomial (Hadamard) and one color pulsing two profiles (mirrored):
+        # one conjugation_sum per distinct profile, equal to the frames
+        sched = make()
         calls = []
+        real = dynamics.conjugation_sum
         monkeypatch.setattr(dynamics, "conjugation_sum",
-                            lambda *a, **k: calls.append(1))
-        sc = carr_purcell_scenario()
-        X = random_hermitian(2, np.random.default_rng(0))
-        average_hamiltonian(sc.bangbang(), X)
-        # a schedule that follows no path
-        sched = sc.schedule()
-        average_hamiltonian(ControlSchedule(rep=sched.rep, steps=sched.steps), X)
-        # a representation that is not monomial: the Hadamard group
-        had = (SX + SZ) / np.sqrt(2)
-        group, rep = close_group([had])
-        assert rep.monomial() is None
-        sched = eulerian_schedule(eulerian_cycle(build_cayley(group)),
-                                  {0: constant_profile(1, rep, had)}, rep)
-        got = average_hamiltonian(sched, X)
-        assert calls == []
-        assert np.array_equal(got, dense_average_hamiltonian(sched, X))
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        rng = np.random.default_rng(env_dim)
+        H0 = random_hermitian(sched.rep.dimension * env_dim, rng)
+        got = average_hamiltonian(sched, H0)
+        assert len(calls) == len({step.profile for step in sched.steps})
+        want = dense_average_hamiltonian(sched, H0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def hadamard_schedule():
+    """The Eulerian schedule of the Hadamard group {I, H}, a representation
+    that is not monomial: every entry of H is nonzero."""
+    had = (SX + SZ) / np.sqrt(2)
+    group, rep = close_group([had])
+    assert rep.monomial() is None
+    return eulerian_schedule(eulerian_cycle(build_cayley(group)),
+                             {0: constant_profile(1, rep, had)}, rep)
+
+
+class TestScheduleWalk:
+    """A schedule's path is the walk of its steps, from which the average
+    reads the frames: a path that does not match the steps is refused at
+    construction, and a schedule without one by the average."""
+
+    def test_bangbang_walks_the_elements_in_order(self):
+        sched = pauli_scenario(1).bangbang()
+        assert sched.path.colors == (None,) * 4
+        assert sched.path.vertices == (0, 1, 2, 3, 0)
+
+    def test_average_without_a_path_is_refused(self):
+        sched = carr_purcell_scenario().schedule()
+        bare = ControlSchedule(rep=sched.rep, steps=sched.steps)
+        with pytest.raises(ValueError, match="schedule has no path"):
+            average_hamiltonian(bare, np.eye(2))
+
+    def test_path_of_other_steps_is_refused(self):
+        # the mirrored timeline's 128 steps with the forward path's 64
+        # colors and 65 vertices
+        forward = pauli_scenario(2).schedule()
+        steps = mirrored(forward).steps
+        assert (len(steps), len(forward.path.vertices)) == (128, 65)
+        with pytest.raises(PathMismatchError, match="the path of 64 colors and "
+                                                    "65 vertices is not the walk "
+                                                    "of the 128 steps"):
+            ControlSchedule(rep=forward.rep, steps=steps, path=forward.path)
+        # a replace checks it too
+        with pytest.raises(PathMismatchError):
+            replace(forward, steps=forward.steps[:-1])
+
+    def test_path_one_vertex_short_is_refused(self):
+        sched = mirrored(carr_purcell_scenario().schedule())
+        short = EulerPath(colors=sched.path.colors,
+                          vertices=sched.path.vertices[:-1])
+        with pytest.raises(PathMismatchError, match="it needs their colors "
+                                                    "and 5 vertices"):
+            replace(sched, path=short)
 
 
 def segment_product(segments, x=1.0):
@@ -471,8 +530,8 @@ def segment_product(segments, x=1.0):
 
 class TestKickedTimeline:
     """A hand-built timeline with kicks after non-zero pulses: the frames
-    follow f_{l+1} = K_l u_l(1) f_l, and the average Hamiltonian is the
-    time average of the control propagator."""
+    follow f_{l+1} = K_l u_l(1) f_l, and, on a kicked walk in a group, the
+    average Hamiltonian is the time average of the control propagator."""
 
     def setup_method(self):
         rng = np.random.default_rng(21)
@@ -498,18 +557,41 @@ class TestKickedTimeline:
         assert self.sched.max_rate_norm == float("inf")
 
     def test_average_hamiltonian_matches_fine_grid(self):
+        # in the Pauli n=1 group: a two-segment pulse and a constant one,
+        # each realizing its generator, and kicks that are elements, so
+        # frame l is the element of vertex l, read from the group table
+        sc = pauli_scenario(1)
+        group, rep = sc.group, sc.rep
+        x, z = group.generators
+        y = group.multiply(x, z)
+        rng = np.random.default_rng(21)
+        A = random_hermitian(2, rng)
+        back = hermitian_log(rep.matrices[x] @ _expm_herm(A, -1.0))
+        a = piecewise_profile(x, rep, [(0.4, A / 0.4), (0.6, back / 0.6)])
+        # (color, profile, kick element or None)
+        plan = [(0, a, z), (1, sc.profiles[1], None), (0, a, y)]
+        vertices = [0]
+        for color, _, kick in plan:
+            v = group.multiply(group.generators[color], vertices[-1])
+            vertices.append(v if kick is None else group.multiply(kick, v))
+        steps = tuple(Step(color, prof, None if kick is None else rep.matrices[kick])
+                      for color, prof, kick in plan)
+        sched = ControlSchedule(rep=rep, steps=steps, path=EulerPath(
+            colors=tuple(s.color for s in steps), vertices=tuple(vertices)))
+        for frame, v in zip(sched.stroboscopic_frames(), vertices):
+            assert equal_up_to_phase(frame, rep.matrices[v], 1e-9)
         H0 = random_hermitian(4, np.random.default_rng(5))
         eye_e = np.eye(2)
 
         def integrand(t):
-            u = np.kron(control_propagator(self.sched, t, 0.1), eye_e)
+            u = np.kron(control_propagator(sched, t, 0.1), eye_e)
             return u.conj().T @ H0 @ u
 
         cuts = np.concatenate([[0.0]] + [
             0.1 * (l + segment_cuts(step.profile.segments)[1:])
-            for l, step in enumerate(self.sched.steps)])
+            for l, step in enumerate(sched.steps)])
         ref = fine_grid_integral(integrand, cuts, nodes=24) / (3 * 0.1)
-        got = average_hamiltonian(self.sched, H0)
+        got = average_hamiltonian(sched, H0)
         assert np.linalg.norm(got - ref) <= 1e-9
 
 
@@ -998,10 +1080,15 @@ def reversed_profile(profile):
 
 def mirrored(schedule):
     """The forward steps, then the same steps backwards, each pulsing its
-    profile reversed: one color carries two profiles."""
+    profile reversed: one color carries two profiles.  Its walk runs the
+    forward path out and back: back step j undoes forward step L-1-j, so
+    it starts in the frame of forward vertex L - j."""
     back = tuple(Step(s.color, reversed_profile(s.profile))
                  for s in schedule.steps[::-1])
-    return ControlSchedule(rep=schedule.rep, steps=schedule.steps + back)
+    fwd = schedule.path
+    path = EulerPath(colors=fwd.colors + fwd.colors[::-1],
+                     vertices=fwd.vertices + fwd.vertices[::-1][1:])
+    return ControlSchedule(rep=schedule.rep, steps=schedule.steps + back, path=path)
 
 
 def with_fault(segments, fault_segments):

@@ -8,8 +8,7 @@ structure numerically.
 
 from .analysis import (Scenario, builtin_scenarios, get_scenario,
                        noise_suppression_check, scaling_study, verify_theorem)
-from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
-                     validate_path)
+from .cayley import EulerPath, eulerian_cycle, validate_path
 from .dynamics import (DriftModel, average_hamiltonian, control_propagator,
                        decoupling_distance, f_map, q_map, residual_error,
                        simulate_cycles)

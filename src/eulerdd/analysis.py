@@ -13,8 +13,7 @@ from itertools import islice
 import numpy as np
 
 from . import pulses
-from .cayley import (CayleyGraph, EulerPath, build_cayley, eulerian_cycle,
-                     path_from_colors, validate_path)
+from .cayley import EulerPath, eulerian_cycle, path_from_colors, validate_path
 from .dynamics import (DriftModel, decoupling_distance, f_map, q_map,
                        residual_error, simulate_cycles)
 from .group_theory import (HERMITIAN_TOL, MAX_STACK_BYTES, Group, UnitaryRep,
@@ -135,7 +134,6 @@ class Scenario:
     description: str
     n_qubits: int
     rep: UnitaryRep
-    graph: CayleyGraph
     path: EulerPath
     profiles: dict                  # color -> PulseProfile
     reference_path: tuple = None        # explicit color sequence when stated
@@ -195,8 +193,8 @@ def scenario_from_generators(name, description, n_qubits, gen_mats,
                              profile_builders, path_colors=None,
                              reference_colors=None, noise_generators=(),
                              max_order=512, checks=()) -> Scenario:
-    """Assemble a scenario: close the generator matrices into a group, build
-    its Cayley graph, take the Eulerian cycle with ``path_colors`` (or the
+    """Assemble a scenario: close the generator matrices into a group, take
+    the Eulerian cycle of its Cayley graph with ``path_colors`` (or the
     deterministic one when None), and realize generator c by
     ``profile_builders[c](generator element, rep)``.
 
@@ -218,14 +216,13 @@ def scenario_from_generators(name, description, n_qubits, gen_mats,
         raise ValueError(
             f"profiles: {len(profile_builders)} for {len(gen_mats)} generators"
             + (f"; no profile for generator color(s) {missing}" if missing else ""))
-    graph = build_cayley(group)
-    path = (eulerian_cycle(graph) if path_colors is None
-            else path_from_colors(graph, path_colors))
+    path = (eulerian_cycle(group) if path_colors is None
+            else path_from_colors(group, path_colors))
     profiles = {c: build(g, rep) for c, (g, build)
                 in enumerate(zip(group.generators, profile_builders))}
     return Scenario(
         name=name, description=description, n_qubits=n_qubits,
-        rep=rep, graph=graph, path=path, profiles=profiles,
+        rep=rep, path=path, profiles=profiles,
         reference_path=tuple(reference_colors) if reference_colors else None,
         noise_generators=tuple(noise_generators), checks=tuple(checks),
     )
@@ -424,10 +421,10 @@ def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
     expected = scenario.expected_cycle_length
     checks = [check_result("cycle-length", len(scenario.path) == expected,
                            len(scenario.path), expected)]
-    ok, diag = validate_path(scenario.graph, scenario.path.colors)
+    ok, diag = validate_path(scenario.group, scenario.path.colors)
     checks.append(check_result("eulerian-cycle-valid", ok, diag, "ok"))
     if scenario.reference_path is not None:
-        ok, diag = validate_path(scenario.graph, scenario.reference_path)
+        ok, diag = validate_path(scenario.group, scenario.reference_path)
         checks.append(check_result("reference-path-valid", ok, diag, "ok"))
     checks.append(verify_theorem(scenario, trials=trials, seed=seed))
 

@@ -1,8 +1,10 @@
-"""Generator-colored Cayley graphs and Eulerian cycles on them.
+"""Eulerian cycles on the generator-colored Cayley graph of a group, read
+from its multiplication table.
 
 Edges are colored by generator index: color c joins vertex v to the vertex
-representing gamma_c * g_v.  Since every vertex has exactly one departing
-edge of each color, a cycle is fully determined by its color sequence.
+of gamma_c * g_v, ``group.mult_table[group.generators[c], v]``.  Since every
+vertex has exactly one departing edge of each color, a cycle is fully
+determined by its color sequence.
 """
 
 from __future__ import annotations
@@ -21,23 +23,6 @@ class NoEulerianCycleError(ValueError):
 
 
 @dataclass(frozen=True)
-class CayleyGraph:
-    vertex_count: int
-    colors: int
-    targets: tuple  # targets[v][c]: end vertex of the color-c edge leaving v
-
-    @property
-    def edge_count(self) -> int:
-        return self.vertex_count * self.colors
-
-    def edges(self):
-        """Edge list ordered by (vertex, color)."""
-        return [(v, self.targets[v][c], c)
-                for v in range(self.vertex_count)
-                for c in range(self.colors)]
-
-
-@dataclass(frozen=True)
 class EulerPath:
     colors: tuple   # generator indices p_l, l = 1..L (None: a free step)
     vertices: tuple # induced vertex sequence, length L+1, closed
@@ -46,33 +31,32 @@ class EulerPath:
         return len(self.colors)
 
 
-def build_cayley(group: Group) -> CayleyGraph:
-    """Cayley graph of the group w.r.t. its generating set."""
+def _targets(group: Group) -> list:
+    """targets[v][c]: the end vertex of the color-c edge leaving v, as
+    Python lists, which Hierholzer's inner loop indexes faster than an
+    array."""
     if not group.generators:
         raise ValueError("group has no generators")
-    targets = tuple(
-        tuple(group.multiply(gen, v) for gen in group.generators)
-        for v in range(group.order)
-    )
-    return CayleyGraph(vertex_count=group.order,
-                       colors=len(group.generators), targets=targets)
+    return group.mult_table[list(group.generators)].T.tolist()
 
 
-def walk(graph: CayleyGraph, colors) -> list:
+def walk(group: Group, colors) -> list:
     """Vertex sequence induced by a color sequence from START."""
+    targets = _targets(group)
     verts = [START]
     for c in colors:
-        verts.append(graph.targets[verts[-1]][c])
+        verts.append(targets[verts[-1]][c])
     return verts
 
 
-def eulerian_cycle(graph: CayleyGraph) -> EulerPath:
+def eulerian_cycle(group: Group) -> EulerPath:
     """Hierholzer's algorithm with lowest-color-first edge selection.
 
     Deterministic for fixed input.  Raises NoEulerianCycleError if the
     graph is disconnected (non-generating color set).
     """
-    n, k = graph.vertex_count, graph.colors
+    targets = _targets(group)
+    n, k = group.order, len(group.generators)
     next_color = [0] * n           # next untried color at each vertex
     stack = [(START, -1)]          # (vertex, color of edge used to get here)
     trail = []                     # edges in reverse completion order
@@ -81,29 +65,30 @@ def eulerian_cycle(graph: CayleyGraph) -> EulerPath:
         if next_color[v] < k:
             c = next_color[v]
             next_color[v] += 1
-            stack.append((graph.targets[v][c], c))
+            stack.append((targets[v][c], c))
         else:
             stack.pop()
             if cin >= 0:
                 trail.append(cin)
     colors = tuple(reversed(trail))
-    if len(colors) != graph.edge_count:
+    if len(colors) != n * k:
         raise NoEulerianCycleError("no Eulerian cycle: graph is disconnected")
-    verts = walk(graph, colors)
-    return EulerPath(colors=colors, vertices=tuple(verts))
+    return EulerPath(colors=colors, vertices=tuple(walk(group, colors)))
 
 
-def validate_path(graph: CayleyGraph, colors):
+def validate_path(group: Group, colors):
     """Check a color sequence is an Eulerian cycle from START.
 
     Returns (ok, diagnostic); diagnostic names the first violated condition.
     """
+    targets = _targets(group)
+    k = len(group.generators)
     colors = list(colors)
     for c in colors:
-        if not 0 <= c < graph.colors:
+        if not 0 <= c < k:
             return False, f"unknown color {c}"
-    if len(colors) != graph.edge_count:
-        return False, ("edges unused" if len(colors) < graph.edge_count
+    if len(colors) != group.order * k:
+        return False, ("edges unused" if len(colors) < group.order * k
                        else "too many edges")
     used = set()
     v = START
@@ -111,20 +96,20 @@ def validate_path(graph: CayleyGraph, colors):
         if (v, c) in used:
             return False, f"edge ({v}, color {c}) reused at step {i}"
         used.add((v, c))
-        v = graph.targets[v][c]
+        v = targets[v][c]
     if v != START:
         return False, "path does not close at the start vertex"
     return True, "ok"
 
 
-def path_from_colors(graph: CayleyGraph, colors) -> EulerPath:
+def path_from_colors(group: Group, colors) -> EulerPath:
     """The Eulerian cycle with the given color sequence from START.
 
     Raises ValueError naming the first condition of ``validate_path`` that
     the sequence violates.
     """
     colors = tuple(colors)
-    ok, diag = validate_path(graph, colors)
+    ok, diag = validate_path(group, colors)
     if not ok:
         raise ValueError(f"invalid Eulerian path: {diag}")
-    return EulerPath(colors=colors, vertices=tuple(walk(graph, colors)))
+    return EulerPath(colors=colors, vertices=tuple(walk(group, colors)))

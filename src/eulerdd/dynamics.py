@@ -156,6 +156,13 @@ def _sub_interval_integral(profile: PulseProfile, pieces) -> np.ndarray:
                                  for frac, k, X in pieces])
 
 
+def _sinc(t: float) -> float:
+    """np.sinc(t) = sin(πt)/(πt) of one float, by np.sinc's own formula,
+    without the array round trip."""
+    y = math.pi * t
+    return math.sin(y) / y if y else 1.0
+
+
 def _involution_integral(frac: float, involution, X: np.ndarray) -> np.ndarray:
     """∫ u(x)† X u(x) over x in [0, f] for u(x) = e^{-ixθA}, A a monomial
     Hermitian involution given by ``PulseProfile.involution``'s (θ, rows,
@@ -170,8 +177,8 @@ def _involution_integral(frac: float, involution, X: np.ndarray) -> np.ndarray:
     """
     theta, rows, phases = involution
     x = frac * theta
-    a = 0.5 * frac * (1.0 + np.sinc(2.0 * x / np.pi))
-    g = 0.5 * frac * math.sin(x) * np.sinc(x / np.pi)
+    a = 0.5 * frac * (1.0 + _sinc(2.0 * x / np.pi))
+    g = 0.5 * frac * math.sin(x) * _sinc(x / np.pi)
     ax = np.take(X, rows, axis=-2)
     ax *= phases[rows][:, None]
     xa = np.take(X, rows, axis=-1)

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cayley import EulerPath
+from .cayley import START, EulerPath
 from .group_theory import (DEFAULT_PHASE_TOL, MAX_STACK_BYTES, UnitaryRep,
                            _monomial_parts, _read_only, is_hermitian,
                            phase_distance)
@@ -483,10 +483,13 @@ class ControlSchedule:
     kick and fault, so steps of one color may pulse different profiles.
     ``path`` is the schedule's walk on the group, whose vertex l is the
     element of frame f_l up to phase, as ``average_hamiltonian`` reads it;
-    its colors must be the steps' and its vertices one more
-    (PathMismatchError), and None is no walk.  The rates are angle rates,
-    so a schedule holds no delta_t; its cycle time is
-    ``sub_intervals * delta_t``.
+    None is no walk.  A walk is held to the group's multiplication table:
+    its colors must be the steps', its vertices one more, elements, and
+    vertex 0 first (PathMismatchError); each distinct (profile, kick) pulse
+    must realize, up to phase, the element that moves its first step's
+    vertex to the next (RealizationError), and every step carrying it must
+    make that move (PathMismatchError).  The rates are angle rates, so a
+    schedule holds no delta_t; its cycle time is ``sub_intervals * delta_t``.
     """
 
     rep: UnitaryRep
@@ -495,12 +498,39 @@ class ControlSchedule:
 
     def __post_init__(self):
         p, n = self.path, len(self.steps)
-        if p is not None and (len(p.vertices) != n + 1 or tuple(p.colors)
-                              != tuple(step.color for step in self.steps)):
+        if p is None:
+            return
+        if len(p.vertices) != n + 1 or tuple(p.colors) != tuple(
+                step.color for step in self.steps):
             raise PathMismatchError(
                 f"the path of {len(p)} colors and {len(p.vertices)} vertices "
                 f"is not the walk of the {n} steps: it needs their colors "
                 f"and {n + 1} vertices")
+        group, v = self.rep.group, np.asarray(p.vertices)
+        if (v.dtype.kind not in "iu" or v[0] != START
+                or not 0 <= v.min() <= v.max() < group.order):
+            raise PathMismatchError(f"the path's vertices must be elements "
+                                    f"0..{group.order - 1}, vertex 0 first")
+        moves, pulses = np.empty(n, dtype=int), {}
+        for l, step in enumerate(self.steps):
+            c, key = step.color, (step.profile, id(step.kick))
+            if key not in pulses:
+                pulses[key] = e = int(np.argmax(group.mult_table[:, v[l]] == v[l + 1]))
+                u = step.profile.endpoint_unitary()
+                if phase_distance(self.rep.matrices[e], u if step.kick is None
+                                  else step.kick @ u) > REALIZATION_TOL:
+                    raise RealizationError(
+                        f"the profile of color {c} does not realize generator {c}"
+                        if step.kick is None and c is not None
+                        and e == group.generators[c] else
+                        f"the pulse of step {l} does not realize element {e}, "
+                        f"which moves vertex {v[l]} to {v[l + 1]}")
+            moves[l] = pulses[key]
+        bad = np.flatnonzero(group.mult_table[moves, v[:-1]] != v[1:])
+        if len(bad):
+            raise PathMismatchError(f"step {bad[0]} does not move vertex "
+                                    f"{v[bad[0]]} to {v[bad[0] + 1]}: its pulse "
+                                    f"realizes element {moves[bad[0]]}")
 
     @property
     def sub_intervals(self) -> int:
@@ -544,18 +574,14 @@ def eulerian_schedule(path: EulerPath, profiles: dict,
                       rep: UnitaryRep) -> ControlSchedule:
     """Assemble the Eulerian schedule: pulse the color-c profile during the
     l'th sub-interval, c being the l'th path color.  The color-c profile
-    must realize generator c up to phase (RealizationError otherwise), so
-    that frame l is the element of path vertex l up to phase."""
+    must realize generator c up to phase, as ``ControlSchedule`` holds it
+    (RealizationError otherwise), so that frame l is the element of path
+    vertex l up to phase."""
     if len(path) == 0:
         raise ValueError("empty path: decoupling requires |G| > 1")
     for c in path.colors:
         if c not in profiles:
             raise IncompleteProfileSetError(f"incomplete profile set: no profile for color {c}")
-    for c in sorted(set(path.colors)):
-        target = rep.matrices[rep.group.generators[c]]
-        if phase_distance(target, profiles[c].endpoint_unitary()) > REALIZATION_TOL:
-            raise RealizationError(f"the profile of color {c} does not "
-                                   f"realize generator {c}")
     sched = ControlSchedule(rep=rep, path=path,
                             steps=tuple(Step(c, profiles[c]) for c in path.colors))
     # closure: the path returns to the identity, so U_c(T_c) ~ identity;

@@ -36,9 +36,9 @@ def test_01_cycle_lengths_and_reference_paths():
     lengths = [len(s.path) for s in scenarios]
     ok = lengths == [2, 8, 8, 12]
     for s in scenarios:
-        ok = ok and validate_path(s.graph, s.path.colors)[0]
+        ok = ok and validate_path(s.group, s.path.colors)[0]
         if s.reference_path is not None:
-            ok = ok and validate_path(s.graph, s.reference_path)[0]
+            ok = ok and validate_path(s.group, s.reference_path)[0]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     report("criterion-01 cycle-lengths",

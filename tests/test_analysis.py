@@ -55,7 +55,7 @@ class TestBuiltinScenarios:
     def test_reference_paths_validate(self):
         for sc in builtin_scenarios():
             if sc.reference_path is not None:
-                ok, diag = validate_path(sc.graph, sc.reference_path)
+                ok, diag = validate_path(sc.group, sc.reference_path)
                 assert ok, f"{sc.name}: {diag}"
 
     def test_get_scenario(self):
@@ -237,10 +237,10 @@ def per_trial_checks(scenario, trials, seed, monkeypatch):
     expected = scenario.expected_cycle_length
     checks = [analysis.check_result("cycle-length", len(scenario.path) == expected,
                                     len(scenario.path), expected)]
-    ok, diag = validate_path(scenario.graph, scenario.path.colors)
+    ok, diag = validate_path(scenario.group, scenario.path.colors)
     checks.append(analysis.check_result("eulerian-cycle-valid", ok, diag, "ok"))
     if scenario.reference_path is not None:
-        ok, diag = validate_path(scenario.graph, scenario.reference_path)
+        ok, diag = validate_path(scenario.group, scenario.reference_path)
         checks.append(analysis.check_result("reference-path-valid", ok, diag, "ok"))
 
     theorem_rng = np.random.default_rng(seed)

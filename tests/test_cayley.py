@@ -1,11 +1,10 @@
-"""Tests for Cayley graph construction and Eulerian cycles."""
+"""Tests for Eulerian cycles on the Cayley graph read from the group table."""
 
 import numpy as np
 import pytest
 
 from eulerdd.analysis import builtin_scenarios
-from eulerdd.cayley import (NoEulerianCycleError, build_cayley, eulerian_cycle,
-                            validate_path, walk)
+from eulerdd.cayley import NoEulerianCycleError, eulerian_cycle, validate_path, walk
 from eulerdd.group_theory import Group, close_group
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -14,68 +13,68 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def test_z2_graph():
     group, _ = close_group([SX])
-    graph = build_cayley(group)
-    assert graph.vertex_count == 2
-    assert graph.edge_count == 2
-    assert graph.colors == 1
-    assert graph.edges() == [(0, 1, 0), (1, 0, 0)]
+    assert group.order == 2
+    assert len(group.generators) == 1
+    # the color-0 edges 0 -> 1 and 1 -> 0, in the table and along a walk
+    assert group.mult_table[list(group.generators)].T.tolist() == [[1], [0]]
+    assert walk(group, (0, 0)) == [0, 1, 0]
 
 
 def test_pauli_graph_counts():
     group, _ = close_group([SX, SZ])
-    graph = build_cayley(group)
-    assert graph.vertex_count == 4
-    assert graph.edge_count == 8
+    assert group.order == 4
+    assert group.order * len(group.generators) == 8
+    # targets[c, v]: the end of the color-c edge leaving v; a walk steps
+    # along it
+    targets = group.mult_table[list(group.generators)]
+    colors = eulerian_cycle(group).colors
+    verts = walk(group, colors)
+    assert all(verts[i + 1] == targets[c, verts[i]] for i, c in enumerate(colors))
     # regularity: in-degree equals out-degree equals number of colors
     indeg = [0] * 4
-    for _, to, _ in graph.edges():
+    for to in targets.ravel():
         indeg[to] += 1
     assert indeg == [2, 2, 2, 2]
 
 
 def test_z2_cycle_matches_reference():
     group, _ = close_group([SX])
-    graph = build_cayley(group)
-    path = eulerian_cycle(graph)
+    path = eulerian_cycle(group)
     assert path.colors == (0, 0)
     assert path.vertices == (0, 1, 0)
 
 
 def test_cycles_validate_for_all_builtins():
     for sc in builtin_scenarios():
-        path = eulerian_cycle(sc.graph)
-        ok, diag = validate_path(sc.graph, path.colors)
+        path = eulerian_cycle(sc.group)
+        ok, diag = validate_path(sc.group, path.colors)
         assert ok, f"{sc.name}: {diag}"
         assert len(path) == sc.group.order * len(sc.group.generators)
 
 
 def test_reference_paths_validate():
     group, _ = close_group([SX, SZ])
-    graph = build_cayley(group)
-    ok, _ = validate_path(graph, (0, 1, 0, 1, 1, 0, 1, 0))
+    ok, _ = validate_path(group, (0, 1, 0, 1, 1, 0, 1, 0))
     assert ok
 
 
 def test_wrong_length_rejected():
     group, _ = close_group([SX, SZ])
-    graph = build_cayley(group)
-    ok, diag = validate_path(graph, (0, 0))
+    ok, diag = validate_path(group, (0, 0))
     assert not ok
     assert diag == "edges unused"
 
 
 def test_reused_edge_rejected():
     group, _ = close_group([SX, SZ])
-    graph = build_cayley(group)
-    ok, diag = validate_path(graph, (0, 0, 0, 0, 1, 1, 1, 1))
+    ok, diag = validate_path(group, (0, 0, 0, 0, 1, 1, 1, 1))
     assert not ok
     assert "reused" in diag
 
 
 def test_unknown_color_rejected():
     group, _ = close_group([SX])
-    graph = build_cayley(group)
-    ok, diag = validate_path(graph, (0, 3))
+    ok, diag = validate_path(group, (0, 3))
     assert not ok
     assert "unknown color" in diag
 
@@ -84,25 +83,23 @@ def test_one_incoming_edge_per_color_and_vertex():
     # the combinatorial fact the averaging argument relies on: the cycle
     # contains exactly one edge of each color ending at each vertex
     for sc in builtin_scenarios():
-        path = eulerian_cycle(sc.graph)
-        verts = walk(sc.graph, path.colors)
+        path = eulerian_cycle(sc.group)
+        verts = walk(sc.group, path.colors)
         seen = {}
         for v, c in zip(verts[1:], path.colors):
             seen[(v, c)] = seen.get((v, c), 0) + 1
         assert all(count == 1 for count in seen.values())
-        assert len(seen) == sc.graph.edge_count
+        assert len(seen) == sc.expected_cycle_length
 
 
 def test_disconnected_graph_rejected():
     # Z4 with the generating set replaced by the non-generating element g^2
     table = np.array([[(i + j) % 4 for j in range(4)] for i in range(4)])
     group = Group(mult_table=table, generators=(2,))
-    graph = build_cayley(group)
     with pytest.raises(NoEulerianCycleError):
-        eulerian_cycle(graph)
+        eulerian_cycle(group)
 
 
 def test_deterministic_output():
     group, _ = close_group([SX, SZ])
-    graph = build_cayley(group)
-    assert eulerian_cycle(graph).colors == eulerian_cycle(graph).colors
+    assert eulerian_cycle(group).colors == eulerian_cycle(group).colors

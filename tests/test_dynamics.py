@@ -16,7 +16,7 @@ from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
                               average_hamiltonian, control_propagator,
                               decoupling_distance, f_map, q_map,
                               residual_error, simulate_cycles)
-from eulerdd.cayley import EulerPath, build_cayley, eulerian_cycle
+from eulerdd.cayley import EulerPath, eulerian_cycle
 from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
                                   commutant_basis, equal_up_to_phase,
                                   in_algebra, pi_G)
@@ -279,6 +279,19 @@ class TestInvolutionIntegral:
         want = _eigenbasis_integral([(frac, prof.spectra[0], X)])
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(X)
 
+    def test_sinc_equals_numpy_bit_for_bit(self):
+        # at 0, at a subnormal, at multiples of 1/π (where π t rounds near
+        # a multiple of π) and at random points of several scales
+        rng = np.random.default_rng(66)
+        points = [0.0, 5e-324, 2.5e-310, -1e-320,
+                  *(k / np.pi for k in range(-8, 9)),
+                  *rng.uniform(-10.0, 10.0, 2000),
+                  *rng.uniform(0.0, 1e-3, 2000),
+                  *10.0 ** rng.uniform(-300.0, 2.0, 2000)]
+        for t in map(float, points):
+            got = dynamics._sinc(t)
+            assert np.float64(got).tobytes() == np.sinc(t).tobytes(), t
+
     @pytest.mark.parametrize("make", [carr_purcell_scenario, pauli_scenario,
                                       spin_flip_scenario,
                                       lambda: pauli_scenario(2),
@@ -411,7 +424,7 @@ class TestGatheredAverage:
         assume(group.order > 1)
         profiles = {c: piecewise_profile(g, rep, [(1.0, hermitian_log(rep.matrices[g]))])
                     for c, g in enumerate(group.generators)}
-        sched = eulerian_schedule(eulerian_cycle(build_cayley(group)), profiles, rep)
+        sched = eulerian_schedule(eulerian_cycle(group), profiles, rep)
         assert rep.monomial() is not None
         H0 = random_hermitian(rep.dimension * env_dim, np.random.default_rng(seed))
         want = dense_average_hamiltonian(sched, H0)
@@ -475,7 +488,7 @@ def hadamard_schedule():
     had = (SX + SZ) / np.sqrt(2)
     group, rep = close_group([had])
     assert rep.monomial() is None
-    return eulerian_schedule(eulerian_cycle(build_cayley(group)),
+    return eulerian_schedule(eulerian_cycle(group),
                              {0: constant_profile(1, rep, had)}, rep)
 
 
@@ -516,6 +529,83 @@ class TestScheduleWalk:
         with pytest.raises(PathMismatchError, match="it needs their colors "
                                                     "and 5 vertices"):
             replace(sched, path=short)
+
+    def test_all_zero_walk_is_refused(self):
+        # the right colors and count, but every vertex the identity: the
+        # first pulse realizes generator 0, not the move from 0 to 0
+        sched = pauli_scenario(2).schedule()
+        zeros = EulerPath(colors=sched.path.colors,
+                          vertices=(0,) * len(sched.path.vertices))
+        with pytest.raises(RealizationError, match="the pulse of step 0 does "
+                                                   "not realize element 0"):
+            ControlSchedule(rep=sched.rep, steps=sched.steps, path=zeros)
+        with pytest.raises(RealizationError):
+            replace(sched, path=zeros)
+
+    @pytest.mark.parametrize("where", [1, -1])
+    def test_vertex_outside_the_group_is_refused(self, where):
+        sched = pauli_scenario(2).schedule()
+        verts = list(sched.path.vertices)
+        verts[where] = 16
+        with pytest.raises(PathMismatchError, match=r"must be elements 0\.\.15"):
+            replace(sched, path=EulerPath(sched.path.colors, tuple(verts)))
+        verts[where] = -1
+        with pytest.raises(PathMismatchError, match="must be elements"):
+            replace(sched, path=EulerPath(sched.path.colors, tuple(verts)))
+
+    def test_walk_not_starting_at_the_identity_is_refused(self):
+        sched = pauli_scenario(1).bangbang()
+        verts = (1, 2, 3, 0, 1)
+        with pytest.raises(PathMismatchError, match="vertex 0 first"):
+            replace(sched, path=EulerPath(sched.path.colors, verts))
+
+    def test_wrong_vertex_one_is_refused(self):
+        # step 0 pulses the generator of its color, which moves the identity
+        # to vertex 1; another generator there is a move it does not make
+        sched = pauli_scenario(2).schedule()
+        gens = sched.rep.group.generators
+        verts = list(sched.path.vertices)
+        c = sched.path.colors[0]
+        assert verts[1] == gens[c]
+        verts[1] = g = gens[1 - c]
+        with pytest.raises(RealizationError, match=f"the pulse of step 0 does "
+                                                   f"not realize element {g}, "
+                                                   f"which moves vertex 0 to {g}"):
+            replace(sched, path=EulerPath(sched.path.colors, tuple(verts)))
+
+    def test_later_step_off_its_pulse_is_refused(self):
+        # vertex 40 moved: steps 39 and 40 pulse profiles whose moves were
+        # read at their first steps, and step 39 is the first that breaks it
+        sched = pauli_scenario(2).schedule()
+        verts = list(sched.path.vertices)
+        verts[40] = next(v for v in range(16) if v != verts[40])
+        with pytest.raises(PathMismatchError, match="step 39 does not move "
+                                                    f"vertex {verts[39]} to "
+                                                    f"{verts[40]}"):
+            replace(sched, path=EulerPath(sched.path.colors, tuple(verts)))
+
+    def test_kick_that_does_not_realize_its_move_is_refused(self):
+        # bang-bang's step 1 kicks g_2 g_1† from vertex 1 to 2; the
+        # identity kick does not make that move
+        sched = pauli_scenario(1).bangbang()
+        steps = list(sched.steps)
+        steps[1] = replace(steps[1], kick=sched.rep.matrices[0])
+        with pytest.raises(RealizationError, match="the pulse of step 1 does not "
+                                                   "realize element "):
+            replace(sched, steps=tuple(steps))
+
+    @pytest.mark.parametrize("make", [
+        lambda: carr_purcell_scenario().bangbang(),
+        lambda: pauli_scenario(2).bangbang(),
+        lambda: mirrored(pauli_scenario(2).schedule()),
+        lambda: mirrored(symmetric_s3_scenario().schedule())],
+        ids=["bangbang-carr-purcell", "bangbang-pauli-2", "mirrored-pauli-2",
+             "mirrored-symmetric-s3"])
+    def test_bangbang_and_mirrored_walks_are_held(self, make):
+        # both are built through the walk check: every pulse realizes the
+        # move of each step that carries it
+        sched = make()
+        assert len(sched.path.vertices) == len(sched.steps) + 1
 
 
 def segment_product(segments, x=1.0):
@@ -1186,7 +1276,7 @@ class TestRandomMirroredTimelines:
                 profiles[c] = piecewise_profile(g, rep, list(zip(fracs, rates)))
             except RealizationError:
                 assume(False)
-        forward = eulerian_schedule(eulerian_cycle(build_cayley(group)),
+        forward = eulerian_schedule(eulerian_cycle(group),
                                     profiles, rep)
         back = mirrored(forward)
         assert np.linalg.norm(back.stroboscopic_frames()[-1] - np.eye(d)) <= 1e-12

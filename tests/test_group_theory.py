@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from eulerdd import group_theory
 from eulerdd.analysis import (collective, get_scenario, pauli_on,
                               spin_flip_scenario)
-from eulerdd.cayley import build_cayley, eulerian_cycle, validate_path
+from eulerdd.cayley import eulerian_cycle, validate_path
 from eulerdd.dynamics import (average_hamiltonian, f_map, q_map,
                               residual_error)
 from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
@@ -487,9 +487,8 @@ class TestEulerianIdentities:
         except GroupClosureError:
             assume(False)
         assume(group.order > 1)
-        graph = build_cayley(group)
-        path = eulerian_cycle(graph)
-        ok, diag = validate_path(graph, path.colors)
+        path = eulerian_cycle(group)
+        ok, diag = validate_path(group, path.colors)
         assert ok, diag
         assert len(path) == group.order * len(group.generators)
 

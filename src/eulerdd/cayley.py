@@ -42,7 +42,11 @@ def _targets(group: Group) -> list:
 
 def walk(group: Group, colors) -> list:
     """Vertex sequence induced by a color sequence from START."""
-    targets = _targets(group)
+    return _walk(_targets(group), colors)
+
+
+def _walk(targets: list, colors) -> list:
+    """``walk`` on the table ``_targets`` has read."""
     verts = [START]
     for c in colors:
         verts.append(targets[verts[-1]][c])
@@ -73,7 +77,7 @@ def eulerian_cycle(group: Group) -> EulerPath:
     colors = tuple(reversed(trail))
     if len(colors) != n * k:
         raise NoEulerianCycleError("no Eulerian cycle: graph is disconnected")
-    return EulerPath(colors=colors, vertices=tuple(walk(group, colors)))
+    return EulerPath(colors=colors, vertices=tuple(_walk(targets, colors)))
 
 
 def validate_path(group: Group, colors):
@@ -81,14 +85,18 @@ def validate_path(group: Group, colors):
 
     Returns (ok, diagnostic); diagnostic names the first violated condition.
     """
-    targets = _targets(group)
-    k = len(group.generators)
+    return _check_cycle(_targets(group), colors)
+
+
+def _check_cycle(targets: list, colors):
+    """``validate_path`` on the table ``_targets`` has read."""
+    n, k = len(targets), len(targets[0])
     colors = list(colors)
     for c in colors:
         if not 0 <= c < k:
             return False, f"unknown color {c}"
-    if len(colors) != group.order * k:
-        return False, ("edges unused" if len(colors) < group.order * k
+    if len(colors) != n * k:
+        return False, ("edges unused" if len(colors) < n * k
                        else "too many edges")
     used = set()
     v = START
@@ -108,8 +116,8 @@ def path_from_colors(group: Group, colors) -> EulerPath:
     Raises ValueError naming the first condition of ``validate_path`` that
     the sequence violates.
     """
-    colors = tuple(colors)
-    ok, diag = validate_path(group, colors)
+    colors, targets = tuple(colors), _targets(group)
+    ok, diag = _check_cycle(targets, colors)
     if not ok:
         raise ValueError(f"invalid Eulerian path: {diag}")
-    return EulerPath(colors=colors, vertices=tuple(walk(group, colors)))
+    return EulerPath(colors=colors, vertices=tuple(_walk(targets, colors)))

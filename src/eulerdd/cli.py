@@ -42,7 +42,8 @@ def cmd_list(args) -> int:
 
 
 def _resolve(args) -> tuple:
-    cfg = io.load_config(args.config) if args.config else RunConfig()
+    cfg = (io.load_config(args.config, args.command) if args.config
+           else RunConfig())
     if args.scenario:
         cfg.scenario = args.scenario
         cfg.inline = None

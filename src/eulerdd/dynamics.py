@@ -1,5 +1,4 @@
-"""Control propagators, toggling-frame averaging, and joint
-system-environment simulation.
+"""Toggling-frame averaging and joint system-environment simulation.
 
 Everything is piecewise constant, so propagators are exact products of
 segment exponentials, and every toggling-frame time average (``f_map``,
@@ -13,15 +12,14 @@ those blocks.
 
 A schedule step carries its profile, its kick and its fault.  A profile
 replays unchanged in every step that pulses it, so the eigenpairs of its
-segments (cached on the profile), ``control_propagator``'s frames (cached
-on the schedule), the total drift and its validation (cached on the
-drift), the sub-interval average of ``average_hamiltonian`` (per distinct
-profile, of the whole stack of blocks) and, in ``simulate_cycles``, the
-joint segment exponentials (per distinct profile and fault) are each
-computed once and reused.  An eigendecomposition is taken only where it
-is reused: a joint segment exponential, used once, is a Padé approximant
-(``pulses._expm_herm``), and Hbar, exponentiated at every delta_t of a
-sweep, is diagonalized once.
+segments (cached on the profile), the total drift and its validation
+(cached on the drift), the sub-interval average of ``average_hamiltonian``
+(per distinct profile, of the whole stack of blocks) and, in
+``simulate_cycles``, the joint segment exponentials (per distinct profile
+and fault) are each computed once and reused.  An eigendecomposition is
+taken only where it is reused: a joint segment exponential, used once, is
+a Padé approximant (``pulses._expm_herm``), and Hbar, exponentiated at
+every delta_t of a sweep, is diagonalized once.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ from .group_theory import (ShapeError, UnitaryRep, _read_only,
 from .pulses import (EXPM_WORK, ControlSchedule, PulseProfile, _expm_eig,
                      _expm_herm, check_amplitudes, checked_delta_t,
                      fault_segments, merged_segments)
-
-
-class TimeOutOfRangeError(ValueError):
-    pass
 
 
 class UnitarityError(ValueError):
@@ -121,20 +115,6 @@ def _env_blocks(h: np.ndarray) -> np.ndarray:
     """The d_E diagonal blocks h[:, k, :, k] of a (d, d_E, d, d_E) array,
     as one writable (d_E, d, d) view: adding m to it adds m ⊗ I."""
     return np.einsum("ikjk->kij", h)
-
-
-def control_propagator(schedule: ControlSchedule, t: float,
-                       delta_t: float) -> np.ndarray:
-    """U_c(t) for sub-intervals ``delta_t``, reduced modulo the cycle time;
-    exact per segment."""
-    dt = checked_delta_t(delta_t)
-    if not 0 <= t < np.inf:
-        raise TimeOutOfRangeError("time out of range")
-    t = t % (schedule.sub_intervals * dt)
-    ell = int(t // dt)
-    s = t - ell * dt
-    frame = schedule.stroboscopic_frames()[ell]
-    return schedule.steps[ell].profile.unitary_at(s / dt) @ frame
 
 
 def _sub_interval_integral(profile: PulseProfile, pieces) -> np.ndarray:
@@ -236,13 +216,9 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     Step l's frame is the element of the schedule's path vertex l up to a
     phase, which cancels in f† F f, so each profile's conjugations are one
     ``group_theory.conjugation_sum`` over the vertices of the steps that
-    pulse it, and a kick acts through the vertices only.  A schedule
-    without a path is refused.  The result depends on the path and the
-    profiles, not on delta_t.
+    pulse it, and a kick acts through the vertices only.  The result
+    depends on the path and the profiles, not on delta_t.
     """
-    if schedule.path is None:
-        raise ValueError("schedule has no path: average_hamiltonian reads "
-                         "the frames from the vertices of its walk")
     H0 = np.asarray(H0, dtype=complex)
     if not is_hermitian(H0):
         raise ValueError("invalid drift: H0 must be Hermitian")

@@ -126,47 +126,6 @@ class Group:
     def order(self) -> int:
         return len(self.mult_table)
 
-    def multiply(self, i: int, j: int) -> int:
-        return int(self.mult_table[i, j])
-
-    def validate(self) -> None:
-        n = self.order
-        t = self.mult_table
-        if t.shape != (n, n):
-            raise ValueError("mult_table is not square")
-        for i in range(n):
-            if t[0, i] != i or t[i, 0] != i:
-                raise ValueError("element 0 is not the identity")
-            if sorted(t[i]) != list(range(n)) or sorted(t[:, i]) != list(range(n)):
-                raise ValueError("mult_table rows/columns are not permutations")
-            if 0 not in t[i]:
-                raise ValueError(f"element {i} has no inverse")
-        # associativity by brute force (desk-scale groups only)
-        for i in range(n):
-            for j in range(n):
-                tij = t[i, j]
-                if not np.array_equal(t[tij], t[i][t[j]]):
-                    raise ValueError("mult_table is not associative")
-        if self.generated_subgroup(self.generators) != set(range(n)):
-            raise ValueError("generators do not generate the group")
-
-    def generated_subgroup(self, gens) -> set:
-        closure = {0}
-        frontier = list(gens)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in list(closure):
-                    for p in (self.multiply(g, h), self.multiply(h, g)):
-                        if p not in closure:
-                            closure.add(p)
-                            nxt.append(p)
-                if g not in closure:
-                    closure.add(g)
-                    nxt.append(g)
-            frontier = nxt
-        return closure
-
 
 @dataclass
 class UnitaryRep:
@@ -180,23 +139,6 @@ class UnitaryRep:
     @property
     def dimension(self) -> int:
         return self.matrices.shape[-1]
-
-    def validate(self) -> None:
-        d = self.dimension
-        if len(self.matrices) != self.group.order:
-            raise ValueError("one matrix per group element required")
-        if not equal_up_to_phase(self.matrices[0], np.eye(d)):
-            raise ValueError("element 0 must be represented by the identity")
-        for k, m in enumerate(self.matrices):
-            if not is_unitary(m):
-                raise ValueError(f"matrix {k} is not unitary")
-        for i, mi in enumerate(self.matrices):
-            for j, mj in enumerate(self.matrices):
-                k = self.group.multiply(i, j)
-                if not equal_up_to_phase(mi @ mj, self.matrices[k]):
-                    raise ValueError("matrices are not a projective homomorphism")
-                if i < j and equal_up_to_phase(mi, mj):
-                    raise ValueError("representation is not faithful up to phase")
 
     def _cached(self, key, build):
         """``build()``, computed on the first call with ``key`` and kept for

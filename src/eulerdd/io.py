@@ -115,6 +115,11 @@ class RunConfig:
 # here rather than a TypeError, or a silent truncation, later on
 _OVERRIDE_TYPES = {"cycles": int, "seed": int, "trials": int, "env_dim": int,
                    "n_qubits": int}
+# the overrides each command reads, besides seed and n_qubits, which every
+# command takes (export-schedule writes the same schedule for every seed)
+_COMMAND_OVERRIDES = {"verify": ("trials",),
+                      "sweep": ("delta_t", "cycles", "env_dim"),
+                      "export-schedule": ("delta_t",)}
 
 
 def _typed(label: str, value, kind):
@@ -162,7 +167,10 @@ def _field(doc: dict, where: str, key: str, read):
     return read(path, doc[key])
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, command: str = None) -> RunConfig:
+    """The run configuration in the YAML file ``path``.  For a ``command``
+    of ``_COMMAND_OVERRIDES``, an override that the command does not read
+    is a ConfigError naming the key and the command."""
     with open(path) as fh:
         doc = _load(fh) or {}
     if not isinstance(doc, dict):
@@ -187,6 +195,12 @@ def load_config(path: str) -> RunConfig:
         dts = over["delta_t"]
         cfg.delta_t = tuple(_number("override delta_t", v)
                             for v in (dts if isinstance(dts, list) else [dts]))
+    if command is not None:
+        reads = ("seed", "n_qubits", *_COMMAND_OVERRIDES[command])
+        for key in over:
+            if key not in reads:
+                raise ConfigError(f"override {key} is not read by {command}; "
+                                  f"it reads {', '.join(reads)}")
     if "out" in doc:
         if not isinstance(doc["out"], str):
             raise ConfigError(f"out must be a file path, got {doc['out']!r}")

@@ -295,34 +295,23 @@ class PulseProfile:
             return None
         return involution_parts(self.segments[0][1])
 
-    def unitary_at(self, x: float) -> np.ndarray:
-        """u(x) for fraction x in [0, 1] of the sub-interval: for a profile
-        with ``involution`` data cos(xθ) I - i sin(xθ) A, built from
-        (θ, rows, phases), and otherwise the product of the segments'
-        exponentials from their eigenpairs."""
-        if self.involution is not None:
-            frac = self.segments[0][0]
-            theta, rows, phases = self.involution
-            return _involution_unitary(theta * (frac if x >= frac - 1e-15 else x),
-                                       rows, phases)
-        u = np.eye(self.segments[0][1].shape[0], dtype=complex)
-        pos = 0.0
-        for (frac, _), (lam, V) in zip(self.segments, self.spectra):
-            if x >= pos + frac - 1e-15:
-                u = _expm_eig(lam, V, frac) @ u
-            else:
-                u = _expm_eig(lam, V, x - pos) @ u
-                break
-            pos += frac
-        return u
-
     def endpoint_unitary(self) -> np.ndarray:
-        """u(1), shared read-only."""
+        """u(1), shared read-only: for a profile with ``involution`` data
+        cos(fθ) I - i sin(fθ) A, built from (θ, rows, phases) at its one
+        fraction f, and otherwise the product of the segments' exponentials
+        from their eigenpairs."""
         return self._endpoint
 
     @cached_property
     def _endpoint(self) -> np.ndarray:
-        return _read_only(self.unitary_at(1.0))
+        if self.involution is not None:
+            theta, rows, phases = self.involution
+            return _read_only(_involution_unitary(theta * self.segments[0][0],
+                                                  rows, phases))
+        u = np.eye(self.segments[0][1].shape[0], dtype=complex)
+        for (frac, _), (lam, V) in zip(self.segments, self.spectra):
+            u = _expm_eig(lam, V, frac) @ u
+        return _read_only(u)
 
 
 def constant_profile(generator: int, rep: UnitaryRep, axis: np.ndarray) -> PulseProfile:
@@ -482,8 +471,8 @@ class ControlSchedule:
     step's kick (left out when None).  Each step carries its own profile,
     kick and fault, so steps of one color may pulse different profiles.
     ``path`` is the schedule's walk on the group, whose vertex l is the
-    element of frame f_l up to phase, as ``average_hamiltonian`` reads it;
-    None is no walk.  A walk is held to the group's multiplication table:
+    element of frame f_l up to phase, as ``average_hamiltonian`` reads it.
+    The walk is held to the group's multiplication table:
     its colors must be the steps', its vertices one more, elements, and
     vertex 0 first (PathMismatchError); each distinct (profile, kick) pulse
     must realize, up to phase, the element that moves its first step's
@@ -494,12 +483,10 @@ class ControlSchedule:
 
     rep: UnitaryRep
     steps: tuple
-    path: EulerPath = None
+    path: EulerPath
 
     def __post_init__(self):
         p, n = self.path, len(self.steps)
-        if p is None:
-            return
         if len(p.vertices) != n + 1 or tuple(p.colors) != tuple(
                 step.color for step in self.steps):
             raise PathMismatchError(
@@ -551,11 +538,11 @@ class ControlSchedule:
         return max(p.max_rate_norm for p in distinct)
 
     def stroboscopic_frames(self) -> tuple:
-        """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c.
-
-        Computed once per schedule and shared (read-only) by every
-        ``control_propagator`` call.
-        """
+        """U_c at the sub-interval endpoints 0, dt, 2dt, ..., T_c, as
+        products of the steps' endpoint unitaries and kicks; computed once
+        per schedule and shared read-only.  The averages read each frame
+        from its path vertex instead: these products are what a schedule
+        read from a file is checked against."""
         return self._frames
 
     @cached_property
@@ -585,8 +572,8 @@ def eulerian_schedule(path: EulerPath, profiles: dict,
     sched = ControlSchedule(rep=rep, path=path,
                             steps=tuple(Step(c, profiles[c]) for c in path.colors))
     # closure: the path returns to the identity, so U_c(T_c) ~ identity;
-    # the product is taken here, not from the frames, which only
-    # control_propagator reads
+    # the product of the profiles' endpoints is taken here, without
+    # building the frames
     closing = np.eye(rep.dimension, dtype=complex)
     for c in path.colors:
         closing = profiles[c].endpoint_unitary() @ closing

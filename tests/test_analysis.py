@@ -20,6 +20,7 @@ from eulerdd.group_theory import (MAX_STACK_BYTES, center_basis,
                                   decompose_irreps, in_algebra, pi_G,
                                   subspace_distance)
 from eulerdd.pulses import constant_profile, piecewise_profile
+from test_group_theory import validate_rep
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -50,7 +51,7 @@ class TestBuiltinScenarios:
         sc = spin_flip_scenario(3)
         assert sc.group.order == 4
         assert len(sc.path) == 8
-        sc.rep.validate()
+        validate_rep(sc.rep)
 
     def test_reference_paths_validate(self):
         for sc in builtin_scenarios():

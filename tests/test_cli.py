@@ -383,6 +383,34 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,override", [
+    ("verify", "cycles: 3"), ("verify", "env_dim: 5"), ("verify", "delta_t: [0.5]"),
+    ("sweep", "trials: 5"),
+    ("export-schedule", "cycles: 3"), ("export-schedule", "env_dim: 5"),
+    ("export-schedule", "trials: 5"),
+], ids=["verify-cycles", "verify-env_dim", "verify-delta_t", "sweep-trials",
+        "export-schedule-cycles", "export-schedule-env_dim",
+        "export-schedule-trials"])
+def test_override_the_command_does_not_read_exits_2(capsys, tmp_path, command,
+                                                    override):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"scenario: carr-purcell\noverrides:\n  {override}\n")
+    key = override.split(":")[0]
+    extra = ("--delta-t", "0.01") if command == "sweep" else ()
+    assert_refused(capsys, (command, "--config", str(cfg), *extra),
+                   f"override {key} is not read by {command}")
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "export-schedule"])
+def test_seed_and_n_qubits_overrides_are_read_by_every_command(capsys, tmp_path,
+                                                               command):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario: pauli\noverrides:\n  seed: 3\n  n_qubits: 1\n")
+    extra = ("--delta-t", "0.02,0.01") if command == "sweep" else ()
+    code, _, err = run(capsys, command, "--config", str(cfg), *extra)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("body,message", [
     ("scenario: carr-purcell\noverrides:\n  n_qubits: 5\n", "n_qubits"),
     ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"

@@ -11,9 +11,8 @@ from eulerdd import analysis, dynamics
 from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
                               random_hermitian, scaling_study, spin_flip_scenario,
                               symmetric_s3_scenario, verify_theorem)
-from eulerdd.dynamics import (DriftModel, TimeOutOfRangeError,
-                              UnitarityError, _eigenbasis_integral,
-                              average_hamiltonian, control_propagator,
+from eulerdd.dynamics import (DriftModel, UnitarityError,
+                              _eigenbasis_integral, average_hamiltonian,
                               decoupling_distance, f_map, q_map,
                               residual_error, simulate_cycles)
 from eulerdd.cayley import EulerPath, eulerian_cycle
@@ -22,10 +21,10 @@ from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
                                   in_algebra, pi_G)
 from eulerdd.pulses import (ControlSchedule, PathMismatchError, PulseProfile,
                             RealizationError, Step, _expm_eig, _expm_herm,
-                            apply_fault, constant_profile, eulerian_schedule,
+                            _involution_unitary, apply_fault, constant_profile, eulerian_schedule,
                             merged_segments, phase_distance, piecewise_profile)
 from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, conjugated,
-                               hermitian_log, monomial_groups,
+                               hermitian_log, monomial_groups, multiply,
                                pauli_generators)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
@@ -69,7 +68,7 @@ class TestSegmentProducts:
 
     def test_constant_sigma_x(self):
         prof = PulseProfile(segments=[(1.0, (np.pi / 2) * SX)])
-        assert phase_distance(SX, prof.unitary_at(1.0)) <= 1e-10
+        assert phase_distance(SX, prof.endpoint_unitary()) <= 1e-10
 
     def test_zero_hamiltonian(self):
         # zero drift, and bang-bang kicks conjugate it to zero: u is I itself
@@ -82,7 +81,7 @@ class TestSegmentProducts:
     def test_s3_two_factor_product(self):
         sc = symmetric_s3_scenario()
         target = sc.rep.matrices[sc.group.generators[1]]
-        assert phase_distance(target, sc.profiles[1].unitary_at(1.0)) <= 1e-9
+        assert phase_distance(target, sc.profiles[1].endpoint_unitary()) <= 1e-9
 
     def test_unitarity(self):
         sc = symmetric_s3_scenario()
@@ -92,6 +91,9 @@ class TestSegmentProducts:
 
 
 class TestControlPropagator:
+    """The test-local ``control_propagator`` oracle, from the product
+    frames and each profile's u(x)."""
+
     def test_eulerian_z2_at_delta_t(self):
         sc = carr_purcell_scenario()
         sched = sc.schedule()
@@ -102,14 +104,6 @@ class TestControlPropagator:
         for sched in (sc.schedule(), sc.bangbang()):
             np.testing.assert_allclose(control_propagator(sched, 0.0, 0.1),
                                        np.eye(2), atol=1e-12)
-
-    def test_negative_time_out_of_range(self):
-        # so is a time that is not finite, which no reduction modulo the
-        # cycle time can place
-        sched = carr_purcell_scenario().schedule()
-        for t in (-0.1, np.nan, np.inf):
-            with pytest.raises(TimeOutOfRangeError):
-                control_propagator(sched, t, 0.1)
 
     def test_closure_at_cycle_time(self):
         sc = pauli_scenario(1)
@@ -176,7 +170,7 @@ class TestExactKernel:
         profiles = {c: random_profile(d, fractions, rng) for c in range(2)}
         X = random_hermitian(d, rng)
         ref = sum(fine_grid_integral(
-            lambda x, p=p: p.unitary_at(x).conj().T @ X @ p.unitary_at(x),
+            lambda x, p=p: unitary_at(p, x).conj().T @ X @ unitary_at(p, x),
             segment_cuts(p.segments)) for p in profiles.values()) / 2
         assert np.linalg.norm(f_map(profiles, X) - ref) <= 1e-10
 
@@ -224,8 +218,8 @@ class TestExactKernel:
             return fault[c][np.searchsorted(cuts, x) - 1][1]
 
         ref = sum(fine_grid_integral(
-            lambda x, c=c: (sc.profiles[c].unitary_at(x).conj().T @ fault_at(c, x)
-                            @ sc.profiles[c].unitary_at(x)), cuts)
+            lambda x, c=c: (unitary_at(sc.profiles[c], x).conj().T @ fault_at(c, x)
+                            @ unitary_at(sc.profiles[c], x)), cuts)
             for c in (0, 1)) / 2
         got = residual_error(sc.rep, sc.profiles, fault)
         assert np.linalg.norm(got - pi_G(sc.rep, ref)) <= 1e-10
@@ -386,6 +380,38 @@ def dense_average_hamiltonian(sched, H0):
     return want
 
 
+def unitary_at(profile, x):
+    """u(x) of ``profile`` for fraction x in [0, 1] of the sub-interval:
+    cos(xθ) I - i sin(xθ) A for a profile with involution data, and
+    otherwise the product of the segments' exponentials from their
+    eigenpairs, the last one up to x."""
+    if profile.involution is not None:
+        frac = profile.segments[0][0]
+        theta, rows, phases = profile.involution
+        return _involution_unitary(theta * (frac if x >= frac - 1e-15 else x),
+                                   rows, phases)
+    u = np.eye(profile.segments[0][1].shape[0], dtype=complex)
+    pos = 0.0
+    for (frac, _), (lam, V) in zip(profile.segments, profile.spectra):
+        if x >= pos + frac - 1e-15:
+            u = _expm_eig(lam, V, frac) @ u
+        else:
+            u = _expm_eig(lam, V, x - pos) @ u
+            break
+        pos += frac
+    return u
+
+
+def control_propagator(schedule, t, delta_t):
+    """U_c(t) for sub-intervals ``delta_t``, t >= 0 reduced modulo the
+    cycle time: step l's u(s) after the product frame f_l."""
+    t = t % (schedule.sub_intervals * delta_t)
+    ell = int(t // delta_t)
+    s = t - ell * delta_t
+    frame = schedule.stroboscopic_frames()[ell]
+    return unitary_at(schedule.steps[ell].profile, s / delta_t) @ frame
+
+
 class TestGatheredAverage:
     """An Eulerian schedule of a monomial representation conjugates by
     gathers over its path's vertices; the dense frame products agree."""
@@ -494,19 +520,20 @@ def hadamard_schedule():
 
 class TestScheduleWalk:
     """A schedule's path is the walk of its steps, from which the average
-    reads the frames: a path that does not match the steps is refused at
-    construction, and a schedule without one by the average."""
+    reads the frames: a schedule needs one, and a path that does not match
+    the steps is refused at construction."""
 
     def test_bangbang_walks_the_elements_in_order(self):
         sched = pauli_scenario(1).bangbang()
         assert sched.path.colors == (None,) * 4
         assert sched.path.vertices == (0, 1, 2, 3, 0)
 
-    def test_average_without_a_path_is_refused(self):
+    def test_schedule_without_a_path_is_a_type_error(self):
         sched = carr_purcell_scenario().schedule()
-        bare = ControlSchedule(rep=sched.rep, steps=sched.steps)
-        with pytest.raises(ValueError, match="schedule has no path"):
-            average_hamiltonian(bare, np.eye(2))
+        with pytest.raises(TypeError, match="path"):
+            ControlSchedule(rep=sched.rep, steps=sched.steps)
+        with pytest.raises(TypeError, match="path"):
+            ControlSchedule(sched.rep, sched.steps)
 
     def test_path_of_other_steps_is_refused(self):
         # the mirrored timeline's 128 steps with the forward path's 64
@@ -619,56 +646,47 @@ def segment_product(segments, x=1.0):
 
 
 class TestKickedTimeline:
-    """A hand-built timeline with kicks after non-zero pulses: the frames
-    follow f_{l+1} = K_l u_l(1) f_l, and, on a kicked walk in a group, the
-    average Hamiltonian is the time average of the control propagator."""
+    """A kicked walk in the Pauli n=1 group: a two-segment pulse and a
+    constant one, each realizing its generator, and kicks that are
+    elements, so frame l is the element of vertex l, read from the group
+    table.  The frames follow f_{l+1} = K_l u_l(1) f_l, and the average
+    Hamiltonian is the time average of the control propagator."""
 
     def setup_method(self):
-        rng = np.random.default_rng(21)
-        _, self.rep = close_group([SX])
-        self.a = PulseProfile(segments=[(0.4, 1.1 * SX + 0.3 * SZ),
-                                        (0.6, random_hermitian(2, rng))])
-        self.b = PulseProfile(segments=[(1.0, 0.7 * SY)])
-        self.kicks = [_expm_herm(random_hermitian(2, rng)) for _ in range(2)]
-        self.sched = ControlSchedule(rep=self.rep, steps=(
-            Step(0, self.a, self.kicks[0]), Step(1, self.b),
-            Step(0, self.a, self.kicks[1])))
-
-    def test_frames_apply_each_kick_after_its_pulse(self):
-        plan = [(self.a, self.kicks[0]), (self.b, None), (self.a, self.kicks[1])]
-        frame = np.eye(2, dtype=complex)
-        for l, (prof, kick) in enumerate(plan):
-            mid = control_propagator(self.sched, (l + 0.5) * 0.1, 0.1)
-            assert np.linalg.norm(mid - segment_product(prof.segments, 0.5) @ frame) <= 1e-12
-            frame = segment_product(prof.segments) @ frame
-            if kick is not None:
-                frame = kick @ frame
-            assert np.linalg.norm(self.sched.stroboscopic_frames()[l + 1] - frame) <= 1e-12
-        assert self.sched.max_rate_norm == float("inf")
-
-    def test_average_hamiltonian_matches_fine_grid(self):
-        # in the Pauli n=1 group: a two-segment pulse and a constant one,
-        # each realizing its generator, and kicks that are elements, so
-        # frame l is the element of vertex l, read from the group table
         sc = pauli_scenario(1)
         group, rep = sc.group, sc.rep
         x, z = group.generators
-        y = group.multiply(x, z)
+        y = multiply(group, x, z)
         rng = np.random.default_rng(21)
         A = random_hermitian(2, rng)
         back = hermitian_log(rep.matrices[x] @ _expm_herm(A, -1.0))
         a = piecewise_profile(x, rep, [(0.4, A / 0.4), (0.6, back / 0.6)])
         # (color, profile, kick element or None)
         plan = [(0, a, z), (1, sc.profiles[1], None), (0, a, y)]
-        vertices = [0]
+        self.vertices = [0]
         for color, _, kick in plan:
-            v = group.multiply(group.generators[color], vertices[-1])
-            vertices.append(v if kick is None else group.multiply(kick, v))
+            v = multiply(group, group.generators[color], self.vertices[-1])
+            self.vertices.append(v if kick is None else multiply(group, kick, v))
         steps = tuple(Step(color, prof, None if kick is None else rep.matrices[kick])
                       for color, prof, kick in plan)
-        sched = ControlSchedule(rep=rep, steps=steps, path=EulerPath(
-            colors=tuple(s.color for s in steps), vertices=tuple(vertices)))
-        for frame, v in zip(sched.stroboscopic_frames(), vertices):
+        self.sched = ControlSchedule(rep=rep, steps=steps, path=EulerPath(
+            colors=tuple(s.color for s in steps), vertices=tuple(self.vertices)))
+
+    def test_frames_apply_each_kick_after_its_pulse(self):
+        frame = np.eye(2, dtype=complex)
+        for l, step in enumerate(self.sched.steps):
+            mid = control_propagator(self.sched, (l + 0.5) * 0.1, 0.1)
+            segs = step.profile.segments
+            assert np.linalg.norm(mid - segment_product(segs, 0.5) @ frame) <= 1e-12
+            frame = segment_product(segs) @ frame
+            if step.kick is not None:
+                frame = step.kick @ frame
+            assert np.linalg.norm(self.sched.stroboscopic_frames()[l + 1] - frame) <= 1e-12
+        assert self.sched.max_rate_norm == float("inf")
+
+    def test_average_hamiltonian_matches_fine_grid(self):
+        sched, rep = self.sched, self.sched.rep
+        for frame, v in zip(sched.stroboscopic_frames(), self.vertices):
             assert equal_up_to_phase(frame, rep.matrices[v], 1e-9)
         H0 = random_hermitian(4, np.random.default_rng(5))
         eye_e = np.eye(2)
@@ -1069,13 +1087,14 @@ class TestSegmentReuse:
                 assert np.linalg.norm((V * lam) @ V.conj().T - rate) <= 1e-13
                 fresh = _expm_herm(rate, frac) @ fresh
             assert np.linalg.norm(prof.endpoint_unitary() - fresh) <= 1e-13
+            assert np.array_equal(prof.endpoint_unitary(), unitary_at(prof, 1.0))
             # part-way through the last segment
             frac, rate = prof.segments[-1]
             x = 1.0 - 0.5 * frac
             partial = _expm_herm(rate, 0.5 * frac)
             for f, r in prof.segments[-2::-1]:
                 partial = partial @ _expm_herm(r, f)
-            assert np.linalg.norm(prof.unitary_at(x) - partial) <= 1e-13
+            assert np.linalg.norm(unitary_at(prof, x) - partial) <= 1e-13
 
     def test_cached_arrays_are_shared_read_only(self):
         sc = symmetric_s3_scenario()

@@ -96,19 +96,19 @@ class TestCloseGroup:
         assert group.order == 2
         assert equal_up_to_phase(rep.matrices[0], I2)
         assert equal_up_to_phase(rep.matrices[1], SX)
-        group.validate()
-        rep.validate()
+        validate_group(group)
+        validate_rep(rep)
 
     def test_trivial_group(self):
         group, rep = close_group([I2])
         assert group.order == 1
-        group.validate()
+        validate_group(group)
 
     def test_pauli_group_up_to_phase(self):
         group, rep = close_group([SX, SZ])
         assert group.order == 4
-        group.validate()
-        rep.validate()
+        validate_group(group)
+        validate_rep(rep)
 
     def test_s3_order(self):
         # permutation matrices for (1 2) and (1 2 3)
@@ -116,7 +116,7 @@ class TestCloseGroup:
         c = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
         group, rep = close_group([t, c])
         assert group.order == 6
-        group.validate()
+        validate_group(group)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(InvalidGeneratorError):
@@ -312,6 +312,72 @@ def monomial_groups(draw):
     return gens
 
 
+def multiply(group, i, j):
+    """The element index of g_i g_j."""
+    return int(group.mult_table[i, j])
+
+
+def generated_subgroup(group, gens) -> set:
+    """The elements of the subgroup that the elements ``gens`` generate."""
+    closure = {0}
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in list(closure):
+                for p in (multiply(group, g, h), multiply(group, h, g)):
+                    if p not in closure:
+                        closure.add(p)
+                        nxt.append(p)
+            if g not in closure:
+                closure.add(g)
+                nxt.append(g)
+        frontier = nxt
+    return closure
+
+
+def validate_group(group):
+    """The group axioms on the multiplication table, by brute force: element
+    0 the identity, every row and column a permutation, associativity, and
+    generators that generate the group."""
+    n = group.order
+    t = group.mult_table
+    if t.shape != (n, n):
+        raise ValueError("mult_table is not square")
+    for i in range(n):
+        if t[0, i] != i or t[i, 0] != i:
+            raise ValueError("element 0 is not the identity")
+        if sorted(t[i]) != list(range(n)) or sorted(t[:, i]) != list(range(n)):
+            raise ValueError("mult_table rows/columns are not permutations")
+        if 0 not in t[i]:
+            raise ValueError(f"element {i} has no inverse")
+    for i in range(n):
+        for j in range(n):
+            if not np.array_equal(t[t[i, j]], t[i][t[j]]):
+                raise ValueError("mult_table is not associative")
+    if generated_subgroup(group, group.generators) != set(range(n)):
+        raise ValueError("generators do not generate the group")
+
+
+def validate_rep(rep):
+    """A faithful projective representation of its group: one unitary per
+    element, the identity first, and g_i g_j equal to g_{ij} up to phase."""
+    d = rep.dimension
+    if len(rep.matrices) != rep.group.order:
+        raise ValueError("one matrix per group element required")
+    if not equal_up_to_phase(rep.matrices[0], np.eye(d)):
+        raise ValueError("element 0 must be represented by the identity")
+    for k, m in enumerate(rep.matrices):
+        if not group_theory.is_unitary(m):
+            raise ValueError(f"matrix {k} is not unitary")
+    for i, mi in enumerate(rep.matrices):
+        for j, mj in enumerate(rep.matrices):
+            if not equal_up_to_phase(mi @ mj, rep.matrices[multiply(rep.group, i, j)]):
+                raise ValueError("matrices are not a projective homomorphism")
+            if i < j and equal_up_to_phase(mi, mj):
+                raise ValueError("representation is not faithful up to phase")
+
+
 PROPERTY_MAX_ORDER = 24
 
 
@@ -320,13 +386,23 @@ class TestRandomMonomialGroups:
     and global phases, d <= 6) small enough to close quickly."""
 
     @settings(max_examples=40, deadline=None)
-    @given(monomial_groups())
-    def test_algebra_layer_properties(self, gens):
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_algebra_layer_properties(self, gens, seed):
+        mats = [_monomial(p, s, ph[0]) for p, s, ph in gens]
         try:
-            group, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
-                                     max_order=PROPERTY_MAX_ORDER)
+            group, rep = close_group(mats, max_order=PROPERTY_MAX_ORDER)
         except GroupClosureError:
             assume(False)
+        # the group axioms and the projective homomorphism, on the table of
+        # the keyed walk and on that of the dense walk, which closes the
+        # same group conjugated by a random unitary
+        dense_group, dense_rep = close_group(conjugated(mats, seed),
+                                             max_order=PROPERTY_MAX_ORDER)
+        assert dense_rep.monomial() is None or group.order == 1
+        assert dense_group.order == group.order
+        for g, r in ((group, rep), (dense_group, dense_rep)):
+            validate_group(g)
+            validate_rep(r)
         # global phases do not change the projective group
         other, _ = close_group([_monomial(p, s, ph[1]) for p, s, ph in gens],
                                max_order=PROPERTY_MAX_ORDER)
@@ -859,7 +935,7 @@ class TestClosure:
         group, rep = close_group(pauli_generators(n))
         assert group.order == 4 ** n
         if n == 3:
-            group.validate()
+            validate_group(group)
         stack = np.array(rep.matrices)
         d = stack.shape[1]
         for i in range(group.order):

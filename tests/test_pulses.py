@@ -13,7 +13,8 @@ from eulerdd.analysis import (SIGMA, _pauli_string, carr_purcell_scenario,
                               pauli_scenario, random_hermitian,
                               spin_flip_scenario, swap_gate,
                               symmetric_s3_scenario)
-from eulerdd.dynamics import control_propagator, residual_error, simulate_cycles
+from eulerdd.cayley import EulerPath
+from eulerdd.dynamics import residual_error, simulate_cycles
 from eulerdd.group_theory import close_group, equal_up_to_phase, in_algebra
 from eulerdd.io import (ConfigError, encode_matrix, export_schedule,
                         fault_from_doc)
@@ -24,6 +25,7 @@ from eulerdd.pulses import (EXPM_WORK, GridMismatchError,
                             constant_profile, eulerian_schedule,
                             merged_segments, phase_distance, piecewise_profile,
                             segment_list)
+from test_dynamics import control_propagator, unitary_at
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -201,14 +203,16 @@ class TestSchedules:
         assert sched.max_rate_norm / 0.01 == pytest.approx(expected)
 
     def test_control_norm_is_the_maximum_over_every_step(self):
-        # the strongest profile of color 0 is not its last one
+        # the strongest profile of color 0 is not its last one: both
+        # realize sigma_x, walking 0 -> 1 -> 0
         _, rep = close_group([SX])
-        strong = pulses.PulseProfile(segments=[(1.0, 3.0 * SX)])
-        weak = pulses.PulseProfile(segments=[(0.5, 0.5 * SY), (0.5, 0.2 * SZ)])
+        strong = pulses.PulseProfile(segments=[(1.0, 1.5 * np.pi * SX)])
+        weak = pulses.PulseProfile(segments=[(0.5, np.pi * SZ), (0.5, np.pi * SY)])
         sched = pulses.ControlSchedule(rep=rep, steps=(
-            pulses.Step(0, strong), pulses.Step(0, weak)))
+            pulses.Step(0, strong), pulses.Step(0, weak)),
+            path=EulerPath(colors=(0, 0), vertices=(0, 1, 0)))
         assert sched.profiles[0] is weak
-        assert sched.max_rate_norm / 0.1 == pytest.approx(3.0 / 0.1)
+        assert sched.max_rate_norm / 0.1 == pytest.approx(1.5 * np.pi / 0.1)
 
     def test_invalid_delta_t(self):
         # a schedule holds no delta_t: it is refused where time enters
@@ -217,7 +221,6 @@ class TestSchedules:
         for dt in (-1.0, 0.0, np.nan, np.inf):
             for run in (lambda: simulate_cycles(drift, sc.schedule(), dt),
                         lambda: simulate_cycles(drift, sc.bangbang(), dt),
-                        lambda: control_propagator(sc.schedule(), 0.0, dt),
                         lambda: export_schedule(sc, dt)):
                 with pytest.raises(ValueError, match="delta_t must be positive"):
                     run()
@@ -322,18 +325,20 @@ def pauli_profiles(draw):
 
 
 class TestClosedFormUnitary:
-    """A profile with involution data has u(x) = cos(xθ) I - i sin(xθ) A."""
+    """A profile with involution data has u(x) = cos(xθ) I - i sin(xθ) A,
+    and its endpoint unitary is u(1) of that form."""
 
     @settings(max_examples=80, deadline=None)
     @given(pauli_profiles())
     def test_equals_the_spectra_form(self, case):
         prof, x = case
         assert prof.involution is not None
-        got = prof.unitary_at(x)
+        got = unitary_at(prof, x)
         lam, V = prof.spectra[0]
         assert np.abs(got - _expm_eig(lam, V, x)).max() <= 1e-14
         # past the end of the segment, u stays at u(1)
-        assert np.array_equal(prof.unitary_at(1.0 - 1e-16), prof.unitary_at(1.0))
+        assert np.array_equal(unitary_at(prof, 1.0 - 1e-16), unitary_at(prof, 1.0))
+        assert np.array_equal(prof.endpoint_unitary(), unitary_at(prof, 1.0))
 
     def test_pauli_string_profiles_are_never_diagonalized(self):
         sc = spin_flip_scenario(3)
@@ -545,7 +550,8 @@ class TestSegmentRule:
             return None
 
         free = piecewise_profile(0, rep, [(1.0, np.zeros((d, d)))])
-        sched = pulses.ControlSchedule(rep=rep, steps=(pulses.Step(0, free),))
+        sched = pulses.ControlSchedule(rep=rep, steps=(pulses.Step(0, free),),
+                                       path=EulerPath(colors=(0,), vertices=(0, 0)))
         doc = {0: [{"fraction": f, "rate": encode_matrix(r)} for f, r in segs]}
         refusals = [
             refusal(lambda: segment_list(segs, d), SegmentError),

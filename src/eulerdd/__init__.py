@@ -12,7 +12,7 @@ from .cayley import EulerPath, eulerian_cycle, validate_path
 from .dynamics import (DriftModel, average_hamiltonian, decoupling_distance,
                        f_map, q_map, residual_error, simulate_cycles)
 from .group_theory import (Group, UnitaryRep, center_basis, close_group,
-                           commutant_basis, decompose_irreps, pi_G)
+                           decompose_irreps, pi_G)
 from .pulses import (ControlSchedule, PulseProfile, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
                      piecewise_profile)

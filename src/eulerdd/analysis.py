@@ -471,7 +471,6 @@ class ScalingRow:
 class ScalingStudy:
     rows: list
     slope: float        # log-log slope of per-cycle error vs T_c; nan if n/a
-    monotonic: bool
     notice: str = ""
 
 
@@ -494,8 +493,7 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
     rows.sort(key=lambda r: -r.cycle_time)
     notice = ""
     per_cycle = [r.per_cycle for r in rows]
-    monotonic = all(a >= b * 0.999 for a, b in zip(per_cycle, per_cycle[1:]))
-    if not monotonic:
+    if not all(a >= b * 0.999 for a, b in zip(per_cycle, per_cycle[1:])):
         notice = "non-monotonic data: error not in the asymptotic regime"
     if all(p <= 1e-13 for p in per_cycle):
         notice = "errors at numerical noise floor; slope not meaningful"
@@ -508,8 +506,7 @@ def scaling_study(scenario: Scenario, delta_t_values, cycles: int = 1,
         if len(rows) >= 2 and distinct < 2:
             notice = "slope undefined: the cycle times are all equal"
         notice = notice or "slope undefined (need >= 2 nonzero points)"
-    return ScalingStudy(rows=rows, slope=slope, monotonic=monotonic,
-                        notice=notice)
+    return ScalingStudy(rows=rows, slope=slope, notice=notice)
 
 
 def fidelity_error(drift: DriftModel, unitary: np.ndarray,

@@ -40,13 +40,9 @@ def _targets(group: Group) -> list:
     return group.mult_table[list(group.generators)].T.tolist()
 
 
-def walk(group: Group, colors) -> list:
-    """Vertex sequence induced by a color sequence from START."""
-    return _walk(_targets(group), colors)
-
-
 def _walk(targets: list, colors) -> list:
-    """``walk`` on the table ``_targets`` has read."""
+    """Vertex sequence induced by a color sequence from START, on the table
+    ``_targets`` has read."""
     verts = [START]
     for c in colors:
         verts.append(targets[verts[-1]][c])

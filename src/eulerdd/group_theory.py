@@ -1,6 +1,6 @@
 """Finite groups, their unitary (projective) matrix representations, and the
-algebraic structure used by decoupling: group-average projector, commutant,
-center, and irreducible block decomposition.
+algebraic structure used by decoupling: the group-average projector onto
+the commutant, the center, and the irreducible block decomposition.
 
 All equality tests between represented elements are "equal up to a global
 phase", by the distance after the optimal phase (``phase_distance``); stored
@@ -31,10 +31,6 @@ class InvalidGeneratorError(ValueError):
 
 class ShapeError(ValueError):
     """Operator dimension does not match the representation."""
-
-
-class ResourceLimitError(ValueError):
-    """A computation would allocate more memory than its fixed budget."""
 
 
 class DegenerateDecompositionError(RuntimeError):
@@ -553,46 +549,6 @@ def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     return conjugation_sum(rep, X) / len(rep.matrices)
 
 
-# Budget for the d^2 x d^2 complex arrays (16 d^4 bytes each) that
-# commutant_basis holds at once: the Gram matrix, eigh's copy of it, the
-# eigenvectors and two workspaces (peak RSS measured at 4.6-4.9 arrays for
-# d = 16, 32).  d = 64 (1.25 GiB) fits; d = 128 (20 GiB) would exhaust the
-# machine.
-MAX_COMMUTANT_BYTES = 2 * 1024 ** 3
-_COMMUTANT_ARRAYS = 5
-
-
-def commutant_basis(rep: UnitaryRep) -> list:
-    """Orthonormal basis of {X : X g = g X for all g in G}.
-
-    The commutant of G is the commutant of its generators, so this is the
-    null space of the Gram matrix sum_γ M_γ† M_γ with M_γ = γ ⊗ I - I ⊗ γ^T
-    (row-major vec), taken with ``eigh``: eigenvalues at most
-    DEFAULT_PHASE_TOL times the largest.  For unitary γ,
-    M_γ† M_γ = 2I - K - K† with K = γ ⊗ conj(γ).
-
-    This costs O(d^6) time and 16 d^4 bytes per d^2 x d^2 array; the
-    verification path never calls it (``pi_G`` is the orthogonal projector
-    onto the same space).  Raises ResourceLimitError, before allocating,
-    when the arrays would exceed MAX_COMMUTANT_BYTES.
-    """
-    d = rep.dimension
-    need = _COMMUTANT_ARRAYS * 16 * d ** 4
-    if need > MAX_COMMUTANT_BYTES:
-        raise ResourceLimitError(
-            f"resource limit: commutant_basis at d={d} needs about "
-            f"{need / 2 ** 30:.1f} GiB (limit {MAX_COMMUTANT_BYTES / 2 ** 30:.1f} GiB)")
-    gram = np.zeros((d * d, d * d), dtype=complex)
-    for k in rep.group.generators:
-        g = rep.matrices[k]
-        gram -= np.kron(g, g.conj())
-    gram += gram.conj().T
-    gram[np.diag_indices(d * d)] += 2.0 * len(rep.group.generators)
-    evals, evecs = np.linalg.eigh(gram)
-    null = evals <= DEFAULT_PHASE_TOL * max(evals[-1], 1.0)
-    return [evecs[:, k].reshape(d, d) for k in np.flatnonzero(null)]
-
-
 def center_basis(rep: UnitaryRep) -> np.ndarray:
     """Orthonormal basis of the center: group algebra ∩ commutant.
 
@@ -613,7 +569,6 @@ def _center_basis(rep: UnitaryRep) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IrrepBlock:
-    label: int
     multiplicity: int      # n_J: commutant acts as Mat(n_J) ⊗ I
     dimension: int         # d_J: algebra acts as I ⊗ Mat(d_J)
     columns: np.ndarray    # d x (n_J * d_J) orthonormal columns spanning H_J
@@ -622,7 +577,6 @@ class IrrepBlock:
 @dataclass(frozen=True)
 class IrrepDecomposition:
     blocks: tuple
-    basis_change: np.ndarray  # d x d unitary; columns ordered block by block
 
     def block_of(self, X: np.ndarray, block: IrrepBlock) -> np.ndarray:
         cols = block.columns
@@ -731,11 +685,6 @@ def _decompose_irreps(rep: UnitaryRep, seed: int) -> IrrepDecomposition:
         raw_blocks.append((n_J, d_J, np.hstack(cols)))
 
     raw_blocks.sort(key=lambda b: (-b[1], -b[0]))
-    blocks = []
-    columns = []
-    for label, (n_J, d_J, cols) in enumerate(raw_blocks):
-        blocks.append(IrrepBlock(label=label, multiplicity=n_J,
-                                 dimension=d_J, columns=_read_only(cols)))
-        columns.append(cols)
-    basis_change = _read_only(np.hstack(columns))
-    return IrrepDecomposition(blocks=tuple(blocks), basis_change=basis_change)
+    return IrrepDecomposition(blocks=tuple(
+        IrrepBlock(multiplicity=n_J, dimension=d_J, columns=_read_only(cols))
+        for n_J, d_J, cols in raw_blocks))

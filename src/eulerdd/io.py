@@ -281,8 +281,8 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
     if cfg.n_qubits is not None:
         raise ConfigError("override n_qubits only sizes a built-in scenario")
     doc = cfg.inline
-    _known(doc, "scenario", ("name", "description", "n_qubits", "generators",
-                             "profiles", "path", "noise_generators"))
+    _known(doc, "scenario", ("name", "generators", "profiles", "path",
+                             "noise_generators"))
     if "generators" not in doc:
         raise ConfigError("inline scenario needs 'generators'")
     noise = []
@@ -293,14 +293,13 @@ def scenario_from_config(cfg: RunConfig) -> analysis.Scenario:
             raise ConfigError(f"noise_generators[{i}].name must be a string, "
                               f"got {name!r}")
         noise.append((name, _field(nd, f"noise_generators[{i}]", "matrix", _matrix)))
-    for key in ("name", "description"):
-        if not isinstance(doc.get(key, ""), str):
-            raise ConfigError(f"scenario.{key} must be a string, got {doc[key]!r}")
+    if not isinstance(doc.get("name", ""), str):
+        raise ConfigError(f"scenario.name must be a string, got {doc['name']!r}")
     return _build(
         "inline scenario",
         doc.get("name", "custom"),
-        doc.get("description", "inline scenario"),
-        _integer("n_qubits", doc.get("n_qubits", 0)),
+        "inline scenario",
+        0,
         _generators(doc),
         [partial(_profile_from_doc, doc=pdoc, where=f"profiles[{i}]")
          for i, pdoc in enumerate(_entries(doc, "profiles"))],

@@ -417,7 +417,7 @@ class TestScalingStudy:
     def test_carr_purcell_slope_two(self):
         sc = carr_purcell_scenario()
         study = scaling_study(sc, [0.02, 0.01, 0.005], cycles=4, seed=3)
-        assert study.monotonic
+        assert study.notice == ""
         assert study.slope == pytest.approx(2.0, abs=0.2)
 
     def test_zero_drift_flagged(self):

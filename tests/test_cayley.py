@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eulerdd.analysis import builtin_scenarios
-from eulerdd.cayley import NoEulerianCycleError, eulerian_cycle, validate_path, walk
+from eulerdd.cayley import (NoEulerianCycleError, eulerian_cycle,
+                           path_from_colors, validate_path)
 from eulerdd.group_theory import Group, close_group
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -17,7 +18,7 @@ def test_z2_graph():
     assert len(group.generators) == 1
     # the color-0 edges 0 -> 1 and 1 -> 0, in the table and along a walk
     assert group.mult_table[list(group.generators)].T.tolist() == [[1], [0]]
-    assert walk(group, (0, 0)) == [0, 1, 0]
+    assert path_from_colors(group, (0, 0)).vertices == (0, 1, 0)
 
 
 def test_pauli_graph_counts():
@@ -27,8 +28,8 @@ def test_pauli_graph_counts():
     # targets[c, v]: the end of the color-c edge leaving v; a walk steps
     # along it
     targets = group.mult_table[list(group.generators)]
-    colors = eulerian_cycle(group).colors
-    verts = walk(group, colors)
+    path = eulerian_cycle(group)
+    colors, verts = path.colors, path.vertices
     assert all(verts[i + 1] == targets[c, verts[i]] for i, c in enumerate(colors))
     # regularity: in-degree equals out-degree equals number of colors
     indeg = [0] * 4
@@ -84,9 +85,8 @@ def test_one_incoming_edge_per_color_and_vertex():
     # contains exactly one edge of each color ending at each vertex
     for sc in builtin_scenarios():
         path = eulerian_cycle(sc.group)
-        verts = walk(sc.group, path.colors)
         seen = {}
-        for v, c in zip(verts[1:], path.colors):
+        for v, c in zip(path.vertices[1:], path.colors):
             seen[(v, c)] = seen.get((v, c), 0) + 1
         assert all(count == 1 for count in seen.values())
         assert len(seen) == sc.expected_cycle_length

@@ -251,15 +251,13 @@ def test_malformed_inline_scenario_exits_2(capsys, tmp_path, body):
 
 
 @pytest.mark.parametrize("body,path", [
-    ("  n_qubits: abc\n  generators: [%s]\n  profiles: [{axis: %s}]\n"
-     % (SX_DOC, SX_DOC), "n_qubits"),
     ("  generators: [%s]\n  profiles: [{segments: [{fraction: 0.5, rate: %s},"
      " {rate: %s}]}]\n" % (SX_DOC, SX_DOC, SX_DOC),
      "profiles[0].segments[1].fraction"),
     ("  generators: [%s]\n  profiles: [{axis: %s}]\n"
      "  noise_generators: [{name: a}]\n" % (SX_DOC, SX_DOC),
      "noise_generators[0].matrix"),
-], ids=["n_qubits-str", "segment-without-fraction", "noise-without-matrix"])
+], ids=["segment-without-fraction", "noise-without-matrix"])
 def test_inline_error_names_key_path(capsys, tmp_path, body, path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("scenario:\n" + body)
@@ -459,6 +457,10 @@ INLINE_SX = "  generators: [%s]\n  profiles: [{axis: %s}]\n" % (SX_DOC, SX_DOC)
     ("scenario: carr-purcell\nouts: run.json\n", "outs"),
     ("scenario: carr-purcell\noverrides:\n  cycle: 3\n", "overrides.cycle"),
     ("scenario:\n" + INLINE_SX + "  pathh: [0, 0]\n", "scenario.pathh"),
+    # no command reads an inline scenario's n_qubits or description
+    ("scenario:\n" + INLINE_SX + "  n_qubits: 7\n", "scenario.n_qubits"),
+    ("scenario:\n" + INLINE_SX + "  description: anything\n",
+     "scenario.description"),
     ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s, speed: 2}]\n"
      % (SX_DOC, SX_DOC), "profiles[0].speed"),
     ("scenario:\n  generators: [%s]\n  profiles: [{segments: [{fraction: 1.0, "
@@ -466,7 +468,8 @@ INLINE_SX = "  generators: [%s]\n  profiles: [{axis: %s}]\n" % (SX_DOC, SX_DOC)
      "profiles[0].segments[0].shape"),
     ("scenario:\n" + INLINE_SX + "  noise_generators: [{nmae: a, matrix: %s}]\n"
      % SX_DOC, "noise_generators[0].nmae"),
-], ids=["top", "overrides", "inline", "profile", "segment", "noise-generator"])
+], ids=["top", "overrides", "inline", "inline-n_qubits", "inline-description",
+        "profile", "segment", "noise-generator"])
 def test_unknown_config_key_exits_2_naming_its_path(capsys, tmp_path, body, path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(body)

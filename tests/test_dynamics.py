@@ -17,15 +17,14 @@ from eulerdd.dynamics import (DriftModel, UnitarityError,
                               residual_error, simulate_cycles)
 from eulerdd.cayley import EulerPath, eulerian_cycle
 from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
-                                  commutant_basis, equal_up_to_phase,
-                                  in_algebra, pi_G)
+                                  equal_up_to_phase, in_algebra, pi_G)
 from eulerdd.pulses import (ControlSchedule, PathMismatchError, PulseProfile,
                             RealizationError, Step, _expm_eig, _expm_herm,
                             _involution_unitary, apply_fault, constant_profile, eulerian_schedule,
                             merged_segments, phase_distance, piecewise_profile)
-from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, conjugated,
-                               hermitian_log, monomial_groups, multiply,
-                               pauli_generators)
+from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, commutant_basis,
+                               conjugated, hermitian_log, monomial_groups,
+                               multiply, pauli_generators)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 

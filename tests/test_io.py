@@ -199,15 +199,22 @@ class TestInlineScenario:
         with pytest.raises(ConfigError, match=key):
             scenario_from_config(RunConfig(inline=doc))
 
-    @pytest.mark.parametrize("key,value", [
-        ("name", None), ("name", [1, 2]), ("description", 5)],
-        ids=["null-name", "list-name", "int-description"])
-    def test_name_and_description_must_be_strings(self, key, value):
+    @pytest.mark.parametrize("value", [None, [1, 2]], ids=["null-name", "list-name"])
+    def test_name_must_be_a_string(self, value):
         # str() would name the scenario "None" or "[1, 2]"
+        doc = {"generators": [X], "profiles": [AXIS_X], "name": value}
+        with pytest.raises(ConfigError,
+                           match=rf"^scenario\.name must be a string, got "
+                                 rf"{re.escape(repr(value))}$"):
+            scenario_from_config(RunConfig(inline=doc))
+
+    @pytest.mark.parametrize("key,value", [("n_qubits", 7), ("description", 5)],
+                             ids=["n_qubits", "description"])
+    def test_unread_inline_key_is_refused(self, key, value):
+        # no command reads either of them from an inline scenario
         doc = {"generators": [X], "profiles": [AXIS_X], key: value}
         with pytest.raises(ConfigError,
-                           match=rf"^scenario\.{key} must be a string, got "
-                                 rf"{re.escape(repr(value))}$"):
+                           match=rf"^scenario\.{key} is not a known key; "):
             scenario_from_config(RunConfig(inline=doc))
 
     @pytest.mark.parametrize("value", [None, 5], ids=["null", "int"])

@@ -138,8 +138,8 @@ class Scenario:
     profiles: dict                  # color -> PulseProfile
     reference_path: tuple = None        # explicit color sequence when stated
     noise_generators: tuple = ()    # (name, traceless system operator)
-    # checks only this scenario passes, each called as
-    # check(scenario, rng, seed) -> list of check_result dicts; a scenario
+    # checks only this scenario passes, each called as check(scenario,
+    # its schedule(), rng, seed) -> list of check_result dicts; a scenario
     # built from a config has none and gets only the generic checks
     checks: tuple = ()
 
@@ -228,18 +228,16 @@ def scenario_from_generators(name, description, n_qubits, gen_mats,
     )
 
 
-def _carr_purcell_checks(scenario, rng, seed) -> list:
+def _carr_purcell_checks(scenario, schedule, rng, seed) -> list:
     """Faults along sigma_y, sigma_z vanish; a sigma_x fault stays central."""
-    rep, profiles = scenario.rep, scenario.profiles
-    checks = []
-    for u in ("y", "z"):
-        res = residual_error(rep, profiles, {0: [(1.0, 0.1 * SIGMA[u])]})
-        checks.append(bound_check(f"fault-s{u}-vanishes",
-                                  float(np.linalg.norm(res)), 1e-9))
-    res = residual_error(rep, profiles, {0: [(1.0, 0.1 * SIGMA["x"])]})
-    dev = float(np.linalg.norm(res - 0.1 * SIGMA["x"]))
+    res = {u: residual_error(apply_fault(schedule, {0: [(1.0, 0.1 * SIGMA[u])]}))
+           for u in "yzx"}
+    checks = [bound_check(f"fault-s{u}-vanishes", float(np.linalg.norm(res[u])),
+                          1e-9) for u in "yz"]
+    dev = float(np.linalg.norm(res["x"] - 0.1 * SIGMA["x"]))
     checks.append(bound_check("fault-sx-central",
-                              max(dev, subspace_distance(res, center_basis(rep))),
+                              max(dev, subspace_distance(res["x"],
+                                                         center_basis(scenario.rep))),
                               1e-9))
     return checks
 
@@ -263,7 +261,7 @@ def carr_purcell_scenario(n: int = 1) -> Scenario:
 _TWO_GEN_PATH = (0, 1, 0, 1, 1, 0, 1, 0)
 
 
-def _pauli_checks(scenario, rng, seed) -> list:
+def _pauli_checks(scenario, schedule, rng, seed) -> list:
     """Random traceless faults on every generator are averaged away."""
     d = scenario.rep.dimension
     worst = 0.0
@@ -273,7 +271,7 @@ def _pauli_checks(scenario, rng, seed) -> list:
         for c in colors:
             m = random_hermitian(d, rng)
             deltas[c] = [(1.0, m - np.trace(m) / d * np.eye(d))]
-        res = residual_error(scenario.rep, scenario.profiles, deltas)
+        res = residual_error(apply_fault(schedule, deltas))
         worst = max(worst, float(np.linalg.norm(res)))
     return [bound_check("random-fault-eliminated", worst, 1e-8)]
 
@@ -298,7 +296,7 @@ def pauli_scenario(n: int = 1) -> Scenario:
     )
 
 
-def _spin_flip_checks(scenario, rng, seed) -> list:
+def _spin_flip_checks(scenario, schedule, rng, seed) -> list:
     """Linear noise is suppressed; for even n the group algebra is abelian."""
     checks = [bound_check("linear-noise-suppressed",
                           noise_suppression_check(scenario), 1e-12)]
@@ -327,7 +325,7 @@ def spin_flip_scenario(n: int = 2) -> Scenario:
     )
 
 
-def _symmetric_s3_checks(scenario, rng, seed) -> list:
+def _symmetric_s3_checks(scenario, schedule, rng, seed) -> list:
     """A two-dimensional irrep exists, and the averaged collective noise acts
     on each block as N ⊗ I (a clean noiseless subsystem)."""
     rep = scenario.rep
@@ -418,6 +416,7 @@ def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
     (cycle, theorem, projector properties), then the scenario's own."""
     rng = np.random.default_rng(seed)
     rep = scenario.rep
+    schedule = scenario.schedule()
     expected = scenario.expected_cycle_length
     checks = [check_result("cycle-length", len(scenario.path) == expected,
                            len(scenario.path), expected)]
@@ -432,13 +431,13 @@ def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
     for X in _hermitian_stacks(rep, rng, 10):
         p = pi_G(rep, X)
         worst_idem = max(worst_idem, max_norm(pi_G(rep, p) - p))
-        q = q_map(rep, scenario.profiles, X)
+        q = q_map(schedule, X)
         worst_comm = max(worst_comm, float(commutator_norms(rep, q).max()))
     checks.append(bound_check("projector-idempotent", worst_idem, 1e-10))
     checks.append(bound_check("qmap-commutant-valued", worst_comm, 1e-9))
 
     for check in scenario.checks:
-        checks.extend(check(scenario, rng, seed))
+        checks.extend(check(scenario, schedule, rng, seed))
     return checks
 
 

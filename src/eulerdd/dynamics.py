@@ -1,22 +1,19 @@
 """Toggling-frame averaging and joint system-environment simulation.
 
 Everything is piecewise constant, so propagators are exact products of
-segment exponentials, and every toggling-frame time average (``f_map``,
-``q_map``, ``residual_error``, ``average_hamiltonian``) is a sum of exact
-segment integrals: in closed form by gathers for a one-segment pulse of a
-Pauli-string-like rate θA (A a monomial Hermitian involution), in the
-eigenbasis of the segment Hamiltonian otherwise.  These averages act on
-the system alone: a control U ⊗ I_E conjugates each d×d block H0_kl of a
-joint H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| on its own, so on S ⊗ E they run over
-those blocks.
+segment exponentials and every toggling-frame average is a sum of exact
+segment integrals (``_sub_interval_integral``).  ``f_map`` is the
+generator-set map F_Γ; ``q_map``, ``average_hamiltonian`` and
+``residual_error`` read a schedule's walk through one loop
+(``_walk_average``).  These averages act on the system alone: a control
+U ⊗ I_E conjugates each d×d block H0_kl of a joint H0 = Σ_kl H0_kl ⊗ |k⟩⟨l|
+on its own, so on S ⊗ E they run over those blocks.
 
-A schedule step carries its profile, its kick and its fault.  A profile
-replays unchanged in every step that pulses it, so the eigenpairs of its
-segments (cached on the profile), the total drift and its validation
-(cached on the drift), the sub-interval average of ``average_hamiltonian``
-(per distinct profile, of the whole stack of blocks) and, in
-``simulate_cycles``, the joint segment exponentials (per distinct profile
-and fault) are each computed once and reused.  An eigendecomposition is
+A profile replays unchanged in every step that pulses it, so its segment
+eigenpairs (cached on the profile), the total drift and its validation
+(cached on the drift), an average's integral per distinct pulse and, in
+``simulate_cycles``, the joint segment exponentials per distinct profile
+and fault are each computed once and reused.  An eigendecomposition is
 taken only where it is reused: a joint segment exponential, used once, is
 a Padé approximant (``pulses._expm_herm``), and Hbar, exponentiated at
 every delta_t of a sweep, is diagonalized once.
@@ -25,16 +22,17 @@ every delta_t of a sweep, is diagonalized once.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .group_theory import (ShapeError, UnitaryRep, _read_only,
-                           conjugation_sum, is_hermitian, phase_distance, pi_G)
+from .group_theory import (ShapeError, _read_only, conjugation_sum,
+                           is_hermitian, phase_distance)
 from .pulses import (EXPM_WORK, ControlSchedule, PulseProfile, _expm_eig,
                      _expm_herm, check_amplitudes, checked_delta_t,
-                     fault_segments, merged_segments)
+                     merged_segments)
 
 
 class UnitarityError(ValueError):
@@ -117,23 +115,23 @@ def _env_blocks(h: np.ndarray) -> np.ndarray:
     return np.einsum("ikjk->kij", h)
 
 
-def _sub_interval_integral(profile: PulseProfile, pieces) -> np.ndarray:
-    """Exact integral of u(x)† X(x) u(x) over x in [0, 1] for the control u
-    of ``profile`` on S.
-
-    ``pieces`` are (fraction, segment index, X) triples in time order: the
-    profile's segment of that index pulses over the fraction, under X, a
-    d×d matrix or a (..., d, d) stack (every piece's X of one shape).  One
-    piece of a profile with ``involution`` data (a one-segment profile
-    whose rate is θA, A a monomial Hermitian involution) is integrated in
-    closed form by gathers; any other list (several pieces, θ = 0, a dense
-    or non-involutory rate) in the eigenbasis of each segment rate.
-    """
+def _sub_interval_integral(profile: PulseProfile, X: np.ndarray,
+                           fault=None) -> np.ndarray:
+    """Exact integral of u(x)† Y(x) u(x) over x in [0, 1] for the control u
+    of ``profile`` on S, with Y(x) = X (a d×d matrix or a (..., d, d)
+    stack) or, when X is None, the rate of ``fault`` at x (zero for None).
+    One piece, a constant Y on a profile with ``involution`` data (one
+    segment pulsing θA, A a monomial Hermitian involution), is integrated
+    in closed form by gathers; any other list (a fault grid that cuts it,
+    several segments, θ = 0, a dense or non-involutory rate) in each
+    segment's eigenbasis."""
+    pieces = ([(frac, k, X) for k, (frac, _) in enumerate(profile.segments)]
+              if X is not None else merged_segments(profile, fault))
     if len(pieces) == 1 and profile.involution is not None:
-        frac, _, X = pieces[0]
-        return _involution_integral(frac, profile.involution, X)
-    return _eigenbasis_integral([(frac, profile.spectra[k], X)
-                                 for frac, k, X in pieces])
+        frac, _, Y = pieces[0]
+        return _involution_integral(frac, profile.involution, Y)
+    return _eigenbasis_integral([(frac, profile.spectra[k], Y)
+                                 for frac, k, Y in pieces])
 
 
 def _sinc(t: float) -> float:
@@ -201,78 +199,81 @@ def _eigenbasis_integral(segments) -> np.ndarray:
     return acc
 
 
-def _profile_segments(profile: PulseProfile, X: np.ndarray) -> list:
-    """(fraction, segment index, X) pieces of a profile under a constant X."""
-    return [(frac, k, X) for k, (frac, _) in enumerate(profile.segments)]
+def _walk_average(schedule: ControlSchedule, X: np.ndarray = None) -> np.ndarray:
+    """(1/L) Σ_l f_l† I_l f_l over the L steps, f_l the element of path
+    vertex l (its phase cancels) and I_l the integral of u_l(x)† Y u_l(x)
+    over step l's profile u_l, for Y = X (a d×d operator or a (..., d, d)
+    stack) or, when X is None, Y the step's fault (zero for none).  Each
+    distinct pulse is integrated once, and the integrals of the pulses on
+    one multiset of vertices are summed before one ``conjugation_sum``:
+    one in all for an Eulerian cycle (every pulse visits each element
+    once) and for a bang-bang walk."""
+    on = defaultdict(list)      # step -> the vertices it starts from
+    for v, step in zip(schedule.path.vertices, schedule.steps):
+        on[step].append(v)
+    pulses = {}     # (profile, id(fault)) -> [profile, fault, vertices]
+    for step, verts in on.items():
+        fault = step.fault if X is None else None
+        pulses.setdefault((step.profile, id(fault)),
+                          [step.profile, fault, []])[2].extend(verts)
+    sums = defaultdict(int)     # vertex multiset -> the summed integrals
+    for p, fault, verts in pulses.values():
+        sums[tuple(sorted(verts))] += _sub_interval_integral(p, X, fault)
+    out = None
+    for verts, integral in sums.items():
+        out = conjugation_sum(schedule.rep, integral, np.array(verts), out=out)
+    out /= schedule.sub_intervals
+    return out
 
 
 def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray:
     """First-order average Hamiltonian (1/T_c) ∫ U_c†(t) H0 U_c(t) dt.
 
-    H0 may live on S or on S ⊗ E; in the joint case U_c acts as U_c ⊗ I,
-    so each d×d block H0_kl of H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| is averaged on its
-    own.  The (d_E, d_E, d, d) stack of blocks is integrated once per
-    distinct profile, giving F(H0_kl); a free step has F(H0_kl) = H0_kl.
-    Step l's frame is the element of the schedule's path vertex l up to a
-    phase, which cancels in f† F f, so each profile's conjugations are one
-    ``group_theory.conjugation_sum`` over the vertices of the steps that
-    pulse it, and a kick acts through the vertices only.  The result
-    depends on the path and the profiles, not on delta_t.
+    H0 may live on S or on S ⊗ E, where U_c acts as U_c ⊗ I: the stack of
+    the d×d blocks H0_kl of H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| is averaged over the
+    walk and symmetrized.  Kicks act through the vertices only, faults not
+    at all, and the result depends on the path and profiles, not delta_t.
     """
     H0 = np.asarray(H0, dtype=complex)
     if not is_hermitian(H0):
         raise ValueError("invalid drift: H0 must be Hermitian")
-    rep = schedule.rep
-    d = rep.dimension
-    dim = H0.shape[0]
-    if dim % d:
+    d = schedule.rep.dimension
+    de, rem = divmod(len(H0), d)
+    if rem:
         raise ValueError("invalid drift: dimension is not a multiple of the system's")
-    de = dim // d
     blocks = np.ascontiguousarray(H0.reshape(d, de, d, de).transpose(1, 3, 0, 2))
-    avg = np.zeros((dim, dim), dtype=complex)
-    acc = avg.reshape(d, de, d, de).transpose(1, 3, 0, 2)   # its blocks
-    for p in dict.fromkeys(step.profile for step in schedule.steps):
-        averaged = _sub_interval_integral(p, _profile_segments(p, blocks))
-        mine = [v for v, step in zip(schedule.path.vertices, schedule.steps)
-                if step.profile is p]
-        conjugation_sum(rep, averaged, np.array(mine), out=acc)
-    avg /= schedule.sub_intervals
+    avg = _walk_average(schedule, blocks).transpose(2, 0, 3, 1).reshape(H0.shape)
     avg += avg.conj().T
     avg *= 0.5
     return avg
 
 
 def f_map(profiles: dict, X: np.ndarray) -> np.ndarray:
-    """Average of u_c†(s) X u_c(s) over the generators and the sub-interval,
-    of one operator or of each operator of an (n, d, d) stack."""
+    """The generator-set map F_Γ: u_c†(s) X u_c(s) averaged over the
+    generators and the sub-interval, of X or of each X of an (n, d, d) stack."""
     X = np.asarray(X, dtype=complex)
     d = next(iter(profiles.values())).segments[0][1].shape[0]
     if X.shape[-2:] != (d, d):
         raise ShapeError("shape error: operator does not match profile dimension")
-    return sum(_sub_interval_integral(prof, _profile_segments(prof, X))
-               for prof in profiles.values()) / len(profiles)
+    return sum(_sub_interval_integral(p, X) for p in profiles.values()) / len(profiles)
 
 
-def q_map(rep: UnitaryRep, profiles: dict, X: np.ndarray) -> np.ndarray:
-    """Eulerian averaging map: group-average projector after the F map, of
-    one operator or of each operator of an (n, d, d) stack."""
-    return pi_G(rep, f_map(profiles, X))
+def q_map(schedule: ControlSchedule, X: np.ndarray) -> np.ndarray:
+    """Eulerian averaging map: the toggling-frame average of X over the
+    schedule's walk, of one operator or of each operator of an (n, d, d)
+    stack; pi_G∘F_Γ when the walk is an Eulerian cycle."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape[-2:] != (schedule.rep.dimension,) * 2:
+        raise ShapeError("shape error: operator does not match representation dimension")
+    return _walk_average(schedule, X)
 
 
-def residual_error(rep: UnitaryRep, profiles: dict, deltas: dict) -> np.ndarray:
-    """First-order residual control-error operator of a systematic fault.
-
-    A scenario-level average over the generator set: ``profiles`` maps
-    each color to its profile, pulsed with the (fraction, rate) segments
-    ``deltas`` gives that color (no error for a color it leaves out).
-    ``fault_segments`` holds ``deltas`` to d and to the colors of
-    ``profiles``.  Returned in 1/delta_t units (multiply by 1/delta_t for
-    the physical Hamiltonian).  The toggling frame uses the ideal profiles;
-    the integrand is u†(s) delta-h(s) u(s)."""
-    held = fault_segments(deltas, rep.dimension, profiles)
-    acc = sum(_sub_interval_integral(prof, merged_segments(prof, held.get(color)))
-              for color, prof in profiles.items())
-    return pi_G(rep, acc / len(profiles))
+def residual_error(schedule: ControlSchedule) -> np.ndarray:
+    """First-order residual control-error operator of the faults that
+    ``apply_fault`` attached to the steps: each step's u†(s) delta-h(s) u(s),
+    u its ideal profile, averaged over the walk.  In 1/delta_t units
+    (multiply by 1/delta_t for the physical Hamiltonian)."""
+    return _walk_average(schedule)
 
 
 def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
@@ -301,11 +302,12 @@ def simulate_cycles(drift: DriftModel, schedule: ControlSchedule,
         if step.kick is not None:   # (kick ⊗ I) U on the rows (i, e) of U
             u = (step.kick @ u.reshape(d, de * dim)).reshape(dim, dim)
     del exps                        # freed before the cycle is raised to a power
-    u = np.linalg.matrix_power(u, cycles)
-    gram = u.conj().T @ u           # U†U - I, the identity taken off in place
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused
+        u = np.linalg.matrix_power(u, cycles)
+        gram = u.conj().T @ u       # U†U - I, the identity taken off in place
     gram.ravel()[::dim + 1] -= 1.0
     err = np.linalg.norm(gram)
-    if err > 1e-8 * dim:
+    if not err <= 1e-8 * dim:       # nan, from an overflow, included
         raise UnitarityError(f"propagator lost unitarity over {cycles} cycles: "
                              f"drift {err:.2e}; use fewer cycles")
     return u

@@ -11,8 +11,9 @@ Hamiltonian on a segment is R / delta_t and amplitudes scale as
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -569,8 +570,9 @@ def eulerian_schedule(path: EulerPath, profiles: dict,
     for c in path.colors:
         if c not in profiles:
             raise IncompleteProfileSetError(f"incomplete profile set: no profile for color {c}")
+    step_of = {c: Step(c, profiles[c]) for c in set(path.colors)}
     sched = ControlSchedule(rep=rep, path=path,
-                            steps=tuple(Step(c, profiles[c]) for c in path.colors))
+                            steps=tuple(step_of[c] for c in path.colors))
     # closure: the path returns to the identity, so U_c(T_c) ~ identity;
     # the product of the profiles' endpoints is taken here, without
     # building the frames
@@ -619,24 +621,6 @@ def check_amplitudes(schedule: ControlSchedule, delta_t: float) -> None:
                          f"amplitude |rate| / delta_t is not finite")
 
 
-def _merge_grids(profile_segs, fault_segs):
-    """Union grid of two segment lists over [0, 1]; returns
-    (fraction, profile segment index, fault_rate) triples."""
-    ends = [list(accumulate(frac for frac, _ in segs))
-            for segs in (profile_segs, fault_segs)]
-    cuts = sorted(c for c in {0.0, 1.0, *(round(e, 15) for e in ends[0] + ends[1])}
-                  if 0.0 <= c <= 1.0 + 1e-12)
-
-    def index_at(which, x):
-        """The segment of list ``which`` (0 profile, 1 fault) holding x."""
-        return next((k for k, end in enumerate(ends[which]) if x < end - 1e-12),
-                    len(ends[which]) - 1)
-
-    return [(b - a, index_at(0, 0.5 * (a + b)),
-             fault_segs[index_at(1, 0.5 * (a + b))][1])
-            for a, b in zip(cuts[:-1], cuts[1:])]
-
-
 def apply_fault(schedule: ControlSchedule, deltas: dict) -> ControlSchedule:
     """Attach a systematic fault: segment Hamiltonians become h + delta-h.
 
@@ -645,19 +629,34 @@ def apply_fault(schedule: ControlSchedule, deltas: dict) -> ControlSchedule:
     its steps.  The returned schedule's steps of color c carry the segments
     of ``deltas[c]``, and the other steps no fault; each keeps its ideal
     profile (the toggling frame is always built from the intended
-    control)."""
+    control).  One faulted step is built per distinct step.  A fault moves
+    no pulse, kick or vertex, so the walk held at construction holds: the
+    copy (``copy.copy``, frames shared) is not checked again."""
     held = fault_segments(deltas, schedule.rep.dimension,
                           {step.color for step in schedule.steps})
-    return replace(schedule, steps=tuple(
-        replace(step, fault=held.get(step.color)) for step in schedule.steps))
+    faulted = {s: Step(s.color, s.profile, s.kick, held.get(s.color))
+               for s in set(schedule.steps)}
+    out = copy.copy(schedule)
+    out.steps = tuple(map(faulted.get, schedule.steps))
+    return out
 
 
 def merged_segments(profile: PulseProfile, fault):
-    """(fraction, profile segment index, fault_rate) triples for one
-    sub-interval under the fault segments ``fault`` (None for no fault);
-    the index selects the ideal rate and its cached eigenpairs on
-    ``profile``."""
+    """(fraction, profile segment index, fault rate) triples for one
+    sub-interval under the fault segments ``fault``, on the union of the
+    two grids (zero rates on the profile's for None); the index selects the
+    ideal rate and its cached eigenpairs on ``profile``."""
     segs = profile.segments
     if fault is None:
         return [(frac, k, np.zeros_like(rate)) for k, (frac, rate) in enumerate(segs)]
-    return _merge_grids(segs, fault)
+    ends = [list(accumulate(frac for frac, _ in s)) for s in (segs, fault)]
+    cuts = sorted(c for c in {0.0, 1.0, *(round(e, 15) for e in ends[0] + ends[1])}
+                  if 0.0 <= c <= 1.0 + 1e-12)
+
+    def index_at(which, x):
+        """The segment of list ``which`` (0 profile, 1 fault) holding x."""
+        return next((k for k, end in enumerate(ends[which]) if x < end - 1e-12),
+                    len(ends[which]) - 1)
+
+    return [(b - a, index_at(0, 0.5 * (a + b)), fault[index_at(1, 0.5 * (a + b))][1])
+            for a, b in zip(cuts[:-1], cuts[1:])]

@@ -21,6 +21,7 @@ from eulerdd.cayley import validate_path
 from eulerdd.cli import main as cli_main
 from eulerdd.dynamics import f_map, q_map, residual_error
 from eulerdd.group_theory import (center_basis, decompose_irreps, pi_G)
+from eulerdd.pulses import apply_fault
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -70,9 +71,10 @@ def test_03_projector_properties():
             for g in sc.rep.matrices:
                 worst_comm = max(worst_comm, np.linalg.norm(p @ g - g @ p))
         # q_map checked on a smaller sample (it integrates per input)
+        sched = sc.schedule()
         for _ in range(10):
             X = random_hermitian(d, rng)
-            q = q_map(sc.rep, sc.profiles, X)
+            q = q_map(sched, X)
             worst_idem = max(worst_idem,
                              np.linalg.norm(pi_G(sc.rep, q) - q))
             for g in sc.rep.matrices:
@@ -87,10 +89,10 @@ def test_04_carr_purcell_fault_robustness():
     details = []
     ok = True
     for name, u in (("sy", SY), ("sz", SZ)):
-        res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * u)]})
+        res = residual_error(apply_fault(sc.schedule(), {0: [(1.0, 0.1 * u)]}))
         details.append(f"{name}={np.linalg.norm(res):.2e}")
         ok = ok and np.linalg.norm(res) <= 1e-9
-    res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * SX)]})
+    res = residual_error(apply_fault(sc.schedule(), {0: [(1.0, 0.1 * SX)]}))
     dev = np.linalg.norm(res - 0.1 * SX)
     details.append(f"sx-dev={dev:.2e}")
     ok = ok and dev <= 1e-9
@@ -113,7 +115,7 @@ def test_05_pauli_systematic_error_elimination():
             m = random_hermitian(2, rng)
             fault[c] = [(1.0, m - np.trace(m) / 2 * np.eye(2))]
         worst = max(worst, np.linalg.norm(
-            residual_error(sc.rep, sc.profiles, fault)))
+            residual_error(apply_fault(sc.schedule(), fault))))
     fault = {0: [(1.0, 0.3 * SY)], 1: [(1.0, 0.2 * SX)]}
     err_dd, err_free = fault_fidelity_comparison(sc, fault, 0.01, 10, seed=5)
     ratio = err_free / err_dd

@@ -19,7 +19,7 @@ from eulerdd.cayley import validate_path
 from eulerdd.group_theory import (MAX_STACK_BYTES, center_basis,
                                   decompose_irreps, in_algebra, pi_G,
                                   subspace_distance)
-from eulerdd.pulses import constant_profile, piecewise_profile
+from eulerdd.pulses import apply_fault, constant_profile, piecewise_profile
 from test_group_theory import validate_rep
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
@@ -84,7 +84,8 @@ class TestBuiltinScenarios:
         rng = np.random.default_rng(0)
         for sc in builtin_scenarios():
             assert sc.checks
-            names = [c["name"] for check in sc.checks for c in check(sc, rng, 0)]
+            names = [c["name"] for check in sc.checks
+                     for c in check(sc, sc.schedule(), rng, 0)]
             assert names
 
     def test_all_profiles_in_algebra(self):
@@ -264,7 +265,7 @@ def per_trial_checks(scenario, trials, seed, monkeypatch):
     checks.append(analysis.bound_check("projector-idempotent", worst_idem, 1e-10))
     checks.append(analysis.bound_check("qmap-commutant-valued", worst_comm, 1e-9))
     for check in scenario.checks:
-        checks.extend(check(scenario, rng, seed))
+        checks.extend(check(scenario, scenario.schedule(), rng, seed))
     return checks
 
 
@@ -328,8 +329,8 @@ def block_actions(rep, residual):
 
 
 def fault_residual(sc, colors, rates):
-    return dynamics.residual_error(
-        sc.rep, sc.profiles, {c: [(1.0, r)] for c, r in zip(colors, rates)})
+    return dynamics.residual_error(apply_fault(
+        sc.schedule(), {c: [(1.0, r)] for c, r in zip(colors, rates)}))
 
 
 class TestFaultResidual:

@@ -302,7 +302,12 @@ class TestSweep:
          "delta_t 1e+308 is too large: the propagated time 10 x 2 x delta_t"),
         (("--delta-t", "0.02,0.01", "--cycles", "1000000000"),
          "propagator lost unitarity over 1000000000 cycles"),
-    ], ids=["overflowing-delta-t", "too-many-cycles"])
+        (("--delta-t", "0.02,0.01", "--cycles", str(2 ** 62)),
+         f"propagator lost unitarity over {2 ** 62} cycles"),
+        (("--delta-t", "0.02,0.01", "--cycles", str(10 ** 23)),
+         f"propagator lost unitarity over {10 ** 23} cycles"),
+    ], ids=["overflowing-delta-t", "too-many-cycles", "cycles-2^62",
+            "cycles-10^23"])
     def test_sweep_refusal_exits_2(self, capsys, flags, message):
         assert_refused(capsys, ("sweep", "--scenario", "carr-purcell", *flags),
                        message)

@@ -17,7 +17,8 @@ from eulerdd.dynamics import (DriftModel, UnitarityError,
                               residual_error, simulate_cycles)
 from eulerdd.cayley import EulerPath, eulerian_cycle
 from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
-                                  equal_up_to_phase, in_algebra, pi_G)
+                                  commutator_norms, equal_up_to_phase, in_algebra,
+                                  pi_G, subspace_distance)
 from eulerdd.pulses import (ControlSchedule, PathMismatchError, PulseProfile,
                             RealizationError, Step, _expm_eig, _expm_herm,
                             _involution_unitary, apply_fault, constant_profile, eulerian_schedule,
@@ -220,7 +221,7 @@ class TestExactKernel:
             lambda x, c=c: (unitary_at(sc.profiles[c], x).conj().T @ fault_at(c, x)
                             @ unitary_at(sc.profiles[c], x)), cuts)
             for c in (0, 1)) / 2
-        got = residual_error(sc.rep, sc.profiles, fault)
+        got = residual_error(apply_fault(sc.schedule(), fault))
         assert np.linalg.norm(got - pi_G(sc.rep, ref)) <= 1e-10
 
 
@@ -298,9 +299,9 @@ class TestInvolutionIntegral:
         calls = counted_kernels(monkeypatch)
         X = random_hermitian(d, np.random.default_rng(0))
         f_map(sc.profiles, X)
-        q_map(sc.rep, sc.profiles, np.array([X, X]))
+        q_map(sc.schedule(), np.array([X, X]))
         # one-piece faults, and a color the fault leaves out
-        residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * X)]})
+        residual_error(apply_fault(sc.schedule(), {0: [(1.0, 0.1 * X)]}))
         average_hamiltonian(sc.schedule(), sc.generic_drift(env_dim=2).total())
         assert set(calls) == {"_involution_integral"}
 
@@ -309,23 +310,26 @@ class TestInvolutionIntegral:
     def test_every_other_segment_list_takes_the_eigenbasis(self, case,
                                                            monkeypatch):
         sc = carr_purcell_scenario()
-        rep, profiles = sc.rep, sc.profiles
+        rep, profiles, sched = sc.rep, sc.profiles, sc.schedule()
         if case == "symmetric-s3":
             sc = symmetric_s3_scenario()
-            rep, profiles = sc.rep, sc.profiles
+            rep, profiles, sched = sc.rep, sc.profiles, sc.schedule()
         elif case == "conjugated-pauli":
             gens = conjugated(pauli_generators(1), 3)
             group, rep = close_group(gens)
             profiles = {c: constant_profile(g, rep, axis)
                         for c, (g, axis) in enumerate(zip(group.generators, gens))}
+            sched = eulerian_schedule(eulerian_cycle(group), profiles, rep)
         elif case == "diag-1-2":
-            # |entries| 1 and 2: no θ makes A = rate / θ an involution
+            # |entries| 1 and 2: no θ makes A = rate / θ an involution; the
+            # profile realizes no element, so no schedule pulses it
             profiles = {0: PulseProfile(segments=((1.0, np.diag([1.0, 2.0])),))}
+            sched = None
         X = random_hermitian(rep.dimension, np.random.default_rng(1))
         calls = counted_kernels(monkeypatch)
         if case == "split-fault":
             # a one-segment Pauli profile under a fault of two pieces
-            residual_error(rep, profiles, {0: [(0.5, 0.1 * SZ), (0.5, 0.1 * SY)]})
+            residual_error(apply_fault(sched, {0: [(0.5, 0.1 * SZ), (0.5, 0.1 * SY)]}))
         elif case == "bang-bang":
             sched = sc.bangbang()
             assert {s.profile.involution for s in sched.steps} == {None}
@@ -333,7 +337,8 @@ class TestInvolutionIntegral:
         else:
             assert {p.involution for p in profiles.values()} == {None}
             f_map(profiles, X)
-            residual_error(rep, profiles, {0: [(1.0, X)]})
+            if sched is not None:
+                residual_error(apply_fault(sched, {0: [(1.0, X)]}))
         assert set(calls) == {"_eigenbasis_integral"}
 
     @pytest.mark.parametrize("make", [carr_purcell_scenario,
@@ -366,8 +371,7 @@ def dense_average_hamiltonian(sched, H0):
     d = sched.rep.dimension
     de = H0.shape[0] // d
     blocks = np.ascontiguousarray(H0.reshape(d, de, d, de).transpose(1, 3, 0, 2))
-    averaged = {p: dynamics._sub_interval_integral(
-                    p, dynamics._profile_segments(p, blocks))
+    averaged = {p: dynamics._sub_interval_integral(p, blocks)
                 for p in dict.fromkeys(s.profile for s in sched.steps)}
     acc = np.zeros_like(blocks)
     for frame, step in zip(sched.stroboscopic_frames(), sched.steps):
@@ -432,8 +436,9 @@ class TestGatheredAverage:
         monkeypatch.setattr(dynamics, "conjugation_sum",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         got = average_hamiltonian(sched, H0)
-        # one gather call per distinct profile
-        assert len(calls) == len(set(sc.profiles.values()))
+        # one gather call: every profile of an Eulerian cycle pulses at
+        # each vertex once, so their integrals are summed first
+        assert len(calls) == 1
         want = dense_average_hamiltonian(sched, H0)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -493,7 +498,8 @@ class TestGatheredAverage:
                                                    monkeypatch):
         # kicks (bang-bang), products of a representation that is not
         # monomial (Hadamard) and one color pulsing two profiles (mirrored):
-        # one conjugation_sum per distinct profile, equal to the frames
+        # every pulse visits each vertex once, so one conjugation_sum of
+        # the summed integrals, equal to the frames
         sched = make()
         calls = []
         real = dynamics.conjugation_sum
@@ -502,7 +508,7 @@ class TestGatheredAverage:
         rng = np.random.default_rng(env_dim)
         H0 = random_hermitian(sched.rep.dimension * env_dim, rng)
         got = average_hamiltonian(sched, H0)
-        assert len(calls) == len({step.profile for step in sched.steps})
+        assert len(calls) == 1
         want = dense_average_hamiltonian(sched, H0)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -732,36 +738,38 @@ class TestFMapAndQMap:
             assert np.linalg.norm(fx - fx.conj().T) <= 1e-10
 
     def test_q_map_kills_sigma_z(self):
-        assert np.linalg.norm(q_map(self.cp.rep, self.cp.profiles, SZ)) <= 1e-9
+        assert np.linalg.norm(q_map(self.cp.schedule(), SZ)) <= 1e-9
 
     def test_q_map_commutant_valued_random(self):
         rng = np.random.default_rng(4)
         sc = symmetric_s3_scenario()
+        sched = sc.schedule()
         for _ in range(100):
             X = random_hermitian(8, rng)
-            q = q_map(sc.rep, sc.profiles, X)
+            q = q_map(sched, X)
             worst = max(np.linalg.norm(q @ g - g @ q) for g in sc.rep.matrices)
             assert worst <= 1e-9
 
     def test_q_map_idempotent(self):
         rng = np.random.default_rng(5)
         for sc in (self.cp, pauli_scenario(1)):
+            sched = sc.schedule()
             for _ in range(20):
                 X = random_hermitian(2, rng)
-                q1 = q_map(sc.rep, sc.profiles, X)
-                q2 = q_map(sc.rep, sc.profiles, q1)
+                q1 = q_map(sched, X)
+                q2 = q_map(sched, q1)
                 assert np.linalg.norm(q2 - q1) <= 1e-9
 
     def test_q_map_identity_on_commutant(self):
         for sc in (self.cp, symmetric_s3_scenario()):
             for Y in commutant_basis(sc.rep):
-                q = q_map(sc.rep, sc.profiles, Y)
+                q = q_map(sc.schedule(), Y)
                 assert np.linalg.norm(q - pi_G(sc.rep, Y)) <= 1e-10
 
     def test_pauli_traceless_killed(self):
         sc = pauli_scenario(1)
         for u in (SX, SY, SZ):
-            assert np.linalg.norm(q_map(sc.rep, sc.profiles, u)) <= 1e-9
+            assert np.linalg.norm(q_map(sc.schedule(), u)) <= 1e-9
 
     def test_theorem_fails_outside_algebra(self):
         # same group, but sigma_x realized through out-of-algebra rotations
@@ -770,34 +778,40 @@ class TestFMapAndQMap:
         prof = piecewise_profile(group.generators[0], rep,
                                  [(0.5, np.pi * SZ), (0.5, np.pi * SY)])
         assert not any(in_algebra(rep, rate) for _, rate in prof.segments)
-        dev = np.linalg.norm(q_map(rep, {0: prof}, SZ) - pi_G(rep, SZ))
+        sched = eulerian_schedule(eulerian_cycle(group), {0: prof}, rep)
+        dev = np.linalg.norm(q_map(sched, SZ) - pi_G(rep, SZ))
         assert dev > 1e-3
+
+
+def faulted_residual(sc, fault):
+    """The residual of ``fault`` on the scenario's Eulerian schedule."""
+    return residual_error(apply_fault(sc.schedule(), fault))
 
 
 class TestResidualError:
     def test_carr_purcell_y_z_faults_vanish(self):
         sc = carr_purcell_scenario()
         for u in (SY, SZ):
-            res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * u)]})
+            res = faulted_residual(sc, {0: [(1.0, 0.1 * u)]})
             assert np.linalg.norm(res) <= 1e-9
 
     def test_carr_purcell_x_fault_in_center(self):
         sc = carr_purcell_scenario()
-        res = residual_error(sc.rep, sc.profiles, {0: [(1.0, 0.1 * SX)]})
+        res = faulted_residual(sc, {0: [(1.0, 0.1 * SX)]})
         np.testing.assert_allclose(res, 0.1 * SX, atol=1e-9)
         assert hs_project(res, center_basis(sc.rep)) <= 1e-9
 
     def test_zero_fault(self):
         sc = carr_purcell_scenario()
         fault = {0: [(1.0, np.zeros((2, 2)))]}
-        assert np.linalg.norm(residual_error(sc.rep, sc.profiles, fault)) == 0.0
+        assert np.linalg.norm(faulted_residual(sc, fault)) == 0.0
 
     def test_always_commutant_valued(self):
         rng = np.random.default_rng(6)
         sc = symmetric_s3_scenario()
         for _ in range(5):
             fault = {c: [(1.0, random_hermitian(8, rng))] for c in (0, 1)}
-            res = residual_error(sc.rep, sc.profiles, fault)
+            res = faulted_residual(sc, fault)
             for g in sc.rep.matrices:
                 assert np.linalg.norm(res @ g - g @ res) <= 1e-9
 
@@ -812,8 +826,42 @@ class TestResidualError:
                 coefs = rng.standard_normal(len(alg))
                 m = sum(c * b for c, b in zip(coefs, alg))
                 fault[color] = [(1.0, m + m.conj().T)]
-            res = residual_error(sc.rep, sc.profiles, fault)
+            res = faulted_residual(sc, fault)
             assert hs_project(res, cen) <= 1e-9
+
+    def test_in_algebra_fault_told_apart_from_any_fault(self):
+        # three qubits carry S3's trivial irrep four times and its 2-d irrep
+        # twice, so the commutant (4² + 2² = 20) is larger than the center
+        # (2): a random one-segment fault leaves a residual in the
+        # commutant but off the center, and only an in-algebra one lands on it
+        sc = symmetric_s3_scenario()
+        rng = np.random.default_rng(0)
+        cen = center_basis(sc.rep)
+        assert (len(commutant_basis(sc.rep)), len(cen)) == (20, 2)
+        res = faulted_residual(sc, {c: [(1.0, 0.1 * random_hermitian(8, rng))]
+                                    for c in (0, 1)})
+        assert commutator_norms(sc.rep, res).max() <= 1e-12
+        assert subspace_distance(res, cen) > 0.1
+        fault = {}
+        for c in (0, 1):
+            z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            M = np.tensordot(z, sc.rep.matrices, axes=1)
+            fault[c] = [(1.0, 0.1 * (M + M.conj().T) / 2)]
+        assert subspace_distance(faulted_residual(sc, fault), cen) <= 1e-12
+
+    def test_walk_that_is_not_a_cycle_is_not_averaged_onto_the_commutant(self):
+        # pauli n=1, the sigma-x pulse twice: the walk (0, x, 0) averages
+        # over {I, sigma_x} only, so neither average commutes with sigma_z
+        sc = pauli_scenario(1)
+        x = sc.group.generators[0]
+        step = Step(0, sc.profiles[0])
+        sched = ControlSchedule(rep=sc.rep, steps=(step, step),
+                                path=EulerPath(colors=(0, 0), vertices=(0, x, 0)))
+        X = random_hermitian(2, np.random.default_rng(0))
+        assert commutator_norms(sc.rep, q_map(sched, X)).max() > 0.1
+        res = residual_error(apply_fault(sched, {0: [(1.0, 0.1 * SX)]}))
+        np.testing.assert_allclose(res, 0.1 * SX, atol=1e-12)
+        assert commutator_norms(sc.rep, res).max() > 0.1
 
 
 def kron_total(drift):
@@ -983,6 +1031,15 @@ class TestSimulation:
         with pytest.raises(UnitarityError, match="over 1000000000 cycles") as info:
             simulate_cycles(drift, sc.schedule(), 0.02, cycles=10 ** 9)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("cycles", [2 ** 62, 10 ** 23])
+    def test_overflowing_cycle_count_refused(self, cycles):
+        # the cycle's power overflows: entries near 1e239 at 2^62, nan at
+        # 10^23; the drift of either is nan, refused as a large one is
+        sc = carr_purcell_scenario()
+        drift = sc.generic_drift(env_dim=2)
+        with pytest.raises(UnitarityError, match=f"over {cycles} cycles"):
+            simulate_cycles(drift, sc.schedule(), 0.02, cycles=cycles)
 
     def test_traceless_coupling_enforced(self):
         drift = DriftModel(H_S=np.zeros((2, 2)), H_E=np.zeros((2, 2)),
@@ -1188,10 +1245,13 @@ def reversed_profile(profile):
 
 def mirrored(schedule):
     """The forward steps, then the same steps backwards, each pulsing its
-    profile reversed: one color carries two profiles.  Its walk runs the
-    forward path out and back: back step j undoes forward step L-1-j, so
-    it starts in the frame of forward vertex L - j."""
-    back = tuple(Step(s.color, reversed_profile(s.profile))
+    profile reversed and carrying its fault in reversed segment order: one
+    color carries two profiles.  Its walk runs the forward path out and
+    back: back step j undoes forward step L-1-j, so it starts in the frame
+    of forward vertex L - j."""
+    profiles = {p: reversed_profile(p) for p in {s.profile for s in schedule.steps}}
+    faults = {id(s.fault): s.fault and s.fault[::-1] for s in schedule.steps}
+    back = tuple(Step(s.color, profiles[s.profile], fault=faults[id(s.fault)])
                  for s in schedule.steps[::-1])
     fwd = schedule.path
     path = EulerPath(colors=fwd.colors + fwd.colors[::-1],
@@ -1311,3 +1371,9 @@ class TestRandomMirroredTimelines:
         for sched, f in ((back, None), (apply_fault(back, fault), fault)):
             got = simulate_cycles(drift, sched, 0.05)
             assert np.abs(got - per_step_cycles(drift, sched, 0.05, f)).max() <= 1e-12
+
+        # each back step carries its forward step's fault reversed in time,
+        # in the toggling frame it undoes: the residual is the forward one
+        faulted = apply_fault(forward, fault)
+        assert np.linalg.norm(residual_error(mirrored(faulted))
+                              - residual_error(faulted)) <= 1e-12

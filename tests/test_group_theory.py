@@ -19,8 +19,8 @@ from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   center_basis, close_group, decompose_irreps,
                                   equal_up_to_phase, fix_phase, in_algebra,
                                   pi_G, subspace_distance)
-from eulerdd.pulses import (_expm_herm, bangbang_schedule, eulerian_schedule,
-                            piecewise_profile)
+from eulerdd.pulses import (_expm_herm, apply_fault, bangbang_schedule,
+                            eulerian_schedule, piecewise_profile)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -252,7 +252,7 @@ class TestPiGDerivedAlgebra:
         for c in sorted(sc.profiles):
             m = random_hermitian(d, rng)
             fault[c] = [(1.0, 0.1 * (m - np.trace(m) / d * np.eye(d)))]
-        res = residual_error(rep, sc.profiles, fault)
+        res = residual_error(apply_fault(sc.schedule(), fault))
         assert abs(np.linalg.norm(res - pi_G(rep, res))
                    - subspace_distance(res, com)) <= 1e-12
         # the same identity off the commutant, where both sides are O(1)
@@ -551,8 +551,8 @@ class TestEulerianIdentities:
     """The paper's identities on random monomial groups: the Eulerian cycle
     has length |G|·|Γ|; q_map = pi_G for in-algebra profiles, whose
     residual of an in-algebra fault lies in the center; and the first-order
-    average Hamiltonian is pi_G(F_Γ(H0)) = q_map(H0) for any profiles, on S
-    and, block by block, on S ⊗ E."""
+    average Hamiltonian, read from the walk, is pi_G(F_Γ(H0)) for any
+    profiles, on S and, block by block, on S ⊗ E."""
 
     @settings(max_examples=40, deadline=None)
     @given(monomial_groups(), st.lists(segment_plans(), min_size=2, max_size=2),
@@ -580,15 +580,15 @@ class TestEulerianIdentities:
         d = rep.dimension
         X, H0 = random_hermitian(d, rng), random_hermitian(d, rng)
         joint = random_hermitian(d * env_dim, rng)
-        assert np.linalg.norm(q_map(rep, profiles, X) - pi_G(rep, X)) <= 1e-9
         sched = eulerian_schedule(path, profiles, rep)
+        assert np.linalg.norm(q_map(sched, X) - pi_G(rep, X)) <= 1e-9
         for frame, v in zip(sched.stroboscopic_frames(), path.vertices):
             assert equal_up_to_phase(frame, rep.matrices[v], 1e-9)
         assert np.linalg.norm(average_hamiltonian(sched, H0)
-                              - q_map(rep, profiles, H0)) <= 1e-10
+                              - pi_G(rep, f_map(profiles, H0))) <= 1e-10
         assert np.linalg.norm(
             average_hamiltonian(sched, joint)
-            - blockwise(functools.partial(q_map, rep, profiles), joint, d)) <= 1e-10
+            - blockwise(lambda b: pi_G(rep, f_map(profiles, b)), joint, d)) <= 1e-10
 
         # a fault in the group algebra leaves a residual in the center; its
         # half segments split each pulse on the fault's grid
@@ -598,7 +598,7 @@ class TestEulerianIdentities:
             M = np.tensordot(z, rep.matrices, axes=1)
             delta = 0.1 * (M + M.conj().T) / 2
             deltas[c] = [(0.5, delta), (0.5, -delta)]
-        res = residual_error(rep, profiles, deltas)
+        res = residual_error(apply_fault(sched, deltas))
         assert (subspace_distance(res, center_basis(rep))
                 <= 1e-10 * max(np.linalg.norm(res), 1.0))
 
@@ -609,10 +609,10 @@ class TestEulerianIdentities:
         profiles[0] = piecewise_profile(gen, rep, [(0.5, 2 * A), (0.5, 2 * back)])
         sched = eulerian_schedule(path, profiles, rep)
         assert np.linalg.norm(average_hamiltonian(sched, H0)
-                              - q_map(rep, profiles, H0)) <= 1e-10
+                              - pi_G(rep, f_map(profiles, H0))) <= 1e-10
         assert np.linalg.norm(
             average_hamiltonian(sched, joint)
-            - blockwise(functools.partial(q_map, rep, profiles), joint, d)) <= 1e-10
+            - blockwise(lambda b: pi_G(rep, f_map(profiles, b)), joint, d)) <= 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(monomial_groups(), st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
@@ -641,11 +641,12 @@ class TestEulerianIdentities:
                                               rep.dimension)) <= 1e-10
 
 
-def assert_stack_matches_per_operator(rep, profiles, X):
-    """f_map, q_map and pi_G of the (n, d, d) stack X equal, bit for bit,
-    the stack of their values at each operator of X."""
+def assert_stack_matches_per_operator(rep, profiles, sched, X):
+    """f_map, q_map (on the schedule ``sched``, unless it is None) and pi_G
+    of the (n, d, d) stack X equal, bit for bit, the stack of their values
+    at each operator of X."""
     for quantity in (functools.partial(f_map, profiles),
-                     functools.partial(q_map, rep, profiles),
+                     *([functools.partial(q_map, sched)] if sched else []),
                      functools.partial(pi_G, rep)):
         stacked = quantity(X)
         assert stacked.shape == X.shape
@@ -664,8 +665,8 @@ class TestStackedOracle:
         sc = get_scenario(name, None)
         rng = np.random.default_rng(seed)
         X = np.array([random_hermitian(sc.rep.dimension, rng) for _ in range(20)])
-        assert_stack_matches_per_operator(sc.rep, sc.profiles, X)
-        assert_stack_matches_per_operator(sc.rep, sc.profiles, X[:1])
+        assert_stack_matches_per_operator(sc.rep, sc.profiles, sc.schedule(), X)
+        assert_stack_matches_per_operator(sc.rep, sc.profiles, sc.schedule(), X[:1])
 
     @settings(max_examples=30, deadline=None)
     @given(monomial_groups(), st.lists(segment_plans(), min_size=2, max_size=2),
@@ -683,7 +684,10 @@ class TestStackedOracle:
         rng = np.random.default_rng(seed)
         d = rep.dimension
         X = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-        assert_stack_matches_per_operator(rep, profiles, X)
+        # the trivial group has no Eulerian cycle to pulse
+        sched = (eulerian_schedule(eulerian_cycle(group), profiles, rep)
+                 if group.order > 1 else None)
+        assert_stack_matches_per_operator(rep, profiles, sched, X)
 
     def test_shape_checked_on_the_last_two_axes(self):
         sc = get_scenario("carr-purcell", None)
@@ -691,7 +695,7 @@ class TestStackedOracle:
             with pytest.raises(ShapeError):
                 pi_G(sc.rep, X)
             with pytest.raises(ShapeError):
-                q_map(sc.rep, sc.profiles, X)
+                q_map(sc.schedule(), X)
 
     def test_empty_stack_gives_an_empty_stack(self):
         sc = get_scenario("pauli", 1)

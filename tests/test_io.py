@@ -260,8 +260,8 @@ class TestFaultDocs:
         doc = {c: [{"fraction": f, "rate": encode_matrix(r)} for f, r in segs]
                for c, segs in fault.items()}
         from_doc = fault_from_doc(doc, sc.rep)
-        assert np.array_equal(residual_error(sc.rep, sc.profiles, from_doc),
-                              residual_error(sc.rep, sc.profiles, fault))
+        assert np.array_equal(residual_error(apply_fault(sc.schedule(), from_doc)),
+                              residual_error(apply_fault(sc.schedule(), fault)))
         drift = sc.generic_drift(env_dim=2, seed=0)
         got, want = (simulate_cycles(drift, apply_fault(sc.schedule(), f), 0.05)
                      for f in (from_doc, fault))

@@ -453,11 +453,9 @@ class TestFaults:
 
     def test_bad_fault_grid_rejected(self):
         sc = carr_purcell_scenario()
-        for meet in (lambda f: apply_fault(sc.schedule(), f),
-                     lambda f: residual_error(sc.rep, sc.profiles, f)):
-            with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.fraction: "
-                                                 r"the fractions sum to 0\.4,"):
-                meet({0: [(0.4, SX)]})
+        with pytest.raises(SegmentError, match=r"^deltas\[0\]\[0\]\.fraction: "
+                                             r"the fractions sum to 0\.4,"):
+            apply_fault(sc.schedule(), {0: [(0.4, SX)]})
 
     def test_unknown_color_rejected(self):
         sc = carr_purcell_scenario()
@@ -467,10 +465,11 @@ class TestFaults:
 
     @pytest.mark.parametrize("color", [5, -1, None, "a"])
     def test_residual_refuses_a_color_no_profile_carries(self, color):
-        # a color that pulses nothing is refused, not averaged as zero
+        # a color that pulses nothing is refused where the fault is
+        # attached, not averaged as zero
         sc = carr_purcell_scenario()
         with pytest.raises(GridMismatchError, match=f"unknown color {color}$"):
-            residual_error(sc.rep, sc.profiles, {color: [(1.0, 0.1 * SX)]})
+            residual_error(apply_fault(sc.schedule(), {color: [(1.0, 0.1 * SX)]}))
 
     def test_bangbang_steps_carry_no_fault_color(self):
         bb = carr_purcell_scenario().bangbang()
@@ -481,14 +480,12 @@ class TestFaults:
             apply_fault(bb, {None: [(1.0, SX)]})
 
     def test_fault_of_wrong_dimension_refused_where_it_meets_the_rep(self):
-        # the 2 x 2 schedule and residual refuse a 4 x 4 fault by key path
+        # the 2 x 2 schedule refuses a 4 x 4 fault by key path
         sc = carr_purcell_scenario()
         fault = {0: [(1.0, np.kron(SX, SX))]}
         message = r"^deltas\[0\]\[0\]\.rate must be a Hermitian 2 x 2 matrix"
-        for meet in (lambda: apply_fault(sc.schedule(), fault),
-                     lambda: residual_error(sc.rep, sc.profiles, fault)):
-            with pytest.raises(SegmentError, match=message):
-                meet()
+        with pytest.raises(SegmentError, match=message):
+            apply_fault(sc.schedule(), fault)
 
     def test_steps_of_one_color_share_one_fault_tuple(self):
         # simulate_cycles keys its exponentials on id(step.fault)
@@ -497,6 +494,26 @@ class TestFaults:
                              {0: [(1.0, 0.1 * heisenberg(3, 0, 1))]})
         faults = {id(step.fault) for step in faulty.steps if step.color == 0}
         assert len(faults) == 1
+
+    def test_faulted_copy_builds_one_step_per_distinct_step(self, monkeypatch):
+        # an Eulerian schedule holds one step per color, and so does its
+        # faulted copy, whose walk a fault leaves as it was: it is not
+        # checked again, and the schedule it was copied from is unchanged
+        sched = pauli_scenario(2).schedule()
+        assert len({id(step) for step in sched.steps}) == 4
+        checks = []
+        real = pulses.ControlSchedule.__post_init__
+        monkeypatch.setattr(pulses.ControlSchedule, "__post_init__",
+                            lambda self: checks.append(1) or real(self))
+        faulty = apply_fault(sched, {0: [(1.0, 0.1 * np.kron(SX, SZ))]})
+        assert checks == []
+        assert len({id(step) for step in faulty.steps}) == 4
+        assert (faulty.rep, faulty.path) == (sched.rep, sched.path)
+        for step, ideal in zip(faulty.steps, sched.steps):
+            assert (step.color, step.profile, step.kick) == (ideal.color,
+                                                             ideal.profile, None)
+            assert (step.fault is None) == (step.color != 0)
+            assert ideal.fault is None
 
     def test_bangbang_fault_rejected(self):
         sc = carr_purcell_scenario()
@@ -557,14 +574,12 @@ class TestSegmentRule:
             refusal(lambda: segment_list(segs, d), SegmentError),
             refusal(lambda: piecewise_profile(0, rep, segs), SegmentError),
             refusal(lambda: apply_fault(sched, {0: segs}), SegmentError),
-            refusal(lambda: residual_error(rep, {0: free}, {0: segs}),
-                    SegmentError),
             refusal(lambda: fault_from_doc(doc, rep), ConfigError),
         ]
         if bad is None:
-            assert refusals == [None] * 5
+            assert refusals == [None] * 4
         else:
-            paths = ("", "", "deltas[0]", "deltas[0]", "faults.0")
+            paths = ("", "", "deltas[0]", "faults.0")
             for msg, path in zip(refusals, paths):
                 assert msg is not None and msg.startswith(f"{path}[{bad}]"), msg
 
@@ -585,13 +600,11 @@ class TestSegmentRule:
                              ids=["string", "none", "list"])
     def test_unconvertible_fraction_names_its_key_path(self, fraction):
         sc = carr_purcell_scenario()
-        for meet in (lambda f: apply_fault(sc.schedule(), f),
-                     lambda f: residual_error(sc.rep, sc.profiles, f)):
-            with pytest.raises(SegmentError) as info:
-                meet({0: [(fraction, SX)]})
-            assert str(info.value) == (f"deltas[0][0].fraction must be a finite "
-                                       f"number > 0, got {fraction!r}")
-            assert info.value.index == 0
+        with pytest.raises(SegmentError) as info:
+            apply_fault(sc.schedule(), {0: [(fraction, SX)]})
+        assert str(info.value) == (f"deltas[0][0].fraction must be a finite "
+                                   f"number > 0, got {fraction!r}")
+        assert info.value.index == 0
         with pytest.raises(SegmentError, match=r"^\[1\]\.fraction must be") as info:
             segment_list([(0.5, SX), (fraction, SX)], 2)
         assert info.value.index == 1

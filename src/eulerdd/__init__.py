@@ -10,7 +10,7 @@ from .analysis import (Scenario, builtin_scenarios, get_scenario,
                        noise_suppression_check, scaling_study, verify_theorem)
 from .cayley import EulerPath, eulerian_cycle, validate_path
 from .dynamics import (DriftModel, average_hamiltonian, decoupling_distance,
-                       f_map, q_map, residual_error, simulate_cycles)
+                       q_map, residual_error, simulate_cycles)
 from .group_theory import (Group, UnitaryRep, center_basis, close_group,
                            decompose_irreps, pi_G)
 from .pulses import (ControlSchedule, PulseProfile, apply_fault,

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import pulses
 from .cayley import EulerPath, eulerian_cycle, path_from_colors, validate_path
-from .dynamics import (DriftModel, decoupling_distance, f_map, q_map,
-                       residual_error, simulate_cycles)
+from .dynamics import (DriftModel, decoupling_distance, q_map, residual_error,
+                       simulate_cycles)
 from .group_theory import (HERMITIAN_TOL, MAX_STACK_BYTES, Group, UnitaryRep,
                            center_basis, close_group, commutator_norms,
                            decompose_irreps, in_algebra, pi_G,
@@ -76,43 +76,25 @@ def swap_gate(n: int, k: int, l: int) -> np.ndarray:
     return (np.eye(2 ** n) + heisenberg(n, k, l)) / 2.0
 
 
-def random_hermitians(count: int, dim: int, rng) -> np.ndarray:
-    """(count, dim, dim) stack of random Hermitian matrices (M + M†) / 2,
-    M with standard complex Gaussian entries, from one ``rng`` call: the
-    stream of ``count`` random_hermitian calls, bit for bit."""
-    z = rng.standard_normal((count, 2, dim, dim))
-    out = np.empty((count, dim, dim), dtype=complex)
-    np.add(z[:, 0], z[:, 0].swapaxes(-1, -2), out=out.real)
-    np.subtract(z[:, 1], z[:, 1].swapaxes(-1, -2), out=out.imag)
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    """Random Hermitian (M + M†) / 2, M with standard complex Gaussian
+    entries, its real and imaginary parts from one ``rng`` call."""
+    z = rng.standard_normal((2, dim, dim))
+    out = np.empty((dim, dim), dtype=complex)
+    np.add(z[0], z[0].T, out=out.real)
+    np.subtract(z[1], z[1].T, out=out.imag)
     out.view(float)[...] *= 0.5
     return out
 
 
-def random_hermitian(dim: int, rng) -> np.ndarray:
-    return random_hermitians(1, dim, rng)[0]
-
-
-def _stack_size(rep: UnitaryRep) -> int:
-    """How many d x d operators of ``rep`` fit MAX_STACK_BYTES (>= 1)."""
-    return max(1, MAX_STACK_BYTES // (16 * rep.dimension ** 2))
-
-
 def _operator_stacks(rep: UnitaryRep, operators):
     """The d x d ``operators`` of an iterable, consumed lazily and in order,
-    as (n, d, d) stacks of ``_stack_size`` operators (the last may hold
-    fewer)."""
-    per, it = _stack_size(rep), iter(operators)
+    as (n, d, d) stacks of as many as fit MAX_STACK_BYTES (at least one;
+    the last stack may hold fewer)."""
+    per = max(1, MAX_STACK_BYTES // (16 * rep.dimension ** 2))
+    it = iter(operators)
     while chunk := list(islice(it, per)):
         yield np.array(chunk, dtype=complex)
-
-
-def _hermitian_stacks(rep: UnitaryRep, rng, count: int):
-    """``count`` random Hermitian d x d operators drawn from ``rng`` in
-    order, as the stacks ``_operator_stacks`` would cut them into, each
-    drawn when it is reached."""
-    per = _stack_size(rep)
-    for j in range(0, count, per):
-        yield random_hermitians(min(per, count - j), rep.dimension, rng)
 
 
 def max_norm(stack: np.ndarray) -> float:
@@ -394,48 +376,46 @@ def get_scenario(name: str, n: int = None) -> Scenario:
 THEOREM_TOL = 1e-7
 
 
-def verify_theorem(scenario: Scenario, trials: int = 100, seed: int = 0) -> dict:
-    """The ``symmetrization`` check: the identity q_map = pi_G on random
-    Hermitian inputs X, as the largest |pi_G(F(X) - X)|, within
-    THEOREM_TOL.  Skipped (passed, with a note) when a segment rate of any
-    profile leaves the group algebra, since the hypothesis then fails."""
+def verify_theorem(scenario: Scenario, schedule: ControlSchedule, rng,
+                   trials: int) -> list:
+    """Three checks on ``trials`` random Hermitian X from ``rng``, with
+    p = pi_G(X) and q = q_map(X) over ``schedule``'s walk: the identity
+    q_map = pi_G (``symmetrization``, max |q - p|; skipped, passed with a
+    note, when a profile's rate leaves the group algebra, as the hypothesis
+    then fails), max |pi_G(p) - p| and max |g q - q g|."""
     rep = scenario.rep
-    if not all(in_algebra(rep, rate) for p in scenario.profiles.values()
-               for _, rate in p.segments):
-        return check_result("symmetrization", True, "skipped", THEOREM_TOL,
-                            "hypothesis failed: profiles leave the algebra")
-    rng = np.random.default_rng(seed)
-    # q_map(X) - pi_G(X) = pi_G(F(X) - X): one group average per stack
-    worst = max((max_norm(pi_G(rep, f_map(scenario.profiles, X) - X))
-                 for X in _hermitian_stacks(rep, rng, trials)), default=0.0)
-    return bound_check("symmetrization", worst, THEOREM_TOL)
+    draws = (random_hermitian(rep.dimension, rng) for _ in range(trials))
+    worst_sym = worst_idem = worst_comm = 0.0
+    for X in _operator_stacks(rep, draws):
+        p, q = pi_G(rep, X), q_map(schedule, X)
+        worst_sym = max(worst_sym, max_norm(q - p))
+        worst_idem = max(worst_idem, max_norm(pi_G(rep, p) - p))
+        worst_comm = max(worst_comm, float(commutator_norms(rep, q).max()))
+    if all(in_algebra(rep, rate) for prof in scenario.profiles.values()
+           for _, rate in prof.segments):
+        theorem = bound_check("symmetrization", worst_sym, THEOREM_TOL)
+    else:
+        theorem = check_result("symmetrization", True, "skipped", THEOREM_TOL,
+                               "hypothesis failed: profiles leave the algebra")
+    return [theorem, bound_check("projector-idempotent", worst_idem, 1e-10),
+            bound_check("qmap-commutant-valued", worst_comm, 1e-9)]
 
 
 def verify_checks(scenario: Scenario, trials: int, seed: int) -> list:
-    """Every named check ``verify`` runs on a scenario: the generic ones
-    (cycle, theorem, projector properties), then the scenario's own."""
+    """Every named check ``verify`` runs on a scenario: its walk's length and
+    validity, the three checks of one draw of ``trials`` operators, then the
+    scenario's own, which draw on from the same generator."""
     rng = np.random.default_rng(seed)
-    rep = scenario.rep
     schedule = scenario.schedule()
-    expected = scenario.expected_cycle_length
-    checks = [check_result("cycle-length", len(scenario.path) == expected,
-                           len(scenario.path), expected)]
-    ok, diag = validate_path(scenario.group, scenario.path.colors)
+    path, expected = schedule.path, scenario.expected_cycle_length
+    checks = [check_result("cycle-length", len(path) == expected,
+                           len(path), expected)]
+    ok, diag = validate_path(scenario.group, path.colors)
     checks.append(check_result("eulerian-cycle-valid", ok, diag, "ok"))
     if scenario.reference_path is not None:
         ok, diag = validate_path(scenario.group, scenario.reference_path)
         checks.append(check_result("reference-path-valid", ok, diag, "ok"))
-    checks.append(verify_theorem(scenario, trials=trials, seed=seed))
-
-    worst_idem, worst_comm = 0.0, 0.0
-    for X in _hermitian_stacks(rep, rng, 10):
-        p = pi_G(rep, X)
-        worst_idem = max(worst_idem, max_norm(pi_G(rep, p) - p))
-        q = q_map(schedule, X)
-        worst_comm = max(worst_comm, float(commutator_norms(rep, q).max()))
-    checks.append(bound_check("projector-idempotent", worst_idem, 1e-10))
-    checks.append(bound_check("qmap-commutant-valued", worst_comm, 1e-9))
-
+    checks.extend(verify_theorem(scenario, schedule, rng, trials))
     for check in scenario.checks:
         checks.extend(check(scenario, schedule, rng, seed))
     return checks

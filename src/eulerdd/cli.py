@@ -63,10 +63,14 @@ def _resolve(args) -> tuple:
 
 
 def _write(text: str, out: str) -> None:
-    """``text`` into the file ``out``, or to standard output without one."""
+    """``text`` into the file ``out``, or to standard output without one;
+    a file that cannot be written is a ConfigError naming the path."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write out {out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

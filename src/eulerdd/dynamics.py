@@ -2,12 +2,13 @@
 
 Everything is piecewise constant, so propagators are exact products of
 segment exponentials and every toggling-frame average is a sum of exact
-segment integrals (``_sub_interval_integral``).  ``f_map`` is the
-generator-set map F_Γ; ``q_map``, ``average_hamiltonian`` and
-``residual_error`` read a schedule's walk through one loop
-(``_walk_average``).  These averages act on the system alone: a control
-U ⊗ I_E conjugates each d×d block H0_kl of a joint H0 = Σ_kl H0_kl ⊗ |k⟩⟨l|
-on its own, so on S ⊗ E they run over those blocks.
+segment integrals (``_sub_interval_integral``).  ``q_map``,
+``average_hamiltonian`` and ``residual_error`` read a schedule's walk
+through one loop (``_walk_average``), so a walk that is not an Eulerian
+cycle need not average onto the commutant.  These averages act on the
+system alone: a control U ⊗ I_E conjugates each d×d block H0_kl of a
+joint H0 = Σ_kl H0_kl ⊗ |k⟩⟨l| on its own, so on S ⊗ E they run over
+those blocks.
 
 A profile replays unchanged in every step that pulses it, so its segment
 eigenpairs (cached on the profile), the total drift and its validation
@@ -248,20 +249,11 @@ def average_hamiltonian(schedule: ControlSchedule, H0: np.ndarray) -> np.ndarray
     return avg
 
 
-def f_map(profiles: dict, X: np.ndarray) -> np.ndarray:
-    """The generator-set map F_Γ: u_c†(s) X u_c(s) averaged over the
-    generators and the sub-interval, of X or of each X of an (n, d, d) stack."""
-    X = np.asarray(X, dtype=complex)
-    d = next(iter(profiles.values())).segments[0][1].shape[0]
-    if X.shape[-2:] != (d, d):
-        raise ShapeError("shape error: operator does not match profile dimension")
-    return sum(_sub_interval_integral(p, X) for p in profiles.values()) / len(profiles)
-
-
 def q_map(schedule: ControlSchedule, X: np.ndarray) -> np.ndarray:
     """Eulerian averaging map: the toggling-frame average of X over the
     schedule's walk, of one operator or of each operator of an (n, d, d)
-    stack; pi_G∘F_Γ when the walk is an Eulerian cycle."""
+    stack; pi_G of its average over the generators' pulses when the walk
+    is an Eulerian cycle."""
     X = np.asarray(X, dtype=complex)
     if X.shape[-2:] != (schedule.rep.dimension,) * 2:
         raise ShapeError("shape error: operator does not match representation dimension")

@@ -168,11 +168,15 @@ def _field(doc: dict, where: str, key: str, read):
 
 
 def load_config(path: str, command: str = None) -> RunConfig:
-    """The run configuration in the YAML file ``path``.  For a ``command``
-    of ``_COMMAND_OVERRIDES``, an override that the command does not read
-    is a ConfigError naming the key and the command."""
-    with open(path) as fh:
-        doc = _load(fh) or {}
+    """The run configuration in the YAML file ``path``; a file that cannot
+    be read is a ConfigError naming the path.  For a ``command`` of
+    ``_COMMAND_OVERRIDES``, an override that the command does not read is a
+    ConfigError naming the key and the command."""
+    try:
+        with open(path) as fh:
+            doc = _load(fh) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     _known(doc, "", ("scenario", "overrides", "out"))

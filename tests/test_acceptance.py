@@ -19,9 +19,10 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               verify_theorem)
 from eulerdd.cayley import validate_path
 from eulerdd.cli import main as cli_main
-from eulerdd.dynamics import f_map, q_map, residual_error
+from eulerdd.dynamics import q_map, residual_error
 from eulerdd.group_theory import (center_basis, decompose_irreps, pi_G)
 from eulerdd.pulses import apply_fault
+from test_group_theory import f_map
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -50,7 +51,7 @@ def test_02_symmetrization_theorem():
     t0 = time.perf_counter()
     worst = 0.0
     for sc in builtin_scenarios():
-        row = verify_theorem(sc, trials=100, seed=0)
+        row = verify_theorem(sc, sc.schedule(), np.random.default_rng(0), 100)[0]
         assert row["value"] != "skipped" and row["tolerance"] == 1e-7
         worst = max(worst, row["value"])
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -15,11 +16,12 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               pauli_scenario, random_hermitian, scaling_study,
                               spin_flip_scenario, symmetric_s3_scenario,
                               verify_theorem)
-from eulerdd.cayley import validate_path
+from eulerdd.cayley import EulerPath, validate_path
 from eulerdd.group_theory import (MAX_STACK_BYTES, center_basis,
                                   decompose_irreps, in_algebra, pi_G,
                                   subspace_distance)
-from eulerdd.pulses import apply_fault, constant_profile, piecewise_profile
+from eulerdd.pulses import (ControlSchedule, Step, apply_fault, constant_profile,
+                            piecewise_profile)
 from test_group_theory import validate_rep
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
@@ -127,15 +129,6 @@ class TestBuiltinScenarios:
 
 
 class TestRandomHermitians:
-    def test_stack_is_the_stream_of_single_draws(self):
-        for d, n in ((1, 3), (4, 5), (32, 4)):
-            a, b = np.random.default_rng(d), np.random.default_rng(d)
-            stack = analysis.random_hermitians(n, d, a)
-            singles = [random_hermitian(d, b) for _ in range(n)]
-            assert stack.tobytes() == np.array(singles).tobytes()
-            # both generators are left at the same point of the stream
-            assert a.standard_normal() == b.standard_normal()
-
     def test_single_draw_is_the_reference_formula(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
         m = b.standard_normal((6, 6)) + 1j * b.standard_normal((6, 6))
@@ -168,19 +161,46 @@ class TestAlgebraBasisOnDemand:
         assert self.built(sc.rep)
 
 
+def theorem_rows(sc, sched, trials, seed=0):
+    return verify_theorem(sc, sched, np.random.default_rng(seed), trials)
+
+
 class TestVerifyTheorem:
+    NAMES = ["symmetrization", "projector-idempotent", "qmap-commutant-valued"]
+
     def test_all_builtins_pass(self):
         for sc in builtin_scenarios():
-            row = verify_theorem(sc, trials=20, seed=0)
-            assert row["passed"] and row["value"] <= 1e-7, sc.name
+            rows = theorem_rows(sc, sc.schedule(), 20)
+            assert [r["name"] for r in rows] == self.NAMES, sc.name
+            assert all(r["passed"] for r in rows), sc.name
+            assert rows[0]["value"] <= 1e-7, sc.name
 
     def test_out_of_algebra_profile_skips(self):
         sc = carr_purcell_scenario()
         bad = piecewise_profile(sc.group.generators[0], sc.rep,
                                 [(0.5, np.pi * SZ), (0.5, np.pi * SY)])
         sc.profiles[0] = bad
-        row = verify_theorem(sc, trials=5)
+        row = theorem_rows(sc, sc.schedule(), 5)[0]
         assert row["value"] == "skipped" and row["passed"]
+
+    def test_identity_is_read_on_the_walk(self):
+        # pauli n=1, the sigma-x pulse twice: the walk (0, x, 0) is held to
+        # the group table but is not an Eulerian cycle, so its average is
+        # not pi_G; the bang-bang walk through every element is
+        sc = pauli_scenario(1)
+        x = sc.group.generators[0]
+        walk = EulerPath(colors=(0, 0), vertices=(0, x, 0))
+        step = Step(0, sc.profiles[0])
+        sched = ControlSchedule(rep=sc.rep, steps=(step, step), path=walk)
+        row = theorem_rows(sc, sched, 20)[0]
+        assert row["value"] > analysis.THEOREM_TOL and not row["passed"]
+        assert all(r["passed"] for r in theorem_rows(sc, sc.bangbang(), 20))
+        # verify reads the scenario's own walk (the pauli check faults the
+        # sigma-z pulse, which this walk leaves out)
+        checks = {c["name"]: c for c in analysis.verify_checks(
+            replace(sc, path=walk, reference_path=None, checks=()), 20, 0)}
+        assert not checks["symmetrization"]["passed"]
+        assert checks["symmetrization"]["value"] > analysis.THEOREM_TOL
 
 
 def per_operator_integral(segments):
@@ -228,9 +248,8 @@ def per_operator_commutator_norm(rep, q):
 
 def per_trial_checks(scenario, trials, seed, monkeypatch):
     """The rows of ``verify_checks`` as per-trial loops compute them: one
-    draw, one F map and one pi_G of F(X) - X at a time, and one pi_G per
-    noise generator; the commutant check one q_map and one element at a
-    time."""
+    draw, one pi_G and one q_map = pi_G∘F at a time, the commutant check
+    one element at a time, and one pi_G per noise generator."""
     monkeypatch.setattr(analysis, "noise_suppression_check", lambda sc: max(
         (float(np.linalg.norm(per_operator_pi_G(sc.rep, S)))
          for _, S in sc.noise_generators), default=0.0))
@@ -245,23 +264,17 @@ def per_trial_checks(scenario, trials, seed, monkeypatch):
         ok, diag = validate_path(scenario.group, scenario.reference_path)
         checks.append(analysis.check_result("reference-path-valid", ok, diag, "ok"))
 
-    theorem_rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst_sym, worst_idem, worst_comm = 0.0, 0.0, 0.0
     for _ in range(trials):
-        X = random_hermitian(rep.dimension, theorem_rng)
-        dev = np.linalg.norm(per_operator_pi_G(
-            rep, per_operator_f_map(scenario.profiles, X) - X))
-        worst = max(worst, float(dev))
-    checks.append(analysis.bound_check("symmetrization", worst, analysis.THEOREM_TOL))
-
-    worst_idem, worst_comm = 0.0, 0.0
-    for _ in range(10):
         X = random_hermitian(rep.dimension, rng)
         p = per_operator_pi_G(rep, X)
+        q = per_operator_q_map(rep, scenario.profiles, X)
+        worst_sym = max(worst_sym, float(np.linalg.norm(q - p)))
         worst_idem = max(worst_idem,
                          float(np.linalg.norm(per_operator_pi_G(rep, p) - p)))
-        q = per_operator_q_map(rep, scenario.profiles, X)
         worst_comm = max(worst_comm, per_operator_commutator_norm(rep, q))
+    checks.append(analysis.bound_check("symmetrization", worst_sym,
+                                       analysis.THEOREM_TOL))
     checks.append(analysis.bound_check("projector-idempotent", worst_idem, 1e-10))
     checks.append(analysis.bound_check("qmap-commutant-valued", worst_comm, 1e-9))
     for check in scenario.checks:
@@ -310,15 +323,17 @@ class TestStackedVerify:
 
     def test_verify_passes_stacks_to_q_map(self, monkeypatch):
         # pauli n=2: 256 operators fit the budget, so 20 trials are one
-        # call: of f_map in the theorem check, of q_map in the commutant one
+        # stack, averaged once by the group and once over the walk, and the
+        # idempotence check averages the group average again
         sc = get_scenario("pauli", 2)
         shapes = []
-        for name in ("f_map", "q_map"):
+        for name in ("pi_G", "q_map"):
             real = getattr(analysis, name)
             monkeypatch.setattr(analysis, name, lambda *args, real=real, name=name: (
                 shapes.append((name, args[-1].shape)) or real(*args)))
         analysis.verify_checks(sc, 20, 0)
-        assert shapes == [("f_map", (20, 4, 4)), ("q_map", (10, 4, 4))]
+        assert shapes == [("pi_G", (20, 4, 4)), ("q_map", (20, 4, 4)),
+                          ("pi_G", (20, 4, 4))]
 
 
 def block_actions(rep, residual):

@@ -414,6 +414,32 @@ def test_seed_and_n_qubits_overrides_are_read_by_every_command(capsys, tmp_path,
     assert code == 0, err
 
 
+@pytest.mark.parametrize("case", ["config-missing", "config-is-a-directory",
+                                  "out-flag-in-missing-directory",
+                                  "out-key-in-missing-directory"])
+@pytest.mark.parametrize("command", ["verify", "sweep", "export-schedule"])
+def test_file_that_cannot_be_opened_exits_2_naming_its_path(capsys, tmp_path,
+                                                            command, case):
+    missing = tmp_path / "missing" / "out.txt"
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"scenario: carr-purcell\nout: {missing}\n")
+    argv, message = {
+        "config-missing": (("--config", str(tmp_path / "none.yaml")),
+                           f"cannot read config '{tmp_path / 'none.yaml'}': "
+                           "No such file or directory"),
+        "config-is-a-directory": (("--config", str(tmp_path)),
+                                  f"cannot read config '{tmp_path}': Is a directory"),
+        "out-flag-in-missing-directory": (
+            ("--scenario", "carr-purcell", "--out", str(missing)),
+            f"cannot write out '{missing}': No such file or directory"),
+        "out-key-in-missing-directory": (
+            ("--config", str(cfg)),
+            f"cannot write out '{missing}': No such file or directory"),
+    }[case]
+    extra = ("--delta-t", "0.02,0.01") if command == "sweep" else ()
+    assert_refused(capsys, (command, *argv, *extra), message)
+
+
 @pytest.mark.parametrize("body,message", [
     ("scenario: carr-purcell\noverrides:\n  n_qubits: 5\n", "n_qubits"),
     ("scenario:\n  generators: [%s]\n  profiles: [{axis: %s}]\n"

@@ -13,8 +13,8 @@ from eulerdd.analysis import (SIGMA, carr_purcell_scenario, pauli_scenario,
                               symmetric_s3_scenario, verify_theorem)
 from eulerdd.dynamics import (DriftModel, UnitarityError,
                               _eigenbasis_integral, average_hamiltonian,
-                              decoupling_distance, f_map, q_map,
-                              residual_error, simulate_cycles)
+                              decoupling_distance, q_map, residual_error,
+                              simulate_cycles)
 from eulerdd.cayley import EulerPath, eulerian_cycle
 from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
                                   commutator_norms, equal_up_to_phase, in_algebra,
@@ -24,8 +24,8 @@ from eulerdd.pulses import (ControlSchedule, PathMismatchError, PulseProfile,
                             _involution_unitary, apply_fault, constant_profile, eulerian_schedule,
                             merged_segments, phase_distance, piecewise_profile)
 from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, commutant_basis,
-                               conjugated, hermitian_log, monomial_groups,
-                               multiply, pauli_generators)
+                               conjugated, f_map, hermitian_log,
+                               monomial_groups, multiply, pauli_generators)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -1231,8 +1231,9 @@ class TestSegmentReuse:
         # form: none of them is ever diagonalized
         assert not any("spectra" in vars(p) for p in sc.profiles.values())
         del eigh_calls[:]
-        verify_theorem(sc, trials=20)
-        verify_theorem(sc, trials=20, seed=1)
+        sched = sc.schedule()
+        for seed in (0, 1):
+            verify_theorem(sc, sched, np.random.default_rng(seed), 20)
         assert eigh_calls == []
 
 

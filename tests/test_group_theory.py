@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerdd import group_theory
+from eulerdd import dynamics, group_theory
 from eulerdd.analysis import (collective, get_scenario, pauli_on,
                               spin_flip_scenario)
 from eulerdd.cayley import eulerian_cycle, validate_path
-from eulerdd.dynamics import (average_hamiltonian, f_map, q_map,
-                              residual_error)
+from eulerdd.dynamics import average_hamiltonian, q_map, residual_error
 from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
                                   InvalidGeneratorError, ShapeError,
                                   center_basis, close_group, decompose_irreps,
@@ -536,6 +535,15 @@ def segment_plans(draw):
     weights.append((1 - sum(f * w for f, w in zip(fractions, weights)))
                    / fractions[-1])
     return list(zip(fractions, weights))
+
+
+def f_map(profiles, X):
+    """The generator-set map F_Γ: u_c†(s) X u_c(s) averaged over the
+    sub-interval and over the generators' profiles, of X or of each X of an
+    (n, d, d) stack; an Eulerian cycle averages it to pi_G∘F_Γ."""
+    X = np.asarray(X, dtype=complex)
+    return (sum(dynamics._sub_interval_integral(p, X) for p in profiles.values())
+            / len(profiles))
 
 
 def blockwise(op, H0, d):

@@ -11,8 +11,8 @@ from .analysis import (Scenario, builtin_scenarios, get_scenario,
 from .cayley import EulerPath, eulerian_cycle, validate_path
 from .dynamics import (DriftModel, average_hamiltonian, decoupling_distance,
                        q_map, residual_error, simulate_cycles)
-from .group_theory import (Group, UnitaryRep, center_basis, close_group,
-                           decompose_irreps, pi_G)
+from .group_theory import (Group, UnitaryRep, close_group, decompose_irreps,
+                           pi_G)
 from .pulses import (ControlSchedule, PulseProfile, apply_fault,
                      bangbang_schedule, constant_profile, eulerian_schedule,
                      piecewise_profile)

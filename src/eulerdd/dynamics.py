@@ -207,8 +207,8 @@ def _walk_average(schedule: ControlSchedule, X: np.ndarray = None) -> np.ndarray
     stack) or, when X is None, Y the step's fault (zero for none).  Each
     distinct pulse is integrated once, and the integrals of the pulses on
     one multiset of vertices are summed before one ``conjugation_sum``:
-    one in all for an Eulerian cycle (every pulse visits each element
-    once) and for a bang-bang walk."""
+    one in all, over every element with no index gather, for an Eulerian
+    cycle (every pulse visits each element once) and a bang-bang walk."""
     on = defaultdict(list)      # step -> the vertices it starts from
     for v, step in zip(schedule.path.vertices, schedule.steps):
         on[step].append(v)
@@ -220,9 +220,11 @@ def _walk_average(schedule: ControlSchedule, X: np.ndarray = None) -> np.ndarray
     sums = defaultdict(int)     # vertex multiset -> the summed integrals
     for p, fault, verts in pulses.values():
         sums[tuple(sorted(verts))] += _sub_interval_integral(p, X, fault)
+    every = tuple(range(len(schedule.rep.matrices)))
     out = None
     for verts, integral in sums.items():
-        out = conjugation_sum(schedule.rep, integral, np.array(verts), out=out)
+        elements = None if verts == every else np.array(verts)
+        out = conjugation_sum(schedule.rep, integral, elements, out=out)
     out /= schedule.sub_intervals
     return out
 

@@ -1,6 +1,6 @@
 """Finite groups, their unitary (projective) matrix representations, and the
 algebraic structure used by decoupling: the group-average projector onto
-the commutant, the center, and the irreducible block decomposition.
+the commutant, group-algebra membership and the irreducible blocks.
 
 All equality tests between represented elements are "equal up to a global
 phase", by the distance after the optimal phase (``phase_distance``); stored
@@ -176,39 +176,38 @@ class UnitaryRep:
             return _read_only(index), _read_only(phase)
         return self._cached("gather", build)
 
-    def algebra_basis(self) -> np.ndarray:
-        """Orthonormal (Hilbert-Schmidt) basis of span{g_j}, as a read-only
-        (k, d, d) stack built once."""
-        return self._cached("algebra", lambda: _orthonormal_span(self.matrices))
+
+def in_algebra(rep: UnitaryRep, X: np.ndarray):
+    """X, one d x d operator or each of an (n, d, d) stack, lies within
+    ALGEBRA_TOL * max(|X|, 1) of span{g_j}, the group algebra (Frobenius)."""
+    scale = np.maximum(np.linalg.norm(X, axis=(-2, -1)), 1.0)
+    return _algebra_distance(rep, X) <= ALGEBRA_TOL * scale
 
 
-def in_algebra(rep: UnitaryRep, X: np.ndarray) -> bool:
-    """X lies within ALGEBRA_TOL * max(|X|, 1) of span{g_j}, the group
-    algebra (Hilbert-Schmidt distance and norm)."""
-    return (subspace_distance(X, rep.algebra_basis())
-            <= ALGEBRA_TOL * max(np.linalg.norm(X), 1.0))
+def _algebra_distance(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt distance of X, d x d or (n, d, d), from span{g_j}.
 
-
-def subspace_distance(X: np.ndarray, basis) -> float:
-    """Hilbert-Schmidt distance of X from the span of an orthonormal matrix
-    basis (a (k, d, d) stack or a sequence of d x d matrices); |X| for an
-    empty basis.  The vector, not the basis, is conjugated: conj(B conj(v))
-    has the bits of conj(B) v without a conjugated copy of the basis."""
-    if len(basis) == 0:
-        return float(np.linalg.norm(X))
-    B = np.reshape(basis, (len(basis), -1))
-    v = X.ravel()
-    return float(np.linalg.norm(v - B.T @ np.conj(B @ np.conj(v))))
-
-
-def _orthonormal_span(mats: np.ndarray) -> np.ndarray:
-    """Orthonormalize the matrices of a (k, d, d) stack in the
-    Hilbert-Schmidt inner product; a read-only (rank, d, d) stack, the rank
-    counting the singular values above DEFAULT_PHASE_TOL times the largest."""
-    k, d, _ = mats.shape
-    u, s, vh = np.linalg.svd(mats.reshape(k, d * d), full_matrices=False)
-    rank = int(np.sum(s > DEFAULT_PHASE_TOL * s[0])) if s.size else 0
-    return _read_only(vh[:rank].reshape(rank, d, d))
+    tr(g_i† g_j) is a phase times tr(g_{i⁻¹j}), so the elements' Gram
+    matrix is block-diagonal over the left cosets iH (i least in iH) of the
+    subgroup H that the elements of |tr g| > DEFAULT_PHASE_TOL * d generate
+    ({e} for a Pauli group).  One batched ``eigh`` solves it with the
+    stack's SVD cut at DEFAULT_PHASE_TOL; the residual X - sum_j c_j g_j is
+    formed explicitly, so that nothing cancels."""
+    table, d = rep.group.mult_table, rep.dimension
+    sub = np.abs(np.trace(rep.matrices, axis1=1, axis2=2)) > DEFAULT_PHASE_TOL * d
+    while not sub[table[np.ix_(sub, sub)]].all():
+        sub[table[np.ix_(sub, sub)]] = True
+    cosets = table[np.ix_(table[:, sub].min(axis=1) == np.arange(len(table)), sub)]
+    stack = rep.matrices[cosets].reshape(-1, d * d)         # coset by coset
+    blocks = stack.reshape(*cosets.shape, d * d)
+    w, V = np.linalg.eigh(np.conj(blocks @ blocks.conj().swapaxes(-1, -2)))
+    w[w <= DEFAULT_PHASE_TOL ** 2 * w.max()] = np.inf      # cut: 1/w = 0
+    flat = np.reshape(X, (-1, d * d))
+    # tr(g_j† X), by one product: a product per coset is a tiny BLAS call
+    b = np.conj(stack @ flat.conj().T).reshape(*cosets.shape, -1)
+    c = V @ ((V.conj().swapaxes(-1, -2) @ b) / w[..., None])
+    fit = c.reshape(-1, len(flat)).T @ stack
+    return np.linalg.norm(flat - fit, axis=-1).reshape(np.shape(X)[:-2])
 
 
 def close_group(generator_matrices, max_order: int = 512) -> tuple:
@@ -547,24 +546,6 @@ def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
     if X.shape[-2:] != (d, d):
         raise ShapeError("shape error: operator does not match representation dimension")
     return conjugation_sum(rep, X) / len(rep.matrices)
-
-
-def center_basis(rep: UnitaryRep) -> np.ndarray:
-    """Orthonormal basis of the center: group algebra ∩ commutant.
-
-    Spanned by the twisted class sums pi_G(g), g in G: pi_G maps span{g}
-    into itself (h† g h is a phase times an element) and fixes every
-    element of the commutant, so its image of the algebra is exactly the
-    algebra ∩ commutant.  Costs the |G|^2 terms of one ``pi_G`` of the
-    element stack and an SVD of a |G| x d^2 stack, once per
-    representation; the basis is a read-only (k, d, d) stack shared by
-    later calls.
-    """
-    return rep._cached("center", lambda: _center_basis(rep))
-
-
-def _center_basis(rep: UnitaryRep) -> np.ndarray:
-    return _orthonormal_span(pi_G(rep, rep.matrices))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
 from eulerdd.cayley import validate_path
 from eulerdd.cli import main as cli_main
 from eulerdd.dynamics import q_map, residual_error
-from eulerdd.group_theory import (center_basis, decompose_irreps, pi_G)
+from eulerdd.group_theory import decompose_irreps, pi_G
 from eulerdd.pulses import apply_fault
-from test_group_theory import f_map
+from test_group_theory import center_basis, f_map
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from eulerdd import analysis, dynamics, io
+from eulerdd import analysis, dynamics, group_theory, io
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               collective, fault_fidelity_comparison,
                               get_scenario, heisenberg,
@@ -17,12 +17,11 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               spin_flip_scenario, symmetric_s3_scenario,
                               verify_theorem)
 from eulerdd.cayley import EulerPath, validate_path
-from eulerdd.group_theory import (MAX_STACK_BYTES, center_basis,
-                                  decompose_irreps, in_algebra, pi_G,
-                                  subspace_distance)
+from eulerdd.group_theory import (MAX_STACK_BYTES, decompose_irreps,
+                                  in_algebra, pi_G)
 from eulerdd.pulses import (ControlSchedule, Step, apply_fault, constant_profile,
                             piecewise_profile)
-from test_group_theory import validate_rep
+from test_group_theory import center_basis, subspace_distance, validate_rep
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -135,20 +134,19 @@ class TestRandomHermitians:
         assert np.array_equal(random_hermitian(6, a), (m + m.conj().T) / 2.0)
 
 
-class TestAlgebraBasisOnDemand:
-    """Only ``verify`` reads the group algebra's basis, so building,
-    sweeping, exporting and importing a scenario never build it."""
+class TestAlgebraMembershipOnDemand:
+    """Only ``verify`` asks whether operators lie in the group algebra, once,
+    for the stack of every profile's segment rates; building, sweeping,
+    exporting and importing a scenario never ask."""
 
-    @staticmethod
-    def built(rep):
-        return "algebra" in rep._cache
-
-    def test_built_by_verify_only(self):
+    def test_read_by_verify_only(self, monkeypatch):
+        asked = []
+        real = group_theory._algebra_distance
+        monkeypatch.setattr(group_theory, "_algebra_distance",
+                            lambda rep, X: asked.append(X.shape) or real(rep, X))
         sc = get_scenario("pauli", 2)
-        assert not self.built(sc.rep)
         scaling_study(sc, [0.02, 0.01], env_dim=1)
-        sched = io.import_schedule(io.export_schedule(sc, 0.01))
-        assert not self.built(sc.rep) and not self.built(sched.rep)
+        io.import_schedule(io.export_schedule(sc, 0.01))
         half = {"dim": [2, 2], "data": [[0, 0], [np.pi / 2, 0],
                                         [np.pi / 2, 0], [0, 0]]}
         for cfg in (io.RunConfig(scenario="symmetric-s3"),
@@ -156,9 +154,10 @@ class TestAlgebraBasisOnDemand:
                         "generators": [io.encode_matrix(SX)],
                         "profiles": [{"segments": [{"fraction": 0.5, "rate": half},
                                                    {"fraction": 0.5, "rate": half}]}]})):
-            assert not self.built(io.scenario_from_config(cfg).rep)
+            io.scenario_from_config(cfg)
+        assert asked == []
         analysis.verify_checks(sc, trials=2, seed=0)
-        assert self.built(sc.rep)
+        assert asked == [(4, 4, 4)]     # four one-segment profiles, d = 4
 
 
 def theorem_rows(sc, sched, trials, seed=0):

@@ -2,11 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from eulerdd import analysis, group_theory
+from eulerdd import analysis
 from eulerdd.cli import build_parser, main
 from eulerdd.io import ConfigError
+
+
+HADAMARD = ("{dim: [2, 2], data: [[0.7071067811865476, 0], "
+            "[0.7071067811865476, 0], [0.7071067811865476, 0], "
+            "[-0.7071067811865476, 0]]}")
 
 
 def run(capsys, *argv):
@@ -119,28 +125,30 @@ class TestVerify:
         length = next(c for c in doc["checks"] if c["name"] == "cycle-length")
         assert length["value"] == 2048
 
-    @pytest.mark.parametrize("body,center_builds", [
-        ("scenario: pauli\n", 0),
-        ("scenario: pauli\noverrides:\n  n_qubits: 4\n", 0),
-        ("scenario: carr-purcell\n", 1),
-    ], ids=["pauli-n2", "pauli-n4", "carr-purcell"])
-    def test_center_built_only_for_the_central_fault_check(
-            self, capsys, monkeypatch, tmp_path, body, center_builds):
-        # the fault checks read residual_error; only carr-purcell's
-        # fault-sx-central measures a distance from the center
+    @pytest.mark.parametrize("body", [
+        "scenario: carr-purcell\n",
+        "scenario: pauli\n",
+        "scenario: symmetric-s3\n",
+        # the Hadamard as generator and axis, a representation that is not
+        # monomial
+        f"scenario:\n  generators: [{HADAMARD}]\n"
+        f"  profiles: [{{axis: {HADAMARD}}}]\n",
+    ], ids=["carr-purcell", "pauli-n2", "symmetric-s3", "hadamard"])
+    def test_verify_factors_no_stack(self, capsys, monkeypatch, tmp_path,
+                                     body):
+        # group-algebra membership is read from the multiplication table,
+        # and fault-sx-central from the deviation alone: no SVD is taken
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+        monkeypatch.setattr(np.linalg, "svd", refused)
         cfg = tmp_path / "run.yaml"
         cfg.write_text(body)
-        calls = {"_center_basis": 0, "_decompose_irreps": 0}
-        for name in calls:
-            real = getattr(group_theory, name)
-
-            def counted(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(group_theory, name, counted)
-        code, _, _ = run(capsys, "verify", "--config", str(cfg), "--json")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg), "--json")
         assert code == 0
-        assert calls == {"_center_basis": center_builds, "_decompose_irreps": 0}
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        row = next(c for c in doc["checks"] if c["name"] == "symmetrization")
+        assert isinstance(row["value"], float)
 
     def test_negative_seed_exits_2_naming_seed(self, capsys):
         assert_refused(capsys, ("verify", "--scenario", "pauli", "--seed", "-1"),

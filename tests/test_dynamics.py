@@ -16,16 +16,17 @@ from eulerdd.dynamics import (DriftModel, UnitarityError,
                               decoupling_distance, q_map, residual_error,
                               simulate_cycles)
 from eulerdd.cayley import EulerPath, eulerian_cycle
-from eulerdd.group_theory import (GroupClosureError, center_basis, close_group,
+from eulerdd.group_theory import (GroupClosureError, close_group,
                                   commutator_norms, equal_up_to_phase, in_algebra,
-                                  pi_G, subspace_distance)
+                                  pi_G)
 from eulerdd.pulses import (ControlSchedule, PathMismatchError, PulseProfile,
                             RealizationError, Step, _expm_eig, _expm_herm,
                             _involution_unitary, apply_fault, constant_profile, eulerian_schedule,
                             merged_segments, phase_distance, piecewise_profile)
-from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, commutant_basis,
-                               conjugated, f_map, hermitian_log,
-                               monomial_groups, multiply, pauli_generators)
+from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, algebra_basis,
+                               center_basis, commutant_basis, conjugated,
+                               f_map, hermitian_log, monomial_groups, multiply,
+                               pauli_generators, subspace_distance)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -434,11 +435,12 @@ class TestGatheredAverage:
         calls = []
         real = dynamics.conjugation_sum
         monkeypatch.setattr(dynamics, "conjugation_sum",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+                            lambda *a, **k: calls.append(a[2]) or real(*a, **k))
         got = average_hamiltonian(sched, H0)
         # one gather call: every profile of an Eulerian cycle pulses at
-        # each vertex once, so their integrals are summed first
-        assert len(calls) == 1
+        # each vertex once, so their integrals are summed first, over every
+        # element in order (elements=None), with no index array
+        assert calls == [None]
         want = dense_average_hamiltonian(sched, H0)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -504,11 +506,11 @@ class TestGatheredAverage:
         calls = []
         real = dynamics.conjugation_sum
         monkeypatch.setattr(dynamics, "conjugation_sum",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+                            lambda *a, **k: calls.append(a[2]) or real(*a, **k))
         rng = np.random.default_rng(env_dim)
         H0 = random_hermitian(sched.rep.dimension * env_dim, rng)
         got = average_hamiltonian(sched, H0)
-        assert len(calls) == 1
+        assert calls == [None]
         want = dense_average_hamiltonian(sched, H0)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -819,7 +821,7 @@ class TestResidualError:
         rng = np.random.default_rng(7)
         sc = symmetric_s3_scenario()
         cen = center_basis(sc.rep)
-        alg = sc.rep.algebra_basis()
+        alg = algebra_basis(sc.rep)
         for _ in range(5):
             fault = {}
             for color in range(2):
@@ -1234,7 +1236,10 @@ class TestSegmentReuse:
         sched = sc.schedule()
         for seed in (0, 1):
             verify_theorem(sc, sched, np.random.default_rng(seed), 20)
-        assert eigh_calls == []
+        # the one eigh per call is the algebra check's Gram matrix: one 1 x 1
+        # block per element, as no element but the identity has a trace
+        assert eigh_calls == [(4, 1, 1)] * 2
+        assert not any("spectra" in vars(p) for p in sc.profiles.values())
 
 
 def reversed_profile(profile):

@@ -13,11 +13,11 @@ from eulerdd.analysis import (collective, get_scenario, pauli_on,
                               spin_flip_scenario)
 from eulerdd.cayley import eulerian_cycle, validate_path
 from eulerdd.dynamics import average_hamiltonian, q_map, residual_error
-from eulerdd.group_theory import (DEFAULT_PHASE_TOL, GroupClosureError,
-                                  InvalidGeneratorError, ShapeError,
-                                  center_basis, close_group, decompose_irreps,
+from eulerdd.group_theory import (ALGEBRA_TOL, DEFAULT_PHASE_TOL,
+                                  GroupClosureError, InvalidGeneratorError,
+                                  ShapeError, close_group, decompose_irreps,
                                   equal_up_to_phase, fix_phase, in_algebra,
-                                  pi_G, subspace_distance)
+                                  pi_G)
 from eulerdd.pulses import (_expm_herm, apply_fault, bangbang_schedule,
                             eulerian_schedule, piecewise_profile)
 
@@ -62,7 +62,7 @@ def _null_combinations(M, mats, tol=1e-10):
 def center_by_intersection(rep):
     """The replaced center definition: algebra ∩ span(commutant_basis), from
     the null space of [A | -C]."""
-    alg, com = rep.algebra_basis(), commutant_basis(rep)
+    alg, com = algebra_basis(rep), commutant_basis(rep)
     A = np.array([m.ravel() for m in alg]).T
     C = np.array([m.ravel() for m in com]).T
     return _null_combinations(np.hstack([A, -C]), alg)
@@ -72,7 +72,7 @@ def center_by_commutation(rep):
     """algebra ∩ commutant from the generators: algebra elements X with
     γX - Xγ = 0 for every generator γ.  Used at d = 64, where
     commutant_basis alone takes about 100 s and 1.3 GB."""
-    alg = rep.algebra_basis()
+    alg = algebra_basis(rep)
     M = np.vstack([np.array([(g @ a - a @ g).ravel() for a in alg]).T
                    for g in (rep.matrices[k] for k in rep.group.generators)])
     return _null_combinations(M, alg)
@@ -225,9 +225,10 @@ def scenario(name, n):
 
 
 class TestPiGDerivedAlgebra:
-    """center_basis and decompose_irreps take the commutant through pi_G, and
-    the distance of a fault residual from the commutant is measured through
-    it; each agrees with the commutant-basis definition it replaced."""
+    """The center (the twisted class sums of ``center_basis``) and
+    decompose_irreps take the commutant through pi_G, and the distance of a
+    fault residual from the commutant is measured through it; each agrees
+    with the commutant-basis definition it replaced."""
 
     @pytest.mark.parametrize("name,n", ALGEBRA_CASES)
     def test_center_matches_algebra_intersect_commutant(self, name, n):
@@ -310,6 +311,41 @@ def commutant_basis(rep):
     evals, evecs = np.linalg.eigh(gram)
     null = evals <= DEFAULT_PHASE_TOL * max(evals[-1], 1.0)
     return [evecs[:, k].reshape(d, d) for k in np.flatnonzero(null)]
+
+
+def orthonormal_span(mats):
+    """Orthonormal (Hilbert-Schmidt) basis of the span of a (k, d, d)
+    stack, as a (rank, d, d) stack: the rows of the SVD's vh whose singular
+    values exceed DEFAULT_PHASE_TOL times the largest."""
+    k, d, _ = mats.shape
+    _, s, vh = np.linalg.svd(mats.reshape(k, d * d), full_matrices=False)
+    rank = int(np.sum(s > DEFAULT_PHASE_TOL * s[0])) if s.size else 0
+    return vh[:rank].reshape(rank, d, d)
+
+
+def algebra_basis(rep):
+    """Orthonormal basis of span{g_j}, the oracle for ``in_algebra``: the
+    SVD of the (|G|, d²) element stack."""
+    return orthonormal_span(rep.matrices)
+
+
+def center_basis(rep):
+    """Orthonormal basis of the center, group algebra ∩ commutant: the SVD
+    of the twisted class sums pi_G(g).  pi_G maps span{g} into itself
+    (h† g h is a phase times an element) and fixes every element of the
+    commutant, so its image of the algebra is the algebra ∩ commutant."""
+    return orthonormal_span(pi_G(rep, rep.matrices))
+
+
+def subspace_distance(X, basis):
+    """Hilbert-Schmidt distance of X from the span of an orthonormal matrix
+    basis (a (k, d, d) stack or a sequence of d x d matrices); |X| for an
+    empty basis."""
+    if len(basis) == 0:
+        return float(np.linalg.norm(X))
+    B = np.reshape(basis, (len(basis), -1))
+    v = X.ravel()
+    return float(np.linalg.norm(v - B.T @ np.conj(B @ np.conj(v))))
 
 
 def multiply(group, i, j):
@@ -431,10 +467,55 @@ def loop_center(rep, tol=1e-10):
     return vh[s > tol * s[0]]
 
 
+class TestInAlgebra:
+    """in_algebra, read from the multiplication table, decides as the SVD
+    of the element stack does, at the same distance, on monomial
+    representations and on the same groups conjugated by a random unitary,
+    which are not monomial."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_svd_oracle(self, gens, seed):
+        mats = [_monomial(p, s, ph[0]) for p, s, ph in gens]
+        for generators in (mats, conjugated(mats, seed)):
+            try:
+                _, rep = close_group(generators, max_order=PROPERTY_MAX_ORDER)
+            except GroupClosureError:
+                assume(False)
+            rng = np.random.default_rng(seed)
+            d, n = rep.dimension, len(rep.matrices)
+            z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+            inside = np.tensordot(z, rep.matrices, axes=1)
+            X = np.concatenate([(inside + inside.conj().swapaxes(1, 2)) / 2,
+                                [random_hermitian(d, rng) for _ in range(3)]])
+            basis = algebra_basis(rep)
+            want = np.array([subspace_distance(x, basis) for x in X])
+            got = group_theory._algebra_distance(rep, X)
+            assert np.abs(got - want).max() <= 1e-12
+            decided = want <= ALGEBRA_TOL * np.maximum(
+                np.linalg.norm(X, axis=(1, 2)), 1.0)
+            assert decided[:3].all()
+            assert in_algebra(rep, X).tolist() == decided.tolist()
+            assert [in_algebra(rep, x) for x in X] == decided.tolist()
+
+    @pytest.mark.parametrize("name,n", SMALL_CASES)
+    def test_builtin_rates_and_random_operators(self, name, n):
+        # pauli's algebra is every operator; the others' is not
+        sc = scenario(name, n)
+        rates = [rate for prof in sc.profiles.values() for _, rate in prof.segments]
+        X = np.array(rates + [random_hermitian(sc.rep.dimension,
+                                               np.random.default_rng(0))])
+        basis = algebra_basis(sc.rep)
+        want = np.array([subspace_distance(x, basis) for x in X])
+        got = group_theory._algebra_distance(sc.rep, X)
+        assert np.abs(got - want).max() <= 1e-12
+        assert in_algebra(sc.rep, X).tolist() == [True] * len(rates) + [
+            name == "pauli"]
+
+
 class TestStackedRep:
-    """pi_G and center_basis read the one (|G|, d, d) element stack;
-    center_basis and decompose_irreps are computed once per
-    representation."""
+    """pi_G and the twisted class sums read the one (|G|, d, d) element
+    stack; decompose_irreps is computed once per representation."""
 
     @settings(max_examples=40, deadline=None)
     @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
@@ -467,29 +548,12 @@ class TestStackedRep:
 
     def test_cached_arrays_are_read_only_and_shared(self):
         rep = get_scenario("symmetric-s3", None).rep
-        cen, dec = center_basis(rep), decompose_irreps(rep)
-        assert center_basis(rep) is cen
+        dec = decompose_irreps(rep)
         assert decompose_irreps(rep) is dec
-        arrays = [rep.matrices, cen, *(b.columns for b in dec.blocks)]
+        arrays = [rep.matrices, *(b.columns for b in dec.blocks)]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
-            cen[0][0, 0] = 1.0
-
-    @pytest.mark.parametrize("basis", ["algebra", "center"])
-    def test_basis_stacks_built_once(self, basis, monkeypatch):
-        # every profile's in-algebra check reads the one algebra stack
-        _, rep = close_group(pauli_generators(2))
-        real, builds = group_theory._orthonormal_span, []
-        monkeypatch.setattr(group_theory, "_orthonormal_span",
-                            lambda *args: builds.append(1) or real(*args))
-        get = {"algebra": rep.algebra_basis,
-               "center": lambda: center_basis(rep)}[basis]
-        stack = get()
-        assert builds == [1] and get() is stack
-        assert stack.ndim == 3 and stack.shape[1:] == (4, 4)
-        assert not stack.flags.writeable
-        with pytest.raises(ValueError):
-            stack[0, 0, 0] = 1.0
+            dec.blocks[0].columns[0, 0] = 1.0
 
     def test_irreps_cached_per_seed(self, monkeypatch):
         rep = get_scenario("symmetric-s3", None).rep
@@ -1049,36 +1113,6 @@ class TestPhaseDistance:
         u = random_unitary(mats[0].shape[0], np.random.default_rng(seed))
         assert_closure_as_with_fix_phase_metric(
             [u @ m @ u.conj().T for m in mats], PROPERTY_MAX_ORDER)
-
-
-def restacked_distance(X, basis):
-    """subspace_distance as computed before the basis stacks: the basis
-    restacked as rows and conjugated on every call."""
-    B = np.array([b.ravel() for b in basis])
-    v = X.ravel()
-    return float(np.linalg.norm(v - B.T @ (B.conj() @ v)))
-
-
-class TestSubspaceDistance:
-    @settings(max_examples=40, deadline=None)
-    @given(monomial_groups(), st.integers(0, 2 ** 32 - 1))
-    def test_matches_restacked_reference_bit_for_bit(self, gens, seed):
-        try:
-            _, rep = close_group([_monomial(p, s, ph[0]) for p, s, ph in gens],
-                                 max_order=PROPERTY_MAX_ORDER)
-        except GroupClosureError:
-            assume(False)
-        rng = np.random.default_rng(seed)
-        d = rep.dimension
-        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for basis in (rep.algebra_basis(), center_basis(rep),
-                      list(center_basis(rep)), commutant_basis(rep)):
-            assert subspace_distance(X, basis) == restacked_distance(X, basis)
-
-    def test_empty_basis_gives_the_norm(self):
-        X = np.arange(4.0).reshape(2, 2) + 1j
-        for empty in ([], np.zeros((0, 2, 2), dtype=complex)):
-            assert subspace_distance(X, empty) == np.linalg.norm(X)
 
 
 class TestDecomposeIrreps:

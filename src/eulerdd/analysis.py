@@ -16,9 +16,9 @@ from . import pulses
 from .cayley import EulerPath, eulerian_cycle, path_from_colors, validate_path
 from .dynamics import (DriftModel, decoupling_distance, q_map, residual_error,
                        simulate_cycles)
-from .group_theory import (HERMITIAN_TOL, MAX_STACK_BYTES, Group, UnitaryRep,
+from .group_theory import (MAX_STACK_BYTES, Group, Monomial, UnitaryRep,
                            close_group, commutator_norms, decompose_irreps,
-                           in_algebra, pi_G)
+                           in_algebra, is_traceless, pi_G)
 from .pulses import (ControlSchedule, apply_fault, bangbang_schedule,
                      constant_profile, eulerian_schedule, hermitian_matrix,
                      piecewise_profile)
@@ -34,21 +34,33 @@ SIGMA = {
 def pauli_on(n: int, k: int, u: str) -> np.ndarray:
     """Single-qubit Pauli u on qubit k (0-based) of an n-qubit register:
     I_{2^k} ⊗ sigma_u ⊗ I_{2^(n-k-1)}."""
-    return _pauli_string("i" * k + u + "i" * (n - k - 1))
+    return _pauli_on(n, k, u).dense()
 
 
 def collective(n: int, u: str) -> np.ndarray:
     """Tensor power sigma_u ⊗ ... ⊗ sigma_u on n qubits."""
-    return _pauli_string(u * n)
+    return _pauli_string(u * n).dense()
 
 
-def _pauli_string(letters: str) -> np.ndarray:
+def _pauli_on(n: int, k: int, u: str) -> Monomial:
+    """``pauli_on``'s operator, as its Monomial pair."""
+    return _pauli_string("i" * k + u + "i" * (n - k - 1))
+
+
+def _linear_noise(n: int) -> tuple:
+    """(name, Monomial) of sigma_u on qubit k, for every qubit k and
+    u in x, y, z: the arbitrary single-qubit (linear) noise on n qubits."""
+    return tuple((f"s{u}{k}", _pauli_on(n, k, u)) for k in range(n) for u in "xyz")
+
+
+def _pauli_string(letters: str) -> Monomial:
     """sigma_{letters[0]} ⊗ ... ⊗ sigma_{letters[-1]}, qubit 0 the most
-    significant bit, from index arithmetic: each factor has one entry per
-    column, so column c of the product has one, in the row that flips the
-    bits of c that x and y factors flip, equal to the product of the
-    factors' entries taken in qubit order.  np.array_equal to the
-    Kronecker product; only the signs of some zeros can differ."""
+    significant bit, as its Monomial pair, from index arithmetic: each
+    factor has one entry per column, so column c of the product has one,
+    in the row that flips the bits of c that x and y factors flip, equal to
+    the product of the factors' entries taken in qubit order.  Its
+    ``dense()`` is np.array_equal to the Kronecker product; only the signs
+    of some zeros can differ."""
     n = len(letters)
     cols = np.arange(2 ** n)
     rows = cols.copy()
@@ -60,9 +72,7 @@ def _pauli_string(letters: str) -> np.ndarray:
         factor = SIGMA[u][bit ^ flip, bit]
         entries = factor if entries is None else entries * factor
         rows ^= flip << shift
-    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    out[rows, cols] = entries
-    return out
+    return Monomial(rows, entries)
 
 
 def heisenberg(n: int, k: int, l: int) -> np.ndarray:
@@ -118,7 +128,9 @@ class Scenario:
     path: EulerPath
     profiles: dict                  # color -> PulseProfile
     reference_path: tuple = None        # explicit color sequence when stated
-    noise_generators: tuple = ()    # (name, traceless system operator)
+    # (name, traceless Hermitian system operator): a d x d array, or a
+    # Monomial for a Pauli string
+    noise_generators: tuple = ()
     # checks only this scenario passes, each called as check(scenario,
     # its schedule(), rng, seed) -> list of check_result dicts; a scenario
     # built from a config has none and gets only the generic checks
@@ -140,8 +152,9 @@ class Scenario:
         return bangbang_schedule(self.group, self.rep)
 
     def generic_drift(self, env_dim: int = 2, seed: int = 0) -> DriftModel:
-        """Random unit-norm drift coupling every noise generator (or a
-        random traceless operator if none is declared) to the environment."""
+        """Random unit-norm drift coupling every noise generator, as the
+        scenario holds it (or a random traceless operator if none is
+        declared), to the environment."""
         d = self.rep.dimension
         rng = np.random.default_rng(seed)
         H_S = random_hermitian(d, rng)
@@ -182,13 +195,22 @@ def scenario_from_generators(name, description, n_qubits, gen_mats,
     Refuses generators that close to fewer distinct non-identity
     generators (a repeat, up to phase, or the identity), a profile count
     other than the generator count, and a noise generator that is not a
-    traceless Hermitian d x d matrix.
+    traceless Hermitian d x d matrix.  A noise generator is kept as it was
+    checked: a Monomial as it is, in O(d) (``Monomial.is_hermitian``), and
+    anything else as the complex array of ``hermitian_matrix``.
     """
     group, rep = close_group(gen_mats, max_order=max_order)
-    for i, (_, S) in enumerate(noise_generators):
-        S = hermitian_matrix(S, rep.dimension, f"noise_generators[{i}]")
-        if abs(np.trace(S)) > HERMITIAN_TOL * max(np.linalg.norm(S), 1.0):
-            raise ValueError(f"noise_generators[{i}] must be traceless")
+    d = rep.dimension
+    noise = []
+    for i, (noise_name, S) in enumerate(noise_generators):
+        label = f"noise_generators[{i}]"
+        if not isinstance(S, Monomial):
+            S = hermitian_matrix(S, d, label)
+        elif S.shape != (d, d) or not S.is_hermitian():
+            raise ValueError(f"{label} must be a Hermitian {d} x {d} matrix")
+        if not is_traceless(S):
+            raise ValueError(f"{label} must be traceless")
+        noise.append((noise_name, S))
     if len(group.generators) != len(gen_mats) or 0 in group.generators:
         raise ValueError("generators: one repeats another up to phase or is "
                          "the identity")
@@ -205,7 +227,7 @@ def scenario_from_generators(name, description, n_qubits, gen_mats,
         name=name, description=description, n_qubits=n_qubits,
         rep=rep, path=path, profiles=profiles,
         reference_path=tuple(reference_colors) if reference_colors else None,
-        noise_generators=tuple(noise_generators), checks=tuple(checks),
+        noise_generators=tuple(noise), checks=tuple(checks),
     )
 
 
@@ -230,7 +252,7 @@ def carr_purcell_scenario(n: int = 1) -> Scenario:
         "single-qubit spin-flip decoupling with one bounded sigma-x pulse",
         1, [SIGMA["x"]], [partial(constant_profile, axis=SIGMA["x"])],
         reference_colors=(0, 0),
-        noise_generators=(("sz", SIGMA["z"]),),
+        noise_generators=(("sz", _pauli_string("z")),),
         checks=(_carr_purcell_checks,),
     )
 
@@ -262,15 +284,13 @@ def pauli_scenario(n: int = 1) -> Scenario:
         raise ValueError("pauli scenario supports 1 <= n <= 5 qubits")
     gen_mats = [pauli_on(n, k, u) for k in range(n) for u in ("x", "z")]
     builders = [partial(constant_profile, axis=a) for a in gen_mats]
-    noise = tuple((f"s{u}{k}", pauli_on(n, k, u))
-                  for k in range(n) for u in "xyz")
     return scenario_from_generators(
         "pauli",
         "maximal averaging over the qubit error basis (robust to any "
         "systematic in-algebra fault)",
         n, gen_mats, builders,
         reference_colors=_TWO_GEN_PATH if n == 1 else None,
-        noise_generators=noise, max_order=4 ** n + 1,
+        noise_generators=_linear_noise(n), max_order=4 ** n + 1,
         checks=(_pauli_checks,),
     )
 
@@ -292,14 +312,12 @@ def spin_flip_scenario(n: int = 2) -> Scenario:
     if n < 1:
         raise ValueError("spin-flip scenario needs n >= 1")
     gen_mats = [collective(n, "x"), collective(n, "z")]
-    noise = tuple((f"s{u}{k}", pauli_on(n, k, u))
-                  for k in range(n) for u in "xyz")
     return scenario_from_generators(
         "spin-flip",
         "collective spin-flip decoupling averaging out arbitrary linear noise",
         n, gen_mats, [partial(constant_profile, axis=a) for a in gen_mats],
         reference_colors=_TWO_GEN_PATH,
-        noise_generators=noise,
+        noise_generators=_linear_noise(n),
         checks=(_spin_flip_checks,),
     )
 
@@ -427,11 +445,20 @@ def _factor_fit_residual(B: np.ndarray, n_J: int, d_J: int) -> float:
 
 def noise_suppression_check(scenario: Scenario) -> float:
     """The largest norm of a noise generator's group average; 0 when the
-    scenario declares no noise generator."""
+    scenario declares no noise generator.  A Monomial is averaged on its
+    own, by ``pi_G``'s gathers of its entries; the d x d arrays in stacks."""
     rep = scenario.rep
-    gens = (S for _, S in scenario.noise_generators)
-    return max((max_norm(pi_G(rep, S)) for S in _operator_stacks(rep, gens)),
-               default=0.0)
+    gens = [S for _, S in scenario.noise_generators]
+    pairs = [S for S in gens if isinstance(S, Monomial)]
+    dense = (S for S in gens if not isinstance(S, Monomial))
+    norms = [_norm(pi_G(rep, S)) for S in pairs]
+    norms += [max_norm(pi_G(rep, X)) for X in _operator_stacks(rep, dense)]
+    return max(norms, default=0.0)
+
+
+def _norm(X) -> float:
+    """The Frobenius norm of a Monomial or of a d x d array."""
+    return X.norm() if isinstance(X, Monomial) else float(np.linalg.norm(X))
 
 
 @dataclass

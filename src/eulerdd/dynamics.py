@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .group_theory import (ShapeError, _read_only, conjugation_sum,
-                           is_hermitian, phase_distance)
+from .group_theory import (Monomial, ShapeError, _read_only, conjugation_sum,
+                           is_hermitian, is_traceless, phase_distance)
 from .pulses import (EXPM_WORK, ControlSchedule, PulseProfile, _expm_eig,
                      _expm_herm, check_amplitudes, checked_delta_t,
                      merged_segments)
@@ -45,7 +45,8 @@ class DriftModel:
     """System-environment drift H0 = H_S ⊗ I + I ⊗ H_E + sum S_a ⊗ E_a.
 
     env_dim = 1 models a closed system.  Noise generators S_a must be
-    traceless.
+    traceless; each is a d x d array or a Monomial, which the drift keeps
+    as it is and writes into H0 by its row pattern.
     """
 
     H_S: np.ndarray
@@ -63,8 +64,9 @@ class DriftModel:
     def validate(self) -> None:
         """A ValueError unless H_S and H_E are Hermitian and each coupling
         is a traceless S of the system's shape with an E of the
-        environment's; checked once per drift, as the drift's terms are
-        not changed after it is built."""
+        environment's, a Monomial S also Hermitian (``Monomial.is_hermitian``,
+        in O(d)); checked once per drift, as the drift's terms are not
+        changed after it is built."""
         self._valid
 
     @cached_property
@@ -73,10 +75,12 @@ class DriftModel:
             if not is_hermitian(h):
                 raise ValueError("invalid drift: non-Hermitian term")
         for S, E in self.couplings:
-            if abs(np.trace(S)) > 1e-10 * max(np.linalg.norm(S), 1.0):
+            if not is_traceless(S):
                 raise ValueError("invalid drift: noise generator is not traceless")
             if S.shape != (self.system_dim,) * 2 or E.shape != (self.env_dim,) * 2:
                 raise ValueError("invalid drift: coupling shape mismatch")
+            if isinstance(S, Monomial) and not S.is_hermitian():
+                raise ValueError("invalid drift: non-Hermitian term")
         return True
 
     def total(self) -> np.ndarray:
@@ -85,8 +89,8 @@ class DriftModel:
 
     def divided(self, norm: float) -> "DriftModel":
         """This drift divided by ``norm``: H_S, H_E and each E divided (each
-        S stays the same array), its total this drift's total divided, not
-        built again."""
+        S stays the same array or Monomial), its total this drift's total
+        divided, not built again."""
         out = DriftModel(H_S=self.H_S / norm, H_E=self.H_E / norm,
                          couplings=tuple((S, E / norm) for S, E in self.couplings))
         # the cached_property's slot, filled as its first call would
@@ -98,15 +102,21 @@ class DriftModel:
         """H_S, H_E and each S·E[k, l] written into one (d, d_E, d, d_E)
         array, whose (i, e, j, f) entry is that of row (i, e) and column
         (j, f) of H0.  Each product is taken in the order of np.kron(S, E),
-        so H0 equals the Kronecker sum entry for entry."""
+        so H0 equals the Kronecker sum entry for entry.  A Monomial S adds
+        its entries times E[k, l] at (rows[c], k, c, l) alone: the dense
+        loop's nonzero products, in its order."""
         d, de = self.system_dim, self.env_dim
         h = np.zeros((d, de, d, de), dtype=complex)
         _env_blocks(h)[:] = self.H_S            # H_S ⊗ I
         np.einsum("ieif->ief", h)[:] += self.H_E    # I ⊗ H_E
+        cols = np.arange(d)
         for S, E in self.couplings:             # S ⊗ E
             for k in range(de):
                 for l in range(de):
-                    h[:, k, :, l] += S * E[k, l]
+                    if isinstance(S, Monomial):
+                        h[S.rows, k, cols, l] += S.entries * E[k, l]
+                    else:
+                        h[:, k, :, l] += S * E[k, l]
         return _read_only(h.reshape(d * de, d * de))
 
 

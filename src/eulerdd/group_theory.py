@@ -94,6 +94,69 @@ def _monomial_parts(mats: np.ndarray):
     return rows, flat[np.arange(len(flat))[:, None], picks].reshape(rows.shape)
 
 
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """A d x d operator with one entry per column, kept as its read-only
+    (rows, entries) pair: column c holds entries[c] in row rows[c] and is
+    zero elsewhere.  A Pauli string is one (Aaronson & Gottesman, PRA 70,
+    052328 (2004)), so it is checked, averaged and coupled in O(d) without
+    its d x d array, which ``dense`` forms where a caller needs it.  Both
+    arrays are copied; a ValueError unless they are two length-d arrays
+    with rows in 0..d-1."""
+
+    rows: np.ndarray
+    entries: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.intp)
+        entries = np.array(self.entries, dtype=complex)
+        d = len(rows)
+        if (rows.shape != (d,) or entries.shape != (d,)
+                or not ((0 <= rows) & (rows < d)).all()):
+            raise ValueError("monomial: rows and entries must be two length-d "
+                             "arrays, with rows in 0..d-1")
+        object.__setattr__(self, "rows", _read_only(rows))
+        object.__setattr__(self, "entries", _read_only(entries))
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.rows),) * 2
+
+    def dense(self) -> np.ndarray:
+        """The d x d complex array, a new one at each call."""
+        d = len(self.rows)
+        out = np.zeros((d, d), dtype=complex)
+        out[self.rows, np.arange(d)] = self.entries
+        return out
+
+    def norm(self) -> float:
+        """The Frobenius norm, that of the entries."""
+        return float(np.linalg.norm(self.entries))
+
+    def trace(self) -> complex:
+        """The sum of the entries in their own row (rows[c] = c), in order."""
+        return self.entries[self.rows == np.arange(len(self.rows))].sum()
+
+    def is_hermitian(self) -> bool:
+        """rows an involution and |entries[rows] - conj(entries)| within
+        HERMITIAN_TOL times max(|entries|, 1): ``is_hermitian`` of the dense
+        array in O(d), on its row pattern, where the adjoint's column c is
+        conj(entries[rows[c]]) in row rows[c].  Rows that are not an
+        involution are refused, whatever their entries."""
+        rows, e = self.rows, self.entries
+        return bool((rows[rows] == np.arange(len(rows))).all()
+                    and np.linalg.norm(e[rows] - e.conj())
+                    <= HERMITIAN_TOL * max(self.norm(), 1.0))
+
+
+def is_traceless(m) -> bool:
+    """|tr m| within HERMITIAN_TOL times max(|m|, 1) (Frobenius norm), for a
+    d x d array or, in O(d), a Monomial."""
+    trace, norm = ((m.trace(), m.norm()) if isinstance(m, Monomial)
+                   else (np.trace(m), np.linalg.norm(m)))
+    return abs(trace) <= HERMITIAN_TOL * max(norm, 1.0)
+
+
 def is_unitary(m: np.ndarray) -> bool:
     """|m† m - I| within DEFAULT_PHASE_TOL times d (Frobenius norm)."""
     d = m.shape[0]
@@ -537,15 +600,50 @@ def commutator_norms(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
                            for terms in conjugates(rep, X)], axis=-1)
 
 
-def pi_G(rep: UnitaryRep, X: np.ndarray) -> np.ndarray:
+def pi_G(rep: UnitaryRep, X):
     """Group-average projector onto the commutant:
     (1/|G|) sum_j g_j† X g_j, of one operator or of each operator of an
-    (n, d, d) stack."""
-    X = np.asarray(X, dtype=complex)
+    (n, d, d) stack.
+
+    X may also be a Monomial.  Under a monomial representation its
+    conjugates are then gathers of its d entries (``_monomial_conjugates``),
+    and when every one keeps X's rows, as under a Pauli group, the average
+    is the Monomial of those rows and the entries' average, in O(|G| d).
+    Otherwise, and under any other representation, X is densified."""
+    if not isinstance(X, Monomial):
+        X = np.asarray(X, dtype=complex)
     d = rep.dimension
     if X.shape[-2:] != (d, d):
         raise ShapeError("shape error: operator does not match representation dimension")
+    if isinstance(X, Monomial):
+        terms = _monomial_conjugates(rep, X)
+        if terms is not None:
+            return Monomial(X.rows, terms.sum(axis=0) / len(terms))
+        X = X.dense()
     return conjugation_sum(rep, X) / len(rep.matrices)
+
+
+def _monomial_conjugates(rep: UnitaryRep, X: Monomial):
+    """The (|G|, d) entries of g_j† X g_j for every element j, when the
+    representation is monomial and every conjugate has X's rows; else None.
+
+    For the (rows, phases) of ``UnitaryRep.monomial``, g_j† X g_j has, in
+    column c, the entry conj(phases[j, r]) X.entries[rows[j, c]]
+    phases[j, c] in row r = inv_j[X.rows[rows[j, c]]], inv_j the inverse
+    of the permutation rows[j]: the gather of ``conjugates`` on X's row
+    pattern, its phase product taken in the same order."""
+    mono = rep.monomial()
+    if mono is None:
+        return None
+    rows, phases = mono
+    n, d = rows.shape
+    inv = np.empty_like(rows)
+    inv[np.arange(n)[:, None], rows] = np.arange(d)
+    if not (np.take_along_axis(inv, X.rows[rows], axis=1) == X.rows).all():
+        return None
+    terms = X.entries[rows]
+    terms *= phases[:, X.rows].conj() * phases
+    return terms
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerdd import analysis, dynamics, group_theory, io
 from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
@@ -17,11 +19,13 @@ from eulerdd.analysis import (SIGMA, builtin_scenarios, carr_purcell_scenario,
                               spin_flip_scenario, symmetric_s3_scenario,
                               verify_theorem)
 from eulerdd.cayley import EulerPath, validate_path
-from eulerdd.group_theory import (MAX_STACK_BYTES, decompose_irreps,
+from eulerdd.dynamics import DriftModel
+from eulerdd.group_theory import (MAX_STACK_BYTES, Monomial, decompose_irreps,
                                   in_algebra, pi_G)
 from eulerdd.pulses import (ControlSchedule, Step, apply_fault, constant_profile,
                             piecewise_profile)
-from test_group_theory import center_basis, subspace_distance, validate_rep
+from test_group_theory import (center_basis, dense, pauli_pairs,
+                               subspace_distance, validate_rep)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -250,7 +254,7 @@ def per_trial_checks(scenario, trials, seed, monkeypatch):
     draw, one pi_G and one q_map = pi_G∘F at a time, the commutant check
     one element at a time, and one pi_G per noise generator."""
     monkeypatch.setattr(analysis, "noise_suppression_check", lambda sc: max(
-        (float(np.linalg.norm(per_operator_pi_G(sc.rep, S)))
+        (float(np.linalg.norm(per_operator_pi_G(sc.rep, dense(S))))
          for _, S in sc.noise_generators), default=0.0))
     rng = np.random.default_rng(seed)
     rep = scenario.rep
@@ -402,9 +406,104 @@ class TestNoiseSuppression:
                 "bad", "", 1, [SX], [partial(constant_profile, axis=SX)],
                 noise_generators=[("sz", SZ), ("bad", noise)])
 
+    @pytest.mark.parametrize("rows,entries,message", [
+        ([0, 1, 2, 3], [1, -1, 1, -1], "must be a Hermitian 2 x 2 matrix"),
+        ([1, 1], [1, 1], "must be a Hermitian 2 x 2 matrix"),
+        ([1, 0], [1j, 1j], "must be a Hermitian 2 x 2 matrix"),
+        ([0, 1], [1, 1], "must be traceless"),
+    ], ids=["wrong-size", "rows-not-an-involution", "non-hermitian", "trace"])
+    def test_bad_monomial_noise_generator_refused(self, rows, entries, message):
+        with pytest.raises(ValueError, match=rf"^noise_generators\[1\] {message}"):
+            analysis.scenario_from_generators(
+                "bad", "", 1, [SX], [partial(constant_profile, axis=SX)],
+                noise_generators=[("sz", SZ), ("bad", Monomial(rows, entries))])
+
+    def test_list_noise_generator_is_stored_as_checked(self):
+        # the complex array that was checked is stored, so the sweep's
+        # drift multiplies it; the caller's list is not kept
+        sc = analysis.scenario_from_generators(
+            "listed", "", 1, [SX], [partial(constant_profile, axis=SX)],
+            noise_generators=(("sz", [[1, 0], [0, -1]]),))
+        (_, S), = sc.noise_generators
+        assert isinstance(S, np.ndarray) and np.array_equal(S, SZ)
+        study = scaling_study(sc, [0.02, 0.01], cycles=2)
+        assert all(np.isfinite(r.distance) for r in study.rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pauli_pairs(max_qubits=3),
+           st.sampled_from(["none", "rows", "entries", "trace"]))
+    def test_monomial_checks_refuse_what_the_dense_checks_refuse(self, S, kind):
+        # each check of a pair, in O(d), against the same check of its dense
+        # array: the scenario's refusals agree message for message, and a
+        # drift refuses the pair when either check refuses its array
+        rows, entries = S.rows.copy(), S.entries.copy()
+        if kind == "rows":          # two columns in one row
+            rows[0] = rows[1]
+        elif kind == "entries":     # iS is anti-Hermitian
+            entries = 1j * entries
+        elif kind == "trace":       # S + I/2 on its fixed columns
+            entries[rows == np.arange(len(rows))] += 0.5
+        S = Monomial(rows, entries)
+        n = int(np.log2(S.shape[0]))
+        gen = collective(n, "x")
+
+        def refusal(call, *args):
+            try:
+                call(*args)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def build(S):
+            analysis.scenario_from_generators(
+                "s", "", n, [gen], [partial(constant_profile, axis=gen)],
+                noise_generators=[("s", S)])
+
+        def validate(S):
+            d = S.shape[0]
+            DriftModel(H_S=np.zeros((d, d)), H_E=np.zeros((1, 1)),
+                       couplings=((S, np.ones((1, 1))),)).validate()
+
+        scenario = refusal(build, S)
+        assert scenario == refusal(build, S.dense())
+        drift, drift_dense = refusal(validate, S), refusal(validate, S.dense())
+        assert (drift is None) == (scenario is None)
+        assert drift_dense is None or drift == drift_dense
+        assert drift in (None, "invalid drift: non-Hermitian term",
+                         "invalid drift: noise generator is not traceless")
+
     def test_spin_flip_full_suppression(self):
         sc = spin_flip_scenario(2)
         assert noise_suppression_check(sc) <= 1e-12
+
+    def test_pauli_noise_generators_stay_monomial(self):
+        # no built-in scenario, and no drift built from one, holds a d x d
+        # array per Pauli-string noise generator; S3's collective sums are
+        # not Pauli strings and stay dense
+        for sc in [*builtin_scenarios(), pauli_scenario(3), spin_flip_scenario(5)]:
+            drift = sc.generic_drift(env_dim=2, seed=1)
+            dense_noise = sc.name == "symmetric-s3"
+            for (_, S), (T, _) in zip(sc.noise_generators, drift.couplings):
+                assert isinstance(S, np.ndarray) is dense_noise
+                assert isinstance(S, Monomial) is not dense_noise
+                assert T is S
+            if not dense_noise:
+                assert all(not S.entries.flags.writeable
+                           for _, S in sc.noise_generators)
+
+    def test_spin_flip_n8_noise_without_dense_generators(self):
+        # d = 256: the 24 dense noise generators were 24 MiB, and the build,
+        # noise_suppression_check and generic_drift peaked at 47.8 MiB
+        tracemalloc.start()
+        try:
+            sc = spin_flip_scenario(8)
+            value = noise_suppression_check(sc)
+            sc.generic_drift(env_dim=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == 0.0
+        assert peak < 30 * 2 ** 20
 
     def test_s3_collective_noise_on_dimension_factor(self):
         sc = symmetric_s3_scenario()

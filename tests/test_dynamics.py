@@ -25,8 +25,9 @@ from eulerdd.pulses import (ControlSchedule, PathMismatchError, PulseProfile,
                             merged_segments, phase_distance, piecewise_profile)
 from test_group_theory import (PROPERTY_MAX_ORDER, _monomial, algebra_basis,
                                center_basis, commutant_basis, conjugated,
-                               f_map, hermitian_log, monomial_groups, multiply,
-                               pauli_generators, subspace_distance)
+                               dense, f_map, hermitian_log, hermitian_monomials,
+                               monomial_groups, multiply, pauli_generators,
+                               pauli_pairs, subspace_distance)
 
 SX, SY, SZ = SIGMA["x"], SIGMA["y"], SIGMA["z"]
 
@@ -238,7 +239,7 @@ def pauli_segments(draw):
     frac = draw(st.floats(0.0, 1.0, exclude_min=True))
     lead = draw(st.sampled_from([(), (3,), (2, 2)]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return sign * analysis._pauli_string(letters), theta, frac, lead, seed
+    return sign * analysis._pauli_string(letters).dense(), theta, frac, lead, seed
 
 
 def counted_kernels(monkeypatch):
@@ -871,7 +872,7 @@ def kron_total(drift):
     d, de = drift.system_dim, drift.env_dim
     h = np.kron(drift.H_S, np.eye(de)) + np.kron(np.eye(d), drift.H_E)
     for S, E in drift.couplings:
-        h = h + np.kron(S, E)
+        h = h + np.kron(dense(S), E)
     return h
 
 
@@ -892,6 +893,27 @@ class TestJointOperators:
         drift = DriftModel(H_S=random_hermitian(d, rng),
                            H_E=random_hermitian(env_dim, rng), couplings=couplings)
         assert np.array_equal(drift.total(), kron_total(drift))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_monomial_couplings_equal_the_dense_total(self, n, env_dim, data,
+                                                      seed):
+        # Pauli strings and other Hermitian monomials, scattered into H0 by
+        # their rows, give the dense loop's total bit for bit, divided too
+        rng = np.random.default_rng(seed)
+        d = 2 ** n
+        pairs = [data.draw(pauli_pairs(n, n)), data.draw(hermitian_monomials(d))]
+        H_S, H_E = random_hermitian(d, rng), random_hermitian(env_dim, rng)
+        Es = [random_hermitian(env_dim, rng) for _ in pairs]
+        drift = DriftModel(H_S=H_S, H_E=H_E, couplings=tuple(zip(pairs, Es)))
+        want = DriftModel(H_S=H_S, H_E=H_E, couplings=tuple(
+            (S.dense(), E) for S, E in zip(pairs, Es)))
+        assert np.array_equal(drift.total(), want.total())
+        assert np.array_equal(drift.divided(3.0).total(),
+                              want.divided(3.0).total())
+        assert all(S is T for (S, _), (T, _)
+                   in zip(drift.divided(3.0).couplings, drift.couplings))
 
     def test_drift_is_validated_once(self, monkeypatch):
         # a sweep validates its drift at every delta_t; the terms of a

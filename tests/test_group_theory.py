@@ -8,14 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerdd import dynamics, group_theory
+from eulerdd import analysis, dynamics, group_theory
 from eulerdd.analysis import (collective, get_scenario, pauli_on,
                               spin_flip_scenario)
 from eulerdd.cayley import eulerian_cycle, validate_path
 from eulerdd.dynamics import average_hamiltonian, q_map, residual_error
 from eulerdd.group_theory import (ALGEBRA_TOL, DEFAULT_PHASE_TOL,
                                   GroupClosureError, InvalidGeneratorError,
-                                  ShapeError, close_group, decompose_irreps,
+                                  Monomial, ShapeError, close_group, decompose_irreps,
                                   equal_up_to_phase, fix_phase, in_algebra,
                                   pi_G)
 from eulerdd.pulses import (_expm_herm, apply_fault, bangbang_schedule,
@@ -25,6 +25,12 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+
+
+def dense(S):
+    """A noise generator or coupling S as its d x d array: a Monomial
+    densified, an array as it is."""
+    return S.dense() if isinstance(S, Monomial) else S
 
 
 def random_hermitian(d, rng):
@@ -288,6 +294,33 @@ def monomial_groups(draw):
         phases = draw(st.lists(st.floats(0, 2 * np.pi), min_size=2, max_size=2))
         gens.append((perm, steps, phases))
     return gens
+
+
+@st.composite
+def pauli_pairs(draw, min_qubits=1, max_qubits=4):
+    """A signed Pauli string on ``min_qubits`` <= n <= ``max_qubits`` qubits,
+    the identity string included, as its Monomial pair."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    S = analysis._pauli_string(draw(st.text("ixyz", min_size=n, max_size=n)))
+    return Monomial(S.rows, draw(st.sampled_from([1.0, -1.0])) * S.entries)
+
+
+@st.composite
+def hermitian_monomials(draw, d):
+    """A Hermitian Monomial of dimension d: rows a random involution (2-cycles
+    and fixed points), entries z and conj(z) on each 2-cycle and real on
+    each fixed point, |z| <= 1."""
+    perm = draw(st.permutations(range(d)))
+    cycles = draw(st.integers(0, d // 2))
+    rows, entries = np.arange(d), np.zeros(d, dtype=complex)
+    part = st.floats(-1.0, 1.0)
+    for a, b in zip(perm[:2 * cycles:2], perm[1:2 * cycles:2]):
+        rows[a], rows[b] = b, a
+        entries[a] = complex(draw(part), draw(part)) / np.sqrt(2)
+        entries[b] = entries[a].conjugate()
+    for c in perm[2 * cycles:]:
+        entries[c] = draw(part)
+    return Monomial(rows, entries)
 
 
 def commutant_basis(rep):
@@ -955,6 +988,54 @@ class TestMonomialGather:
         assert rep.group.order == 256 and rep.monomial() is None
         assert peak < 2 ** 19
         assert retained < 0.1 * 2 ** 20
+
+
+class TestMonomialAverage:
+    """pi_G of a Monomial: gathers of its d entries under a monomial
+    representation, a Monomial of its rows when every conjugate keeps them,
+    and the average of its dense array otherwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_pairs(), st.sampled_from(["pauli", "spin-flip"]))
+    def test_pauli_groups_keep_the_rows(self, S, name):
+        rep = scenario(name, int(np.log2(S.shape[0]))).rep
+        got = pi_G(rep, S)
+        assert isinstance(got, Monomial)
+        assert np.array_equal(got.rows, S.rows)
+        assert np.abs(got.dense() - pi_G(rep, S.dense())).max() <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_groups(), st.data(), st.integers(0, 2 ** 32 - 1))
+    def test_any_group_equals_the_dense_average(self, gens, data, seed):
+        mats = [_monomial(p, s, ph[0]) for p, s, ph in gens]
+        for generators in (mats, conjugated(mats, seed)):
+            try:
+                _, rep = close_group(generators, max_order=PROPERTY_MAX_ORDER)
+            except GroupClosureError:
+                assume(False)
+            S = data.draw(hermitian_monomials(rep.dimension))
+            got = pi_G(rep, S)
+            if rep.monomial() is None:
+                assert not isinstance(got, Monomial)
+            assert np.abs(dense(got) - pi_G(rep, S.dense())).max() <= 1e-15
+
+    def test_builtin_noise_is_averaged_without_a_dense_array(self, monkeypatch):
+        # no Pauli-string noise generator is densified, and no d x d array
+        # is formed: the conjugation_sum of a dense operator is refused
+        def refused(*args, **kwargs):
+            raise AssertionError("dense average")
+        built = [scenario(name, n) for name, n in
+                 (("carr-purcell", None), ("pauli", 3), ("spin-flip", 5))]
+        monkeypatch.setattr(group_theory, "conjugation_sum", refused)
+        monkeypatch.setattr(Monomial, "dense", refused)
+        for sc in built:
+            for _, S in sc.noise_generators:
+                assert pi_G(sc.rep, S).norm() == 0.0
+
+    def test_wrong_dimension_is_a_shape_error(self):
+        S = analysis._pauli_string("xz")
+        with pytest.raises(ShapeError, match="^shape error"):
+            pi_G(scenario("pauli", 1).rep, S)
 
 
 @pytest.fixture

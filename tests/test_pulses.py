@@ -321,7 +321,8 @@ def pauli_profiles(draw):
     sign = draw(st.sampled_from([1.0, -1.0]))
     theta = draw(st.floats(0.0, 2 * np.pi, exclude_min=True))
     x = draw(st.floats(0.0, 1.0))
-    return pulses.PulseProfile(((1.0, sign * theta * _pauli_string(letters)),)), x
+    return (pulses.PulseProfile(((1.0, sign * theta * _pauli_string(letters).dense()),)),
+            x)
 
 
 class TestClosedFormUnitary:
@@ -362,7 +363,7 @@ def involution_axes(draw):
     sign = draw(st.sampled_from([1.0, -1.0]))
     c = draw(st.floats(0.1, 3.0))
     phi = draw(st.floats(0.01, np.pi - 0.01))
-    return c, sign * _pauli_string(letters), phi
+    return c, sign * _pauli_string(letters).dense(), phi
 
 
 class TestInvolutionAngle:
